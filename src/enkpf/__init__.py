@@ -6,15 +6,7 @@ from enkpf.taper import TaperSpec, gaspari_cohn, taper_matrix, tapered_covarianc
 from enkpf.core import Ensemble, ensemble_moments, kalman_gain
 from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess, permute_fixed_points
-from enkpf.global_filters import (
-    EnkpfIntermediate,
-    adaptive_gamma,
-    enkf_update,
-    enkpf_stage1,
-    enkpf_update,
-    enkpf_weights,
-    pf_weights,
-)
+from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_weights
 from enkpf.local_filters import (
     LocalWindowSpec,
     ObservationBlock,

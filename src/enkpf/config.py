@@ -13,18 +13,9 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from enkpf.errors import ConfigError
+from enkpf.experiment import METHODS
 from enkpf.grid import GridGeometry
 from enkpf.sweq import ModelParams
-
-METHODS = (
-    "enkf_global",
-    "lenkf",
-    "naive_lenkpf",
-    "block_lenkpf",
-    "pf_global",
-    "enkpf_global",
-    "free",
-)
 
 SCENARIOS = ("hf", "lf", "custom")
 SCENARIO_TIMING = {"hf": (300.0, 3600.0), "lf": (1800.0, 259200.0)}
@@ -61,6 +52,10 @@ class ExperimentConfig:
                 "interval_s/duration_s: a custom scenario must set both explicitly"
             )
         return dataclasses.replace(self, interval_s=interval, duration_s=duration)
+
+    def validated(self):
+        """Resolved copy that passed validate_config (ConfigError otherwise)."""
+        return validate_config(self.resolved())
 
     @property
     def n_cycles(self):
@@ -227,5 +222,4 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"unknown key {key!r} in overrides")
         raw_exp[key] = value
     exp_kw = {_FIELD_FOR_KEY.get(key, key): value for key, value in raw_exp.items()}
-    cfg = ExperimentConfig(model=model, **exp_kw)
-    return validate_config(cfg.resolved())
+    return ExperimentConfig(model=model, **exp_kw).validated()

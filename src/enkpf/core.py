@@ -3,7 +3,9 @@
 Observation operators throughout the package are column selectors: obs row j
 reads state column h_rows[j] with coefficient 1. That keeps every gain
 computation an m x m solve (m = number of observations); no d x d system is
-ever formed or inverted.
+ever formed or inverted. _gain is that solve for every EnKF step, global or
+local; only the EnKPF's gamma-scaled gains live elsewhere
+(global_filters._enkpf_rows_machinery).
 """
 
 from dataclasses import dataclass
@@ -63,6 +65,30 @@ def ensemble_moments(ens):
     return mean, cov
 
 
+def _chol(mat, what):
+    try:
+        return sla.cho_factor(mat, lower=True)
+    except sla.LinAlgError as exc:
+        raise FilterError(f"{what} not positive definite: {exc}") from exc
+
+
+def _p_slices(cov, h_rows):
+    """P[:, h_rows] and P[h_rows, h_rows] as dense arrays, from a dense or sparse P."""
+    if sp.issparse(cov):
+        p_cols = np.asarray(cov[:, h_rows].todense())
+    else:
+        p_cols = np.asarray(cov, dtype=float)[:, h_rows]
+    return p_cols, p_cols[h_rows, :]
+
+
+def _gain(p_ro, s_oo, r_diag, what):
+    """Gain rows P_ro (S + diag(r))^{-1}, p_ro (p, m) and S (m, m) the
+    covariance slices; what names S + diag(r) in the FilterError raised when
+    it is not positive definite."""
+    factor = _chol(s_oo + np.diag(r_diag), what)
+    return sla.cho_solve(factor, p_ro.T).T
+
+
 def kalman_gain(cov, h_rows, r_diag):
     """Kalman gain K = P H'(H P H' + R)^{-1} for a selector H and diagonal R.
 
@@ -78,13 +104,5 @@ def kalman_gain(cov, h_rows, r_diag):
         raise FilterError("r_diag length must match number of observations")
     if np.any(r_diag <= 0):
         raise FilterError("observation error variances must be positive")
-    if sp.issparse(cov):
-        p_cols = np.asarray(cov[:, h_rows].todense())
-    else:
-        p_cols = np.asarray(cov)[:, h_rows]
-    s = p_cols[h_rows, :] + np.diag(r_diag)
-    try:
-        factor = sla.cho_factor(s, lower=True)
-    except sla.LinAlgError as exc:
-        raise FilterError(f"innovation covariance not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, p_cols.T).T
+    p_cols, s_oo = _p_slices(cov, h_rows)
+    return _gain(p_cols, s_oo, r_diag, "innovation covariance")

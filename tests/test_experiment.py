@@ -2,9 +2,10 @@ import os
 
 import pytest
 
+import enkpf.config as config
 import enkpf.experiment as ex
 from enkpf.config import ExperimentConfig
-from enkpf.errors import FilterError
+from enkpf.errors import ConfigError, FilterError
 from enkpf.grid import GridGeometry
 from enkpf.scoring import read_scores_csv
 from enkpf.sweq import ModelParams
@@ -74,17 +75,16 @@ def test_threads_do_not_change_output_bytes(tmp_path):
 
 
 def test_numerical_failure_drops_method_but_not_run(monkeypatch):
-    real = ex._analyze
+    real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}
 
-    def wrapped(method, members, obs, cfg, layout, window, taper, rng, diag):
-        if method == "lenkf":
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise FilterError("synthetic failure")
-        return real(method, members, obs, cfg, layout, window, taper, rng, diag)
+    def wrapped(members, obs, ctx, rng, diag):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise FilterError("synthetic failure")
+        return real(members, obs, ctx, rng, diag)
 
-    monkeypatch.setattr(ex, "_analyze", wrapped)
+    monkeypatch.setitem(ex.ANALYSES, "lenkf", wrapped)
     cfg = tiny_cfg(methods=("lenkf", "free"))
     res = ex.run_single_rep(cfg, 0)
     assert res.failed_at == {"lenkf": 2}
@@ -97,16 +97,33 @@ def test_numerical_failure_drops_method_but_not_run(monkeypatch):
 
 def test_free_method_never_enters_analysis(monkeypatch):
     seen = []
-    real = ex._analyze
 
-    def spy(method, members, obs, cfg, layout, window, taper, rng, diag):
-        seen.append(method)
-        return real(method, members, obs, cfg, layout, window, taper, rng, diag)
+    def spy(method, real):
+        def analysis(members, obs, ctx, rng, diag):
+            seen.append(method)
+            return real(members, obs, ctx, rng, diag)
 
-    monkeypatch.setattr(ex, "_analyze", spy)
+        return analysis
+
+    for method, real in ex.ANALYSES.items():
+        if real is not None:
+            monkeypatch.setitem(ex.ANALYSES, method, spy(method, real))
     cfg = tiny_cfg(methods=("free", "block_lenkpf"), duration_s=120.0)
     ex.run_single_rep(cfg, 0)
     assert set(seen) == {"block_lenkpf"}
+
+
+def test_method_registry_order_and_validation():
+    # the order keys the analysis and rank rng streams: changing it changes
+    # every score, so it is pinned here
+    pinned = ("enkf_global", "lenkf", "naive_lenkpf", "block_lenkpf", "pf_global", "enkpf_global", "free")  # noqa: E501
+    assert ex.METHODS == pinned
+    assert ex.METHOD_IDS == {name: i for i, name in enumerate(ex.METHODS)}
+    assert config.METHODS is ex.METHODS
+    for method in ex.ANALYSES:
+        assert config.validate_config(tiny_cfg(methods=(method,))).methods == (method,)
+    with pytest.raises(ConfigError, match="methods"):
+        config.validate_config(tiny_cfg(methods=("lenkf", "enkpf_local")))
 
 
 def test_rank_counts_accumulate_at_thinned_times(tmp_path):

@@ -6,15 +6,14 @@ from enkpf.global_filters import (
     GammaWeightSolver,
     adaptive_gamma,
     enkf_update,
-    enkpf_perturbations,
-    enkpf_stage1,
     enkpf_update,
-    enkpf_weights,
     pf_weights,
     search_gamma,
 )
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
+
+from oracles import enkpf_perturbations, enkpf_stage1, enkpf_weights
 
 
 class ZeroRng:
@@ -314,7 +313,7 @@ def test_eps_draw_covariance_matches_analysis_covariance():
     k2 = kalman_gain((1 - gamma) * q_dense, obs.h_rows, obs.r_diag)
     target = q_dense - k2 @ q_dense[obs.h_rows, :]  # (I - K2 H) Q
     n_draws = 100_000
-    draws = enkpf_perturbations(inter, obs, n_draws, np.random.default_rng(20))
+    draws = enkpf_perturbations(p, obs, gamma, n_draws, np.random.default_rng(20))
     emp = draws.T @ draws / n_draws
     se = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws
@@ -371,6 +370,21 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
     oracle = reached[0]
     assert abs(gamma - oracle) <= 2.0**-10 + 1e-4
     assert 0.0 < gamma < 1.0
+
+
+def test_adaptive_gamma_resamples_the_solver_weights():
+    # one weight formula: the weights that pick gamma are the weights resampled
+    rng = np.random.default_rng(24)
+    lo, k = 0.5, 25
+    for _ in range(20):
+        x, p, obs = random_system(rng, k=k, d=6, m=4)
+        s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
+        gamma, (_, w, _) = adaptive_gamma(
+            Ensemble(x), obs, p, (lo, 0.8), np.random.default_rng(25)
+        )
+        solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
+        assert np.array_equal(w.alpha, solver.weights(gamma).alpha)
+        assert ess(w) >= lo * k
 
 
 def test_adaptive_gamma_band_validation():
