@@ -2,8 +2,8 @@
 convective-scale shallow-water testbed for cycled twin experiments."""
 
 from enkpf.grid import GridGeometry, StateLayout
-from enkpf.taper import TaperSpec, gaspari_cohn, taper_matrix, tapered_covariance
-from enkpf.core import Ensemble, ensemble_moments, kalman_gain
+from enkpf.taper import TaperSpec, gaspari_cohn
+from enkpf.core import ensemble_moments, kalman_gain
 from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess, permute_fixed_points
 from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_weights
@@ -17,6 +17,6 @@ from enkpf.local_filters import (
     schedule_blocks,
 )
 from enkpf.sweq import ModelParams, ModelState, RadarObs, gen_observations, model_step
-from enkpf.scoring import crps_empirical, field_crps, rank_histogram
+from enkpf.scoring import crps_empirical, field_crps
 
 __version__ = "0.1.0"

@@ -67,8 +67,8 @@ def _cmd_spinup(args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     truth_path = os.path.join(cfg.out_dir, "truth.csv")
     ens_path = os.path.join(cfg.out_dir, "ensemble.csv")
-    save_state_csv(ModelState.from_vector(ens.members[0]), truth_path)
-    save_ensemble_csv(ens.members[1:], ens_path)
+    save_state_csv(ModelState.from_vector(ens[0]), truth_path)
+    save_ensemble_csv(ens[1:], ens_path)
     print(f"wrote {truth_path} and {ens_path} (k={cfg.k})")
     return 0
 
@@ -80,12 +80,12 @@ def _cmd_score(args):
     ens = load_ensemble_csv(args.ensemble)
     truth = load_state_csv(args.truth)
     n = truth.h.shape[0]
-    if ens.members.shape[1] != 3 * n:
+    if ens.shape[1] != 3 * n:
         raise EnkpfError("ensemble and truth state have different grid sizes")
     fields = {"h": truth.h, "u": truth.u, "r": truth.r}
     print("field,crps")
     for i, (name, tr) in enumerate(fields.items()):
-        crps = field_crps(ens.members[:, i * n : (i + 1) * n], tr)
+        crps = field_crps(ens[:, i * n : (i + 1) * n], tr)
         print(f"{name},{crps!r}")
     return 0
 

@@ -1,4 +1,7 @@
-"""Ensemble container, sample moments, and the Kalman gain.
+"""Sample moments and the Kalman gain.
+
+An ensemble is a plain (k, d) float array of k members, and a covariance P is
+a dense (d, d) array.
 
 Observation operators throughout the package are column selectors: obs row j
 reads state column h_rows[j] with coefficient 1. That keeps every gain
@@ -8,54 +11,18 @@ local; only the EnKPF's gamma-scaled gains live elsewhere
 (global_filters._enkpf_rows_machinery).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from enkpf.errors import FilterError
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """k state vectors of dimension d, stored as a (k, d) array."""
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("members must be a (k, d) array")
-        object.__setattr__(self, "members", m)
-
-    @property
-    def k(self):
-        return self.members.shape[0]
-
-    @property
-    def dim(self):
-        return self.members.shape[1]
-
-    def mean(self):
-        return self.members.mean(axis=0)
-
-    def anomalies(self):
-        return self.members - self.members.mean(axis=0)
-
-
-def _members_of(ens):
-    if isinstance(ens, Ensemble):
-        return ens.members
-    return np.asarray(ens, dtype=float)
-
-
 def ensemble_moments(ens):
-    """Sample mean and covariance with the k-1 divisor.
+    """Sample mean and covariance with the k-1 divisor of a (k, d) member array.
 
     Returns (mean (d,), cov (d, d)). Requires k >= 2.
     """
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k = x.shape[0]
     if k < 2:
         raise ValueError("need at least 2 members for a sample covariance")
@@ -73,11 +40,8 @@ def _chol(mat, what):
 
 
 def _p_slices(cov, h_rows):
-    """P[:, h_rows] and P[h_rows, h_rows] as dense arrays, from a dense or sparse P."""
-    if sp.issparse(cov):
-        p_cols = np.asarray(cov[:, h_rows].todense())
-    else:
-        p_cols = np.asarray(cov, dtype=float)[:, h_rows]
+    """P[:, h_rows] and P[h_rows, h_rows] of a dense P."""
+    p_cols = np.asarray(cov, dtype=float)[:, h_rows]
     return p_cols, p_cols[h_rows, :]
 
 
@@ -92,8 +56,8 @@ def _gain(p_ro, s_oo, r_diag, what):
 def kalman_gain(cov, h_rows, r_diag):
     """Kalman gain K = P H'(H P H' + R)^{-1} for a selector H and diagonal R.
 
-    cov may be dense or sparse (d x d); h_rows[j] is the state column observed
-    by obs j; r_diag holds the m observation error variances. Returns a dense
+    cov is the dense (d, d) P; h_rows[j] is the state column observed
+    by obs j; r_diag holds the m observation error variances. Returns a
     (d, m) array. Raises FilterError if the innovation covariance is not
     positive definite.
     """

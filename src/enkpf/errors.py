@@ -15,6 +15,16 @@ class ConfigError(EnkpfError):
         self.line = line
 
 
+class InputError(EnkpfError):
+    """Malformed input file; the message names the file and, if known, the line."""
+
+    def __init__(self, path, message, line=None):
+        where = str(path) if line is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
+        self.path = path
+        self.line = line
+
+
 class FilterError(EnkpfError):
     """An analysis update could not be completed (singular system, bad shapes)."""
 

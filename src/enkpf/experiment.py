@@ -27,7 +27,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from enkpf.core import Ensemble, ensemble_moments
+from enkpf.core import ensemble_moments
 from enkpf.errors import CflViolation, FilterError, NumericalBlowup
 from enkpf.global_filters import adaptive_gamma, enkf_update, pf_weights
 from enkpf.grid import StateLayout
@@ -108,41 +108,39 @@ class AnalysisContext:
 
 def _enkf_global(members, obs, ctx, rng, diag):
     p = ensemble_moments(members)[1]
-    return enkf_update(Ensemble(members), obs, p, rng).members
+    return enkf_update(members, obs, p, rng)
 
 
 def _enkpf_global(members, obs, ctx, rng, diag):
     p = ensemble_moments(members)[1]
-    gamma, (out, w, _) = adaptive_gamma(Ensemble(members), obs, p, ctx.ess_band, rng)
+    gamma, (out, w, _) = adaptive_gamma(members, obs, p, ctx.ess_band, rng)
     diag.record(gamma, ess(w))
-    return out.members
+    return out
 
 
 def _pf_global(members, obs, ctx, rng, diag):
-    w = pf_weights(Ensemble(members), obs)
+    w = pf_weights(members, obs)
     diag.record(0.0, ess(w))
     idx = balanced_resample(w, rng)
     return members[idx.idx].copy()
 
 
 def _lenkf(members, obs, ctx, rng, diag):
-    return lenkf_update(
-        Ensemble(members), obs, ctx.window, ctx.taper, ctx.layout, rng
-    ).members
+    return lenkf_update(members, obs, ctx.window, ctx.taper, ctx.layout, rng)
 
 
 def _naive_lenkpf(members, obs, ctx, rng, diag):
     return naive_lenkpf_update(
-        Ensemble(members), obs, ctx.window, ctx.taper, ctx.layout, ctx.ess_band, rng,
+        members, obs, ctx.window, ctx.taper, ctx.layout, ctx.ess_band, rng,
         diagnostics=diag,
-    ).members
+    )
 
 
 def _block_lenkpf(members, obs, ctx, rng, diag):
     return block_lenkpf_update(
-        Ensemble(members), obs, ctx.taper, ctx.layout, ctx.block_segment_m, ctx.ess_band,
+        members, obs, ctx.taper, ctx.layout, ctx.block_segment_m, ctx.ess_band,
         rng, diagnostics=diag,
-    ).members
+    )
 
 
 # The method registry. Its order is part of the output: a method's position
@@ -178,8 +176,8 @@ def run_single_rep(cfg, rep):
     spin = spinup_ensemble(
         params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0)
     )
-    truth = spin.members[0].copy()
-    ens = {m: spin.members[1:].copy() for m in cfg.methods}
+    truth = spin[0].copy()
+    ens = {m: spin[1:].copy() for m in cfg.methods}
     failed_at = {}
 
     records = []

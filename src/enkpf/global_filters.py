@@ -20,7 +20,7 @@ diagonal R, so every solve is m x m.
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import Ensemble, _chol, _gain, _members_of, _p_slices
+from enkpf.core import _chol, _gain, _p_slices
 from enkpf.resampling import (
     MixtureWeights,
     ResampleIndices,
@@ -44,16 +44,16 @@ def enkf_update(ens, obs, P, rng):
     member gets its own observation perturbation; one (k, m) standard-normal
     block is drawn from rng, making the update bit-reproducible per seed.
     """
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     obs.check_dim(d)
     if obs.m == 0:
-        return Ensemble(x.copy())
+        return x.copy()
     p_cols, s_oo = _p_slices(P, obs.h_rows)
     pert = rng.standard_normal((k, obs.m)) * np.sqrt(obs.r_diag)
     gain = _gain(p_cols, s_oo, obs.r_diag, "innovation covariance")
     innov = obs.y - obs.project(x) + pert
-    return Ensemble(x + innov @ gain.T)
+    return x + innov @ gain.T
 
 
 def pf_weights(ens, obs, likelihood_power=1.0):
@@ -64,7 +64,7 @@ def pf_weights(ens, obs, likelihood_power=1.0):
     """
     if not 0.0 < likelihood_power <= 1.0:
         raise ValueError("likelihood_power must lie in (0, 1]")
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
     innov = obs.y - obs.project(x)
     log_w = -0.5 * likelihood_power * np.sum(innov * innov / obs.r_diag, axis=1)
@@ -198,7 +198,7 @@ def _enkpf_rows_update(x_rows, hx, obs, p_ro, s_oo, gamma, eta_raw, er_raw, indi
     slices (tapered or plain). Requires gamma < 1 (gamma = 1 delegates to the
     EnKF path at the call sites). Returns the (k, p) analysis rows.
     """
-    idx = indices.idx if isinstance(indices, ResampleIndices) else np.asarray(indices)
+    idx = indices.idx
     if gamma == 0.0 or obs.m == 0:
         return x_rows[idx].copy()
     k_ro, a, k2_ro = _enkpf_rows_machinery(obs, p_ro, s_oo, gamma)
@@ -227,13 +227,13 @@ def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample=False):
     x_a = _enkpf_rows_update(
         x, obs.project(x), obs, p_ro, s_oo, gamma, eta_raw, er_raw, idx
     )
-    return Ensemble(x_a), w, idx
+    return x_a, w, idx
 
 
 def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
     """Full EnKPF analysis for a fixed gamma.
 
-    Returns (analysis Ensemble, MixtureWeights, ResampleIndices). At
+    Returns (analysis (k, d) array, MixtureWeights, ResampleIndices). At
     gamma = 1 the particle stage is skipped entirely: the update delegates to
     enkf_update with the same rng (bitwise-equal output), weights are uniform
     and the indices are the identity. identity_resample=True skips the
@@ -241,7 +241,7 @@ def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     obs.check_dim(d)
     if gamma == 1.0:
@@ -260,10 +260,10 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     gamma = 0 preferred when the plain particle weights already qualify. hi
     is validated but not enforced (see search_gamma). The weights that pick
     gamma are the weights resampled, so their ESS is at least lo * k.
-    Returns (gamma, (Ensemble, MixtureWeights, ResampleIndices)).
+    Returns (gamma, (analysis array, MixtureWeights, ResampleIndices)).
     """
     lo, _ = _check_band(ess_band)
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
     p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import Ensemble, _gain, _members_of
+from enkpf.core import _gain
 from enkpf.errors import InvalidBlockError
 from enkpf.global_filters import (
     GammaWeightSolver,
@@ -98,11 +98,11 @@ def lenkf_update(ens, all_obs, window, taper, layout, rng):
     tapered covariance slices. Sites with no observations in range keep their
     background values bitwise.
     """
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     all_obs.check_dim(d)
     if all_obs.m == 0:
-        return Ensemble(x.copy())
+        return x.copy()
     obs_cols = all_obs.h_rows
     p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
     s_full = p_cross[obs_cols, :]
@@ -121,7 +121,7 @@ def lenkf_update(ens, all_obs, window, taper, layout, rng):
             f"local innovation covariance at site {g}",
         )
         out[:, cols] = x[:, cols] + innov_pert[:, sel] @ gain.T
-    return Ensemble(out)
+    return out
 
 
 def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diagnostics=None):
@@ -136,11 +136,11 @@ def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diag
     do not resample) contribute identity index vectors to the sweep.
     """
     lo, _ = _check_band(ess_band)
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     all_obs.check_dim(d)
     if all_obs.m == 0:
-        return Ensemble(x.copy())
+        return x.copy()
     obs_cols = all_obs.h_rows
     p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
     s_full = p_cross[obs_cols, :]
@@ -189,7 +189,7 @@ def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diag
             idx,
         )
         prev_idx = idx.idx
-    return Ensemble(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def block_assimilate_one(
     the equivalence tests.
     """
     lo, _ = _check_band(ess_band)
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     block.obs.check_dim(d)
     obs = block.obs
@@ -332,7 +332,7 @@ def block_assimilate_one(
         p_vu = tapered_cov_block(x, block.v, block.u, layout, taper)
         m_t = _pinv_regress(p_uu, p_vu, diagnostics)
         out[:, block.v] = x[:, block.v] + (x_u - x[:, block.u]) @ m_t
-    return Ensemble(out)
+    return out
 
 
 def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
@@ -359,14 +359,14 @@ def block_lenkpf_update(
     order. Across groups the updates are sequential, reusing the same taper.
     """
     _check_band(ess_band)
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     all_obs.check_dim(x.shape[1])
     blocks = partition_obs_blocks(all_obs, taper, layout, segment_length_m)
     if not blocks:
-        return Ensemble(x.copy())
+        return x.copy()
     schedule = schedule_blocks(blocks)
     streams = rng.spawn(len(blocks))
-    current = Ensemble(x.copy())
+    current = x
     for group in schedule.groups:
         for bid in group:
             current = block_assimilate_one(

@@ -81,9 +81,8 @@ class ResampleIndices:
 
 
 def ess(w):
-    """Effective sample size 1/sum(alpha^2), in [1, k]."""
-    a = w.alpha if isinstance(w, MixtureWeights) else np.asarray(w, dtype=float)
-    return 1.0 / float(np.sum(a * a))
+    """Effective sample size 1/sum(alpha^2) of MixtureWeights, in [1, k]."""
+    return 1.0 / float(np.sum(w.alpha * w.alpha))
 
 
 def systematic_indices(alpha, u):
@@ -105,8 +104,6 @@ def systematic_indices(alpha, u):
 
 def balanced_resample(w, rng):
     """Resample k indices with counts within 1 of k*alpha_j (systematic scheme)."""
-    if not isinstance(w, MixtureWeights):
-        w = MixtureWeights(np.asarray(w, dtype=float))
     return systematic_indices(w.alpha, rng.uniform())
 
 
@@ -117,8 +114,6 @@ def permute_fixed_points(indices):
     attains the maximum sum_j min(N_j, 1) fixed points); remaining copies
     fill the free slots in ascending order.
     """
-    if not isinstance(indices, ResampleIndices):
-        indices = ResampleIndices(np.asarray(indices))
     counts = indices.counts.copy()
     k = indices.k
     out = np.full(k, -1, dtype=np.intp)
@@ -138,8 +133,6 @@ def reorder_to_match(indices, prev_idx):
     which attains the maximum sum_j min(N_j, #{i: prev_idx[i]=j}) agreements.
     Leftover copies fill the remaining slots in ascending value order.
     """
-    if not isinstance(indices, ResampleIndices):
-        indices = ResampleIndices(np.asarray(indices))
     prev_idx = np.asarray(prev_idx, dtype=np.intp)
     k = indices.k
     if prev_idx.shape != (k,):

@@ -1,14 +1,14 @@
-"""Forecast verification: empirical CRPS, spatial aggregation, rank histograms.
+"""Forecast verification: empirical CRPS, spatial aggregation, truth ranks.
 
 CRPS uses the exact formula for an empirical (step-function) forecast
 distribution, mean |x_i - t| minus half the mean pairwise member distance;
-this equals the integral of (F(x') - 1{x' >= t})^2. Rank histograms follow
-the usual thinning convention (every 10th grid point, every 30 simulated
-minutes) with uniform tie randomization.
+this equals the integral of (F(x') - 1{x' >= t})^2. The rank of the truth
+among the members breaks ties uniformly at random; the experiment driver
+counts these ranks into histograms with the usual thinning (every 10th grid
+point, every 30 simulated minutes).
 """
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,29 +56,6 @@ def rank_of_truth(values, truth, rng):
     return below
 
 
-def rank_histogram(member_fields, truth_fields, times_s, rng,
-                   space_thin=10, time_thin_s=1800.0):
-    """Counts of truth ranks over thinned (time, grid point) samples.
-
-    member_fields: (T, k, n); truth_fields: (T, n); times_s: (T,) simulated
-    times. Keeps times that are multiples of time_thin_s and every
-    space_thin-th grid point. Returns a (k + 1)-vector of counts.
-    """
-    member_fields = np.asarray(member_fields, dtype=float)
-    truth_fields = np.asarray(truth_fields, dtype=float)
-    times_s = np.asarray(times_s, dtype=float)
-    t_keep = np.flatnonzero(np.mod(np.round(times_s), round(time_thin_s)) == 0)
-    if t_keep.size == 0:
-        raise ValueError("time thinning removed every sample")
-    k = member_fields.shape[1]
-    counts = np.zeros(k + 1, dtype=np.int64)
-    points = np.arange(0, member_fields.shape[2], space_thin)
-    for ti in t_keep:
-        for g in points:
-            counts[rank_of_truth(member_fields[ti, :, g], truth_fields[ti, g], rng)] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class ScoreRecord:
     """One (repetition, cycle, method, field) verification entry.
@@ -123,28 +100,3 @@ def write_scores_csv(records, fh):
                 _cell(rec.relative_pct),
             ]
         )
-
-
-def scores_csv_text(records):
-    buf = io.StringIO()
-    write_scores_csv(records, buf)
-    return buf.getvalue()
-
-
-def read_scores_csv(path):
-    """Read scores.csv back into a list of ScoreRecords (relative recomputed)."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                ScoreRecord(
-                    rep=int(row["rep"]),
-                    cycle=int(row["cycle"]),
-                    method=row["method"],
-                    field=row["field"],
-                    crps=float(row["crps"]) if row["crps"] else None,
-                    crps_free=float(row["crps_free"]) if row["crps_free"] else None,
-                )
-            )
-    return records

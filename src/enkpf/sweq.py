@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from enkpf.core import Ensemble
-from enkpf.errors import CflViolation, NumericalBlowup
+from enkpf.errors import CflViolation, InputError, NumericalBlowup
 from enkpf.grid import GridGeometry, StateLayout
 from enkpf.obs import GaussObs
 
@@ -232,7 +231,7 @@ def advance_members(members, params, n_steps, rngs):
 
 
 def spinup_ensemble(params, k, separation_days, rng):
-    """Free-run climatological ensemble: one long trajectory, sampled evenly.
+    """Free-run climatological (k, 3n) ensemble: one long trajectory, sampled evenly.
 
     Starts from the warm climatological base state, burns in one separation
     interval, then records k states separation_days apart. separation 0
@@ -248,7 +247,7 @@ def spinup_ensemble(params, k, separation_days, rng):
         if i > 0:
             vec = advance_members(vec, params, steps, [rng])
         members[i] = vec[0]
-    return Ensemble(members)
+    return members
 
 
 @dataclass(frozen=True)
@@ -300,22 +299,62 @@ def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
     return GaussObs(y, h_rows, r_diag)
 
 
+STATE_HEADER = ["grid_index", "h", "u", "r"]
+ENSEMBLE_HEADER = ["member", "grid_index", "h", "u", "r"]
+
+
 def save_state_csv(state, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["grid_index", "h", "u", "r"])
+        writer.writerow(STATE_HEADER)
         for g in range(state.h.shape[0]):
             writer.writerow(
                 [g, repr(float(state.h[g])), repr(float(state.u[g])), repr(float(state.r[g]))]
             )
 
 
+def _read_csv_rows(path, header):
+    """The data rows of a numeric CSV with the given header line, as an array.
+
+    Every row must hold one finite number per header column; raises
+    InputError naming the file, and the line of the first bad row.
+    """
+    n_cols = len(header)
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise InputError(path, "header must be " + ",".join(header), 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != n_cols:
+                raise InputError(
+                    path, f"expected {n_cols} values, got {len(row)}", reader.line_num
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise InputError(path, "value is not a number", reader.line_num) from None
+            if not np.isfinite(values).all():
+                raise InputError(path, "value is not finite", reader.line_num)
+            rows.append(values)
+    if not rows:
+        raise InputError(path, "no data rows")
+    return np.array(rows)
+
+
+def _grid_order(path, grid_index):
+    """Sort order of a grid_index column, which must hold 0..n-1 once each."""
+    order = np.argsort(grid_index)
+    if not np.array_equal(grid_index[order], np.arange(grid_index.size)):
+        raise InputError(path, "grid_index must list 0..n-1 once each")
+    return order
+
+
 def load_state_csv(path, t=0.0):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    order = np.argsort(data[:, 0])
-    data = data[order]
+    data = _read_csv_rows(path, STATE_HEADER)
+    data = data[_grid_order(path, data[:, 0])]
     return ModelState(data[:, 1], data[:, 2], data[:, 3], t)
 
 
@@ -324,7 +363,7 @@ def save_ensemble_csv(members, path):
     n = members.shape[1] // 3
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["member", "grid_index", "h", "u", "r"])
+        writer.writerow(ENSEMBLE_HEADER)
         for i, row in enumerate(members):
             for g in range(n):
                 writer.writerow(
@@ -333,10 +372,13 @@ def save_ensemble_csv(members, path):
 
 
 def load_ensemble_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    """A (k, 3n) member array from a CSV written by save_ensemble_csv."""
+    data = _read_csv_rows(path, ENSEMBLE_HEADER)
     members = []
-    for i in np.unique(data[:, 0]).astype(int):
+    for i in np.unique(data[:, 0]):
         rows = data[data[:, 0] == i]
-        rows = rows[np.argsort(rows[:, 1])]
+        rows = rows[_grid_order(path, rows[:, 1])]
         members.append(np.concatenate([rows[:, 2], rows[:, 3], rows[:, 4]]))
-    return Ensemble(np.array(members))
+    if len({row.size for row in members}) != 1:
+        raise InputError(path, "members have different grid sizes")
+    return np.array(members)

@@ -5,12 +5,13 @@ correlation function with support radius 2c, applied as a Schur product to
 sample covariances. All distances are physical (meters); the same length
 scale is used for every field pair, so the taper weight between two state
 columns depends only on the circular distance between their grid points.
+Tapered covariances are formed as dense blocks between the column sets an
+analysis needs (tapered_cov_block); the full d x d taper is never built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def gaspari_cohn(dist, c):
@@ -71,51 +72,12 @@ def taper_weights(layout, spec, cols_a=None, cols_b=None):
     return gaspari_cohn(layout.col_distance_m(cols_a, cols_b), spec.length_scale_m)
 
 
-def taper_matrix(layout, spec):
-    """Full d x d taper as a sparse CSR matrix (banded on the ring)."""
-    n = layout.geometry.n_points
-    # Weight depends only on grid offset; build one row of offsets and shift it.
-    offsets = np.arange(n)
-    w_row = gaspari_cohn(layout.geometry.distance_m(offsets, 0), spec.length_scale_m)
-    cols_in_support = offsets[w_row > 0.0]
-    rows, cols, vals = [], [], []
-    for c_block in range(layout.n_fields):
-        for r_block in range(layout.n_fields):
-            for off in cols_in_support:
-                i = np.arange(n)
-                j = (i + off) % n
-                rows.append(r_block * n + i)
-                cols.append(c_block * n + j)
-                vals.append(np.full(n, w_row[off]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.dim, layout.dim))
-
-
-def tapered_covariance(members, layout, spec):
-    """Tapered sample covariance (X'X/(k-1) Schur-multiplied by the taper), sparse.
-
-    members: (k, d) ensemble array. Only entries inside the taper support are
-    stored; everything else is exactly zero by construction.
-    """
-    members = np.asarray(members, dtype=float)
-    k = members.shape[0]
-    if k < 2:
-        raise ValueError("need at least 2 members for a sample covariance")
-    w = taper_matrix(layout, spec).tocoo()
-    anoms = members - members.mean(axis=0)
-    # Evaluate the sample covariance only at stored taper entries.
-    cov_vals = np.einsum("ki,ki->i", anoms[:, w.row], anoms[:, w.col]) / (k - 1)
-    out = sp.csr_matrix((cov_vals * w.data, (w.row, w.col)), shape=w.shape)
-    return out
-
-
 def tapered_cov_block(members, cols_a, cols_b, layout, spec):
     """Dense tapered covariance block between column sets a and b.
 
-    Same quantity as tapered_covariance()[np.ix_(cols_a, cols_b)] but computed
-    directly; this is what the localized filters call on small slices.
+    The Schur product of the sample covariance X'X/(k-1) with the taper
+    weights, evaluated on the (cols_a, cols_b) block only, so no d x d matrix
+    is formed; this is what the localized filters call on small slices.
     """
     members = np.asarray(members, dtype=float)
     k = members.shape[0]

@@ -1,4 +1,4 @@
-"""Direct EnKPF formulas, kept as test oracles for the production path.
+"""Reference implementations, kept as test oracles for the production code.
 
 The package computes the EnKPF through one path: GammaWeightSolver for the
 mixture weights and _enkpf_rows_update for both update stages. The functions
@@ -7,16 +7,26 @@ the factored spread matrix Q and the weight covariance HQH' + R/(1-gamma)
 explicitly, so the tests can compare the two. enkpf_perturbations draws
 through production's own stage-2 gain (_enkpf_rows_machinery), so a
 covariance check of its draws checks that gain.
+
+taper_matrix and tapered_covariance build the full d x d taper and tapered
+covariance as sparse matrices; the package only ever forms dense blocks of
+them (tapered_cov_block). rank_histogram, scores_csv_text and read_scores_csv
+are the small scoring helpers the tests read outputs back with.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from enkpf.core import _chol, _members_of, _p_slices
+from enkpf.core import _chol, _p_slices
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
 from enkpf.resampling import MixtureWeights
+from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
+from enkpf.taper import gaspari_cohn
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,7 @@ def enkpf_stage1(ens, obs, P, gamma):
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    x = _members_of(ens)
+    x = np.asarray(ens, dtype=float)
     k, d = x.shape
     obs.check_dim(d)
     m = obs.m
@@ -114,3 +124,91 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
     eta = rng.standard_normal((n_draws, obs.m))
     er = rng.standard_normal((n_draws, obs.m))
     return _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta, er)
+
+
+def taper_matrix(layout, spec):
+    """Full d x d taper as a sparse CSR matrix (banded on the ring)."""
+    n = layout.geometry.n_points
+    # Weight depends only on grid offset; build one row of offsets and shift it.
+    offsets = np.arange(n)
+    w_row = gaspari_cohn(layout.geometry.distance_m(offsets, 0), spec.length_scale_m)
+    cols_in_support = offsets[w_row > 0.0]
+    rows, cols, vals = [], [], []
+    for c_block in range(layout.n_fields):
+        for r_block in range(layout.n_fields):
+            for off in cols_in_support:
+                i = np.arange(n)
+                j = (i + off) % n
+                rows.append(r_block * n + i)
+                cols.append(c_block * n + j)
+                vals.append(np.full(n, w_row[off]))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.dim, layout.dim))
+
+
+def tapered_covariance(members, layout, spec):
+    """Tapered sample covariance (X'X/(k-1) Schur-multiplied by the taper), sparse.
+
+    members: (k, d) ensemble array. Only entries inside the taper support are
+    stored; everything else is exactly zero by construction.
+    """
+    members = np.asarray(members, dtype=float)
+    k = members.shape[0]
+    if k < 2:
+        raise ValueError("need at least 2 members for a sample covariance")
+    w = taper_matrix(layout, spec).tocoo()
+    anoms = members - members.mean(axis=0)
+    # Evaluate the sample covariance only at stored taper entries.
+    cov_vals = np.einsum("ki,ki->i", anoms[:, w.row], anoms[:, w.col]) / (k - 1)
+    out = sp.csr_matrix((cov_vals * w.data, (w.row, w.col)), shape=w.shape)
+    return out
+
+
+def rank_histogram(member_fields, truth_fields, times_s, rng,
+                   space_thin=10, time_thin_s=1800.0):
+    """Counts of truth ranks over thinned (time, grid point) samples.
+
+    member_fields: (T, k, n); truth_fields: (T, n); times_s: (T,) simulated
+    times. Keeps times that are multiples of time_thin_s and every
+    space_thin-th grid point. Returns a (k + 1)-vector of counts.
+    """
+    member_fields = np.asarray(member_fields, dtype=float)
+    truth_fields = np.asarray(truth_fields, dtype=float)
+    times_s = np.asarray(times_s, dtype=float)
+    t_keep = np.flatnonzero(np.mod(np.round(times_s), round(time_thin_s)) == 0)
+    if t_keep.size == 0:
+        raise ValueError("time thinning removed every sample")
+    k = member_fields.shape[1]
+    counts = np.zeros(k + 1, dtype=np.int64)
+    points = np.arange(0, member_fields.shape[2], space_thin)
+    for ti in t_keep:
+        for g in points:
+            counts[rank_of_truth(member_fields[ti, :, g], truth_fields[ti, g], rng)] += 1
+    return counts
+
+
+def scores_csv_text(records):
+    buf = io.StringIO()
+    write_scores_csv(records, buf)
+    return buf.getvalue()
+
+
+def read_scores_csv(path):
+    """Read scores.csv back into a list of ScoreRecords (relative recomputed)."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            records.append(
+                ScoreRecord(
+                    rep=int(row["rep"]),
+                    cycle=int(row["cycle"]),
+                    method=row["method"],
+                    field=row["field"],
+                    crps=float(row["crps"]) if row["crps"] else None,
+                    crps_free=float(row["crps_free"]) if row["crps_free"] else None,
+                )
+            )
+    return records

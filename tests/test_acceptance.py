@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from enkpf.config import ExperimentConfig
-from enkpf.core import Ensemble
 from enkpf.experiment import run_experiment
 from enkpf.global_filters import (
     GammaWeightSolver,
@@ -30,12 +29,17 @@ from enkpf.local_filters import (
     partition_obs_blocks,
 )
 from enkpf.obs import GaussObs
-from enkpf.resampling import balanced_resample, ess
+from enkpf.resampling import MixtureWeights, balanced_resample, ess
 from enkpf.scoring import crps_empirical
 from enkpf.sweq import ModelParams, advance_members, rest_state
 from enkpf.taper import TaperSpec
 
-from oracles import enkpf_perturbations, enkpf_stage1, enkpf_weights
+from oracles import (
+    enkpf_perturbations,
+    enkpf_stage1,
+    enkpf_weights,
+    tapered_covariance,
+)
 
 BAND = (0.5, 0.8)
 
@@ -91,13 +95,13 @@ def test_criterion_01_reduction_identities():
     p = _random_spd(rng, d) / d
     obs = GaussObs(rng.standard_normal(3), [0, 3, 6], [0.4, 0.3, 0.6])
 
-    out_a = enkpf_update(Ensemble(x), obs, p, 1.0, np.random.default_rng(99))[0]
-    out_b = enkf_update(Ensemble(x), obs, p, np.random.default_rng(99))
-    exact = np.array_equal(out_a.members, out_b.members)
+    out_a = enkpf_update(x, obs, p, 1.0, np.random.default_rng(99))[0]
+    out_b = enkf_update(x, obs, p, np.random.default_rng(99))
+    exact = np.array_equal(out_a, out_b)
 
-    inter = enkpf_stage1(Ensemble(x), obs, p, 1e-8)
+    inter = enkpf_stage1(x, obs, p, 1e-8)
     w_enkpf = enkpf_weights(inter, obs).alpha
-    w_pf = pf_weights(Ensemble(x), obs).alpha
+    w_pf = pf_weights(x, obs).alpha
     sup = np.max(np.abs(w_enkpf - w_pf))
     _report(
         1,
@@ -119,8 +123,8 @@ def test_criterion_02_kalman_oracle():
     mean_t, cov_t = _kalman_posterior(mean0, cov0, obs)
     for gamma in (0.25, 0.5, 0.75):
         x = _standardize(rng.standard_normal((k, 1)), mean0, cov0)
-        out, w, _ = enkpf_update(Ensemble(x), obs, cov0, gamma, rng)
-        worst, _ = _moments_within(out.members, mean_t, cov_t, ess(w))
+        out, w, _ = enkpf_update(x, obs, cov0, gamma, rng)
+        worst, _ = _moments_within(out, mean_t, cov_t, ess(w))
         worst_all = max(worst_all, worst)
 
     # d = 3 with two observed components
@@ -130,8 +134,8 @@ def test_criterion_02_kalman_oracle():
     mean_t, cov_t = _kalman_posterior(mean0, cov0, obs)
     for gamma in (0.25, 0.5, 0.75):
         x = _standardize(rng.standard_normal((k, 3)), mean0, cov0)
-        out, w, _ = enkpf_update(Ensemble(x), obs, cov0, gamma, rng)
-        worst, _ = _moments_within(out.members, mean_t, cov_t, ess(w))
+        out, w, _ = enkpf_update(x, obs, cov0, gamma, rng)
+        worst, _ = _moments_within(out, mean_t, cov_t, ess(w))
         worst_all = max(worst_all, worst)
 
     # block-structured case: two independent observed points, diagonal prior
@@ -144,12 +148,12 @@ def test_criterion_02_kalman_oracle():
     x = _standardize(rng.standard_normal((k, layout.dim)), mean0, cov0)
     diag = LocalDiagnostics()
     out = block_lenkpf_update(
-        Ensemble(x), obs, taper, layout, 2000.0, BAND, rng, diagnostics=diag
+        x, obs, taper, layout, 2000.0, BAND, rng, diagnostics=diag
     )
     k_eff = min(diag.ess_values) if diag.ess_values else k
     sub = [0, 1, 2, 5, 6, 7, 12, 20]  # observed cols plus a spread of others
     worst, _ = _moments_within(
-        out.members[:, sub], mean_t[sub], cov_t[np.ix_(sub, sub)], k_eff
+        out[:, sub], mean_t[sub], cov_t[np.ix_(sub, sub)], k_eff
     )
     worst_all = max(worst_all, worst)
     _report(
@@ -167,7 +171,7 @@ def test_criterion_03_balanced_sampling():
     for _ in range(10_000):
         k = int(rng.integers(2, 65))
         alpha = rng.dirichlet(np.full(k, rng.uniform(0.1, 3.0)))
-        idx = balanced_resample(alpha, rng)
+        idx = balanced_resample(MixtureWeights(alpha), rng)
         counts = np.bincount(idx.idx, minlength=k)
         if np.any(np.abs(counts - k * alpha) >= 1.0):
             violations += 1
@@ -187,23 +191,22 @@ def test_criterion_04_appendix_equivalence():
     blocks = partition_obs_blocks(obs, taper, layout, 10_000.0)
     assert len(blocks) == 1
     from enkpf.local_filters import block_assimilate_one
-    from enkpf.taper import tapered_covariance
 
     out_block = block_assimilate_one(
-        Ensemble(x), blocks[0], taper, layout, BAND,
+        x, blocks[0], taper, layout, BAND,
         np.random.default_rng(5), gamma=gamma, identity_resample=True,
     )
-    p_taper = tapered_covariance(x, layout, TaperSpec(375.0))
+    p_taper = tapered_covariance(x, layout, TaperSpec(375.0)).toarray()
     out_full = enkpf_update(
-        Ensemble(x), obs, p_taper, gamma, np.random.default_rng(5),
+        x, obs, p_taper, gamma, np.random.default_rng(5),
         identity_resample=True,
     )[0]
     err = np.max(
-        np.abs(out_block.members - out_full.members)
-        / np.maximum(np.abs(out_full.members), 1.0)
+        np.abs(out_block - out_full)
+        / np.maximum(np.abs(out_full), 1.0)
     )
     w_cols = blocks[0].w
-    w_ok = np.array_equal(out_block.members[:, w_cols], x[:, w_cols])
+    w_ok = np.array_equal(out_block[:, w_cols], x[:, w_cols])
     _report(
         4,
         err <= 1e-10 and w_ok,
@@ -255,15 +258,15 @@ def test_criterion_05_locality_invariance():
                 rng_m = np.random.default_rng(seed)
                 if method == "lenkf":
                     return lenkf_update(
-                        Ensemble(x), obs, window, taper, layout, rng_m
-                    ).members
+                        x, obs, window, taper, layout, rng_m
+                    )
                 if method == "naive":
                     return naive_lenkpf_update(
-                        Ensemble(x), obs, window, taper, layout, BAND, rng_m
-                    ).members
+                        x, obs, window, taper, layout, BAND, rng_m
+                    )
                 return block_lenkpf_update(
-                    Ensemble(x), obs, taper, layout, 4000.0, BAND, rng_m
-                ).members
+                    x, obs, taper, layout, 4000.0, BAND, rng_m
+                )
 
             m1, m2 = run(obs1), run(obs2)
             if not np.array_equal(m1[:, far_cols], m2[:, far_cols]):
@@ -309,7 +312,7 @@ def test_criterion_07_eps_covariance():
     p = _random_spd(rng, d) / d
     obs = GaussObs(rng.standard_normal(m), [0, 2, 4], [0.5, 0.4, 0.8])
     gamma = 0.6
-    inter = enkpf_stage1(Ensemble(x), obs, p, gamma)
+    inter = enkpf_stage1(x, obs, p, gamma)
 
     k_ro = inter.q_factor.k_gamma
     q = (k_ro * obs.r_diag) @ k_ro.T / gamma

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from enkpf.cli import main
-from enkpf.scoring import read_scores_csv
 from enkpf.sweq import (
     ModelState,
     load_ensemble_csv,
     load_state_csv,
     save_state_csv,
 )
+
+from oracles import read_scores_csv
 
 
 def write_tiny_config(path, out_dir, extra=""):
@@ -91,7 +92,7 @@ def test_spinup_then_score(tmp_path, capsys):
     state = load_state_csv(truth)
     ens = load_ensemble_csv(members)
     assert state.h.shape == (24,)
-    assert ens.members.shape == (5, 3 * 24)
+    assert ens.shape == (5, 3 * 24)
     capsys.readouterr()
 
     assert main(["score", "--ensemble", str(members), "--truth", str(truth)]) == 0
@@ -122,3 +123,45 @@ def test_score_grid_mismatch(tmp_path, capsys):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+TINY_TRUTH = "grid_index,h,u,r\n0,90.0,0.0,0.0\n1,90.1,0.5,0.2\n"
+TINY_ENSEMBLE = (
+    "member,grid_index,h,u,r\n"
+    "0,0,90.0,0.0,0.0\n0,1,90.2,0.1,0.0\n"
+    "1,0,90.1,0.2,0.1\n1,1,90.0,0.3,0.3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "bad_file, ensemble, truth",
+    [
+        (
+            "ensemble.csv",
+            TINY_ENSEMBLE.replace("0,1,90.2,0.1,0.0\n", "0,1,90.2,0.1\n"),
+            TINY_TRUTH,
+        ),
+        ("ensemble.csv", "member,grid_index,h,u,r\n", TINY_TRUTH),
+        ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("0,90.0,0.0,0.0", "0,90.0,,0.0")),
+        ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("0,90.0,0.0,0.0", "0,90.0,nan,0.0")),
+        ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("\n1,", "\n0,")),
+        ("ensemble.csv", TINY_ENSEMBLE.replace("1,1,90.0,0.3,0.3\n", ""), TINY_TRUTH),
+        ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("grid_index,h,u,r", "grid_index,r,u,h")),
+    ],
+    ids=[
+        "ragged_ensemble_row", "header_only_ensemble", "empty_truth_cell",
+        "nan_truth_cell", "duplicate_grid_index", "members_of_unequal_size",
+        "reordered_truth_header",
+    ],
+)
+def test_score_rejects_malformed_csv(tmp_path, capsys, bad_file, ensemble, truth):
+    (tmp_path / "ensemble.csv").write_text(ensemble)
+    (tmp_path / "truth.csv").write_text(truth)
+    rc = main(
+        ["score", "--ensemble", str(tmp_path / "ensemble.csv"),
+         "--truth", str(tmp_path / "truth.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert bad_file in err[0]

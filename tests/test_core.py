@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from enkpf.core import Ensemble, ensemble_moments, kalman_gain
+from enkpf.core import ensemble_moments, kalman_gain
 from enkpf.errors import FilterError
-from enkpf.grid import default_layout
-from enkpf.taper import TaperSpec, tapered_covariance
 
 
 def test_moments_identical_members():
     v = np.array([1.0, -2.0, 3.5])
-    ens = Ensemble(np.tile(v, (6, 1)))
+    ens = np.tile(v, (6, 1))
     mean, cov = ensemble_moments(ens)
     np.testing.assert_array_equal(mean, v)
     np.testing.assert_array_equal(cov, np.zeros((3, 3)))
@@ -32,14 +30,6 @@ def test_moments_monte_carlo_identity():
 def test_moments_requires_two_members():
     with pytest.raises(ValueError):
         ensemble_moments(np.ones((1, 3)))
-
-
-def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        Ensemble(np.ones(3))
-    ens = Ensemble(np.arange(6.0).reshape(2, 3))
-    assert ens.k == 2 and ens.dim == 3
-    np.testing.assert_allclose(ens.anomalies().mean(axis=0), 0.0, atol=1e-15)
 
 
 def test_kalman_gain_identity_case():
@@ -69,18 +59,6 @@ def test_kalman_gain_residual_identity():
     gain = kalman_gain(p, h_rows, r)
     s = p[np.ix_(h_rows, h_rows)] + np.diag(r)
     np.testing.assert_allclose(gain @ s, p[:, h_rows], rtol=1e-10, atol=1e-12)
-
-
-def test_kalman_gain_accepts_sparse():
-    rng = np.random.default_rng(1)
-    layout = default_layout(10, spacing_m=1.0)
-    members = rng.normal(size=(8, layout.dim))
-    cov = tapered_covariance(members, layout, TaperSpec(2.0))
-    h_rows = np.array([0, 12, 25])
-    r = np.full(3, 0.5)
-    gain_sparse = kalman_gain(cov, h_rows, r)
-    gain_dense = kalman_gain(cov.toarray(), h_rows, r)
-    np.testing.assert_array_equal(gain_sparse, gain_dense)
 
 
 def test_kalman_gain_bad_r():

@@ -1,14 +1,26 @@
 import os
 
+import numpy as np
 import pytest
 
 import enkpf.config as config
 import enkpf.experiment as ex
 from enkpf.config import ExperimentConfig
+from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
-from enkpf.grid import GridGeometry
-from enkpf.scoring import read_scores_csv
+from enkpf.global_filters import enkpf_update
+from enkpf.grid import GridGeometry, default_layout
+from enkpf.local_filters import (
+    LocalDiagnostics,
+    LocalWindowSpec,
+    block_assimilate_one,
+    partition_obs_blocks,
+)
+from enkpf.obs import GaussObs
 from enkpf.sweq import ModelParams
+from enkpf.taper import TaperSpec
+
+from oracles import read_scores_csv
 
 
 def tiny_cfg(**kw):
@@ -171,3 +183,45 @@ def test_methods_share_truth_and_observations():
     free_a = [r.crps for r in res_a.records if r.method == "free"]
     free_b = [r.crps for r in res_b.records if r.method == "free"]
     assert free_a == free_b
+
+
+def _small_analysis_case():
+    layout = default_layout(20)
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((6, layout.dim))
+    wet = np.array([3, 4, 5, 12])
+    obs = GaussObs(
+        rng.standard_normal(20 + wet.size),
+        np.concatenate([2 * 20 + np.arange(20), 20 + wet]),
+        np.full(20 + wet.size, 0.5),
+    )
+    ctx = ex.AnalysisContext(
+        layout, LocalWindowSpec(1500.0), TaperSpec(1500.0), (0.5, 0.8), 4000.0
+    )
+    return x, obs, ctx
+
+
+def _direct_enkpf(x, obs, ctx, rng, diag):
+    return enkpf_update(x, obs, ensemble_moments(x)[1], 0.5, rng)[0]
+
+
+def _direct_block(x, obs, ctx, rng, diag):
+    blocks = partition_obs_blocks(obs, ctx.taper, ctx.layout, ctx.block_segment_m)
+    return block_assimilate_one(
+        x, blocks[0], ctx.taper, ctx.layout, ctx.ess_band, rng, diagnostics=diag
+    )
+
+
+ANALYSIS_CALLS = {name: fn for name, fn in ex.ANALYSES.items() if fn is not None}
+ANALYSIS_CALLS.update(enkpf_update=_direct_enkpf, block_assimilate_one=_direct_block)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_CALLS))
+def test_analysis_returns_array_and_leaves_forecast_alone(name):
+    # run_single_rep reads forecasts[m] again after the analysis, for its trace row
+    x, obs, ctx = _small_analysis_case()
+    before = x.copy()
+    out = ANALYSIS_CALLS[name](x, obs, ctx, np.random.default_rng(5), LocalDiagnostics())
+    assert type(out) is np.ndarray
+    assert out.shape == x.shape
+    assert x.tobytes() == before.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enkpf.core import Ensemble, ensemble_moments
+from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
     GammaWeightSolver,
     adaptive_gamma,
@@ -46,8 +46,8 @@ def test_enkf_zero_cov_keeps_background():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
     obs = GaussObs(np.array([1.0]), np.array([2]), np.array([0.5]))
-    out = enkf_update(Ensemble(x), obs, np.zeros((4, 4)), np.random.default_rng(1))
-    np.testing.assert_array_equal(out.members, x)
+    out = enkf_update(x, obs, np.zeros((4, 4)), np.random.default_rng(1))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_enkf_huge_r_keeps_background():
@@ -55,8 +55,8 @@ def test_enkf_huge_r_keeps_background():
     x = rng.standard_normal((10, 3))
     obs = GaussObs(np.array([0.3, -0.2]), np.array([0, 2]), np.array([1e12, 1e12]))
     p = np.eye(3)
-    out = enkf_update(Ensemble(x), obs, p, np.random.default_rng(3))
-    np.testing.assert_allclose(out.members, x, rtol=1e-4, atol=1e-4)
+    out = enkf_update(x, obs, p, np.random.default_rng(3))
+    np.testing.assert_allclose(out, x, rtol=1e-4, atol=1e-4)
 
 
 def test_enkf_scalar_kalman_oracle():
@@ -65,7 +65,7 @@ def test_enkf_scalar_kalman_oracle():
     x = rng.standard_normal((k, 1))
     y = 1.0
     obs = GaussObs(np.array([y]), np.array([0]), np.array([1.0]))
-    out = enkf_update(Ensemble(x), obs, np.array([[1.0]]), np.random.default_rng(8))
+    out = enkf_update(x, obs, np.array([[1.0]]), np.random.default_rng(8))
     mean, cov = ensemble_moments(out)
     exact_mean = 0.5 * (x.mean() + y)
     exact_var = 0.5
@@ -78,15 +78,15 @@ def test_enkf_scalar_kalman_oracle():
 def test_enkf_no_obs_is_noop():
     x = np.random.default_rng(1).standard_normal((4, 3))
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    out = enkf_update(Ensemble(x), empty, np.eye(3), np.random.default_rng(2))
-    np.testing.assert_array_equal(out.members, x)
+    out = enkf_update(x, empty, np.eye(3), np.random.default_rng(2))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_enkf_deterministic_per_seed():
     rng = np.random.default_rng(5)
     x, p, obs = random_system(rng)
-    a = enkf_update(Ensemble(x), obs, p, np.random.default_rng(99)).members
-    b = enkf_update(Ensemble(x), obs, p, np.random.default_rng(99)).members
+    a = enkf_update(x, obs, p, np.random.default_rng(99))
+    b = enkf_update(x, obs, p, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
@@ -96,7 +96,7 @@ def test_enkf_deterministic_per_seed():
 def test_pf_identical_members_uniform():
     x = np.tile(np.array([1.0, 2.0]), (7, 1))
     obs = GaussObs(np.array([0.0]), np.array([1]), np.array([1.0]))
-    w = pf_weights(Ensemble(x), obs)
+    w = pf_weights(x, obs)
     np.testing.assert_allclose(w.alpha, np.full(7, 1 / 7), atol=1e-15)
 
 
@@ -104,14 +104,14 @@ def test_pf_dominant_member():
     x = np.full((5, 1), 50.0)
     x[3, 0] = 0.0
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    w = pf_weights(Ensemble(x), obs)
+    w = pf_weights(x, obs)
     assert w.alpha[3] > 1 - 1e-9
 
 
 def test_pf_two_member_softmax_oracle():
     x = np.array([[0.0], [1.0]])
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    w = pf_weights(Ensemble(x), obs, likelihood_power=1.0)
+    w = pf_weights(x, obs, likelihood_power=1.0)
     # alpha = softmax(0, -0.5)
     expect = np.array([1.0, np.exp(-0.5)])
     expect /= expect.sum()
@@ -121,14 +121,14 @@ def test_pf_two_member_softmax_oracle():
 def test_pf_power_tempers():
     x = np.array([[0.0], [2.0]])
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    full = pf_weights(Ensemble(x), obs, 1.0)
-    half = pf_weights(Ensemble(x), obs, 0.5)
+    full = pf_weights(x, obs, 1.0)
+    half = pf_weights(x, obs, 0.5)
     assert half.alpha[1] > full.alpha[1]  # tempering flattens
     np.testing.assert_allclose(
         half.alpha[0] / half.alpha[1], (full.alpha[0] / full.alpha[1]) ** 0.5, rtol=1e-12
     )
     with pytest.raises(ValueError):
-        pf_weights(Ensemble(x), obs, 0.0)
+        pf_weights(x, obs, 0.0)
 
 
 # --------------------------------------------------------------- enkpf stages
@@ -137,7 +137,7 @@ def test_pf_power_tempers():
 def test_stage1_gamma_zero_limit():
     rng = np.random.default_rng(3)
     x, p, obs = random_system(rng)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 0.0)
+    inter = enkpf_stage1(x, obs, p, 0.0)
     np.testing.assert_array_equal(inter.nu, x)
     np.testing.assert_array_equal(inter.q_factor.matvec(np.ones(x.shape[1])), 0.0)
 
@@ -146,7 +146,7 @@ def test_stage1_scalar_example():
     # p=1, h=1, r=1, gamma=0.5: K = 1/3, nu = x + (y-x)/3, Q = 2/9
     x = np.array([[0.0], [1.0]])
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    inter = enkpf_stage1(Ensemble(x), obs, np.array([[1.0]]), 0.5)
+    inter = enkpf_stage1(x, obs, np.array([[1.0]]), 0.5)
     np.testing.assert_allclose(inter.q_factor.k_gamma, [[1.0 / 3.0]], rtol=1e-14)
     np.testing.assert_allclose(inter.nu, [[0.0], [2.0 / 3.0]], rtol=1e-14)
     np.testing.assert_allclose(inter.q_factor.matvec(np.ones(1)), [2.0 / 9.0], rtol=1e-13)
@@ -155,20 +155,20 @@ def test_stage1_scalar_example():
 def test_stage1_gamma_one_matches_plain_gain():
     rng = np.random.default_rng(4)
     x, p, obs = random_system(rng)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 1.0)
+    inter = enkpf_stage1(x, obs, p, 1.0)
     from enkpf.core import kalman_gain
 
     np.testing.assert_allclose(
         inter.q_factor.k_gamma, kalman_gain(p, obs.h_rows, obs.r_diag), rtol=1e-12
     )
     with pytest.raises(ValueError):
-        enkpf_stage1(Ensemble(x), obs, p, 1.5)
+        enkpf_stage1(x, obs, p, 1.5)
 
 
 def test_qfactor_draw_covariance():
     rng = np.random.default_rng(11)
     x, p, obs = random_system(rng, k=6, d=4, m=2)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 0.4)
+    inter = enkpf_stage1(x, obs, p, 0.4)
     kg = inter.q_factor.k_gamma
     q_dense = (kg * obs.r_diag) @ kg.T / 0.4
     draws = inter.q_factor.draw(rng.standard_normal((200_000, obs.m)))
@@ -180,7 +180,7 @@ def test_qfactor_draw_covariance():
 def test_enkpf_weights_gamma_one_uniform():
     rng = np.random.default_rng(6)
     x, p, obs = random_system(rng)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 1.0)
+    inter = enkpf_stage1(x, obs, p, 1.0)
     w = enkpf_weights(inter, obs)
     np.testing.assert_allclose(w.alpha, 1.0 / x.shape[0], atol=1e-15)
 
@@ -188,9 +188,9 @@ def test_enkpf_weights_gamma_one_uniform():
 def test_enkpf_weights_gamma_zero_equals_pf():
     rng = np.random.default_rng(9)
     x, p, obs = random_system(rng)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 0.0)
+    inter = enkpf_stage1(x, obs, p, 0.0)
     w = enkpf_weights(inter, obs)
-    ref = pf_weights(Ensemble(x), obs, 1.0)
+    ref = pf_weights(x, obs, 1.0)
     np.testing.assert_allclose(w.alpha, ref.alpha, rtol=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_enkpf_weights_two_member_oracle():
     # continued scalar example: residual variance HQH' + R/(1-gamma) = 2/9 + 2
     x = np.array([[0.0], [1.0]])
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    inter = enkpf_stage1(Ensemble(x), obs, np.array([[1.0]]), 0.5)
+    inter = enkpf_stage1(x, obs, np.array([[1.0]]), 0.5)
     w = enkpf_weights(inter, obs)
     var = 2.0 / 9.0 + 2.0
     dens = np.exp(-0.5 * np.array([0.0, (2.0 / 3.0) ** 2]) / var)
@@ -215,7 +215,7 @@ def test_solver_matches_direct_weights():
         s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
         solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
         for gamma in [0.0, 1e-3, 0.2, 0.5, 0.9, 1.0 - 2.0**-10, 1.0]:
-            inter = enkpf_stage1(Ensemble(x), obs, p, gamma)
+            inter = enkpf_stage1(x, obs, p, gamma)
             direct = enkpf_weights(inter, obs)
             np.testing.assert_allclose(
                 solver.weights(gamma).alpha, direct.alpha, rtol=1e-9, atol=1e-12
@@ -228,9 +228,9 @@ def test_solver_matches_direct_weights():
 def test_enkpf_gamma_one_is_enkf_exactly():
     rng = np.random.default_rng(12)
     x, p, obs = random_system(rng, k=15)
-    ref = enkf_update(Ensemble(x), obs, p, np.random.default_rng(777)).members
-    out, w, idx = enkpf_update(Ensemble(x), obs, p, 1.0, np.random.default_rng(777))
-    np.testing.assert_array_equal(out.members, ref)
+    ref = enkf_update(x, obs, p, np.random.default_rng(777))
+    out, w, idx = enkpf_update(x, obs, p, 1.0, np.random.default_rng(777))
+    np.testing.assert_array_equal(out, ref)
     np.testing.assert_allclose(w.alpha, 1.0 / 15, atol=1e-15)
     np.testing.assert_array_equal(idx.idx, np.arange(15))
 
@@ -238,27 +238,27 @@ def test_enkpf_gamma_one_is_enkf_exactly():
 def test_enkpf_tiny_gamma_weights_match_pf():
     rng = np.random.default_rng(13)
     x, p, obs = random_system(rng, k=12)
-    inter = enkpf_stage1(Ensemble(x), obs, p, 1e-8)
+    inter = enkpf_stage1(x, obs, p, 1e-8)
     w = enkpf_weights(inter, obs)
-    ref = pf_weights(Ensemble(x), obs, 1.0)
+    ref = pf_weights(x, obs, 1.0)
     assert np.max(np.abs(w.alpha - ref.alpha)) < 1e-6
 
 
 def test_enkpf_tiny_gamma_centroids_near_background():
     rng = np.random.default_rng(14)
     x, p, obs = random_system(rng, k=12)
-    out, _, _ = enkpf_update(Ensemble(x), obs, p, 1e-8, ZeroRng(), identity_resample=True)
+    out, _, _ = enkpf_update(x, obs, p, 1e-8, ZeroRng(), identity_resample=True)
     # noise-free path with identity resampling returns the centroids mu
     scale = np.max(np.abs(x)) + 1.0
-    assert np.max(np.abs(out.members - x)) / scale < 1e-6
+    assert np.max(np.abs(out - x)) / scale < 1e-6
 
 
 def test_enkpf_gamma_zero_is_pure_resample():
     rng = np.random.default_rng(15)
     x, p, obs = random_system(rng, k=9)
-    out, w, idx = enkpf_update(Ensemble(x), obs, p, 0.0, np.random.default_rng(4))
-    np.testing.assert_allclose(w.alpha, pf_weights(Ensemble(x), obs).alpha, rtol=1e-12)
-    np.testing.assert_array_equal(out.members, x[idx.idx])
+    out, w, idx = enkpf_update(x, obs, p, 0.0, np.random.default_rng(4))
+    np.testing.assert_allclose(w.alpha, pf_weights(x, obs).alpha, rtol=1e-12)
+    np.testing.assert_array_equal(out, x[idx.idx])
 
 
 def test_enkpf_scalar_kalman_oracle():
@@ -267,7 +267,7 @@ def test_enkpf_scalar_kalman_oracle():
     x = rng.standard_normal((k, 1))
     obs = GaussObs(np.array([1.0]), np.array([0]), np.array([1.0]))
     out, _, _ = enkpf_update(
-        Ensemble(x), obs, np.array([[1.0]]), 0.5, np.random.default_rng(17)
+        x, obs, np.array([[1.0]]), 0.5, np.random.default_rng(17)
     )
     mean, cov = ensemble_moments(out)
     exact_mean = 0.5 * (x.mean() + 1.0)
@@ -286,26 +286,26 @@ def test_lgamma_consistency():
         x, p, obs = random_system(rng, k=7, d=6, m=3)
         gamma = rng.uniform(0.05, 0.95)
         out, _, _ = enkpf_update(
-            Ensemble(x), obs, p, gamma, ZeroRng(), identity_resample=True
+            x, obs, p, gamma, ZeroRng(), identity_resample=True
         )
         from enkpf.core import kalman_gain
 
         k1 = kalman_gain(gamma * p, obs.h_rows, obs.r_diag)
-        inter = enkpf_stage1(Ensemble(x), obs, p, gamma)
+        inter = enkpf_stage1(x, obs, p, gamma)
         kg = inter.q_factor.k_gamma
         q_dense = (kg * obs.r_diag) @ kg.T / gamma
         k2 = kalman_gain((1 - gamma) * q_dense, obs.h_rows, obs.r_diag)
         h_k1 = k1[obs.h_rows]
         l_gamma = k1 + k2 @ (np.eye(obs.m) - h_k1)
         expect = x + (obs.y - x[:, obs.h_rows]) @ l_gamma.T
-        np.testing.assert_allclose(out.members, expect, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_eps_draw_covariance_matches_analysis_covariance():
     rng = np.random.default_rng(19)
     x, p, obs = random_system(rng, k=10, d=4, m=2)
     gamma = 0.6
-    inter = enkpf_stage1(Ensemble(x), obs, p, gamma)
+    inter = enkpf_stage1(x, obs, p, gamma)
     kg = inter.q_factor.k_gamma
     q_dense = (kg * obs.r_diag) @ kg.T / gamma
     from enkpf.core import kalman_gain
@@ -324,8 +324,8 @@ def test_eps_draw_covariance_matches_analysis_covariance():
 def test_enkpf_deterministic_per_seed():
     rng = np.random.default_rng(21)
     x, p, obs = random_system(rng)
-    a = enkpf_update(Ensemble(x), obs, p, 0.4, np.random.default_rng(5))[0].members
-    b = enkpf_update(Ensemble(x), obs, p, 0.4, np.random.default_rng(5))[0].members
+    a = enkpf_update(x, obs, p, 0.4, np.random.default_rng(5))[0]
+    b = enkpf_update(x, obs, p, 0.4, np.random.default_rng(5))[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -336,7 +336,7 @@ def test_adaptive_gamma_identical_members():
     x = np.tile(np.array([0.5, -1.0, 2.0]), (8, 1))
     obs = GaussObs(np.array([0.0]), np.array([1]), np.array([1.0]))
     gamma, (out, w, idx) = adaptive_gamma(
-        Ensemble(x), obs, np.zeros((3, 3)), (0.5, 0.8), np.random.default_rng(1)
+        x, obs, np.zeros((3, 3)), (0.5, 0.8), np.random.default_rng(1)
     )
     assert gamma == 0.0
     np.testing.assert_allclose(w.alpha, 1.0 / 8, atol=1e-15)
@@ -345,7 +345,7 @@ def test_adaptive_gamma_identical_members():
 def test_adaptive_gamma_band_one_forces_enkf():
     rng = np.random.default_rng(22)
     x, p, obs = random_system(rng, k=10)
-    gamma, _ = adaptive_gamma(Ensemble(x), obs, p, (1.0, 1.0), np.random.default_rng(2))
+    gamma, _ = adaptive_gamma(x, obs, p, (1.0, 1.0), np.random.default_rng(2))
     assert gamma == 1.0
 
 
@@ -361,7 +361,7 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
         p[np.ix_([0], [0])], obs.r_diag, obs.y - x[:, [0]]
     )
     gamma, (out, w, idx) = adaptive_gamma(
-        Ensemble(x), obs, p, (lo, 0.8), np.random.default_rng(3)
+        x, obs, p, (lo, 0.8), np.random.default_rng(3)
     )
     assert ess(w) >= lo * k - 1e-9
     # exhaustive grid oracle: smallest gamma on a 1e-4 grid reaching the floor
@@ -380,7 +380,7 @@ def test_adaptive_gamma_resamples_the_solver_weights():
         x, p, obs = random_system(rng, k=k, d=6, m=4)
         s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
         gamma, (_, w, _) = adaptive_gamma(
-            Ensemble(x), obs, p, (lo, 0.8), np.random.default_rng(25)
+            x, obs, p, (lo, 0.8), np.random.default_rng(25)
         )
         solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
         assert np.array_equal(w.alpha, solver.weights(gamma).alpha)
@@ -391,7 +391,7 @@ def test_adaptive_gamma_band_validation():
     x = np.random.default_rng(0).standard_normal((5, 2))
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        adaptive_gamma(Ensemble(x), obs, np.eye(2), (0.8, 0.5), np.random.default_rng(1))
+        adaptive_gamma(x, obs, np.eye(2), (0.8, 0.5), np.random.default_rng(1))
 
 
 def test_search_gamma_respects_floor_on_random_cases():

@@ -103,11 +103,11 @@ def test_permute_fixed_points_examples():
     np.testing.assert_array_equal(permute_fixed_points(ident).idx, ident.idx)
 
     # counts (2, 0, 1): slots 0 and 2 keep themselves, copy of 0 fills slot 1
-    out = permute_fixed_points(np.array([0, 0, 2]))
+    out = permute_fixed_points(ResampleIndices(np.array([0, 0, 2])))
     np.testing.assert_array_equal(out.idx, [0, 0, 2])
     assert np.sum(out.idx == np.arange(3)) == 2
 
-    out = permute_fixed_points(np.zeros(6, dtype=int))
+    out = permute_fixed_points(ResampleIndices(np.zeros(6, dtype=int)))
     assert np.sum(out.idx == np.arange(6)) == 1
 
 
@@ -116,7 +116,7 @@ def test_permute_fixed_points_brute_force_small():
     for _ in range(200):
         k = int(rng.integers(1, 7))
         idx = rng.integers(0, k, size=k)
-        out = permute_fixed_points(idx)
+        out = permute_fixed_points(ResampleIndices(idx))
         np.testing.assert_array_equal(
             np.bincount(out.idx, minlength=k), np.bincount(idx, minlength=k)
         )
@@ -135,7 +135,7 @@ def brute_force_max_matches(idx, prev):
 
 def test_reorder_to_match_identical_multisets_align():
     prev = np.array([3, 1, 1, 0, 2])
-    out = reorder_to_match(np.array([1, 0, 3, 2, 1]), prev)
+    out = reorder_to_match(ResampleIndices(np.array([1, 0, 3, 2, 1])), prev)
     np.testing.assert_array_equal(out.idx, prev)
 
 
@@ -145,7 +145,7 @@ def test_reorder_to_match_brute_force_small():
         k = int(rng.integers(1, 7))
         idx = rng.integers(0, k, size=k)
         prev = rng.integers(0, k, size=k)
-        out = reorder_to_match(idx, prev)
+        out = reorder_to_match(ResampleIndices(idx), prev)
         np.testing.assert_array_equal(
             np.bincount(out.idx, minlength=k), np.bincount(idx, minlength=k)
         )
@@ -155,7 +155,9 @@ def test_reorder_to_match_brute_force_small():
 
 def test_reorder_deterministic_leftover_order():
     # counts: three 0s and two 4s; prev wants 4 at slots 0,1 and 1 elsewhere
-    out = reorder_to_match(np.array([0, 0, 0, 4, 4]), np.array([4, 4, 1, 1, 1]))
+    out = reorder_to_match(
+        ResampleIndices(np.array([0, 0, 0, 4, 4])), np.array([4, 4, 1, 1, 1])
+    )
     np.testing.assert_array_equal(out.idx, [4, 4, 0, 0, 0])
 
 

@@ -9,12 +9,11 @@ from enkpf.scoring import (
     ScoreRecord,
     crps_empirical,
     field_crps,
-    rank_histogram,
     rank_of_truth,
-    read_scores_csv,
-    scores_csv_text,
     write_scores_csv,
 )
+
+from oracles import rank_histogram, read_scores_csv, scores_csv_text
 
 
 def crps_by_integration(x, t):

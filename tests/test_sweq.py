@@ -172,10 +172,10 @@ def test_params_validation():
 def test_spinup_zero_separation_degenerates():
     params = small_params()
     ens = spinup_ensemble(params, 4, 0.0, np.random.default_rng(14))
-    assert ens.members.shape == (4, 3 * params.geometry.n_points)
+    assert ens.shape == (4, 3 * params.geometry.n_points)
     rest = rest_state(params).to_vector()
     for i in range(4):
-        np.testing.assert_array_equal(ens.members[i], rest)
+        np.testing.assert_array_equal(ens[i], rest)
     with pytest.raises(ValueError):
         spinup_ensemble(params, 1, 0.0, np.random.default_rng(15))
 
@@ -183,8 +183,8 @@ def test_spinup_zero_separation_degenerates():
 def test_spinup_members_distinct():
     params = small_params(plume_rate=8e-5)
     ens = spinup_ensemble(params, 3, 0.005, np.random.default_rng(16))
-    assert not np.array_equal(ens.members[0], ens.members[1])
-    assert not np.array_equal(ens.members[1], ens.members[2])
+    assert not np.array_equal(ens[0], ens[1])
+    assert not np.array_equal(ens[1], ens[2])
 
 
 # --------------------------------------------------------------- observations
@@ -289,4 +289,4 @@ def test_ensemble_csv_roundtrip(tmp_path):
     path = tmp_path / "ens.csv"
     save_ensemble_csv(members, path)
     back = load_ensemble_csv(path)
-    np.testing.assert_array_equal(back.members, members)
+    np.testing.assert_array_equal(back, members)
