@@ -10,6 +10,7 @@ days; custom: both must be given explicitly).
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from enkpf.errors import ConfigError
@@ -55,7 +56,7 @@ class ExperimentConfig:
 
     def validated(self):
         """Resolved copy that passed validate_config (ConfigError otherwise)."""
-        return validate_config(self.resolved())
+        return validate_config(self)
 
     @property
     def n_cycles(self):
@@ -63,7 +64,11 @@ class ExperimentConfig:
 
 
 def validate_config(cfg):
-    """Raise ConfigError (naming the key) on any constraint violation."""
+    """Raise ConfigError (naming the key) on any constraint violation.
+
+    Returns the config with its scenario timing resolved; the scenario is
+    checked before the timing is filled in from it.
+    """
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
     if not cfg.methods:
@@ -82,11 +87,11 @@ def validate_config(cfg):
         raise ConfigError("ess_band: need 0 < lo <= hi <= 1")
     if cfg.r_r <= 0 or cfg.r_u <= 0:
         raise ConfigError("r_r/r_u: observation error variances must be positive")
-    cfg = cfg if cfg.interval_s is not None and cfg.duration_s is not None else cfg.resolved()
+    cfg = cfg.resolved()
     if cfg.interval_s <= 0:
         raise ConfigError("interval_s: must be positive")
     steps = cfg.interval_s / cfg.model.dt_s
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         raise ConfigError("interval_s: must be a positive multiple of the model dt_s")
     if cfg.duration_s < 0:
         raise ConfigError("duration_s: must be nonnegative")
@@ -114,53 +119,60 @@ def _to_methods(raw):
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _to_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _to_pair(raw):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ValueError("expected two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+    return (_to_float(parts[0]), _to_float(parts[1]))
 
 
 _EXPERIMENT_KEYS = {
     "scenario": str,
     "methods": _to_methods,
     "k": int,
-    "l": float,
+    "l": _to_float,
     "ess_band": _to_pair,
-    "r_r": float,
-    "r_u": float,
-    "interval_s": float,
-    "duration_s": float,
+    "r_r": _to_float,
+    "r_u": _to_float,
+    "interval_s": _to_float,
+    "duration_s": _to_float,
     "repetitions": int,
     "base_seed": int,
-    "spinup_days": float,
-    "block_segment_m": float,
+    "spinup_days": _to_float,
+    "block_segment_m": _to_float,
     "trace": _to_bool,
     "out": str,
 }
 
 _MODEL_KEYS = {
     "n_points": int,
-    "spacing_m": float,
-    "gravity": float,
-    "h_rest": float,
-    "h_cloud": float,
-    "h_rain": float,
-    "phi_cloud": float,
-    "rain_geopotential": float,
-    "alpha_rain": float,
-    "beta_rain": float,
-    "diff_h": float,
-    "diff_u": float,
-    "diff_r": float,
-    "plume_rate": float,
-    "plume_amplitude": float,
-    "plume_width_m": float,
-    "dt_s": float,
-    "rain_threshold": float,
-    "sigma_r": float,
-    "sigma_u": float,
-    "warm_start_days": float,
+    "spacing_m": _to_float,
+    "gravity": _to_float,
+    "h_rest": _to_float,
+    "h_cloud": _to_float,
+    "h_rain": _to_float,
+    "phi_cloud": _to_float,
+    "rain_geopotential": _to_float,
+    "alpha_rain": _to_float,
+    "beta_rain": _to_float,
+    "diff_h": _to_float,
+    "diff_u": _to_float,
+    "diff_r": _to_float,
+    "plume_rate": _to_float,
+    "plume_amplitude": _to_float,
+    "plume_width_m": _to_float,
+    "dt_s": _to_float,
+    "rain_threshold": _to_float,
+    "sigma_r": _to_float,
+    "sigma_u": _to_float,
+    "warm_start_days": _to_float,
 }
 
 _FIELD_FOR_KEY = {"l": "l_m", "out": "out_dir"}
@@ -205,13 +217,12 @@ def parse_config(text, overrides=None):
     model_kw = dict(sections["model"])
     n_points = model_kw.pop("n_points", None)
     spacing = model_kw.pop("spacing_m", None)
-    if n_points is not None or spacing is not None:
-        geom = GridGeometry(
-            n_points if n_points is not None else 300,
-            spacing if spacing is not None else 500.0,
-        )
-        model_kw["geometry"] = geom
     try:
+        if n_points is not None or spacing is not None:
+            model_kw["geometry"] = GridGeometry(
+                n_points if n_points is not None else 300,
+                spacing if spacing is not None else 500.0,
+            )
         model = ModelParams(**model_kw)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc

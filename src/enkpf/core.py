@@ -6,9 +6,10 @@ a dense (d, d) array.
 Observation operators throughout the package are column selectors: obs row j
 reads state column h_rows[j] with coefficient 1. That keeps every gain
 computation an m x m solve (m = number of observations); no d x d system is
-ever formed or inverted. _gain is that solve for every EnKF step, global or
-local; only the EnKPF's gamma-scaled gains live elsewhere
-(global_filters._enkpf_rows_machinery).
+ever formed or inverted. _gain is that solve; its callers are kalman_gain and
+global_filters._enkf_rows, the one EnKF update every filter uses (global,
+local or gamma = 1 EnKPF). Only the EnKPF's gamma-scaled gains live
+elsewhere (global_filters._enkpf_rows_machinery).
 """
 
 import numpy as np
@@ -45,11 +46,10 @@ def _p_slices(cov, h_rows):
     return p_cols, p_cols[h_rows, :]
 
 
-def _gain(p_ro, s_oo, r_diag, what):
+def _gain(p_ro, s_oo, r_diag):
     """Gain rows P_ro (S + diag(r))^{-1}, p_ro (p, m) and S (m, m) the
-    covariance slices; what names S + diag(r) in the FilterError raised when
-    it is not positive definite."""
-    factor = _chol(s_oo + np.diag(r_diag), what)
+    covariance slices; FilterError if S + diag(r) is not positive definite."""
+    factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
     return sla.cho_solve(factor, p_ro.T).T
 
 
@@ -69,4 +69,4 @@ def kalman_gain(cov, h_rows, r_diag):
     if np.any(r_diag <= 0):
         raise FilterError("observation error variances must be positive")
     p_cols, s_oo = _p_slices(cov, h_rows)
-    return _gain(p_cols, s_oo, r_diag, "innovation covariance")
+    return _gain(p_cols, s_oo, r_diag)

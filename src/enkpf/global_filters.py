@@ -13,8 +13,10 @@ gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
 subset of state rows given the relevant covariance slices. enkpf_update and
 adaptive_gamma call it on all rows of the plain or tapered P; the localized
 filters call it per site or block, which is what keeps the global/local
-reduction tests exact. All observation operators are column selectors with
-diagonal R, so every solve is m x m.
+reduction tests exact. At gamma = 1 it is the stochastic EnKF, and
+_enkf_rows is the one place that update is written: enkf_update, the LEnKF
+and every gamma = 1 site or block go through it. All observation operators
+are column selectors with diagonal R, so every solve is m x m.
 """
 
 import numpy as np
@@ -50,10 +52,19 @@ def enkf_update(ens, obs, P, rng):
     if obs.m == 0:
         return x.copy()
     p_cols, s_oo = _p_slices(P, obs.h_rows)
-    pert = rng.standard_normal((k, obs.m)) * np.sqrt(obs.r_diag)
-    gain = _gain(p_cols, s_oo, obs.r_diag, "innovation covariance")
-    innov = obs.y - obs.project(x) + pert
-    return x + innov @ gain.T
+    eta_raw = rng.standard_normal((k, obs.m))
+    return _enkf_rows(x, obs.y - obs.project(x), obs.r_diag, p_cols, s_oo, eta_raw)
+
+
+def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
+    """Stochastic EnKF on a subset of rows: x + (y - Hx + sqrt(r) eta) K'.
+
+    x_rows (k, p) background rows, innov0 (k, m) = y - Hx, eta_raw (k, m)
+    standard normals; K = P_ro (S + R)^{-1} from the slices p_ro (p, m) and
+    s_oo (m, m).
+    """
+    gain = _gain(p_ro, s_oo, r_diag)
+    return x_rows + (innov0 + eta_raw * np.sqrt(r_diag)) @ gain.T
 
 
 def pf_weights(ens, obs, likelihood_power=1.0):
@@ -166,19 +177,18 @@ def _eps_draws(k_ro, a, k2_ro, r_diag, gamma, eta_raw, er_raw):
     return e_q_rows + (e_r - he_q) @ k2_ro.T
 
 
-def _enkpf_rows_machinery(obs, p_ro, s_oo, gamma):
+def _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma):
     """Gains shared by the mean and perturbation paths, for gamma in [0, 1).
 
     Returns (k_ro, a, k2_ro): row-restricted stage-1 gain K(gamma P) on the
     requested rows, its obs-space block A = H K(gamma P), and the
     row-restricted second-stage gain K((1-gamma) Q).
     """
-    m = obs.m
+    m = r_diag.shape[0]
     p = p_ro.shape[0]
     if gamma == 0.0 or m == 0:
         z = np.zeros((p, m))
         return z, np.zeros((m, m)), z
-    r_diag = obs.r_diag
     factor = _chol(gamma * s_oo + np.diag(r_diag), "stage-1 innovation covariance")
     k_ro = gamma * sla.cho_solve(factor, p_ro.T).T
     a = gamma * sla.cho_solve(factor, s_oo).T
@@ -190,42 +200,45 @@ def _enkpf_rows_machinery(obs, p_ro, s_oo, gamma):
     return k_ro, a, k2_ro
 
 
-def _enkpf_rows_update(x_rows, hx, obs, p_ro, s_oo, gamma, eta_raw, er_raw, indices):
+def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, indices):
     """Row-restricted EnKPF final update given pre-drawn noise and indices.
 
-    x_rows (k, p): background values of the rows being updated; hx (k, m):
-    background observation-space values; p_ro (p, m), s_oo (m, m): covariance
-    slices (tapered or plain). Requires gamma < 1 (gamma = 1 delegates to the
-    EnKF path at the call sites). Returns the (k, p) analysis rows.
+    x_rows (k, p): background values of the rows being updated; innov0
+    (k, m): y - Hx of the background; p_ro (p, m), s_oo (m, m): covariance
+    slices (tapered or plain). gamma = 1 is the EnKF (_enkf_rows): nothing is
+    resampled, so indices must be the identity and er_raw is not used.
+    Returns the (k, p) analysis rows.
     """
     idx = indices.idx
-    if gamma == 0.0 or obs.m == 0:
+    if gamma == 0.0 or r_diag.shape[0] == 0:
         return x_rows[idx].copy()
-    k_ro, a, k2_ro = _enkpf_rows_machinery(obs, p_ro, s_oo, gamma)
-    innov0 = obs.y - hx
+    if gamma == 1.0:
+        return _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw)
+    k_ro, a, k2_ro = _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma)
     nu_rows = x_rows + innov0 @ k_ro.T
     resid = innov0 - innov0 @ a.T
     mu_rows = nu_rows + resid @ k2_ro.T
-    eps = _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta_raw, er_raw)
+    eps = _eps_draws(k_ro, a, k2_ro, r_diag, gamma, eta_raw, er_raw)
     return mu_rows[idx] + eps
 
 
 def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample=False):
-    """EnKPF analysis of all rows at gamma < 1, resampling with solver's weights.
+    """EnKPF analysis of all rows at gamma, resampling with solver's weights.
 
-    Draws eta, then e_R, then (unless identity_resample) the resampling
-    uniform, in that order.
+    Draws eta, then e_R, then (for gamma < 1, unless identity_resample) the
+    resampling uniform, in that order. At gamma = 1 the weights are uniform
+    and the indices the identity.
     """
     k = x.shape[0]
     eta_raw = rng.standard_normal((k, obs.m))
     er_raw = rng.standard_normal((k, obs.m))
-    w = solver.weights(gamma)
-    if identity_resample:
-        idx = ResampleIndices.identity(k)
+    if gamma == 1.0:
+        w, idx = MixtureWeights.uniform(k), ResampleIndices.identity(k)
     else:
-        idx = balanced_resample(w, rng)
+        w = solver.weights(gamma)
+        idx = ResampleIndices.identity(k) if identity_resample else balanced_resample(w, rng)
     x_a = _enkpf_rows_update(
-        x, obs.project(x), obs, p_ro, s_oo, gamma, eta_raw, er_raw, idx
+        x, obs.y - obs.project(x), obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx
     )
     return x_a, w, idx
 
@@ -234,19 +247,15 @@ def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
     """Full EnKPF analysis for a fixed gamma.
 
     Returns (analysis (k, d) array, MixtureWeights, ResampleIndices). At
-    gamma = 1 the particle stage is skipped entirely: the update delegates to
-    enkf_update with the same rng (bitwise-equal output), weights are uniform
-    and the indices are the identity. identity_resample=True skips the
-    resampling draw (diagnostic hook used by the equivalence tests).
+    gamma = 1 the particle stage is skipped: the update is the EnKF rows
+    update, bitwise equal to enkf_update with the same rng, the weights are
+    uniform and the indices are the identity. identity_resample=True skips
+    the resampling draw (diagnostic hook used by the equivalence tests).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     x = np.asarray(ens, dtype=float)
-    k, d = x.shape
-    obs.check_dim(d)
-    if gamma == 1.0:
-        out = enkf_update(ens, obs, P, rng)
-        return out, MixtureWeights.uniform(k), ResampleIndices.identity(k)
+    obs.check_dim(x.shape[1])
     p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
     return _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample)
@@ -268,6 +277,4 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
     gamma = search_gamma(solver, lo, x.shape[0])
-    if gamma == 1.0:
-        return gamma, enkpf_update(ens, obs, P, gamma, rng)
     return gamma, _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng)

@@ -1,11 +1,15 @@
 """Localized analyses: LEnKF, NAIVE-LEnKPF, and BLOCK-LEnKPF.
 
-LEnKF and NAIVE-LEnKPF run an independent analysis at every grid point using
-only observations inside a local window, with tapered covariance slices. All
-sites share the same observation perturbations (one global draw) and, for
-NAIVE, one global uniform for resampling, so that neighboring analyses stay
-as coherent as the weights allow; the remaining index freedom is removed by a
-left-to-right reordering sweep.
+LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
+local EnKPF at every grid point using only observations inside a local
+window, with tapered covariance slices. The LEnKF is that loop with gamma held
+at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
+All sites share the same observation perturbations (one global draw) and one
+global uniform for resampling, so that neighboring analyses stay as coherent
+as the weights allow; the remaining index freedom is removed by a
+left-to-right reordering sweep. Every site, block and gamma updates through
+global_filters._enkpf_rows_update, which at gamma = 1 is the one EnKF rows
+update (_enkf_rows).
 
 BLOCK-LEnKPF instead partitions the observations into short segments. Each
 segment's block update touches the directly observed columns u with a local
@@ -22,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import _gain
-from enkpf.errors import InvalidBlockError
+from enkpf.errors import FilterError, InvalidBlockError
 from enkpf.global_filters import (
     GammaWeightSolver,
     _check_band,
@@ -41,7 +44,6 @@ from enkpf.resampling import (
 from enkpf.taper import tapered_cov_block
 
 __all__ = [
-    "BlockSchedule",
     "LocalDiagnostics",
     "LocalWindowSpec",
     "ObservationBlock",
@@ -90,52 +92,18 @@ def _obs_geometry(all_obs, layout, radius_m):
     return [np.flatnonzero(dist[g] <= radius_m) for g in range(n)]
 
 
-def lenkf_update(ens, all_obs, window, taper, layout, rng):
-    """Local EnKF: per-gridpoint stochastic EnKF on window observations.
+def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostics=None):
+    """Local EnKPF at every grid point, shared draws drawn in the order eta,
+    e_R, resampling uniform.
 
-    The perturbed observations are drawn once globally, so every site sees
-    the same eps_i; localization enters through the window selection and the
-    tapered covariance slices. Sites with no observations in range keep their
-    background values bitwise.
+    With ess_lo set, each site picks its own gamma (search_gamma) and, for
+    gamma < 1, its systematic indices are reordered to agree with the
+    previous site's as much as the multisets allow, which suppresses
+    artificial discontinuities at site boundaries. With ess_lo = None, gamma
+    is 1 at every site (the LEnKF): no weights, no diagnostics. Sites without
+    observations keep their background bitwise; they and gamma = 1 sites
+    contribute identity index vectors to the sweep.
     """
-    x = np.asarray(ens, dtype=float)
-    k, d = x.shape
-    all_obs.check_dim(d)
-    if all_obs.m == 0:
-        return x.copy()
-    obs_cols = all_obs.h_rows
-    p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
-    s_full = p_cross[obs_cols, :]
-    pert = rng.standard_normal((k, all_obs.m)) * np.sqrt(all_obs.r_diag)
-    innov_pert = all_obs.y - x[:, obs_cols] + pert
-    selections = _obs_geometry(all_obs, layout, window.radius_m)
-    out = x.copy()
-    for g, sel in enumerate(selections):
-        if sel.size == 0:
-            continue
-        cols = layout.cols_at(g)
-        gain = _gain(
-            p_cross[np.ix_(cols, sel)],
-            s_full[np.ix_(sel, sel)],
-            all_obs.r_diag[sel],
-            f"local innovation covariance at site {g}",
-        )
-        out[:, cols] = x[:, cols] + innov_pert[:, sel] @ gain.T
-    return out
-
-
-def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diagnostics=None):
-    """Local EnKPF at every grid point with shared randomness.
-
-    Each site runs its own adaptive-gamma EnKPF on the window observations,
-    fed by globally shared observation-perturbation draws and one globally
-    shared resampling uniform. The per-site resampling indices are then
-    reordered left to right to agree with the previous site's indices as much
-    as the multisets allow, which suppresses artificial discontinuities at
-    site boundaries. Sites without observations (and gamma = 1 sites, which
-    do not resample) contribute identity index vectors to the sweep.
-    """
-    lo, _ = _check_band(ess_band)
     x = np.asarray(ens, dtype=float)
     k, d = x.shape
     all_obs.check_dim(d)
@@ -148,48 +116,61 @@ def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diag
     eta_all = rng.standard_normal((k, all_obs.m))
     er_all = rng.standard_normal((k, all_obs.m))
     u_shared = rng.uniform()
-    selections = _obs_geometry(all_obs, layout, window.radius_m)
+    identity = ResampleIndices.identity(k)
 
     out = x.copy()
-    prev_idx = np.arange(k, dtype=np.intp)
-    for g, sel in enumerate(selections):
+    idx = identity
+    for g, sel in enumerate(_obs_geometry(all_obs, layout, window.radius_m)):
         if sel.size == 0:
-            prev_idx = np.arange(k, dtype=np.intp)
+            idx = identity
             continue
         cols = layout.cols_at(g)
-        obs_loc = all_obs.subset(sel)
         s_loc = s_full[np.ix_(sel, sel)]
-        solver = GammaWeightSolver(s_loc, obs_loc.r_diag, innov0[:, sel])
-        gamma = search_gamma(solver, lo, k)
-        if diagnostics is not None:
-            diagnostics.record(gamma, solver.ess(gamma))
+        r_loc = all_obs.r_diag[sel]
+        gamma = 1.0
+        if ess_lo is not None:
+            solver = GammaWeightSolver(s_loc, r_loc, innov0[:, sel])
+            gamma = search_gamma(solver, ess_lo, k)
+            if diagnostics is not None:
+                diagnostics.record(gamma, solver.ess(gamma))
         if gamma == 1.0:
-            pert = eta_all[:, sel] * np.sqrt(obs_loc.r_diag)
-            gain = _gain(
-                p_cross[np.ix_(cols, sel)],
-                s_loc,
-                obs_loc.r_diag,
-                f"local innovation covariance at site {g}",
+            idx = identity
+        else:
+            raw = systematic_indices(solver.weights(gamma).alpha, u_shared)
+            idx = reorder_to_match(raw, idx.idx)
+        try:
+            out[:, cols] = _enkpf_rows_update(
+                x[:, cols], innov0[:, sel], r_loc, p_cross[np.ix_(cols, sel)], s_loc,
+                gamma, eta_all[:, sel], er_all[:, sel], idx,
             )
-            out[:, cols] = x[:, cols] + (innov0[:, sel] + pert) @ gain.T
-            prev_idx = np.arange(k, dtype=np.intp)
-            continue
-        w = solver.weights(gamma)
-        raw = systematic_indices(w.alpha, u_shared)
-        idx = reorder_to_match(raw, prev_idx)
-        out[:, cols] = _enkpf_rows_update(
-            x[:, cols],
-            x[:, obs_cols[sel]],
-            obs_loc,
-            p_cross[np.ix_(cols, sel)],
-            s_loc,
-            gamma,
-            eta_all[:, sel],
-            er_all[:, sel],
-            idx,
-        )
-        prev_idx = idx.idx
+        except FilterError as exc:
+            raise FilterError(f"site {g}: {exc}") from exc
     return out
+
+
+def lenkf_update(ens, all_obs, window, taper, layout, rng):
+    """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
+
+    Every site runs a stochastic EnKF on its window observations; the
+    perturbed observations are drawn once globally, so every site sees the
+    same eps_i. Sites with no observations in range keep their background
+    values bitwise.
+    """
+    return _site_loop(ens, all_obs, window, taper, layout, rng)
+
+
+def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diagnostics=None):
+    """Local EnKPF at every grid point with shared randomness.
+
+    Each site runs its own adaptive-gamma EnKPF (gamma from the lower end of
+    ess_band) on the window observations; the per-site resampling indices
+    are reordered left to right to agree with the previous site's (see
+    _site_loop). diagnostics, if given, records each site's gamma and ESS.
+    """
+    lo, _ = _check_band(ess_band)
+    return _site_loop(
+        ens, all_obs, window, taper, layout, rng, ess_lo=lo, diagnostics=diagnostics
+    )
 
 
 @dataclass(frozen=True)
@@ -227,18 +208,12 @@ def compute_uvw(block_obs, taper, layout, segment=0):
     return ObservationBlock(block_obs, int(segment), u, v, np.sort(w))
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Ordered groups of block ids; within a group, (u ∪ v) are pairwise disjoint."""
-
-    groups: tuple
-
-
 def schedule_blocks(blocks):
     """Greedy grouping of blocks with pairwise disjoint (u ∪ v) footprints.
 
-    Repeatedly starts a group with the lowest-id unscheduled block and adds
-    every later unscheduled block whose footprint avoids the group so far.
+    Returns the ordered groups as a tuple of tuples of block ids. Repeatedly
+    starts a group with the lowest-id unscheduled block and adds every later
+    unscheduled block whose footprint avoids the group so far.
     """
     footprints = [frozenset(np.concatenate([b.u, b.v]).tolist()) for b in blocks]
     remaining = list(range(len(blocks)))
@@ -256,7 +231,7 @@ def schedule_blocks(blocks):
                 still.append(bid)
         remaining = still
         groups.append(tuple(group))
-    return BlockSchedule(tuple(groups))
+    return tuple(groups)
 
 
 def _pinv_regress(p_uu, p_vu, diagnostics=None):
@@ -310,20 +285,11 @@ def block_assimilate_one(
     if diagnostics is not None:
         diagnostics.record(g, solver.ess(g))
 
-    if g == 1.0:
-        pert = eta * np.sqrt(obs.r_diag)
-        gain = _gain(p_uo, s_oo, obs.r_diag, "block innovation covariance")
-        x_u = x[:, block.u] + (innov0 + pert) @ gain.T
+    if g == 1.0 or identity_resample:
+        idx = ResampleIndices.identity(k)
     else:
-        w = solver.weights(g)
-        if identity_resample:
-            raw = ResampleIndices.identity(k)
-        else:
-            raw = balanced_resample(w, rng)
-        idx = permute_fixed_points(raw)
-        x_u = _enkpf_rows_update(
-            x[:, block.u], x[:, obs_cols], obs, p_uo, s_oo, g, eta, er, idx
-        )
+        idx = permute_fixed_points(balanced_resample(solver.weights(g), rng))
+    x_u = _enkpf_rows_update(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, g, eta, er, idx)
 
     out = x.copy()
     out[:, block.u] = x_u
@@ -364,10 +330,9 @@ def block_lenkpf_update(
     blocks = partition_obs_blocks(all_obs, taper, layout, segment_length_m)
     if not blocks:
         return x.copy()
-    schedule = schedule_blocks(blocks)
     streams = rng.spawn(len(blocks))
     current = x
-    for group in schedule.groups:
+    for group in schedule_blocks(blocks):
         for bid in group:
             current = block_assimilate_one(
                 current,

@@ -120,7 +120,7 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
     if gamma == 1.0:
         raise ValueError("perturbation draws are defined for gamma < 1")
     p_ro, s_oo = _p_slices(P, obs.h_rows)
-    k_ro, a, k2_ro = _enkpf_rows_machinery(obs, p_ro, s_oo, gamma)
+    k_ro, a, k2_ro = _enkpf_rows_machinery(obs.r_diag, p_ro, s_oo, gamma)
     eta = rng.standard_normal((n_draws, obs.m))
     er = rng.standard_normal((n_draws, obs.m))
     return _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta, er)

@@ -77,6 +77,39 @@ def test_invalid_config_reports_error(tmp_path, capsys):
     assert "k" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("r_r", "nan"),
+        ("r_u", "inf"),
+        ("interval_s", "nan"),
+        ("duration_s", "inf"),
+        ("spinup_days", "nan"),
+        ("spinup_days", "inf"),
+        ("l", "-inf"),
+        ("ess_band", "nan, 0.8"),
+        ("ess_band", "0.5, inf"),
+        ("dt_s", "nan"),
+        ("warm_start_days", "inf"),
+    ],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    lines = cfg.read_text().splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), None)
+    if at is None:  # a key the tiny config leaves at its default
+        at = lines.index("[model]") + 1 if key in ("dt_s", "warm_start_days") else 1
+        lines.insert(at, "")
+    lines[at] = f"{key} = {value}"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"line {at + 1}" in err[0] and repr(key) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert capsys.readouterr().err.startswith("error:")

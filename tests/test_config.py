@@ -1,4 +1,9 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf.config import ExperimentConfig, parse_config, validate_config
 from enkpf.errors import ConfigError
@@ -122,3 +127,60 @@ def test_validate_config_direct():
     assert validate_config(cfg).n_cycles == 0
     with pytest.raises(ConfigError):
         validate_config(ExperimentConfig(methods=("free", "free")))
+
+
+def test_unknown_scenario_is_reported_as_the_scenario():
+    with pytest.raises(ConfigError) as info:
+        parse_config("[experiment]\nscenario = foo\n")
+    assert str(info.value).startswith("scenario:")
+    with pytest.raises(ConfigError, match="^scenario:"):
+        ExperimentConfig(scenario="foo").validated()
+
+
+EXPERIMENT_FLOAT_KEYS = (
+    "l", "r_r", "r_u", "interval_s", "duration_s", "spinup_days", "block_segment_m",
+)
+MODEL_FLOAT_KEYS = (
+    "spacing_m", "gravity", "h_rest", "h_cloud", "h_rain", "phi_cloud",
+    "rain_geopotential", "alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r",
+    "plume_rate", "plume_amplitude", "plume_width_m", "dt_s", "rain_threshold",
+    "sigma_r", "sigma_u", "warm_start_days",
+)
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "Infinity", "-NaN", "0", "-0.0", "-1",
+                     "1e-308", "1e308", "-1e308"]),
+    st.floats().map(repr),  # nan, +-inf, zero, negatives, subnormals, 1e308
+    st.floats(min_value=1e-308, max_value=1e308).map(repr),
+)
+
+
+def _numbers_in(obj):
+    if isinstance(obj, (bool, str)) or obj is None:
+        return []
+    if isinstance(obj, (int, float)):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [v for item in obj for v in _numbers_in(item)]
+    if dataclasses.is_dataclass(obj):
+        return [v for f in dataclasses.fields(obj) for v in _numbers_in(getattr(obj, f.name))]
+    raise TypeError(type(obj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(EXPERIMENT_FLOAT_KEYS + ("ess_band",)), NUMBERS, max_size=4),
+    st.dictionaries(st.sampled_from(MODEL_FLOAT_KEYS), NUMBERS, max_size=4),
+    NUMBERS,
+)
+def test_parse_config_float_keys_give_finite_config_or_config_error(exp, model, second):
+    exp_lines = [
+        f"{key} = {value}, {second}" if key == "ess_band" else f"{key} = {value}"
+        for key, value in exp.items()
+    ]
+    model_lines = [f"{key} = {value}" for key, value in model.items()]
+    text = "\n".join(["[experiment]", *exp_lines, "[model]", *model_lines]) + "\n"
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in _numbers_in(cfg))

@@ -140,12 +140,37 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     assert 0.0 < gamma < 1.0  # setup sanity: interior gamma
     idx = permute_fixed_points(systematic_indices(solver.weights(gamma).alpha, u_shared))
     ref = _enkpf_rows_update(
-        x, x[:, obs_cols], obs, p_cross, s_oo, gamma, eta, er, idx
+        x, innov0, obs.r_diag, p_cross, s_oo, gamma, eta, er, idx
     )
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
     # every site saw the same full-window problem
     assert len(diag.gammas) == layout.geometry.n_points
     assert np.ptp(diag.gammas) == 0.0
+
+
+def test_naive_gamma_one_sites_equal_lenkf_bitwise():
+    # the LEnKF is the local EnKPF at gamma = 1: wherever the naive filter's
+    # own search lands on gamma = 1, its columns are the LEnKF's, bit for bit
+    rng = np.random.default_rng(30)
+    n, k = 30, 10
+    layout = default_layout(n)
+    x = random_ensemble(rng, layout, k)
+    points = np.arange(n)
+    # huge innovations on the left half push those sites' gamma to 1
+    values = x[:, 2 * n + points].mean(axis=0) + np.where(points < n // 2, 1000.0, 0.0)
+    obs = rain_obs(layout, points, values)
+    window, taper = LocalWindowSpec(1000.0), TaperSpec(1000.0)
+    diag = LocalDiagnostics()
+    naive = naive_lenkpf_update(
+        x, obs, window, taper, layout, (0.9, 1.0), np.random.default_rng(1), diag
+    )
+    local_enkf = lenkf_update(x, obs, window, taper, layout, np.random.default_rng(1))
+    gammas = np.asarray(diag.gammas)
+    assert gammas.shape == (n,)  # every site has observations
+    assert np.any(gammas == 1.0) and np.any(gammas < 1.0)
+    for g in np.flatnonzero(gammas == 1.0):
+        cols = layout.cols_at(g)
+        np.testing.assert_array_equal(naive[:, cols], local_enkf[:, cols])
 
 
 def test_naive_adjacent_sites_with_equal_columns_stay_equal():
@@ -253,20 +278,20 @@ def test_schedule_blocks_properties():
         pts = np.sort(rng.choice(50, size=rng.integers(3, 10), replace=False))
         obs = rain_obs(layout, pts, np.zeros(pts.size))
         blocks = partition_obs_blocks(obs, TaperSpec(2000.0), layout, 4000.0)
-        schedule = schedule_blocks(blocks)
+        groups = schedule_blocks(blocks)
         footprints = [set(np.concatenate([b.u, b.v]).tolist()) for b in blocks]
-        scheduled = [bid for group in schedule.groups for bid in group]
+        scheduled = [bid for group in groups for bid in group]
         assert sorted(scheduled) == list(range(len(blocks)))
-        for group in schedule.groups:
+        for group in groups:
             for i, a in enumerate(group):
                 for b in group[i + 1 :]:
                     assert footprints[a].isdisjoint(footprints[b])
         # greedy maximality: a block in a later group conflicts with every
         # earlier group
-        for t, group in enumerate(schedule.groups):
+        for t, group in enumerate(groups):
             for bid in group:
                 for s in range(t):
-                    union = set().union(*(footprints[e] for e in schedule.groups[s]))
+                    union = set().union(*(footprints[e] for e in groups[s]))
                     assert not footprints[bid].isdisjoint(union)
 
 
@@ -275,8 +300,8 @@ def test_schedule_ring_of_15_segments_needs_3_groups():
     obs = rain_obs(layout, np.arange(300), np.zeros(300))
     blocks = partition_obs_blocks(obs, TaperSpec(5000.0), layout, 10000.0)
     assert len(blocks) == 15
-    schedule = schedule_blocks(blocks)
-    assert schedule.groups == ((0, 3, 6, 9, 12), (1, 4, 7, 10, 13), (2, 5, 8, 11, 14))
+    groups = schedule_blocks(blocks)
+    assert groups == ((0, 3, 6, 9, 12), (1, 4, 7, 10, 13), (2, 5, 8, 11, 14))
 
 
 # ---------------------------------------------------------------- block update
@@ -418,8 +443,8 @@ def test_block_group_execution_order_is_irrelevant():
     x = random_ensemble(rng, layout, 10)
     obs = rain_obs(layout, [1, 2, 3, 31, 32, 33], [0.4, -0.1, 0.6, 0.2, 0.5, -0.7])
     blocks = partition_obs_blocks(obs, taper, layout, 5000.0)
-    schedule = schedule_blocks(blocks)
-    assert schedule.groups == ((0, 1),)
+    groups = schedule_blocks(blocks)
+    assert groups == ((0, 1),)
 
     ref = block_lenkpf_update(
         x, obs, taper, layout, 5000.0, band(), np.random.default_rng(25)
@@ -427,7 +452,7 @@ def test_block_group_execution_order_is_irrelevant():
 
     streams = np.random.default_rng(25).spawn(len(blocks))
     current = x.copy()
-    for bid in reversed(schedule.groups[0]):
+    for bid in reversed(groups[0]):
         current = block_assimilate_one(
             current, blocks[bid], taper, layout, band(), streams[bid]
         )
