@@ -16,7 +16,7 @@ from enkpf.local_filters import (
     naive_lenkpf_update,
     schedule_blocks,
 )
-from enkpf.sweq import ModelParams, ModelState, RadarObs, gen_observations, model_step
+from enkpf.sweq import ModelParams, RadarObs, gen_observations
 from enkpf.scoring import crps_empirical, field_crps
 
 __version__ = "0.1.0"

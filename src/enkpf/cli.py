@@ -11,7 +11,7 @@ stderr and the exit code is nonzero.
 import argparse
 import sys
 
-from enkpf.config import SCENARIOS, parse_config
+from enkpf.config import _EXPERIMENT_KEYS, SCENARIOS, _to_methods, parse_config
 from enkpf.errors import EnkpfError
 
 
@@ -25,22 +25,12 @@ def _load_config(path, overrides):
 
 
 def _run_overrides(args):
-    overrides = {}
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.methods is not None:
-        overrides["methods"] = tuple(
-            part.strip() for part in args.methods.split(",") if part.strip()
-        )
-    if args.out is not None:
-        overrides["out"] = args.out
-    if getattr(args, "trace", False):
-        overrides["trace"] = True
-    return overrides
+    """The config keys the flags given set; a flag's dest is its config key."""
+    return {
+        key: getattr(args, key)
+        for key in _EXPERIMENT_KEYS
+        if getattr(args, key, None) is not None
+    }
 
 
 def _cmd_run(args):
@@ -59,7 +49,7 @@ def _cmd_spinup(args):
     import os
 
     from enkpf.rngstream import seed_stream
-    from enkpf.sweq import ModelState, save_ensemble_csv, save_state_csv, spinup_ensemble
+    from enkpf.sweq import save_ensemble_csv, save_state_csv, spinup_ensemble
 
     cfg = _load_config(args.config, _run_overrides(args))
     rng = seed_stream(cfg.base_seed, 0, 0, "spinup", 0)
@@ -67,26 +57,26 @@ def _cmd_spinup(args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     truth_path = os.path.join(cfg.out_dir, "truth.csv")
     ens_path = os.path.join(cfg.out_dir, "ensemble.csv")
-    save_state_csv(ModelState.from_vector(ens[0]), truth_path)
+    save_state_csv(ens[0], truth_path)
     save_ensemble_csv(ens[1:], ens_path)
     print(f"wrote {truth_path} and {ens_path} (k={cfg.k})")
     return 0
 
 
 def _cmd_score(args):
+    from enkpf.grid import FIELDS, default_layout
     from enkpf.scoring import field_crps
     from enkpf.sweq import load_ensemble_csv, load_state_csv
 
     ens = load_ensemble_csv(args.ensemble)
     truth = load_state_csv(args.truth)
-    n = truth.h.shape[0]
-    if ens.shape[1] != 3 * n:
+    if ens.shape[1] != truth.size:
         raise EnkpfError("ensemble and truth state have different grid sizes")
-    fields = {"h": truth.h, "u": truth.u, "r": truth.r}
+    layout = default_layout(truth.size // len(FIELDS))
+    ens_f, truth_f = layout.split(ens), layout.split(truth)
     print("field,crps")
-    for i, (name, tr) in enumerate(fields.items()):
-        crps = field_crps(ens[:, i * n : (i + 1) * n], tr)
-        print(f"{name},{crps!r}")
+    for f in FIELDS:
+        print(f"{f},{field_crps(ens_f[f], truth_f[f])!r}")
     return 0
 
 
@@ -102,13 +92,17 @@ def build_parser():
     p_spin = sub.add_parser("spinup", help="write a spun-up truth state and ensemble")
     for p in (p_run, p_spin):
         p.add_argument("--config", help="config file (flat [section] key = value)")
-        p.add_argument("--scenario", choices=SCENARIOS, help="timing preset")
-        p.add_argument("--reps", type=int, help="number of repetitions")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--methods", help="comma-separated method list")
+        p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED", help="base seed")
         p.add_argument("--out", help="output directory")
+    p_run.add_argument("--scenario", choices=SCENARIOS, help="timing preset")
+    p_run.add_argument(
+        "--reps", type=int, dest="repetitions", metavar="REPS", help="number of repetitions"
+    )
+    p_run.add_argument("--methods", type=_to_methods, help="comma-separated method list")
     p_run.add_argument("--threads", type=int, default=1, help="parallel repetitions")
-    p_run.add_argument("--trace", action="store_true", help="write per-cycle trace CSVs")
+    p_run.add_argument(
+        "--trace", action="store_true", default=None, help="write per-cycle trace CSVs"
+    )
     p_run.set_defaults(func=_cmd_run)
     p_spin.set_defaults(func=_cmd_spinup)
 

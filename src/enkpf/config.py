@@ -101,6 +101,12 @@ def validate_config(cfg):
         raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
     if cfg.spinup_days < 0:
         raise ConfigError("spinup_days: must be nonnegative")
+    for key, days in (("spinup_days", cfg.spinup_days),
+                      ("warm_start_days", cfg.model.warm_start_days)):
+        try:
+            cfg.model.steps(days * 86400.0)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: too long: {exc}") from None
     if not cfg.block_segment_m > 0:
         raise ConfigError("block_segment_m: must be positive")
     return cfg

@@ -30,7 +30,7 @@ import numpy as np
 from enkpf.core import ensemble_moments
 from enkpf.errors import CflViolation, FilterError, NumericalBlowup
 from enkpf.global_filters import adaptive_gamma, enkf_update, pf_weights
-from enkpf.grid import StateLayout
+from enkpf.grid import FIELDS, StateLayout
 from enkpf.local_filters import (
     LocalDiagnostics,
     LocalWindowSpec,
@@ -41,16 +41,9 @@ from enkpf.local_filters import (
 from enkpf.resampling import balanced_resample, ess
 from enkpf.rngstream import seed_stream
 from enkpf.scoring import ScoreRecord, _cell, field_crps, rank_of_truth, write_scores_csv
-from enkpf.sweq import (
-    ModelState,
-    advance_members,
-    gen_observations,
-    obs_to_gauss,
-    spinup_ensemble,
-)
+from enkpf.sweq import advance_members, gen_observations, obs_to_gauss, spinup_ensemble
 from enkpf.taper import TaperSpec
 
-FIELDS = ("h", "u", "r")
 FAILURES = (FilterError, NumericalBlowup, CflViolation)
 RANK_TIME_THIN_S = 1800.0
 RANK_SPACE_THIN = 10
@@ -84,10 +77,6 @@ class RepResult:
     rank_counts: dict  # (method, field) -> (k + 1,) counts
     trace_rows: list
     failed_at: dict  # method -> cycle of first numerical failure
-
-
-def _field_slices(n):
-    return {"h": slice(0, n), "u": slice(n, 2 * n), "r": slice(2 * n, 3 * n)}
 
 
 @dataclass(frozen=True)
@@ -166,12 +155,11 @@ def run_single_rep(cfg, rep):
     n = params.geometry.n_points
     k = cfg.k
     seed = cfg.base_seed
-    steps = int(round(cfg.interval_s / params.dt_s))
+    steps = params.steps(cfg.interval_s)
     ctx = AnalysisContext(
         layout, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.ess_band,
         cfg.block_segment_m,
     )
-    slices = _field_slices(n)
 
     spin = spinup_ensemble(
         params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0)
@@ -191,8 +179,7 @@ def run_single_rep(cfg, rep):
         truth = advance_members(
             truth[None, :], params, steps, [seed_stream(seed, rep, cycle, "truth", 0)]
         )[0]
-        truth_state = ModelState.from_vector(truth, t=t_now)
-        radar = gen_observations(truth_state, params, seed_stream(seed, rep, cycle, "obs", 0))
+        radar = gen_observations(truth, params, seed_stream(seed, rep, cycle, "obs", 0))
         obs = obs_to_gauss(radar, cfg.r_r, cfg.r_u)
 
         forecasts = {}
@@ -205,27 +192,21 @@ def run_single_rep(cfg, rep):
             except FAILURES:
                 failed_at[m] = cycle
 
+        truth_f = layout.split(truth)
+        forecast_f = {m: layout.split(fc) for m, fc in forecasts.items()}
         free_crps = {}
         if "free" in forecasts:
-            free_crps = {
-                f: field_crps(forecasts["free"][:, slices[f]], truth[slices[f]])
-                for f in FIELDS
-            }
+            free_crps = {f: field_crps(forecast_f["free"][f], truth_f[f]) for f in FIELDS}
         for m in cfg.methods:
             for f in FIELDS:
-                crps = (
-                    field_crps(forecasts[m][:, slices[f]], truth[slices[f]])
-                    if m in forecasts
-                    else None
-                )
+                crps = field_crps(forecast_f[m][f], truth_f[f]) if m in forecasts else None
                 records.append(ScoreRecord(rep, cycle, m, f, crps, free_crps.get(f)))
 
         if round(t_now) % round(RANK_TIME_THIN_S) == 0:
             for m in forecasts:
                 rng_rank = seed_stream(seed, rep, cycle, "ranks", METHOD_IDS[m])
                 for f in FIELDS:
-                    fc = forecasts[m][:, slices[f]]
-                    tr = truth[slices[f]]
+                    fc, tr = forecast_f[m][f], truth_f[f]
                     for g in range(0, n, RANK_SPACE_THIN):
                         rank_counts[(m, f)][rank_of_truth(fc[:, g], tr[g], rng_rank)] += 1
 
@@ -247,9 +228,9 @@ def run_single_rep(cfg, rep):
                 trace_rows.append(
                     TraceRow(
                         rep, cycle, t_now, m,
-                        float(truth[slices["r"]].mean()),
-                        float(forecasts[m][:, slices["r"]].mean()),
-                        float(ens[m][:, slices["r"]].mean()),
+                        float(truth_f["r"].mean()),
+                        float(forecast_f[m]["r"].mean()),
+                        float(layout.split(ens[m])["r"].mean()),
                         tuple(diag.gammas),
                         tuple(diag.ess_values),
                     )

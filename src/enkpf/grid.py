@@ -1,14 +1,19 @@
-"""Periodic 1D grid geometry and the mapping from state columns to grid points.
+"""Periodic 1D grid geometry and the one layout of the model state vector.
 
-State vectors for the shallow-water model stack the three fields in blocks:
-x = (h_0..h_{n-1}, u_0..u_{n-1}, r_0..r_{n-1}), so column c lives at grid
-point c mod n. Localization only ever needs distances between grid points,
-which on a ring are circular.
+A state vector stacks the FIELDS in blocks of n grid points:
+x = (h_0..h_{n-1}, u_0..u_{n-1}, r_0..r_{n-1}), so column c is field
+FIELDS[c // n] at grid point c mod n. StateLayout is the only place that
+knows this order and these block offsets; everything else asks it for a
+field's block (split) or for the columns at a grid point (cols_at).
+Localization only ever needs distances between grid points, which on a ring
+are circular.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+FIELDS = ("h", "u", "r")
 
 
 @dataclass(frozen=True)
@@ -44,23 +49,25 @@ class GridGeometry:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Maps state-vector columns to grid points for a multi-field state.
-
-    n_fields stacked blocks of geometry.n_points columns each; column c sits
-    at grid point c mod n_points and belongs to field c // n_points.
-    """
+    """The FIELDS stacked in blocks of geometry.n_points columns each."""
 
     geometry: GridGeometry
-    n_fields: int = 3
-    field_names: tuple = ("h", "u", "r")
-
-    def __post_init__(self):
-        if len(self.field_names) != self.n_fields:
-            raise ValueError("field_names length must equal n_fields")
 
     @property
     def dim(self):
-        return self.n_fields * self.geometry.n_points
+        return len(FIELDS) * self.geometry.n_points
+
+    def split(self, x):
+        """{field: block} in FIELDS order: views of the blocks of x's last axis.
+
+        A block shares memory with x, so writing to it fills x in. Splitting
+        np.arange(dim) gives each field's state columns.
+        """
+        x = np.asarray(x)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"expected {self.dim} state columns, got {x.shape[-1]}")
+        n = self.geometry.n_points
+        return {f: x[..., i * n : (i + 1) * n] for i, f in enumerate(FIELDS)}
 
     def grid_of_cols(self, cols=None):
         """Grid point of each state column (all columns if cols is None)."""
@@ -68,13 +75,11 @@ class StateLayout:
             cols = np.arange(self.dim)
         return np.asarray(cols) % self.geometry.n_points
 
-    def col(self, field_idx, grid_point):
-        """State column of (field, grid point); both may be arrays."""
-        return np.asarray(field_idx) * self.geometry.n_points + np.asarray(grid_point)
-
     def cols_at(self, grid_point):
-        """All state columns located at one grid point, one per field."""
-        return self.col(np.arange(self.n_fields), grid_point)
+        """The state columns at a grid point, one per field, along a new last
+        axis (grid_point may be an array)."""
+        offsets = np.arange(len(FIELDS)) * self.geometry.n_points
+        return np.asarray(grid_point)[..., None] + offsets
 
     def col_distance_m(self, cols_a, cols_b):
         """Pairwise circular distances (|a| x |b|) between column locations."""

@@ -200,10 +200,7 @@ def compute_uvw(block_obs, taper, layout, segment=0):
     dist = layout.geometry.distance_m(np.arange(n)[:, None], u_pts[None, :]).min(axis=1)
     # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
     near_pts = np.flatnonzero(dist < taper.support_radius_m)
-    near_cols = (
-        np.arange(layout.n_fields)[:, None] * n + near_pts[None, :]
-    ).ravel()
-    v = np.setdiff1d(near_cols, u)
+    v = np.setdiff1d(layout.cols_at(near_pts), u)
     w = np.setdiff1d(np.arange(layout.dim), np.concatenate([u, v]))
     return ObservationBlock(block_obs, int(segment), u, v, np.sort(w))
 
@@ -306,7 +303,10 @@ def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
     if all_obs.m == 0:
         return []
     obs_pts = layout.grid_of_cols(all_obs.h_rows)
-    seg = ((obs_pts * layout.geometry.spacing_m) // segment_length_m).astype(int)
+    spacing = layout.geometry.spacing_m
+    # a segment no longer than the spacing holds one point, whatever its
+    # length; flooring it at the spacing keeps the ids small and finite
+    seg = ((obs_pts * spacing) // max(segment_length_m, spacing)).astype(int)
     blocks = []
     for s in np.unique(seg):
         rows = np.flatnonzero(seg == s)

@@ -16,16 +16,21 @@ rain, and decay on a roughly half-hour timescale.
 The observation generator mimics radar: rain is observed everywhere through
 a square-root transform with additive Gaussian noise and truncation at zero,
 wind only where the observed rain reaches the rain threshold.
+
+States are plain (3n,) vectors and ensembles (k, 3n) arrays, laid out as
+enkpf.grid.StateLayout says; this module reads and writes the fields only
+through StateLayout.split.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from enkpf.errors import CflViolation, InputError, NumericalBlowup
-from enkpf.grid import GridGeometry, StateLayout
+from enkpf.grid import FIELDS, GridGeometry, StateLayout, default_layout
 from enkpf.obs import GaussObs
 
 
@@ -65,58 +70,44 @@ class ModelParams:
     def layout(self):
         return StateLayout(self.geometry)
 
+    def steps(self, seconds):
+        """The whole number of dt_s steps nearest to a span of seconds.
 
-@dataclass(frozen=True)
-class ModelState:
-    h: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("h", "u", "r"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-        if not (self.h.shape == self.u.shape == self.r.shape) or self.h.ndim != 1:
-            raise ValueError("h, u, r must be 1d arrays of equal length")
-
-    def to_vector(self):
-        return np.concatenate([self.h, self.u, self.r])
-
-    @classmethod
-    def from_vector(cls, vec, t=0.0):
-        vec = np.asarray(vec, dtype=float)
-        n = vec.shape[0] // 3
-        return cls(vec[:n].copy(), vec[n : 2 * n].copy(), vec[2 * n :].copy(), t)
+        Raises ValueError when the count is not finite (a huge span or a tiny
+        dt_s), which int() would otherwise report as an OverflowError.
+        """
+        count = seconds / self.dt_s
+        if not math.isfinite(count):
+            raise ValueError(f"{seconds!r} s is not a finite number of {self.dt_s!r} s steps")
+        return int(round(count))
 
 
 def rest_state(params):
-    n = params.geometry.n_points
-    return ModelState(np.full(n, params.h_rest), np.zeros(n), np.zeros(n), 0.0)
+    """The (3n,) state at rest: h = h_rest, no wind, no rain."""
+    x = np.zeros(params.layout.dim)
+    params.layout.split(x)["h"][...] = params.h_rest
+    return x
 
 
 _WARM_SEED = 12345  # fixed: the warm state is part of the model definition
 
 
 @lru_cache(maxsize=8)
-def _warm_vector(params):
-    if params.warm_start_days == 0.0 or params.plume_rate == 0.0:
-        # without plume forcing the rest state is an exact fixed point
-        return rest_state(params).to_vector()
-    steps = int(round(params.warm_start_days * 86400.0 / params.dt_s))
-    rng = np.random.Generator(np.random.Philox(_WARM_SEED))
-    vec = rest_state(params).to_vector()[None, :]
-    return advance_members(vec, params, steps, [rng])[0]
-
-
 def warm_state(params):
     """Climatological base state: warm_start_days of free run from rest.
 
     Deterministic in params (the plume stream is a fixed internal seed), so
     every repetition and worker process shares the same base climate. Cached
-    per parameter set.
+    per parameter set, so the (3n,) vector returned is read-only.
     """
-    return ModelState.from_vector(_warm_vector(params).copy())
+    x = rest_state(params)
+    # without plume forcing the rest state is an exact fixed point
+    if params.warm_start_days != 0.0 and params.plume_rate != 0.0:
+        steps = params.steps(params.warm_start_days * 86400.0)
+        rng = np.random.Generator(np.random.Philox(_WARM_SEED))
+        x = advance_members(x[None, :], params, steps, [rng])[0]
+    x.flags.writeable = False
+    return x
 
 
 def _dx_centered(f, dx):
@@ -201,14 +192,6 @@ def _step_fields(h, u, r, params, rngs, t):
     return h_new, u_new, r_new
 
 
-def model_step(state, params, rng):
-    """Advance one model time step (dt_s); deterministic given the rng state."""
-    h, u, r = _step_fields(
-        state.h[None, :], state.u[None, :], state.r[None, :], params, [rng], state.t
-    )
-    return ModelState(h[0], u[0], r[0], state.t + params.dt_s)
-
-
 def advance_members(members, params, n_steps, rngs):
     """Advance a (k, 3n) ensemble array n_steps; member i uses rngs[i].
 
@@ -216,18 +199,18 @@ def advance_members(members, params, n_steps, rngs):
     through the per-member rng streams. Returns a new (k, 3n) array.
     """
     members = np.asarray(members, dtype=float)
-    k = members.shape[0]
-    n = params.geometry.n_points
-    if members.shape[1] != 3 * n or len(rngs) != k:
+    if members.shape[-1] != params.layout.dim or len(rngs) != len(members):
         raise ValueError("members/rngs inconsistent with the model geometry")
-    h = members[:, :n].copy()
-    u = members[:, n : 2 * n].copy()
-    r = members[:, 2 * n :].copy()
+    fields = params.layout.split(members)
+    h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
     t = 0.0
     for _ in range(n_steps):
         h, u, r = _step_fields(h, u, r, params, rngs, t)
         t += params.dt_s
-    return np.concatenate([h, u, r], axis=1)
+    out = np.empty_like(members)
+    fields = params.layout.split(out)
+    fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
+    return out
 
 
 def spinup_ensemble(params, k, separation_days, rng):
@@ -239,8 +222,8 @@ def spinup_ensemble(params, k, separation_days, rng):
     """
     if k < 2:
         raise ValueError("need k >= 2 members")
-    steps = int(round(separation_days * 86400.0 / params.dt_s))
-    vec = warm_state(params).to_vector()[None, :]
+    steps = params.steps(separation_days * 86400.0)
+    vec = warm_state(params)[None, :]
     members = np.empty((k, vec.shape[1]))
     vec = advance_members(vec, params, steps, [rng])  # burn-in
     for i in range(k):
@@ -257,28 +240,26 @@ class RadarObs:
     y_r: np.ndarray
     wet_idx: np.ndarray  # grid points with y_r >= rain threshold
     y_u: np.ndarray  # wind observations at wet_idx
-    rain_threshold: float
-    sigma_r: float
-    sigma_u: float
 
 
-def gen_observations(state, params, rng):
+def gen_observations(x, params, rng):
     """Skewed, truncated rain observations plus wind at rainy points.
 
     Per point: y_r = 0 when r <= r_c or when the noise pushes the square-root
     amplitude negative; otherwise y_r = (sqrt(r - r_c) + eps/2)^2 with
     eps ~ N(0, sigma_r^2). Wind is observed with N(0, sigma_u^2) noise exactly
-    where the *observed* rain reaches r_c.
+    where the *observed* rain reaches r_c. x is the (3n,) true state.
     """
-    r = state.r
+    fields = params.layout.split(x)
+    r = fields["r"]
     n = r.shape[0]
     eps = rng.standard_normal(n) * params.sigma_r
     above = r > params.rain_threshold
     amp = np.sqrt(np.where(above, r - params.rain_threshold, 0.0)) + 0.5 * eps
     y_r = np.where(above & (amp > 0.0), amp * amp, 0.0)
     wet = np.flatnonzero(y_r >= params.rain_threshold)
-    y_u = state.u[wet] + rng.standard_normal(wet.size) * params.sigma_u
-    return RadarObs(y_r, wet, y_u, params.rain_threshold, params.sigma_r, params.sigma_u)
+    y_u = fields["u"][wet] + rng.standard_normal(wet.size) * params.sigma_u
+    return RadarObs(y_r, wet, y_u)
 
 
 def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
@@ -286,11 +267,12 @@ def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
 
     All n rain values (zeros included) observe the rain block with variance
     assumed_r_r; wind values observe the wind block with variance assumed_r_u.
-    Column convention matches the (h, u, r) state stacking.
     """
     n = radar.y_r.shape[0]
-    rain_cols = 2 * n + np.arange(n)
-    wind_cols = n + radar.wet_idx
+    layout = default_layout(n)
+    cols = layout.split(np.arange(layout.dim))
+    rain_cols = cols["r"]
+    wind_cols = cols["u"][radar.wet_idx]
     y = np.concatenate([radar.y_r, radar.y_u])
     h_rows = np.concatenate([rain_cols, wind_cols])
     r_diag = np.concatenate(
@@ -299,18 +281,22 @@ def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
     return GaussObs(y, h_rows, r_diag)
 
 
-STATE_HEADER = ["grid_index", "h", "u", "r"]
-ENSEMBLE_HEADER = ["member", "grid_index", "h", "u", "r"]
+STATE_HEADER = ["grid_index", *FIELDS]
+ENSEMBLE_HEADER = ["member", *STATE_HEADER]
 
 
-def save_state_csv(state, path):
+def _grid_rows(x):
+    """The STATE_HEADER rows of a (3n,) state: each grid point's field values."""
+    fields = default_layout(len(x) // len(FIELDS)).split(x)
+    table = np.stack(list(fields.values()), axis=1)
+    return [[g, *map(repr, row.tolist())] for g, row in enumerate(table)]
+
+
+def save_state_csv(x, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATE_HEADER)
-        for g in range(state.h.shape[0]):
-            writer.writerow(
-                [g, repr(float(state.h[g])), repr(float(state.u[g])), repr(float(state.r[g]))]
-            )
+        writer.writerows(_grid_rows(np.asarray(x, dtype=float)))
 
 
 def _read_csv_rows(path, header):
@@ -352,33 +338,32 @@ def _grid_order(path, grid_index):
     return order
 
 
-def load_state_csv(path, t=0.0):
-    data = _read_csv_rows(path, STATE_HEADER)
-    data = data[_grid_order(path, data[:, 0])]
-    return ModelState(data[:, 1], data[:, 2], data[:, 3], t)
+def _state_of(path, rows):
+    """The (3n,) state of STATE_HEADER rows, which may come in any grid order."""
+    rows = rows[_grid_order(path, rows[:, 0])]
+    x = np.empty(len(rows) * len(FIELDS))
+    for block, column in zip(default_layout(len(rows)).split(x).values(), rows[:, 1:].T):
+        block[...] = column
+    return x
+
+
+def load_state_csv(path):
+    """The (3n,) state in a CSV written by save_state_csv."""
+    return _state_of(path, _read_csv_rows(path, STATE_HEADER))
 
 
 def save_ensemble_csv(members, path):
-    members = np.asarray(members)
-    n = members.shape[1] // 3
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ENSEMBLE_HEADER)
-        for i, row in enumerate(members):
-            for g in range(n):
-                writer.writerow(
-                    [i, g, repr(float(row[g])), repr(float(row[n + g])), repr(float(row[2 * n + g]))]
-                )
+        for i, x in enumerate(np.asarray(members, dtype=float)):
+            writer.writerows([i, *row] for row in _grid_rows(x))
 
 
 def load_ensemble_csv(path):
     """A (k, 3n) member array from a CSV written by save_ensemble_csv."""
     data = _read_csv_rows(path, ENSEMBLE_HEADER)
-    members = []
-    for i in np.unique(data[:, 0]):
-        rows = data[data[:, 0] == i]
-        rows = rows[_grid_order(path, rows[:, 1])]
-        members.append(np.concatenate([rows[:, 2], rows[:, 3], rows[:, 4]]))
-    if len({row.size for row in members}) != 1:
+    members = [_state_of(path, data[data[:, 0] == i, 1:]) for i in np.unique(data[:, 0])]
+    if len({x.size for x in members}) != 1:
         raise InputError(path, "members have different grid sizes")
     return np.array(members)

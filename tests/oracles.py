@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from enkpf.core import _chol, _p_slices
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
+from enkpf.grid import FIELDS
 from enkpf.resampling import MixtureWeights
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
 from enkpf.taper import gaspari_cohn
@@ -134,8 +135,8 @@ def taper_matrix(layout, spec):
     w_row = gaspari_cohn(layout.geometry.distance_m(offsets, 0), spec.length_scale_m)
     cols_in_support = offsets[w_row > 0.0]
     rows, cols, vals = [], [], []
-    for c_block in range(layout.n_fields):
-        for r_block in range(layout.n_fields):
+    for c_block in range(len(FIELDS)):
+        for r_block in range(len(FIELDS)):
             for off in cols_in_support:
                 i = np.arange(n)
                 j = (i + off) % n

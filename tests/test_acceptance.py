@@ -385,7 +385,7 @@ def test_criterion_09_sweq_sanity():
     out = advance_members(vec, params, 100, [rng])
     drift = abs(out[0, :n].sum() * dx - mass0) / mass0
 
-    rest = rest_state(params).to_vector()[None, :]
+    rest = rest_state(params)[None, :]
     fixed = np.array_equal(advance_members(rest.copy(), params, 10, [rng]), rest)
 
     r0 = 0.05

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from enkpf.cli import main
-from enkpf.sweq import (
-    ModelState,
-    load_ensemble_csv,
-    load_state_csv,
-    save_state_csv,
-)
+from enkpf.sweq import load_ensemble_csv, load_state_csv, save_state_csv
 
 from oracles import read_scores_csv
 
@@ -110,6 +105,20 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["spinup_days", "warm_start_days"])
+def test_run_rejects_step_count_overflow(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    lines = [f"{key} = 1e308" if line.startswith(f"{key} =") else line
+             for line in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -124,7 +133,7 @@ def test_spinup_then_score(tmp_path, capsys):
     assert truth.exists() and members.exists()
     state = load_state_csv(truth)
     ens = load_ensemble_csv(members)
-    assert state.h.shape == (24,)
+    assert state.shape == (3 * 24,)
     assert ens.shape == (5, 3 * 24)
     capsys.readouterr()
 
@@ -142,8 +151,7 @@ def test_score_grid_mismatch(tmp_path, capsys):
     write_tiny_config(cfg, tmp_path / "out")
     main(["spinup", "--config", str(cfg), "--out", str(tmp_path / "spin")])
     other = tmp_path / "small.csv"
-    small = ModelState(np.full(8, 90.0), np.zeros(8), np.zeros(8))
-    save_state_csv(small, other)
+    save_state_csv(np.concatenate([np.full(8, 90.0), np.zeros(8), np.zeros(8)]), other)
     capsys.readouterr()
     rc = main(
         ["score", "--ensemble", str(tmp_path / "spin" / "ensemble.csv"),
@@ -151,6 +159,18 @@ def test_score_grid_mismatch(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--reps", "2"), ("--methods", "free"), ("--scenario", "custom")]
+)
+def test_spinup_has_no_run_only_flags(tmp_path, flag, value):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    with pytest.raises(SystemExit) as info:
+        main(["spinup", "--config", str(cfg), flag, value])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_subcommand_required():

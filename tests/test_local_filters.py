@@ -268,6 +268,22 @@ def test_partition_obs_blocks_segments():
     np.testing.assert_array_equal(blocks[2].u, [2 * n + 25])
 
 
+def test_sub_spacing_segments_are_one_point_blocks():
+    # any segment at or below the spacing holds one point; a tiny length must
+    # not overflow the segment ids into a different block layout
+    rng = np.random.default_rng(26)
+    layout = default_layout(24)  # dx = 500 m
+    taper = TaperSpec(1000.0)
+    x = random_ensemble(rng, layout, 10)
+    obs = rain_obs(layout, np.arange(24), rng.standard_normal(24))
+    assert len(partition_obs_blocks(obs, taper, layout, 1e-300)) == 24
+    tiny, spacing = (
+        block_lenkpf_update(x, obs, taper, layout, seg, band(), np.random.default_rng(27))
+        for seg in (1e-300, 500.0)
+    )
+    np.testing.assert_array_equal(tiny, spacing)
+
+
 # ------------------------------------------------------------------ scheduling
 
 

@@ -6,17 +6,17 @@ from enkpf.errors import CflViolation, NumericalBlowup
 from enkpf.grid import GridGeometry
 from enkpf.sweq import (
     ModelParams,
-    ModelState,
+    RadarObs,
     advance_members,
     gen_observations,
     load_ensemble_csv,
     load_state_csv,
-    model_step,
     obs_to_gauss,
     rest_state,
     save_ensemble_csv,
     save_state_csv,
     spinup_ensemble,
+    warm_state,
 )
 
 
@@ -24,6 +24,17 @@ def small_params(**kw):
     defaults = dict(geometry=GridGeometry(50, 500.0), plume_rate=0.0)
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def state(h, u, r):
+    """A (3n,) state vector from its three fields."""
+    return np.concatenate([h, u, r])
+
+
+def step(x, params, seed):
+    """The fields of state x after one model step, drawn from rng seed."""
+    out = advance_members(x[None, :], params, 1, [np.random.default_rng(seed)])
+    return params.layout.split(out[0])
 
 
 class FixedNormals:
@@ -43,12 +54,12 @@ class FixedNormals:
 
 def test_rest_state_is_fixed_point():
     params = small_params()
-    state = rest_state(params)
-    out = model_step(state, params, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.h, state.h)
-    np.testing.assert_array_equal(out.u, state.u)
-    np.testing.assert_array_equal(out.r, state.r)
-    assert out.t == params.dt_s
+    x = rest_state(params)
+    out = step(x, params, 0)
+    rest = params.layout.split(x)
+    np.testing.assert_array_equal(out["h"], rest["h"])
+    np.testing.assert_array_equal(out["u"], rest["u"])
+    np.testing.assert_array_equal(out["r"], rest["r"])
 
 
 def test_mass_conservation_over_100_steps():
@@ -86,27 +97,24 @@ def test_rain_production_only_in_convergent_cloud():
     n = params.geometry.n_points
     h = np.full(n, 90.5)  # above the rain threshold everywhere
     u = -0.1 * np.sin(2 * np.pi * np.arange(n) / n)
-    state = ModelState(h, u, np.zeros(n))
-    out = model_step(state, params, np.random.default_rng(4))
+    out = step(state(h, u, np.zeros(n)), params, 4)
     dudx = (np.roll(u, -1) - np.roll(u, 1)) / (2 * params.geometry.spacing_m)
-    assert (out.r[dudx < 0] > 0).all()
-    assert (out.r[dudx >= 0] == 0).all()
+    assert (out["r"][dudx < 0] > 0).all()
+    assert (out["r"][dudx >= 0] == 0).all()
 
 
 def test_rain_never_negative():
     params = small_params(alpha_rain=0.5, dt_s=5.0)  # removal overshoots in one step
     n = params.geometry.n_points
-    state = ModelState(np.full(n, 90.0), np.zeros(n), np.full(n, 0.01))
-    out = model_step(state, params, np.random.default_rng(5))
-    assert (out.r >= 0).all()
+    out = step(state(np.full(n, 90.0), np.zeros(n), np.full(n, 0.01)), params, 5)
+    assert (out["r"] >= 0).all()
 
 
 def test_cfl_violation_raises():
     params = small_params()
     n = params.geometry.n_points
-    state = ModelState(np.full(n, 90.0), np.full(n, 200.0), np.zeros(n))
     with pytest.raises(CflViolation):
-        model_step(state, params, np.random.default_rng(6))
+        step(state(np.full(n, 90.0), np.full(n, 200.0), np.zeros(n)), params, 6)
 
 
 def test_blowup_reports_grid_index():
@@ -114,47 +122,30 @@ def test_blowup_reports_grid_index():
     n = params.geometry.n_points
     h = np.full(n, 90.0)
     h[7] = np.nan
-    state = ModelState(h, np.zeros(n), np.zeros(n))
     with pytest.raises(NumericalBlowup) as info:
-        model_step(state, params, np.random.default_rng(7))
+        step(state(h, np.zeros(n), np.zeros(n)), params, 7)
     assert info.value.grid_index in (6, 7, 8)
 
 
 def test_plumes_perturb_wind_reproducibly():
     params = small_params(plume_rate=8e-5)
-    state = rest_state(params)
-    vec = state.to_vector()[None, :]
+    vec = rest_state(params)[None, :]
     steps = 200  # lambda ~ 8e-5 * 25000 m * (5/60) min/step * 200 steps = 33 plumes
     out1 = advance_members(vec, params, steps, [np.random.default_rng(8)])
     out2 = advance_members(vec, params, steps, [np.random.default_rng(8)])
     out3 = advance_members(vec, params, steps, [np.random.default_rng(9)])
-    n = params.geometry.n_points
-    assert np.abs(out1[0, n : 2 * n]).max() > 0
+    assert np.abs(params.layout.split(out1[0])["u"]).max() > 0
     np.testing.assert_array_equal(out1, out2)
     assert not np.array_equal(out1, out3)
 
 
 def test_members_evolve_independently():
     params = small_params(plume_rate=8e-5)
-    vec = np.tile(rest_state(params).to_vector(), (2, 1))
+    vec = np.tile(rest_state(params), (2, 1))
     out = advance_members(
         vec, params, 100, [np.random.default_rng(10), np.random.default_rng(11)]
     )
     assert not np.array_equal(out[0], out[1])
-
-
-def test_model_step_matches_advance_members():
-    params = small_params(plume_rate=8e-5)
-    rng = np.random.default_rng(12)
-    n = params.geometry.n_points
-    state = ModelState(
-        90.0 + 0.01 * rng.standard_normal(n),
-        0.01 * rng.standard_normal(n),
-        np.zeros(n),
-    )
-    s = model_step(state, params, np.random.default_rng(13))
-    out = advance_members(state.to_vector()[None, :], params, 1, [np.random.default_rng(13)])
-    np.testing.assert_array_equal(s.to_vector(), out[0])
 
 
 def test_params_validation():
@@ -173,11 +164,23 @@ def test_spinup_zero_separation_degenerates():
     params = small_params()
     ens = spinup_ensemble(params, 4, 0.0, np.random.default_rng(14))
     assert ens.shape == (4, 3 * params.geometry.n_points)
-    rest = rest_state(params).to_vector()
+    rest = rest_state(params)
     for i in range(4):
         np.testing.assert_array_equal(ens[i], rest)
     with pytest.raises(ValueError):
         spinup_ensemble(params, 1, 0.0, np.random.default_rng(15))
+
+
+@pytest.mark.parametrize("plume_rate", [0.0, 8e-5])
+def test_warm_state_is_read_only_and_cached(plume_rate):
+    params = small_params(plume_rate=plume_rate, warm_start_days=0.001)
+    first = warm_state(params)
+    before = first.copy()
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    again = warm_state(params)
+    assert again is first
+    np.testing.assert_array_equal(again, before)
 
 
 def test_spinup_members_distinct():
@@ -192,8 +195,7 @@ def test_spinup_members_distinct():
 
 def test_gen_observations_dry_state():
     params = small_params()
-    state = rest_state(params)
-    radar = gen_observations(state, params, np.random.default_rng(17))
+    radar = gen_observations(rest_state(params), params, np.random.default_rng(17))
     np.testing.assert_array_equal(radar.y_r, 0.0)
     assert radar.wet_idx.size == 0
     assert radar.y_u.size == 0
@@ -204,12 +206,12 @@ def test_gen_observations_branches():
     rc = params.rain_threshold
     r = np.array([0.0, rc + 0.09, rc + 0.0001, rc + 0.04])
     u = np.array([1.0, 2.0, 3.0, 4.0])
-    state = ModelState(np.full(4, 90.0), u, r)
+    x = state(np.full(4, 90.0), u, r)
     # eps: point 1 mild positive, point 2 hugely negative (truncates to 0),
     # point 3 negative enough that y_r lands below the wet threshold
     eps = np.array([0.5, 0.1, -20.0, -0.3]) / params.sigma_r
     wind_noise = np.array([2.0])
-    radar = gen_observations(state, params, FixedNormals(eps, wind_noise))
+    radar = gen_observations(x, params, FixedNormals(eps, wind_noise))
     assert radar.y_r[0] == 0.0  # dry stays dry regardless of noise
     np.testing.assert_allclose(radar.y_r[1], (np.sqrt(0.09) + 0.05) ** 2, rtol=1e-12)
     assert radar.y_r[2] == 0.0  # negative amplitude truncates
@@ -225,10 +227,10 @@ def test_gen_observations_sqrt_transform_distribution():
     params = small_params()
     n = params.geometry.n_points
     rc = params.rain_threshold
-    state = ModelState(np.full(n, 90.0), np.zeros(n), np.full(n, rc + 0.09))
+    x = state(np.full(n, 90.0), np.zeros(n), np.full(n, rc + 0.09))
     rng = np.random.default_rng(18)
     samples = np.concatenate(
-        [gen_observations(state, params, rng).y_r for _ in range(60)]
+        [gen_observations(x, params, rng).y_r for _ in range(60)]
     )
     stat = scipy.stats.kstest(np.sqrt(samples), "norm", args=(0.3, params.sigma_r / 2))
     assert stat.pvalue > 1e-3
@@ -237,26 +239,19 @@ def test_gen_observations_sqrt_transform_distribution():
 def test_gen_observations_independent_across_points():
     params = small_params()
     n = params.geometry.n_points
-    state = ModelState(
-        np.full(n, 90.0), np.zeros(n), np.full(n, params.rain_threshold + 0.09)
-    )
+    x = state(np.full(n, 90.0), np.zeros(n), np.full(n, params.rain_threshold + 0.09))
     rng = np.random.default_rng(19)
-    draws = np.array([gen_observations(state, params, rng).y_r for _ in range(3000)])
+    draws = np.array([gen_observations(x, params, rng).y_r for _ in range(3000)])
     rho = np.corrcoef(draws[:, 10], draws[:, 11])[0, 1]
     assert abs(rho) < 0.06
 
 
 def test_obs_to_gauss_layout():
     radar_n = 4
-    from enkpf.sweq import RadarObs
-
     radar = RadarObs(
         y_r=np.array([0.0, 0.3, 0.0, 0.01]),
         wet_idx=np.array([1, 3]),
         y_u=np.array([1.5, -0.5]),
-        rain_threshold=0.005,
-        sigma_r=0.1,
-        sigma_u=0.0025,
     )
     obs = obs_to_gauss(radar, 0.025**2, 0.0025**2)
     np.testing.assert_array_equal(obs.h_rows, [8, 9, 10, 11, 5, 7])
@@ -271,16 +266,15 @@ def test_obs_to_gauss_layout():
 def test_state_csv_roundtrip(tmp_path):
     params = small_params(plume_rate=8e-5)
     vec = advance_members(
-        rest_state(params).to_vector()[None, :], params, 50, [np.random.default_rng(20)]
+        rest_state(params)[None, :], params, 50, [np.random.default_rng(20)]
     )
-    state = ModelState.from_vector(vec[0], t=250.0)
     path = tmp_path / "state.csv"
-    save_state_csv(state, path)
-    back = load_state_csv(path, t=250.0)
-    np.testing.assert_array_equal(back.h, state.h)
-    np.testing.assert_array_equal(back.u, state.u)
-    np.testing.assert_array_equal(back.r, state.r)
-    assert back.t == 250.0
+    save_state_csv(vec[0], path)
+    back = params.layout.split(load_state_csv(path))
+    saved = params.layout.split(vec[0])
+    np.testing.assert_array_equal(back["h"], saved["h"])
+    np.testing.assert_array_equal(back["u"], saved["u"])
+    np.testing.assert_array_equal(back["r"], saved["r"])
 
 
 def test_ensemble_csv_roundtrip(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkpf.grid import GridGeometry, StateLayout, default_layout
+from enkpf.grid import default_layout
 from enkpf.taper import TaperSpec, gaspari_cohn, taper_weights, tapered_cov_block
 
 from oracles import taper_matrix, tapered_covariance
@@ -81,7 +81,7 @@ def test_gc_property_range_and_support(dist, c):
 def test_taper_matrix_valid_correlation_on_circle(n):
     # support 2c kept within half the ring, else the wrapped function need
     # not be positive semidefinite
-    layout = StateLayout(GridGeometry(n, 1000.0), n_fields=1, field_names=("h",))
+    layout = default_layout(n, spacing_m=1000.0)
     spec = TaperSpec(length_scale_m=n * 1000.0 / 8.0)
     c_mat = taper_matrix(layout, spec).toarray()
     np.testing.assert_allclose(c_mat, c_mat.T, atol=0)
