@@ -3,7 +3,7 @@ convective-scale shallow-water testbed for cycled twin experiments."""
 
 from enkpf.grid import GridGeometry, StateLayout
 from enkpf.taper import TaperSpec, gaspari_cohn
-from enkpf.core import ensemble_moments, kalman_gain
+from enkpf.core import ensemble_moments
 from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess, permute_fixed_points
 from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_weights
@@ -17,6 +17,6 @@ from enkpf.local_filters import (
     schedule_blocks,
 )
 from enkpf.sweq import ModelParams, RadarObs, gen_observations
-from enkpf.scoring import crps_empirical, field_crps
+from enkpf.scoring import field_crps
 
 __version__ = "0.1.0"

@@ -101,10 +101,11 @@ def validate_config(cfg):
         raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
     if cfg.spinup_days < 0:
         raise ConfigError("spinup_days: must be nonnegative")
-    for key, days in (("spinup_days", cfg.spinup_days),
-                      ("warm_start_days", cfg.model.warm_start_days)):
+    for key, seconds in (("spinup_days", cfg.spinup_days * 86400.0),
+                         ("warm_start_days", cfg.model.warm_start_days * 86400.0),
+                         ("duration_s", cfg.duration_s)):
         try:
-            cfg.model.steps(days * 86400.0)
+            cfg.model.steps(seconds)
         except ValueError as exc:
             raise ConfigError(f"{key}: too long: {exc}") from None
     if not cfg.block_segment_m > 0:

@@ -22,7 +22,7 @@ are column selectors with diagonal R, so every solve is m x m.
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import _chol, _gain, _p_slices
+from enkpf.core import _chol, _p_slices
 from enkpf.resampling import (
     MixtureWeights,
     ResampleIndices,
@@ -61,24 +61,22 @@ def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
 
     x_rows (k, p) background rows, innov0 (k, m) = y - Hx, eta_raw (k, m)
     standard normals; K = P_ro (S + R)^{-1} from the slices p_ro (p, m) and
-    s_oo (m, m).
+    s_oo (m, m). FilterError if S + R is not positive definite.
     """
-    gain = _gain(p_ro, s_oo, r_diag)
+    factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
+    gain = sla.cho_solve(factor, p_ro.T).T
     return x_rows + (innov0 + eta_raw * np.sqrt(r_diag)) @ gain.T
 
 
-def pf_weights(ens, obs, likelihood_power=1.0):
-    """Particle-filter weights alpha_i proportional to l(x_i | y)^power.
+def pf_weights(ens, obs):
+    """Particle-filter weights alpha_i proportional to the likelihood l(y | x_i).
 
-    Computed in log space with max-subtraction. power in (0, 1] tempers the
-    likelihood; power = 1 is the plain particle filter.
+    Computed in log space with max-subtraction.
     """
-    if not 0.0 < likelihood_power <= 1.0:
-        raise ValueError("likelihood_power must lie in (0, 1]")
     x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
     innov = obs.y - obs.project(x)
-    log_w = -0.5 * likelihood_power * np.sum(innov * innov / obs.r_diag, axis=1)
+    log_w = -0.5 * np.sum(innov * innov / obs.r_diag, axis=1)
     return MixtureWeights.from_log(log_w)
 
 
@@ -222,12 +220,11 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     return mu_rows[idx] + eps
 
 
-def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample=False):
+def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng):
     """EnKPF analysis of all rows at gamma, resampling with solver's weights.
 
-    Draws eta, then e_R, then (for gamma < 1, unless identity_resample) the
-    resampling uniform, in that order. At gamma = 1 the weights are uniform
-    and the indices the identity.
+    Draws eta, then e_R, then (for gamma < 1) the resampling uniform, in that
+    order. At gamma = 1 the weights are uniform and the indices the identity.
     """
     k = x.shape[0]
     eta_raw = rng.standard_normal((k, obs.m))
@@ -236,21 +233,21 @@ def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample=False):
         w, idx = MixtureWeights.uniform(k), ResampleIndices.identity(k)
     else:
         w = solver.weights(gamma)
-        idx = ResampleIndices.identity(k) if identity_resample else balanced_resample(w, rng)
+        idx = balanced_resample(w, rng)
     x_a = _enkpf_rows_update(
         x, obs.y - obs.project(x), obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx
     )
     return x_a, w, idx
 
 
-def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
+def enkpf_update(ens, obs, P, gamma, rng):
     """Full EnKPF analysis for a fixed gamma.
 
     Returns (analysis (k, d) array, MixtureWeights, ResampleIndices). At
     gamma = 1 the particle stage is skipped: the update is the EnKF rows
     update, bitwise equal to enkf_update with the same rng, the weights are
-    uniform and the indices are the identity. identity_resample=True skips
-    the resampling draw (diagnostic hook used by the equivalence tests).
+    uniform and the indices are the identity. For gamma < 1 the indices are
+    a balanced resample of the mixture weights.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
@@ -258,7 +255,7 @@ def enkpf_update(ens, obs, P, gamma, rng, identity_resample=False):
     obs.check_dim(x.shape[1])
     p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
-    return _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng, identity_resample)
+    return _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng)
 
 
 def adaptive_gamma(ens, obs, P, ess_band, rng):

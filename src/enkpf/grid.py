@@ -4,7 +4,8 @@ A state vector stacks the FIELDS in blocks of n grid points:
 x = (h_0..h_{n-1}, u_0..u_{n-1}, r_0..r_{n-1}), so column c is field
 FIELDS[c // n] at grid point c mod n. StateLayout is the only place that
 knows this order and these block offsets; everything else asks it for a
-field's block (split) or for the columns at a grid point (cols_at).
+field's block (split), the columns at a grid point (cols_at) or the grid
+points of given columns (grid_of_cols).
 Localization only ever needs distances between grid points, which on a ring
 are circular.
 """
@@ -41,11 +42,6 @@ class GridGeometry:
         wrapped = np.minimum(raw, self.n_points - raw)
         return wrapped * self.spacing_m
 
-    def points_within(self, center, radius_m):
-        """Grid indices within circular distance radius_m of center, ascending."""
-        all_pts = np.arange(self.n_points)
-        return all_pts[self.distance_m(all_pts, center) <= radius_m]
-
 
 @dataclass(frozen=True)
 class StateLayout:
@@ -69,10 +65,8 @@ class StateLayout:
         n = self.geometry.n_points
         return {f: x[..., i * n : (i + 1) * n] for i, f in enumerate(FIELDS)}
 
-    def grid_of_cols(self, cols=None):
-        """Grid point of each state column (all columns if cols is None)."""
-        if cols is None:
-            cols = np.arange(self.dim)
+    def grid_of_cols(self, cols):
+        """Grid point of each state column in cols."""
         return np.asarray(cols) % self.geometry.n_points
 
     def cols_at(self, grid_point):

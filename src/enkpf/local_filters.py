@@ -14,11 +14,11 @@ update (_enkf_rows).
 BLOCK-LEnKPF instead partitions the observations into short segments. Each
 segment's block update touches the directly observed columns u with a local
 EnKPF and drags the taper-correlated columns v along through the conditional
-regression x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); columns w beyond the taper
-support are untouched bitwise. Blocks whose (u, v) footprints are disjoint
-are grouped and may run in any order (they read and write disjoint columns);
-per-block rng sub-streams are spawned up front in block-id order, so serial
-and parallel execution produce identical results.
+regression x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); every other column (w,
+beyond the taper support) is untouched bitwise. Blocks whose (u, v)
+footprints are disjoint are grouped and may run in any order (they read and
+write disjoint columns); per-block rng sub-streams are spawned up front in
+block-id order, so serial and parallel execution produce identical results.
 """
 
 from dataclasses import dataclass, field
@@ -65,10 +65,6 @@ class LocalWindowSpec:
     def __post_init__(self):
         if not self.radius_m > 0:
             raise ValueError("radius_m must be positive")
-
-    def window_size(self, geometry):
-        """Number of grid points covered (2*radius/dx + 1 at defaults)."""
-        return len(geometry.points_within(0, self.radius_m))
 
 
 @dataclass
@@ -175,22 +171,21 @@ def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diag
 
 @dataclass(frozen=True)
 class ObservationBlock:
-    """One block of observations with its u/v/w column partition.
+    """One block of observations with the state columns its update touches.
 
     u: state columns read by the block's observations; v: columns with
-    nonzero taper weight to some u column (excluding u); w: everything else,
-    guaranteed zero taper weight to all of u.
+    nonzero taper weight to some u column (excluding u). The remaining
+    columns w have zero taper weight to all of u and keep their values.
     """
 
     obs: GaussObs
     segment: int
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray
 
 
 def compute_uvw(block_obs, taper, layout, segment=0):
-    """Partition the state columns into u/v/w for one observation block."""
+    """The u and v columns of one observation block (w is the rest)."""
     if block_obs.m == 0:
         raise InvalidBlockError("observation block is empty")
     block_obs.check_dim(layout.dim)
@@ -201,8 +196,7 @@ def compute_uvw(block_obs, taper, layout, segment=0):
     # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
     near_pts = np.flatnonzero(dist < taper.support_radius_m)
     v = np.setdiff1d(layout.cols_at(near_pts), u)
-    w = np.setdiff1d(np.arange(layout.dim), np.concatenate([u, v]))
-    return ObservationBlock(block_obs, int(segment), u, v, np.sort(w))
+    return ObservationBlock(block_obs, int(segment), u, v)
 
 
 def schedule_blocks(blocks):
@@ -244,24 +238,13 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
     return vk @ ((vk.T @ p_vu.T) / lam[keep][:, None])
 
 
-def block_assimilate_one(
-    ens,
-    block,
-    taper,
-    layout,
-    ess_band,
-    rng,
-    gamma=None,
-    identity_resample=False,
-    diagnostics=None,
-):
+def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
-    EnKPF (adaptive gamma unless one is forced) on the observed columns u,
-    resampling indices permuted to maximize fixed points; correlated columns
-    v follow through the conditional regression against the tapered P_uu;
-    columns w are untouched. gamma/identity_resample are diagnostic hooks for
-    the equivalence tests.
+    Adaptive-gamma EnKPF (search_gamma) on the observed columns u, with
+    balanced resampling indices permuted to maximize fixed points;
+    correlated columns v follow through the conditional regression against
+    the tapered P_uu; all other columns are untouched.
     """
     lo, _ = _check_band(ess_band)
     x = np.asarray(ens, dtype=float)
@@ -278,11 +261,11 @@ def block_assimilate_one(
     eta = rng.standard_normal((k, m))
     er = rng.standard_normal((k, m))
     solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
-    g = search_gamma(solver, lo, k) if gamma is None else float(gamma)
+    g = search_gamma(solver, lo, k)
     if diagnostics is not None:
         diagnostics.record(g, solver.ess(g))
 
-    if g == 1.0 or identity_resample:
+    if g == 1.0:
         idx = ResampleIndices.identity(k)
     else:
         idx = permute_fixed_points(balanced_resample(solver.weights(g), rng))
@@ -299,7 +282,7 @@ def block_assimilate_one(
 
 
 def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
-    """Split observations into contiguous-segment blocks with u/v/w sets."""
+    """Split observations into contiguous-segment blocks with their u/v sets."""
     if all_obs.m == 0:
         return []
     obs_pts = layout.grid_of_cols(all_obs.h_rows)

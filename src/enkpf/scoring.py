@@ -1,30 +1,18 @@
-"""Forecast verification: empirical CRPS, spatial aggregation, truth ranks.
+"""Forecast verification: field-mean empirical CRPS, truth ranks, scores.csv.
 
-CRPS uses the exact formula for an empirical (step-function) forecast
-distribution, mean |x_i - t| minus half the mean pairwise member distance;
-this equals the integral of (F(x') - 1{x' >= t})^2. The rank of the truth
-among the members breaks ties uniformly at random; the experiment driver
-counts these ranks into histograms with the usual thinning (every 10th grid
-point, every 30 simulated minutes).
+field_crps uses, at every grid point, the exact CRPS of an empirical
+(step-function) forecast distribution: mean |x_i - t| minus half the mean
+pairwise member distance, which equals the integral of
+(F(x') - 1{x' >= t})^2. The rank of the truth among the members breaks ties
+uniformly at random; the experiment driver counts these ranks into
+histograms with the usual thinning (every 10th grid point, every 30
+simulated minutes).
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def crps_empirical(values, truth):
-    """CRPS of an empirical ensemble forecast against a scalar truth."""
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty ensemble")
-    if x.ndim != 1 or not np.isfinite(x).all() or not np.isfinite(truth):
-        raise ValueError("values must be a finite 1d array and truth finite")
-    k = x.size
-    term1 = np.mean(np.abs(x - truth))
-    term2 = np.sum(np.abs(x[:, None] - x[None, :])) / (2.0 * k * k)
-    return float(term1 - term2)
 
 
 def field_crps(members_field, truth_field):

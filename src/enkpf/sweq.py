@@ -23,7 +23,6 @@ through StateLayout.split.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +31,11 @@ import numpy as np
 from enkpf.errors import CflViolation, InputError, NumericalBlowup
 from enkpf.grid import FIELDS, GridGeometry, StateLayout, default_layout
 from enkpf.obs import GaussObs
+
+# The most model steps one span may take: 10**7 steps are about 579 days at
+# the default dt_s = 5, some 190 times the lf run. A longer span is a typo,
+# not an experiment, and would run for days before failing.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,14 @@ class ModelParams:
     def steps(self, seconds):
         """The whole number of dt_s steps nearest to a span of seconds.
 
-        Raises ValueError when the count is not finite (a huge span or a tiny
-        dt_s), which int() would otherwise report as an OverflowError.
+        Raises ValueError when the count exceeds MAX_STEPS or is not finite
+        (a huge span or a tiny dt_s).
         """
         count = seconds / self.dt_s
-        if not math.isfinite(count):
-            raise ValueError(f"{seconds!r} s is not a finite number of {self.dt_s!r} s steps")
+        if not count <= MAX_STEPS:
+            raise ValueError(
+                f"{seconds!r} s is more than MAX_STEPS = {MAX_STEPS} steps of {self.dt_s!r} s"
+            )
         return int(round(count))
 
 

@@ -63,12 +63,8 @@ class TaperSpec:
         return 2.0 * self.length_scale_m
 
 
-def taper_weights(layout, spec, cols_a=None, cols_b=None):
-    """Dense block of taper weights between two sets of state columns."""
-    if cols_a is None:
-        cols_a = np.arange(layout.dim)
-    if cols_b is None:
-        cols_b = np.arange(layout.dim)
+def taper_weights(layout, spec, cols_a, cols_b):
+    """Dense (|a|, |b|) block of taper weights between two sets of state columns."""
     return gaspari_cohn(layout.col_distance_m(cols_a, cols_b), spec.length_scale_m)
 
 

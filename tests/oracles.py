@@ -1,4 +1,5 @@
-"""Reference implementations, kept as test oracles for the production code.
+"""Reference implementations, kept as test oracles for the production code,
+and the stand-ins the tests substitute for its gamma search and resampling.
 
 The package computes the EnKPF through one path: GammaWeightSolver for the
 mixture weights and _enkpf_rows_update for both update stages. The functions
@@ -8,10 +9,21 @@ explicitly, so the tests can compare the two. enkpf_perturbations draws
 through production's own stage-2 gain (_enkpf_rows_machinery), so a
 covariance check of its draws checks that gain.
 
+kalman_gain is the plain EnKF gain on the full P; the package forms it only
+on the rows an update touches (global_filters._enkf_rows). crps_empirical is
+the CRPS of one ensemble at one point; the package only computes its mean
+over a field (scoring.field_crps). window_size counts the grid points a
+LocalWindowSpec covers, and block_w_cols gives the columns a block update
+leaves alone: the complement of u and v, which the package never forms.
+
 taper_matrix and tapered_covariance build the full d x d taper and tapered
 covariance as sparse matrices; the package only ever forms dense blocks of
 them (tapered_cov_block). rank_histogram, scores_csv_text and read_scores_csv
 are the small scoring helpers the tests read outputs back with.
+
+fixed_gamma and identity_resample stand in for search_gamma and
+balanced_resample: a test monkeypatches them into a filter's module to force
+gamma or to keep every member in place, and still runs the production update.
 """
 
 import csv
@@ -23,11 +35,67 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from enkpf.core import _chol, _p_slices
+from enkpf.errors import FilterError
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
 from enkpf.grid import FIELDS
-from enkpf.resampling import MixtureWeights
+from enkpf.resampling import MixtureWeights, ResampleIndices
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
 from enkpf.taper import gaspari_cohn
+
+
+def kalman_gain(cov, h_rows, r_diag):
+    """Kalman gain K = P H'(H P H' + R)^{-1} for a selector H and diagonal R.
+
+    cov is the dense (d, d) P; h_rows[j] is the state column observed
+    by obs j; r_diag holds the m observation error variances. Returns a
+    (d, m) array. Raises FilterError if the innovation covariance is not
+    positive definite.
+    """
+    h_rows = np.asarray(h_rows)
+    r_diag = np.asarray(r_diag, dtype=float)
+    m = h_rows.shape[0]
+    if r_diag.shape != (m,):
+        raise FilterError("r_diag length must match number of observations")
+    if np.any(r_diag <= 0):
+        raise FilterError("observation error variances must be positive")
+    p_cols, s_oo = _p_slices(cov, h_rows)
+    factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
+    return sla.cho_solve(factor, p_cols.T).T
+
+
+def crps_empirical(values, truth):
+    """CRPS of an empirical ensemble forecast against a scalar truth."""
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if x.size == 0:
+        raise ValueError("empty ensemble")
+    if x.ndim != 1 or not np.isfinite(x).all() or not np.isfinite(truth):
+        raise ValueError("values must be a finite 1d array and truth finite")
+    k = x.size
+    term1 = np.mean(np.abs(x - truth))
+    term2 = np.sum(np.abs(x[:, None] - x[None, :])) / (2.0 * k * k)
+    return float(term1 - term2)
+
+
+def window_size(window, geometry):
+    """Number of grid points within window.radius_m of a point (2*radius/dx + 1
+    at defaults)."""
+    pts = np.arange(geometry.n_points)
+    return int(np.count_nonzero(geometry.distance_m(pts, 0) <= window.radius_m))
+
+
+def block_w_cols(block, layout):
+    """The state columns outside u and v of an ObservationBlock, ascending."""
+    return np.setdiff1d(np.arange(layout.dim), np.concatenate([block.u, block.v]))
+
+
+def fixed_gamma(gamma):
+    """A search_gamma that returns gamma whatever the weights."""
+    return lambda solver, lo_frac, k: gamma
+
+
+def identity_resample(w, rng):
+    """A balanced_resample that keeps every member in its slot and draws nothing."""
+    return ResampleIndices.identity(w.k)
 
 
 @dataclass(frozen=True)

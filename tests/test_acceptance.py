@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from enkpf import global_filters, local_filters
 from enkpf.config import ExperimentConfig
 from enkpf.experiment import run_experiment
 from enkpf.global_filters import (
@@ -23,6 +24,7 @@ from enkpf.grid import default_layout
 from enkpf.local_filters import (
     LocalDiagnostics,
     LocalWindowSpec,
+    block_assimilate_one,
     block_lenkpf_update,
     lenkf_update,
     naive_lenkpf_update,
@@ -30,14 +32,18 @@ from enkpf.local_filters import (
 )
 from enkpf.obs import GaussObs
 from enkpf.resampling import MixtureWeights, balanced_resample, ess
-from enkpf.scoring import crps_empirical
+from enkpf.scoring import field_crps
 from enkpf.sweq import ModelParams, advance_members, rest_state
 from enkpf.taper import TaperSpec
 
 from oracles import (
+    block_w_cols,
+    crps_empirical,
     enkpf_perturbations,
     enkpf_stage1,
     enkpf_weights,
+    fixed_gamma,
+    identity_resample,
     tapered_covariance,
 )
 
@@ -178,7 +184,7 @@ def test_criterion_03_balanced_sampling():
     _report(3, violations == 0, f"({violations} violations, {time.time() - t0:.1f}s)")
 
 
-def test_criterion_04_appendix_equivalence():
+def test_criterion_04_appendix_equivalence(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(41)
     layout = default_layout(4)  # 12 state columns
@@ -187,25 +193,23 @@ def test_criterion_04_appendix_equivalence():
     x = rng.standard_normal((k, layout.dim)) + 1.0
     obs = GaussObs([0.4, -0.2], [0, 8], [0.3, 0.5])
     gamma = 0.55
+    # force gamma and keep every member in its slot; the production block and
+    # global updates still run end to end
+    monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
+    monkeypatch.setattr(local_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
 
     blocks = partition_obs_blocks(obs, taper, layout, 10_000.0)
     assert len(blocks) == 1
-    from enkpf.local_filters import block_assimilate_one
 
-    out_block = block_assimilate_one(
-        x, blocks[0], taper, layout, BAND,
-        np.random.default_rng(5), gamma=gamma, identity_resample=True,
-    )
+    out_block = block_assimilate_one(x, blocks[0], taper, layout, BAND, np.random.default_rng(5))
     p_taper = tapered_covariance(x, layout, TaperSpec(375.0)).toarray()
-    out_full = enkpf_update(
-        x, obs, p_taper, gamma, np.random.default_rng(5),
-        identity_resample=True,
-    )[0]
+    out_full = enkpf_update(x, obs, p_taper, gamma, np.random.default_rng(5))[0]
     err = np.max(
         np.abs(out_block - out_full)
         / np.maximum(np.abs(out_full), 1.0)
     )
-    w_cols = blocks[0].w
+    w_cols = block_w_cols(blocks[0], layout)
     w_ok = np.array_equal(out_block[:, w_cols], x[:, w_cols])
     _report(
         4,
@@ -355,8 +359,12 @@ def test_criterion_08_crps_oracle():
         if k > 3 and rng.uniform() < 0.4:
             vals[: k // 2] = np.round(vals[: k // 2], 1)  # ties
         truth = rng.standard_normal() * 2.0
+        exact = _crps_by_integration(vals, truth)
+        # the one-point formula, and the package's field form on a 1-point field
         worst = max(
-            worst, abs(crps_empirical(vals, truth) - _crps_by_integration(vals, truth))
+            worst,
+            abs(crps_empirical(vals, truth) - exact),
+            abs(field_crps(vals[:, None], np.array([truth])) - exact),
         )
     examples = (
         crps_empirical(np.array([0.0, 1.0]), 0.0) == 0.25

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enkpf import experiment
 from enkpf.cli import main
 from enkpf.sweq import load_ensemble_csv, load_state_csv, save_state_csv
 
@@ -117,6 +118,30 @@ def test_run_rejects_step_count_overflow(tmp_path, capsys, key):
     assert len(err) == 1 and err[0].startswith("error:")
     assert key in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_duration_above_step_cap(tmp_path, capsys, monkeypatch):
+    # 1e300 s is finite but would cycle forever: validation must stop it
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiment, "run_experiment", must_not_run)
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace("duration_s = 180", "duration_s = 1e300"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: duration_s: too long")
+
+
+def test_run_reports_out_of_memory_in_one_line(tmp_path, capsys):
+    # a (k + 1, 72) float spinup array of 524 TiB, which no machine allocates
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace("k = 5", "k = 1000000000000"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
 def test_missing_config_file_reports_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from enkpf.config import ExperimentConfig, parse_config, validate_config
 from enkpf.errors import ConfigError
+from enkpf.sweq import MAX_STEPS
 
 
 def test_empty_text_gives_stock_defaults():
@@ -104,6 +105,25 @@ def test_validation_errors_name_the_key(text, key):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert key in str(info.value)
+
+
+# spans of MAX_STEPS steps of the default dt_s = 5 s, in each key's unit
+CAP_SPANS = {"spinup_days": MAX_STEPS * 5.0 / 86400.0,
+             "warm_start_days": MAX_STEPS * 5.0 / 86400.0,
+             "duration_s": MAX_STEPS * 5.0}
+
+
+@pytest.mark.parametrize("key", sorted(CAP_SPANS))
+@pytest.mark.parametrize("scale, rejected", [(1.0001, True), (1e200, True), (0.9999, False)])
+def test_step_count_cap_names_the_key(key, scale, rejected):
+    section = "model" if key == "warm_start_days" else "experiment"
+    text = f"[{section}]\n{key} = {CAP_SPANS[key] * scale!r}\n"
+    if not rejected:
+        parse_config(text)
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(f"{key}: too long")
 
 
 def test_custom_scenario_with_explicit_timing():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enkpf import global_filters
 from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
     GammaWeightSolver,
@@ -13,16 +14,19 @@ from enkpf.global_filters import (
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
 
-from oracles import enkpf_perturbations, enkpf_stage1, enkpf_weights
+from oracles import (
+    enkpf_perturbations,
+    enkpf_stage1,
+    enkpf_weights,
+    identity_resample,
+    kalman_gain,
+)
 
 
 class ZeroRng:
     """Stub rng whose draws are all zero (noise-free paths in tests)."""
 
     def standard_normal(self, size=None):
-        return np.zeros(size) if size is not None else 0.0
-
-    def uniform(self, low=0.0, high=1.0, size=None):
         return np.zeros(size) if size is not None else 0.0
 
 
@@ -111,24 +115,11 @@ def test_pf_dominant_member():
 def test_pf_two_member_softmax_oracle():
     x = np.array([[0.0], [1.0]])
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    w = pf_weights(x, obs, likelihood_power=1.0)
+    w = pf_weights(x, obs)
     # alpha = softmax(0, -0.5)
     expect = np.array([1.0, np.exp(-0.5)])
     expect /= expect.sum()
     np.testing.assert_allclose(w.alpha, expect, rtol=1e-12)
-
-
-def test_pf_power_tempers():
-    x = np.array([[0.0], [2.0]])
-    obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    full = pf_weights(x, obs, 1.0)
-    half = pf_weights(x, obs, 0.5)
-    assert half.alpha[1] > full.alpha[1]  # tempering flattens
-    np.testing.assert_allclose(
-        half.alpha[0] / half.alpha[1], (full.alpha[0] / full.alpha[1]) ** 0.5, rtol=1e-12
-    )
-    with pytest.raises(ValueError):
-        pf_weights(x, obs, 0.0)
 
 
 # --------------------------------------------------------------- enkpf stages
@@ -156,8 +147,6 @@ def test_stage1_gamma_one_matches_plain_gain():
     rng = np.random.default_rng(4)
     x, p, obs = random_system(rng)
     inter = enkpf_stage1(x, obs, p, 1.0)
-    from enkpf.core import kalman_gain
-
     np.testing.assert_allclose(
         inter.q_factor.k_gamma, kalman_gain(p, obs.h_rows, obs.r_diag), rtol=1e-12
     )
@@ -190,7 +179,7 @@ def test_enkpf_weights_gamma_zero_equals_pf():
     x, p, obs = random_system(rng)
     inter = enkpf_stage1(x, obs, p, 0.0)
     w = enkpf_weights(inter, obs)
-    ref = pf_weights(x, obs, 1.0)
+    ref = pf_weights(x, obs)
     np.testing.assert_allclose(w.alpha, ref.alpha, rtol=1e-12)
 
 
@@ -240,14 +229,15 @@ def test_enkpf_tiny_gamma_weights_match_pf():
     x, p, obs = random_system(rng, k=12)
     inter = enkpf_stage1(x, obs, p, 1e-8)
     w = enkpf_weights(inter, obs)
-    ref = pf_weights(x, obs, 1.0)
+    ref = pf_weights(x, obs)
     assert np.max(np.abs(w.alpha - ref.alpha)) < 1e-6
 
 
-def test_enkpf_tiny_gamma_centroids_near_background():
+def test_enkpf_tiny_gamma_centroids_near_background(monkeypatch):
+    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
     rng = np.random.default_rng(14)
     x, p, obs = random_system(rng, k=12)
-    out, _, _ = enkpf_update(x, obs, p, 1e-8, ZeroRng(), identity_resample=True)
+    out, _, _ = enkpf_update(x, obs, p, 1e-8, ZeroRng())
     # noise-free path with identity resampling returns the centroids mu
     scale = np.max(np.abs(x)) + 1.0
     assert np.max(np.abs(out - x)) / scale < 1e-6
@@ -279,17 +269,14 @@ def test_enkpf_scalar_kalman_oracle():
     assert abs(cov[0, 0] - exact_var) < 4 * se_var
 
 
-def test_lgamma_consistency():
+def test_lgamma_consistency(monkeypatch):
     # centroid path equals the one-shot gain L = K1 + K2 (I - H K1)
+    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
     rng = np.random.default_rng(18)
     for _ in range(10):
         x, p, obs = random_system(rng, k=7, d=6, m=3)
         gamma = rng.uniform(0.05, 0.95)
-        out, _, _ = enkpf_update(
-            x, obs, p, gamma, ZeroRng(), identity_resample=True
-        )
-        from enkpf.core import kalman_gain
-
+        out, _, _ = enkpf_update(x, obs, p, gamma, ZeroRng())
         k1 = kalman_gain(gamma * p, obs.h_rows, obs.r_diag)
         inter = enkpf_stage1(x, obs, p, gamma)
         kg = inter.q_factor.k_gamma
@@ -308,8 +295,6 @@ def test_eps_draw_covariance_matches_analysis_covariance():
     inter = enkpf_stage1(x, obs, p, gamma)
     kg = inter.q_factor.k_gamma
     q_dense = (kg * obs.r_diag) @ kg.T / gamma
-    from enkpf.core import kalman_gain
-
     k2 = kalman_gain((1 - gamma) * q_dense, obs.h_rows, obs.r_diag)
     target = q_dense - k2 @ q_dense[obs.h_rows, :]  # (I - K2 H) Q
     n_draws = 100_000

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enkpf import global_filters, local_filters
 from enkpf.core import ensemble_moments
 from enkpf.errors import InvalidBlockError
 from enkpf.global_filters import (
@@ -26,7 +27,13 @@ from enkpf.obs import GaussObs
 from enkpf.resampling import permute_fixed_points, systematic_indices
 from enkpf.taper import TaperSpec, tapered_cov_block
 
-from oracles import tapered_covariance
+from oracles import (
+    block_w_cols,
+    fixed_gamma,
+    identity_resample,
+    tapered_covariance,
+    window_size,
+)
 
 GLOBAL_WINDOW = LocalWindowSpec(1e9)
 NO_TAPER = TaperSpec(np.inf)
@@ -47,7 +54,7 @@ def random_ensemble(rng, layout, k):
 
 def test_window_size_example():
     layout = default_layout(300)
-    assert LocalWindowSpec(5000.0).window_size(layout.geometry) == 21
+    assert window_size(LocalWindowSpec(5000.0), layout.geometry) == 21
     with pytest.raises(ValueError):
         LocalWindowSpec(0.0)
 
@@ -243,11 +250,10 @@ def test_compute_uvw_worked_example():
     near_cols = sorted(f * n + p for f in range(3) for p in near_pts)
     np.testing.assert_array_equal(block.v, np.setdiff1d(near_cols, block.u))
     w_pts = [13, 14, 15, 16]
-    np.testing.assert_array_equal(
-        block.w, sorted(f * n + p for f in range(3) for p in w_pts)
-    )
+    w = block_w_cols(block, layout)
+    np.testing.assert_array_equal(w, sorted(f * n + p for f in range(3) for p in w_pts))
     # the three sets partition the state columns
-    assert len(block.u) + len(block.v) + len(block.w) == layout.dim
+    assert len(block.u) + len(block.v) + len(w) == layout.dim
 
 
 def test_compute_uvw_empty_block_raises():
@@ -346,17 +352,19 @@ def test_block_w_columns_untouched_bitwise():
     x = random_ensemble(rng, layout, 12)
     obs = rain_obs(layout, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
     blocks = partition_obs_blocks(obs, TaperSpec(2000.0), layout, 5000.0)
-    assert blocks[0].w.size > 0
+    w = block_w_cols(blocks[0], layout)
+    assert w.size > 0
     out = block_assimilate_one(
         x, blocks[0], TaperSpec(2000.0), layout, band(), np.random.default_rng(15)
     )
-    np.testing.assert_array_equal(out[:, blocks[0].w], x[:, blocks[0].w])
+    np.testing.assert_array_equal(out[:, w], x[:, w])
     assert not np.array_equal(out[:, blocks[0].u], x[:, blocks[0].u])
 
 
-def test_block_gamma_one_matches_tapered_enkf_on_u_and_v():
+def test_block_gamma_one_matches_tapered_enkf_on_u_and_v(monkeypatch):
     # with the observed columns inside u, the conditional regression of v is
     # exactly the tapered-gain EnKF row for v (selector identity)
+    monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(1.0))
     rng = np.random.default_rng(16)
     layout = default_layout(30)
     taper = TaperSpec(2000.0)
@@ -364,9 +372,7 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v():
     x = random_ensemble(rng, layout, k)
     obs = rain_obs(layout, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
     block = partition_obs_blocks(obs, taper, layout, 5000.0)[0]
-    out = block_assimilate_one(
-        x, block, taper, layout, band(), np.random.default_rng(17), gamma=1.0
-    )
+    out = block_assimilate_one(x, block, taper, layout, band(), np.random.default_rng(17))
 
     rng_ref = np.random.default_rng(17)
     eta = rng_ref.standard_normal((k, obs.m))
@@ -384,9 +390,13 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v():
     np.testing.assert_allclose(out[:, cols_uv], ref, rtol=1e-9, atol=1e-11)
 
 
-def test_block_equals_full_enkpf_on_tapered_covariance():
+def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     # one block on a 4-point ring: the block update and the global EnKPF on
     # the full tapered covariance coincide on u and v and leave w bitwise
+    gamma = 0.55
+    monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
+    monkeypatch.setattr(local_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
     rng = np.random.default_rng(18)
     layout = default_layout(4)
     taper = TaperSpec(375.0)  # support 750 m < the 1000 m max distance
@@ -395,21 +405,18 @@ def test_block_equals_full_enkpf_on_tapered_covariance():
     x = random_ensemble(rng, layout, k)
     obs = GaussObs(np.array([0.8, -0.6]), np.array([0, 2 * n]), np.array([0.5, 0.8]))
     block = partition_obs_blocks(obs, taper, layout, 2000.0)[0]
-    np.testing.assert_array_equal(block.w, [2, n + 2, 2 * n + 2])
-    gamma = 0.55
+    w = block_w_cols(block, layout)
+    np.testing.assert_array_equal(w, [2, n + 2, 2 * n + 2])
 
     out_block = block_assimilate_one(
-        x, block, taper, layout, band(), np.random.default_rng(19),
-        gamma=gamma, identity_resample=True,
+        x, block, taper, layout, band(), np.random.default_rng(19)
     )
     p_full = tapered_covariance(x, layout, taper).toarray()
-    out_full, _, _ = enkpf_update(
-        x, obs, p_full, gamma, np.random.default_rng(19), identity_resample=True
-    )
+    out_full, _, _ = enkpf_update(x, obs, p_full, gamma, np.random.default_rng(19))
     uv = np.concatenate([block.u, block.v])
     np.testing.assert_allclose(out_full[:, uv], out_block[:, uv], rtol=1e-10, atol=1e-12)
-    np.testing.assert_array_equal(out_block[:, block.w], x[:, block.w])
-    np.testing.assert_array_equal(out_full[:, block.w], x[:, block.w])
+    np.testing.assert_array_equal(out_block[:, w], x[:, w])
+    np.testing.assert_array_equal(out_full[:, w], x[:, w])
 
 
 def test_block_pinv_fallback_on_rank_deficient_p_uu():

@@ -7,13 +7,12 @@ import scipy.stats
 from enkpf.scoring import (
     SCORES_HEADER,
     ScoreRecord,
-    crps_empirical,
     field_crps,
     rank_of_truth,
     write_scores_csv,
 )
 
-from oracles import rank_histogram, read_scores_csv, scores_csv_text
+from oracles import crps_empirical, rank_histogram, read_scores_csv, scores_csv_text
 
 
 def crps_by_integration(x, t):

@@ -113,7 +113,8 @@ def test_tapered_covariance_elementwise_oracle():
     got = tapered_covariance(members, layout, spec).toarray()
     anoms = members - members.mean(axis=0)
     plain = anoms.T @ anoms / (members.shape[0] - 1)
-    weights = taper_weights(layout, spec)
+    cols = np.arange(layout.dim)
+    weights = taper_weights(layout, spec, cols, cols)
     np.testing.assert_allclose(got, plain * weights, rtol=1e-12, atol=1e-14)
 
 
