@@ -111,7 +111,7 @@ def _pf_global(members, obs, ctx, rng, diag):
     w = pf_weights(members, obs)
     diag.record(0.0, ess(w))
     idx = balanced_resample(w, rng)
-    return members[idx.idx].copy()
+    return members[idx]
 
 
 def _lenkf(members, obs, ctx, rng, diag):

@@ -15,20 +15,16 @@ adaptive_gamma call it on all rows of the plain or tapered P; the localized
 filters call it per site or block, which is what keeps the global/local
 reduction tests exact. At gamma = 1 it is the stochastic EnKF, and
 _enkf_rows is the one place that update is written: enkf_update, the LEnKF
-and every gamma = 1 site or block go through it. All observation operators
-are column selectors with diagonal R, so every solve is m x m.
+and every gamma = 1 site or block go through it. Weights and resampling
+indices are plain (k,) arrays (see enkpf.resampling). All observation
+operators are column selectors with diagonal R, so every solve is m x m.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
 from enkpf.core import _chol, _p_slices
-from enkpf.resampling import (
-    MixtureWeights,
-    ResampleIndices,
-    balanced_resample,
-    ess,
-)
+from enkpf.resampling import balanced_resample, ess, weights_from_log
 
 __all__ = [
     "GammaWeightSolver",
@@ -77,7 +73,7 @@ def pf_weights(ens, obs):
     obs.check_dim(x.shape[1])
     innov = obs.y - obs.project(x)
     log_w = -0.5 * np.sum(innov * innov / obs.r_diag, axis=1)
-    return MixtureWeights.from_log(log_w)
+    return weights_from_log(log_w)
 
 
 class GammaWeightSolver:
@@ -120,7 +116,7 @@ class GammaWeightSolver:
         return log_w - log_w.max()
 
     def weights(self, gamma):
-        return MixtureWeights.from_log(self.log_weights(gamma))
+        return weights_from_log(self.log_weights(gamma))
 
     def ess(self, gamma):
         return ess(self.weights(gamma))
@@ -198,18 +194,17 @@ def _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma):
     return k_ro, a, k2_ro
 
 
-def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, indices):
+def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx):
     """Row-restricted EnKPF final update given pre-drawn noise and indices.
 
     x_rows (k, p): background values of the rows being updated; innov0
     (k, m): y - Hx of the background; p_ro (p, m), s_oo (m, m): covariance
     slices (tapered or plain). gamma = 1 is the EnKF (_enkf_rows): nothing is
-    resampled, so indices must be the identity and er_raw is not used.
+    resampled, so idx must be the identity and er_raw is not used.
     Returns the (k, p) analysis rows.
     """
-    idx = indices.idx
     if gamma == 0.0 or r_diag.shape[0] == 0:
-        return x_rows[idx].copy()
+        return x_rows[idx]
     if gamma == 1.0:
         return _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw)
     k_ro, a, k2_ro = _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma)
@@ -230,20 +225,20 @@ def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng):
     eta_raw = rng.standard_normal((k, obs.m))
     er_raw = rng.standard_normal((k, obs.m))
     if gamma == 1.0:
-        w, idx = MixtureWeights.uniform(k), ResampleIndices.identity(k)
+        alpha, idx = np.full(k, 1.0 / k), np.arange(k)
     else:
-        w = solver.weights(gamma)
-        idx = balanced_resample(w, rng)
+        alpha = solver.weights(gamma)
+        idx = balanced_resample(alpha, rng)
     x_a = _enkpf_rows_update(
         x, obs.y - obs.project(x), obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx
     )
-    return x_a, w, idx
+    return x_a, alpha, idx
 
 
 def enkpf_update(ens, obs, P, gamma, rng):
     """Full EnKPF analysis for a fixed gamma.
 
-    Returns (analysis (k, d) array, MixtureWeights, ResampleIndices). At
+    Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
     gamma = 1 the particle stage is skipped: the update is the EnKF rows
     update, bitwise equal to enkf_update with the same rng, the weights are
     uniform and the indices are the identity. For gamma < 1 the indices are
@@ -266,7 +261,7 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     gamma = 0 preferred when the plain particle weights already qualify. hi
     is validated but not enforced (see search_gamma). The weights that pick
     gamma are the weights resampled, so their ESS is at least lo * k.
-    Returns (gamma, (analysis array, MixtureWeights, ResampleIndices)).
+    Returns (gamma, (analysis, alpha, idx)) with the arrays of enkpf_update.
     """
     lo, _ = _check_band(ess_band)
     x = np.asarray(ens, dtype=float)

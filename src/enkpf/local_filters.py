@@ -35,7 +35,6 @@ from enkpf.global_filters import (
 )
 from enkpf.obs import GaussObs
 from enkpf.resampling import (
-    ResampleIndices,
     balanced_resample,
     permute_fixed_points,
     reorder_to_match,
@@ -112,7 +111,7 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
     eta_all = rng.standard_normal((k, all_obs.m))
     er_all = rng.standard_normal((k, all_obs.m))
     u_shared = rng.uniform()
-    identity = ResampleIndices.identity(k)
+    identity = np.arange(k)
 
     out = x.copy()
     idx = identity
@@ -132,8 +131,8 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
         if gamma == 1.0:
             idx = identity
         else:
-            raw = systematic_indices(solver.weights(gamma).alpha, u_shared)
-            idx = reorder_to_match(raw, idx.idx)
+            raw = systematic_indices(solver.weights(gamma), u_shared)
+            idx = reorder_to_match(raw, idx)
         try:
             out[:, cols] = _enkpf_rows_update(
                 x[:, cols], innov0[:, sel], r_loc, p_cross[np.ix_(cols, sel)], s_loc,
@@ -179,12 +178,11 @@ class ObservationBlock:
     """
 
     obs: GaussObs
-    segment: int
     u: np.ndarray
     v: np.ndarray
 
 
-def compute_uvw(block_obs, taper, layout, segment=0):
+def compute_uvw(block_obs, taper, layout):
     """The u and v columns of one observation block (w is the rest)."""
     if block_obs.m == 0:
         raise InvalidBlockError("observation block is empty")
@@ -196,7 +194,7 @@ def compute_uvw(block_obs, taper, layout, segment=0):
     # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
     near_pts = np.flatnonzero(dist < taper.support_radius_m)
     v = np.setdiff1d(layout.cols_at(near_pts), u)
-    return ObservationBlock(block_obs, int(segment), u, v)
+    return ObservationBlock(block_obs, u, v)
 
 
 def schedule_blocks(blocks):
@@ -266,7 +264,7 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
         diagnostics.record(g, solver.ess(g))
 
     if g == 1.0:
-        idx = ResampleIndices.identity(k)
+        idx = np.arange(k)
     else:
         idx = permute_fixed_points(balanced_resample(solver.weights(g), rng))
     x_u = _enkpf_rows_update(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, g, eta, er, idx)
@@ -293,7 +291,7 @@ def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
     blocks = []
     for s in np.unique(seg):
         rows = np.flatnonzero(seg == s)
-        blocks.append(compute_uvw(all_obs.subset(rows), taper, layout, segment=int(s)))
+        blocks.append(compute_uvw(all_obs.subset(rows), taper, layout))
     return blocks
 
 

@@ -31,7 +31,9 @@ def field_crps(members_field, truth_field):
     coef = 2.0 * np.arange(k) + 1.0 - k
     pair = coef @ xs  # sum over ordered pairs, per column
     term2 = pair / (k * k)
-    return float(np.mean(term1 - term2))
+    # the exact CRPS is >= 0; rounding can leave -1e-17 where the members
+    # all equal the truth
+    return float(np.mean(np.maximum(term1 - term2, 0.0)))
 
 
 def rank_of_truth(values, truth, rng):

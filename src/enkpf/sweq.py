@@ -69,10 +69,25 @@ class ModelParams:
             raise ValueError("rates and diffusivities must be nonnegative")
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
+        if not self.plume_width_m > 0:
+            raise ValueError("plume_width_m must be positive")
+        # more arrivals per step than grid points is no longer small plumes
+        # (the default is one per step on 300 points)
+        n = self.geometry.n_points
+        if not self.plumes_per_step <= n:
+            raise ValueError(
+                f"plume_rate: {self.plumes_per_step!r} plumes per step "
+                f"(plume_rate * n_points * spacing_m * dt_s / 60) exceeds n_points = {n}"
+            )
 
     @property
     def layout(self):
         return StateLayout(self.geometry)
+
+    @property
+    def plumes_per_step(self):
+        """Mean number of plume arrivals on the whole ring in one dt_s step."""
+        return self.plume_rate * self.geometry.domain_m * self.dt_s / 60.0
 
     def steps(self, seconds):
         """The whole number of dt_s steps nearest to a span of seconds.
@@ -146,9 +161,9 @@ def _check_finite(h, u, r, t):
             )
 
 
-def _plume_forcing(u_new, params, rngs, dt):
+def _plume_forcing(u_new, params, rngs):
     """Add Poisson-arriving wind plumes in place; one rng per trajectory row."""
-    lam = params.plume_rate * params.geometry.domain_m * dt / 60.0
+    lam = params.plumes_per_step
     rows, centers, signs = [], [], []
     for i, rng in enumerate(rngs):
         count = int(rng.poisson(lam))
@@ -181,7 +196,7 @@ def _step_fields(h, u, r, params, rngs, t):
     phi = phi + params.rain_geopotential * r
     dudx = _dx_centered(u, dx)
     u_new = u + dt * (-u * dudx - _dx_centered(phi, dx) + params.diff_u * _laplacian(u, dx))
-    _plume_forcing(u_new, params, rngs, dt)
+    _plume_forcing(u_new, params, rngs)
 
     h_new = h + dt * (-_dx_centered(u * h, dx) + params.diff_h * _laplacian(h, dx))
 
@@ -210,9 +225,12 @@ def advance_members(members, params, n_steps, rngs):
     fields = params.layout.split(members)
     h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
     t = 0.0
-    for _ in range(n_steps):
-        h, u, r = _step_fields(h, u, r, params, rngs, t)
-        t += params.dt_s
+    # a field that overflows or goes NaN is reported by _check_finite as a
+    # NumericalBlowup; numpy's warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n_steps):
+            h, u, r = _step_fields(h, u, r, params, rngs, t)
+            t += params.dt_s
     out = np.empty_like(members)
     fields = params.layout.split(out)
     fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r

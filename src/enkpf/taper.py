@@ -23,8 +23,6 @@ def gaspari_cohn(dist, c):
     if c <= 0:
         raise ValueError("length scale c must be positive")
     d = np.abs(np.asarray(dist, dtype=float))
-    if np.isinf(c):
-        return np.ones_like(d)
     z = d / c
     out = np.zeros_like(z)
 

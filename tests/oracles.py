@@ -24,6 +24,8 @@ are the small scoring helpers the tests read outputs back with.
 fixed_gamma and identity_resample stand in for search_gamma and
 balanced_resample: a test monkeypatches them into a filter's module to force
 gamma or to keep every member in place, and still runs the production update.
+Like the package, they and enkpf_weights pass weights and resampling indices
+as plain (k,) arrays.
 """
 
 import csv
@@ -38,7 +40,7 @@ from enkpf.core import _chol, _p_slices
 from enkpf.errors import FilterError
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
 from enkpf.grid import FIELDS
-from enkpf.resampling import MixtureWeights, ResampleIndices
+from enkpf.resampling import weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
 from enkpf.taper import gaspari_cohn
 
@@ -93,9 +95,9 @@ def fixed_gamma(gamma):
     return lambda solver, lo_frac, k: gamma
 
 
-def identity_resample(w, rng):
+def identity_resample(alpha, rng):
     """A balanced_resample that keeps every member in its slot and draws nothing."""
-    return ResampleIndices.identity(w.k)
+    return np.arange(alpha.shape[0])
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,8 @@ def enkpf_weights(inter, obs):
     diverges and the particle stage is skipped).
     """
     k = inter.nu.shape[0]
-    if inter.gamma == 1.0:
-        return MixtureWeights.uniform(k)
-    if obs.m == 0:
-        return MixtureWeights.uniform(k)
+    if inter.gamma == 1.0 or obs.m == 0:
+        return np.full(k, 1.0 / k)
     a = inter.q_factor.k_gamma[obs.h_rows]
     if inter.gamma == 0.0:
         hqh = np.zeros((obs.m, obs.m))
@@ -178,7 +178,7 @@ def enkpf_weights(inter, obs):
     resid = obs.y - inter.nu[:, obs.h_rows]
     half = sla.cho_solve(factor, resid.T)
     log_w = -0.5 * np.sum(resid.T * half, axis=0)
-    return MixtureWeights.from_log(log_w)
+    return weights_from_log(log_w)
 
 
 def enkpf_perturbations(P, obs, gamma, n_draws, rng):

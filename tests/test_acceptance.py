@@ -31,7 +31,7 @@ from enkpf.local_filters import (
     partition_obs_blocks,
 )
 from enkpf.obs import GaussObs
-from enkpf.resampling import MixtureWeights, balanced_resample, ess
+from enkpf.resampling import balanced_resample, ess
 from enkpf.scoring import field_crps
 from enkpf.sweq import ModelParams, advance_members, rest_state
 from enkpf.taper import TaperSpec
@@ -106,8 +106,8 @@ def test_criterion_01_reduction_identities():
     exact = np.array_equal(out_a, out_b)
 
     inter = enkpf_stage1(x, obs, p, 1e-8)
-    w_enkpf = enkpf_weights(inter, obs).alpha
-    w_pf = pf_weights(x, obs).alpha
+    w_enkpf = enkpf_weights(inter, obs)
+    w_pf = pf_weights(x, obs)
     sup = np.max(np.abs(w_enkpf - w_pf))
     _report(
         1,
@@ -177,8 +177,8 @@ def test_criterion_03_balanced_sampling():
     for _ in range(10_000):
         k = int(rng.integers(2, 65))
         alpha = rng.dirichlet(np.full(k, rng.uniform(0.1, 3.0)))
-        idx = balanced_resample(MixtureWeights(alpha), rng)
-        counts = np.bincount(idx.idx, minlength=k)
+        idx = balanced_resample(alpha, rng)
+        counts = np.bincount(idx, minlength=k)
         if np.any(np.abs(counts - k * alpha) >= 1.0):
             violations += 1
     _report(3, violations == 0, f"({violations} violations, {time.time() - t0:.1f}s)")

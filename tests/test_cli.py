@@ -144,6 +144,28 @@ def test_run_reports_out_of_memory_in_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("line", ["spacing_m = 1e300", "plume_width_m = 0"])
+def test_run_rejects_plumes_that_break_the_model(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text() + line + "\n")  # the [model] section is last
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model: plume_")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_model_blowup_in_one_line(tmp_path, capsys):
+    # negative gravity blows the warm start up; numpy must not warn on the way
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace(
+        "warm_start_days = 0", "warm_start_days = 0.01\ngravity = -10"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite")
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert capsys.readouterr().err.startswith("error:")

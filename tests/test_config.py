@@ -99,6 +99,11 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         ("[experiment]\nl = -2\n", "l"),
         ("[experiment]\nr_r = 0\n", "r_r"),
         ("[model]\nh_rain = 90.0\n", "model"),
+        ("[model]\nn_points = 24\nplume_width_m = 0\n", "model: plume_width_m"),
+        ("[model]\nn_points = 24\nplume_width_m = -1000\n", "model: plume_width_m"),
+        # 1.6e296 and 30 plumes per step on 24 points
+        ("[model]\nn_points = 24\nspacing_m = 1e300\n", "model: plume_rate"),
+        ("[model]\nn_points = 24\nplume_rate = 0.03\n", "model: plume_rate"),
     ],
 )
 def test_validation_errors_name_the_key(text, key):
@@ -124,6 +129,12 @@ def test_step_count_cap_names_the_key(key, scale, rejected):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value).startswith(f"{key}: too long")
+
+
+def test_plumes_per_step_up_to_n_points_are_accepted():
+    assert parse_config("").model.plumes_per_step == pytest.approx(1.0)
+    cfg = parse_config("[model]\nn_points = 24\nplume_rate = 0.02\n")
+    assert cfg.model.plumes_per_step == pytest.approx(20.0)
 
 
 def test_custom_scenario_with_explicit_timing():

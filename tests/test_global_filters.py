@@ -101,7 +101,7 @@ def test_pf_identical_members_uniform():
     x = np.tile(np.array([1.0, 2.0]), (7, 1))
     obs = GaussObs(np.array([0.0]), np.array([1]), np.array([1.0]))
     w = pf_weights(x, obs)
-    np.testing.assert_allclose(w.alpha, np.full(7, 1 / 7), atol=1e-15)
+    np.testing.assert_allclose(w, np.full(7, 1 / 7), atol=1e-15)
 
 
 def test_pf_dominant_member():
@@ -109,7 +109,7 @@ def test_pf_dominant_member():
     x[3, 0] = 0.0
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
     w = pf_weights(x, obs)
-    assert w.alpha[3] > 1 - 1e-9
+    assert w[3] > 1 - 1e-9
 
 
 def test_pf_two_member_softmax_oracle():
@@ -119,7 +119,7 @@ def test_pf_two_member_softmax_oracle():
     # alpha = softmax(0, -0.5)
     expect = np.array([1.0, np.exp(-0.5)])
     expect /= expect.sum()
-    np.testing.assert_allclose(w.alpha, expect, rtol=1e-12)
+    np.testing.assert_allclose(w, expect, rtol=1e-12)
 
 
 # --------------------------------------------------------------- enkpf stages
@@ -171,7 +171,7 @@ def test_enkpf_weights_gamma_one_uniform():
     x, p, obs = random_system(rng)
     inter = enkpf_stage1(x, obs, p, 1.0)
     w = enkpf_weights(inter, obs)
-    np.testing.assert_allclose(w.alpha, 1.0 / x.shape[0], atol=1e-15)
+    np.testing.assert_allclose(w, 1.0 / x.shape[0], atol=1e-15)
 
 
 def test_enkpf_weights_gamma_zero_equals_pf():
@@ -180,7 +180,7 @@ def test_enkpf_weights_gamma_zero_equals_pf():
     inter = enkpf_stage1(x, obs, p, 0.0)
     w = enkpf_weights(inter, obs)
     ref = pf_weights(x, obs)
-    np.testing.assert_allclose(w.alpha, ref.alpha, rtol=1e-12)
+    np.testing.assert_allclose(w, ref, rtol=1e-12)
 
 
 def test_enkpf_weights_two_member_oracle():
@@ -191,7 +191,7 @@ def test_enkpf_weights_two_member_oracle():
     w = enkpf_weights(inter, obs)
     var = 2.0 / 9.0 + 2.0
     dens = np.exp(-0.5 * np.array([0.0, (2.0 / 3.0) ** 2]) / var)
-    np.testing.assert_allclose(w.alpha, dens / dens.sum(), rtol=1e-12)
+    np.testing.assert_allclose(w, dens / dens.sum(), rtol=1e-12)
 
 
 def test_solver_matches_direct_weights():
@@ -207,7 +207,7 @@ def test_solver_matches_direct_weights():
             inter = enkpf_stage1(x, obs, p, gamma)
             direct = enkpf_weights(inter, obs)
             np.testing.assert_allclose(
-                solver.weights(gamma).alpha, direct.alpha, rtol=1e-9, atol=1e-12
+                solver.weights(gamma), direct, rtol=1e-9, atol=1e-12
             )
 
 
@@ -220,8 +220,8 @@ def test_enkpf_gamma_one_is_enkf_exactly():
     ref = enkf_update(x, obs, p, np.random.default_rng(777))
     out, w, idx = enkpf_update(x, obs, p, 1.0, np.random.default_rng(777))
     np.testing.assert_array_equal(out, ref)
-    np.testing.assert_allclose(w.alpha, 1.0 / 15, atol=1e-15)
-    np.testing.assert_array_equal(idx.idx, np.arange(15))
+    np.testing.assert_allclose(w, 1.0 / 15, atol=1e-15)
+    np.testing.assert_array_equal(idx, np.arange(15))
 
 
 def test_enkpf_tiny_gamma_weights_match_pf():
@@ -230,7 +230,7 @@ def test_enkpf_tiny_gamma_weights_match_pf():
     inter = enkpf_stage1(x, obs, p, 1e-8)
     w = enkpf_weights(inter, obs)
     ref = pf_weights(x, obs)
-    assert np.max(np.abs(w.alpha - ref.alpha)) < 1e-6
+    assert np.max(np.abs(w - ref)) < 1e-6
 
 
 def test_enkpf_tiny_gamma_centroids_near_background(monkeypatch):
@@ -247,8 +247,8 @@ def test_enkpf_gamma_zero_is_pure_resample():
     rng = np.random.default_rng(15)
     x, p, obs = random_system(rng, k=9)
     out, w, idx = enkpf_update(x, obs, p, 0.0, np.random.default_rng(4))
-    np.testing.assert_allclose(w.alpha, pf_weights(x, obs).alpha, rtol=1e-12)
-    np.testing.assert_array_equal(out, x[idx.idx])
+    np.testing.assert_allclose(w, pf_weights(x, obs), rtol=1e-12)
+    np.testing.assert_array_equal(out, x[idx])
 
 
 def test_enkpf_scalar_kalman_oracle():
@@ -324,7 +324,7 @@ def test_adaptive_gamma_identical_members():
         x, obs, np.zeros((3, 3)), (0.5, 0.8), np.random.default_rng(1)
     )
     assert gamma == 0.0
-    np.testing.assert_allclose(w.alpha, 1.0 / 8, atol=1e-15)
+    np.testing.assert_allclose(w, 1.0 / 8, atol=1e-15)
 
 
 def test_adaptive_gamma_band_one_forces_enkf():
@@ -368,7 +368,7 @@ def test_adaptive_gamma_resamples_the_solver_weights():
             x, obs, p, (lo, 0.8), np.random.default_rng(25)
         )
         solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
-        assert np.array_equal(w.alpha, solver.weights(gamma).alpha)
+        assert np.array_equal(w, solver.weights(gamma))
         assert ess(w) >= lo * k
 
 

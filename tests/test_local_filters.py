@@ -145,7 +145,7 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
     gamma = search_gamma(solver, 0.8, k)
     assert 0.0 < gamma < 1.0  # setup sanity: interior gamma
-    idx = permute_fixed_points(systematic_indices(solver.weights(gamma).alpha, u_shared))
+    idx = permute_fixed_points(systematic_indices(solver.weights(gamma), u_shared))
     ref = _enkpf_rows_update(
         x, innov0, obs.r_diag, p_cross, s_oo, gamma, eta, er, idx
     )
@@ -244,7 +244,7 @@ def test_compute_uvw_worked_example():
         np.array([2 * n + 4, 2 * n + 5, n + 4]),
         np.ones(3),
     )
-    block = compute_uvw(obs, TaperSpec(2000.0), layout, segment=0)
+    block = compute_uvw(obs, TaperSpec(2000.0), layout)
     np.testing.assert_array_equal(block.u, [n + 4, 2 * n + 4, 2 * n + 5])
     near_pts = sorted(set(range(0, 13)) | {17, 18, 19})
     near_cols = sorted(f * n + p for f in range(3) for p in near_pts)
@@ -267,7 +267,7 @@ def test_partition_obs_blocks_segments():
     layout = default_layout(30)
     obs = rain_obs(layout, [2, 9, 10, 25], [0.1, 0.2, 0.3, 0.4])
     blocks = partition_obs_blocks(obs, TaperSpec(1000.0), layout, 5000.0)
-    assert [b.segment for b in blocks] == [0, 1, 2]
+    assert len(blocks) == 3
     n = 30
     np.testing.assert_array_equal(blocks[0].u, [2 * n + 2, 2 * n + 9])
     np.testing.assert_array_equal(blocks[1].u, [2 * n + 10])

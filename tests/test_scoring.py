@@ -76,6 +76,11 @@ def test_field_crps_matches_per_column_loop():
         field_crps(x, t[:10])
 
 
+def test_field_crps_of_members_equal_to_truth_is_zero():
+    # the closed form rounds to -3.6e-17 here; the exact CRPS is 0
+    assert field_crps(np.full((7, 1), 2.2), np.array([2.2])) == 0.0
+
+
 def test_crps_rewards_calibration():
     rng = np.random.default_rng(3)
     trials = 3000
