@@ -20,16 +20,31 @@ from enkpf.errors import FilterError
 def ensemble_moments(ens):
     """Sample mean and covariance with the k-1 divisor of a (k, d) member array.
 
-    Returns (mean (d,), cov (d, d)). Requires k >= 2.
+    Returns (mean (d,), cov (d, d)). Requires k >= 2; FilterError when the
+    covariance is not finite (see _finite_cov).
     """
     x = np.asarray(ens, dtype=float)
     k = x.shape[0]
     if k < 2:
         raise ValueError("need at least 2 members for a sample covariance")
-    mean = x.mean(axis=0)
-    a = x - mean
-    cov = a.T @ a / (k - 1)
-    return mean, cov
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        a = x - mean
+        cov = a.T @ a / (k - 1)
+    return mean, _finite_cov(cov)
+
+
+def _finite_cov(cov):
+    """cov itself, or FilterError when an entry is not finite.
+
+    Finite members whose spread is near the float64 limit, as a forecast
+    that has blown up without overflowing yet, overflow in the covariance
+    product; its callers compute it with numpy's overflow warnings off and
+    leave the report to this error.
+    """
+    if not np.isfinite(cov).all():
+        raise FilterError("sample covariance is not finite: the ensemble spread overflows")
+    return cov
 
 
 def _chol(mat, what):

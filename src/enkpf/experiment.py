@@ -27,6 +27,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from enkpf import sweq
 from enkpf.core import ensemble_moments
 from enkpf.errors import CflViolation, FilterError, NumericalBlowup
 from enkpf.global_filters import adaptive_gamma, enkf_update, pf_weights
@@ -148,8 +149,12 @@ METHODS = tuple(ANALYSES)
 METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
 
 
-def run_single_rep(cfg, rep):
-    """One repetition of the twin experiment; pure function of (cfg, rep)."""
+def run_single_rep(cfg, rep, base=None):
+    """One repetition of the twin experiment; pure function of (cfg, rep).
+
+    base is the warm state its spinup starts from, sweq.warm_state(cfg.model)
+    when not given.
+    """
     params = cfg.model
     layout = params.layout
     n = params.geometry.n_points
@@ -162,7 +167,7 @@ def run_single_rep(cfg, rep):
     )
 
     spin = spinup_ensemble(
-        params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0)
+        params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0), base
     )
     truth = spin[0].copy()
     ens = {m: spin[1:].copy() for m in cfg.methods}
@@ -278,7 +283,9 @@ def run_experiment(cfg, threads=1):
     """
     cfg = cfg.validated()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    job = partial(run_single_rep, cfg)
+    # one warm start for all repetitions, before a pool forks its workers;
+    # looked up on the module at call time, as the analyses' filters are
+    job = partial(run_single_rep, cfg, base=sweq.warm_state(cfg.model))
     reps = list(range(cfg.repetitions))
     if threads > 1 and cfg.repetitions > 1:
         with Pool(processes=min(threads, cfg.repetitions)) as pool:

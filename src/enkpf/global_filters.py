@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from enkpf.core import _chol, _p_slices
+from enkpf.errors import FilterError
 from enkpf.resampling import balanced_resample, ess, weights_from_log
 
 __all__ = [
@@ -67,12 +68,14 @@ def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
 def pf_weights(ens, obs):
     """Particle-filter weights alpha_i proportional to the likelihood l(y | x_i).
 
-    Computed in log space with max-subtraction.
+    Computed in log space with max-subtraction. A member whose squared
+    innovation overflows gets log-likelihood -inf, i.e. weight 0.
     """
     x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
     innov = obs.y - obs.project(x)
-    log_w = -0.5 * np.sum(innov * innov / obs.r_diag, axis=1)
+    with np.errstate(over="ignore"):
+        log_w = -0.5 * np.sum(innov * innov / obs.r_diag, axis=1)
     return weights_from_log(log_w)
 
 
@@ -102,7 +105,10 @@ class GammaWeightSolver:
             self.z2 = np.zeros((self.k, 0))
             return
         inv_sqrt_r = 1.0 / np.sqrt(r_diag)
-        s_white = inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float) * inv_sqrt_r
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_white = inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float) * inv_sqrt_r
+        if not np.isfinite(s_white).all():
+            raise FilterError("whitened innovation covariance is not finite")
         lam, u = sla.eigh(s_white)
         self.lam = np.clip(lam, 0.0, None)
         self.z2 = ((innov0 * inv_sqrt_r) @ u) ** 2

@@ -69,6 +69,8 @@ class ModelParams:
             raise ValueError("rates and diffusivities must be nonnegative")
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
+        if not self.gravity > 0:
+            raise ValueError("gravity must be positive")
         if not self.plume_width_m > 0:
             raise ValueError("plume_width_m must be positive")
         # more arrivals per step than grid points is no longer small plumes
@@ -131,12 +133,14 @@ def warm_state(params):
     return x
 
 
-def _dx_centered(f, dx):
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+def _neighbours(f):
+    """The periodic neighbours (f[i+1], f[i-1]) of a field along its last axis.
 
-
-def _laplacian(f, dx):
-    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (dx * dx)
+    Views of one padded copy, so the stencils below read each field's
+    neighbours from a single allocation.
+    """
+    padded = np.concatenate([f[..., -1:], f, f[..., :1]], axis=-1)
+    return padded[..., 2:], padded[..., :-2]
 
 
 def _check_cfl(h, u, params):
@@ -161,49 +165,74 @@ def _check_finite(h, u, r, t):
             )
 
 
-def _plume_forcing(u_new, params, rngs):
-    """Add Poisson-arriving wind plumes in place; one rng per trajectory row."""
+def _plume_forcing(u_new, params, rngs, xg):
+    """Add Poisson-arriving wind plumes in place; one rng per trajectory row.
+
+    xg holds the grid point coordinates in meters.
+    """
     lam = params.plumes_per_step
-    rows, centers, signs = [], [], []
+    length = params.geometry.domain_m
+    rows, centers, sign_draws = [], [], []
     for i, rng in enumerate(rngs):
         count = int(rng.poisson(lam))
         if count:
             rows.extend([i] * count)
-            centers.append(rng.uniform(0.0, params.geometry.domain_m, count))
-            # symmetric signs keep the net momentum input zero in expectation
-            signs.append(np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0))
+            centers.append(rng.uniform(0.0, length, count))
+            sign_draws.append(rng.uniform(size=count))
     if not rows:
         return
-    centers = np.concatenate(centers)
-    signs = np.concatenate(signs)
-    length = params.geometry.domain_m
-    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
-    delta = np.mod(xg[None, :] - centers[:, None] + 0.5 * length, length) - 0.5 * length
+    # symmetric signs keep the net momentum input zero in expectation
+    amplitude = params.plume_amplitude
+    signed = np.where(np.concatenate(sign_draws) < 0.5, -amplitude, amplitude)
+    # the signed distance np.mod(offset, length) - length / 2 from each center:
+    # grid points and centers lie in [0, length), so offset lies within
+    # (-length / 2, 3 length / 2) and one wrap either way is np.mod's result
+    offset = xg - np.concatenate(centers)[:, None] + 0.5 * length
+    offset[offset >= length] -= length
+    offset[offset < 0.0] += length  # may round up to length, as np.mod does
+    delta = offset - 0.5 * length
     w = params.plume_width_m
-    bumps = (
-        signs[:, None] * params.plume_amplitude * np.exp(-(delta * delta) / (2 * w * w))
-    )
-    np.add.at(u_new, np.asarray(rows), bumps)
+    bumps = signed[:, None] * np.exp(-(delta * delta) / (2 * w * w))
+    # one bump at a time, in arrival order, as np.add.at adds them
+    for row, bump in zip(rows, bumps):
+        u_new[row] += bump
 
 
-def _step_fields(h, u, r, params, rngs, t):
-    """One explicit step on (rows, n) field arrays; rngs has one entry per row."""
+def _step_fields(h, u, r, params, rngs, xg, t):
+    """One explicit step on (rows, n) field arrays; rngs has one entry per row.
+
+    Centered differences (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
+    (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from _neighbours.
+    Every operation and its order is that of the original np.roll stencils,
+    so trajectories are bitwise those of tests/oracles.py:roll_advance.
+    """
     dx = params.geometry.spacing_m
     dt = params.dt_s
+    two_dx = 2.0 * dx
+    dx2 = dx * dx
     _check_cfl(h, u, params)
 
     phi = np.where(h > params.h_cloud, params.phi_cloud, params.gravity * h)
     phi = phi + params.rain_geopotential * r
-    dudx = _dx_centered(u, dx)
-    u_new = u + dt * (-u * dudx - _dx_centered(phi, dx) + params.diff_u * _laplacian(u, dx))
-    _plume_forcing(u_new, params, rngs)
+    u_p, u_m = _neighbours(u)
+    phi_p, phi_m = _neighbours(phi)
+    dudx = (u_p - u_m) / two_dx
+    u_new = u + dt * (
+        -u * dudx - (phi_p - phi_m) / two_dx + params.diff_u * ((u_p - 2.0 * u + u_m) / dx2)
+    )
+    _plume_forcing(u_new, params, rngs, xg)
 
-    h_new = h + dt * (-_dx_centered(u * h, dx) + params.diff_h * _laplacian(h, dx))
+    uh_p, uh_m = _neighbours(u * h)
+    h_p, h_m = _neighbours(h)
+    h_new = h + dt * (
+        -((uh_p - uh_m) / two_dx) + params.diff_h * ((h_p - 2.0 * h + h_m) / dx2)
+    )
 
     production = np.where((h > params.h_rain) & (dudx < 0.0), -params.beta_rain * dudx, 0.0)
+    r_p, r_m = _neighbours(r)
     r_new = r + dt * (
-        -u * _dx_centered(r, dx)
-        + params.diff_r * _laplacian(r, dx)
+        -u * ((r_p - r_m) / two_dx)
+        + params.diff_r * ((r_p - 2.0 * r + r_m) / dx2)
         - params.alpha_rain * r
         + production
     )
@@ -224,12 +253,13 @@ def advance_members(members, params, n_steps, rngs):
         raise ValueError("members/rngs inconsistent with the model geometry")
     fields = params.layout.split(members)
     h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
+    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
     t = 0.0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_steps):
-            h, u, r = _step_fields(h, u, r, params, rngs, t)
+            h, u, r = _step_fields(h, u, r, params, rngs, xg, t)
             t += params.dt_s
     out = np.empty_like(members)
     fields = params.layout.split(out)
@@ -237,17 +267,18 @@ def advance_members(members, params, n_steps, rngs):
     return out
 
 
-def spinup_ensemble(params, k, separation_days, rng):
+def spinup_ensemble(params, k, separation_days, rng, base=None):
     """Free-run climatological (k, 3n) ensemble: one long trajectory, sampled evenly.
 
-    Starts from the warm climatological base state, burns in one separation
-    interval, then records k states separation_days apart. separation 0
-    returns k copies of the base state (degenerate, used by tests).
+    Starts from base, by default the warm climatological base state
+    warm_state(params), burns in one separation interval, then records k
+    states separation_days apart. separation 0 returns k copies of the base
+    state (degenerate, used by tests).
     """
     if k < 2:
         raise ValueError("need k >= 2 members")
     steps = params.steps(separation_days * 86400.0)
-    vec = warm_state(params)[None, :]
+    vec = (warm_state(params) if base is None else base)[None, :]
     members = np.empty((k, vec.shape[1]))
     vec = advance_members(vec, params, steps, [rng])  # burn-in
     for i in range(k):

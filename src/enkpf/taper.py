@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from enkpf.core import _finite_cov
+
 
 def gaspari_cohn(dist, c):
     """Gaspari-Cohn correlation at distance(s) dist for length scale c.
@@ -72,6 +74,7 @@ def tapered_cov_block(members, cols_a, cols_b, layout, spec):
     The Schur product of the sample covariance X'X/(k-1) with the taper
     weights, evaluated on the (cols_a, cols_b) block only, so no d x d matrix
     is formed; this is what the localized filters call on small slices.
+    FilterError when the block is not finite (see core._finite_cov).
     """
     members = np.asarray(members, dtype=float)
     k = members.shape[0]
@@ -79,7 +82,8 @@ def tapered_cov_block(members, cols_a, cols_b, layout, spec):
         raise ValueError("need at least 2 members for a sample covariance")
     a = members[:, cols_a]
     b = members[:, cols_b]
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    cov = a.T @ b / (k - 1)
-    return cov * taper_weights(layout, spec, cols_a, cols_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a - a.mean(axis=0)
+        b = b - b.mean(axis=0)
+        cov = a.T @ b / (k - 1)
+    return _finite_cov(cov) * taper_weights(layout, spec, cols_a, cols_b)

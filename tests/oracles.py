@@ -21,6 +21,10 @@ covariance as sparse matrices; the package only ever forms dense blocks of
 them (tapered_cov_block). rank_histogram, scores_csv_text and read_scores_csv
 are the small scoring helpers the tests read outputs back with.
 
+roll_advance is the model step as first written, with np.roll stencils and
+the plume forcing in its original form; sweq.advance_members must stay
+bitwise equal to it.
+
 fixed_gamma and identity_resample stand in for search_gamma and
 balanced_resample: a test monkeypatches them into a filter's module to force
 gamma or to keep every member in place, and still runs the production update.
@@ -88,6 +92,65 @@ def window_size(window, geometry):
 def block_w_cols(block, layout):
     """The state columns outside u and v of an ObservationBlock, ascending."""
     return np.setdiff1d(np.arange(layout.dim), np.concatenate([block.u, block.v]))
+
+
+def _roll_dx(f, dx):
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+
+
+def _roll_laplacian(f, dx):
+    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (dx * dx)
+
+
+def _roll_plumes(u_new, params, rngs):
+    lam = params.plumes_per_step
+    rows, centers, signs = [], [], []
+    for i, rng in enumerate(rngs):
+        count = int(rng.poisson(lam))
+        if count:
+            rows.extend([i] * count)
+            centers.append(rng.uniform(0.0, params.geometry.domain_m, count))
+            signs.append(np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0))
+    if not rows:
+        return
+    centers = np.concatenate(centers)
+    signs = np.concatenate(signs)
+    length = params.geometry.domain_m
+    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+    delta = np.mod(xg[None, :] - centers[:, None] + 0.5 * length, length) - 0.5 * length
+    w = params.plume_width_m
+    bumps = (
+        signs[:, None] * params.plume_amplitude * np.exp(-(delta * delta) / (2 * w * w))
+    )
+    np.add.at(u_new, np.asarray(rows), bumps)
+
+
+def roll_advance(members, params, n_steps, rngs):
+    """sweq.advance_members without its checks, stepping with np.roll."""
+    fields = params.layout.split(np.asarray(members, dtype=float))
+    h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
+    dx = params.geometry.spacing_m
+    dt = params.dt_s
+    for _ in range(n_steps):
+        phi = np.where(h > params.h_cloud, params.phi_cloud, params.gravity * h)
+        phi = phi + params.rain_geopotential * r
+        dudx = _roll_dx(u, dx)
+        u_new = u + dt * (-u * dudx - _roll_dx(phi, dx) + params.diff_u * _roll_laplacian(u, dx))
+        _roll_plumes(u_new, params, rngs)
+        h_new = h + dt * (-_roll_dx(u * h, dx) + params.diff_h * _roll_laplacian(h, dx))
+        production = np.where((h > params.h_rain) & (dudx < 0.0), -params.beta_rain * dudx, 0.0)
+        r_new = r + dt * (
+            -u * _roll_dx(r, dx)
+            + params.diff_r * _roll_laplacian(r, dx)
+            - params.alpha_rain * r
+            + production
+        )
+        np.maximum(r_new, 0.0, out=r_new)
+        h, u, r = h_new, u_new, r_new
+    out = np.empty_like(np.asarray(members, dtype=float))
+    fields = params.layout.split(out)
+    fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
+    return out
 
 
 def fixed_gamma(gamma):

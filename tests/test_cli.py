@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,14 +158,53 @@ def test_run_rejects_plumes_that_break_the_model(tmp_path, capsys, line):
 
 
 def test_run_reports_model_blowup_in_one_line(tmp_path, capsys):
-    # negative gravity blows the warm start up; numpy must not warn on the way
+    # clouds everywhere, rain production at the edge of the float range and
+    # unstable rain diffusion blow the warm start up; numpy must not warn on
+    # the way
     cfg = tmp_path / "cfg.ini"
     write_tiny_config(cfg, tmp_path / "out")
     cfg.write_text(cfg.read_text().replace(
-        "warm_start_days = 0", "warm_start_days = 0.01\ngravity = -10"))
+        "warm_start_days = 0",
+        "warm_start_days = 0.01\nh_cloud = 80\nh_rain = 85\nbeta_rain = 1e308\n"
+        "rain_geopotential = 0\ndiff_r = 1e10"))
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite")
+
+
+@pytest.mark.parametrize("method", [m for m, fn in experiment.ANALYSES.items() if fn])
+def test_overflowing_forecast_fails_only_its_method(tmp_path, capsys, method):
+    # clouds everywhere and rain production at the edge of the float range:
+    # rain reaches about 1e304, finite, but the forecast's covariance overflows
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace(
+        "block_lenkpf, free", f"{method}, free").replace(
+        "warm_start_days = 0",
+        "warm_start_days = 0.01\nh_cloud = 80\nh_rain = 85\nbeta_rain = 1e308\n"
+        "rain_geopotential = 0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    records = read_scores_csv(tmp_path / "out" / "scores.csv")
+    # the analysis of cycle 1 fails; the method's later forecasts are empty
+    for rec in records:
+        if rec.method == method:
+            assert (rec.crps is None) == (rec.cycle > 1)
+        else:
+            assert rec.crps is not None
+    free_rain = [rec.crps for rec in records if rec.method == "free" and rec.field == "r"]
+    assert max(free_rain) > 1e300
+
+
+def test_run_rejects_nonpositive_gravity_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text() + "gravity = -10\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model: gravity")
 
 
 def test_missing_config_file_reports_error(tmp_path, capsys):

@@ -22,6 +22,13 @@ def test_moments_two_scalar_members():
     assert cov[0, 0] == 2.0
 
 
+def test_moments_of_an_overflowing_spread_raise_filter_error():
+    ens = np.array([[1e304, 0.0], [-1e304, 1.0], [0.0, 2.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(FilterError, match="not finite"):
+            ensemble_moments(ens)
+
+
 def test_moments_monte_carlo_identity():
     rng = np.random.default_rng(42)
     x = rng.standard_normal((10_000, 4))

@@ -5,6 +5,7 @@ import pytest
 
 import enkpf.config as config
 import enkpf.experiment as ex
+from enkpf import sweq
 from enkpf.config import ExperimentConfig
 from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
@@ -84,6 +85,25 @@ def test_threads_do_not_change_output_bytes(tmp_path):
         with open(os.path.join(out2, name), "rb") as fh:
             b2 = fh.read()
         assert b1 == b2, name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_warm_start_per_run(tmp_path, monkeypatch, threads):
+    # the run computes the warm state once, in the parent process, and every
+    # repetition (in a pool worker or not) starts its spinup from it
+    log = tmp_path / "warm_state_calls"
+    real = sweq.warm_state
+
+    def logged(params):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(params)
+
+    monkeypatch.setattr(sweq, "warm_state", logged)
+    model = ModelParams(geometry=GridGeometry(24, 500.0), warm_start_days=0.001)
+    cfg = tiny_cfg(repetitions=2, duration_s=60.0, model=model, out_dir=str(tmp_path / "out"))
+    ex.run_experiment(cfg, threads=threads)
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_numerical_failure_drops_method_but_not_run(monkeypatch):

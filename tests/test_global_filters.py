@@ -11,6 +11,7 @@ from enkpf.global_filters import (
     pf_weights,
     search_gamma,
 )
+from enkpf.errors import FilterError
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
 
@@ -332,6 +333,13 @@ def test_adaptive_gamma_band_one_forces_enkf():
     x, p, obs = random_system(rng, k=10)
     gamma, _ = adaptive_gamma(x, obs, p, (1.0, 1.0), np.random.default_rng(2))
     assert gamma == 1.0
+
+
+def test_weight_solver_rejects_a_whitened_covariance_that_overflows():
+    # finite S, but whitening by a tiny R overflows float64
+    with np.errstate(all="raise"):
+        with pytest.raises(FilterError, match="whitened innovation covariance"):
+            GammaWeightSolver(np.array([[1e10]]), np.array([1e-300]), np.zeros((3, 1)))
 
 
 def test_adaptive_gamma_two_cluster_grid_oracle():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,6 +20,7 @@ from enkpf.sweq import (
     spinup_ensemble,
     warm_state,
 )
+from oracles import roll_advance
 
 
 def small_params(**kw):
@@ -148,6 +151,90 @@ def test_members_evolve_independently():
     assert not np.array_equal(out[0], out[1])
 
 
+def active_members(params, rows, seed):
+    """(rows, 3n) random states with clouds, rain and convergence everywhere."""
+    rng = np.random.default_rng(seed)
+    n = params.geometry.n_points
+    members = np.empty((rows, params.layout.dim))
+    fields = params.layout.split(members)
+    fields["h"][...] = params.h_rest + rng.normal(0.0, 0.2, (rows, n))
+    fields["u"][...] = rng.normal(0.0, 1.0, (rows, n))
+    fields["r"][...] = rng.exponential(0.02, (rows, n))
+    return members
+
+
+@pytest.mark.parametrize("plume_rate", [0.0, 8e-5])
+@pytest.mark.parametrize("rows", [1, 2, 50])
+def test_step_is_bitwise_the_roll_step(rows, plume_rate):
+    params = ModelParams(plume_rate=plume_rate)
+    members = active_members(params, rows, 20 + rows)
+    rngs = [np.random.default_rng(i) for i in range(rows)]
+    out = advance_members(members, params, 120, rngs)
+    rngs = [np.random.default_rng(i) for i in range(rows)]
+    np.testing.assert_array_equal(out, roll_advance(members, params, 120, rngs))
+    fields = params.layout.split(out)
+    assert (fields["h"] > params.h_rain).any() and (fields["r"] > params.rain_threshold).any()
+
+
+class PlacedPlumes:
+    """Stub rng: one plume per step at each of the given centers in turn."""
+
+    def __init__(self, centers):
+        self.centers = list(centers)
+        self.count = 0
+
+    def poisson(self, lam):
+        return 1
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.count += 1
+        if self.count % 2:  # the center draw
+            return np.array([self.centers.pop(0)])
+        return np.array([0.25 if self.count % 4 else 0.75])  # the sign draw
+
+
+def test_plumes_at_the_wrap_points_match_the_roll_step():
+    # the wrap's edge cases: a center just above length / 2, whose offset
+    # from grid point 0 rounds up onto length; centers whose offsets land
+    # exactly on 0 or length / 2; the largest center uniform can draw
+    params = ModelParams()
+    length = params.geometry.domain_m
+    centers = [np.nextafter(0.5 * length, length), 0.5 * length, 0.0,
+               np.nextafter(length, 0.0), 1e-9, 250.0]
+    x = rest_state(params)[None, :]
+    out = advance_members(x, params, len(centers), [PlacedPlumes(centers)])
+    ref = roll_advance(x, params, len(centers), [PlacedPlumes(centers)])
+    np.testing.assert_array_equal(out, ref)
+    assert np.abs(params.layout.split(out[0])["u"]).max() > 0
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+# The digest of warm_state(ModelParams(warm_start_days=0.05)), keyed by the
+# digest of exp over EXP_PROBE. float64 exp is the one operation of the
+# model whose bits depend on the platform: numpy uses its own AVX-512 kernel
+# where the CPU has one and the C library's exp elsewhere, and the two
+# differ in the last bit for about 2 % of arguments.
+EXP_PROBE = -np.linspace(0.0, 745.0, 100_001)
+WARM_STATE_SHA256 = {
+    # numpy 2.4 AVX-512 exp
+    "8f191b961d2c9873cbfeadaaa9cd9a587f80a9d4a6492e6d2c17e165fb7ad7d6":
+        "cdddf2191991459bffdd12c428b661c44b98a08872a018305452f70f91356c36",
+    # glibc exp, as math.exp computes it
+    "0a63b69d12e2092211195b9ed2a645f2f1fe57ba2f99c62ee52dd093b645233f":
+        "ec8613545c584b9026db3bdca7ef05c2352bcb31b0660c0ba622662b70588490",
+}
+
+
+def test_warm_state_bits_are_pinned():
+    expected = WARM_STATE_SHA256.get(_sha(np.exp(EXP_PROBE)))
+    if expected is None:
+        pytest.skip("no warm_state digest pinned for this platform's float64 exp")
+    assert _sha(warm_state(ModelParams(warm_start_days=0.05))) == expected
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         small_params(h_rain=90.0, h_cloud=90.02)
@@ -155,6 +242,9 @@ def test_params_validation():
         small_params(dt_s=0.0)
     with pytest.raises(ValueError):
         small_params(alpha_rain=-1.0)
+    for gravity in (0.0, -10.0, float("nan")):
+        with pytest.raises(ValueError, match="gravity"):
+            small_params(gravity=gravity)
 
 
 # --------------------------------------------------------------------- spinup

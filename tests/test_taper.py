@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkpf.errors import FilterError
 from enkpf.grid import default_layout
 from enkpf.taper import TaperSpec, gaspari_cohn, taper_weights, tapered_cov_block
 
@@ -158,3 +159,13 @@ def test_taper_spec_validation():
         TaperSpec(0.0)
     spec = TaperSpec(5000.0)
     assert spec.support_radius_m == 10000.0
+
+
+def test_tapered_block_of_an_overflowing_spread_raises_filter_error():
+    layout = default_layout(10)
+    members = np.zeros((4, layout.dim))
+    members[:, 25] = [1e304, -1e304, 2e304, 0.0]
+    cols = np.arange(20, 30)
+    with np.errstate(all="raise"):
+        with pytest.raises(FilterError, match="not finite"):
+            tapered_cov_block(members, cols, cols, layout, TaperSpec(2000.0))
