@@ -5,7 +5,7 @@ from enkpf.grid import GridGeometry, StateLayout
 from enkpf.taper import TaperSpec, gaspari_cohn
 from enkpf.core import ensemble_moments
 from enkpf.obs import GaussObs
-from enkpf.resampling import balanced_resample, ess, permute_fixed_points
+from enkpf.resampling import balanced_resample, ess
 from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_weights
 from enkpf.local_filters import (
     LocalWindowSpec,

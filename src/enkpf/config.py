@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from enkpf.errors import ConfigError
 from enkpf.experiment import METHODS
-from enkpf.grid import GridGeometry
 from enkpf.sweq import ModelParams
 
 SCENARIOS = ("hf", "lf", "custom")
@@ -103,6 +102,7 @@ def validate_config(cfg):
         raise ConfigError("spinup_days: must be nonnegative")
     for key, seconds in (("spinup_days", cfg.spinup_days * 86400.0),
                          ("warm_start_days", cfg.model.warm_start_days * 86400.0),
+                         ("interval_s", cfg.interval_s),
                          ("duration_s", cfg.duration_s)):
         try:
             cfg.model.steps(seconds)
@@ -158,28 +158,8 @@ _EXPERIMENT_KEYS = {
     "out": str,
 }
 
-_MODEL_KEYS = {
-    "n_points": int,
-    "spacing_m": _to_float,
-    "gravity": _to_float,
-    "h_rest": _to_float,
-    "h_cloud": _to_float,
-    "h_rain": _to_float,
-    "phi_cloud": _to_float,
-    "rain_geopotential": _to_float,
-    "alpha_rain": _to_float,
-    "beta_rain": _to_float,
-    "diff_h": _to_float,
-    "diff_u": _to_float,
-    "diff_r": _to_float,
-    "plume_rate": _to_float,
-    "plume_amplitude": _to_float,
-    "plume_width_m": _to_float,
-    "dt_s": _to_float,
-    "rain_threshold": _to_float,
-    "sigma_r": _to_float,
-    "sigma_u": _to_float,
-    "warm_start_days": _to_float,
+_MODEL_KEYS = {"n_points": int, "spacing_m": _to_float} | {
+    f.name: _to_float for f in dataclasses.fields(ModelParams) if f.name != "geometry"
 }
 
 _FIELD_FOR_KEY = {"l": "l_m", "out": "out_dir"}
@@ -222,14 +202,12 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 
     model_kw = dict(sections["model"])
-    n_points = model_kw.pop("n_points", None)
-    spacing = model_kw.pop("spacing_m", None)
+    geometry_kw = {
+        key: model_kw.pop(key) for key in ("n_points", "spacing_m") if key in model_kw
+    }
     try:
-        if n_points is not None or spacing is not None:
-            model_kw["geometry"] = GridGeometry(
-                n_points if n_points is not None else 300,
-                spacing if spacing is not None else 500.0,
-            )
+        if geometry_kw:
+            model_kw["geometry"] = dataclasses.replace(ModelParams().geometry, **geometry_kw)
         model = ModelParams(**model_kw)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc

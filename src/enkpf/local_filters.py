@@ -7,9 +7,10 @@ at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
 All sites share the same observation perturbations (one global draw) and one
 global uniform for resampling, so that neighboring analyses stay as coherent
 as the weights allow; the remaining index freedom is removed by a
-left-to-right reordering sweep. Every site, block and gamma updates through
-global_filters._enkpf_rows_update, which at gamma = 1 is the one EnKF rows
-update (_enkf_rows).
+left-to-right reordering sweep. Every site and block runs the one local EnKPF
+step (_local_enkpf): gamma, the weights at gamma, systematic indices reordered
+toward a reference index vector, and global_filters._enkpf_rows_update,
+which at gamma = 1 is the one EnKF rows update (_enkf_rows).
 
 BLOCK-LEnKPF instead partitions the observations into short segments. Each
 segment's block update touches the directly observed columns u with a local
@@ -34,12 +35,7 @@ from enkpf.global_filters import (
     search_gamma,
 )
 from enkpf.obs import GaussObs
-from enkpf.resampling import (
-    balanced_resample,
-    permute_fixed_points,
-    reorder_to_match,
-    systematic_indices,
-)
+from enkpf.resampling import ess, reorder_to_match, systematic_indices
 from enkpf.taper import tapered_cov_block
 
 __all__ = [
@@ -87,17 +83,42 @@ def _obs_geometry(all_obs, layout, radius_m):
     return [np.flatnonzero(dist[g] <= radius_m) for g in range(n)]
 
 
+def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_idx,
+                 diagnostics):
+    """One local EnKPF step on x_rows; returns (analysis rows, indices).
+
+    With ess_lo = None gamma is 1 (the EnKF): no weights, no diagnostics.
+    Otherwise gamma comes from search_gamma and diagnostics, if given,
+    records it with the ESS of its weights. Below gamma = 1 the systematic
+    indices for the uniform u are reordered to agree with prev_idx as far as
+    the multisets allow; at gamma = 1 they are the identity.
+    """
+    k = x_rows.shape[0]
+    gamma = 1.0
+    if ess_lo is not None:
+        solver = GammaWeightSolver(s_oo, r_diag, innov0)
+        gamma = search_gamma(solver, ess_lo, k)
+        alpha = solver.weights(gamma)
+        if diagnostics is not None:
+            diagnostics.record(gamma, ess(alpha))
+    if gamma == 1.0:
+        idx = np.arange(k)
+    else:
+        idx = reorder_to_match(systematic_indices(alpha, u), prev_idx)
+    rows = _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta, er, idx)
+    return rows, idx
+
+
 def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostics=None):
     """Local EnKPF at every grid point, shared draws drawn in the order eta,
     e_R, resampling uniform.
 
-    With ess_lo set, each site picks its own gamma (search_gamma) and, for
-    gamma < 1, its systematic indices are reordered to agree with the
-    previous site's as much as the multisets allow, which suppresses
+    With ess_lo set, each site picks its own gamma and its indices are
+    reordered toward the previous site's (_local_enkpf), which suppresses
     artificial discontinuities at site boundaries. With ess_lo = None, gamma
-    is 1 at every site (the LEnKF): no weights, no diagnostics. Sites without
-    observations keep their background bitwise; they and gamma = 1 sites
-    contribute identity index vectors to the sweep.
+    is 1 at every site (the LEnKF). Sites without observations keep their
+    background bitwise; they and gamma = 1 sites contribute identity index
+    vectors to the sweep.
     """
     x = np.asarray(ens, dtype=float)
     k, d = x.shape
@@ -120,23 +141,11 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
             idx = identity
             continue
         cols = layout.cols_at(g)
-        s_loc = s_full[np.ix_(sel, sel)]
-        r_loc = all_obs.r_diag[sel]
-        gamma = 1.0
-        if ess_lo is not None:
-            solver = GammaWeightSolver(s_loc, r_loc, innov0[:, sel])
-            gamma = search_gamma(solver, ess_lo, k)
-            if diagnostics is not None:
-                diagnostics.record(gamma, solver.ess(gamma))
-        if gamma == 1.0:
-            idx = identity
-        else:
-            raw = systematic_indices(solver.weights(gamma), u_shared)
-            idx = reorder_to_match(raw, idx)
         try:
-            out[:, cols] = _enkpf_rows_update(
-                x[:, cols], innov0[:, sel], r_loc, p_cross[np.ix_(cols, sel)], s_loc,
-                gamma, eta_all[:, sel], er_all[:, sel], idx,
+            out[:, cols], idx = _local_enkpf(
+                x[:, cols], innov0[:, sel], all_obs.r_diag[sel],
+                p_cross[np.ix_(cols, sel)], s_full[np.ix_(sel, sel)],
+                eta_all[:, sel], er_all[:, sel], ess_lo, u_shared, idx, diagnostics,
             )
         except FilterError as exc:
             raise FilterError(f"site {g}: {exc}") from exc
@@ -239,10 +248,11 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
 def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
-    Adaptive-gamma EnKPF (search_gamma) on the observed columns u, with
-    balanced resampling indices permuted to maximize fixed points;
-    correlated columns v follow through the conditional regression against
-    the tapered P_uu; all other columns are untouched.
+    Adaptive-gamma local EnKPF (_local_enkpf) on the observed columns u,
+    drawing eta, e_R and the resampling uniform in that order, with indices
+    reordered toward the identity to maximize fixed points; correlated
+    columns v follow through the conditional regression against the tapered
+    P_uu; all other columns are untouched.
     """
     lo, _ = _check_band(ess_band)
     x = np.asarray(ens, dtype=float)
@@ -258,16 +268,10 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
     innov0 = obs.y - x[:, obs_cols]
     eta = rng.standard_normal((k, m))
     er = rng.standard_normal((k, m))
-    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
-    g = search_gamma(solver, lo, k)
-    if diagnostics is not None:
-        diagnostics.record(g, solver.ess(g))
-
-    if g == 1.0:
-        idx = np.arange(k)
-    else:
-        idx = permute_fixed_points(balanced_resample(solver.weights(g), rng))
-    x_u = _enkpf_rows_update(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, g, eta, er, idx)
+    x_u, _ = _local_enkpf(
+        x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, rng.uniform(),
+        np.arange(k), diagnostics,
+    )
 
     out = x.copy()
     out[:, block.u] = x_u

@@ -9,6 +9,9 @@ pointers (u + i)/k swept against the cumulative weights, every count N_j
 stays strictly within 1 of k*alpha_j, and uniform weights reproduce the
 identity index vector. Both properties are load-bearing for the localized
 filters (shared uniform across sites, identity at unweighted sites).
+reorder_to_match rearranges indices toward a reference vector: the previous
+site's in the naive filter, the identity (most fixed points) in the block
+filter.
 """
 
 import numpy as np
@@ -53,24 +56,6 @@ def systematic_indices(alpha, u):
 def balanced_resample(alpha, rng):
     """Resample k indices with counts within 1 of k*alpha_j (systematic scheme)."""
     return systematic_indices(alpha, rng.uniform())
-
-
-def permute_fixed_points(idx):
-    """Rearrange an index vector to maximize #{i : I(i) = i}, keeping counts.
-
-    Every member j with N_j >= 1 is placed at its own slot j first (this
-    attains the maximum sum_j min(N_j, 1) fixed points); remaining copies
-    fill the free slots in ascending order.
-    """
-    k = idx.shape[0]
-    counts = np.bincount(idx, minlength=k)
-    out = np.full(k, -1, dtype=np.intp)
-    selected = counts > 0
-    out[selected] = np.flatnonzero(selected)
-    counts[selected] -= 1
-    leftovers = np.repeat(np.arange(k, dtype=np.intp), counts)
-    out[out < 0] = leftovers
-    return out
 
 
 def reorder_to_match(idx, prev_idx):

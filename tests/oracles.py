@@ -25,11 +25,16 @@ roll_advance is the model step as first written, with np.roll stencils and
 the plume forcing in its original form; sweq.advance_members must stay
 bitwise equal to it.
 
-fixed_gamma and identity_resample stand in for search_gamma and
-balanced_resample: a test monkeypatches them into a filter's module to force
-gamma or to keep every member in place, and still runs the production update.
-Like the package, they and enkpf_weights pass weights and resampling indices
-as plain (k,) arrays.
+permute_fixed_points is the block filter's fixed-point permutation as first
+written; the package gets it as resampling.reorder_to_match against the
+identity, which must stay equal to it.
+
+fixed_gamma and identity_resample stand in for search_gamma and for the
+resampling call: a test monkeypatches fixed_gamma into local_filters, and
+identity_resample in place of balanced_resample in global_filters or of
+systematic_indices in local_filters, to force gamma or to keep every member
+in place, and still runs the production update. Like the package, they and
+enkpf_weights pass weights and resampling indices as plain (k,) arrays.
 """
 
 import csv
@@ -159,8 +164,27 @@ def fixed_gamma(gamma):
 
 
 def identity_resample(alpha, rng):
-    """A balanced_resample that keeps every member in its slot and draws nothing."""
+    """A balanced_resample(alpha, rng) or systematic_indices(alpha, u) that
+    keeps every member in its slot and draws nothing."""
     return np.arange(alpha.shape[0])
+
+
+def permute_fixed_points(idx):
+    """Rearrange an index vector to maximize #{i : I(i) = i}, keeping counts.
+
+    Every member j with N_j >= 1 is placed at its own slot j first (this
+    attains the maximum sum_j min(N_j, 1) fixed points); remaining copies
+    fill the free slots in ascending order.
+    """
+    k = idx.shape[0]
+    counts = np.bincount(idx, minlength=k)
+    out = np.full(k, -1, dtype=np.intp)
+    selected = counts > 0
+    out[selected] = np.flatnonzero(selected)
+    counts[selected] -= 1
+    leftovers = np.repeat(np.arange(k, dtype=np.intp), counts)
+    out[out < 0] = leftovers
+    return out
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     # force gamma and keep every member in its slot; the production block and
     # global updates still run end to end
     monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
-    monkeypatch.setattr(local_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
     monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
 
     blocks = partition_obs_blocks(obs, taper, layout, 10_000.0)

@@ -136,6 +136,19 @@ def test_run_rejects_duration_above_step_cap(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error: duration_s: too long")
 
 
+def test_run_rejects_interval_above_step_cap(tmp_path, capsys):
+    # 2e10 steps per cycle and no cycles: still a config error, not a
+    # traceback from the repetition that converts the interval to steps
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text().replace("interval_s = 60", "interval_s = 100000000000")
+                   .replace("duration_s = 180", "duration_s = 0"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: interval_s: too long")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_reports_out_of_memory_in_one_line(tmp_path, capsys):
     # a (k + 1, 72) float spinup array of 524 TiB, which no machine allocates
     cfg = tmp_path / "cfg.ini"

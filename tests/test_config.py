@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enkpf.config import ExperimentConfig, parse_config, validate_config
 from enkpf.errors import ConfigError
-from enkpf.sweq import MAX_STEPS
+from enkpf.sweq import MAX_STEPS, ModelParams
 
 
 def test_empty_text_gives_stock_defaults():
@@ -115,6 +115,7 @@ def test_validation_errors_name_the_key(text, key):
 # spans of MAX_STEPS steps of the default dt_s = 5 s, in each key's unit
 CAP_SPANS = {"spinup_days": MAX_STEPS * 5.0 / 86400.0,
              "warm_start_days": MAX_STEPS * 5.0 / 86400.0,
+             "interval_s": MAX_STEPS * 5.0,
              "duration_s": MAX_STEPS * 5.0}
 
 
@@ -129,6 +130,29 @@ def test_step_count_cap_names_the_key(key, scale, rejected):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value).startswith(f"{key}: too long")
+
+
+MODEL_KEY_VALUES = {
+    **{f.name: getattr(ModelParams(), f.name) * (1 + 2**-10)
+       for f in dataclasses.fields(ModelParams) if f.name != "geometry"},
+    "dt_s": 2.5,  # the hf interval must stay a multiple of dt_s
+    "n_points": 60,
+    "spacing_m": 250.0,
+}
+
+
+@pytest.mark.parametrize("key", sorted(MODEL_KEY_VALUES))
+def test_every_model_key_round_trips(key):
+    value = MODEL_KEY_VALUES[key]
+    model = parse_config(f"[model]\n{key} = {value!r}\n").model
+    default = ModelParams()
+    if key in ("n_points", "spacing_m"):
+        # the other geometry key keeps its default
+        assert model.geometry == dataclasses.replace(default.geometry, **{key: value})
+        assert model == dataclasses.replace(default, geometry=model.geometry)
+    else:
+        assert getattr(model, key) == value
+        assert model == dataclasses.replace(default, **{key: value})
 
 
 def test_plumes_per_step_up_to_n_points_are_accepted():

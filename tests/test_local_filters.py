@@ -24,13 +24,14 @@ from enkpf.local_filters import (
     schedule_blocks,
 )
 from enkpf.obs import GaussObs
-from enkpf.resampling import permute_fixed_points, systematic_indices
+from enkpf.resampling import systematic_indices
 from enkpf.taper import TaperSpec, tapered_cov_block
 
 from oracles import (
     block_w_cols,
     fixed_gamma,
     identity_resample,
+    permute_fixed_points,
     tapered_covariance,
     window_size,
 )
@@ -395,7 +396,7 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     # the full tapered covariance coincide on u and v and leave w bitwise
     gamma = 0.55
     monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
-    monkeypatch.setattr(local_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
     monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
     rng = np.random.default_rng(18)
     layout = default_layout(4)
@@ -417,6 +418,38 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     np.testing.assert_allclose(out_full[:, uv], out_block[:, uv], rtol=1e-10, atol=1e-12)
     np.testing.assert_array_equal(out_block[:, w], x[:, w])
     np.testing.assert_array_equal(out_full[:, w], x[:, w])
+
+
+def test_block_interior_gamma_rebuilt_from_its_stream():
+    # the block's stream gives eta, e_R, then the resampling uniform; the
+    # indices are the fixed-point permutation of the systematic resample
+    rng = np.random.default_rng(28)
+    layout = default_layout(30)
+    taper = TaperSpec(2000.0)
+    k = 20
+    x = random_ensemble(rng, layout, k)
+    obs = rain_obs(layout, [3, 4, 5, 6], [2.0, -1.5, 1.8, 2.5])
+    block = partition_obs_blocks(obs, taper, layout, 5000.0)[0]
+    diag = LocalDiagnostics()
+    out = block_assimilate_one(
+        x, block, taper, layout, band(), np.random.default_rng(29), diagnostics=diag
+    )
+
+    rng_ref = np.random.default_rng(29)
+    eta = rng_ref.standard_normal((k, obs.m))
+    er = rng_ref.standard_normal((k, obs.m))
+    u = rng_ref.uniform()
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, layout, taper)
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, layout, taper)
+    innov0 = obs.y - x[:, obs.h_rows]
+    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
+    g = search_gamma(solver, band()[0], k)
+    assert 0.0 < g < 1.0 and diag.gammas == [g]  # setup sanity: interior gamma
+    raw = systematic_indices(solver.weights(g), u)
+    idx = permute_fixed_points(raw)
+    assert not np.array_equal(idx, raw)  # the permutation moves some copies
+    ref = _enkpf_rows_update(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, g, eta, er, idx)
+    np.testing.assert_array_equal(out[:, block.u], ref)
 
 
 def test_block_pinv_fallback_on_rank_deficient_p_uu():

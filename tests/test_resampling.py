@@ -9,11 +9,12 @@ from enkpf.errors import FilterError
 from enkpf.resampling import (
     balanced_resample,
     ess,
-    permute_fixed_points,
     reorder_to_match,
     systematic_indices,
     weights_from_log,
 )
+
+from oracles import permute_fixed_points
 
 
 def test_weights_from_log_normalizes():
@@ -147,6 +148,20 @@ def test_reorder_to_match_brute_force_small():
         )
         got = int(np.sum(out == prev))
         assert got == brute_force_max_matches(idx, prev)
+
+
+def test_reorder_to_match_identity_is_permute_fixed_points():
+    # the block filter's indices: reordering toward the identity is the
+    # fixed-point permutation, dtype included, sorted input or not
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        k = int(rng.integers(1, 101))
+        idx = rng.integers(0, k, size=k)
+        for case in (idx, np.sort(idx)):
+            got = reorder_to_match(case, np.arange(k))
+            want = permute_fixed_points(case)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_reorder_deterministic_leftover_order():
