@@ -8,15 +8,19 @@ each method then runs its analysis and the analyses are propagated to the
 next cycle. The `free` method never sees an observation object at all: its
 "analysis" is the forecast, which makes it the climatological baseline.
 
-A numerical failure (blowup, CFL, non-PD innovation) removes the method for
-the rest of the repetition; its later cycles are recorded with empty scores
-and the other methods continue.
+A numerical failure (blowup, CFL, non-PD innovation, a non-finite analysis)
+removes the method for the rest of the repetition from the cycle where it
+happens; its later cycles are recorded with empty scores and the other
+methods continue.
 
 Every random draw comes from seed_stream(base_seed, rep, cycle, role, unit),
 so the full output is a pure function of the config: repetitions can run in a
 process pool and still produce byte-identical CSV files. Forecast plume
 streams are keyed by member index only and therefore shared across methods,
-which pairs the method comparisons member-by-member.
+which pairs the method comparisons member-by-member. So all methods forecast
+in lock-step (sweq.advance_ensembles): each step's plumes are drawn and
+evaluated once for every method. All methods start from the same spinup
+ensemble, so cycle 1 advances one trajectory and gives each method a copy.
 """
 
 import csv
@@ -149,6 +153,26 @@ METHODS = tuple(ANALYSES)
 METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
 
 
+def _forecast(ens, params, steps, rngs):
+    """Each method's forecast of its ensemble in ens, or the failure that stopped it.
+
+    Every distinct ensemble array is advanced once, all of them in lock-step
+    through sweq.advance_ensembles, so the plumes of a step are drawn and
+    evaluated once for all methods. A method holding the same array as an
+    earlier one gets its own copy of the forecast.
+    """
+    arrays = {id(x): x for x in ens.values()}
+    advanced = sweq.advance_ensembles(list(arrays.values()), params, steps, rngs)
+    advanced = dict(zip(arrays, advanced))
+    out = {}
+    for m, x in ens.items():
+        fc = advanced[id(x)]
+        if isinstance(fc, np.ndarray) and any(fc is other for other in out.values()):
+            fc = fc.copy()
+        out[m] = fc
+    return out
+
+
 def run_single_rep(cfg, rep, base=None):
     """One repetition of the twin experiment; pure function of (cfg, rep).
 
@@ -170,7 +194,9 @@ def run_single_rep(cfg, rep, base=None):
         params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0), base
     )
     truth = spin[0].copy()
-    ens = {m: spin[1:].copy() for m in cfg.methods}
+    # the live methods' ensembles, in method order; every method starts from
+    # the same spinup array, so cycle 1 advances one trajectory for them all
+    ens = dict.fromkeys(cfg.methods, spin[1:])
     failed_at = {}
 
     records = []
@@ -188,14 +214,13 @@ def run_single_rep(cfg, rep, base=None):
         obs = obs_to_gauss(radar, cfg.r_r, cfg.r_u)
 
         forecasts = {}
-        for m in cfg.methods:
-            if m in failed_at:
-                continue
-            try:
-                rngs = [seed_stream(seed, rep, cycle, "forecast", i) for i in range(k)]
-                forecasts[m] = advance_members(ens[m], params, steps, rngs)
-            except FAILURES:
+        rngs = [seed_stream(seed, rep, cycle, "forecast", i) for i in range(k)]
+        for m, fc in _forecast(ens, params, steps, rngs).items():
+            if isinstance(fc, FAILURES):
                 failed_at[m] = cycle
+                del ens[m]
+            else:
+                forecasts[m] = fc
 
         truth_f = layout.split(truth)
         forecast_f = {m: layout.split(fc) for m, fc in forecasts.items()}
@@ -225,10 +250,16 @@ def run_single_rep(cfg, rep, base=None):
             diag = LocalDiagnostics()
             rng_a = seed_stream(seed, rep, cycle, "analysis", METHOD_IDS[m])
             try:
-                ens[m] = analysis(forecasts[m], obs, ctx, rng_a, diag)
+                out = analysis(forecasts[m], obs, ctx, rng_a, diag)
             except FAILURES:
+                out = None
+            # a NaN analysis would pass the next forecast's CFL check (its
+            # wave speed is NaN) and be blamed on that forecast instead
+            if out is None or not np.isfinite(out).all():
                 failed_at[m] = cycle
+                del ens[m]
                 continue
+            ens[m] = out
             if cfg.trace:
                 trace_rows.append(
                     TraceRow(

@@ -20,6 +20,12 @@ wind only where the observed rain reaches the rain threshold.
 States are plain (3n,) vectors and ensembles (k, 3n) arrays, laid out as
 enkpf.grid.StateLayout says; this module reads and writes the fields only
 through StateLayout.split.
+
+advance_ensembles is the one step loop. It advances several ensembles whose
+member i draws its plumes from the same generator in lock-step: each step
+draws and evaluates the plumes once and adds them to every ensemble, which
+is how the experiment forecasts all its methods. advance_members is its
+one-ensemble case.
 """
 
 import csv
@@ -155,9 +161,8 @@ def _check_cfl(h, u, params):
 
 def _check_finite(h, u, r, t):
     for name, f in (("h", h), ("u", u), ("r", r)):
-        bad = ~np.isfinite(f)
-        if bad.any():
-            where = np.argwhere(bad)[0]
+        if not np.isfinite(f).all():
+            where = np.argwhere(~np.isfinite(f))[0]
             raise NumericalBlowup(
                 f"non-finite {name} at grid index {where[-1]} (t={t:.1f}s)",
                 grid_index=int(where[-1]),
@@ -165,10 +170,12 @@ def _check_finite(h, u, r, t):
             )
 
 
-def _plume_forcing(u_new, params, rngs, xg):
-    """Add Poisson-arriving wind plumes in place; one rng per trajectory row.
+def _plume_bumps(params, rngs, xg):
+    """One step's Poisson-arriving wind plumes; one rng per trajectory row.
 
-    xg holds the grid point coordinates in meters.
+    Draws each row's plume count, centers and signs in turn and returns the
+    rows and the bumps in arrival order, each bump a signed Gaussian wind
+    increment over the n grid points. xg holds their coordinates in meters.
     """
     lam = params.plumes_per_step
     length = params.geometry.domain_m
@@ -180,7 +187,7 @@ def _plume_forcing(u_new, params, rngs, xg):
             centers.append(rng.uniform(0.0, length, count))
             sign_draws.append(rng.uniform(size=count))
     if not rows:
-        return
+        return rows, ()
     # symmetric signs keep the net momentum input zero in expectation
     amplitude = params.plume_amplitude
     signed = np.where(np.concatenate(sign_draws) < 0.5, -amplitude, amplitude)
@@ -193,18 +200,17 @@ def _plume_forcing(u_new, params, rngs, xg):
     delta = offset - 0.5 * length
     w = params.plume_width_m
     bumps = signed[:, None] * np.exp(-(delta * delta) / (2 * w * w))
-    # one bump at a time, in arrival order, as np.add.at adds them
-    for row, bump in zip(rows, bumps):
-        u_new[row] += bump
+    return rows, bumps
 
 
-def _step_fields(h, u, r, params, rngs, xg, t):
-    """One explicit step on (rows, n) field arrays; rngs has one entry per row.
+def _dynamics(h, u, r, params):
+    """One explicit step of (rows, n) field arrays, without the plume forcing.
 
     Centered differences (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
     (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from _neighbours.
     Every operation and its order is that of the original np.roll stencils,
-    so trajectories are bitwise those of tests/oracles.py:roll_advance.
+    so trajectories are bitwise those of tests/oracles.py:roll_advance. The
+    new h and r do not read the new u, so the plumes may be added after them.
     """
     dx = params.geometry.spacing_m
     dt = params.dt_s
@@ -220,7 +226,6 @@ def _step_fields(h, u, r, params, rngs, xg, t):
     u_new = u + dt * (
         -u * dudx - (phi_p - phi_m) / two_dx + params.diff_u * ((u_p - 2.0 * u + u_m) / dx2)
     )
-    _plume_forcing(u_new, params, rngs, xg)
 
     uh_p, uh_m = _neighbours(u * h)
     h_p, h_m = _neighbours(h)
@@ -237,33 +242,74 @@ def _step_fields(h, u, r, params, rngs, xg, t):
         + production
     )
     np.maximum(r_new, 0.0, out=r_new)
-
-    _check_finite(h_new, u_new, r_new, t + dt)
     return h_new, u_new, r_new
 
 
-def advance_members(members, params, n_steps, rngs):
-    """Advance a (k, 3n) ensemble array n_steps; member i uses rngs[i].
+def advance_ensembles(ensembles, params, n_steps, rngs):
+    """Advance several (k, 3n) ensemble arrays n_steps in lock-step.
 
-    Dynamics are vectorized across members; plume forcing stays member-wise
-    through the per-member rng streams. Returns a new (k, 3n) array.
+    Member i of every ensemble uses rngs[i]. Each step draws and evaluates
+    the plumes once, then runs the dynamics of every live ensemble and adds
+    the plumes to it one bump at a time in arrival order, so every trajectory
+    is bitwise the one it takes when advanced alone with its own generators
+    of the same streams. Returns a list with one entry per ensemble: the new
+    (k, 3n) array, or the CflViolation or NumericalBlowup that stopped it;
+    the other ensembles carry on.
     """
-    members = np.asarray(members, dtype=float)
-    if members.shape[-1] != params.layout.dim or len(rngs) != len(members):
-        raise ValueError("members/rngs inconsistent with the model geometry")
-    fields = params.layout.split(members)
-    h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
+    layout = params.layout
+    # each ensemble's (h, u, r) fields, or the failure that stopped it; the
+    # dynamics return new arrays, so the inputs' views are never written
+    states = []
+    for members in ensembles:
+        members = np.asarray(members, dtype=float)
+        if members.shape[-1] != layout.dim or len(rngs) != len(members):
+            raise ValueError("members/rngs inconsistent with the model geometry")
+        fields = layout.split(members)
+        states.append((fields["h"], fields["u"], fields["r"]))
+    live = list(range(len(states)))
     xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
     t = 0.0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_steps):
-            h, u, r = _step_fields(h, u, r, params, rngs, xg, t)
+            if not live:
+                break
+            rows, bumps = _plume_bumps(params, rngs, xg)
             t += params.dt_s
-    out = np.empty_like(members)
-    fields = params.layout.split(out)
-    fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
+            for j in live:
+                h, u, r = states[j]
+                try:
+                    h, u, r = _dynamics(h, u, r, params)
+                    # one bump at a time, in arrival order, as np.add.at adds them
+                    for row, bump in zip(rows, bumps):
+                        u[row] += bump
+                    _check_finite(h, u, r, t)
+                except (CflViolation, NumericalBlowup) as exc:
+                    states[j] = exc
+                    # the loop goes on over the list it started with
+                    live = [i for i in live if i != j]
+                else:
+                    states[j] = h, u, r
+    # pack each ensemble's fields into its output, releasing them as it goes
+    for j in live:
+        h, u, r = states[j]
+        states[j] = out = np.empty((len(h), layout.dim))
+        fields = layout.split(out)
+        fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
+    return states
+
+
+def advance_members(members, params, n_steps, rngs):
+    """Advance a (k, 3n) ensemble array n_steps; member i uses rngs[i].
+
+    The one-ensemble case of advance_ensembles, which raises the
+    CflViolation or NumericalBlowup that stops it. Returns a new (k, 3n)
+    array.
+    """
+    (out,) = advance_ensembles([members], params, n_steps, rngs)
+    if not isinstance(out, np.ndarray):
+        raise out
     return out
 
 

@@ -127,6 +127,89 @@ def test_numerical_failure_drops_method_but_not_run(monkeypatch):
     assert all(r.crps is not None for r in res.records if r.method == "free")
 
 
+def test_non_finite_analysis_fails_at_its_own_cycle(monkeypatch):
+    real = ex.ANALYSES["lenkf"]
+    calls = {"n": 0}
+
+    def wrapped(members, obs, ctx, rng, diag):
+        calls["n"] += 1
+        out = real(members, obs, ctx, rng, diag)
+        if calls["n"] == 2:
+            out[0, 3] = np.nan
+        return out
+
+    monkeypatch.setitem(ex.ANALYSES, "lenkf", wrapped)
+    res = ex.run_single_rep(tiny_cfg(methods=("lenkf", "free"), trace=True), 0)
+    assert res.failed_at == {"lenkf": 2}
+    lenkf = {(r.cycle, r.field): r for r in res.records if r.method == "lenkf"}
+    assert all(lenkf[(2, f)].crps is not None for f in ex.FIELDS)
+    assert all(lenkf[(c, f)].crps is None for c in (3, 4, 5) for f in ex.FIELDS)
+    assert [row.cycle for row in res.trace_rows] == [1]
+
+
+def spy_forecasts(monkeypatch, k):
+    """Record the ensembles of each k-row sweq.advance_ensembles call."""
+    calls = []
+    real = sweq.advance_ensembles
+
+    def spy(ensembles, params, n_steps, rngs):
+        if len(rngs) == k:
+            calls.append(list(ensembles))
+        return real(ensembles, params, n_steps, rngs)
+
+    monkeypatch.setattr(sweq, "advance_ensembles", spy)
+    return calls
+
+
+def test_cycle_one_advances_one_ensemble_for_all_methods(monkeypatch):
+    cfg = tiny_cfg(duration_s=120.0)
+    calls = spy_forecasts(monkeypatch, cfg.k)
+    seen = {}
+
+    def spy(method, real):
+        def analysis(members, obs, ctx, rng, diag):
+            seen.setdefault(method, members)
+            return real(members, obs, ctx, rng, diag)
+
+        return analysis
+
+    for method in cfg.methods:
+        if ex.ANALYSES[method] is not None:
+            monkeypatch.setitem(ex.ANALYSES, method, spy(method, ex.ANALYSES[method]))
+    ex.run_single_rep(cfg, 0)
+    assert [len(ensembles) for ensembles in calls] == [1, len(cfg.methods)]
+    # the cycle-1 forecasts: one trajectory, a distinct array for each method
+    first = list(seen.values()) + [calls[1][cfg.methods.index("free")]]
+    assert len({id(x) for x in first}) == len(cfg.methods)
+    assert all(x.tobytes() == first[0].tobytes() for x in first)
+
+
+def test_failed_forecast_leaves_other_methods_bitwise(tmp_path, monkeypatch):
+    # lenkf's cycle-1 analysis hands back a finite but supersonic wind, so
+    # its cycle-2 forecast fails the CFL check inside the lock-step advance
+    layout = tiny_cfg().model.layout
+
+    def supersonic(members, obs, ctx, rng, diag):
+        out = members.copy()
+        layout.split(out)["u"][...] = 500.0
+        return out
+
+    def free_rows(methods):
+        out = tmp_path / "_".join(methods)
+        ex.run_experiment(tiny_cfg(methods=methods, out_dir=str(out)))
+        lines = (out / "scores.csv").read_text().splitlines()
+        return [line for line in lines if ",free," in line]
+
+    alone = free_rows(("free",))
+    monkeypatch.setitem(ex.ANALYSES, "lenkf", supersonic)
+    calls = spy_forecasts(monkeypatch, tiny_cfg().k)
+    with_lenkf = free_rows(("lenkf", "free"))
+    assert len(calls[1]) == 2  # lenkf failed in the shared cycle-2 advance
+    assert with_lenkf == alone and len(alone) == 5 * 3
+    res = ex.run_single_rep(tiny_cfg(methods=("lenkf", "free")), 0)
+    assert res.failed_at == {"lenkf": 2}
+
+
 def test_free_method_never_enters_analysis(monkeypatch):
     seen = []
 

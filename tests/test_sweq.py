@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from enkpf import sweq
 from enkpf.errors import CflViolation, NumericalBlowup
 from enkpf.grid import GridGeometry
 from enkpf.sweq import (
     ModelParams,
     RadarObs,
+    advance_ensembles,
     advance_members,
     gen_observations,
     load_ensemble_csv,
@@ -206,6 +208,68 @@ def test_plumes_at_the_wrap_points_match_the_roll_step():
     ref = roll_advance(x, params, len(centers), [PlacedPlumes(centers)])
     np.testing.assert_array_equal(out, ref)
     assert np.abs(params.layout.split(out[0])["u"]).max() > 0
+
+
+# ---------------------------------------------------------- lock-step ensembles
+
+
+def fresh_rngs(rows):
+    return [np.random.default_rng(40 + i) for i in range(rows)]
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("n_ensembles", [1, 2, 3])
+def test_lock_step_is_bitwise_separate_runs(monkeypatch, n_ensembles, rows):
+    # about 2 plumes per row and step, so rows often get several in one step
+    # and the order in which they are added matters
+    params = small_params(plume_rate=1e-3)
+    ensembles = [active_members(params, rows, 30 + j) for j in range(n_ensembles)]
+    before = [x.copy() for x in ensembles]
+    bump_rows = []
+    real = sweq._plume_bumps
+
+    def logged(params, rngs, xg):
+        rows, bumps = real(params, rngs, xg)
+        bump_rows.append(list(rows))
+        return rows, bumps
+
+    monkeypatch.setattr(sweq, "_plume_bumps", logged)
+    out = advance_ensembles(ensembles, params, 40, fresh_rngs(rows))
+    assert len(bump_rows) == 40
+    assert any(len(set(step_rows)) < len(step_rows) for step_rows in bump_rows)
+    assert len(out) == n_ensembles
+    for x, x0, lock in zip(ensembles, before, out):
+        assert x.tobytes() == x0.tobytes()  # the inputs are not modified
+        np.testing.assert_array_equal(lock, advance_members(x, params, 40, fresh_rngs(rows)))
+
+
+def jet(params, rows, row, speed):
+    """Rest states of which one row carries a wind jet of the given speed."""
+    members = np.tile(rest_state(params), (rows, 1))
+    params.layout.split(members)["u"][row, 20:30] = speed
+    return members
+
+
+@pytest.mark.parametrize("kind", [CflViolation, NumericalBlowup])
+def test_failed_ensemble_keeps_its_slot_and_others_carry_on(kind):
+    params = small_params(plume_rate=1e-3)
+    rows, steps = 5, 30
+    if kind is CflViolation:
+        bad = jet(params, rows, 2, 50.0)
+        advance_members(bad, params, 17, fresh_rngs(rows))  # it fails at step 18
+    else:
+        bad = active_members(params, rows, 33)
+        params.layout.split(bad)["h"][1, 7] = np.nan
+    good = [active_members(params, rows, 31), active_members(params, rows, 32)]
+    before = [x.copy() for x in (good[0], bad, good[1])]
+    out = advance_ensembles([good[0], bad, good[1]], params, steps, fresh_rngs(rows))
+    with pytest.raises(kind) as solo:
+        advance_members(bad, params, steps, fresh_rngs(rows))
+    assert type(out[1]) is kind and str(out[1]) == str(solo.value)
+    for x, lock in zip(good, (out[0], out[2])):
+        np.testing.assert_array_equal(lock, advance_members(x, params, steps, fresh_rngs(rows)))
+    for x, x0 in zip((good[0], bad, good[1]), before):
+        assert np.array_equal(x, x0, equal_nan=True)
 
 
 def _sha(a):
