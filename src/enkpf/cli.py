@@ -1,8 +1,8 @@
 """Command-line entry point: run, spinup, and score subcommands.
 
 `run` executes a cycled twin experiment from a config file (all flags
-optional; command-line flags override file values). `spinup` writes a
-spun-up truth state and initial ensemble to CSV for standalone use, and
+optional; command-line flags override file values). `spinup` writes to CSV
+the truth state and ensemble that `run` starts repetition 0 from, and
 `score` computes per-field CRPS of a stored ensemble against a stored truth
 state. Exit code 0 on success; on failure a single `error: ...` line goes to
 stderr and the exit code is nonzero.
@@ -48,17 +48,16 @@ def _cmd_run(args):
 def _cmd_spinup(args):
     import os
 
-    from enkpf.rngstream import seed_stream
-    from enkpf.sweq import save_ensemble_csv, save_state_csv, spinup_ensemble
+    from enkpf.experiment import start_state
+    from enkpf.sweq import save_ensemble_csv, save_state_csv
 
     cfg = _load_config(args.config, _run_overrides(args))
-    rng = seed_stream(cfg.base_seed, 0, 0, "spinup", 0)
-    ens = spinup_ensemble(cfg.model, cfg.k + 1, cfg.spinup_days, rng)
+    truth, members = start_state(cfg, 0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     truth_path = os.path.join(cfg.out_dir, "truth.csv")
     ens_path = os.path.join(cfg.out_dir, "ensemble.csv")
-    save_state_csv(ens[0], truth_path)
-    save_ensemble_csv(ens[1:], ens_path)
+    save_state_csv(truth, truth_path)
+    save_ensemble_csv(members, ens_path)
     print(f"wrote {truth_path} and {ens_path} (k={cfg.k})")
     return 0
 

@@ -1,11 +1,13 @@
 """Cycled twin experiments: forecast, observe, score, analyze, repeat.
 
-Each repetition spins up a truth state and an initial ensemble shared by all
-methods, then cycles: the truth advances one assimilation interval and emits
-radar-like observations; every method's one-step-ahead forecast ensemble is
-scored against the truth (CRPS per field, relative to the free forecast);
-each method then runs its analysis and the analyses are propagated to the
-next cycle. The `free` method never sees an observation object at all: its
+Each repetition starts from start_state: one spinup trajectory whose first
+sample is the truth and whose other k samples are the initial ensemble that
+every method shares (`enkpf spinup` writes repetition 0's). It then cycles:
+the truth advances one assimilation interval and emits radar-like
+observations; every method's one-step-ahead forecast ensemble is scored
+against the truth (CRPS per field, relative to the free forecast); each
+method then runs its analysis and the analyses are propagated to the next
+cycle. The `free` method never sees an observation object at all: its
 "analysis" is the forecast, which makes it the climatological baseline.
 
 A numerical failure (blowup, CFL, non-PD innovation, a non-finite analysis)
@@ -35,7 +37,7 @@ from enkpf import sweq
 from enkpf.core import ensemble_moments
 from enkpf.errors import CflViolation, FilterError, NumericalBlowup
 from enkpf.global_filters import adaptive_gamma, enkf_update, pf_weights
-from enkpf.grid import FIELDS, StateLayout
+from enkpf.grid import FIELDS
 from enkpf.local_filters import (
     LocalDiagnostics,
     LocalWindowSpec,
@@ -84,56 +86,48 @@ class RepResult:
     failed_at: dict  # method -> cycle of first numerical failure
 
 
-@dataclass(frozen=True)
-class AnalysisContext:
-    """Per-repetition settings an analysis reads besides members, obs and rng."""
-
-    layout: StateLayout
-    window: LocalWindowSpec
-    taper: TaperSpec
-    ess_band: tuple
-    block_segment_m: float
+# Each analysis maps (members, obs, cfg, rng, diag) to the analysis member
+# array, reading its settings from the config. The filters are looked up in
+# this module's namespace at call time, so a name replaced here (as the
+# benchmark's tracer does) reaches them all.
 
 
-# Each analysis maps (members, obs, ctx, rng, diag) to the analysis member
-# array. The filters are looked up in this module's namespace at call time,
-# so a name replaced here (as the benchmark's tracer does) reaches them all.
-
-
-def _enkf_global(members, obs, ctx, rng, diag):
+def _enkf_global(members, obs, cfg, rng, diag):
     p = ensemble_moments(members)[1]
     return enkf_update(members, obs, p, rng)
 
 
-def _enkpf_global(members, obs, ctx, rng, diag):
+def _enkpf_global(members, obs, cfg, rng, diag):
     p = ensemble_moments(members)[1]
-    gamma, (out, w, _) = adaptive_gamma(members, obs, p, ctx.ess_band, rng)
+    gamma, (out, w, _) = adaptive_gamma(members, obs, p, cfg.ess_band, rng)
     diag.record(gamma, ess(w))
     return out
 
 
-def _pf_global(members, obs, ctx, rng, diag):
+def _pf_global(members, obs, cfg, rng, diag):
     w = pf_weights(members, obs)
     diag.record(0.0, ess(w))
     idx = balanced_resample(w, rng)
     return members[idx]
 
 
-def _lenkf(members, obs, ctx, rng, diag):
-    return lenkf_update(members, obs, ctx.window, ctx.taper, ctx.layout, rng)
-
-
-def _naive_lenkpf(members, obs, ctx, rng, diag):
-    return naive_lenkpf_update(
-        members, obs, ctx.window, ctx.taper, ctx.layout, ctx.ess_band, rng,
-        diagnostics=diag,
+def _lenkf(members, obs, cfg, rng, diag):
+    return lenkf_update(
+        members, obs, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.model.layout, rng
     )
 
 
-def _block_lenkpf(members, obs, ctx, rng, diag):
+def _naive_lenkpf(members, obs, cfg, rng, diag):
+    return naive_lenkpf_update(
+        members, obs, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.model.layout,
+        cfg.ess_band, rng, diagnostics=diag,
+    )
+
+
+def _block_lenkpf(members, obs, cfg, rng, diag):
     return block_lenkpf_update(
-        members, obs, ctx.taper, ctx.layout, ctx.block_segment_m, ctx.ess_band,
-        rng, diagnostics=diag,
+        members, obs, TaperSpec(cfg.l_m), cfg.model.layout, cfg.block_segment_m,
+        cfg.ess_band, rng, diagnostics=diag,
     )
 
 
@@ -173,11 +167,21 @@ def _forecast(ens, params, steps, rngs):
     return out
 
 
+def start_state(cfg, rep, base=None):
+    """(truth, members) of repetition rep: the k + 1 samples of its spinup
+    trajectory from the warm state base (default sweq.warm_state(cfg.model)),
+    truth first. All methods of the repetition, and `enkpf spinup` (rep 0),
+    start from it.
+    """
+    rng = seed_stream(cfg.base_seed, rep, 0, "spinup", 0)
+    spin = spinup_ensemble(cfg.model, cfg.k + 1, cfg.spinup_days, rng, base)
+    return spin[0], spin[1:]
+
+
 def run_single_rep(cfg, rep, base=None):
     """One repetition of the twin experiment; pure function of (cfg, rep).
 
-    base is the warm state its spinup starts from, sweq.warm_state(cfg.model)
-    when not given.
+    base is the warm state its spinup starts from (see start_state).
     """
     params = cfg.model
     layout = params.layout
@@ -185,24 +189,15 @@ def run_single_rep(cfg, rep, base=None):
     k = cfg.k
     seed = cfg.base_seed
     steps = params.steps(cfg.interval_s)
-    ctx = AnalysisContext(
-        layout, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.ess_band,
-        cfg.block_segment_m,
-    )
 
-    spin = spinup_ensemble(
-        params, k + 1, cfg.spinup_days, seed_stream(seed, rep, 0, "spinup", 0), base
-    )
-    truth = spin[0].copy()
+    truth, members = start_state(cfg, rep, base)
     # the live methods' ensembles, in method order; every method starts from
     # the same spinup array, so cycle 1 advances one trajectory for them all
-    ens = dict.fromkeys(cfg.methods, spin[1:])
+    ens = dict.fromkeys(cfg.methods, members)
     failed_at = {}
 
     records = []
-    rank_counts = {
-        (m, f): np.zeros(k + 1, dtype=np.int64) for m in cfg.methods for f in FIELDS
-    }
+    rank_counts = {(m, f): np.zeros(k + 1, dtype=np.int64) for m in cfg.methods for f in FIELDS}
     trace_rows = []
 
     for cycle in range(1, cfg.n_cycles + 1):
@@ -224,13 +219,14 @@ def run_single_rep(cfg, rep, base=None):
 
         truth_f = layout.split(truth)
         forecast_f = {m: layout.split(fc) for m, fc in forecasts.items()}
-        free_crps = {}
-        if "free" in forecasts:
-            free_crps = {f: field_crps(forecast_f["free"][f], truth_f[f]) for f in FIELDS}
+        # each live forecast scored once; a failed method's scores are empty
+        crps = {
+            m: {f: field_crps(fc[f], truth_f[f]) for f in FIELDS} for m, fc in forecast_f.items()
+        }
+        free = crps.get("free", {})
         for m in cfg.methods:
             for f in FIELDS:
-                crps = field_crps(forecast_f[m][f], truth_f[f]) if m in forecasts else None
-                records.append(ScoreRecord(rep, cycle, m, f, crps, free_crps.get(f)))
+                records.append(ScoreRecord(rep, cycle, m, f, crps.get(m, {}).get(f), free.get(f)))
 
         if round(t_now) % round(RANK_TIME_THIN_S) == 0:
             for m in forecasts:
@@ -250,7 +246,7 @@ def run_single_rep(cfg, rep, base=None):
             diag = LocalDiagnostics()
             rng_a = seed_stream(seed, rep, cycle, "analysis", METHOD_IDS[m])
             try:
-                out = analysis(forecasts[m], obs, ctx, rng_a, diag)
+                out = analysis(forecasts[m], obs, cfg, rng_a, diag)
             except FAILURES:
                 out = None
             # a NaN analysis would pass the next forecast's CFL check (its
@@ -326,14 +322,7 @@ def run_experiment(cfg, threads=1):
     results.sort(key=lambda res: res.rep)
 
     records = [rec for res in results for rec in res.records]
-    rank_totals = {
-        (m, f): np.zeros(cfg.k + 1, dtype=np.int64)
-        for m in cfg.methods
-        for f in FIELDS
-    }
-    for res in results:
-        for key, counts in res.rank_counts.items():
-            rank_totals[key] += counts
+    rank_totals = {key: sum(r.rank_counts[key] for r in results) for key in results[0].rank_counts}
 
     with open(os.path.join(cfg.out_dir, "scores.csv"), "w", newline="") as fh:
         write_scores_csv(records, fh)

@@ -123,8 +123,6 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
     x = np.asarray(ens, dtype=float)
     k, d = x.shape
     all_obs.check_dim(d)
-    if all_obs.m == 0:
-        return x.copy()
     obs_cols = all_obs.h_rows
     p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
     s_full = p_cross[obs_cols, :]
@@ -275,7 +273,7 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
 
     out = x.copy()
     out[:, block.u] = x_u
-    if block.v.size and block.u.size:
+    if block.v.size:
         p_uu = tapered_cov_block(x, block.u, block.u, layout, taper)
         p_vu = tapered_cov_block(x, block.v, block.u, layout, taper)
         m_t = _pinv_regress(p_uu, p_vu, diagnostics)

@@ -326,10 +326,9 @@ def spinup_ensemble(params, k, separation_days, rng, base=None):
     steps = params.steps(separation_days * 86400.0)
     vec = (warm_state(params) if base is None else base)[None, :]
     members = np.empty((k, vec.shape[1]))
-    vec = advance_members(vec, params, steps, [rng])  # burn-in
     for i in range(k):
-        if i > 0:
-            vec = advance_members(vec, params, steps, [rng])
+        # the first advance is the burn-in
+        vec = advance_members(vec, params, steps, [rng])
         members[i] = vec[0]
     return members
 

@@ -5,6 +5,7 @@ import pytest
 
 from enkpf import experiment
 from enkpf.cli import main
+from enkpf.config import parse_config
 from enkpf.sweq import load_ensemble_csv, load_state_csv, save_state_csv
 
 from oracles import read_scores_csv
@@ -245,6 +246,16 @@ def test_spinup_then_score(tmp_path, capsys):
     assert fields == ["h", "u", "r"]
     for line in lines[1:]:
         assert float(line.split(",")[1]) >= 0.0
+
+
+def test_spinup_writes_the_runs_start_state(tmp_path):
+    # `enkpf spinup` writes the start of `enkpf run`'s repetition 0
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    assert main(["spinup", "--config", str(cfg), "--out", str(tmp_path / "spin")]) == 0
+    truth, members = experiment.start_state(parse_config(cfg.read_text()), 0)
+    assert load_state_csv(tmp_path / "spin" / "truth.csv").tobytes() == truth.tobytes()
+    assert load_ensemble_csv(tmp_path / "spin" / "ensemble.csv").tobytes() == members.tobytes()
 
 
 def test_score_grid_mismatch(tmp_path, capsys):

@@ -10,10 +10,9 @@ from enkpf.config import ExperimentConfig
 from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
 from enkpf.global_filters import enkpf_update
-from enkpf.grid import GridGeometry, default_layout
+from enkpf.grid import GridGeometry
 from enkpf.local_filters import (
     LocalDiagnostics,
-    LocalWindowSpec,
     block_assimilate_one,
     partition_obs_blocks,
 )
@@ -110,11 +109,11 @@ def test_numerical_failure_drops_method_but_not_run(monkeypatch):
     real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}
 
-    def wrapped(members, obs, ctx, rng, diag):
+    def wrapped(members, obs, cfg, rng, diag):
         calls["n"] += 1
         if calls["n"] == 2:
             raise FilterError("synthetic failure")
-        return real(members, obs, ctx, rng, diag)
+        return real(members, obs, cfg, rng, diag)
 
     monkeypatch.setitem(ex.ANALYSES, "lenkf", wrapped)
     cfg = tiny_cfg(methods=("lenkf", "free"))
@@ -131,9 +130,9 @@ def test_non_finite_analysis_fails_at_its_own_cycle(monkeypatch):
     real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}
 
-    def wrapped(members, obs, ctx, rng, diag):
+    def wrapped(members, obs, cfg, rng, diag):
         calls["n"] += 1
-        out = real(members, obs, ctx, rng, diag)
+        out = real(members, obs, cfg, rng, diag)
         if calls["n"] == 2:
             out[0, 3] = np.nan
         return out
@@ -167,9 +166,9 @@ def test_cycle_one_advances_one_ensemble_for_all_methods(monkeypatch):
     seen = {}
 
     def spy(method, real):
-        def analysis(members, obs, ctx, rng, diag):
+        def analysis(members, obs, cfg, rng, diag):
             seen.setdefault(method, members)
-            return real(members, obs, ctx, rng, diag)
+            return real(members, obs, cfg, rng, diag)
 
         return analysis
 
@@ -189,7 +188,7 @@ def test_failed_forecast_leaves_other_methods_bitwise(tmp_path, monkeypatch):
     # its cycle-2 forecast fails the CFL check inside the lock-step advance
     layout = tiny_cfg().model.layout
 
-    def supersonic(members, obs, ctx, rng, diag):
+    def supersonic(members, obs, cfg, rng, diag):
         out = members.copy()
         layout.split(out)["u"][...] = 500.0
         return out
@@ -214,9 +213,9 @@ def test_free_method_never_enters_analysis(monkeypatch):
     seen = []
 
     def spy(method, real):
-        def analysis(members, obs, ctx, rng, diag):
+        def analysis(members, obs, cfg, rng, diag):
             seen.append(method)
-            return real(members, obs, ctx, rng, diag)
+            return real(members, obs, cfg, rng, diag)
 
         return analysis
 
@@ -257,6 +256,19 @@ def test_rank_counts_accumulate_at_thinned_times(tmp_path):
     assert len(lines) == 1 + 2 * 3 * (cfg.k + 1)
 
 
+def test_rank_totals_sum_the_repetitions(tmp_path):
+    cfg = tiny_cfg(
+        interval_s=600.0, duration_s=1800.0, methods=("lenkf", "free"), repetitions=2,
+        out_dir=str(tmp_path),
+    )
+    _, rank_totals = ex.run_experiment(cfg)
+    per_rep = [ex.run_single_rep(cfg, rep).rank_counts for rep in range(2)]
+    assert list(rank_totals) == list(per_rep[0])
+    for key, counts in rank_totals.items():
+        assert counts.sum() == 2 * 3, key  # one rank time, grid points 0, 10, 20
+        assert counts.tolist() == (per_rep[0][key] + per_rep[1][key]).tolist(), key
+
+
 def test_trace_rows_cover_every_cycle(tmp_path):
     cfg = tiny_cfg(methods=("naive_lenkpf", "free"), trace=True, out_dir=str(tmp_path))
     res = ex.run_single_rep(cfg, 0)
@@ -289,7 +301,11 @@ def test_methods_share_truth_and_observations():
 
 
 def _small_analysis_case():
-    layout = default_layout(20)
+    cfg = ExperimentConfig(
+        l_m=1500.0, ess_band=(0.5, 0.8), block_segment_m=4000.0,
+        model=ModelParams(geometry=GridGeometry(20, 500.0)),
+    )
+    layout = cfg.model.layout
     rng = np.random.default_rng(31)
     x = rng.standard_normal((6, layout.dim))
     wet = np.array([3, 4, 5, 12])
@@ -298,21 +314,17 @@ def _small_analysis_case():
         np.concatenate([2 * 20 + np.arange(20), 20 + wet]),
         np.full(20 + wet.size, 0.5),
     )
-    ctx = ex.AnalysisContext(
-        layout, LocalWindowSpec(1500.0), TaperSpec(1500.0), (0.5, 0.8), 4000.0
-    )
-    return x, obs, ctx
+    return x, obs, cfg
 
 
-def _direct_enkpf(x, obs, ctx, rng, diag):
+def _direct_enkpf(x, obs, cfg, rng, diag):
     return enkpf_update(x, obs, ensemble_moments(x)[1], 0.5, rng)[0]
 
 
-def _direct_block(x, obs, ctx, rng, diag):
-    blocks = partition_obs_blocks(obs, ctx.taper, ctx.layout, ctx.block_segment_m)
-    return block_assimilate_one(
-        x, blocks[0], ctx.taper, ctx.layout, ctx.ess_band, rng, diagnostics=diag
-    )
+def _direct_block(x, obs, cfg, rng, diag):
+    taper, layout = TaperSpec(cfg.l_m), cfg.model.layout
+    blocks = partition_obs_blocks(obs, taper, layout, cfg.block_segment_m)
+    return block_assimilate_one(x, blocks[0], taper, layout, cfg.ess_band, rng, diagnostics=diag)
 
 
 ANALYSIS_CALLS = {name: fn for name, fn in ex.ANALYSES.items() if fn is not None}
@@ -322,9 +334,9 @@ ANALYSIS_CALLS.update(enkpf_update=_direct_enkpf, block_assimilate_one=_direct_b
 @pytest.mark.parametrize("name", sorted(ANALYSIS_CALLS))
 def test_analysis_returns_array_and_leaves_forecast_alone(name):
     # run_single_rep reads forecasts[m] again after the analysis, for its trace row
-    x, obs, ctx = _small_analysis_case()
+    x, obs, cfg = _small_analysis_case()
     before = x.copy()
-    out = ANALYSIS_CALLS[name](x, obs, ctx, np.random.default_rng(5), LocalDiagnostics())
+    out = ANALYSIS_CALLS[name](x, obs, cfg, np.random.default_rng(5), LocalDiagnostics())
     assert type(out) is np.ndarray
     assert out.shape == x.shape
     assert x.tobytes() == before.tobytes()
