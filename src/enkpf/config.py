@@ -1,12 +1,12 @@
-"""Experiment configuration: dataclass, flat-text parser, validation.
+"""Experiment configuration: the self-checking dataclass and the flat-text parser.
 
 Config files are flat `key = value` lines under `[experiment]` and `[model]`
 section headers; `#` lines are comments. Unknown sections or keys are errors
-(reported with their line number), as are malformed values. Validation
-messages name the offending key. An empty file is a valid config: every field
-has a default, with the assimilation interval and total duration filled in
-from the scenario (hf: 5 min cycles for 1 hour; lf: 30 min cycles for 3
-days; custom: both must be given explicitly).
+(reported with their line number), as are malformed values. An
+ExperimentConfig checks itself when built, naming the offending key, and
+fills in the assimilation interval and total duration from the scenario (hf:
+5 min cycles for 1 hour; lf: 30 min cycles for 3 days; custom: both must be
+given explicitly), so an empty file is a valid config.
 """
 
 import dataclasses
@@ -23,6 +23,8 @@ SCENARIO_TIMING = {"hf": (300.0, 3600.0), "lf": (1800.0, 259200.0)}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One twin experiment's settings; checks itself and fills in its timing when built."""
+
     scenario: str = "hf"
     methods: tuple = ("lenkf", "naive_lenkpf", "block_lenkpf", "free")
     k: int = 50
@@ -40,77 +42,59 @@ class ExperimentConfig:
     out_dir: str = "out"
     model: ModelParams = field(default_factory=ModelParams)
 
-    def resolved(self):
-        """Fill scenario timing defaults; returns a fully timed config."""
-        interval, duration = self.interval_s, self.duration_s
-        if self.scenario in SCENARIO_TIMING:
-            default_interval, default_duration = SCENARIO_TIMING[self.scenario]
-            interval = default_interval if interval is None else interval
-            duration = default_duration if duration is None else duration
-        if interval is None or duration is None:
-            raise ConfigError(
-                "interval_s/duration_s: a custom scenario must set both explicitly"
-            )
-        return dataclasses.replace(self, interval_s=interval, duration_s=duration)
-
-    def validated(self):
-        """Resolved copy that passed validate_config (ConfigError otherwise)."""
-        return validate_config(self)
+    def __post_init__(self):
+        # the scenario is checked before the timing is filled in from it
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
+        if not self.methods:
+            raise ConfigError("methods: at least one method is required")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"methods: unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods: duplicate method")
+        if self.k < 2:
+            raise ConfigError("k: ensemble size must be >= 2")
+        if not self.l_m > 0:
+            raise ConfigError("l: localization half-length must be positive")
+        lo, hi = self.ess_band
+        if not 0.0 < lo <= hi <= 1.0:
+            raise ConfigError("ess_band: need 0 < lo <= hi <= 1")
+        if self.r_r <= 0 or self.r_u <= 0:
+            raise ConfigError("r_r/r_u: observation error variances must be positive")
+        timing = SCENARIO_TIMING.get(self.scenario, (None, None))
+        for key, default in zip(("interval_s", "duration_s"), timing):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+        if self.interval_s is None or self.duration_s is None:
+            raise ConfigError("interval_s/duration_s: a custom scenario must set both explicitly")
+        if self.interval_s <= 0:
+            raise ConfigError("interval_s: must be positive")
+        steps = self.interval_s / self.model.dt_s
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+            raise ConfigError("interval_s: must be a positive multiple of the model dt_s")
+        if self.duration_s < 0:
+            raise ConfigError("duration_s: must be nonnegative")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions: must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
+        if self.spinup_days < 0:
+            raise ConfigError("spinup_days: must be nonnegative")
+        for key, seconds in (("spinup_days", self.spinup_days * 86400.0),
+                             ("warm_start_days", self.model.warm_start_days * 86400.0),
+                             ("interval_s", self.interval_s),
+                             ("duration_s", self.duration_s)):
+            try:
+                self.model.steps(seconds)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: too long: {exc}") from None
+        if not self.block_segment_m > 0:
+            raise ConfigError("block_segment_m: must be positive")
 
     @property
     def n_cycles(self):
         return int(self.duration_s // self.interval_s)
-
-
-def validate_config(cfg):
-    """Raise ConfigError (naming the key) on any constraint violation.
-
-    Returns the config with its scenario timing resolved; the scenario is
-    checked before the timing is filled in from it.
-    """
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
-    if not cfg.methods:
-        raise ConfigError("methods: at least one method is required")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ConfigError(f"methods: unknown method {m!r}")
-    if len(set(cfg.methods)) != len(cfg.methods):
-        raise ConfigError("methods: duplicate method")
-    if cfg.k < 2:
-        raise ConfigError("k: ensemble size must be >= 2")
-    if not cfg.l_m > 0:
-        raise ConfigError("l: localization half-length must be positive")
-    lo, hi = cfg.ess_band
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ConfigError("ess_band: need 0 < lo <= hi <= 1")
-    if cfg.r_r <= 0 or cfg.r_u <= 0:
-        raise ConfigError("r_r/r_u: observation error variances must be positive")
-    cfg = cfg.resolved()
-    if cfg.interval_s <= 0:
-        raise ConfigError("interval_s: must be positive")
-    steps = cfg.interval_s / cfg.model.dt_s
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ConfigError("interval_s: must be a positive multiple of the model dt_s")
-    if cfg.duration_s < 0:
-        raise ConfigError("duration_s: must be nonnegative")
-    if cfg.repetitions < 1:
-        raise ConfigError("repetitions: must be >= 1")
-    if not 0 <= cfg.base_seed < 2**64:
-        raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
-    if cfg.spinup_days < 0:
-        raise ConfigError("spinup_days: must be nonnegative")
-    for key, seconds in (("spinup_days", cfg.spinup_days * 86400.0),
-                         ("warm_start_days", cfg.model.warm_start_days * 86400.0),
-                         ("interval_s", cfg.interval_s),
-                         ("duration_s", cfg.duration_s)):
-        try:
-            cfg.model.steps(seconds)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: too long: {exc}") from None
-    if not cfg.block_segment_m > 0:
-        raise ConfigError("block_segment_m: must be positive")
-    return cfg
 
 
 def _to_bool(raw):
@@ -218,4 +202,4 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"unknown key {key!r} in overrides")
         raw_exp[key] = value
     exp_kw = {_FIELD_FOR_KEY.get(key, key): value for key, value in raw_exp.items()}
-    return ExperimentConfig(model=model, **exp_kw).validated()
+    return ExperimentConfig(model=model, **exp_kw)

@@ -34,7 +34,7 @@ class InvalidBlockError(FilterError):
 
 
 class NumericalBlowup(EnkpfError):
-    """Model integration produced NaN/Inf.
+    """Model integration or observation generation produced NaN/Inf.
 
     Carries the first offending grid index to help locate the instability.
     """

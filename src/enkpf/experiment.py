@@ -23,6 +23,8 @@ which pairs the method comparisons member-by-member. So all methods forecast
 in lock-step (sweq.advance_ensembles): each step's plumes are drawn and
 evaluated once for every method. All methods start from the same spinup
 ensemble, so cycle 1 advances one trajectory and gives each method a copy.
+A config checked itself and filled in its timing when it was built, so
+nothing here checks it again, and pool workers get it as it was pickled.
 """
 
 import csv
@@ -246,11 +248,12 @@ def run_single_rep(cfg, rep, base=None):
             diag = LocalDiagnostics()
             rng_a = seed_stream(seed, rep, cycle, "analysis", METHOD_IDS[m])
             try:
-                out = analysis(forecasts[m], obs, cfg, rng_a, diag)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    out = analysis(forecasts[m], obs, cfg, rng_a, diag)
             except FAILURES:
                 out = None
-            # a NaN analysis would pass the next forecast's CFL check (its
-            # wave speed is NaN) and be blamed on that forecast instead
+            # an overflow fails the method here, not in a numpy warning; a NaN analysis
+            # would pass the next forecast's CFL check (its wave speed is NaN)
             if out is None or not np.isfinite(out).all():
                 failed_at[m] = cycle
                 del ens[m]
@@ -308,7 +311,6 @@ def run_experiment(cfg, threads=1):
     repetitions are independent seeded jobs whose results are collected in
     repetition order before anything is written.
     """
-    cfg = cfg.validated()
     os.makedirs(cfg.out_dir, exist_ok=True)
     # one warm start for all repetitions, before a pool forks its workers;
     # looked up on the module at call time, as the analyses' filters are

@@ -20,6 +20,8 @@ indices are plain (k,) arrays (see enkpf.resampling). All observation
 operators are column selectors with diagonal R, so every solve is m x m.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -107,16 +109,19 @@ class GammaWeightSolver:
         inv_sqrt_r = 1.0 / np.sqrt(r_diag)
         with np.errstate(over="ignore", invalid="ignore"):
             s_white = inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float) * inv_sqrt_r
-        if not np.isfinite(s_white).all():
-            raise FilterError("whitened innovation covariance is not finite")
-        lam, u = sla.eigh(s_white)
+            if not np.isfinite(s_white).all():
+                raise FilterError("whitened innovation covariance is not finite")
+            lam, u = sla.eigh(s_white)
+            self.z2 = ((innov0 * inv_sqrt_r) @ u) ** 2
+        if not math.isfinite(self.z2.max()):  # z2 >= 0, and max propagates NaN
+            raise FilterError("whitened innovations are not finite")
         self.lam = np.clip(lam, 0.0, None)
-        self.z2 = ((innov0 * inv_sqrt_r) @ u) ** 2
 
     def log_weights(self, gamma):
         if gamma == 1.0 or self.z2.shape[1] == 0:
             return np.zeros(self.k)
         g_lam = gamma * self.lam
+        # a denominator that overflows gives c_j = 0, its exact limit
         c = 1.0 / (g_lam * self.lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
         log_w = -0.5 * (self.z2 @ c)
         return log_w - log_w.max()

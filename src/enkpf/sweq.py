@@ -349,16 +349,24 @@ def gen_observations(x, params, rng):
     amplitude negative; otherwise y_r = (sqrt(r - r_c) + eps/2)^2 with
     eps ~ N(0, sigma_r^2). Wind is observed with N(0, sigma_u^2) noise exactly
     where the *observed* rain reaches r_c. x is the (3n,) true state.
+    NumericalBlowup names the first observation that is not finite.
     """
     fields = params.layout.split(x)
     r = fields["r"]
     n = r.shape[0]
-    eps = rng.standard_normal(n) * params.sigma_r
-    above = r > params.rain_threshold
-    amp = np.sqrt(np.where(above, r - params.rain_threshold, 0.0)) + 0.5 * eps
-    y_r = np.where(above & (amp > 0.0), amp * amp, 0.0)
-    wet = np.flatnonzero(y_r >= params.rain_threshold)
-    y_u = fields["u"][wet] + rng.standard_normal(wet.size) * params.sigma_u
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = rng.standard_normal(n) * params.sigma_r
+        above = r > params.rain_threshold
+        amp = np.sqrt(np.where(above, r - params.rain_threshold, 0.0)) + 0.5 * eps
+        rainy = np.flatnonzero(above & (amp > 0.0))
+        y_r = np.zeros(n)
+        y_r[rainy] = amp[rainy] * amp[rainy]
+        wet = np.flatnonzero(y_r >= params.rain_threshold)
+        y_u = fields["u"][wet] + rng.standard_normal(wet.size) * params.sigma_u
+    for name, values, points in (("y_r", y_r, np.arange(n)), ("y_u", y_u, wet)):
+        bad = points[~np.isfinite(values)]
+        if bad.size:
+            raise NumericalBlowup(f"non-finite {name} at grid index {bad[0]}", int(bad[0]))
     return RadarObs(y_r, wet, y_u)
 
 

@@ -1,7 +1,15 @@
+import contextlib
+import csv
+import io
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf import experiment
 from enkpf.cli import main
@@ -210,6 +218,63 @@ def test_overflowing_forecast_fails_only_its_method(tmp_path, capsys, method):
             assert rec.crps is not None
     free_rain = [rec.crps for rec in records if rec.method == "free" and rec.field == "r"]
     assert max(free_rain) > 1e300
+
+
+def _magnitudes(lo_exp, hi_exp):
+    """Positive floats spread evenly over the decades 10^lo_exp..10^hi_exp."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(lo_exp, hi_exp))
+
+
+_POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-308, 1e308]), _magnitudes(-300, 300))
+POSITIVE = _POSITIVE.map(repr)
+SIGNED = st.one_of(_POSITIVE, _POSITIVE.map(lambda v: -v), st.just(0.0)).map(repr)
+UNIT = st.floats(0.0, 1.0)
+METHOD_LISTS = st.lists(st.sampled_from(experiment.METHODS), min_size=1, unique=True)
+# each key's value as it is written in the config file
+FUZZ_EXPERIMENT_KEYS = {
+    "r_r": POSITIVE,
+    "r_u": POSITIVE,
+    "ess_band": st.tuples(UNIT, UNIT).map(lambda pair: "{!r}, {!r}".format(*sorted(pair))),
+    "l": POSITIVE,
+    "block_segment_m": POSITIVE,
+    "methods": METHOD_LISTS.map(", ".join),
+    "k": st.integers(2, 6).map(str),
+}
+FUZZ_OBSERVATION_KEYS = {"sigma_r": POSITIVE, "sigma_u": POSITIVE, "rain_threshold": SIGNED}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.fixed_dictionaries({}, optional=FUZZ_EXPERIMENT_KEYS),
+    st.fixed_dictionaries({}, optional=FUZZ_OBSERVATION_KEYS),
+)
+def test_run_gives_finite_scores_or_one_error_line(experiment_keys, observation_keys):
+    # a tiny rainy grid (clouds almost everywhere) and three short cycles;
+    # the dynamics keys stay fixed, the analysis and observation keys vary
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.ini"
+        cfg.write_text("\n".join([
+            "[experiment]", "scenario = custom", "interval_s = 60", "duration_s = 180",
+            "spinup_days = 0.001", "base_seed = 3", f"out = {tmp}/out",
+            *(f"{key} = {value}" for key, value in experiment_keys.items()),
+            "[model]", "n_points = 12", "h_cloud = 89.9", "h_rain = 89.95",
+            "warm_start_days = 0.003",
+            *(f"{key} = {value}" for key, value in observation_keys.items()),
+        ]) + "\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["run", "--config", str(cfg)])
+        assert [str(w.message) for w in caught] == []
+        lines = err.getvalue().splitlines()
+        if rc == 1:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            return
+        assert rc == 0 and lines == []
+        with open(Path(tmp) / "out" / "scores.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                for key in ("crps", "crps_free", "relative_pct"):
+                    assert row[key] == "" or math.isfinite(float(row[key])), row
 
 
 def test_run_rejects_nonpositive_gravity_in_one_line(tmp_path, capsys):

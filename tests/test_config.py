@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkpf.config import ExperimentConfig, parse_config, validate_config
+from enkpf.config import ExperimentConfig, parse_config
 from enkpf.errors import ConfigError
 from enkpf.sweq import MAX_STEPS, ModelParams
 
@@ -177,11 +178,43 @@ def test_overrides_win_and_rescale_scenario():
         parse_config("", overrides={"bogus": 1})
 
 
-def test_validate_config_direct():
+def test_config_checks_itself_when_built():
     cfg = ExperimentConfig(duration_s=0.0, interval_s=300.0)
-    assert validate_config(cfg).n_cycles == 0
+    assert cfg.n_cycles == 0
     with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig(methods=("free", "free")))
+        ExperimentConfig(methods=("free", "free"))
+
+
+def test_built_config_has_its_scenario_timing():
+    cfg = ExperimentConfig()
+    assert cfg.interval_s == 300.0
+    assert cfg.duration_s == 3600.0
+    assert cfg.n_cycles == 12
+    lf = ExperimentConfig(scenario="lf", duration_s=7200.0)
+    assert (lf.interval_s, lf.duration_s) == (1800.0, 7200.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"interval_s": 7.0}, "interval_s:"),  # not a multiple of dt_s
+        ({"methods": ("bogus",)}, "methods:"),
+        ({"scenario": "custom", "interval_s": 60.0}, "interval_s/duration_s:"),
+        ({"k": 1}, "k:"),
+    ],
+)
+def test_built_config_rejects_what_parse_config_rejects(kwargs, key):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**kwargs)
+    assert str(info.value).startswith(key)
+
+
+def test_unpickled_config_is_not_checked_again(monkeypatch):
+    # pool workers get the config as pickled by the parent, already checked
+    cfg = ExperimentConfig(scenario="lf", k=7)
+    data = pickle.dumps(cfg)
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda self: pytest.fail("checked"))
+    assert pickle.loads(data) == cfg
 
 
 def test_unknown_scenario_is_reported_as_the_scenario():
@@ -189,7 +222,7 @@ def test_unknown_scenario_is_reported_as_the_scenario():
         parse_config("[experiment]\nscenario = foo\n")
     assert str(info.value).startswith("scenario:")
     with pytest.raises(ConfigError, match="^scenario:"):
-        ExperimentConfig(scenario="foo").validated()
+        ExperimentConfig(scenario="foo")
 
 
 EXPERIMENT_FLOAT_KEYS = (

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -235,9 +236,9 @@ def test_method_registry_order_and_validation():
     assert ex.METHOD_IDS == {name: i for i, name in enumerate(ex.METHODS)}
     assert config.METHODS is ex.METHODS
     for method in ex.ANALYSES:
-        assert config.validate_config(tiny_cfg(methods=(method,))).methods == (method,)
+        assert tiny_cfg(methods=(method,)).methods == (method,)
     with pytest.raises(ConfigError, match="methods"):
-        config.validate_config(tiny_cfg(methods=("lenkf", "enkpf_local")))
+        tiny_cfg(methods=("lenkf", "enkpf_local"))
 
 
 def test_rank_counts_accumulate_at_thinned_times(tmp_path):
@@ -267,6 +268,23 @@ def test_rank_totals_sum_the_repetitions(tmp_path):
     for key, counts in rank_totals.items():
         assert counts.sum() == 2 * 3, key  # one rank time, grid points 0, 10, 20
         assert counts.tolist() == (per_rep[0][key] + per_rep[1][key]).tolist(), key
+
+
+def test_outputs_do_not_depend_on_the_pool_start_method(tmp_path, monkeypatch):
+    # spawned workers inherit nothing from the parent: the warm state and the
+    # config reach them only as pickled arguments (forkserver, the Linux
+    # default from Python 3.14, is the same in this respect)
+    def run(name, threads):
+        cfg = tiny_cfg(
+            methods=("lenkf", "naive_lenkpf", "free"), duration_s=180.0, repetitions=2,
+            out_dir=str(tmp_path / name),
+        )
+        ex.run_experiment(cfg, threads=threads)
+        return [(tmp_path / name / f).read_bytes() for f in ("scores.csv", "ranks.csv")]
+
+    serial = run("serial", 1)
+    monkeypatch.setattr(ex, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert run("spawn", 2) == serial
 
 
 def test_trace_rows_cover_every_cycle(tmp_path):
