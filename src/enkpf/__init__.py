@@ -8,7 +8,6 @@ from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess
 from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_weights
 from enkpf.local_filters import (
-    LocalWindowSpec,
     ObservationBlock,
     block_lenkpf_update,
     compute_uvw,

@@ -36,6 +36,8 @@ def _run_overrides(args):
 def _cmd_run(args):
     from enkpf.experiment import run_experiment
 
+    if args.threads < 1:
+        raise EnkpfError("--threads: must be >= 1")
     cfg = _load_config(args.config, _run_overrides(args))
     records, _ = run_experiment(cfg, threads=args.threads)
     print(

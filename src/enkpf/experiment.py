@@ -28,6 +28,7 @@ nothing here checks it again, and pool workers get it as it was pickled.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -42,7 +43,6 @@ from enkpf.global_filters import adaptive_gamma, enkf_update, pf_weights
 from enkpf.grid import FIELDS
 from enkpf.local_filters import (
     LocalDiagnostics,
-    LocalWindowSpec,
     block_lenkpf_update,
     lenkf_update,
     naive_lenkpf_update,
@@ -114,15 +114,12 @@ def _pf_global(members, obs, cfg, rng, diag):
 
 
 def _lenkf(members, obs, cfg, rng, diag):
-    return lenkf_update(
-        members, obs, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.model.layout, rng
-    )
+    return lenkf_update(members, obs, TaperSpec(cfg.l_m), cfg.model.layout, rng)
 
 
 def _naive_lenkpf(members, obs, cfg, rng, diag):
     return naive_lenkpf_update(
-        members, obs, LocalWindowSpec(cfg.l_m), TaperSpec(cfg.l_m), cfg.model.layout,
-        cfg.ess_band, rng, diagnostics=diag,
+        members, obs, TaperSpec(cfg.l_m), cfg.model.layout, cfg.ess_band, rng, diagnostics=diag
     )
 
 
@@ -230,7 +227,8 @@ def run_single_rep(cfg, rep, base=None):
             for f in FIELDS:
                 records.append(ScoreRecord(rep, cycle, m, f, crps.get(m, {}).get(f), free.get(f)))
 
-        if round(t_now) % round(RANK_TIME_THIN_S) == 0:
+        # every 30 minutes to within half a step (cycle times need not be whole seconds)
+        if abs(math.remainder(t_now, RANK_TIME_THIN_S)) < 0.5 * params.dt_s:
             for m in forecasts:
                 rng_rank = seed_stream(seed, rep, cycle, "ranks", METHOD_IDS[m])
                 for f in FIELDS:

@@ -1,8 +1,9 @@
 """Localized analyses: LEnKF, NAIVE-LEnKPF, and BLOCK-LEnKPF.
 
 LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
-local EnKPF at every grid point using only observations inside a local
-window, with tapered covariance slices. The LEnKF is that loop with gamma held
+local EnKPF at every grid point using only the observations within the
+taper's length scale l, with tapered covariance slices (support 2l), so one
+TaperSpec sets the localization. The LEnKF is that loop with gamma held
 at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
 All sites share the same observation perturbations (one global draw) and one
 global uniform for resampling, so that neighboring analyses stay as coherent
@@ -40,7 +41,6 @@ from enkpf.taper import tapered_cov_block
 
 __all__ = [
     "LocalDiagnostics",
-    "LocalWindowSpec",
     "ObservationBlock",
     "block_assimilate_one",
     "block_lenkpf_update",
@@ -49,17 +49,6 @@ __all__ = [
     "naive_lenkpf_update",
     "schedule_blocks",
 ]
-
-
-@dataclass(frozen=True)
-class LocalWindowSpec:
-    """Observation-gathering radius per grid point (the localization l)."""
-
-    radius_m: float
-
-    def __post_init__(self):
-        if not self.radius_m > 0:
-            raise ValueError("radius_m must be positive")
 
 
 @dataclass
@@ -75,12 +64,14 @@ class LocalDiagnostics:
         self.ess_values.append(float(ess_value))
 
 
-def _obs_geometry(all_obs, layout, radius_m):
-    """Per-site observation selections: list of index arrays into obs rows."""
+def _obs_geometry(all_obs, layout, taper):
+    """Per-site observation selections, index arrays into the obs rows: the
+    observations within the taper's length scale l of each grid point (all of
+    them for TaperSpec(inf))."""
     n = layout.geometry.n_points
     obs_pts = layout.grid_of_cols(all_obs.h_rows)
     dist = layout.geometry.distance_m(np.arange(n)[:, None], obs_pts[None, :])
-    return [np.flatnonzero(dist[g] <= radius_m) for g in range(n)]
+    return [np.flatnonzero(dist[g] <= taper.length_scale_m) for g in range(n)]
 
 
 def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_idx,
@@ -109,7 +100,7 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     return rows, idx
 
 
-def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostics=None):
+def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
     """Local EnKPF at every grid point, shared draws drawn in the order eta,
     e_R, resampling uniform.
 
@@ -134,7 +125,7 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
 
     out = x.copy()
     idx = identity
-    for g, sel in enumerate(_obs_geometry(all_obs, layout, window.radius_m)):
+    for g, sel in enumerate(_obs_geometry(all_obs, layout, taper)):
         if sel.size == 0:
             idx = identity
             continue
@@ -150,29 +141,27 @@ def _site_loop(ens, all_obs, window, taper, layout, rng, ess_lo=None, diagnostic
     return out
 
 
-def lenkf_update(ens, all_obs, window, taper, layout, rng):
+def lenkf_update(ens, all_obs, taper, layout, rng):
     """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
 
-    Every site runs a stochastic EnKF on its window observations; the
+    Every site runs a stochastic EnKF on the observations within l; the
     perturbed observations are drawn once globally, so every site sees the
     same eps_i. Sites with no observations in range keep their background
     values bitwise.
     """
-    return _site_loop(ens, all_obs, window, taper, layout, rng)
+    return _site_loop(ens, all_obs, taper, layout, rng)
 
 
-def naive_lenkpf_update(ens, all_obs, window, taper, layout, ess_band, rng, diagnostics=None):
+def naive_lenkpf_update(ens, all_obs, taper, layout, ess_band, rng, diagnostics=None):
     """Local EnKPF at every grid point with shared randomness.
 
     Each site runs its own adaptive-gamma EnKPF (gamma from the lower end of
-    ess_band) on the window observations; the per-site resampling indices
+    ess_band) on the observations within l; the per-site resampling indices
     are reordered left to right to agree with the previous site's (see
     _site_loop). diagnostics, if given, records each site's gamma and ESS.
     """
     lo, _ = _check_band(ess_band)
-    return _site_loop(
-        ens, all_obs, window, taper, layout, rng, ess_lo=lo, diagnostics=diagnostics
-    )
+    return _site_loop(ens, all_obs, taper, layout, rng, ess_lo=lo, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ covariance check of its draws checks that gain.
 kalman_gain is the plain EnKF gain on the full P; the package forms it only
 on the rows an update touches (global_filters._enkf_rows). crps_empirical is
 the CRPS of one ensemble at one point; the package only computes its mean
-over a field (scoring.field_crps). window_size counts the grid points a
-LocalWindowSpec covers, and block_w_cols gives the columns a block update
+over a field (scoring.field_crps). window_size counts the grid points
+within a TaperSpec's length scale l of a point, the sites that one
+observation reaches, and block_w_cols gives the columns a block update
 leaves alone: the complement of u and v, which the package never forms.
 
 taper_matrix and tapered_covariance build the full d x d taper and tapered
@@ -87,11 +88,11 @@ def crps_empirical(values, truth):
     return float(term1 - term2)
 
 
-def window_size(window, geometry):
-    """Number of grid points within window.radius_m of a point (2*radius/dx + 1
+def window_size(taper, geometry):
+    """Number of grid points within taper.length_scale_m of a point (2l/dx + 1
     at defaults)."""
     pts = np.arange(geometry.n_points)
-    return int(np.count_nonzero(geometry.distance_m(pts, 0) <= window.radius_m))
+    return int(np.count_nonzero(geometry.distance_m(pts, 0) <= taper.length_scale_m))
 
 
 def block_w_cols(block, layout):

@@ -23,7 +23,6 @@ from enkpf.global_filters import (
 from enkpf.grid import default_layout
 from enkpf.local_filters import (
     LocalDiagnostics,
-    LocalWindowSpec,
     block_assimilate_one,
     block_lenkpf_update,
     lenkf_update,
@@ -221,8 +220,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
 
 def test_criterion_05_locality_invariance():
     t0 = time.time()
-    window = LocalWindowSpec(1500.0)
-    taper = TaperSpec(1500.0)  # support 3000 m = 6 grid points
+    taper = TaperSpec(1500.0)  # window 1500 m, support 3000 m = 6 grid points
     failures = 0
     for case in range(100):
         rng = np.random.default_rng(5000 + case)
@@ -261,13 +259,9 @@ def test_criterion_05_locality_invariance():
             def run(obs, seed=9000 + case):
                 rng_m = np.random.default_rng(seed)
                 if method == "lenkf":
-                    return lenkf_update(
-                        x, obs, window, taper, layout, rng_m
-                    )
+                    return lenkf_update(x, obs, taper, layout, rng_m)
                 if method == "naive":
-                    return naive_lenkpf_update(
-                        x, obs, window, taper, layout, BAND, rng_m
-                    )
+                    return naive_lenkpf_update(x, obs, taper, layout, BAND, rng_m)
                 return block_lenkpf_update(
                     x, obs, taper, layout, 4000.0, BAND, rng_m
                 )

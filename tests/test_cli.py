@@ -75,6 +75,17 @@ def test_run_trace_flag(tmp_path):
     assert (tmp_path / "out" / "trace_0.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    assert main(["run", "--config", str(cfg), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--threads" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nk = 1\n")

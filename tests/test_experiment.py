@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import os
 
@@ -257,6 +258,21 @@ def test_rank_counts_accumulate_at_thinned_times(tmp_path):
     assert len(lines) == 1 + 2 * 3 * (cfg.k + 1)
 
 
+def test_sub_second_cycles_count_ranks_only_on_30_minute_marks(tmp_path):
+    # cycle times 0.5, 1, 1.5 and 2 s: none is a 30-minute mark, though
+    # round(0.5) is 0 (Python rounds half to even)
+    cfg = ExperimentConfig(
+        scenario="custom", interval_s=0.5, duration_s=2.0, k=4, methods=("free",),
+        spinup_days=0.001, out_dir=str(tmp_path),
+        model=ModelParams(geometry=GridGeometry(12, 500.0), dt_s=0.5, warm_start_days=0.003),
+    )
+    ex.run_experiment(cfg)
+    with open(os.path.join(cfg.out_dir, "ranks.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * (cfg.k + 1)
+    assert sum(int(row["count"]) for row in rows) == 0
+
+
 def test_rank_totals_sum_the_repetitions(tmp_path):
     cfg = tiny_cfg(
         interval_s=600.0, duration_s=1800.0, methods=("lenkf", "free"), repetitions=2,
@@ -301,6 +317,42 @@ def test_trace_rows_cover_every_cycle(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == ",".join(ex.TRACE_HEADER)
     assert len(lines) == 1 + cfg.n_cycles
+
+
+def test_trace_csv_cells_summarize_each_cycles_trace_row(tmp_path):
+    # clouds almost everywhere and sharp rain observations, so the sites'
+    # gammas differ and the min, mean and max cells are distinct
+    methods = ("enkf_global", "lenkf", "naive_lenkpf", "pf_global")
+    cfg = tiny_cfg(
+        methods=methods, duration_s=180.0, r_r=1e-8, trace=True, out_dir=str(tmp_path),
+        model=ModelParams(
+            geometry=GridGeometry(24, 500.0), h_cloud=89.9, h_rain=89.95, warm_start_days=0.0
+        ),
+    )
+    ex.run_experiment(cfg)
+    with open(os.path.join(cfg.out_dir, "trace_0.csv")) as fh:
+        cells = list(csv.DictReader(fh))
+    rows = ex.run_single_rep(cfg, 0).trace_rows
+    assert [(int(c["cycle"]), c["method"]) for c in cells] == [
+        (r.cycle, r.method) for r in rows
+    ]
+    assert {c["method"] for c in cells} == set(methods)
+    summaries = ("gamma_mean", "gamma_min", "gamma_max", "ess_mean")
+    for c, row in zip(cells, rows):
+        assert float(c["time_s"]) == row.time_s
+        assert float(c["analysis_rain_mean"]) == row.analysis_rain_mean
+        if row.method in ("enkf_global", "lenkf"):
+            assert [c[key] for key in summaries] == ["", "", "", ""]
+        elif row.method == "pf_global":
+            assert [float(c[key]) for key in summaries[:3]] == [0.0, 0.0, 0.0]
+            assert float(c["ess_mean"]) == row.ess_values[0]
+        else:
+            gammas = np.asarray(row.gammas)
+            assert gammas.size == 24 and np.ptp(gammas) > 0.0  # one per site
+            assert float(c["gamma_min"]) == gammas.min()
+            assert float(c["gamma_mean"]) == gammas.mean()
+            assert float(c["gamma_max"]) == gammas.max()
+            assert float(c["ess_mean"]) == np.mean(row.ess_values)
 
 
 def test_methods_share_truth_and_observations():

@@ -14,7 +14,6 @@ from enkpf.global_filters import (
 from enkpf.grid import default_layout
 from enkpf.local_filters import (
     LocalDiagnostics,
-    LocalWindowSpec,
     block_assimilate_one,
     block_lenkpf_update,
     compute_uvw,
@@ -36,7 +35,7 @@ from oracles import (
     window_size,
 )
 
-GLOBAL_WINDOW = LocalWindowSpec(1e9)
+# no taper, and every site sees every observation
 NO_TAPER = TaperSpec(np.inf)
 
 
@@ -54,10 +53,20 @@ def random_ensemble(rng, layout, k):
 
 
 def test_window_size_example():
+    # a site takes the observations within the taper's length scale l, so one
+    # observation updates the 2l/dx + 1 sites around it, not the 4l/dx - 1
+    # inside the taper's support
     layout = default_layout(300)
-    assert window_size(LocalWindowSpec(5000.0), layout.geometry) == 21
-    with pytest.raises(ValueError):
-        LocalWindowSpec(0.0)
+    taper = TaperSpec(5000.0)
+    assert window_size(taper, layout.geometry) == 21
+    x = random_ensemble(np.random.default_rng(12), layout, 8)
+    obs = rain_obs(layout, [150], [0.5])
+    out = lenkf_update(x, obs, taper, layout, np.random.default_rng(13))
+    changed = [
+        g for g in range(300)
+        if not np.array_equal(out[:, layout.cols_at(g)], x[:, layout.cols_at(g)])
+    ]
+    assert changed == list(range(140, 161))
 
 
 # ---------------------------------------------------------------------- lenkf
@@ -70,9 +79,7 @@ def test_lenkf_global_window_no_taper_matches_global_enkf():
     obs = rain_obs(layout, [2, 3, 7], [0.5, -0.3, 1.1])
     p = ensemble_moments(x)[1]
     ref = enkf_update(x, obs, p, np.random.default_rng(42))
-    out = lenkf_update(
-        x, obs, GLOBAL_WINDOW, NO_TAPER, layout, np.random.default_rng(42)
-    )
+    out = lenkf_update(x, obs, NO_TAPER, layout, np.random.default_rng(42))
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -80,16 +87,11 @@ def test_lenkf_locality():
     rng = np.random.default_rng(1)
     layout = default_layout(40)
     x = random_ensemble(rng, layout, 8)
-    window = LocalWindowSpec(2000.0)
     taper = TaperSpec(2000.0)
     obs_a = rain_obs(layout, [5, 30], [0.7, -0.4])
     obs_b = rain_obs(layout, [5, 30], [0.7, 5.0])  # only the far obs changes
-    out_a = lenkf_update(
-        x, obs_a, window, taper, layout, np.random.default_rng(9)
-    )
-    out_b = lenkf_update(
-        x, obs_b, window, taper, layout, np.random.default_rng(9)
-    )
+    out_a = lenkf_update(x, obs_a, taper, layout, np.random.default_rng(9))
+    out_b = lenkf_update(x, obs_b, taper, layout, np.random.default_rng(9))
     sees_a = [g for g in range(40) if layout.geometry.distance_m(g, 5) <= 2000]
     sees_b = [g for g in range(40) if layout.geometry.distance_m(g, 30) <= 2000]
     untouched = [g for g in range(40) if g not in sees_a and g not in sees_b]
@@ -107,9 +109,7 @@ def test_lenkf_no_obs_is_noop():
     layout = default_layout(6)
     x = random_ensemble(np.random.default_rng(2), layout, 5)
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    out = lenkf_update(
-        x, empty, GLOBAL_WINDOW, NO_TAPER, layout, np.random.default_rng(3)
-    )
+    out = lenkf_update(x, empty, NO_TAPER, layout, np.random.default_rng(3))
     np.testing.assert_array_equal(out, x)
 
 
@@ -126,7 +126,6 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     out = naive_lenkpf_update(
         x,
         obs,
-        GLOBAL_WINDOW,
         NO_TAPER,
         layout,
         (0.8, 1.0),
@@ -151,7 +150,7 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
         x, innov0, obs.r_diag, p_cross, s_oo, gamma, eta, er, idx
     )
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
-    # every site saw the same full-window problem
+    # every site saw the same global problem
     assert len(diag.gammas) == layout.geometry.n_points
     assert np.ptp(diag.gammas) == 0.0
 
@@ -167,12 +166,12 @@ def test_naive_gamma_one_sites_equal_lenkf_bitwise():
     # huge innovations on the left half push those sites' gamma to 1
     values = x[:, 2 * n + points].mean(axis=0) + np.where(points < n // 2, 1000.0, 0.0)
     obs = rain_obs(layout, points, values)
-    window, taper = LocalWindowSpec(1000.0), TaperSpec(1000.0)
+    taper = TaperSpec(1000.0)
     diag = LocalDiagnostics()
     naive = naive_lenkpf_update(
-        x, obs, window, taper, layout, (0.9, 1.0), np.random.default_rng(1), diag
+        x, obs, taper, layout, (0.9, 1.0), np.random.default_rng(1), diag
     )
-    local_enkf = lenkf_update(x, obs, window, taper, layout, np.random.default_rng(1))
+    local_enkf = lenkf_update(x, obs, taper, layout, np.random.default_rng(1))
     gammas = np.asarray(diag.gammas)
     assert gammas.shape == (n,)  # every site has observations
     assert np.any(gammas == 1.0) and np.any(gammas < 1.0)
@@ -191,15 +190,7 @@ def test_naive_adjacent_sites_with_equal_columns_stay_equal():
     for f in range(3):
         x[:, f * n + 9] = x[:, f * n + 10]
     obs = rain_obs(layout, [12], [1.5])
-    out = naive_lenkpf_update(
-        x,
-        obs,
-        LocalWindowSpec(2500.0),
-        NO_TAPER,
-        layout,
-        (0.5, 0.8),
-        np.random.default_rng(6),
-    )
+    out = naive_lenkpf_update(x, obs, NO_TAPER, layout, (0.5, 0.8), np.random.default_rng(6))
     np.testing.assert_array_equal(out[:, layout.cols_at(9)], out[:, layout.cols_at(10)])
 
 
@@ -208,18 +199,14 @@ def test_naive_locality_and_empty_obs():
     layout = default_layout(20)
     x = random_ensemble(rng, layout, 9)
     obs = rain_obs(layout, [10], [0.9])
-    window = LocalWindowSpec(1500.0)
     out = naive_lenkpf_update(
-        x, obs, window, TaperSpec(2000.0), layout, (0.5, 0.8),
-        np.random.default_rng(8),
+        x, obs, TaperSpec(1500.0), layout, (0.5, 0.8), np.random.default_rng(8)
     )
     for g in range(20):
         if layout.geometry.distance_m(g, 10) > 1500.0:
             np.testing.assert_array_equal(out[:, layout.cols_at(g)], x[:, layout.cols_at(g)])
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    noop = naive_lenkpf_update(
-        x, empty, window, NO_TAPER, layout, (0.5, 0.8), np.random.default_rng(8)
-    )
+    noop = naive_lenkpf_update(x, empty, NO_TAPER, layout, (0.5, 0.8), np.random.default_rng(8))
     np.testing.assert_array_equal(noop, x)
 
 
@@ -229,7 +216,7 @@ def test_naive_band_validation():
     obs = rain_obs(layout, [1], [0.0])
     with pytest.raises(ValueError):
         naive_lenkpf_update(
-            x, obs, GLOBAL_WINDOW, NO_TAPER, layout, (0.9, 0.5),
+            x, obs, NO_TAPER, layout, (0.9, 0.5),
             np.random.default_rng(1),
         )
 
