@@ -60,11 +60,16 @@ def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
 
     x_rows (k, p) background rows, innov0 (k, m) = y - Hx, eta_raw (k, m)
     standard normals; K = P_ro (S + R)^{-1} from the slices p_ro (p, m) and
-    s_oo (m, m). FilterError if S + R is not positive definite.
+    s_oo (m, m). FilterError if S + R is not positive definite or the
+    update overflows.
     """
     factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
     gain = sla.cho_solve(factor, p_ro.T).T
-    return x_rows + (innov0 + eta_raw * np.sqrt(r_diag)) @ gain.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = x_rows + (innov0 + eta_raw * np.sqrt(r_diag)) @ gain.T
+    if not np.isfinite(rows).all():
+        raise FilterError("EnKF update is not finite")
+    return rows
 
 
 def pf_weights(ens, obs):

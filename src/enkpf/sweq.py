@@ -25,10 +25,16 @@ advance_ensembles is the one step loop. It advances several ensembles whose
 member i draws its plumes from the same generator in lock-step: each step
 draws and evaluates the plumes once and adds them to every ensemble, which
 is how the experiment forecasts all its methods. advance_members is its
-one-ensemble case.
+one-ensemble case. One call makes every array it steps with once: each
+ensemble's fields live in a padded (3, rows, n + 2) buffer, and a step
+writes them into a spare one that then takes their place. A step copies the
+halo columns from the interior's edges, so the periodic neighbours f[i+1]
+and f[i-1] are views made once (_Ring). The step's temporaries are shared
+by the ensembles, and every ufunc writes into them.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,16 +145,6 @@ def warm_state(params):
     return x
 
 
-def _neighbours(f):
-    """The periodic neighbours (f[i+1], f[i-1]) of a field along its last axis.
-
-    Views of one padded copy, so the stencils below read each field's
-    neighbours from a single allocation.
-    """
-    padded = np.concatenate([f[..., -1:], f, f[..., :1]], axis=-1)
-    return padded[..., 2:], padded[..., :-2]
-
-
 def _check_cfl(h, u, params):
     speed = np.abs(u) + np.sqrt(params.gravity * np.maximum(h, 0.0))
     c_max = float(speed.max())
@@ -203,46 +199,144 @@ def _plume_bumps(params, rngs, xg):
     return rows, bumps
 
 
-def _dynamics(h, u, r, params):
-    """One explicit step of (rows, n) field arrays, without the plume forcing.
+class _Ring:
+    """A (..., n) periodic array stored in a (..., n + 2) buffer with halos.
+
+    Columns 0 and n + 1 of the buffer are halos, copies of the interior's
+    last and first columns once wrap() has run, so the interior's periodic
+    neighbours f[i+1] and f[i-1] are fixed views: plus and minus.
+    """
+
+    def __init__(self, lead, n):
+        padded = np.empty((*lead, n + 2))
+        self.mid = padded[..., 1:-1]
+        self.plus = padded[..., 2:]
+        self.minus = padded[..., :-2]
+        # (halo, edge) pairs: f[-1] is f[n - 1] and f[n] is f[0]
+        self._halos = (
+            (padded[..., :1], padded[..., -2:-1]),
+            (padded[..., -1:], padded[..., 1:2]),
+        )
+
+    def wrap(self):
+        for halo, edge in self._halos:
+            np.copyto(halo, edge)
+
+
+class _Fields(_Ring):
+    """One ensemble's (h, u, r), a (3, rows, n) ring, and the views a step reads."""
+
+    def __init__(self, rows, n):
+        super().__init__((3, rows), n)
+        self.h, self.u, self.r = self.mid
+        self.h_p, self.u_p, self.r_p = self.plus
+        self.h_m, self.u_m, self.r_m = self.minus
+
+
+class _Work:
+    """The (rows, n) temporaries of a step, shared by the ensembles of one call.
+
+    phi and u*h are one (2, rows, n) ring; flags is three bool arrays: the
+    two masks of a step, then all three hold the finite check of (h, u, r).
+    """
+
+    def __init__(self, rows, n):
+        self.flux = _Ring((2, rows), n)
+        self.phi, self.uh = self.flux.mid
+        self.phi_p, self.uh_p = self.flux.plus
+        self.phi_m, self.uh_m = self.flux.minus
+        self.dudx, self.neg_u, self.a, self.b, self.production = np.empty((5, rows, n))
+        self.flags = np.empty((3, rows, n), dtype=bool)
+        self.mask, self.mask2 = self.flags[0], self.flags[1]
+
+
+def _dynamics(src, dst, work, params):
+    """One explicit step from src to dst (_Fields), without the plume forcing.
 
     Centered differences (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
-    (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from _neighbours.
-    Every operation and its order is that of the original np.roll stencils,
-    so trajectories are bitwise those of tests/oracles.py:roll_advance. The
-    new h and r do not read the new u, so the plumes may be added after them.
+    (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from the rings'
+    halos. Every element goes through the ufuncs of the original np.roll
+    stencils in their order, written into work's buffers, so trajectories are
+    bitwise those of tests/oracles.py:roll_advance. The new h and r do not
+    read the new u, so the plumes may be added after them.
     """
     dx = params.geometry.spacing_m
     dt = params.dt_s
     two_dx = 2.0 * dx
     dx2 = dx * dx
-    _check_cfl(h, u, params)
-
-    phi = np.where(h > params.h_cloud, params.phi_cloud, params.gravity * h)
-    phi = phi + params.rain_geopotential * r
-    u_p, u_m = _neighbours(u)
-    phi_p, phi_m = _neighbours(phi)
-    dudx = (u_p - u_m) / two_dx
-    u_new = u + dt * (
-        -u * dudx - (phi_p - phi_m) / two_dx + params.diff_u * ((u_p - 2.0 * u + u_m) / dx2)
+    src.wrap()
+    h, u, r = src.h, src.u, src.r
+    # max|u| + sqrt(g max h) is never below the fastest wave speed, since
+    # rounding is monotone; only when it breaks the CFL bound does the exact
+    # check run, which decides and words the error
+    bound = max(float(u.max()), -float(u.min())) + math.sqrt(
+        params.gravity * max(float(h.max()), 0.0)
     )
+    if not (bound == 0.0 or dt <= dx / bound):
+        _check_cfl(h, u, params)
 
-    uh_p, uh_m = _neighbours(u * h)
-    h_p, h_m = _neighbours(h)
-    h_new = h + dt * (
-        -((uh_p - uh_m) / two_dx) + params.diff_h * ((h_p - 2.0 * h + h_m) / dx2)
-    )
+    dudx, neg_u, a, b, mask = work.dudx, work.neg_u, work.a, work.b, work.mask
+    # phi = where(h > h_cloud, phi_cloud, gravity * h) + rain_geopotential * r
+    phi = work.phi
+    np.multiply(h, params.gravity, phi)
+    np.greater(h, params.h_cloud, mask)
+    np.copyto(phi, params.phi_cloud, where=mask)
+    np.multiply(r, params.rain_geopotential, a)
+    np.add(phi, a, phi)
+    np.multiply(u, h, work.uh)
+    work.flux.wrap()
+    np.subtract(src.u_p, src.u_m, dudx)
+    np.divide(dudx, two_dx, dudx)
+    # u_new = u + dt * (-u * dudx - (phi_p - phi_m) / two_dx
+    #                   + diff_u * ((u_p - 2 u + u_m) / dx2))
+    np.negative(u, neg_u)
+    np.multiply(neg_u, dudx, a)
+    np.subtract(work.phi_p, work.phi_m, b)
+    np.divide(b, two_dx, b)
+    np.subtract(a, b, a)
+    _diffusion(u, src.u_p, src.u_m, dx2, params.diff_u, b)
+    np.add(a, b, a)
+    np.multiply(a, dt, a)
+    np.add(u, a, dst.u)
 
-    production = np.where((h > params.h_rain) & (dudx < 0.0), -params.beta_rain * dudx, 0.0)
-    r_p, r_m = _neighbours(r)
-    r_new = r + dt * (
-        -u * ((r_p - r_m) / two_dx)
-        + params.diff_r * ((r_p - 2.0 * r + r_m) / dx2)
-        - params.alpha_rain * r
-        + production
-    )
-    np.maximum(r_new, 0.0, out=r_new)
-    return h_new, u_new, r_new
+    # h_new = h + dt * (-((uh_p - uh_m) / two_dx) + diff_h * ((h_p - 2 h + h_m) / dx2))
+    np.subtract(work.uh_p, work.uh_m, a)
+    np.divide(a, two_dx, a)
+    np.negative(a, a)
+    _diffusion(h, src.h_p, src.h_m, dx2, params.diff_h, b)
+    np.add(a, b, a)
+    np.multiply(a, dt, a)
+    np.add(h, a, dst.h)
+
+    # production = where((h > h_rain) & (dudx < 0), -beta_rain * dudx, 0)
+    production = work.production
+    np.greater(h, params.h_rain, mask)
+    np.less(dudx, 0.0, work.mask2)
+    np.logical_and(mask, work.mask2, mask)
+    production.fill(0.0)
+    np.multiply(dudx, -params.beta_rain, production, where=mask)
+    # r_new = r + dt * (-u * ((r_p - r_m) / two_dx) + diff_r * ((r_p - 2 r + r_m) / dx2)
+    #                   - alpha_rain * r + production), then clipped at 0
+    np.subtract(src.r_p, src.r_m, a)
+    np.divide(a, two_dx, a)
+    np.multiply(neg_u, a, a)
+    _diffusion(r, src.r_p, src.r_m, dx2, params.diff_r, b)
+    np.add(a, b, a)
+    np.multiply(r, params.alpha_rain, b)
+    np.subtract(a, b, a)
+    np.add(a, production, a)
+    np.multiply(a, dt, a)
+    np.add(r, a, dst.r)
+    np.maximum(dst.r, 0.0, out=dst.r)
+
+
+def _diffusion(f, f_p, f_m, dx2, diff, out):
+    """out = diff * ((f_p - 2 f + f_m) / dx2)."""
+    np.multiply(f, 2.0, out)
+    np.subtract(f_p, out, out)
+    np.add(out, f_m, out)
+    np.divide(out, dx2, out)
+    np.multiply(out, diff, out)
 
 
 def advance_ensembles(ensembles, params, n_steps, rngs):
@@ -255,19 +349,30 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     of the same streams. Returns a list with one entry per ensemble: the new
     (k, 3n) array, or the CflViolation or NumericalBlowup that stopped it;
     the other ensembles carry on.
+
+    Every array of the integration is made here, once: one _Fields ring per
+    ensemble and one spare. An ensemble's step reads its ring and writes the
+    spare, which becomes its ring, while the ring it read becomes the spare
+    of the next. The step's temporaries are one _Work shared by all.
     """
     layout = params.layout
-    # each ensemble's (h, u, r) fields, or the failure that stopped it; the
-    # dynamics return new arrays, so the inputs' views are never written
+    n = params.geometry.n_points
+    rows = len(rngs)
+    # each ensemble's ring, or the failure that stopped it; the inputs are
+    # copied in, so they are never written
     states = []
     for members in ensembles:
         members = np.asarray(members, dtype=float)
-        if members.shape[-1] != layout.dim or len(rngs) != len(members):
+        if members.shape[-1] != layout.dim or rows != len(members):
             raise ValueError("members/rngs inconsistent with the model geometry")
-        fields = layout.split(members)
-        states.append((fields["h"], fields["u"], fields["r"]))
+        fields = _Fields(rows, n)
+        for view, block in zip((fields.h, fields.u, fields.r), layout.split(members).values()):
+            view[...] = block
+        states.append(fields)
+    spare = _Fields(rows, n)
+    work = _Work(rows, n)
     live = list(range(len(states)))
-    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+    xg = np.arange(n) * params.geometry.spacing_m
     t = 0.0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
@@ -275,28 +380,28 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
         for _ in range(n_steps):
             if not live:
                 break
-            rows, bumps = _plume_bumps(params, rngs, xg)
+            bump_rows, bumps = _plume_bumps(params, rngs, xg)
             t += params.dt_s
             for j in live:
-                h, u, r = states[j]
                 try:
-                    h, u, r = _dynamics(h, u, r, params)
+                    _dynamics(states[j], spare, work, params)
                     # one bump at a time, in arrival order, as np.add.at adds them
-                    for row, bump in zip(rows, bumps):
-                        u[row] += bump
-                    _check_finite(h, u, r, t)
+                    for row, bump in zip(bump_rows, bumps):
+                        spare.u[row] += bump
+                    if not np.isfinite(spare.mid, work.flags).all():
+                        _check_finite(spare.h, spare.u, spare.r, t)
                 except (CflViolation, NumericalBlowup) as exc:
                     states[j] = exc
                     # the loop goes on over the list it started with
                     live = [i for i in live if i != j]
                 else:
-                    states[j] = h, u, r
+                    states[j], spare = spare, states[j]
     # pack each ensemble's fields into its output, releasing them as it goes
     for j in live:
-        h, u, r = states[j]
-        states[j] = out = np.empty((len(h), layout.dim))
-        fields = layout.split(out)
-        fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
+        fields = states[j]
+        states[j] = out = np.empty((rows, layout.dim))
+        for block, view in zip(layout.split(out).values(), (fields.h, fields.u, fields.r)):
+            block[...] = view
     return states
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from enkpf.global_filters import (
     search_gamma,
 )
 from enkpf.errors import FilterError
+from enkpf.grid import default_layout
+from enkpf.local_filters import lenkf_update
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
+from enkpf.taper import TaperSpec
 
 from oracles import (
     enkpf_perturbations,
@@ -93,6 +98,25 @@ def test_enkf_deterministic_per_seed():
     a = enkf_update(x, obs, p, np.random.default_rng(99))
     b = enkf_update(x, obs, p, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("entry", ["enkf_update", "lenkf_update"])
+def test_overflowing_enkf_update_raises_filter_error(entry):
+    # the wind at point 0 is 1000 x the rain there, and one rain observation
+    # at point 0 is so far off that the wind's update overflows
+    layout = default_layout(12)
+    cols = layout.split(np.arange(layout.dim))
+    x = np.random.default_rng(0).standard_normal((8, layout.dim))
+    x[:, cols["u"][0]] = 1000.0 * x[:, cols["r"][0]]
+    obs = GaussObs(np.array([1e306]), cols["r"][:1], np.array([1.0]))
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(FilterError, match="EnKF update is not finite"):
+            if entry == "enkf_update":
+                enkf_update(x, obs, ensemble_moments(x)[1], rng)
+            else:
+                lenkf_update(x, obs, TaperSpec(np.inf), layout, rng)
 
 
 # ----------------------------------------------------------------- pf_weights

@@ -178,6 +178,37 @@ def test_step_is_bitwise_the_roll_step(rows, plume_rate):
     assert (fields["h"] > params.h_rain).any() and (fields["r"] > params.rain_threshold).any()
 
 
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_tiny_rings_are_bitwise_the_roll_step(n_points):
+    # on one, two and three points the halos are the interior's own edges,
+    # and each point may be its own neighbour on both sides
+    params = small_params(geometry=GridGeometry(n_points, 500.0), plume_rate=1e-2)
+    members = active_members(params, 4, 60 + n_points)
+    out = advance_members(members, params, 50, fresh_rngs(4))
+    np.testing.assert_array_equal(out, roll_advance(members, params, 50, fresh_rngs(4)))
+    assert not np.array_equal(out, members)
+
+
+def test_cfl_bound_above_the_limit_leaves_the_verdict_to_the_exact_check():
+    # max|u| and max h at different points: max|u| + sqrt(g max h) is about
+    # 131 m/s, above the dx / dt = 100 m/s limit, but no point moves faster
+    # than 60 + sqrt(10 * 90) = 90 m/s
+    params = small_params()
+    n = params.geometry.n_points
+    h, u = np.full(n, 90.0), np.zeros(n)
+    u[10], h[30] = 60.0, 500.0
+    limit = params.geometry.spacing_m / params.dt_s
+    assert np.abs(u).max() + np.sqrt(params.gravity * h.max()) > limit
+    x = state(h, u, np.zeros(n))[None, :]
+    out = advance_members(x, params, 1, fresh_rngs(1))
+    np.testing.assert_array_equal(out, roll_advance(x, params, 1, fresh_rngs(1)))
+    # over the limit at one point: the message gives the true speed
+    u[10] = 80.0
+    with pytest.raises(CflViolation, match=r"^dt=5\.0s exceeds CFL bound 4\.545s "
+                       r"\(max speed 110\.00 m/s\)$"):
+        step(state(h, u, np.zeros(n)), params, 6)
+
+
 class PlacedPlumes:
     """Stub rng: one plume per step at each of the given centers in turn."""
 
