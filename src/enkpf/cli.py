@@ -65,6 +65,8 @@ def _cmd_spinup(args):
 
 
 def _cmd_score(args):
+    import numpy as np
+
     from enkpf.grid import FIELDS, default_layout
     from enkpf.scoring import field_crps
     from enkpf.sweq import load_ensemble_csv, load_state_csv
@@ -75,9 +77,15 @@ def _cmd_score(args):
         raise EnkpfError("ensemble and truth state have different grid sizes")
     layout = default_layout(truth.size // len(FIELDS))
     ens_f, truth_f = layout.split(ens), layout.split(truth)
+    # finite values whose differences overflow give an inf CRPS, an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        crps = {f: field_crps(ens_f[f], truth_f[f]) for f in FIELDS}
+    for f, value in crps.items():
+        if not np.isfinite(value):
+            raise EnkpfError(f"CRPS of field {f} is not finite: the values overflow")
     print("field,crps")
-    for f in FIELDS:
-        print(f"{f},{field_crps(ens_f[f], truth_f[f])!r}")
+    for f, value in crps.items():
+        print(f"{f},{value!r}")
     return 0
 
 

@@ -48,8 +48,12 @@ def _finite_cov(cov):
 
 
 def _chol(mat, what):
+    """Lower Cholesky factor of mat for cho_solve; FilterError naming what
+    when mat is not finite or not positive definite."""
+    if not np.isfinite(mat).all():
+        raise FilterError(f"{what} is not finite")
     try:
-        return sla.cho_factor(mat, lower=True)
+        return sla.cho_factor(mat, lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise FilterError(f"{what} not positive definite: {exc}") from exc
 

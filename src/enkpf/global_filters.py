@@ -11,13 +11,16 @@ There is one EnKPF path, shared by the global and the localized filters:
 GammaWeightSolver gives the mixture weights for any gamma (search_gamma picks
 gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
 subset of state rows given the relevant covariance slices. enkpf_update and
-adaptive_gamma call it on all rows of the plain or tapered P; the localized
-filters call it per site or block, which is what keeps the global/local
-reduction tests exact. At gamma = 1 it is the stochastic EnKF, and
-_enkf_rows is the one place that update is written: enkf_update, the LEnKF
-and every gamma = 1 site or block go through it. Weights and resampling
-indices are plain (k,) arrays (see enkpf.resampling). All observation
-operators are column selectors with diagonal R, so every solve is m x m.
+adaptive_gamma call it on all rows of the plain or tapered P after one shared
+set-up (_global_setup); the localized filters call it per site or block,
+which keeps the global/local reduction tests exact. At gamma = 1 it is the
+stochastic EnKF, written once in _enkf_rows: enkf_update is enkpf_update at
+gamma = 1, and the LEnKF and every gamma = 1 site or block go through it.
+Only below gamma = 1 is e_R drawn and are the members resampled with the
+solver's weights; enkpf_update builds no solver at gamma = 1. Weights and
+resampling indices are plain (k,) arrays (see enkpf.resampling). All
+observation operators are column selectors with diagonal R, so every solve is
+m x m.
 """
 
 import math
@@ -41,18 +44,12 @@ __all__ = [
 def enkf_update(ens, obs, P, rng):
     """Stochastic EnKF analysis: x_i + K(P)(y - Hx_i + eps_i), eps_i ~ N(0, R).
 
-    P is supplied by the caller (plain or tapered sample covariance). Each
-    member gets its own observation perturbation; one (k, m) standard-normal
-    block is drawn from rng, making the update bit-reproducible per seed.
+    The EnKPF at gamma = 1. P is supplied by the caller (plain or tapered
+    sample covariance). Each member gets its own observation perturbation;
+    one (k, m) standard-normal block is drawn from rng, making the update
+    bit-reproducible per seed.
     """
-    x = np.asarray(ens, dtype=float)
-    k, d = x.shape
-    obs.check_dim(d)
-    if obs.m == 0:
-        return x.copy()
-    p_cols, s_oo = _p_slices(P, obs.h_rows)
-    eta_raw = rng.standard_normal((k, obs.m))
-    return _enkf_rows(x, obs.y - obs.project(x), obs.r_diag, p_cols, s_oo, eta_raw)
+    return enkpf_update(ens, obs, P, 1.0, rng)[0]
 
 
 def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
@@ -175,10 +172,8 @@ def _eps_draws(k_ro, a, k2_ro, r_diag, gamma, eta_raw, er_raw):
     """Analysis perturbations (I - K2 H) e_Q + K2 e_R for pre-drawn normals.
 
     e_Q = gamma^{-1/2} K_gamma (sqrt(r) eta) restricted to the updated rows,
-    e_R ~ N(0, R/(1-gamma)). gamma = 0 gives exact zeros.
+    e_R ~ N(0, R/(1-gamma)), for 0 < gamma < 1.
     """
-    if gamma == 0.0:
-        return np.zeros((eta_raw.shape[0], k_ro.shape[0]))
     sqrt_r = np.sqrt(r_diag)
     scaled = gamma**-0.5 * (eta_raw * sqrt_r)
     e_q_rows = scaled @ k_ro.T
@@ -188,17 +183,12 @@ def _eps_draws(k_ro, a, k2_ro, r_diag, gamma, eta_raw, er_raw):
 
 
 def _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma):
-    """Gains shared by the mean and perturbation paths, for gamma in [0, 1).
+    """Gains shared by the mean and perturbation paths, for 0 < gamma < 1, m > 0.
 
     Returns (k_ro, a, k2_ro): row-restricted stage-1 gain K(gamma P) on the
     requested rows, its obs-space block A = H K(gamma P), and the
     row-restricted second-stage gain K((1-gamma) Q).
     """
-    m = r_diag.shape[0]
-    p = p_ro.shape[0]
-    if gamma == 0.0 or m == 0:
-        z = np.zeros((p, m))
-        return z, np.zeros((m, m)), z
     factor = _chol(gamma * s_oo + np.diag(r_diag), "stage-1 innovation covariance")
     k_ro = gamma * sla.cho_solve(factor, p_ro.T).T
     a = gamma * sla.cho_solve(factor, s_oo).T
@@ -216,8 +206,8 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     x_rows (k, p): background values of the rows being updated; innov0
     (k, m): y - Hx of the background; p_ro (p, m), s_oo (m, m): covariance
     slices (tapered or plain). gamma = 1 is the EnKF (_enkf_rows): nothing is
-    resampled, so idx must be the identity and er_raw is not used.
-    Returns the (k, p) analysis rows.
+    resampled, so idx must be the identity and er_raw is not used (it may be
+    None). Returns the (k, p) analysis rows.
     """
     if gamma == 0.0 or r_diag.shape[0] == 0:
         return x_rows[idx]
@@ -231,23 +221,29 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     return mu_rows[idx] + eps
 
 
-def _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng):
+def _global_setup(ens, obs, P):
+    """(x, y - Hx, P[:, H], P[H, H]) for an update of every row of ens."""
+    x = np.asarray(ens, dtype=float)
+    obs.check_dim(x.shape[1])
+    return (x, obs.y - obs.project(x), *_p_slices(P, obs.h_rows))
+
+
+def _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng):
     """EnKPF analysis of all rows at gamma, resampling with solver's weights.
 
-    Draws eta, then e_R, then (for gamma < 1) the resampling uniform, in that
-    order. At gamma = 1 the weights are uniform and the indices the identity.
+    Draws eta and, below gamma = 1, e_R and then the resampling uniform, in
+    that order. At gamma = 1 (the EnKF) solver is not used: the weights are
+    uniform and the indices the identity.
     """
     k = x.shape[0]
     eta_raw = rng.standard_normal((k, obs.m))
-    er_raw = rng.standard_normal((k, obs.m))
     if gamma == 1.0:
-        alpha, idx = np.full(k, 1.0 / k), np.arange(k)
+        er_raw, alpha, idx = None, np.full(k, 1.0 / k), np.arange(k)
     else:
+        er_raw = rng.standard_normal((k, obs.m))
         alpha = solver.weights(gamma)
         idx = balanced_resample(alpha, rng)
-    x_a = _enkpf_rows_update(
-        x, obs.y - obs.project(x), obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx
-    )
+    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx)
     return x_a, alpha, idx
 
 
@@ -256,17 +252,15 @@ def enkpf_update(ens, obs, P, gamma, rng):
 
     Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
     gamma = 1 the particle stage is skipped: the update is the EnKF rows
-    update, bitwise equal to enkf_update with the same rng, the weights are
-    uniform and the indices are the identity. For gamma < 1 the indices are
-    a balanced resample of the mixture weights.
+    update (this is enkf_update), the weights are uniform and the indices are
+    the identity. For gamma < 1 the indices are a balanced resample of the
+    mixture weights.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    x = np.asarray(ens, dtype=float)
-    obs.check_dim(x.shape[1])
-    p_ro, s_oo = _p_slices(P, obs.h_rows)
-    solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
-    return _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng)
+    x, innov0, p_ro, s_oo = _global_setup(ens, obs, P)
+    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0) if gamma < 1.0 else None
+    return _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng)
 
 
 def adaptive_gamma(ens, obs, P, ess_band, rng):
@@ -280,9 +274,7 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     Returns (gamma, (analysis, alpha, idx)) with the arrays of enkpf_update.
     """
     lo, _ = _check_band(ess_band)
-    x = np.asarray(ens, dtype=float)
-    obs.check_dim(x.shape[1])
-    p_ro, s_oo = _p_slices(P, obs.h_rows)
-    solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - obs.project(x))
+    x, innov0, p_ro, s_oo = _global_setup(ens, obs, P)
+    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
     gamma = search_gamma(solver, lo, x.shape[0])
-    return gamma, _enkpf_at(x, obs, p_ro, s_oo, solver, gamma, rng)
+    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng)

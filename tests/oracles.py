@@ -274,8 +274,8 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
 
     Uses production's gains for the rows of P; eta is drawn before e_R.
     """
-    if gamma == 1.0:
-        raise ValueError("perturbation draws are defined for gamma < 1")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("perturbation draws are defined for 0 < gamma < 1")
     p_ro, s_oo = _p_slices(P, obs.h_rows)
     k_ro, a, k2_ro = _enkpf_rows_machinery(obs.r_diag, p_ro, s_oo, gamma)
     eta = rng.standard_normal((n_draws, obs.m))

@@ -349,6 +349,28 @@ def test_score_grid_mismatch(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_score_reports_an_overflowing_crps_in_one_line(tmp_path, capsys):
+    # finite values about 2e308 apart: the h CRPS overflows to inf
+    (tmp_path / "truth.csv").write_text(
+        "grid_index,h,u,r\n" + "".join(f"{g},-1e308,0,0\n" for g in range(3))
+    )
+    (tmp_path / "ensemble.csv").write_text(
+        "member,grid_index,h,u,r\n"
+        + "".join(f"{i},{g},{h},0,0\n" for i, h in enumerate(("0.9e308", "1e308"))
+                  for g in range(3))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["score", "--ensemble", str(tmp_path / "ensemble.csv"),
+             "--truth", str(tmp_path / "truth.csv")]
+        )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: CRPS of field h is not finite: the values overflow"]
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--reps", "2"), ("--methods", "free"), ("--scenario", "custom")]
 )

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf import global_filters
 from enkpf.core import ensemble_moments
@@ -117,6 +119,57 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
                 enkf_update(x, obs, ensemble_moments(x)[1], rng)
             else:
                 lenkf_update(x, obs, TaperSpec(np.inf), layout, rng)
+
+
+GLOBAL_UPDATES = {
+    "enkf_update": enkf_update,
+    "enkpf_update_gamma_1": lambda x, obs, p, rng: enkpf_update(x, obs, p, 1.0, rng),
+    "enkpf_update_gamma_0.5": lambda x, obs, p, rng: enkpf_update(x, obs, p, 0.5, rng),
+    "adaptive_gamma": lambda x, obs, p, rng: adaptive_gamma(x, obs, p, (0.5, 0.8), rng),
+}
+
+
+@pytest.mark.parametrize("update", GLOBAL_UPDATES.values(), ids=GLOBAL_UPDATES.keys())
+def test_global_updates_reject_a_non_finite_covariance(update):
+    x = np.random.default_rng(0).standard_normal((6, 4))
+    p = np.eye(4)
+    p[1, 1] = np.inf
+    obs = GaussObs([0.1, 0.2], [1, 2], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FilterError, match="not finite"):
+            update(x, obs, p, np.random.default_rng(1))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 10),
+    d=st.integers(1, 6),
+    data=st.data(),
+    lo=st.sampled_from([0.05, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_global_family_is_one_update_bitwise(k, d, data, lo, seed):
+    # the EnKF is the EnKPF at gamma = 1, and adaptive_gamma is the EnKPF at
+    # the gamma it picks, bit for bit, with no observations too
+    m = data.draw(st.integers(0, d), label="m")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, d)) * rng.uniform(0.5, 2.0)
+    a = rng.standard_normal((d, d))
+    p = a @ a.T / d + 0.1 * np.eye(d)
+    obs = GaussObs(
+        rng.standard_normal(m), rng.choice(d, size=m, replace=False), rng.uniform(0.3, 1.5, m)
+    )
+    enkf = enkf_update(x, obs, p, np.random.default_rng(seed))
+    assert_same_bits(enkf, enkpf_update(x, obs, p, 1.0, np.random.default_rng(seed))[0])
+    gamma, arrays = adaptive_gamma(x, obs, p, (lo, 1.0), np.random.default_rng(seed))
+    for got, want in zip(arrays, enkpf_update(x, obs, p, gamma, np.random.default_rng(seed))):
+        assert_same_bits(got, want)
 
 
 # ----------------------------------------------------------------- pf_weights
