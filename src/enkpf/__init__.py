@@ -10,7 +10,6 @@ from enkpf.global_filters import adaptive_gamma, enkf_update, enkpf_update, pf_w
 from enkpf.local_filters import (
     ObservationBlock,
     block_lenkpf_update,
-    compute_uvw,
     lenkf_update,
     naive_lenkpf_update,
     schedule_blocks,

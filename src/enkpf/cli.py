@@ -108,7 +108,8 @@ def build_parser():
         "--reps", type=int, dest="repetitions", metavar="REPS", help="number of repetitions"
     )
     p_run.add_argument("--methods", type=_to_methods, help="comma-separated method list")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel repetitions")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="parallel repetitions (at most one per CPU)")
     p_run.add_argument(
         "--trace", action="store_true", default=None, help="write per-cycle trace CSVs"
     )

@@ -94,7 +94,10 @@ class ExperimentConfig:
 
     @property
     def n_cycles(self):
-        return int(self.duration_s // self.interval_s)
+        # whole intervals to within rounding (1.0 // 0.1 is 9.0): a relative 1e-9, under
+        # MAX_STEPS less than a hundredth of a model step; a part-interval never counts
+        count = self.duration_s / self.interval_s
+        return round(count) if math.isclose(count, round(count)) else math.floor(count)
 
 
 def _to_bool(raw):

@@ -29,10 +29,6 @@ class FilterError(EnkpfError):
     """An analysis update could not be completed (singular system, bad shapes)."""
 
 
-class InvalidBlockError(FilterError):
-    """An observation block is empty or inconsistent with the layout."""
-
-
 class NumericalBlowup(EnkpfError):
     """Model integration or observation generation produced NaN/Inf.
 

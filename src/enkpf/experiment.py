@@ -314,8 +314,10 @@ def run_experiment(cfg, threads=1):
     # looked up on the module at call time, as the analyses' filters are
     job = partial(run_single_rep, cfg, base=sweq.warm_state(cfg.model))
     reps = list(range(cfg.repetitions))
-    if threads > 1 and cfg.repetitions > 1:
-        with Pool(processes=min(threads, cfg.repetitions)) as pool:
+    # never more workers than repetitions or CPUs, whatever --threads asks for
+    workers = min(threads, cfg.repetitions, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             results = pool.map(job, reps)
     else:
         results = [job(rep) for rep in reps]

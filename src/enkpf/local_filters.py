@@ -8,19 +8,22 @@ at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
 All sites share the same observation perturbations (one global draw) and one
 global uniform for resampling, so that neighboring analyses stay as coherent
 as the weights allow; the remaining index freedom is removed by a
-left-to-right reordering sweep. Every site and block runs the one local EnKPF
-step (_local_enkpf): gamma, the weights at gamma, systematic indices reordered
-toward a reference index vector, and global_filters._enkpf_rows_update,
-which at gamma = 1 is the one EnKF rows update (_enkf_rows).
+left-to-right reordering sweep. One set-up (_local_setup: x, y - Hx, then
+the draws eta, e_R and the resampling uniform) serves the site loop and each
+block. Every site and block runs the one local EnKPF step (_local_enkpf):
+gamma, the weights at gamma, systematic indices reordered toward a reference
+index vector, and global_filters._enkpf_rows_update, which at gamma = 1 is
+the one EnKF rows update (_enkf_rows).
 
-BLOCK-LEnKPF instead partitions the observations into short segments. Each
-segment's block update touches the directly observed columns u with a local
-EnKPF and drags the taper-correlated columns v along through the conditional
-regression x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); every other column (w,
-beyond the taper support) is untouched bitwise. Blocks whose (u, v)
-footprints are disjoint are grouped and may run in any order (they read and
-write disjoint columns); per-block rng sub-streams are spawned up front in
-block-id order, so serial and parallel execution produce identical results.
+BLOCK-LEnKPF instead partitions the observations into short segments and
+builds each block's observations, u and v in one pass (partition_obs_blocks).
+A block update touches the observed columns u with a local EnKPF and drags
+the taper-correlated columns v along through the conditional regression
+x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); every other column (w, beyond the
+taper support) is untouched bitwise. Blocks whose (u, v) footprints are
+disjoint are grouped and may run in any order (they read and write disjoint
+columns); per-block rng sub-streams are spawned up front in block-id order,
+so serial and parallel execution produce identical results.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.errors import FilterError, InvalidBlockError
+from enkpf.errors import FilterError
 from enkpf.global_filters import (
     GammaWeightSolver,
     _check_band,
@@ -44,7 +47,6 @@ __all__ = [
     "ObservationBlock",
     "block_assimilate_one",
     "block_lenkpf_update",
-    "compute_uvw",
     "lenkf_update",
     "naive_lenkpf_update",
     "schedule_blocks",
@@ -100,9 +102,18 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     return rows, idx
 
 
+def _local_setup(ens, obs, rng):
+    """(x, y - Hx, eta, e_R, u) for a local analysis of ens: the one place that
+    fixes the local draw order, eta, e_R, then the resampling uniform u."""
+    x = np.asarray(ens, dtype=float)
+    obs.check_dim(x.shape[1])
+    k = x.shape[0]
+    return (x, obs.y - obs.project(x), rng.standard_normal((k, obs.m)),
+            rng.standard_normal((k, obs.m)), rng.uniform())
+
+
 def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
-    """Local EnKPF at every grid point, shared draws drawn in the order eta,
-    e_R, resampling uniform.
+    """Local EnKPF at every grid point, all sites sharing one _local_setup.
 
     With ess_lo set, each site picks its own gamma and its indices are
     reordered toward the previous site's (_local_enkpf), which suppresses
@@ -111,16 +122,11 @@ def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
     background bitwise; they and gamma = 1 sites contribute identity index
     vectors to the sweep.
     """
-    x = np.asarray(ens, dtype=float)
+    x, innov0, eta_all, er_all, u_shared = _local_setup(ens, all_obs, rng)
     k, d = x.shape
-    all_obs.check_dim(d)
     obs_cols = all_obs.h_rows
     p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
     s_full = p_cross[obs_cols, :]
-    innov0 = all_obs.y - x[:, obs_cols]
-    eta_all = rng.standard_normal((k, all_obs.m))
-    er_all = rng.standard_normal((k, all_obs.m))
-    u_shared = rng.uniform()
     identity = np.arange(k)
 
     out = x.copy()
@@ -178,21 +184,6 @@ class ObservationBlock:
     v: np.ndarray
 
 
-def compute_uvw(block_obs, taper, layout):
-    """The u and v columns of one observation block (w is the rest)."""
-    if block_obs.m == 0:
-        raise InvalidBlockError("observation block is empty")
-    block_obs.check_dim(layout.dim)
-    u = np.unique(block_obs.h_rows)
-    u_pts = np.unique(layout.grid_of_cols(u))
-    n = layout.geometry.n_points
-    dist = layout.geometry.distance_m(np.arange(n)[:, None], u_pts[None, :]).min(axis=1)
-    # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
-    near_pts = np.flatnonzero(dist < taper.support_radius_m)
-    v = np.setdiff1d(layout.cols_at(near_pts), u)
-    return ObservationBlock(block_obs, u, v)
-
-
 def schedule_blocks(blocks):
     """Greedy grouping of blocks with pairwise disjoint (u ∪ v) footprints.
 
@@ -235,29 +226,20 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
 def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
-    Adaptive-gamma local EnKPF (_local_enkpf) on the observed columns u,
-    drawing eta, e_R and the resampling uniform in that order, with indices
-    reordered toward the identity to maximize fixed points; correlated
-    columns v follow through the conditional regression against the tapered
-    P_uu; all other columns are untouched.
+    Adaptive-gamma local EnKPF (_local_enkpf, set up by _local_setup) on the
+    observed columns u, with indices reordered toward the identity to
+    maximize fixed points; correlated columns v follow through the
+    conditional regression against the tapered P_uu; all other columns are
+    untouched.
     """
     lo, _ = _check_band(ess_band)
-    x = np.asarray(ens, dtype=float)
-    k, d = x.shape
-    block.obs.check_dim(d)
     obs = block.obs
-    m = obs.m
-    if m == 0:
-        raise InvalidBlockError("observation block is empty")
-    obs_cols = obs.h_rows
-    s_oo = tapered_cov_block(x, obs_cols, obs_cols, layout, taper)
-    p_uo = tapered_cov_block(x, block.u, obs_cols, layout, taper)
-    innov0 = obs.y - x[:, obs_cols]
-    eta = rng.standard_normal((k, m))
-    er = rng.standard_normal((k, m))
+    x, innov0, eta, er, uniform = _local_setup(ens, obs, rng)
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, layout, taper)
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, layout, taper)
     x_u, _ = _local_enkpf(
-        x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, rng.uniform(),
-        np.arange(k), diagnostics,
+        x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
+        np.arange(x.shape[0]), diagnostics,
     )
 
     out = x.copy()
@@ -271,18 +253,23 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
 
 
 def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
-    """Split observations into contiguous-segment blocks with their u/v sets."""
-    if all_obs.m == 0:
-        return []
+    """Split observations into contiguous-segment blocks, building each block's
+    obs, u and v in one pass over the segments."""
+    all_obs.check_dim(layout.dim)
     obs_pts = layout.grid_of_cols(all_obs.h_rows)
+    n = layout.geometry.n_points
     spacing = layout.geometry.spacing_m
+    # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
+    near = layout.geometry.distance_m(np.arange(n)[:, None], obs_pts) < taper.support_radius_m
     # a segment no longer than the spacing holds one point, whatever its
     # length; flooring it at the spacing keeps the ids small and finite
     seg = ((obs_pts * spacing) // max(segment_length_m, spacing)).astype(int)
     blocks = []
     for s in np.unique(seg):
         rows = np.flatnonzero(seg == s)
-        blocks.append(compute_uvw(all_obs.subset(rows), taper, layout))
+        u = np.unique(all_obs.h_rows[rows])
+        v = np.setdiff1d(layout.cols_at(np.flatnonzero(near[:, rows].any(axis=1))), u)
+        blocks.append(ObservationBlock(all_obs.subset(rows), u, v))
     return blocks
 
 
@@ -297,22 +284,11 @@ def block_lenkpf_update(
     order. Across groups the updates are sequential, reusing the same taper.
     """
     _check_band(ess_band)
-    x = np.asarray(ens, dtype=float)
-    all_obs.check_dim(x.shape[1])
     blocks = partition_obs_blocks(all_obs, taper, layout, segment_length_m)
-    if not blocks:
-        return x.copy()
     streams = rng.spawn(len(blocks))
-    current = x
+    current = np.array(ens, dtype=float)
     for group in schedule_blocks(blocks):
         for bid in group:
-            current = block_assimilate_one(
-                current,
-                blocks[bid],
-                taper,
-                layout,
-                ess_band,
-                streams[bid],
-                diagnostics=diagnostics,
-            )
+            current = block_assimilate_one(current, blocks[bid], taper, layout, ess_band,
+                                           streams[bid], diagnostics=diagnostics)
     return current

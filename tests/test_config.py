@@ -169,6 +169,23 @@ def test_custom_scenario_with_explicit_timing():
     assert cfg.n_cycles == 5
 
 
+@pytest.mark.parametrize(
+    "scenario, interval_s, duration_s, dt_s, cycles",
+    [
+        ("custom", 0.1, 1.0, 0.1, 10),  # 1.0 // 0.1 is 9.0 in floating point
+        ("custom", 0.1, 0.3, 0.1, 3),  # 0.3 / 0.1 is 2.9999999999999996
+        ("custom", 5.0, 8.0, 5.0, 1),  # a part-interval does not count
+        ("custom", 120.0, 600.0, 5.0, 5),
+        ("hf", None, None, 5.0, 12),
+        ("lf", None, None, 5.0, 144),
+    ],
+)
+def test_n_cycles_counts_whole_intervals(scenario, interval_s, duration_s, dt_s, cycles):
+    cfg = ExperimentConfig(scenario=scenario, interval_s=interval_s, duration_s=duration_s,
+                           model=ModelParams(dt_s=dt_s))
+    assert cfg.n_cycles == cycles
+
+
 def test_overrides_win_and_rescale_scenario():
     cfg = parse_config("[experiment]\nscenario = hf\n", overrides={"scenario": "lf"})
     assert cfg.interval_s == 1800.0

@@ -107,6 +107,37 @@ def test_one_warm_start_per_run(tmp_path, monkeypatch, threads):
     assert log.read_text().split() == [str(os.getpid())]
 
 
+@pytest.mark.parametrize(
+    "threads, reps, cpus, workers",
+    [(5000, 3, 2, [2]), (3, 3, 8, [3]), (5000, 1, 2, []), (2, 3, 1, []), (3, 3, None, [])],
+)
+def test_pool_is_bounded_by_repetitions_and_cpus(tmp_path, monkeypatch, threads, reps, cpus,
+                                                 workers):
+    # at most one worker per repetition and per CPU, and no pool for one; the
+    # stand-in pool records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(ex, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = tiny_cfg(methods=("free",), repetitions=reps, duration_s=60.0, out_dir=str(tmp_path))
+    records, _ = ex.run_experiment(cfg, threads=threads)
+    assert sizes == workers
+    assert [rec.rep for rec in records] == [rep for rep in range(reps) for _ in range(3)]
+
+
 def test_numerical_failure_drops_method_but_not_run(monkeypatch):
     real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}

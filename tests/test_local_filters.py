@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf import global_filters, local_filters
 from enkpf.core import ensemble_moments
-from enkpf.errors import InvalidBlockError
 from enkpf.global_filters import (
     GammaWeightSolver,
     _enkpf_rows_update,
@@ -16,7 +17,6 @@ from enkpf.local_filters import (
     LocalDiagnostics,
     block_assimilate_one,
     block_lenkpf_update,
-    compute_uvw,
     lenkf_update,
     naive_lenkpf_update,
     partition_obs_blocks,
@@ -224,7 +224,7 @@ def test_naive_band_validation():
 # ------------------------------------------------------------------ u/v/w sets
 
 
-def test_compute_uvw_worked_example():
+def test_block_uvw_worked_example():
     layout = default_layout(20)  # dx = 500 m
     n = 20
     obs = GaussObs(
@@ -232,7 +232,7 @@ def test_compute_uvw_worked_example():
         np.array([2 * n + 4, 2 * n + 5, n + 4]),
         np.ones(3),
     )
-    block = compute_uvw(obs, TaperSpec(2000.0), layout)
+    (block,) = partition_obs_blocks(obs, TaperSpec(2000.0), layout, 5000.0)
     np.testing.assert_array_equal(block.u, [n + 4, 2 * n + 4, 2 * n + 5])
     near_pts = sorted(set(range(0, 13)) | {17, 18, 19})
     near_cols = sorted(f * n + p for f in range(3) for p in near_pts)
@@ -242,13 +242,6 @@ def test_compute_uvw_worked_example():
     np.testing.assert_array_equal(w, sorted(f * n + p for f in range(3) for p in w_pts))
     # the three sets partition the state columns
     assert len(block.u) + len(block.v) + len(w) == layout.dim
-
-
-def test_compute_uvw_empty_block_raises():
-    layout = default_layout(8)
-    empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    with pytest.raises(InvalidBlockError):
-        compute_uvw(empty, NO_TAPER, layout)
 
 
 def test_partition_obs_blocks_segments():
@@ -445,7 +438,7 @@ def test_block_pinv_fallback_on_rank_deficient_p_uu():
     n = 20
     x = random_ensemble(rng, layout, 3)  # sample covariance rank 2 < |u| = 3
     obs = GaussObs(np.array([0.1, 0.2, 0.3]), np.array([0, n, 2 * n]), np.ones(3))
-    block = compute_uvw(obs, TaperSpec(2000.0), layout)
+    (block,) = partition_obs_blocks(obs, TaperSpec(2000.0), layout, 5000.0)
     diag = LocalDiagnostics()
     block_assimilate_one(
         x, block, TaperSpec(2000.0), layout, band(),
@@ -500,6 +493,53 @@ def test_block_group_execution_order_is_irrelevant():
             current, blocks[bid], taper, layout, band(), streams[bid]
         )
     np.testing.assert_array_equal(current, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 60),
+    k=st.integers(3, 12),
+    data=st.data(),
+)
+def test_partition_builds_each_block_in_one_pass(n, k, data):
+    # rain observations at random points and wind at random wet ones, in a
+    # random order; segments from below the spacing to past the domain
+    layout = default_layout(n)  # dx = 500 m
+    rain = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    wind = data.draw(st.lists(st.sampled_from(rain), max_size=len(rain), unique=True))
+    cols = data.draw(st.permutations([2 * n + p for p in rain] + [n + p for p in wind]))
+    # l on multiples of dx / 2 puts grid points exactly at the support edge 2l
+    l_m = data.draw(st.floats(100.0, 40000.0) | st.integers(1, 80).map(lambda i: 250.0 * i))
+    segment_m = data.draw(st.one_of(st.floats(1e-3, 500.0), st.floats(500.0, 50000.0)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    obs = GaussObs(rng.standard_normal(len(cols)), np.array(cols), rng.uniform(0.5, 2.0, len(cols)))
+    taper = TaperSpec(l_m)
+
+    blocks = partition_obs_blocks(obs, taper, layout, segment_m)
+    # the blocks' observation rows partition all_obs
+    def rows(o):
+        return list(zip(o.h_rows.tolist(), o.y.tolist(), o.r_diag.tolist()))
+
+    assert sorted(r for b in blocks for r in rows(b.obs)) == sorted(rows(obs))
+    everything = np.arange(layout.dim)
+    for b in blocks:
+        np.testing.assert_array_equal(b.u, np.unique(b.obs.h_rows))
+        near = layout.col_distance_m(everything, b.u).min(axis=1) < 2 * l_m
+        np.testing.assert_array_equal(b.v, np.setdiff1d(everything[near], b.u))
+
+    # every schedule group run in reverse on the spawned streams gives the
+    # bits of block_lenkpf_update
+    x = rng.standard_normal((k, layout.dim))
+    ref = block_lenkpf_update(x, obs, taper, layout, segment_m, band(),
+                              np.random.default_rng(seed))
+    streams = np.random.default_rng(seed).spawn(len(blocks))
+    current = x
+    for group in schedule_blocks(blocks):
+        for bid in reversed(group):
+            current = block_assimilate_one(current, blocks[bid], taper, layout, band(),
+                                           streams[bid])
+    assert current.tobytes() == ref.tobytes()
 
 
 def test_block_band_validation():

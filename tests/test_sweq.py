@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf import sweq
 from enkpf.errors import CflViolation, NumericalBlowup
@@ -301,6 +303,43 @@ def test_failed_ensemble_keeps_its_slot_and_others_carry_on(kind):
         np.testing.assert_array_equal(lock, advance_members(x, params, steps, fresh_rngs(rows)))
     for x, x0 in zip((good[0], bad, good[1]), before):
         assert np.array_equal(x, x0, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_points=st.integers(1, 40),
+    rows=st.integers(1, 6),
+    n_ensembles=st.integers(1, 3),
+    rate=st.floats(0.0, 1.0),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_advance_ensembles_is_bitwise_the_roll_step(n_points, rows, n_ensembles, rate, steps,
+                                                     seed, data):
+    # plume_rate from 0 to the cap of n_points plumes per step; in some
+    # examples one more ensemble, holding a NaN, fails at its first step
+    spacing, dt = 500.0, 5.0
+    params = ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+                         plume_rate=rate * 60.0 / (spacing * dt))
+    ensembles = [active_members(params, rows, seed + j) for j in range(n_ensembles)]
+    failing = data.draw(st.none() | st.integers(0, n_ensembles))
+    if failing is not None:
+        bad = active_members(params, rows, seed + n_ensembles)
+        params.layout.split(bad)["r"][rows - 1, n_points // 2] = np.nan
+        ensembles.insert(failing, bad)
+
+    def rngs():
+        return [np.random.default_rng([seed, i]) for i in range(rows)]
+
+    out = advance_ensembles(ensembles, params, steps, rngs())
+    assert len(out) == len(ensembles)
+    for j, (x, lock) in enumerate(zip(ensembles, out)):
+        if j == failing:
+            assert type(lock) is NumericalBlowup
+        else:
+            ref = roll_advance(x, params, steps, rngs())
+            assert lock.shape == ref.shape and lock.tobytes() == ref.tobytes()
 
 
 def _sha(a):
