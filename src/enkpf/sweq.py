@@ -22,21 +22,43 @@ enkpf.grid.StateLayout says; this module reads and writes the fields only
 through StateLayout.split.
 
 advance_ensembles is the one step loop. It advances several ensembles whose
-member i draws its plumes from the same generator in lock-step: each step
-draws and evaluates the plumes once and adds them to every ensemble, which
+member i draws its plumes from the same generator in lock-step: the plumes
+of a step are drawn and evaluated once and added to every ensemble, which
 is how the experiment forecasts all its methods. advance_members is its
 one-ensemble case. One call makes every array it steps with once: each
 ensemble's fields live in a padded (3, rows, n + 2) buffer, and a step
 writes them into a spare one that then takes their place. A step copies the
 halo columns from the interior's edges, so the periodic neighbours f[i+1]
-and f[i-1] are views made once (_Ring). The step's temporaries are shared
-by the ensembles, and every ufunc writes into them.
+and f[i-1] are views made once (_ring). The step's work arrays are shared
+by the ensembles, every ufunc writes into them, and the step is a closure
+that binds them, its constants and its ufuncs once per call (_bind_step).
+
+The plumes are drawn a chunk of steps ahead (_Plumes), about 256 plumes
+and at most 1,024 steps, so memory does not grow with the steps. The
+draws are those of per-step calls: rng.poisson(lam), then, if it drew a
+count, rng.uniform(0.0, L, count) for the centers and
+rng.uniform(size=count) for the signs. For 0 < lam < 10 they are decoded
+from one block of rng.random doubles per row: numpy's poisson multiplies
+doubles until the product falls to exp(-lam), uniform(0.0, L) is
+0.0 + L * U and uniform() is U. For lam >= 10 numpy's poisson is the PTRS
+method, and the per-step calls are made as they are. After each chunk
+every generator is set back to its state at the chunk's start and advanced
+by the draws of the steps that were started, so it ends where per-step
+calls leave it, also when every ensemble stops early: spinup_ensemble takes
+one generator through all its spans. A chunk's bumps are evaluated in one
+pass, each element as before; exp skips arguments below -746, whose result
+is +0.0 anyway, where numpy's exp is slow. Trajectories and generators are
+bitwise those of tests/oracles.py (roll_advance, plume_draws). On a 2-core
+Xeon (numpy 2.4, AVX-512) a 1-row step from the warm state took a median
+of 40 to 50 us in several rounds, against 67 to 77 us with per-step draws
+and an unbound step (BENCH_steps.json).
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,196 +188,332 @@ def _check_finite(h, u, r, t):
             )
 
 
-def _plume_bumps(params, rngs, xg):
-    """One step's Poisson-arriving wind plumes; one rng per trajectory row.
+# A chunk of steps draws and evaluates about _CHUNK_PLUMES plumes ahead, in at
+# most _CHUNK_STEPS steps. At the defaults (300 points, one plume per row and
+# step) a 1-row chunk is about 256 steps with 600 KB of bumps, a 50-row chunk
+# 5 steps; the cap keeps a near-zero plume rate from drawing huge blocks.
+_CHUNK_PLUMES = 256
+_CHUNK_STEPS = 1024
 
-    Draws each row's plume count, centers and signs in turn and returns the
-    rows and the bumps in arrival order, each bump a signed Gaussian wind
-    increment over the n grid points. xg holds their coordinates in meters.
+
+def _row_plumes(rng, lam, length, steps):
+    """One row's plumes over its next steps, as per-step calls draw them.
+
+    A step's calls are rng.poisson(lam) and, when it drew a count, then
+    rng.uniform(0.0, length, count) for the centers and
+    rng.uniform(size=count) for the signs. Returns the steps' counts, the
+    centers and sign draws of their plumes in arrival order, and how many
+    doubles were taken from rng, which may be more than the calls take; or
+    None where the calls themselves were made.
     """
-    lam = params.plumes_per_step
-    length = params.geometry.domain_m
-    rows, centers, sign_draws = [], [], []
-    for i, rng in enumerate(rngs):
-        count = int(rng.poisson(lam))
+    if not 0.0 < lam < 10.0:
+        # numpy draws a count of mean 10 or more by the PTRS method, which is
+        # not replayed here, and one of mean 0 draws nothing
+        counts, centers, signs = [], [], []
+        for _ in range(steps):
+            count = int(rng.poisson(lam))
+            counts.append(count)
+            if count:
+                centers.append(rng.uniform(0.0, length, count))
+                signs.append(rng.uniform(size=count))
+        return counts, np.concatenate([[], *centers]), np.concatenate([[], *signs]), None
+    # below 10, poisson(lam) takes doubles U until their running product
+    # falls to exp(-lam), uniform(0.0, length) is 0.0 + length * U and
+    # uniform() is U, all of them the doubles rng.random gives, in turn: so
+    # a step takes 3 count + 1 doubles, and a block of them replays the calls
+    enlam = math.exp(-lam)
+    block = int(steps * (3.0 * lam + 1.0) * 1.25) + 16
+    draws = rng.random(block).tolist()
+    counts, centers, signs = [], [], []
+    pos = 0
+    while len(counts) < steps:
+        try:
+            prod = draws[pos]
+            end = pos + 1
+            while prod > enlam:
+                prod *= draws[end]
+                end += 1
+            count = end - pos - 1
+            if end + 2 * count > len(draws):
+                raise IndexError
+        except IndexError:
+            # the block ends within this step: draw on, and decode it again
+            draws += rng.random(block).tolist()
+            continue
+        counts.append(count)
+        pos = end + 2 * count
         if count:
-            rows.extend([i] * count)
-            centers.append(rng.uniform(0.0, length, count))
-            sign_draws.append(rng.uniform(size=count))
-    if not rows:
-        return rows, ()
-    # symmetric signs keep the net momentum input zero in expectation
-    amplitude = params.plume_amplitude
-    signed = np.where(np.concatenate(sign_draws) < 0.5, -amplitude, amplitude)
+            centers += draws[end:end + count]
+            signs += draws[end + count:pos]
+    return counts, 0.0 + length * np.array(centers), np.array(signs), len(draws)
+
+
+def _bumps(params, xg, centers, sign_draws):
+    """The signed Gaussian wind increments of plumes, one (n,) row per plume.
+
+    centers and sign_draws are the plumes' draws; xg holds the grid points'
+    coordinates in meters. Each element goes through the operations of the
+    plume forcing in tests/oracles.py:roll_advance, in their order, so the
+    bits are the same.
+    """
+    length = params.geometry.domain_m
+    w = params.plume_width_m
     # the signed distance np.mod(offset, length) - length / 2 from each center:
     # grid points and centers lie in [0, length), so offset lies within
     # (-length / 2, 3 length / 2) and one wrap either way is np.mod's result.
     # np.mod gives the same bits but is slower: 287 against 73 us for 50
     # bumps on 300 points (2-core Xeon, numpy 2.4)
-    offset = xg - np.concatenate(centers)[:, None] + 0.5 * length
-    offset[offset >= length] -= length
-    offset[offset < 0.0] += length  # may round up to length, as np.mod does
-    delta = offset - 0.5 * length
-    w = params.plume_width_m
-    bumps = signed[:, None] * np.exp(-(delta * delta) / (2 * w * w))
-    return rows, bumps
+    out = np.subtract(xg, centers[:, None])
+    np.add(out, 0.5 * length, out)
+    mask = np.greater_equal(out, length)
+    np.subtract(out, length, out, where=mask)
+    np.less(out, 0.0, mask)
+    np.add(out, length, out, where=mask)  # may round up to length, as np.mod does
+    np.subtract(out, 0.5 * length, out)
+    np.multiply(out, out, out)
+    np.negative(out, out)
+    np.divide(out, 2 * w * w, out)
+    # exp is +0.0 below -745.14, where numpy's exp is slow (15 ns an
+    # argument at -800, 4 ns at -inf, 1 ns at -1; AVX-512, numpy 2.4): it
+    # skips the arguments below -746, which are set to +0.0. 256 bumps of
+    # 300 points took 313 us so, against 717 us for exp of every argument
+    np.greater_equal(out, -746.0, mask)
+    np.exp(out, out, where=mask)
+    np.logical_not(mask, mask)
+    np.copyto(out, 0.0, where=mask)
+    # symmetric signs keep the net momentum input zero in expectation
+    amplitude = params.plume_amplitude
+    np.multiply(np.where(sign_draws < 0.5, -amplitude, amplitude)[:, None], out, out)
+    return out
 
 
-class _Ring:
+class _Plumes:
+    """The rows' plume bumps, drawn and evaluated a chunk of steps ahead.
+
+    draw(steps) draws every row's plumes for its next steps (_row_plumes),
+    evaluates all their bumps in one pass (_bumps) and returns, for each
+    step, its (row, bump) pairs in arrival order: the rows in turn, each
+    row's plumes as drawn. rewind(started) then leaves every generator where
+    that many steps of per-step calls leave it, for the step loop may stop
+    within a chunk. With no plumes (lam = 0) no generator is touched.
+    """
+
+    def __init__(self, params, rngs):
+        self.params = params
+        self.lam = lam = params.plumes_per_step
+        self.rngs = list(rngs) if lam else []
+        self.chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
+        self.xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+        self._saved, self._drawn = [], []
+
+    def draw(self, steps):
+        if not self.rngs:
+            return [()] * steps
+        length = self.params.geometry.domain_m
+        self._saved = [rng.bit_generator.state for rng in self.rngs]
+        self._drawn = drawn = [_row_plumes(rng, self.lam, length, steps) for rng in self.rngs]
+        counts = np.array([row[0] for row in drawn], dtype=np.intp)
+        # each plume's step, and the order that sorts the plumes by step,
+        # keeping the rows' order within a step
+        order = np.argsort(np.repeat(np.tile(np.arange(steps), len(drawn)), counts.ravel()),
+                           kind="stable")
+        rows = np.repeat(np.arange(len(drawn)), counts.sum(axis=1))[order]
+        centers = np.concatenate([row[1] for row in drawn])[order]
+        sign_draws = np.concatenate([row[2] for row in drawn])[order]
+        pairs = list(zip(rows.tolist(), _bumps(self.params, self.xg, centers, sign_draws)))
+        ends = np.cumsum(counts.sum(axis=0)).tolist()
+        return [pairs[start:end] for start, end in zip([0, *ends], ends)]
+
+    def rewind(self, started):
+        lam, length = self.lam, self.params.geometry.domain_m
+        for rng, state, (counts, _, _, taken) in zip(self.rngs, self._saved, self._drawn):
+            if taken is None:
+                if started < len(counts):
+                    rng.bit_generator.state = state
+                    _row_plumes(rng, lam, length, started)
+            else:
+                used = started + 3 * sum(counts[:started])
+                if used != taken:
+                    rng.bit_generator.state = state
+                    rng.random(used)
+        self._saved, self._drawn = [], []
+
+
+def _ring(lead, n):
     """A (..., n) periodic array stored in a (..., n + 2) buffer with halos.
 
-    Columns 0 and n + 1 of the buffer are halos, copies of the interior's
-    last and first columns once wrap() has run, so the interior's periodic
-    neighbours f[i+1] and f[i-1] are fixed views: plus and minus.
+    Returns the interior, its periodic neighbours f[i+1] and f[i-1] as fixed
+    views of the buffer, and the (halos, edges) views a wrap copies: columns
+    0 and n + 1 of the buffer hold the interior's last and first columns
+    once it has run.
     """
-
-    def __init__(self, lead, n):
-        padded = np.empty((*lead, n + 2))
-        self.mid = padded[..., 1:-1]
-        self.plus = padded[..., 2:]
-        self.minus = padded[..., :-2]
-        # (halo, edge) pairs: f[-1] is f[n - 1] and f[n] is f[0]
-        self._halos = (
-            (padded[..., :1], padded[..., -2:-1]),
-            (padded[..., -1:], padded[..., 1:2]),
-        )
-
-    def wrap(self):
-        for halo, edge in self._halos:
-            np.copyto(halo, edge)
+    padded = np.empty((*lead, n + 2))
+    # columns 0 and n + 1, and n and 1 (1 and 1 when n is 1)
+    halos = padded[..., ::n + 1]
+    edges = padded[..., n:0:1 - n] if n > 1 else np.broadcast_to(padded[..., 1:2], halos.shape)
+    return padded[..., 1:-1], padded[..., 2:], padded[..., :-2], (halos, edges)
 
 
-class _Fields(_Ring):
-    """One ensemble's (h, u, r), a (3, rows, n) ring, and the views a step reads."""
+class _Fields(NamedTuple):
+    """One ensemble's (h, u, r), a (3, rows, n) ring, and the views a step
+    reads and writes; a tuple, so a step unpacks it with no lookups."""
 
-    def __init__(self, rows, n):
-        super().__init__((3, rows), n)
-        self.h, self.u, self.r = self.mid
-        self.h_p, self.u_p, self.r_p = self.plus
-        self.h_m, self.u_m, self.r_m = self.minus
+    h: np.ndarray
+    u: np.ndarray
+    r: np.ndarray
+    h_p: np.ndarray
+    u_p: np.ndarray
+    r_p: np.ndarray
+    h_m: np.ndarray
+    u_m: np.ndarray
+    r_m: np.ndarray
+    mid: np.ndarray  # (3, rows, n): h, u and r
+    halos: tuple
+    u_rows: list  # u's rows, to which the plumes are added
 
-
-class _Work:
-    """The (rows, n) temporaries of a step, shared by the ensembles of one call.
-
-    phi and u*h are one (2, rows, n) ring; flags is three bool arrays: the
-    two masks of a step, then all three hold the finite check of (h, u, r).
-    """
-
-    def __init__(self, rows, n):
-        self.flux = _Ring((2, rows), n)
-        self.phi, self.uh = self.flux.mid
-        self.phi_p, self.uh_p = self.flux.plus
-        self.phi_m, self.uh_m = self.flux.minus
-        self.dudx, self.neg_u, self.a, self.b, self.production = np.empty((5, rows, n))
-        self.flags = np.empty((3, rows, n), dtype=bool)
-        self.mask, self.mask2 = self.flags[0], self.flags[1]
+    @classmethod
+    def make(cls, rows, n):
+        mid, plus, minus, halos = _ring((3, rows), n)
+        return cls(*mid, *plus, *minus, mid, halos, list(mid[1]))
 
 
-def _dynamics(src, dst, work, params):
-    """One explicit step from src to dst (_Fields), without the plume forcing.
+def _bind_step(params, rows, n):
+    """The model step of one integration, with its constants, work arrays
+    and ufuncs bound once, so that a step looks nothing up.
 
-    Centered differences (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
+    step(src, dst, bumps, t) advances the fields src into dst (_Fields): the
+    explicit dynamics, then each (row, bump) pair of bumps added to dst's u
+    in turn, as np.add.at adds them, then the finite check, whose
+    NumericalBlowup names the time t. Centered differences
+    (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
     (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from the rings'
     halos. Every element goes through the ufuncs of the original np.roll
-    stencils in their order, written into work's buffers, so trajectories are
-    bitwise those of tests/oracles.py:roll_advance. The new h and r do not
-    read the new u, so the plumes may be added after them.
+    stencils in their order, written into the work arrays, so trajectories
+    are bitwise those of tests/oracles.py:roll_advance. The new h and r do
+    not read the new u, so the plumes may be added after them.
     """
-    dx = params.geometry.spacing_m
-    dt = params.dt_s
-    two_dx = 2.0 * dx
-    dx2 = dx * dx
-    src.wrap()
-    h, u, r = src.h, src.u, src.r
-    # max|u| + sqrt(g max h) is never below the fastest wave speed, since
-    # rounding is monotone; only when it breaks the CFL bound does the exact
-    # check run, which decides and words the error
-    bound = max(float(u.max()), -float(u.min())) + math.sqrt(
-        params.gravity * max(float(h.max()), 0.0)
-    )
-    if not (bound == 0.0 or dt <= dx / bound):
-        _check_cfl(h, u, params)
+    dx, dt, gravity = params.geometry.spacing_m, params.dt_s, params.gravity
+    # the ufuncs' scalar operands as 0-d arrays, made once: a ufunc converts
+    # a Python float on every call, 0.4 of the 1.3 us an add of 300 points
+    # takes (2-core Xeon, numpy 2.4)
+    (step_dt, two_dx, dx2, two, zero, g, h_cloud, h_rain, phi_cloud, rain_geopotential,
+     diff_h, diff_u, diff_r, alpha_rain, neg_beta_rain) = map(np.array, (
+        dt, 2.0 * dx, dx * dx, 2.0, 0.0, gravity, params.h_cloud, params.h_rain,
+        params.phi_cloud, params.rain_geopotential, params.diff_h, params.diff_u,
+        params.diff_r, params.alpha_rain, -params.beta_rain))
+    # phi and u*h are one (2, rows, n) ring; flags holds the two masks of a
+    # step, then all three rows hold the finite check of (h, u, r)
+    (phi, uh), (phi_p, uh_p), (phi_m, uh_m), (flux_halos, flux_edges) = _ring((2, rows), n)
+    dudx, neg_u, a, b, production = np.empty((5, rows, n))
+    clear_production = production.fill
+    flags = np.empty((3, rows, n), dtype=bool)
+    mask, mask2 = flags[0], flags[1]
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    negative, greater, less, logical_and = np.negative, np.greater, np.less, np.logical_and
+    maximum, copyto, isfinite, sqrt = np.maximum, np.copyto, np.isfinite, math.sqrt
+    largest, smallest, all_true = np.maximum.reduce, np.minimum.reduce, np.logical_and.reduce
+    to_float, larger = float, max
 
-    dudx, neg_u, a, b, mask = work.dudx, work.neg_u, work.a, work.b, work.mask
-    # phi = where(h > h_cloud, phi_cloud, gravity * h) + rain_geopotential * r
-    phi = work.phi
-    np.multiply(h, params.gravity, phi)
-    np.greater(h, params.h_cloud, mask)
-    np.copyto(phi, params.phi_cloud, where=mask)
-    np.multiply(r, params.rain_geopotential, a)
-    np.add(phi, a, phi)
-    np.multiply(u, h, work.uh)
-    work.flux.wrap()
-    np.subtract(src.u_p, src.u_m, dudx)
-    np.divide(dudx, two_dx, dudx)
-    # u_new = u + dt * (-u * dudx - (phi_p - phi_m) / two_dx
-    #                   + diff_u * ((u_p - 2 u + u_m) / dx2))
-    np.negative(u, neg_u)
-    np.multiply(neg_u, dudx, a)
-    np.subtract(work.phi_p, work.phi_m, b)
-    np.divide(b, two_dx, b)
-    np.subtract(a, b, a)
-    _diffusion(u, src.u_p, src.u_m, dx2, params.diff_u, b)
-    np.add(a, b, a)
-    np.multiply(a, dt, a)
-    np.add(u, a, dst.u)
+    def diffusion(f, f_p, f_m, diff, out):
+        """out = diff * ((f_p - 2 f + f_m) / dx2)."""
+        multiply(f, two, out)
+        subtract(f_p, out, out)
+        add(out, f_m, out)
+        divide(out, dx2, out)
+        multiply(out, diff, out)
 
-    # h_new = h + dt * (-((uh_p - uh_m) / two_dx) + diff_h * ((h_p - 2 h + h_m) / dx2))
-    np.subtract(work.uh_p, work.uh_m, a)
-    np.divide(a, two_dx, a)
-    np.negative(a, a)
-    _diffusion(h, src.h_p, src.h_m, dx2, params.diff_h, b)
-    np.add(a, b, a)
-    np.multiply(a, dt, a)
-    np.add(h, a, dst.h)
+    def step(src, dst, bumps, t):
+        h, u, r, h_p, u_p, r_p, h_m, u_m, r_m, _, (halos, edges), _ = src
+        new_h, new_u, new_r, _, _, _, _, _, _, new_mid, _, new_u_rows = dst
+        copyto(halos, edges)
+        # max|u| + sqrt(g max h) is never below the fastest wave speed, since
+        # rounding is monotone; only when it breaks the CFL bound does the
+        # exact check run, which decides and words the error
+        bound = larger(to_float(largest(u, None)), -to_float(smallest(u, None))) + sqrt(
+            gravity * larger(to_float(largest(h, None)), 0.0)
+        )
+        if not (bound == 0.0 or dt <= dx / bound):
+            _check_cfl(h, u, params)
 
-    # production = where((h > h_rain) & (dudx < 0), -beta_rain * dudx, 0)
-    production = work.production
-    np.greater(h, params.h_rain, mask)
-    np.less(dudx, 0.0, work.mask2)
-    np.logical_and(mask, work.mask2, mask)
-    production.fill(0.0)
-    np.multiply(dudx, -params.beta_rain, production, where=mask)
-    # r_new = r + dt * (-u * ((r_p - r_m) / two_dx) + diff_r * ((r_p - 2 r + r_m) / dx2)
-    #                   - alpha_rain * r + production), then clipped at 0
-    np.subtract(src.r_p, src.r_m, a)
-    np.divide(a, two_dx, a)
-    np.multiply(neg_u, a, a)
-    _diffusion(r, src.r_p, src.r_m, dx2, params.diff_r, b)
-    np.add(a, b, a)
-    np.multiply(r, params.alpha_rain, b)
-    np.subtract(a, b, a)
-    np.add(a, production, a)
-    np.multiply(a, dt, a)
-    np.add(r, a, dst.r)
-    np.maximum(dst.r, 0.0, out=dst.r)
+        # phi = where(h > h_cloud, phi_cloud, gravity * h) + rain_geopotential * r
+        multiply(h, g, phi)
+        greater(h, h_cloud, mask)
+        copyto(phi, phi_cloud, where=mask)
+        multiply(r, rain_geopotential, a)
+        add(phi, a, phi)
+        multiply(u, h, uh)
+        copyto(flux_halos, flux_edges)
+        subtract(u_p, u_m, dudx)
+        divide(dudx, two_dx, dudx)
+        # u_new = u + dt * (-u * dudx - (phi_p - phi_m) / two_dx
+        #                   + diff_u * ((u_p - 2 u + u_m) / dx2))
+        negative(u, neg_u)
+        multiply(neg_u, dudx, a)
+        subtract(phi_p, phi_m, b)
+        divide(b, two_dx, b)
+        subtract(a, b, a)
+        diffusion(u, u_p, u_m, diff_u, b)
+        add(a, b, a)
+        multiply(a, step_dt, a)
+        add(u, a, new_u)
 
+        # h_new = h + dt * (-((uh_p - uh_m) / two_dx) + diff_h * ((h_p - 2 h + h_m) / dx2))
+        subtract(uh_p, uh_m, a)
+        divide(a, two_dx, a)
+        negative(a, a)
+        diffusion(h, h_p, h_m, diff_h, b)
+        add(a, b, a)
+        multiply(a, step_dt, a)
+        add(h, a, new_h)
 
-def _diffusion(f, f_p, f_m, dx2, diff, out):
-    """out = diff * ((f_p - 2 f + f_m) / dx2)."""
-    np.multiply(f, 2.0, out)
-    np.subtract(f_p, out, out)
-    np.add(out, f_m, out)
-    np.divide(out, dx2, out)
-    np.multiply(out, diff, out)
+        # production = where((h > h_rain) & (dudx < 0), -beta_rain * dudx, 0)
+        greater(h, h_rain, mask)
+        less(dudx, zero, mask2)
+        logical_and(mask, mask2, mask)
+        clear_production(0.0)
+        multiply(dudx, neg_beta_rain, production, where=mask)
+        # r_new = r + dt * (-u * ((r_p - r_m) / two_dx) + diff_r * ((r_p - 2 r + r_m) / dx2)
+        #                   - alpha_rain * r + production), then clipped at 0
+        subtract(r_p, r_m, a)
+        divide(a, two_dx, a)
+        multiply(neg_u, a, a)
+        diffusion(r, r_p, r_m, diff_r, b)
+        add(a, b, a)
+        multiply(r, alpha_rain, b)
+        subtract(a, b, a)
+        add(a, production, a)
+        multiply(a, step_dt, a)
+        add(r, a, new_r)
+        maximum(new_r, zero, out=new_r)
+
+        # one bump at a time, in arrival order, as np.add.at adds them;
+        # np.add.at gives the same bits but is slower (2-core Xeon, numpy
+        # 2.4): 9.1 against 2.7 us at 1 row, 255 against 62 us at 50 rows
+        for row, bump in bumps:
+            add(new_u_rows[row], bump, new_u_rows[row])
+        if not all_true(isfinite(new_mid, flags), None):
+            _check_finite(new_h, new_u, new_r, t)
+
+    return step
 
 
 def advance_ensembles(ensembles, params, n_steps, rngs):
     """Advance several (k, 3n) ensemble arrays n_steps in lock-step.
 
-    Member i of every ensemble uses rngs[i]. Each step draws and evaluates
-    the plumes once, then runs the dynamics of every live ensemble and adds
-    the plumes to it one bump at a time in arrival order, so every trajectory
-    is bitwise the one it takes when advanced alone with its own generators
-    of the same streams. Returns a list with one entry per ensemble: the new
+    Member i of every ensemble uses rngs[i]. The plumes of a step are drawn
+    and evaluated once (_Plumes, a chunk of steps ahead); each live ensemble
+    then takes the step and adds them one bump at a time in arrival order,
+    so every trajectory is bitwise the one it takes when advanced alone with
+    its own generators of the same streams. Every generator is left where
+    per-step draws leave it: after the plumes of each step that some
+    ensemble started. Returns a list with one entry per ensemble: the new
     (k, 3n) array, or the CflViolation or NumericalBlowup that stopped it;
     the other ensembles carry on.
 
     Every array of the integration is made here, once: one _Fields ring per
     ensemble and one spare. An ensemble's step reads its ring and writes the
     spare, which becomes its ring, while the ring it read becomes the spare
-    of the next. The step's temporaries are one _Work shared by all.
+    of the next. The step's work arrays are shared by all (_bind_step).
     """
     layout = params.layout
     n = params.geometry.n_points
@@ -365,42 +523,43 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     states = []
     for members in ensembles:
         members = np.asarray(members, dtype=float)
-        if members.shape[-1] != layout.dim or rows != len(members):
+        if members.shape[-1] != layout.dim or not rows or rows != len(members):
             raise ValueError("members/rngs inconsistent with the model geometry")
-        fields = _Fields(rows, n)
+        fields = _Fields.make(rows, n)
         for view, block in zip((fields.h, fields.u, fields.r), layout.split(members).values()):
             view[...] = block
         states.append(fields)
-    spare = _Fields(rows, n)
-    work = _Work(rows, n)
+    spare = _Fields.make(rows, n)
+    step = _bind_step(params, rows, n)
+    plumes = _Plumes(params, rngs)
     live = list(range(len(states)))
-    xg = np.arange(n) * params.geometry.spacing_m
+    dt = params.dt_s
     t = 0.0
+    done = 0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(n_steps):
-            if not live:
-                break
-            bump_rows, bumps = _plume_bumps(params, rngs, xg)
-            t += params.dt_s
-            for j in live:
-                try:
-                    _dynamics(states[j], spare, work, params)
-                    # one bump at a time, in arrival order, as np.add.at adds them;
-                    # np.add.at gives the same bits but is slower (2-core Xeon,
-                    # numpy 2.4): 9.1 against 2.7 us at 1 row, 255 against 62 us
-                    # at 50 rows
-                    for row, bump in zip(bump_rows, bumps):
-                        spare.u[row] += bump
-                    if not np.isfinite(spare.mid, work.flags).all():
-                        _check_finite(spare.h, spare.u, spare.r, t)
-                except (CflViolation, NumericalBlowup) as exc:
-                    states[j] = exc
-                    # the loop goes on over the list it started with
-                    live = [i for i in live if i != j]
-                else:
-                    states[j], spare = spare, states[j]
+        while live and done < n_steps:
+            schedule = plumes.draw(min(plumes.chunk, n_steps - done))
+            started = 0
+            try:
+                for bumps in schedule:
+                    if not live:
+                        break
+                    started += 1
+                    t += dt
+                    for j in live:
+                        try:
+                            step(states[j], spare, bumps, t)
+                        except (CflViolation, NumericalBlowup) as exc:
+                            states[j] = exc
+                            # the loop goes on over the list it started with
+                            live = [i for i in live if i != j]
+                        else:
+                            states[j], spare = spare, states[j]
+            finally:
+                plumes.rewind(started)
+            done += len(schedule)
     # pack each ensemble's fields into its output, releasing them as it goes
     for j in live:
         fields = states[j]

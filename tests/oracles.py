@@ -24,7 +24,10 @@ are the small scoring helpers the tests read outputs back with.
 
 roll_advance is the model step as first written, with np.roll stencils and
 the plume forcing in its original form; sweq.advance_members must stay
-bitwise equal to it.
+bitwise equal to it. plume_draws makes the plume forcing's random calls of
+a number of steps one step at a time, as roll_advance makes them; the
+package draws a chunk of steps at once and must take the same events from
+a generator and leave it in the same state.
 
 permute_fixed_points is the block filter's fixed-point permutation as first
 written; the package gets it as resampling.reorder_to_match against the
@@ -129,6 +132,19 @@ def _roll_plumes(u_new, params, rngs):
         signs[:, None] * params.plume_amplitude * np.exp(-(delta * delta) / (2 * w * w))
     )
     np.add.at(u_new, np.asarray(rows), bumps)
+
+
+def plume_draws(rng, lam, length, steps):
+    """One row's plume counts, centers and sign draws over `steps` steps, the
+    calls made one step at a time."""
+    counts, centers, signs = [], [np.empty(0)], [np.empty(0)]
+    for _ in range(steps):
+        count = int(rng.poisson(lam))
+        counts.append(count)
+        if count:
+            centers.append(rng.uniform(0.0, length, count))
+            signs.append(rng.uniform(size=count))
+    return counts, np.concatenate(centers), np.concatenate(signs)
 
 
 def roll_advance(members, params, n_steps, rngs):

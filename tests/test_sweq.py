@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from enkpf.sweq import (
     spinup_ensemble,
     warm_state,
 )
-from oracles import roll_advance
+from oracles import plume_draws, roll_advance
 
 
 def small_params(**kw):
@@ -228,7 +229,7 @@ class PlacedPlumes:
         return np.array([0.25 if self.count % 4 else 0.75])  # the sign draw
 
 
-def test_plumes_at_the_wrap_points_match_the_roll_step():
+def test_plumes_at_the_wrap_points_match_the_roll_step(monkeypatch):
     # the wrap's edge cases: a center just above length / 2, whose offset
     # from grid point 0 rounds up onto length; centers whose offsets land
     # exactly on 0 or length / 2; the largest center uniform can draw
@@ -236,8 +237,21 @@ def test_plumes_at_the_wrap_points_match_the_roll_step():
     length = params.geometry.domain_m
     centers = [np.nextafter(0.5 * length, length), 0.5 * length, 0.0,
                np.nextafter(length, 0.0), 1e-9, 250.0]
+    placed = PlacedPlumes(centers)
+
+    def placed_row_plumes(rng, lam, length, steps):
+        # the stub's draws in place of the generator's, made step by step
+        counts, drawn, signs = [], [], []
+        for _ in range(steps):
+            counts.append(placed.poisson(lam))
+            drawn.append(placed.uniform(0.0, length, 1))
+            signs.append(placed.uniform(size=1))
+        return counts, np.concatenate(drawn), np.concatenate(signs), None
+
     x = rest_state(params)[None, :]
-    out = advance_members(x, params, len(centers), [PlacedPlumes(centers)])
+    monkeypatch.setattr(sweq, "_row_plumes", placed_row_plumes)
+    out = advance_members(x, params, len(centers), fresh_rngs(1))
+    assert placed.centers == []
     ref = roll_advance(x, params, len(centers), [PlacedPlumes(centers)])
     np.testing.assert_array_equal(out, ref)
     assert np.abs(params.layout.split(out[0])["u"]).max() > 0
@@ -258,18 +272,20 @@ def test_lock_step_is_bitwise_separate_runs(monkeypatch, n_ensembles, rows):
     params = small_params(plume_rate=1e-3)
     ensembles = [active_members(params, rows, 30 + j) for j in range(n_ensembles)]
     before = [x.copy() for x in ensembles]
-    bump_rows = []
-    real = sweq._plume_bumps
+    rngs = fresh_rngs(rows)
+    counts = {id(rng): [] for rng in rngs}
+    real = sweq._row_plumes
 
-    def logged(params, rngs, xg):
-        rows, bumps = real(params, rngs, xg)
-        bump_rows.append(list(rows))
-        return rows, bumps
+    def logged(rng, lam, length, steps):
+        plumes = real(rng, lam, length, steps)
+        counts[id(rng)].extend(plumes[0])
+        return plumes
 
-    monkeypatch.setattr(sweq, "_plume_bumps", logged)
-    out = advance_ensembles(ensembles, params, 40, fresh_rngs(rows))
-    assert len(bump_rows) == 40
-    assert any(len(set(step_rows)) < len(step_rows) for step_rows in bump_rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweq, "_row_plumes", logged)
+        out = advance_ensembles(ensembles, params, 40, rngs)
+    assert all(len(row_counts) == 40 for row_counts in counts.values())
+    assert any(count > 1 for row_counts in counts.values() for count in row_counts)
     assert len(out) == n_ensembles
     for x, x0, lock in zip(ensembles, before, out):
         assert x.tobytes() == x0.tobytes()  # the inputs are not modified
@@ -342,6 +358,124 @@ def test_advance_ensembles_is_bitwise_the_roll_step(n_points, rows, n_ensembles,
             assert lock.shape == ref.shape and lock.tobytes() == ref.tobytes()
 
 
+def test_zero_rows_are_inconsistent():
+    params = small_params(plume_rate=8e-5)
+    with pytest.raises(ValueError, match="members/rngs inconsistent"):
+        advance_ensembles([np.empty((0, params.layout.dim))], params, 3, [])
+    with pytest.raises(ValueError, match="members/rngs inconsistent"):
+        advance_members(np.empty((0, params.layout.dim)), params, 3, [])
+
+
+# -------------------------------------------------------------- plume draws
+
+BIT_GENERATORS = [np.random.Philox, np.random.PCG64]
+# mean plume counts on both sides of 10, where numpy's poisson changes method
+PLUME_MEANS = st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0) | st.floats(10.0, 40.0)
+
+
+def plume_params(lam, **kw):
+    """Model parameters on 40 points of 500 m with about lam plumes a step."""
+    n_points, spacing, dt = 40, 500.0, 5.0
+    return ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+                       plume_rate=lam * 60.0 / (n_points * spacing * dt), **kw)
+
+
+def twin_generators(bit_generator, seed, rows=1):
+    """Two lists of generators with the same streams."""
+    return [[np.random.Generator(bit_generator([seed, i])) for i in range(rows)]
+            for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_generator=st.sampled_from(BIT_GENERATORS), lam=PLUME_MEANS,
+       steps=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_plume_draws_are_the_per_step_calls(bit_generator, lam, steps, seed, data):
+    params = plume_params(lam)
+    lam, length = params.plumes_per_step, params.geometry.domain_m
+    ([rng], [twin]) = twin_generators(bit_generator, seed)
+    counts, centers, signs, _ = sweq._row_plumes(rng, lam, length, steps)
+    ref_counts, ref_centers, ref_signs = plume_draws(twin, lam, length, steps)
+    assert counts == ref_counts
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert signs.tobytes() == ref_signs.tobytes()
+    # a chunk drawn and then rewound to any of its steps leaves the
+    # generator where that many steps of calls leave it
+    ([rng], [twin]) = twin_generators(bit_generator, seed)
+    plumes = sweq._Plumes(params, [rng])
+    plumes.draw(steps)
+    started = data.draw(st.integers(0, steps))
+    plumes.rewind(started)
+    plume_draws(twin, lam, length, started)
+    assert rng.random(100).tobytes() == twin.random(100).tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_bumps_from_rest_are_bitwise_the_roll_steps(bit_generator):
+    # one step from rest leaves u equal to the step's bumps, so their tails,
+    # subnormal down to exp's underflow, show bit for bit
+    params = ModelParams()
+    x = rest_state(params)[None, :]
+    for seed in range(100):
+        rngs, twins = twin_generators(bit_generator, seed)
+        out = advance_members(x, params, 1, rngs)
+        assert out.tobytes() == roll_advance(x, params, 1, twins).tobytes()
+
+
+def checkerboard_rain(params, rows, amplitude):
+    """Rest states with rain of the given amplitude on every other point."""
+    members = np.tile(rest_state(params), (rows, 1))
+    params.layout.split(members)["r"][:, ::2] = amplitude
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(bit_generator=st.sampled_from(BIT_GENERATORS), lam=PLUME_MEANS,
+       steps=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 2),
+       growth=st.integers(2, 100),
+       amplitudes=st.lists(st.just(0.0) | st.floats(1e-300, 1.0), min_size=1, max_size=3))
+def test_generators_end_where_per_step_calls_leave_them(bit_generator, lam, steps, seed, rows,
+                                                         growth, amplitudes):
+    # explicit diffusion this strong is unstable: a checkerboard of rain
+    # grows 10**growth-fold a step, so each ensemble overflows into a
+    # NumericalBlowup at a step set by its amplitude, and one without rain
+    # runs on until the plumes make some; they stay far too weak to break
+    # the CFL bound
+    params = plume_params(lam, rain_geopotential=0.0,
+                          diff_r=0.5 * 10.0**growth * 500.0**2 / 5.0)
+    ensembles = [checkerboard_rain(params, rows, amplitude) for amplitude in amplitudes]
+    rngs, twins = twin_generators(bit_generator, seed, rows)
+    out = advance_ensembles(ensembles, params, steps, rngs)
+    failed = [x for x in out if not isinstance(x, np.ndarray)]
+    assert all(type(x) is NumericalBlowup for x in failed)
+    # the draws stop after the last step that some ensemble started
+    started = steps
+    if len(failed) == len(out):
+        started = max(round(x.time / params.dt_s) for x in failed)
+        assert 1 <= started <= steps
+    for rng, twin in zip(rngs, twins):
+        plume_draws(twin, params.plumes_per_step, params.geometry.domain_m, started)
+        assert rng.random(100).tobytes() == twin.random(100).tobytes()
+
+
+def test_integration_memory_does_not_grow_with_steps():
+    # the plumes are drawn and evaluated a chunk of steps at a time, so a
+    # run of 20 times the steps needs no more memory (drawn all at once,
+    # the bumps of 10,000 steps would be 1.6 MB)
+    params = small_params(geometry=GridGeometry(20, 500.0), plume_rate=1.2e-3)
+    x = rest_state(params)[None, :]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            advance_members(x, params, steps, [np.random.default_rng(3)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(500), peak(10_000)
+    assert long < 1.25 * short
+
+
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
@@ -352,12 +486,13 @@ def _sha(a):
 # where the CPU has one and the C library's exp elsewhere, and the two
 # differ in the last bit for about 2 % of arguments.
 EXP_PROBE = -np.linspace(0.0, 745.0, 100_001)
+# glibc exp, as math.exp computes it
+GLIBC_EXP_SHA256 = "0a63b69d12e2092211195b9ed2a645f2f1fe57ba2f99c62ee52dd093b645233f"
 WARM_STATE_SHA256 = {
     # numpy 2.4 AVX-512 exp
     "8f191b961d2c9873cbfeadaaa9cd9a587f80a9d4a6492e6d2c17e165fb7ad7d6":
         "cdddf2191991459bffdd12c428b661c44b98a08872a018305452f70f91356c36",
-    # glibc exp, as math.exp computes it
-    "0a63b69d12e2092211195b9ed2a645f2f1fe57ba2f99c62ee52dd093b645233f":
+    GLIBC_EXP_SHA256:
         "ec8613545c584b9026db3bdca7ef05c2352bcb31b0660c0ba622662b70588490",
 }
 
@@ -405,6 +540,22 @@ def test_warm_state_is_read_only_and_cached(plume_rate):
     again = warm_state(params)
     assert again is first
     np.testing.assert_array_equal(again, before)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_spinup_is_bitwise_the_roll_step_on_one_generator(bit_generator):
+    # about 2 plumes a step and 173 steps a span: a span draws two chunks
+    # of steps, and the next span takes the generator from where it ended
+    params = small_params(plume_rate=1e-3)
+    base = rest_state(params)
+    ([rng], [twin]) = twin_generators(bit_generator, 24)
+    members = spinup_ensemble(params, 4, 0.01, rng, base)
+    steps = params.steps(0.01 * 86400.0)
+    vec = base[None, :]
+    for member in members:
+        vec = roll_advance(vec, params, steps, [twin])
+        assert member.tobytes() == vec[0].tobytes()
+    assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
 
 def test_spinup_members_distinct():
