@@ -26,12 +26,13 @@ member i draws its plumes from the same generator in lock-step: the plumes
 of a step are drawn and evaluated once and added to every ensemble, which
 is how the experiment forecasts all its methods. advance_members is its
 one-ensemble case. One call makes every array it steps with once: each
-ensemble's fields live in a padded (3, rows, n + 2) buffer, and a step
-writes them into a spare one that then takes their place. A step copies the
-halo columns from the interior's edges, so the periodic neighbours f[i+1]
-and f[i-1] are views made once (_ring). The step's work arrays are shared
-by the ensembles, every ufunc writes into them, and the step is a closure
-that binds them, its constants and its ufuncs once per call (_bind_step).
+ensemble's fields live in a (3, rows, n + 2) buffer, each row between two
+halo columns, and a step writes them into a spare buffer that then takes
+their place, and wraps it: copies each row's edge columns into its halos.
+A step's ufuncs make contiguous passes over whole fields, halos included;
+f[i+1] and f[i-1] are such a span shifted by one point (_span). The step's
+work buffers are shared by the ensembles, and the step is a closure that
+binds them, its constants and its ufuncs once per call (_bind_step).
 
 The plumes are drawn a chunk of steps ahead (_Plumes), about 256 plumes
 and at most 1,024 steps, so memory does not grow with the steps. The
@@ -49,16 +50,15 @@ one generator through all its spans. A chunk's bumps are evaluated in one
 pass, each element as before; exp skips arguments below -746, whose result
 is +0.0 anyway, where numpy's exp is slow. Trajectories and generators are
 bitwise those of tests/oracles.py (roll_advance, plume_draws). On a 2-core
-Xeon (numpy 2.4, AVX-512) a 1-row step from the warm state took a median
-of 40 to 50 us in several rounds, against 67 to 77 us with per-step draws
-and an unbound step (BENCH_steps.json).
+Xeon (numpy 2.4, AVX-512) a step from the warm state took a median of 53 us
+at 1 row and 0.96 ms at 50 rows, against 68 us and 1.35 ms with a strided
+pass per row (scripts/step_bench.py, BENCH_flatstep.json).
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -339,60 +339,52 @@ class _Plumes:
         self._saved, self._drawn = [], []
 
 
-def _ring(lead, n):
-    """A (..., n) periodic array stored in a (..., n + 2) buffer with halos.
+def _buffer(fields, rows, n):
+    """A new, unwritten (fields, rows, n + 2) buffer: rows between halo columns."""
+    return np.empty((fields, rows, n + 2))
 
-    Returns the interior, its periodic neighbours f[i+1] and f[i-1] as fixed
-    views of the buffer, and the (halos, edges) views a wrap copies: columns
-    0 and n + 1 of the buffer hold the interior's last and first columns
-    once it has run.
+
+def _span(buf, first, count, shift=0):
+    """Fields first .. first + count - 1 of a _buffer as one contiguous 1-D
+    view: from the first interior point of the one to the last interior
+    point of the other, moved shift points along. Once each row's halos
+    hold its wrapped edge values, shifts 1 and -1 give every interior point
+    its periodic neighbours f[i+1] and f[i-1]. The view takes in the halo
+    columns between rows, where elementwise ufuncs make values that nothing
+    reads before the next wrap overwrites them.
     """
-    padded = np.empty((*lead, n + 2))
-    # columns 0 and n + 1, and n and 1 (1 and 1 when n is 1)
-    halos = padded[..., ::n + 1]
-    edges = padded[..., n:0:1 - n] if n > 1 else np.broadcast_to(padded[..., 1:2], halos.shape)
-    return padded[..., 1:-1], padded[..., 2:], padded[..., :-2], (halos, edges)
-
-
-class _Fields(NamedTuple):
-    """One ensemble's (h, u, r), a (3, rows, n) ring, and the views a step
-    reads and writes; a tuple, so a step unpacks it with no lookups."""
-
-    h: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
-    h_p: np.ndarray
-    u_p: np.ndarray
-    r_p: np.ndarray
-    h_m: np.ndarray
-    u_m: np.ndarray
-    r_m: np.ndarray
-    mid: np.ndarray  # (3, rows, n): h, u and r
-    halos: tuple
-    u_rows: list  # u's rows, to which the plumes are added
-
-    @classmethod
-    def make(cls, rows, n):
-        mid, plus, minus, halos = _ring((3, rows), n)
-        return cls(*mid, *plus, *minus, mid, halos, list(mid[1]))
+    flat = buf[first:first + count].reshape(-1)
+    return flat[1 + shift:flat.size - 1 + shift]
 
 
 def _bind_step(params, rows, n):
-    """The model step of one integration, with its constants, work arrays
+    """The model step of one integration, with its constants, work buffers
     and ufuncs bound once, so that a step looks nothing up.
 
-    step(src, dst, bumps, t) advances the fields src into dst (_Fields): the
-    explicit dynamics, then each (row, bump) pair of bumps added to dst's u
-    in turn, as np.add.at adds them, then the finite check, whose
-    NumericalBlowup names the time t. Centered differences
-    (f[i+1] - f[i-1]) / (2 dx) and the diffusion stencil
-    (f[i+1] - 2 f[i] + f[i-1]) / dx^2 read their neighbours from the rings'
-    halos. Every element goes through the ufuncs of the original np.roll
-    stencils in their order, written into the work arrays, so trajectories
-    are bitwise those of tests/oracles.py:roll_advance. The new h and r do
-    not read the new u, so the plumes may be added after them.
+    Returns step and fields. fields(members) packs the (rows, 3n) members
+    into a new (3, rows, n + 2) buffer of h, u and r and wraps it (fields()
+    leaves it unwritten); it returns the buffer and the views a step takes.
+    step(src, dst, bumps, t) advances the fields src into dst: the explicit
+    dynamics, each (row, bump) pair of bumps added to dst's u in turn, as
+    np.add.at adds them, dst's wrap, and the finite check, whose
+    NumericalBlowup names the time t.
+
+    Every ufunc makes one contiguous pass, over whole fields or, where it
+    reads neighbours, over a _span of one to three fields: the centered
+    differences (f[i+1] - f[i-1]) / (2 dx) of u and r, and of phi and u*h,
+    are one pass each, and so is each stage of the diffusion stencils
+    (f[i+1] - 2 f[i] + f[i-1]) / dx^2 of h, u and r, which start the
+    tendencies in dst. phi and u*h made on src's wrapped halos are the
+    wrapped values of their edges, so they need no wrap. Every element goes
+    through the ufuncs of the original np.roll stencils in their order, up
+    to the order of an add's operands and d - x taken for d + (-x), which
+    IEEE arithmetic rounds alike: trajectories are bitwise those of
+    tests/oracles.py:roll_advance. The new h and r do not read the new u, so
+    the plumes may be added last. The CFL bound and the finite check read
+    interior points and freshly wrapped halos only.
     """
     dx, dt, gravity = params.geometry.spacing_m, params.dt_s, params.gravity
+    layout = params.layout
     # the ufuncs' scalar operands as 0-d arrays, made once: a ufunc converts
     # a Python float on every call, 0.4 of the 1.3 us an add of 300 points
     # takes (2-core Xeon, numpy 2.4)
@@ -401,31 +393,45 @@ def _bind_step(params, rows, n):
         dt, 2.0 * dx, dx * dx, 2.0, 0.0, gravity, params.h_cloud, params.h_rain,
         params.phi_cloud, params.rain_geopotential, params.diff_h, params.diff_u,
         params.diff_r, params.alpha_rain, -params.beta_rain))
-    # phi and u*h are one (2, rows, n) ring; flags holds the two masks of a
-    # step, then all three rows hold the finite check of (h, u, r)
-    (phi, uh), (phi_p, uh_p), (phi_m, uh_m), (flux_halos, flux_edges) = _ring((2, rows), n)
-    dudx, neg_u, a, b, production = np.empty((5, rows, n))
+
+    # three work buffers of two fields, shared by the ensembles: phi and u*h;
+    # du/dx and dr/dx; dphi/dx and d(u*h)/dx. After the differences phi's
+    # slot holds products and u*h's -u; dphi/dx's holds a product before
+    # them, and the production once the u tendency has read dphi/dx
+    fluxes, grads, diffs = (_buffer(2, rows, n) for _ in range(3))
+    (phi, uh), (dudx, drdx), (dphidx, duhdx) = (b.reshape(2, -1) for b in (fluxes, grads, diffs))
+    a, neg_u, production = phi, uh, dphidx
+    flux_p, flux_m = _span(fluxes, 0, 2, 1), _span(fluxes, 0, 2, -1)
+    grad, diff = _span(grads, 0, 2), _span(diffs, 0, 2)
     clear_production = production.fill
-    flags = np.empty((3, rows, n), dtype=bool)
-    mask, mask2 = flags[0], flags[1]
+    # the two masks of a step, then the finite check of dst's three fields
+    flags = np.empty((3, rows, n + 2), dtype=bool)
+    (mask, mask2, _), all_flags = flags.reshape(3, -1), flags.reshape(-1)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     negative, greater, less, logical_and = np.negative, np.greater, np.less, np.logical_and
     maximum, copyto, isfinite, sqrt = np.maximum, np.copyto, np.isfinite, math.sqrt
     largest, smallest, all_true = np.maximum.reduce, np.minimum.reduce, np.logical_and.reduce
     to_float, larger = float, max
 
-    def diffusion(f, f_p, f_m, diff, out):
-        """out = diff * ((f_p - 2 f + f_m) / dx2)."""
-        multiply(f, two, out)
-        subtract(f_p, out, out)
-        add(out, f_m, out)
-        divide(out, dx2, out)
-        multiply(out, diff, out)
+    def fields(members=None):
+        buf = _buffer(3, rows, n)
+        # copying edges to halos wraps each row: columns 0 and n + 1 get its
+        # last and first interior columns (both column 1 when n is 1)
+        halos = buf[..., ::n + 1]
+        edges = buf[..., n:0:1 - n] if n > 1 else np.broadcast_to(buf[..., 1:2], halos.shape)
+        if members is not None:
+            for view, block in zip(buf[..., 1:-1], layout.split(members).values()):
+                view[...] = block
+            copyto(halos, edges)
+        # the buffer, all of it flat; h, u and r as one span and its
+        # neighbours; h, u and r; u and r's neighbours; the wrap; u's rows
+        return (buf, buf.reshape(-1), *(_span(buf, 0, 3, shift) for shift in (0, 1, -1)),
+                *buf.reshape(3, -1), _span(buf, 1, 2, 1), _span(buf, 1, 2, -1),
+                halos, edges, list(buf[1, :, 1:-1]))
 
     def step(src, dst, bumps, t):
-        h, u, r, h_p, u_p, r_p, h_m, u_m, r_m, _, (halos, edges), _ = src
-        new_h, new_u, new_r, _, _, _, _, _, _, new_mid, _, new_u_rows = dst
-        copyto(halos, edges)
+        buf, _, hur, hur_p, hur_m, h, u, r, ur_p, ur_m, _, _, _ = src
+        new_buf, new_flat, new, _, _, new_h, new_u, new_r, _, _, halos, edges, new_u_rows = dst
         # max|u| + sqrt(g max h) is never below the fastest wave speed, since
         # rounding is monotone; only when it breaks the CFL bound does the
         # exact check run, which decides and words the error
@@ -433,57 +439,50 @@ def _bind_step(params, rows, n):
             gravity * larger(to_float(largest(h, None)), 0.0)
         )
         if not (bound == 0.0 or dt <= dx / bound):
-            _check_cfl(h, u, params)
+            _check_cfl(buf[0, :, 1:-1], buf[1, :, 1:-1], params)
 
         # phi = where(h > h_cloud, phi_cloud, gravity * h) + rain_geopotential * r
         multiply(h, g, phi)
         greater(h, h_cloud, mask)
         copyto(phi, phi_cloud, where=mask)
-        multiply(r, rain_geopotential, a)
-        add(phi, a, phi)
+        multiply(r, rain_geopotential, dphidx)
+        add(phi, dphidx, phi)
         multiply(u, h, uh)
-        copyto(flux_halos, flux_edges)
-        subtract(u_p, u_m, dudx)
-        divide(dudx, two_dx, dudx)
-        # u_new = u + dt * (-u * dudx - (phi_p - phi_m) / two_dx
-        #                   + diff_u * ((u_p - 2 u + u_m) / dx2))
+        subtract(ur_p, ur_m, grad)
+        divide(grad, two_dx, grad)
+        subtract(flux_p, flux_m, diff)
+        divide(diff, two_dx, diff)
+        # diff_f * ((f_p - 2 f + f_m) / dx2) for f = h, u and r, into dst
+        multiply(hur, two, new)
+        subtract(hur_p, new, new)
+        add(new, hur_m, new)
+        divide(new, dx2, new)
+        multiply(new_h, diff_h, new_h)
+        multiply(new_u, diff_u, new_u)
+        multiply(new_r, diff_r, new_r)
+
+        # u: -u * dudx - dphidx, plus the diffusion
         negative(u, neg_u)
         multiply(neg_u, dudx, a)
-        subtract(phi_p, phi_m, b)
-        divide(b, two_dx, b)
-        subtract(a, b, a)
-        diffusion(u, u_p, u_m, diff_u, b)
-        add(a, b, a)
-        multiply(a, step_dt, a)
-        add(u, a, new_u)
-
-        # h_new = h + dt * (-((uh_p - uh_m) / two_dx) + diff_h * ((h_p - 2 h + h_m) / dx2))
-        subtract(uh_p, uh_m, a)
-        divide(a, two_dx, a)
-        negative(a, a)
-        diffusion(h, h_p, h_m, diff_h, b)
-        add(a, b, a)
-        multiply(a, step_dt, a)
-        add(h, a, new_h)
-
+        subtract(a, dphidx, a)
+        add(new_u, a, new_u)
+        # h: -duhdx plus the diffusion
+        subtract(new_h, duhdx, new_h)
         # production = where((h > h_rain) & (dudx < 0), -beta_rain * dudx, 0)
         greater(h, h_rain, mask)
         less(dudx, zero, mask2)
         logical_and(mask, mask2, mask)
         clear_production(0.0)
         multiply(dudx, neg_beta_rain, production, where=mask)
-        # r_new = r + dt * (-u * ((r_p - r_m) / two_dx) + diff_r * ((r_p - 2 r + r_m) / dx2)
-        #                   - alpha_rain * r + production), then clipped at 0
-        subtract(r_p, r_m, a)
-        divide(a, two_dx, a)
-        multiply(neg_u, a, a)
-        diffusion(r, r_p, r_m, diff_r, b)
-        add(a, b, a)
-        multiply(r, alpha_rain, b)
-        subtract(a, b, a)
-        add(a, production, a)
-        multiply(a, step_dt, a)
-        add(r, a, new_r)
+        # r: -u * drdx plus the diffusion, - alpha_rain * r + production
+        multiply(neg_u, drdx, a)
+        add(new_r, a, new_r)
+        multiply(r, alpha_rain, a)
+        subtract(new_r, a, new_r)
+        add(new_r, production, new_r)
+        # f_new = f + dt * tendency, and r_new clipped at 0
+        multiply(new, step_dt, new)
+        add(hur, new, new)
         maximum(new_r, zero, out=new_r)
 
         # one bump at a time, in arrival order, as np.add.at adds them;
@@ -491,10 +490,11 @@ def _bind_step(params, rows, n):
         # 2.4): 9.1 against 2.7 us at 1 row, 255 against 62 us at 50 rows
         for row, bump in bumps:
             add(new_u_rows[row], bump, new_u_rows[row])
-        if not all_true(isfinite(new_mid, flags), None):
-            _check_finite(new_h, new_u, new_r, t)
+        copyto(halos, edges)
+        if not all_true(isfinite(new_flat, all_flags), None):
+            _check_finite(*new_buf[..., 1:-1], t)
 
-    return step
+    return step, fields
 
 
 def advance_ensembles(ensembles, params, n_steps, rngs):
@@ -510,27 +510,25 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     (k, 3n) array, or the CflViolation or NumericalBlowup that stopped it;
     the other ensembles carry on.
 
-    Every array of the integration is made here, once: one _Fields ring per
-    ensemble and one spare. An ensemble's step reads its ring and writes the
-    spare, which becomes its ring, while the ring it read becomes the spare
-    of the next. The step's work arrays are shared by all (_bind_step).
+    Every array of the integration is made here, once: one (3, rows, n + 2)
+    field buffer per ensemble and one spare. An ensemble's step reads its
+    buffer and writes the spare, which becomes its buffer, while the one it
+    read becomes the spare of the next. The step's work buffers are shared
+    by all (_bind_step).
     """
     layout = params.layout
     n = params.geometry.n_points
     rows = len(rngs)
-    # each ensemble's ring, or the failure that stopped it; the inputs are
+    step, fields = _bind_step(params, rows, n)
+    # each ensemble's fields, or the failure that stopped it; the inputs are
     # copied in, so they are never written
     states = []
     for members in ensembles:
         members = np.asarray(members, dtype=float)
         if members.shape[-1] != layout.dim or not rows or rows != len(members):
             raise ValueError("members/rngs inconsistent with the model geometry")
-        fields = _Fields.make(rows, n)
-        for view, block in zip((fields.h, fields.u, fields.r), layout.split(members).values()):
-            view[...] = block
-        states.append(fields)
-    spare = _Fields.make(rows, n)
-    step = _bind_step(params, rows, n)
+        states.append(fields(members))
+    spare = fields()
     plumes = _Plumes(params, rngs)
     live = list(range(len(states)))
     dt = params.dt_s
@@ -560,11 +558,13 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
             finally:
                 plumes.rewind(started)
             done += len(schedule)
-    # pack each ensemble's fields into its output, releasing them as it goes
+            # the chunk's bumps go before the next chunk's are made
+            schedule = bumps = None
+    # unpack each ensemble's fields into its output, releasing them as it goes
     for j in live:
-        fields = states[j]
+        buf = states[j][0]
         states[j] = out = np.empty((rows, layout.dim))
-        for block, view in zip(layout.split(out).values(), (fields.h, fields.u, fields.r)):
+        for block, view in zip(layout.split(out).values(), buf[..., 1:-1]):
             block[...] = view
     return states
 

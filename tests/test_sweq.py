@@ -358,6 +358,79 @@ def test_advance_ensembles_is_bitwise_the_roll_step(n_points, rows, n_ensembles,
             assert lock.shape == ref.shape and lock.tobytes() == ref.tobytes()
 
 
+def nan_buffer(fields, rows, n):
+    """A sweq._buffer that starts as NaN, halos and work buffers included."""
+    return np.full((fields, rows, n + 2), np.nan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_points=st.integers(1, 40),
+    rows=st.integers(1, 6),
+    n_ensembles=st.integers(1, 3),
+    rate=st.floats(0.0, 1.0),
+    steps=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_garbage_in_halos_and_work_buffers_is_never_read(n_points, rows, n_ensembles, rate,
+                                                         steps, seed):
+    # a step runs its ufuncs over the halo columns between rows too, and the
+    # values made there are overwritten before anything reads them: with
+    # every buffer starting as NaN, any read of one would show as a NaN in
+    # the output or a spurious NumericalBlowup or CflViolation
+    spacing, dt = 500.0, 5.0
+    params = ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+                         plume_rate=rate * 60.0 / (spacing * dt))
+    ensembles = [active_members(params, rows, seed + j) for j in range(n_ensembles)]
+
+    def rngs():
+        return [np.random.default_rng([seed, i]) for i in range(rows)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweq, "_buffer", nan_buffer)
+        out = advance_ensembles(ensembles, params, steps, rngs())
+    for x, lock in zip(ensembles, out):
+        assert isinstance(lock, np.ndarray)
+        assert lock.tobytes() == roll_advance(x, params, steps, rngs()).tobytes()
+
+
+@pytest.mark.parametrize("field, column, message", [
+    ("h", 0, "non-finite h at grid index 0 (t=5.0s)"),
+    ("u", 6, "non-finite h at grid index 0 (t=5.0s)"),
+    ("r", 0, "non-finite u at grid index 1 (t=5.0s)"),
+    ("r", 6, "non-finite u at grid index 0 (t=5.0s)"),
+])
+def test_nan_at_a_row_edge_fails_with_the_first_point_it_reaches(monkeypatch, field, column,
+                                                                  message):
+    # a NaN at the first or last interior column reaches its neighbours
+    # across the wrap in one step; the error names the first non-finite
+    # point, h before u before r, even when every buffer starts as NaN
+    monkeypatch.setattr(sweq, "_buffer", nan_buffer)
+    params = small_params(geometry=GridGeometry(7, 500.0))
+    members = np.tile(rest_state(params), (3, 1))
+    params.layout.split(members)[field][1, column] = np.nan
+    with pytest.raises(NumericalBlowup) as info:
+        advance_members(members, params, 2, fresh_rngs(3))
+    assert str(info.value) == message and info.value.time == 5.0
+
+
+@pytest.mark.parametrize("column", [0, 39])
+def test_jet_at_a_row_edge_gets_the_cfl_verdict(monkeypatch, column):
+    # the CFL bound reads the halos, which hold wrapped copies: a jet at a
+    # row's first or last interior column is seen once, at its true speed
+    monkeypatch.setattr(sweq, "_buffer", nan_buffer)
+    params = small_params(geometry=GridGeometry(40, 500.0))
+    members = np.tile(rest_state(params), (3, 1))
+    params.layout.split(members)["u"][2, column] = 60.0  # 90 m/s, under dx / dt
+    out = advance_members(members, params, 1, fresh_rngs(3))
+    assert out.tobytes() == roll_advance(members, params, 1, fresh_rngs(3)).tobytes()
+    for speed in (80.0, -80.0):
+        params.layout.split(members)["u"][2, column] = speed
+        with pytest.raises(CflViolation, match=r"^dt=5\.0s exceeds CFL bound 4\.545s "
+                           r"\(max speed 110\.00 m/s\)$"):
+            advance_members(members, params, 1, fresh_rngs(3))
+
+
 def test_zero_rows_are_inconsistent():
     params = small_params(plume_rate=8e-5)
     with pytest.raises(ValueError, match="members/rngs inconsistent"):
@@ -474,6 +547,21 @@ def test_integration_memory_does_not_grow_with_steps():
 
     short, long = peak(500), peak(10_000)
     assert long < 1.25 * short
+
+
+def test_integration_memory_is_a_few_states():
+    # a 50-row integration holds two (3, 50, 302) field buffers, three
+    # two-field work buffers and one chunk of bumps at a time: its peak was
+    # 6.6 times the bytes of the (50, 900) members (numpy 2.4, 300 points)
+    params = ModelParams()
+    members = np.tile(rest_state(params), (50, 1))
+    tracemalloc.start()
+    try:
+        advance_members(members, params, 20, fresh_rngs(50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * members.nbytes
 
 
 def _sha(a):
