@@ -2,17 +2,21 @@
 
     PYTHONPATH=src python scripts/step_bench.py [--steps 3000] [--rounds 7]
 
-Prints the median wall time of one step of sweq.advance_ensembles at 1 row,
-at 50 rows and for three 50-row ensembles in lock-step (plume draws
-included), and the time the warm start took, then one JSON line with the
-same numbers and the machine: nproc, the BLAS thread variables and whether
-the CPU has avx512f, on which numpy's float64 exp, and so the model's
-bits, depend. A 1-row sample takes --steps steps; a 50-row sample takes a
-fifteenth of them, at least one. Timings on a shared machine drift, so
-compare two trees by running them in alternation.
+Prints the time the warm start took, then the median wall time of one step
+of sweq.advance_ensembles at 1 row, at 50 rows and for three 50-row
+ensembles in lock-step (plume draws included), and again at 1 and 50 rows
+with 10 times the default plume_rate: 10 plumes per row and step, whose
+counts numpy draws by its PTRS method, so that sweq makes the per-step
+calls. Then one JSON line with the same numbers and the machine: nproc,
+the BLAS thread variables and whether the CPU has avx512f, on which
+numpy's float64 exp, and so the model's bits, depend. A 1-row sample takes
+--steps steps; a 50-row sample takes a fifteenth of them, at least one.
+Timings on a shared machine drift, so compare two trees by running them in
+alternation.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -24,8 +28,9 @@ import numpy as np
 from enkpf import sweq
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# (label, rows, ensembles)
-CASES = (("rows1", 1, 1), ("rows50", 50, 1), ("rows50x3", 50, 3))
+# (label, rows, ensembles, plume_rate as a multiple of the default)
+CASES = (("rows1", 1, 1, 1), ("rows50", 50, 1, 1), ("rows50x3", 50, 3, 1),
+         ("rows1_lam10", 1, 1, 10), ("rows50_lam10", 50, 1, 10))
 
 
 def nproc():
@@ -75,13 +80,15 @@ def main(argv=None):
     base = sweq.warm_state(params)
     result = {"warm_start": {"days": args.warm_days, "s": round(time.perf_counter() - start, 3)}}
     print(f"warm start, {args.warm_days:g} days: {result['warm_start']['s']:.3f} s")
-    for label, rows, ensembles in CASES:
+    for label, rows, ensembles, rate in CASES:
         steps = args.steps if rows == 1 else max(1, args.steps // 15)
-        us = step_us(params, base, rows, ensembles, steps, args.rounds)
+        case = dataclasses.replace(params, plume_rate=rate * params.plume_rate)
+        us = step_us(case, base, rows, ensembles, steps, args.rounds)
         result[label] = {"rows": rows, "ensembles": ensembles, "steps": steps,
+                         "plumes_per_step": case.plumes_per_step,
                          "rounds": args.rounds, "step_us_median": round(us, 1)}
-        print(f"step, {ensembles} x {rows} rows: {us:.1f} us "
-              f"(median of {args.rounds} samples of {steps} steps)")
+        print(f"step, {ensembles} x {rows} rows, {case.plumes_per_step:g} plumes per row "
+              f"and step: {us:.1f} us (median of {args.rounds} samples of {steps} steps)")
     machine = {"nproc": nproc(), "avx512f": has_avx512f(),
                "blas_threads": {name: os.environ.get(name) for name in BLAS_VARS},
                "numpy": np.__version__, "python": sys.version.split()[0]}

@@ -34,29 +34,32 @@ f[i+1] and f[i-1] are such a span shifted by one point (_span). The step's
 work buffers are shared by the ensembles, and the step is a closure that
 binds them, its constants and its ufuncs once per call (_bind_step).
 
-The plumes are drawn a chunk of steps ahead (_Plumes), about 256 plumes
-and at most 1,024 steps, so memory does not grow with the steps. The
-draws are those of per-step calls: rng.poisson(lam), then, if it drew a
-count, rng.uniform(0.0, L, count) for the centers and
-rng.uniform(size=count) for the signs. For 0 < lam < 10 they are decoded
-from one block of rng.random doubles per row: numpy's poisson multiplies
-doubles until the product falls to exp(-lam), uniform(0.0, L) is
-0.0 + L * U and uniform() is U. For lam >= 10 numpy's poisson is the PTRS
-method, and the per-step calls are made as they are. After each chunk
-every generator is set back to its state at the chunk's start and advanced
-by the draws of the steps that were started, so it ends where per-step
-calls leave it, also when every ensemble stops early: spinup_ensemble takes
-one generator through all its spans. A chunk's bumps are evaluated in one
-pass, each element as before; exp skips arguments below -746, whose result
-is +0.0 anyway, where numpy's exp is slow. Trajectories and generators are
-bitwise those of tests/oracles.py (roll_advance, plume_draws). On a 2-core
-Xeon (numpy 2.4, AVX-512) a step from the warm state took a median of 53 us
-at 1 row and 0.96 ms at 50 rows, against 68 us and 1.35 ms with a strided
-pass per row (scripts/step_bench.py, BENCH_flatstep.json).
+The plumes come from one generator, _plume_steps, which draws them a chunk
+of steps ahead, about 256 plumes and at most 1,024 steps, so memory does
+not grow with the steps. The draws are those of per-step calls:
+rng.poisson(lam), then, if it drew a count, rng.uniform(0.0, L, count) for
+the centers and rng.uniform(size=count) for the signs. For 0 < lam < 10
+they are decoded from one block of rng.random doubles per row: numpy's
+poisson multiplies doubles until the product falls to exp(-lam),
+uniform(0.0, L) is 0.0 + L * U and uniform() is U. For lam >= 10 numpy's
+poisson is the PTRS method, and the per-step calls are made as they are.
+When _plume_steps leaves a chunk (its steps ran out, the loop closed it or
+an error left the loop), it sets every generator back to its state at the
+chunk's start and advances it by the draws of the steps it yielded, so it
+ends where per-step calls leave it, also when every ensemble stops early:
+spinup_ensemble takes one generator through all its spans. A chunk's bumps
+are evaluated in one pass, each element as before; exp skips arguments
+below -746, whose result is +0.0 anyway, where numpy's exp is slow.
+Trajectories and generators are bitwise those of tests/oracles.py
+(roll_advance, plume_draws). On a 2-core Xeon (numpy 2.4, AVX-512) a step
+from the warm state took a median of 53 us at 1 row and 0.96 ms at 50
+rows, against 68 us and 1.35 ms with a strided pass per row
+(scripts/step_bench.py, BENCH_flatstep.json).
 """
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,10 +131,12 @@ class ModelParams:
     def steps(self, seconds):
         """The whole number of dt_s steps nearest to a span of seconds.
 
-        Raises ValueError when the count exceeds MAX_STEPS or is not finite
-        (a huge span or a tiny dt_s).
+        Raises ValueError when the count is negative, exceeds MAX_STEPS or
+        is not finite (a huge span or a tiny dt_s).
         """
         count = seconds / self.dt_s
+        if count < 0:
+            raise ValueError(f"{seconds!r} s is a negative span")
         if not count <= MAX_STEPS:
             raise ValueError(
                 f"{seconds!r} s is more than MAX_STEPS = {MAX_STEPS} steps of {self.dt_s!r} s"
@@ -287,31 +292,28 @@ def _bumps(params, xg, centers, sign_draws):
     return out
 
 
-class _Plumes:
-    """The rows' plume bumps, drawn and evaluated a chunk of steps ahead.
+def _plume_steps(params, rngs, n_steps):
+    """Yield each of n_steps steps' plume bumps: its (row, bump) pairs.
 
-    draw(steps) draws every row's plumes for its next steps (_row_plumes),
-    evaluates all their bumps in one pass (_bumps) and returns, for each
-    step, its (row, bump) pairs in arrival order: the rows in turn, each
-    row's plumes as drawn. rewind(started) then leaves every generator where
-    that many steps of per-step calls leave it, for the step loop may stop
-    within a chunk. With no plumes (lam = 0) no generator is touched.
+    Draws every row's plumes a chunk of steps ahead (_row_plumes) and
+    evaluates all their bumps in one pass (_bumps); a step's pairs come in
+    arrival order: the rows in turn, each row's plumes as drawn. The step
+    loop may stop within a chunk, so on leaving one (its steps ran out, or
+    on close() or an error) every generator is set to where per-step calls
+    leave it after the steps yielded. With no plumes (lam = 0) no generator
+    is touched.
     """
-
-    def __init__(self, params, rngs):
-        self.params = params
-        self.lam = lam = params.plumes_per_step
-        self.rngs = list(rngs) if lam else []
-        self.chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
-        self.xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
-        self._saved, self._drawn = [], []
-
-    def draw(self, steps):
-        if not self.rngs:
-            return [()] * steps
-        length = self.params.geometry.domain_m
-        self._saved = [rng.bit_generator.state for rng in self.rngs]
-        self._drawn = drawn = [_row_plumes(rng, self.lam, length, steps) for rng in self.rngs]
+    lam, length = params.plumes_per_step, params.geometry.domain_m
+    if not lam:
+        for _ in range(n_steps):
+            yield ()
+        return
+    chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
+    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+    for done in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - done)
+        saved = [rng.bit_generator.state for rng in rngs]
+        drawn = [_row_plumes(rng, lam, length, steps) for rng in rngs]
         counts = np.array([row[0] for row in drawn], dtype=np.intp)
         # each plume's step, and the order that sorts the plumes by step,
         # keeping the rows' order within a step
@@ -320,23 +322,26 @@ class _Plumes:
         rows = np.repeat(np.arange(len(drawn)), counts.sum(axis=1))[order]
         centers = np.concatenate([row[1] for row in drawn])[order]
         sign_draws = np.concatenate([row[2] for row in drawn])[order]
-        pairs = list(zip(rows.tolist(), _bumps(self.params, self.xg, centers, sign_draws)))
+        pairs = list(zip(rows.tolist(), _bumps(params, xg, centers, sign_draws)))
         ends = np.cumsum(counts.sum(axis=0)).tolist()
-        return [pairs[start:end] for start, end in zip([0, *ends], ends)]
-
-    def rewind(self, started):
-        lam, length = self.lam, self.params.geometry.domain_m
-        for rng, state, (counts, _, _, taken) in zip(self.rngs, self._saved, self._drawn):
-            if taken is None:
-                if started < len(counts):
-                    rng.bit_generator.state = state
-                    _row_plumes(rng, lam, length, started)
-            else:
-                used = started + 3 * sum(counts[:started])
-                if used != taken:
-                    rng.bit_generator.state = state
-                    rng.random(used)
-        self._saved, self._drawn = [], []
+        started = 0
+        try:
+            for start, end in zip([0, *ends], ends):
+                started += 1
+                yield pairs[start:end]
+        finally:
+            for rng, state, (row_counts, _, _, taken) in zip(rngs, saved, drawn):
+                if taken is None:
+                    if started < len(row_counts):
+                        rng.bit_generator.state = state
+                        _row_plumes(rng, lam, length, started)
+                else:
+                    used = started + 3 * sum(row_counts[:started])
+                    if used != taken:
+                        rng.bit_generator.state = state
+                        rng.random(used)
+        # the chunk's bumps go before the next chunk's are made
+        pairs = None
 
 
 def _buffer(fields, rows, n):
@@ -501,14 +506,14 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     """Advance several (k, 3n) ensemble arrays n_steps in lock-step.
 
     Member i of every ensemble uses rngs[i]. The plumes of a step are drawn
-    and evaluated once (_Plumes, a chunk of steps ahead); each live ensemble
-    then takes the step and adds them one bump at a time in arrival order,
-    so every trajectory is bitwise the one it takes when advanced alone with
-    its own generators of the same streams. Every generator is left where
-    per-step draws leave it: after the plumes of each step that some
-    ensemble started. Returns a list with one entry per ensemble: the new
-    (k, 3n) array, or the CflViolation or NumericalBlowup that stopped it;
-    the other ensembles carry on.
+    and evaluated once (_plume_steps, a chunk of steps ahead); each live
+    ensemble then takes the step and adds them one bump at a time in arrival
+    order, so every trajectory is bitwise the one it takes when advanced
+    alone with its own generators of the same streams. Every generator is
+    left where per-step draws leave it, also on an error: after the plumes
+    of each step that some ensemble started. Returns a list with one entry
+    per ensemble: the new (k, 3n) array, or the CflViolation or
+    NumericalBlowup that stopped it; the other ensembles carry on.
 
     Every array of the integration is made here, once: one (3, rows, n + 2)
     field buffer per ensemble and one spare. An ensemble's step reads its
@@ -529,37 +534,28 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
             raise ValueError("members/rngs inconsistent with the model geometry")
         states.append(fields(members))
     spare = fields()
-    plumes = _Plumes(params, rngs)
     live = list(range(len(states)))
     dt = params.dt_s
     t = 0.0
-    done = 0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while live and done < n_steps:
-            schedule = plumes.draw(min(plumes.chunk, n_steps - done))
-            started = 0
-            try:
-                for bumps in schedule:
-                    if not live:
-                        break
-                    started += 1
-                    t += dt
-                    for j in live:
-                        try:
-                            step(states[j], spare, bumps, t)
-                        except (CflViolation, NumericalBlowup) as exc:
-                            states[j] = exc
-                            # the loop goes on over the list it started with
-                            live = [i for i in live if i != j]
-                        else:
-                            states[j], spare = spare, states[j]
-            finally:
-                plumes.rewind(started)
-            done += len(schedule)
-            # the chunk's bumps go before the next chunk's are made
-            schedule = bumps = None
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+          closing(_plume_steps(params, rngs, n_steps if live else 0)) as plumes):
+        for bumps in plumes:
+            t += dt
+            for j in live:
+                try:
+                    step(states[j], spare, bumps, t)
+                except (CflViolation, NumericalBlowup) as exc:
+                    states[j] = exc
+                    # the loop goes on over the list it started with
+                    live = [i for i in live if i != j]
+                else:
+                    states[j], spare = spare, states[j]
+            # the step's bumps go before the next chunk's are made
+            bumps = None
+            if not live:
+                break
     # unpack each ensemble's fields into its output, releasing them as it goes
     for j in live:
         buf = states[j][0]
@@ -740,7 +736,10 @@ def save_ensemble_csv(members, path):
 def load_ensemble_csv(path):
     """A (k, 3n) member array from a CSV written by save_ensemble_csv."""
     data = _read_csv_rows(path, ENSEMBLE_HEADER)
-    members = [_state_of(path, data[data[:, 0] == i, 1:]) for i in np.unique(data[:, 0])]
+    labels = np.unique(data[:, 0])
+    if not np.array_equal(labels, np.arange(labels.size)):
+        raise InputError(path, "member labels must be 0..k-1")
+    members = [_state_of(path, data[data[:, 0] == i, 1:]) for i in labels]
     if len({x.size for x in members}) != 1:
         raise InputError(path, "members have different grid sizes")
     return np.array(members)

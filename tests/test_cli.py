@@ -410,11 +410,13 @@ TINY_ENSEMBLE = (
         ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("\n1,", "\n0,")),
         ("ensemble.csv", TINY_ENSEMBLE.replace("1,1,90.0,0.3,0.3\n", ""), TINY_TRUTH),
         ("truth.csv", TINY_ENSEMBLE, TINY_TRUTH.replace("grid_index,h,u,r", "grid_index,r,u,h")),
+        ("ensemble.csv", TINY_ENSEMBLE.replace("\n1,", "\n0.5,"), TINY_TRUTH),
+        ("ensemble.csv", TINY_ENSEMBLE.replace("\n1,", "\n2,"), TINY_TRUTH),
     ],
     ids=[
         "ragged_ensemble_row", "header_only_ensemble", "empty_truth_cell",
         "nan_truth_cell", "duplicate_grid_index", "members_of_unequal_size",
-        "reordered_truth_header",
+        "reordered_truth_header", "fractional_member", "member_gap",
     ],
 )
 def test_score_rejects_malformed_csv(tmp_path, capsys, bad_file, ensemble, truth):

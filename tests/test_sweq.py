@@ -11,6 +11,7 @@ from enkpf import sweq
 from enkpf.errors import CflViolation, NumericalBlowup
 from enkpf.grid import GridGeometry
 from enkpf.sweq import (
+    MAX_STEPS,
     ModelParams,
     RadarObs,
     advance_ensembles,
@@ -471,13 +472,14 @@ def test_plume_draws_are_the_per_step_calls(bit_generator, lam, steps, seed, dat
     assert counts == ref_counts
     assert centers.tobytes() == ref_centers.tobytes()
     assert signs.tobytes() == ref_signs.tobytes()
-    # a chunk drawn and then rewound to any of its steps leaves the
+    # the plumes drawn ahead and closed after any of their steps leave the
     # generator where that many steps of calls leave it
     ([rng], [twin]) = twin_generators(bit_generator, seed)
-    plumes = sweq._Plumes(params, [rng])
-    plumes.draw(steps)
+    plumes = sweq._plume_steps(params, [rng], steps)
     started = data.draw(st.integers(0, steps))
-    plumes.rewind(started)
+    for _ in range(started):
+        next(plumes)
+    plumes.close()
     plume_draws(twin, lam, length, started)
     assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
@@ -528,6 +530,40 @@ def test_generators_end_where_per_step_calls_leave_them(bit_generator, lam, step
     for rng, twin in zip(rngs, twins):
         plume_draws(twin, params.plumes_per_step, params.geometry.domain_m, started)
         assert rng.random(100).tobytes() == twin.random(100).tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("lam", [1.0, 30.0])
+def test_an_error_in_the_step_loop_leaves_the_generators_where_per_step_calls_do(
+        monkeypatch, bit_generator, lam):
+    # the checkerboard overflows within a few steps, and the finite check
+    # that would report it raises an error that is not a model failure
+    params = plume_params(lam, rain_geopotential=0.0, diff_r=0.5 * 1e10 * 500.0**2 / 5.0)
+    rngs, twins = twin_generators(bit_generator, 11, rows=2)
+    checks = []
+
+    def failing_check(h, u, r, t):
+        checks.append(t)
+        raise RuntimeError("not a model failure")
+
+    monkeypatch.setattr(sweq, "_check_finite", failing_check)
+    with pytest.raises(RuntimeError, match="not a model failure"):
+        advance_ensembles([checkerboard_rain(params, 2, 1.0)], params, 300, rngs)
+    (t,) = checks
+    started = round(t / params.dt_s)
+    assert 1 <= started < 300
+    for rng, twin in zip(rngs, twins):
+        plume_draws(twin, params.plumes_per_step, params.geometry.domain_m, started)
+        assert rng.random(100).tobytes() == twin.random(100).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 30.0])
+def test_no_ensembles_leave_the_generators_untouched(lam):
+    params = plume_params(lam)
+    rngs = [np.random.default_rng([5, i]) for i in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    assert advance_ensembles([], params, 10, rngs) == []
+    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 def test_integration_memory_does_not_grow_with_steps():
@@ -590,6 +626,16 @@ def test_warm_state_bits_are_pinned():
     if expected is None:
         pytest.skip("no warm_state digest pinned for this platform's float64 exp")
     assert _sha(warm_state(ModelParams(warm_start_days=0.05))) == expected
+
+
+@pytest.mark.parametrize("seconds", [-100.0, -1.0, -86400.0, float("nan"), float("inf"),
+                                     5.0 * MAX_STEPS + 5.0])
+def test_steps_rejects_negative_non_finite_and_huge_spans(seconds):
+    params = ModelParams()
+    with pytest.raises(ValueError):
+        params.steps(seconds)
+    with pytest.raises(ValueError):
+        spinup_ensemble(params, 4, seconds / 86400.0, np.random.default_rng(4), rest_state(params))
 
 
 def test_params_validation():
