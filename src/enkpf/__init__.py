@@ -1,7 +1,7 @@
 """Ensemble Kalman particle filters, localized variants, and a 1D
 convective-scale shallow-water testbed for cycled twin experiments."""
 
-from enkpf.grid import GridGeometry, StateLayout
+from enkpf.grid import Grid
 from enkpf.taper import TaperSpec, gaspari_cohn
 from enkpf.core import ensemble_moments
 from enkpf.obs import GaussObs

@@ -67,7 +67,7 @@ def _cmd_spinup(args):
 def _cmd_score(args):
     import numpy as np
 
-    from enkpf.grid import FIELDS, default_layout
+    from enkpf.grid import FIELDS, Grid
     from enkpf.scoring import field_crps
     from enkpf.sweq import load_ensemble_csv, load_state_csv
 
@@ -75,8 +75,8 @@ def _cmd_score(args):
     truth = load_state_csv(args.truth)
     if ens.shape[1] != truth.size:
         raise EnkpfError("ensemble and truth state have different grid sizes")
-    layout = default_layout(truth.size // len(FIELDS))
-    ens_f, truth_f = layout.split(ens), layout.split(truth)
+    grid = Grid(truth.size // len(FIELDS))
+    ens_f, truth_f = grid.split(ens), grid.split(truth)
     # finite values whose differences overflow give an inf CRPS, an error
     with np.errstate(over="ignore", invalid="ignore"):
         crps = {f: field_crps(ens_f[f], truth_f[f]) for f in FIELDS}

@@ -146,7 +146,7 @@ _EXPERIMENT_KEYS = {
 }
 
 _MODEL_KEYS = {"n_points": int, "spacing_m": _to_float} | {
-    f.name: _to_float for f in dataclasses.fields(ModelParams) if f.name != "geometry"
+    f.name: _to_float for f in dataclasses.fields(ModelParams) if f.name != "grid"
 }
 
 _FIELD_FOR_KEY = {"l": "l_m", "out": "out_dir"}
@@ -189,12 +189,10 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 
     model_kw = dict(sections["model"])
-    geometry_kw = {
-        key: model_kw.pop(key) for key in ("n_points", "spacing_m") if key in model_kw
-    }
+    grid_kw = {key: model_kw.pop(key) for key in ("n_points", "spacing_m") if key in model_kw}
     try:
-        if geometry_kw:
-            model_kw["geometry"] = dataclasses.replace(ModelParams().geometry, **geometry_kw)
+        if grid_kw:
+            model_kw["grid"] = dataclasses.replace(ModelParams().grid, **grid_kw)
         model = ModelParams(**model_kw)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc

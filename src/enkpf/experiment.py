@@ -114,18 +114,18 @@ def _pf_global(members, obs, cfg, rng, diag):
 
 
 def _lenkf(members, obs, cfg, rng, diag):
-    return lenkf_update(members, obs, TaperSpec(cfg.l_m), cfg.model.layout, rng)
+    return lenkf_update(members, obs, TaperSpec(cfg.l_m), cfg.model.grid, rng)
 
 
 def _naive_lenkpf(members, obs, cfg, rng, diag):
     return naive_lenkpf_update(
-        members, obs, TaperSpec(cfg.l_m), cfg.model.layout, cfg.ess_band, rng, diagnostics=diag
+        members, obs, TaperSpec(cfg.l_m), cfg.model.grid, cfg.ess_band, rng, diagnostics=diag
     )
 
 
 def _block_lenkpf(members, obs, cfg, rng, diag):
     return block_lenkpf_update(
-        members, obs, TaperSpec(cfg.l_m), cfg.model.layout, cfg.block_segment_m,
+        members, obs, TaperSpec(cfg.l_m), cfg.model.grid, cfg.block_segment_m,
         cfg.ess_band, rng, diagnostics=diag,
     )
 
@@ -183,8 +183,8 @@ def run_single_rep(cfg, rep, base=None):
     base is the warm state its spinup starts from (see start_state).
     """
     params = cfg.model
-    layout = params.layout
-    n = params.geometry.n_points
+    grid = params.grid
+    n = grid.n_points
     k = cfg.k
     seed = cfg.base_seed
     steps = params.steps(cfg.interval_s)
@@ -216,8 +216,8 @@ def run_single_rep(cfg, rep, base=None):
             else:
                 forecasts[m] = fc
 
-        truth_f = layout.split(truth)
-        forecast_f = {m: layout.split(fc) for m, fc in forecasts.items()}
+        truth_f = grid.split(truth)
+        forecast_f = {m: grid.split(fc) for m, fc in forecasts.items()}
         # each live forecast scored once; a failed method's scores are empty
         crps = {
             m: {f: field_crps(fc[f], truth_f[f]) for f in FIELDS} for m, fc in forecast_f.items()
@@ -263,7 +263,7 @@ def run_single_rep(cfg, rep, base=None):
                         rep, cycle, t_now, m,
                         float(truth_f["r"].mean()),
                         float(forecast_f[m]["r"].mean()),
-                        float(layout.split(ens[m])["r"].mean()),
+                        float(grid.split(ens[m])["r"].mean()),
                         tuple(diag.gammas),
                         tuple(diag.ess_values),
                     )

@@ -23,7 +23,9 @@ x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); every other column (w, beyond the
 taper support) is untouched bitwise. Blocks whose (u, v) footprints are
 disjoint are grouped and may run in any order (they read and write disjoint
 columns); per-block rng sub-streams are spawned up front in block-id order,
-so serial and parallel execution produce identical results.
+so serial and parallel execution produce identical results. Every update
+takes the state's enkpf.grid.Grid: the columns at each site and the circular
+distances of the windows and the taper are its.
 """
 
 from dataclasses import dataclass, field
@@ -66,13 +68,13 @@ class LocalDiagnostics:
         self.ess_values.append(float(ess_value))
 
 
-def _obs_geometry(all_obs, layout, taper):
+def _obs_geometry(all_obs, grid, taper):
     """Per-site observation selections, index arrays into the obs rows: the
     observations within the taper's length scale l of each grid point (all of
     them for TaperSpec(inf))."""
-    n = layout.geometry.n_points
-    obs_pts = layout.grid_of_cols(all_obs.h_rows)
-    dist = layout.geometry.distance_m(np.arange(n)[:, None], obs_pts[None, :])
+    n = grid.n_points
+    obs_pts = grid.grid_of_cols(all_obs.h_rows)
+    dist = grid.distance_m(np.arange(n)[:, None], obs_pts[None, :])
     return [np.flatnonzero(dist[g] <= taper.length_scale_m) for g in range(n)]
 
 
@@ -112,7 +114,7 @@ def _local_setup(ens, obs, rng):
             rng.standard_normal((k, obs.m)), rng.uniform())
 
 
-def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
+def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
     """Local EnKPF at every grid point, all sites sharing one _local_setup.
 
     With ess_lo set, each site picks its own gamma and its indices are
@@ -125,17 +127,17 @@ def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
     x, innov0, eta_all, er_all, u_shared = _local_setup(ens, all_obs, rng)
     k, d = x.shape
     obs_cols = all_obs.h_rows
-    p_cross = tapered_cov_block(x, np.arange(d), obs_cols, layout, taper)
+    p_cross = tapered_cov_block(x, np.arange(d), obs_cols, grid, taper)
     s_full = p_cross[obs_cols, :]
     identity = np.arange(k)
 
     out = x.copy()
     idx = identity
-    for g, sel in enumerate(_obs_geometry(all_obs, layout, taper)):
+    for g, sel in enumerate(_obs_geometry(all_obs, grid, taper)):
         if sel.size == 0:
             idx = identity
             continue
-        cols = layout.cols_at(g)
+        cols = grid.cols_at(g)
         try:
             out[:, cols], idx = _local_enkpf(
                 x[:, cols], innov0[:, sel], all_obs.r_diag[sel],
@@ -147,7 +149,7 @@ def _site_loop(ens, all_obs, taper, layout, rng, ess_lo=None, diagnostics=None):
     return out
 
 
-def lenkf_update(ens, all_obs, taper, layout, rng):
+def lenkf_update(ens, all_obs, taper, grid, rng):
     """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
 
     Every site runs a stochastic EnKF on the observations within l; the
@@ -155,10 +157,10 @@ def lenkf_update(ens, all_obs, taper, layout, rng):
     same eps_i. Sites with no observations in range keep their background
     values bitwise.
     """
-    return _site_loop(ens, all_obs, taper, layout, rng)
+    return _site_loop(ens, all_obs, taper, grid, rng)
 
 
-def naive_lenkpf_update(ens, all_obs, taper, layout, ess_band, rng, diagnostics=None):
+def naive_lenkpf_update(ens, all_obs, taper, grid, ess_band, rng, diagnostics=None):
     """Local EnKPF at every grid point with shared randomness.
 
     Each site runs its own adaptive-gamma EnKPF (gamma from the lower end of
@@ -167,7 +169,7 @@ def naive_lenkpf_update(ens, all_obs, taper, layout, ess_band, rng, diagnostics=
     _site_loop). diagnostics, if given, records each site's gamma and ESS.
     """
     lo, _ = _check_band(ess_band)
-    return _site_loop(ens, all_obs, taper, layout, rng, ess_lo=lo, diagnostics=diagnostics)
+    return _site_loop(ens, all_obs, taper, grid, rng, ess_lo=lo, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
     return vk @ ((vk.T @ p_vu.T) / lam[keep][:, None])
 
 
-def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=None):
+def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
     Adaptive-gamma local EnKPF (_local_enkpf, set up by _local_setup) on the
@@ -235,8 +237,8 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
     lo, _ = _check_band(ess_band)
     obs = block.obs
     x, innov0, eta, er, uniform = _local_setup(ens, obs, rng)
-    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, layout, taper)
-    p_uo = tapered_cov_block(x, block.u, obs.h_rows, layout, taper)
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, grid, taper)
     x_u, _ = _local_enkpf(
         x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
         np.arange(x.shape[0]), diagnostics,
@@ -245,22 +247,22 @@ def block_assimilate_one(ens, block, taper, layout, ess_band, rng, diagnostics=N
     out = x.copy()
     out[:, block.u] = x_u
     if block.v.size:
-        p_uu = tapered_cov_block(x, block.u, block.u, layout, taper)
-        p_vu = tapered_cov_block(x, block.v, block.u, layout, taper)
+        p_uu = tapered_cov_block(x, block.u, block.u, grid, taper)
+        p_vu = tapered_cov_block(x, block.v, block.u, grid, taper)
         m_t = _pinv_regress(p_uu, p_vu, diagnostics)
         out[:, block.v] = x[:, block.v] + (x_u - x[:, block.u]) @ m_t
     return out
 
 
-def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
+def partition_obs_blocks(all_obs, taper, grid, segment_length_m):
     """Split observations into contiguous-segment blocks, building each block's
     obs, u and v in one pass over the segments."""
-    all_obs.check_dim(layout.dim)
-    obs_pts = layout.grid_of_cols(all_obs.h_rows)
-    n = layout.geometry.n_points
-    spacing = layout.geometry.spacing_m
+    all_obs.check_dim(grid.dim)
+    obs_pts = grid.grid_of_cols(all_obs.h_rows)
+    n = grid.n_points
+    spacing = grid.spacing_m
     # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
-    near = layout.geometry.distance_m(np.arange(n)[:, None], obs_pts) < taper.support_radius_m
+    near = grid.distance_m(np.arange(n)[:, None], obs_pts) < taper.support_radius_m
     # a segment no longer than the spacing holds one point, whatever its
     # length; flooring it at the spacing keeps the ids small and finite
     seg = ((obs_pts * spacing) // max(segment_length_m, spacing)).astype(int)
@@ -268,13 +270,13 @@ def partition_obs_blocks(all_obs, taper, layout, segment_length_m):
     for s in np.unique(seg):
         rows = np.flatnonzero(seg == s)
         u = np.unique(all_obs.h_rows[rows])
-        v = np.setdiff1d(layout.cols_at(np.flatnonzero(near[:, rows].any(axis=1))), u)
+        v = np.setdiff1d(grid.cols_at(np.flatnonzero(near[:, rows].any(axis=1))), u)
         blocks.append(ObservationBlock(all_obs.subset(rows), u, v))
     return blocks
 
 
 def block_lenkpf_update(
-    ens, all_obs, taper, layout, segment_length_m, ess_band, rng, diagnostics=None
+    ens, all_obs, taper, grid, segment_length_m, ess_band, rng, diagnostics=None
 ):
     """BLOCK-LEnKPF analysis: segment blocks, schedule, assimilate group-wise.
 
@@ -284,11 +286,11 @@ def block_lenkpf_update(
     order. Across groups the updates are sequential, reusing the same taper.
     """
     _check_band(ess_band)
-    blocks = partition_obs_blocks(all_obs, taper, layout, segment_length_m)
+    blocks = partition_obs_blocks(all_obs, taper, grid, segment_length_m)
     streams = rng.spawn(len(blocks))
     current = np.array(ens, dtype=float)
     for group in schedule_blocks(blocks):
         for bid in group:
-            current = block_assimilate_one(current, blocks[bid], taper, layout, ess_band,
+            current = block_assimilate_one(current, blocks[bid], taper, grid, ess_band,
                                            streams[bid], diagnostics=diagnostics)
     return current

@@ -18,8 +18,8 @@ a square-root transform with additive Gaussian noise and truncation at zero,
 wind only where the observed rain reaches the rain threshold.
 
 States are plain (3n,) vectors and ensembles (k, 3n) arrays, laid out as
-enkpf.grid.StateLayout says; this module reads and writes the fields only
-through StateLayout.split.
+enkpf.grid.Grid says; this module reads and writes the fields only through
+Grid.split.
 
 advance_ensembles is the one step loop. It advances several ensembles whose
 member i draws its plumes from the same generator in lock-step: the plumes
@@ -66,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from enkpf.errors import CflViolation, InputError, NumericalBlowup
-from enkpf.grid import FIELDS, GridGeometry, StateLayout, default_layout
+from enkpf.grid import FIELDS, Grid
 from enkpf.obs import GaussObs
 
 # The most model steps one span may take: 10**7 steps are about 579 days at
@@ -77,7 +77,7 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class ModelParams:
-    geometry: GridGeometry = GridGeometry(300, 500.0)
+    grid: Grid = Grid(300)
     gravity: float = 10.0
     h_rest: float = 90.0
     h_cloud: float = 90.02  # cloud formation threshold (h_c)
@@ -101,9 +101,10 @@ class ModelParams:
     def __post_init__(self):
         if not self.h_rain > self.h_cloud > 0:
             raise ValueError("need h_rain > h_cloud > 0")
-        if min(self.alpha_rain, self.beta_rain, self.diff_h, self.diff_u,
-               self.diff_r, self.plume_rate, self.warm_start_days) < 0:
-            raise ValueError("rates and diffusivities must be nonnegative")
+        for key in ("alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r", "plume_rate",
+                    "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be nonnegative")
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
         if not self.gravity > 0:
@@ -112,7 +113,7 @@ class ModelParams:
             raise ValueError("plume_width_m must be positive")
         # more arrivals per step than grid points is no longer small plumes
         # (the default is one per step on 300 points)
-        n = self.geometry.n_points
+        n = self.grid.n_points
         if not self.plumes_per_step <= n:
             raise ValueError(
                 f"plume_rate: {self.plumes_per_step!r} plumes per step "
@@ -120,13 +121,9 @@ class ModelParams:
             )
 
     @property
-    def layout(self):
-        return StateLayout(self.geometry)
-
-    @property
     def plumes_per_step(self):
         """Mean number of plume arrivals on the whole ring in one dt_s step."""
-        return self.plume_rate * self.geometry.domain_m * self.dt_s / 60.0
+        return self.plume_rate * self.grid.domain_m * self.dt_s / 60.0
 
     def steps(self, seconds):
         """The whole number of dt_s steps nearest to a span of seconds.
@@ -146,8 +143,8 @@ class ModelParams:
 
 def rest_state(params):
     """The (3n,) state at rest: h = h_rest, no wind, no rain."""
-    x = np.zeros(params.layout.dim)
-    params.layout.split(x)["h"][...] = params.h_rest
+    x = np.zeros(params.grid.dim)
+    params.grid.split(x)["h"][...] = params.h_rest
     return x
 
 
@@ -175,10 +172,10 @@ def warm_state(params):
 def _check_cfl(h, u, params):
     speed = np.abs(u) + np.sqrt(params.gravity * np.maximum(h, 0.0))
     c_max = float(speed.max())
-    if c_max > 0 and params.dt_s > params.geometry.spacing_m / c_max:
+    if c_max > 0 and params.dt_s > params.grid.spacing_m / c_max:
         raise CflViolation(
             f"dt={params.dt_s}s exceeds CFL bound "
-            f"{params.geometry.spacing_m / c_max:.3f}s (max speed {c_max:.2f} m/s)"
+            f"{params.grid.spacing_m / c_max:.3f}s (max speed {c_max:.2f} m/s)"
         )
 
 
@@ -261,7 +258,7 @@ def _bumps(params, xg, centers, sign_draws):
     plume forcing in tests/oracles.py:roll_advance, in their order, so the
     bits are the same.
     """
-    length = params.geometry.domain_m
+    length = params.grid.domain_m
     w = params.plume_width_m
     # the signed distance np.mod(offset, length) - length / 2 from each center:
     # grid points and centers lie in [0, length), so offset lies within
@@ -303,13 +300,13 @@ def _plume_steps(params, rngs, n_steps):
     leave it after the steps yielded. With no plumes (lam = 0) no generator
     is touched.
     """
-    lam, length = params.plumes_per_step, params.geometry.domain_m
+    lam, length = params.plumes_per_step, params.grid.domain_m
     if not lam:
         for _ in range(n_steps):
             yield ()
         return
     chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
-    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+    xg = np.arange(params.grid.n_points) * params.grid.spacing_m
     for done in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - done)
         saved = [rng.bit_generator.state for rng in rngs]
@@ -388,8 +385,7 @@ def _bind_step(params, rows, n):
     the plumes may be added last. The CFL bound and the finite check read
     interior points and freshly wrapped halos only.
     """
-    dx, dt, gravity = params.geometry.spacing_m, params.dt_s, params.gravity
-    layout = params.layout
+    dx, dt, gravity = params.grid.spacing_m, params.dt_s, params.gravity
     # the ufuncs' scalar operands as 0-d arrays, made once: a ufunc converts
     # a Python float on every call, 0.4 of the 1.3 us an add of 300 points
     # takes (2-core Xeon, numpy 2.4)
@@ -425,7 +421,7 @@ def _bind_step(params, rows, n):
         halos = buf[..., ::n + 1]
         edges = buf[..., n:0:1 - n] if n > 1 else np.broadcast_to(buf[..., 1:2], halos.shape)
         if members is not None:
-            for view, block in zip(buf[..., 1:-1], layout.split(members).values()):
+            for view, block in zip(buf[..., 1:-1], params.grid.split(members).values()):
                 view[...] = block
             copyto(halos, edges)
         # the buffer, all of it flat; h, u and r as one span and its
@@ -521,8 +517,8 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     read becomes the spare of the next. The step's work buffers are shared
     by all (_bind_step).
     """
-    layout = params.layout
-    n = params.geometry.n_points
+    grid = params.grid
+    n = grid.n_points
     rows = len(rngs)
     step, fields = _bind_step(params, rows, n)
     # each ensemble's fields, or the failure that stopped it; the inputs are
@@ -530,7 +526,7 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     states = []
     for members in ensembles:
         members = np.asarray(members, dtype=float)
-        if members.shape[-1] != layout.dim or not rows or rows != len(members):
+        if members.shape[-1] != grid.dim or not rows or rows != len(members):
             raise ValueError("members/rngs inconsistent with the model geometry")
         states.append(fields(members))
     spare = fields()
@@ -559,8 +555,8 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     # unpack each ensemble's fields into its output, releasing them as it goes
     for j in live:
         buf = states[j][0]
-        states[j] = out = np.empty((rows, layout.dim))
-        for block, view in zip(layout.split(out).values(), buf[..., 1:-1]):
+        states[j] = out = np.empty((rows, grid.dim))
+        for block, view in zip(grid.split(out).values(), buf[..., 1:-1]):
             block[...] = view
     return states
 
@@ -616,7 +612,7 @@ def gen_observations(x, params, rng):
     where the *observed* rain reaches r_c. x is the (3n,) true state.
     NumericalBlowup names the first observation that is not finite.
     """
-    fields = params.layout.split(x)
+    fields = params.grid.split(x)
     r = fields["r"]
     n = r.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -642,8 +638,8 @@ def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
     assumed_r_r; wind values observe the wind block with variance assumed_r_u.
     """
     n = radar.y_r.shape[0]
-    layout = default_layout(n)
-    cols = layout.split(np.arange(layout.dim))
+    grid = Grid(n)
+    cols = grid.split(np.arange(grid.dim))
     rain_cols = cols["r"]
     wind_cols = cols["u"][radar.wet_idx]
     y = np.concatenate([radar.y_r, radar.y_u])
@@ -660,7 +656,7 @@ ENSEMBLE_HEADER = ["member", *STATE_HEADER]
 
 def _grid_rows(x):
     """The STATE_HEADER rows of a (3n,) state: each grid point's field values."""
-    fields = default_layout(len(x) // len(FIELDS)).split(x)
+    fields = Grid(len(x) // len(FIELDS)).split(x)
     table = np.stack(list(fields.values()), axis=1)
     return [[g, *map(repr, row.tolist())] for g, row in enumerate(table)]
 
@@ -715,7 +711,7 @@ def _state_of(path, rows):
     """The (3n,) state of STATE_HEADER rows, which may come in any grid order."""
     rows = rows[_grid_order(path, rows[:, 0])]
     x = np.empty(len(rows) * len(FIELDS))
-    for block, column in zip(default_layout(len(rows)).split(x).values(), rows[:, 1:].T):
+    for block, column in zip(Grid(len(rows)).split(x).values(), rows[:, 1:].T):
         block[...] = column
     return x
 

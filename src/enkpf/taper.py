@@ -63,12 +63,12 @@ class TaperSpec:
         return 2.0 * self.length_scale_m
 
 
-def taper_weights(layout, spec, cols_a, cols_b):
+def taper_weights(grid, spec, cols_a, cols_b):
     """Dense (|a|, |b|) block of taper weights between two sets of state columns."""
-    return gaspari_cohn(layout.col_distance_m(cols_a, cols_b), spec.length_scale_m)
+    return gaspari_cohn(grid.col_distance_m(cols_a, cols_b), spec.length_scale_m)
 
 
-def tapered_cov_block(members, cols_a, cols_b, layout, spec):
+def tapered_cov_block(members, cols_a, cols_b, grid, spec):
     """Dense tapered covariance block between column sets a and b.
 
     The Schur product of the sample covariance X'X/(k-1) with the taper
@@ -86,4 +86,4 @@ def tapered_cov_block(members, cols_a, cols_b, layout, spec):
         a = a - a.mean(axis=0)
         b = b - b.mean(axis=0)
         cov = a.T @ b / (k - 1)
-    return _finite_cov(cov) * taper_weights(layout, spec, cols_a, cols_b)
+    return _finite_cov(cov) * taper_weights(grid, spec, cols_a, cols_b)

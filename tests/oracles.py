@@ -91,16 +91,16 @@ def crps_empirical(values, truth):
     return float(term1 - term2)
 
 
-def window_size(taper, geometry):
+def window_size(taper, grid):
     """Number of grid points within taper.length_scale_m of a point (2l/dx + 1
     at defaults)."""
-    pts = np.arange(geometry.n_points)
-    return int(np.count_nonzero(geometry.distance_m(pts, 0) <= taper.length_scale_m))
+    pts = np.arange(grid.n_points)
+    return int(np.count_nonzero(grid.distance_m(pts, 0) <= taper.length_scale_m))
 
 
-def block_w_cols(block, layout):
+def block_w_cols(block, grid):
     """The state columns outside u and v of an ObservationBlock, ascending."""
-    return np.setdiff1d(np.arange(layout.dim), np.concatenate([block.u, block.v]))
+    return np.setdiff1d(np.arange(grid.dim), np.concatenate([block.u, block.v]))
 
 
 def _roll_dx(f, dx):
@@ -118,14 +118,14 @@ def _roll_plumes(u_new, params, rngs):
         count = int(rng.poisson(lam))
         if count:
             rows.extend([i] * count)
-            centers.append(rng.uniform(0.0, params.geometry.domain_m, count))
+            centers.append(rng.uniform(0.0, params.grid.domain_m, count))
             signs.append(np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0))
     if not rows:
         return
     centers = np.concatenate(centers)
     signs = np.concatenate(signs)
-    length = params.geometry.domain_m
-    xg = np.arange(params.geometry.n_points) * params.geometry.spacing_m
+    length = params.grid.domain_m
+    xg = np.arange(params.grid.n_points) * params.grid.spacing_m
     delta = np.mod(xg[None, :] - centers[:, None] + 0.5 * length, length) - 0.5 * length
     w = params.plume_width_m
     bumps = (
@@ -149,9 +149,9 @@ def plume_draws(rng, lam, length, steps):
 
 def roll_advance(members, params, n_steps, rngs):
     """sweq.advance_members without its checks, stepping with np.roll."""
-    fields = params.layout.split(np.asarray(members, dtype=float))
+    fields = params.grid.split(np.asarray(members, dtype=float))
     h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
-    dx = params.geometry.spacing_m
+    dx = params.grid.spacing_m
     dt = params.dt_s
     for _ in range(n_steps):
         phi = np.where(h > params.h_cloud, params.phi_cloud, params.gravity * h)
@@ -170,7 +170,7 @@ def roll_advance(members, params, n_steps, rngs):
         np.maximum(r_new, 0.0, out=r_new)
         h, u, r = h_new, u_new, r_new
     out = np.empty_like(np.asarray(members, dtype=float))
-    fields = params.layout.split(out)
+    fields = params.grid.split(out)
     fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
     return out
 
@@ -299,12 +299,12 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
     return _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta, er)
 
 
-def taper_matrix(layout, spec):
+def taper_matrix(grid, spec):
     """Full d x d taper as a sparse CSR matrix (banded on the ring)."""
-    n = layout.geometry.n_points
+    n = grid.n_points
     # Weight depends only on grid offset; build one row of offsets and shift it.
     offsets = np.arange(n)
-    w_row = gaspari_cohn(layout.geometry.distance_m(offsets, 0), spec.length_scale_m)
+    w_row = gaspari_cohn(grid.distance_m(offsets, 0), spec.length_scale_m)
     cols_in_support = offsets[w_row > 0.0]
     rows, cols, vals = [], [], []
     for c_block in range(len(FIELDS)):
@@ -318,10 +318,10 @@ def taper_matrix(layout, spec):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(layout.dim, layout.dim))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.dim, grid.dim))
 
 
-def tapered_covariance(members, layout, spec):
+def tapered_covariance(members, grid, spec):
     """Tapered sample covariance (X'X/(k-1) Schur-multiplied by the taper), sparse.
 
     members: (k, d) ensemble array. Only entries inside the taper support are
@@ -331,7 +331,7 @@ def tapered_covariance(members, layout, spec):
     k = members.shape[0]
     if k < 2:
         raise ValueError("need at least 2 members for a sample covariance")
-    w = taper_matrix(layout, spec).tocoo()
+    w = taper_matrix(grid, spec).tocoo()
     anoms = members - members.mean(axis=0)
     # Evaluate the sample covariance only at stored taper entries.
     cov_vals = np.einsum("ki,ki->i", anoms[:, w.row], anoms[:, w.col]) / (k - 1)

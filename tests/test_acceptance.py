@@ -20,7 +20,7 @@ from enkpf.global_filters import (
     pf_weights,
     search_gamma,
 )
-from enkpf.grid import default_layout
+from enkpf.grid import Grid
 from enkpf.local_filters import (
     LocalDiagnostics,
     block_assimilate_one,
@@ -144,16 +144,16 @@ def test_criterion_02_kalman_oracle():
         worst_all = max(worst_all, worst)
 
     # block-structured case: two independent observed points, diagonal prior
-    layout = default_layout(8)
+    grid = Grid(8)
     taper = TaperSpec(500.0)  # support 1000 m < 1500 m block separation
-    mean0 = np.zeros(layout.dim)
-    cov0 = np.eye(layout.dim)
+    mean0 = np.zeros(grid.dim)
+    cov0 = np.eye(grid.dim)
     obs = GaussObs([0.3, -0.4], [1, 6], [0.25, 0.25])
     mean_t, cov_t = _kalman_posterior(mean0, cov0, obs)
-    x = _standardize(rng.standard_normal((k, layout.dim)), mean0, cov0)
+    x = _standardize(rng.standard_normal((k, grid.dim)), mean0, cov0)
     diag = LocalDiagnostics()
     out = block_lenkpf_update(
-        x, obs, taper, layout, 2000.0, BAND, rng, diagnostics=diag
+        x, obs, taper, grid, 2000.0, BAND, rng, diagnostics=diag
     )
     k_eff = min(diag.ess_values) if diag.ess_values else k
     sub = [0, 1, 2, 5, 6, 7, 12, 20]  # observed cols plus a spread of others
@@ -186,10 +186,10 @@ def test_criterion_03_balanced_sampling():
 def test_criterion_04_appendix_equivalence(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(41)
-    layout = default_layout(4)  # 12 state columns
+    grid = Grid(4)  # 12 state columns
     taper = TaperSpec(375.0)  # support 750 m, shorter than the 1000 m ring max
     k = 9
-    x = rng.standard_normal((k, layout.dim)) + 1.0
+    x = rng.standard_normal((k, grid.dim)) + 1.0
     obs = GaussObs([0.4, -0.2], [0, 8], [0.3, 0.5])
     gamma = 0.55
     # force gamma and keep every member in its slot; the production block and
@@ -198,17 +198,17 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
     monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
 
-    blocks = partition_obs_blocks(obs, taper, layout, 10_000.0)
+    blocks = partition_obs_blocks(obs, taper, grid, 10_000.0)
     assert len(blocks) == 1
 
-    out_block = block_assimilate_one(x, blocks[0], taper, layout, BAND, np.random.default_rng(5))
-    p_taper = tapered_covariance(x, layout, TaperSpec(375.0)).toarray()
+    out_block = block_assimilate_one(x, blocks[0], taper, grid, BAND, np.random.default_rng(5))
+    p_taper = tapered_covariance(x, grid, TaperSpec(375.0)).toarray()
     out_full = enkpf_update(x, obs, p_taper, gamma, np.random.default_rng(5))[0]
     err = np.max(
         np.abs(out_block - out_full)
         / np.maximum(np.abs(out_full), 1.0)
     )
-    w_cols = block_w_cols(blocks[0], layout)
+    w_cols = block_w_cols(blocks[0], grid)
     w_ok = np.array_equal(out_block[:, w_cols], x[:, w_cols])
     _report(
         4,
@@ -226,8 +226,8 @@ def test_criterion_05_locality_invariance():
         rng = np.random.default_rng(5000 + case)
         n = int(rng.integers(40, 56))
         k = int(rng.integers(10, 21))
-        layout = default_layout(n)
-        x = rng.standard_normal((k, layout.dim))
+        grid = Grid(n)
+        x = rng.standard_normal((k, grid.dim))
         pts_a = (4 + np.arange(3)) % n
         pts_b = (n // 2 + np.arange(3)) % n
         cols = np.concatenate([pts_a, pts_b])  # h-field observations
@@ -239,14 +239,14 @@ def test_criterion_05_locality_invariance():
         obs2 = GaussObs(y2, cols, r)
 
         dist_b = np.min(
-            layout.geometry.distance_m(np.arange(n)[:, None], pts_b[None, :]),
+            grid.distance_m(np.arange(n)[:, None], pts_b[None, :]),
             axis=1,
         )
         far_pts = np.flatnonzero(dist_b > taper.support_radius_m)
         far_cols = np.concatenate([f * n + far_pts for f in range(3)])
         no_obs_pts = np.flatnonzero(
             np.min(
-                layout.geometry.distance_m(
+                grid.distance_m(
                     np.arange(n)[:, None], np.concatenate([pts_a, pts_b])[None, :]
                 ),
                 axis=1,
@@ -259,11 +259,11 @@ def test_criterion_05_locality_invariance():
             def run(obs, seed=9000 + case):
                 rng_m = np.random.default_rng(seed)
                 if method == "lenkf":
-                    return lenkf_update(x, obs, taper, layout, rng_m)
+                    return lenkf_update(x, obs, taper, grid, rng_m)
                 if method == "naive":
-                    return naive_lenkpf_update(x, obs, taper, layout, BAND, rng_m)
+                    return naive_lenkpf_update(x, obs, taper, grid, BAND, rng_m)
                 return block_lenkpf_update(
-                    x, obs, taper, layout, 4000.0, BAND, rng_m
+                    x, obs, taper, grid, 4000.0, BAND, rng_m
                 )
 
             m1, m2 = run(obs1), run(obs2)
@@ -376,8 +376,8 @@ def test_criterion_08_crps_oracle():
 def test_criterion_09_sweq_sanity():
     t0 = time.time()
     params = ModelParams(plume_rate=0.0, warm_start_days=0.0)
-    n = params.geometry.n_points
-    dx = params.geometry.spacing_m
+    n = params.grid.n_points
+    dx = params.grid.spacing_m
 
     rng = np.random.default_rng(91)
     h = params.h_rest + 0.01 * np.sin(np.linspace(0, 4 * np.pi, n, endpoint=False))

@@ -297,6 +297,16 @@ def test_run_rejects_nonpositive_gravity_in_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: model: gravity")
 
 
+def test_run_rejects_a_negative_noise_scale_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    cfg.write_text(cfg.read_text() + "sigma_r = -0.1\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: model: sigma_r must be nonnegative"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -23,8 +23,8 @@ def test_empty_text_gives_stock_defaults():
     assert cfg.r_r == pytest.approx(0.025**2)
     assert cfg.r_u == pytest.approx(0.0025**2)
     assert cfg.repetitions == 1
-    assert cfg.model.geometry.n_points == 300
-    assert cfg.model.geometry.spacing_m == 500.0
+    assert cfg.model.grid.n_points == 300
+    assert cfg.model.grid.spacing_m == 500.0
     assert cfg.model.h_cloud == 90.02
 
 
@@ -65,7 +65,7 @@ alpha_rain = 0.002
     assert cfg.duration_s == 3600.0
     assert cfg.trace is True
     assert cfg.out_dir == "results"
-    assert cfg.model.geometry.n_points == 60
+    assert cfg.model.grid.n_points == 60
     assert cfg.model.alpha_rain == 0.002
     assert cfg.model.beta_rain == ExperimentConfig().model.beta_rain
 
@@ -135,7 +135,7 @@ def test_step_count_cap_names_the_key(key, scale, rejected):
 
 MODEL_KEY_VALUES = {
     **{f.name: getattr(ModelParams(), f.name) * (1 + 2**-10)
-       for f in dataclasses.fields(ModelParams) if f.name != "geometry"},
+       for f in dataclasses.fields(ModelParams) if f.name != "grid"},
     "dt_s": 2.5,  # the hf interval must stay a multiple of dt_s
     "n_points": 60,
     "spacing_m": 250.0,
@@ -148,9 +148,9 @@ def test_every_model_key_round_trips(key):
     model = parse_config(f"[model]\n{key} = {value!r}\n").model
     default = ModelParams()
     if key in ("n_points", "spacing_m"):
-        # the other geometry key keeps its default
-        assert model.geometry == dataclasses.replace(default.geometry, **{key: value})
-        assert model == dataclasses.replace(default, geometry=model.geometry)
+        # the other grid key keeps its default
+        assert model.grid == dataclasses.replace(default.grid, **{key: value})
+        assert model == dataclasses.replace(default, grid=model.grid)
     else:
         assert getattr(model, key) == value
         assert model == dataclasses.replace(default, **{key: value})
@@ -232,6 +232,21 @@ def test_unpickled_config_is_not_checked_again(monkeypatch):
     data = pickle.dumps(cfg)
     monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda self: pytest.fail("checked"))
     assert pickle.loads(data) == cfg
+
+
+NONNEGATIVE_MODEL_KEYS = ("alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r", "plume_rate",
+                          "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days")
+
+
+@pytest.mark.parametrize("key", NONNEGATIVE_MODEL_KEYS)
+def test_negative_model_magnitudes_are_reported_by_key(key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[model]\n{key} = -1\n")
+    assert str(info.value).startswith(f"model: {key} must be nonnegative")
+    # a config built in Python is checked the same way, NaN included
+    with pytest.raises(ValueError, match=f"^{key} must be nonnegative"):
+        ModelParams(**{key: math.nan})
+    assert getattr(parse_config(f"[model]\n{key} = 0\n").model, key) == 0.0
 
 
 def test_unknown_scenario_is_reported_as_the_scenario():

@@ -12,7 +12,7 @@ from enkpf.config import ExperimentConfig
 from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
 from enkpf.global_filters import enkpf_update
-from enkpf.grid import GridGeometry
+from enkpf.grid import Grid
 from enkpf.local_filters import (
     LocalDiagnostics,
     block_assimilate_one,
@@ -35,7 +35,7 @@ def tiny_cfg(**kw):
         spinup_days=0.002,
         base_seed=7,
         methods=("lenkf", "naive_lenkpf", "block_lenkpf", "free"),
-        model=ModelParams(geometry=GridGeometry(24, 500.0), warm_start_days=0.0),
+        model=ModelParams(grid=Grid(24, 500.0), warm_start_days=0.0),
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -101,7 +101,7 @@ def test_one_warm_start_per_run(tmp_path, monkeypatch, threads):
         return real(params)
 
     monkeypatch.setattr(sweq, "warm_state", logged)
-    model = ModelParams(geometry=GridGeometry(24, 500.0), warm_start_days=0.001)
+    model = ModelParams(grid=Grid(24, 500.0), warm_start_days=0.001)
     cfg = tiny_cfg(repetitions=2, duration_s=60.0, model=model, out_dir=str(tmp_path / "out"))
     ex.run_experiment(cfg, threads=threads)
     assert log.read_text().split() == [str(os.getpid())]
@@ -219,11 +219,11 @@ def test_cycle_one_advances_one_ensemble_for_all_methods(monkeypatch):
 def test_failed_forecast_leaves_other_methods_bitwise(tmp_path, monkeypatch):
     # lenkf's cycle-1 analysis hands back a finite but supersonic wind, so
     # its cycle-2 forecast fails the CFL check inside the lock-step advance
-    layout = tiny_cfg().model.layout
+    grid = tiny_cfg().model.grid
 
     def supersonic(members, obs, cfg, rng, diag):
         out = members.copy()
-        layout.split(out)["u"][...] = 500.0
+        grid.split(out)["u"][...] = 500.0
         return out
 
     def free_rows(methods):
@@ -295,7 +295,7 @@ def test_sub_second_cycles_count_ranks_only_on_30_minute_marks(tmp_path):
     cfg = ExperimentConfig(
         scenario="custom", interval_s=0.5, duration_s=2.0, k=4, methods=("free",),
         spinup_days=0.001, out_dir=str(tmp_path),
-        model=ModelParams(geometry=GridGeometry(12, 500.0), dt_s=0.5, warm_start_days=0.003),
+        model=ModelParams(grid=Grid(12, 500.0), dt_s=0.5, warm_start_days=0.003),
     )
     ex.run_experiment(cfg)
     with open(os.path.join(cfg.out_dir, "ranks.csv")) as fh:
@@ -357,7 +357,7 @@ def test_trace_csv_cells_summarize_each_cycles_trace_row(tmp_path):
     cfg = tiny_cfg(
         methods=methods, duration_s=180.0, r_r=1e-8, trace=True, out_dir=str(tmp_path),
         model=ModelParams(
-            geometry=GridGeometry(24, 500.0), h_cloud=89.9, h_rain=89.95, warm_start_days=0.0
+            grid=Grid(24, 500.0), h_cloud=89.9, h_rain=89.95, warm_start_days=0.0
         ),
     )
     ex.run_experiment(cfg)
@@ -404,11 +404,11 @@ def test_methods_share_truth_and_observations():
 def _small_analysis_case():
     cfg = ExperimentConfig(
         l_m=1500.0, ess_band=(0.5, 0.8), block_segment_m=4000.0,
-        model=ModelParams(geometry=GridGeometry(20, 500.0)),
+        model=ModelParams(grid=Grid(20, 500.0)),
     )
-    layout = cfg.model.layout
+    grid = cfg.model.grid
     rng = np.random.default_rng(31)
-    x = rng.standard_normal((6, layout.dim))
+    x = rng.standard_normal((6, grid.dim))
     wet = np.array([3, 4, 5, 12])
     obs = GaussObs(
         rng.standard_normal(20 + wet.size),
@@ -423,9 +423,9 @@ def _direct_enkpf(x, obs, cfg, rng, diag):
 
 
 def _direct_block(x, obs, cfg, rng, diag):
-    taper, layout = TaperSpec(cfg.l_m), cfg.model.layout
-    blocks = partition_obs_blocks(obs, taper, layout, cfg.block_segment_m)
-    return block_assimilate_one(x, blocks[0], taper, layout, cfg.ess_band, rng, diagnostics=diag)
+    taper, grid = TaperSpec(cfg.l_m), cfg.model.grid
+    blocks = partition_obs_blocks(obs, taper, grid, cfg.block_segment_m)
+    return block_assimilate_one(x, blocks[0], taper, grid, cfg.ess_band, rng, diagnostics=diag)
 
 
 ANALYSIS_CALLS = {name: fn for name, fn in ex.ANALYSES.items() if fn is not None}

@@ -16,7 +16,7 @@ from enkpf.global_filters import (
     search_gamma,
 )
 from enkpf.errors import FilterError
-from enkpf.grid import default_layout
+from enkpf.grid import Grid
 from enkpf.local_filters import lenkf_update
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
@@ -106,9 +106,9 @@ def test_enkf_deterministic_per_seed():
 def test_overflowing_enkf_update_raises_filter_error(entry):
     # the wind at point 0 is 1000 x the rain there, and one rain observation
     # at point 0 is so far off that the wind's update overflows
-    layout = default_layout(12)
-    cols = layout.split(np.arange(layout.dim))
-    x = np.random.default_rng(0).standard_normal((8, layout.dim))
+    grid = Grid(12)
+    cols = grid.split(np.arange(grid.dim))
+    x = np.random.default_rng(0).standard_normal((8, grid.dim))
     x[:, cols["u"][0]] = 1000.0 * x[:, cols["r"][0]]
     obs = GaussObs(np.array([1e306]), cols["r"][:1], np.array([1.0]))
     rng = np.random.default_rng(1)
@@ -118,7 +118,7 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
             if entry == "enkf_update":
                 enkf_update(x, obs, ensemble_moments(x)[1], rng)
             else:
-                lenkf_update(x, obs, TaperSpec(np.inf), layout, rng)
+                lenkf_update(x, obs, TaperSpec(np.inf), grid, rng)
 
 
 GLOBAL_UPDATES = {

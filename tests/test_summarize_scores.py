@@ -6,7 +6,7 @@ from pathlib import Path
 
 from enkpf.config import ExperimentConfig
 from enkpf.experiment import run_experiment
-from enkpf.grid import GridGeometry
+from enkpf.grid import Grid
 from enkpf.sweq import ModelParams
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "summarize_scores.py"
@@ -18,7 +18,7 @@ def tiny_scores(out_dir, duration_s):
         scenario="custom", interval_s=60.0, duration_s=duration_s, k=5, l_m=2000.0,
         spinup_days=0.002, base_seed=3, methods=METHODS, repetitions=2,
         out_dir=str(out_dir),
-        model=ModelParams(geometry=GridGeometry(24, 500.0), warm_start_days=0.0),
+        model=ModelParams(grid=Grid(24, 500.0), warm_start_days=0.0),
     )
     run_experiment(cfg)
     return out_dir / "scores.csv"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from enkpf import sweq
 from enkpf.errors import CflViolation, NumericalBlowup
-from enkpf.grid import GridGeometry
+from enkpf.grid import Grid
 from enkpf.sweq import (
     MAX_STEPS,
     ModelParams,
@@ -30,7 +30,7 @@ from oracles import plume_draws, roll_advance
 
 
 def small_params(**kw):
-    defaults = dict(geometry=GridGeometry(50, 500.0), plume_rate=0.0)
+    defaults = dict(grid=Grid(50, 500.0), plume_rate=0.0)
     defaults.update(kw)
     return ModelParams(**defaults)
 
@@ -43,7 +43,7 @@ def state(h, u, r):
 def step(x, params, seed):
     """The fields of state x after one model step, drawn from rng seed."""
     out = advance_members(x[None, :], params, 1, [np.random.default_rng(seed)])
-    return params.layout.split(out[0])
+    return params.grid.split(out[0])
 
 
 class FixedNormals:
@@ -65,7 +65,7 @@ def test_rest_state_is_fixed_point():
     params = small_params()
     x = rest_state(params)
     out = step(x, params, 0)
-    rest = params.layout.split(x)
+    rest = params.grid.split(x)
     np.testing.assert_array_equal(out["h"], rest["h"])
     np.testing.assert_array_equal(out["u"], rest["u"])
     np.testing.assert_array_equal(out["r"], rest["r"])
@@ -74,7 +74,7 @@ def test_rest_state_is_fixed_point():
 def test_mass_conservation_over_100_steps():
     params = small_params()
     rng = np.random.default_rng(1)
-    n = params.geometry.n_points
+    n = params.grid.n_points
     h = 90.0 + 0.1 * np.sin(2 * np.pi * np.arange(n) / n) + 0.01 * rng.standard_normal(n)
     u = 0.5 * rng.standard_normal(n)
     r = np.abs(0.01 * rng.standard_normal(n))
@@ -87,7 +87,7 @@ def test_mass_conservation_over_100_steps():
 
 def test_rain_decay_rate():
     params = small_params(alpha_rain=0.0012)
-    n = params.geometry.n_points
+    n = params.grid.n_points
     r0 = 0.08
     vec = np.concatenate([np.full(n, 90.0), np.zeros(n), np.full(n, r0)])[None, :]
     steps = 100
@@ -103,32 +103,32 @@ def test_rain_decay_rate():
 
 def test_rain_production_only_in_convergent_cloud():
     params = small_params(diff_r=0.0, alpha_rain=0.0)
-    n = params.geometry.n_points
+    n = params.grid.n_points
     h = np.full(n, 90.5)  # above the rain threshold everywhere
     u = -0.1 * np.sin(2 * np.pi * np.arange(n) / n)
     out = step(state(h, u, np.zeros(n)), params, 4)
-    dudx = (np.roll(u, -1) - np.roll(u, 1)) / (2 * params.geometry.spacing_m)
+    dudx = (np.roll(u, -1) - np.roll(u, 1)) / (2 * params.grid.spacing_m)
     assert (out["r"][dudx < 0] > 0).all()
     assert (out["r"][dudx >= 0] == 0).all()
 
 
 def test_rain_never_negative():
     params = small_params(alpha_rain=0.5, dt_s=5.0)  # removal overshoots in one step
-    n = params.geometry.n_points
+    n = params.grid.n_points
     out = step(state(np.full(n, 90.0), np.zeros(n), np.full(n, 0.01)), params, 5)
     assert (out["r"] >= 0).all()
 
 
 def test_cfl_violation_raises():
     params = small_params()
-    n = params.geometry.n_points
+    n = params.grid.n_points
     with pytest.raises(CflViolation):
         step(state(np.full(n, 90.0), np.full(n, 200.0), np.zeros(n)), params, 6)
 
 
 def test_blowup_reports_grid_index():
     params = small_params()
-    n = params.geometry.n_points
+    n = params.grid.n_points
     h = np.full(n, 90.0)
     h[7] = np.nan
     with pytest.raises(NumericalBlowup) as info:
@@ -143,7 +143,7 @@ def test_plumes_perturb_wind_reproducibly():
     out1 = advance_members(vec, params, steps, [np.random.default_rng(8)])
     out2 = advance_members(vec, params, steps, [np.random.default_rng(8)])
     out3 = advance_members(vec, params, steps, [np.random.default_rng(9)])
-    assert np.abs(params.layout.split(out1[0])["u"]).max() > 0
+    assert np.abs(params.grid.split(out1[0])["u"]).max() > 0
     np.testing.assert_array_equal(out1, out2)
     assert not np.array_equal(out1, out3)
 
@@ -160,9 +160,9 @@ def test_members_evolve_independently():
 def active_members(params, rows, seed):
     """(rows, 3n) random states with clouds, rain and convergence everywhere."""
     rng = np.random.default_rng(seed)
-    n = params.geometry.n_points
-    members = np.empty((rows, params.layout.dim))
-    fields = params.layout.split(members)
+    n = params.grid.n_points
+    members = np.empty((rows, params.grid.dim))
+    fields = params.grid.split(members)
     fields["h"][...] = params.h_rest + rng.normal(0.0, 0.2, (rows, n))
     fields["u"][...] = rng.normal(0.0, 1.0, (rows, n))
     fields["r"][...] = rng.exponential(0.02, (rows, n))
@@ -178,7 +178,7 @@ def test_step_is_bitwise_the_roll_step(rows, plume_rate):
     out = advance_members(members, params, 120, rngs)
     rngs = [np.random.default_rng(i) for i in range(rows)]
     np.testing.assert_array_equal(out, roll_advance(members, params, 120, rngs))
-    fields = params.layout.split(out)
+    fields = params.grid.split(out)
     assert (fields["h"] > params.h_rain).any() and (fields["r"] > params.rain_threshold).any()
 
 
@@ -186,7 +186,7 @@ def test_step_is_bitwise_the_roll_step(rows, plume_rate):
 def test_tiny_rings_are_bitwise_the_roll_step(n_points):
     # on one, two and three points the halos are the interior's own edges,
     # and each point may be its own neighbour on both sides
-    params = small_params(geometry=GridGeometry(n_points, 500.0), plume_rate=1e-2)
+    params = small_params(grid=Grid(n_points, 500.0), plume_rate=1e-2)
     members = active_members(params, 4, 60 + n_points)
     out = advance_members(members, params, 50, fresh_rngs(4))
     np.testing.assert_array_equal(out, roll_advance(members, params, 50, fresh_rngs(4)))
@@ -198,10 +198,10 @@ def test_cfl_bound_above_the_limit_leaves_the_verdict_to_the_exact_check():
     # 131 m/s, above the dx / dt = 100 m/s limit, but no point moves faster
     # than 60 + sqrt(10 * 90) = 90 m/s
     params = small_params()
-    n = params.geometry.n_points
+    n = params.grid.n_points
     h, u = np.full(n, 90.0), np.zeros(n)
     u[10], h[30] = 60.0, 500.0
-    limit = params.geometry.spacing_m / params.dt_s
+    limit = params.grid.spacing_m / params.dt_s
     assert np.abs(u).max() + np.sqrt(params.gravity * h.max()) > limit
     x = state(h, u, np.zeros(n))[None, :]
     out = advance_members(x, params, 1, fresh_rngs(1))
@@ -235,7 +235,7 @@ def test_plumes_at_the_wrap_points_match_the_roll_step(monkeypatch):
     # from grid point 0 rounds up onto length; centers whose offsets land
     # exactly on 0 or length / 2; the largest center uniform can draw
     params = ModelParams()
-    length = params.geometry.domain_m
+    length = params.grid.domain_m
     centers = [np.nextafter(0.5 * length, length), 0.5 * length, 0.0,
                np.nextafter(length, 0.0), 1e-9, 250.0]
     placed = PlacedPlumes(centers)
@@ -255,7 +255,7 @@ def test_plumes_at_the_wrap_points_match_the_roll_step(monkeypatch):
     assert placed.centers == []
     ref = roll_advance(x, params, len(centers), [PlacedPlumes(centers)])
     np.testing.assert_array_equal(out, ref)
-    assert np.abs(params.layout.split(out[0])["u"]).max() > 0
+    assert np.abs(params.grid.split(out[0])["u"]).max() > 0
 
 
 # ---------------------------------------------------------- lock-step ensembles
@@ -296,7 +296,7 @@ def test_lock_step_is_bitwise_separate_runs(monkeypatch, n_ensembles, rows):
 def jet(params, rows, row, speed):
     """Rest states of which one row carries a wind jet of the given speed."""
     members = np.tile(rest_state(params), (rows, 1))
-    params.layout.split(members)["u"][row, 20:30] = speed
+    params.grid.split(members)["u"][row, 20:30] = speed
     return members
 
 
@@ -309,7 +309,7 @@ def test_failed_ensemble_keeps_its_slot_and_others_carry_on(kind):
         advance_members(bad, params, 17, fresh_rngs(rows))  # it fails at step 18
     else:
         bad = active_members(params, rows, 33)
-        params.layout.split(bad)["h"][1, 7] = np.nan
+        params.grid.split(bad)["h"][1, 7] = np.nan
     good = [active_members(params, rows, 31), active_members(params, rows, 32)]
     before = [x.copy() for x in (good[0], bad, good[1])]
     out = advance_ensembles([good[0], bad, good[1]], params, steps, fresh_rngs(rows))
@@ -337,13 +337,13 @@ def test_advance_ensembles_is_bitwise_the_roll_step(n_points, rows, n_ensembles,
     # plume_rate from 0 to the cap of n_points plumes per step; in some
     # examples one more ensemble, holding a NaN, fails at its first step
     spacing, dt = 500.0, 5.0
-    params = ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+    params = ModelParams(grid=Grid(n_points, spacing), dt_s=dt,
                          plume_rate=rate * 60.0 / (spacing * dt))
     ensembles = [active_members(params, rows, seed + j) for j in range(n_ensembles)]
     failing = data.draw(st.none() | st.integers(0, n_ensembles))
     if failing is not None:
         bad = active_members(params, rows, seed + n_ensembles)
-        params.layout.split(bad)["r"][rows - 1, n_points // 2] = np.nan
+        params.grid.split(bad)["r"][rows - 1, n_points // 2] = np.nan
         ensembles.insert(failing, bad)
 
     def rngs():
@@ -380,7 +380,7 @@ def test_garbage_in_halos_and_work_buffers_is_never_read(n_points, rows, n_ensem
     # every buffer starting as NaN, any read of one would show as a NaN in
     # the output or a spurious NumericalBlowup or CflViolation
     spacing, dt = 500.0, 5.0
-    params = ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+    params = ModelParams(grid=Grid(n_points, spacing), dt_s=dt,
                          plume_rate=rate * 60.0 / (spacing * dt))
     ensembles = [active_members(params, rows, seed + j) for j in range(n_ensembles)]
 
@@ -407,9 +407,9 @@ def test_nan_at_a_row_edge_fails_with_the_first_point_it_reaches(monkeypatch, fi
     # across the wrap in one step; the error names the first non-finite
     # point, h before u before r, even when every buffer starts as NaN
     monkeypatch.setattr(sweq, "_buffer", nan_buffer)
-    params = small_params(geometry=GridGeometry(7, 500.0))
+    params = small_params(grid=Grid(7, 500.0))
     members = np.tile(rest_state(params), (3, 1))
-    params.layout.split(members)[field][1, column] = np.nan
+    params.grid.split(members)[field][1, column] = np.nan
     with pytest.raises(NumericalBlowup) as info:
         advance_members(members, params, 2, fresh_rngs(3))
     assert str(info.value) == message and info.value.time == 5.0
@@ -420,13 +420,13 @@ def test_jet_at_a_row_edge_gets_the_cfl_verdict(monkeypatch, column):
     # the CFL bound reads the halos, which hold wrapped copies: a jet at a
     # row's first or last interior column is seen once, at its true speed
     monkeypatch.setattr(sweq, "_buffer", nan_buffer)
-    params = small_params(geometry=GridGeometry(40, 500.0))
+    params = small_params(grid=Grid(40, 500.0))
     members = np.tile(rest_state(params), (3, 1))
-    params.layout.split(members)["u"][2, column] = 60.0  # 90 m/s, under dx / dt
+    params.grid.split(members)["u"][2, column] = 60.0  # 90 m/s, under dx / dt
     out = advance_members(members, params, 1, fresh_rngs(3))
     assert out.tobytes() == roll_advance(members, params, 1, fresh_rngs(3)).tobytes()
     for speed in (80.0, -80.0):
-        params.layout.split(members)["u"][2, column] = speed
+        params.grid.split(members)["u"][2, column] = speed
         with pytest.raises(CflViolation, match=r"^dt=5\.0s exceeds CFL bound 4\.545s "
                            r"\(max speed 110\.00 m/s\)$"):
             advance_members(members, params, 1, fresh_rngs(3))
@@ -435,9 +435,9 @@ def test_jet_at_a_row_edge_gets_the_cfl_verdict(monkeypatch, column):
 def test_zero_rows_are_inconsistent():
     params = small_params(plume_rate=8e-5)
     with pytest.raises(ValueError, match="members/rngs inconsistent"):
-        advance_ensembles([np.empty((0, params.layout.dim))], params, 3, [])
+        advance_ensembles([np.empty((0, params.grid.dim))], params, 3, [])
     with pytest.raises(ValueError, match="members/rngs inconsistent"):
-        advance_members(np.empty((0, params.layout.dim)), params, 3, [])
+        advance_members(np.empty((0, params.grid.dim)), params, 3, [])
 
 
 # -------------------------------------------------------------- plume draws
@@ -450,7 +450,7 @@ PLUME_MEANS = st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0) | st.floa
 def plume_params(lam, **kw):
     """Model parameters on 40 points of 500 m with about lam plumes a step."""
     n_points, spacing, dt = 40, 500.0, 5.0
-    return ModelParams(geometry=GridGeometry(n_points, spacing), dt_s=dt,
+    return ModelParams(grid=Grid(n_points, spacing), dt_s=dt,
                        plume_rate=lam * 60.0 / (n_points * spacing * dt), **kw)
 
 
@@ -465,7 +465,7 @@ def twin_generators(bit_generator, seed, rows=1):
        steps=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_plume_draws_are_the_per_step_calls(bit_generator, lam, steps, seed, data):
     params = plume_params(lam)
-    lam, length = params.plumes_per_step, params.geometry.domain_m
+    lam, length = params.plumes_per_step, params.grid.domain_m
     ([rng], [twin]) = twin_generators(bit_generator, seed)
     counts, centers, signs, _ = sweq._row_plumes(rng, lam, length, steps)
     ref_counts, ref_centers, ref_signs = plume_draws(twin, lam, length, steps)
@@ -499,7 +499,7 @@ def test_bumps_from_rest_are_bitwise_the_roll_steps(bit_generator):
 def checkerboard_rain(params, rows, amplitude):
     """Rest states with rain of the given amplitude on every other point."""
     members = np.tile(rest_state(params), (rows, 1))
-    params.layout.split(members)["r"][:, ::2] = amplitude
+    params.grid.split(members)["r"][:, ::2] = amplitude
     return members
 
 
@@ -528,7 +528,7 @@ def test_generators_end_where_per_step_calls_leave_them(bit_generator, lam, step
         started = max(round(x.time / params.dt_s) for x in failed)
         assert 1 <= started <= steps
     for rng, twin in zip(rngs, twins):
-        plume_draws(twin, params.plumes_per_step, params.geometry.domain_m, started)
+        plume_draws(twin, params.plumes_per_step, params.grid.domain_m, started)
         assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
 
@@ -553,7 +553,7 @@ def test_an_error_in_the_step_loop_leaves_the_generators_where_per_step_calls_do
     started = round(t / params.dt_s)
     assert 1 <= started < 300
     for rng, twin in zip(rngs, twins):
-        plume_draws(twin, params.plumes_per_step, params.geometry.domain_m, started)
+        plume_draws(twin, params.plumes_per_step, params.grid.domain_m, started)
         assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
 
@@ -570,7 +570,7 @@ def test_integration_memory_does_not_grow_with_steps():
     # the plumes are drawn and evaluated a chunk of steps at a time, so a
     # run of 20 times the steps needs no more memory (drawn all at once,
     # the bumps of 10,000 steps would be 1.6 MB)
-    params = small_params(geometry=GridGeometry(20, 500.0), plume_rate=1.2e-3)
+    params = small_params(grid=Grid(20, 500.0), plume_rate=1.2e-3)
     x = rest_state(params)[None, :]
 
     def peak(steps):
@@ -656,7 +656,7 @@ def test_params_validation():
 def test_spinup_zero_separation_degenerates():
     params = small_params()
     ens = spinup_ensemble(params, 4, 0.0, np.random.default_rng(14))
-    assert ens.shape == (4, 3 * params.geometry.n_points)
+    assert ens.shape == (4, 3 * params.grid.n_points)
     rest = rest_state(params)
     for i in range(4):
         np.testing.assert_array_equal(ens[i], rest)
@@ -711,7 +711,7 @@ def test_gen_observations_dry_state():
 
 
 def test_gen_observations_branches():
-    params = ModelParams(geometry=GridGeometry(4, 500.0), plume_rate=0.0)
+    params = ModelParams(grid=Grid(4, 500.0), plume_rate=0.0)
     rc = params.rain_threshold
     r = np.array([0.0, rc + 0.09, rc + 0.0001, rc + 0.04])
     u = np.array([1.0, 2.0, 3.0, 4.0])
@@ -734,7 +734,7 @@ def test_gen_observations_branches():
 def test_gen_observations_sqrt_transform_distribution():
     # sqrt(y_r) ~ N(sqrt(r - r_c), sigma_r^2/4) when truncation is negligible
     params = small_params()
-    n = params.geometry.n_points
+    n = params.grid.n_points
     rc = params.rain_threshold
     x = state(np.full(n, 90.0), np.zeros(n), np.full(n, rc + 0.09))
     rng = np.random.default_rng(18)
@@ -747,7 +747,7 @@ def test_gen_observations_sqrt_transform_distribution():
 
 def test_gen_observations_independent_across_points():
     params = small_params()
-    n = params.geometry.n_points
+    n = params.grid.n_points
     x = state(np.full(n, 90.0), np.zeros(n), np.full(n, params.rain_threshold + 0.09))
     rng = np.random.default_rng(19)
     draws = np.array([gen_observations(x, params, rng).y_r for _ in range(3000)])
@@ -779,8 +779,8 @@ def test_state_csv_roundtrip(tmp_path):
     )
     path = tmp_path / "state.csv"
     save_state_csv(vec[0], path)
-    back = params.layout.split(load_state_csv(path))
-    saved = params.layout.split(vec[0])
+    back = params.grid.split(load_state_csv(path))
+    saved = params.grid.split(vec[0])
     np.testing.assert_array_equal(back["h"], saved["h"])
     np.testing.assert_array_equal(back["u"], saved["u"])
     np.testing.assert_array_equal(back["r"], saved["r"])

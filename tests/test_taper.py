@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf.errors import FilterError
-from enkpf.grid import default_layout
+from enkpf.grid import Grid
 from enkpf.taper import TaperSpec, gaspari_cohn, taper_weights, tapered_cov_block
 
 from oracles import taper_matrix, tapered_covariance
@@ -82,9 +82,9 @@ def test_gc_property_range_and_support(dist, c):
 def test_taper_matrix_valid_correlation_on_circle(n):
     # support 2c kept within half the ring, else the wrapped function need
     # not be positive semidefinite
-    layout = default_layout(n, spacing_m=1000.0)
+    grid = Grid(n, spacing_m=1000.0)
     spec = TaperSpec(length_scale_m=n * 1000.0 / 8.0)
-    c_mat = taper_matrix(layout, spec).toarray()
+    c_mat = taper_matrix(grid, spec).toarray()
     np.testing.assert_allclose(c_mat, c_mat.T, atol=0)
     np.testing.assert_allclose(np.diag(c_mat), 1.0, atol=0)
     eig = np.linalg.eigvalsh(c_mat)
@@ -92,9 +92,9 @@ def test_taper_matrix_valid_correlation_on_circle(n):
 
 
 def test_taper_matrix_cross_field_blocks_share_weights():
-    layout = default_layout(12, spacing_m=500.0)
+    grid = Grid(12, spacing_m=500.0)
     spec = TaperSpec(1000.0)
-    c_mat = taper_matrix(layout, spec).toarray()
+    c_mat = taper_matrix(grid, spec).toarray()
     n = 12
     # same-location cross-variable weight is 1; blocks identical across field pairs
     for a in range(3):
@@ -108,33 +108,33 @@ def test_taper_matrix_cross_field_blocks_share_weights():
 def test_tapered_covariance_elementwise_oracle():
     # 5-point grid, l = one grid spacing; dense Schur-product oracle.
     rng = np.random.default_rng(7)
-    layout = default_layout(5, spacing_m=1.0)
+    grid = Grid(5, spacing_m=1.0)
     spec = TaperSpec(1.0)
-    members = rng.normal(size=(9, layout.dim))
-    got = tapered_covariance(members, layout, spec).toarray()
+    members = rng.normal(size=(9, grid.dim))
+    got = tapered_covariance(members, grid, spec).toarray()
     anoms = members - members.mean(axis=0)
     plain = anoms.T @ anoms / (members.shape[0] - 1)
-    cols = np.arange(layout.dim)
-    weights = taper_weights(layout, spec, cols, cols)
+    cols = np.arange(grid.dim)
+    weights = taper_weights(grid, spec, cols, cols)
     np.testing.assert_allclose(got, plain * weights, rtol=1e-12, atol=1e-14)
 
 
 def test_tapered_covariance_allones_taper_equals_plain():
     rng = np.random.default_rng(11)
-    layout = default_layout(6, spacing_m=1.0)
-    members = rng.normal(size=(5, layout.dim))
+    grid = Grid(6, spacing_m=1.0)
+    members = rng.normal(size=(5, grid.dim))
     spec = TaperSpec(1e9)  # support far beyond the domain
-    got = tapered_covariance(members, layout, spec).toarray()
+    got = tapered_covariance(members, grid, spec).toarray()
     anoms = members - members.mean(axis=0)
     np.testing.assert_allclose(got, anoms.T @ anoms / 4, rtol=1e-12, atol=1e-14)
 
 
 def test_tapered_covariance_exact_zeros_beyond_support():
     rng = np.random.default_rng(3)
-    layout = default_layout(40, spacing_m=1000.0)
+    grid = Grid(40, spacing_m=1000.0)
     spec = TaperSpec(2000.0)
-    members = rng.normal(size=(8, layout.dim))
-    cov = tapered_covariance(members, layout, spec).toarray()
+    members = rng.normal(size=(8, grid.dim))
+    cov = tapered_covariance(members, grid, spec).toarray()
     # points 0 and 20 are 20 km apart, far beyond the 4 km support
     n = 40
     for fa in range(3):
@@ -144,13 +144,13 @@ def test_tapered_covariance_exact_zeros_beyond_support():
 
 def test_tapered_cov_block_matches_full():
     rng = np.random.default_rng(5)
-    layout = default_layout(15, spacing_m=700.0)
+    grid = Grid(15, spacing_m=700.0)
     spec = TaperSpec(1400.0)
-    members = rng.normal(size=(12, layout.dim))
-    full = tapered_covariance(members, layout, spec).toarray()
+    members = rng.normal(size=(12, grid.dim))
+    full = tapered_covariance(members, grid, spec).toarray()
     rows = np.array([0, 3, 17, 31, 44])
     cols = np.array([2, 16, 40])
-    block = tapered_cov_block(members, rows, cols, layout, spec)
+    block = tapered_cov_block(members, rows, cols, grid, spec)
     np.testing.assert_allclose(block, full[np.ix_(rows, cols)], rtol=1e-12, atol=1e-15)
 
 
@@ -162,10 +162,10 @@ def test_taper_spec_validation():
 
 
 def test_tapered_block_of_an_overflowing_spread_raises_filter_error():
-    layout = default_layout(10)
-    members = np.zeros((4, layout.dim))
+    grid = Grid(10)
+    members = np.zeros((4, grid.dim))
     members[:, 25] = [1e304, -1e304, 2e304, 0.0]
     cols = np.arange(20, 30)
     with np.errstate(all="raise"):
         with pytest.raises(FilterError, match="not finite"):
-            tapered_cov_block(members, cols, cols, layout, TaperSpec(2000.0))
+            tapered_cov_block(members, cols, cols, grid, TaperSpec(2000.0))
