@@ -10,17 +10,16 @@ the analysis covariance without ever forming it.
 There is one EnKPF path, shared by the global and the localized filters:
 GammaWeightSolver gives the mixture weights for any gamma (search_gamma picks
 gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
-subset of state rows given the relevant covariance slices. enkpf_update and
-adaptive_gamma call it on all rows of the plain or tapered P after one shared
-set-up (_global_setup); the localized filters call it per site or block,
-which keeps the global/local reduction tests exact. At gamma = 1 it is the
-stochastic EnKF, written once in _enkf_rows: enkf_update is enkpf_update at
-gamma = 1, and the LEnKF and every gamma = 1 site or block go through it.
-Only below gamma = 1 is e_R drawn and are the members resampled with the
-solver's weights; enkpf_update builds no solver at gamma = 1. Weights and
-resampling indices are plain (k,) arrays (see enkpf.resampling). All
-observation operators are column selectors with diagonal R, so every solve is
-m x m.
+subset of state rows given the relevant covariance slices. Every EnKPF starts
+from one set-up, _setup, which draws eta, e_R and the resampling uniform u.
+enkpf_update and adaptive_gamma update all rows of the plain or tapered P,
+the localized filters each site or block, which keeps the global/local
+reduction tests exact. At gamma = 1 it is the stochastic EnKF, written once
+in _enkf_rows (enkf_update, the LEnKF, every gamma = 1 site or block), and
+e_R and u go unused. Below it the members are resampled (systematic_indices)
+with the solver's weights. Weights and indices are plain (k,) arrays (see
+enkpf.resampling). Every observation operator is a column selector with
+diagonal R, so every solve is m x m.
 """
 
 import math
@@ -30,7 +29,7 @@ import scipy.linalg as sla
 
 from enkpf.core import _chol, _p_slices
 from enkpf.errors import FilterError
-from enkpf.resampling import balanced_resample, ess, weights_from_log
+from enkpf.resampling import ess, systematic_indices, weights_from_log
 
 __all__ = [
     "GammaWeightSolver",
@@ -45,9 +44,9 @@ def enkf_update(ens, obs, P, rng):
     """Stochastic EnKF analysis: x_i + K(P)(y - Hx_i + eps_i), eps_i ~ N(0, R).
 
     The EnKPF at gamma = 1. P is supplied by the caller (plain or tapered
-    sample covariance). Each member gets its own observation perturbation;
-    one (k, m) standard-normal block is drawn from rng, making the update
-    bit-reproducible per seed.
+    sample covariance). Each member gets its own observation perturbation,
+    from the first (k, m) standard-normal block that _setup draws from rng
+    (its e_R and u go unused), making the update bit-reproducible per seed.
     """
     return enkpf_update(ens, obs, P, 1.0, rng)[0]
 
@@ -206,8 +205,8 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     x_rows (k, p): background values of the rows being updated; innov0
     (k, m): y - Hx of the background; p_ro (p, m), s_oo (m, m): covariance
     slices (tapered or plain). gamma = 1 is the EnKF (_enkf_rows): nothing is
-    resampled, so idx must be the identity and er_raw is not used (it may be
-    None). Returns the (k, p) analysis rows.
+    resampled, so idx must be the identity and er_raw is not used. Returns
+    the (k, p) analysis rows.
     """
     if gamma == 0.0 or r_diag.shape[0] == 0:
         return x_rows[idx]
@@ -221,29 +220,27 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     return mu_rows[idx] + eps
 
 
-def _global_setup(ens, obs, P):
-    """(x, y - Hx, P[:, H], P[H, H]) for an update of every row of ens."""
+def _setup(ens, obs, rng):
+    """(x, y - Hx, eta, e_R, u) for an EnKPF analysis of ens: the one place
+    that fixes the draw order, eta, e_R, then the resampling uniform u."""
     x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
-    return (x, obs.y - obs.project(x), *_p_slices(P, obs.h_rows))
-
-
-def _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng):
-    """EnKPF analysis of all rows at gamma, resampling with solver's weights.
-
-    Draws eta and, below gamma = 1, e_R and then the resampling uniform, in
-    that order. At gamma = 1 (the EnKF) solver is not used: the weights are
-    uniform and the indices the identity.
-    """
     k = x.shape[0]
-    eta_raw = rng.standard_normal((k, obs.m))
+    return (x, obs.y - obs.project(x), rng.standard_normal((k, obs.m)),
+            rng.standard_normal((k, obs.m)), rng.uniform())
+
+
+def _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u):
+    """EnKPF analysis of all rows at gamma with the draws of _setup,
+    resampling with solver's weights. At gamma = 1 (the EnKF) solver, er and
+    u are not used: the weights are uniform and the indices the identity."""
+    k = x.shape[0]
     if gamma == 1.0:
-        er_raw, alpha, idx = None, np.full(k, 1.0 / k), np.arange(k)
+        alpha, idx = np.full(k, 1.0 / k), np.arange(k)
     else:
-        er_raw = rng.standard_normal((k, obs.m))
         alpha = solver.weights(gamma)
-        idx = balanced_resample(alpha, rng)
-    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_ro, s_oo, gamma, eta_raw, er_raw, idx)
+        idx = systematic_indices(alpha, u)
+    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_ro, s_oo, gamma, eta, er, idx)
     return x_a, alpha, idx
 
 
@@ -253,14 +250,15 @@ def enkpf_update(ens, obs, P, gamma, rng):
     Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
     gamma = 1 the particle stage is skipped: the update is the EnKF rows
     update (this is enkf_update), the weights are uniform and the indices are
-    the identity. For gamma < 1 the indices are a balanced resample of the
-    mixture weights.
+    the identity. For gamma < 1 the indices are the systematic resample of
+    the mixture weights for the drawn uniform u.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    x, innov0, p_ro, s_oo = _global_setup(ens, obs, P)
+    x, innov0, eta, er, u = _setup(ens, obs, rng)
+    p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, innov0) if gamma < 1.0 else None
-    return _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng)
+    return _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u)
 
 
 def adaptive_gamma(ens, obs, P, ess_band, rng):
@@ -274,7 +272,8 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     Returns (gamma, (analysis, alpha, idx)) with the arrays of enkpf_update.
     """
     lo, _ = _check_band(ess_band)
-    x, innov0, p_ro, s_oo = _global_setup(ens, obs, P)
+    x, innov0, eta, er, u = _setup(ens, obs, rng)
+    p_ro, s_oo = _p_slices(P, obs.h_rows)
     solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
     gamma = search_gamma(solver, lo, x.shape[0])
-    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, rng)
+    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u)

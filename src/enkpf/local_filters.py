@@ -8,12 +8,12 @@ at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
 All sites share the same observation perturbations (one global draw) and one
 global uniform for resampling, so that neighboring analyses stay as coherent
 as the weights allow; the remaining index freedom is removed by a
-left-to-right reordering sweep. One set-up (_local_setup: x, y - Hx, then
-the draws eta, e_R and the resampling uniform) serves the site loop and each
-block. Every site and block runs the one local EnKPF step (_local_enkpf):
-gamma, the weights at gamma, systematic indices reordered toward a reference
-index vector, and global_filters._enkpf_rows_update, which at gamma = 1 is
-the one EnKF rows update (_enkf_rows).
+left-to-right reordering sweep. The site loop and each block start from the
+one set-up of every EnKPF, global_filters._setup, which draws eta, e_R and
+the resampling uniform. Every site and block runs the one local EnKPF step
+(_local_enkpf): gamma, the weights at gamma, systematic indices reordered
+toward a reference index vector, and global_filters._enkpf_rows_update,
+which at gamma = 1 is the one EnKF rows update (_enkf_rows).
 
 BLOCK-LEnKPF instead partitions the observations into short segments and
 builds each block's observations, u and v in one pass (partition_obs_blocks).
@@ -38,6 +38,7 @@ from enkpf.global_filters import (
     GammaWeightSolver,
     _check_band,
     _enkpf_rows_update,
+    _setup,
     search_gamma,
 )
 from enkpf.obs import GaussObs
@@ -104,18 +105,8 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     return rows, idx
 
 
-def _local_setup(ens, obs, rng):
-    """(x, y - Hx, eta, e_R, u) for a local analysis of ens: the one place that
-    fixes the local draw order, eta, e_R, then the resampling uniform u."""
-    x = np.asarray(ens, dtype=float)
-    obs.check_dim(x.shape[1])
-    k = x.shape[0]
-    return (x, obs.y - obs.project(x), rng.standard_normal((k, obs.m)),
-            rng.standard_normal((k, obs.m)), rng.uniform())
-
-
 def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
-    """Local EnKPF at every grid point, all sites sharing one _local_setup.
+    """Local EnKPF at every grid point, all sites sharing one _setup.
 
     With ess_lo set, each site picks its own gamma and its indices are
     reordered toward the previous site's (_local_enkpf), which suppresses
@@ -124,7 +115,7 @@ def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
     background bitwise; they and gamma = 1 sites contribute identity index
     vectors to the sweep.
     """
-    x, innov0, eta_all, er_all, u_shared = _local_setup(ens, all_obs, rng)
+    x, innov0, eta_all, er_all, u_shared = _setup(ens, all_obs, rng)
     k, d = x.shape
     obs_cols = all_obs.h_rows
     p_cross = tapered_cov_block(x, np.arange(d), obs_cols, grid, taper)
@@ -228,7 +219,7 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
 def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
-    Adaptive-gamma local EnKPF (_local_enkpf, set up by _local_setup) on the
+    Adaptive-gamma local EnKPF (_local_enkpf, set up by _setup) on the
     observed columns u, with indices reordered toward the identity to
     maximize fixed points; correlated columns v follow through the
     conditional regression against the tapered P_uu; all other columns are
@@ -236,7 +227,7 @@ def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=Non
     """
     lo, _ = _check_band(ess_band)
     obs = block.obs
-    x, innov0, eta, er, uniform = _local_setup(ens, obs, rng)
+    x, innov0, eta, er, uniform = _setup(ens, obs, rng)
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
     p_uo = tapered_cov_block(x, block.u, obs.h_rows, grid, taper)
     x_u, _ = _local_enkpf(

@@ -297,14 +297,10 @@ def _plume_steps(params, rngs, n_steps):
     arrival order: the rows in turn, each row's plumes as drawn. The step
     loop may stop within a chunk, so on leaving one (its steps ran out, or
     on close() or an error) every generator is set to where per-step calls
-    leave it after the steps yielded. With no plumes (lam = 0) no generator
-    is touched.
+    leave it after the steps yielded. At lam = 0, where poisson(0) draws
+    nothing, the generators keep their values.
     """
     lam, length = params.plumes_per_step, params.grid.domain_m
-    if not lam:
-        for _ in range(n_steps):
-            yield ()
-        return
     chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
     xg = np.arange(params.grid.n_points) * params.grid.spacing_m
     for done in range(0, n_steps, chunk):

@@ -35,9 +35,9 @@ identity, which must stay equal to it.
 
 fixed_gamma and identity_resample stand in for search_gamma and for the
 resampling call: a test monkeypatches fixed_gamma into local_filters, and
-identity_resample in place of balanced_resample in global_filters or of
-systematic_indices in local_filters, to force gamma or to keep every member
-in place, and still runs the production update. Like the package, they and
+identity_resample in place of systematic_indices in global_filters or in
+local_filters, to force gamma or to keep every member in place, and still
+runs the production update. Like the package, they and
 enkpf_weights pass weights and resampling indices as plain (k,) arrays.
 """
 
@@ -180,9 +180,8 @@ def fixed_gamma(gamma):
     return lambda solver, lo_frac, k: gamma
 
 
-def identity_resample(alpha, rng):
-    """A balanced_resample(alpha, rng) or systematic_indices(alpha, u) that
-    keeps every member in its slot and draws nothing."""
+def identity_resample(alpha, u):
+    """A systematic_indices(alpha, u) that keeps every member in its slot."""
     return np.arange(alpha.shape[0])
 
 

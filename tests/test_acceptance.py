@@ -196,7 +196,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     # global updates still run end to end
     monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
     monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
-    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
 
     blocks = partition_obs_blocks(obs, taper, grid, 10_000.0)
     assert len(blocks) == 1

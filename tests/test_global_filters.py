@@ -37,6 +37,9 @@ class ZeroRng:
     def standard_normal(self, size=None):
         return np.zeros(size) if size is not None else 0.0
 
+    def uniform(self):
+        return 0.0
+
 
 def random_system(rng, k=8, d=5, m=3):
     x = rng.standard_normal((k, d)) * rng.uniform(0.5, 2.0)
@@ -312,7 +315,7 @@ def test_enkpf_tiny_gamma_weights_match_pf():
 
 
 def test_enkpf_tiny_gamma_centroids_near_background(monkeypatch):
-    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
     rng = np.random.default_rng(14)
     x, p, obs = random_system(rng, k=12)
     out, _, _ = enkpf_update(x, obs, p, 1e-8, ZeroRng())
@@ -349,7 +352,7 @@ def test_enkpf_scalar_kalman_oracle():
 
 def test_lgamma_consistency(monkeypatch):
     # centroid path equals the one-shot gain L = K1 + K2 (I - H K1)
-    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
     rng = np.random.default_rng(18)
     for _ in range(10):
         x, p, obs = random_system(rng, k=7, d=6, m=3)

@@ -8,6 +8,7 @@ from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
     GammaWeightSolver,
     _enkpf_rows_update,
+    adaptive_gamma,
     enkf_update,
     enkpf_update,
     search_gamma,
@@ -377,7 +378,7 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     gamma = 0.55
     monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(gamma))
     monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
-    monkeypatch.setattr(global_filters, "balanced_resample", identity_resample)
+    monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
     rng = np.random.default_rng(18)
     grid = Grid(4)
     taper = TaperSpec(375.0)  # support 750 m < the 1000 m max distance
@@ -551,3 +552,37 @@ def test_block_band_validation():
             x, obs, NO_TAPER, grid, 5000.0, (0.0, 0.5),
             np.random.default_rng(1),
         )
+
+
+# ---------------------------------------------------------------------- draws
+
+
+def one_block(x, obs, p, grid, taper, rng):
+    (block,) = partition_obs_blocks(obs, taper, grid, grid.domain_m)
+    return block_assimilate_one(x, block, taper, grid, band(), rng)
+
+
+# every EnKPF, global or local and at any gamma, draws eta, e_R and the
+# resampling uniform, in that order, whatever of them it uses
+@pytest.mark.parametrize("update", [
+    lambda x, obs, p, grid, taper, rng: enkf_update(x, obs, p, rng),
+    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 0.0, rng),
+    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 0.4, rng),
+    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 1.0, rng),
+    lambda x, obs, p, grid, taper, rng: adaptive_gamma(x, obs, p, band(), rng),
+    lambda x, obs, p, grid, taper, rng: lenkf_update(x, obs, taper, grid, rng),
+    lambda x, obs, p, grid, taper, rng: naive_lenkpf_update(x, obs, taper, grid, band(), rng),
+    one_block,
+], ids=["enkf", "enkpf_gamma0", "enkpf_gamma0.4", "enkpf_gamma1", "adaptive_gamma",
+        "lenkf", "naive_lenkpf", "block"])
+def test_every_enkpf_draws_eta_e_r_and_the_uniform(update):
+    grid = Grid(12)
+    k = 10
+    x = random_ensemble(np.random.default_rng(20), grid, k)
+    obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    update(x, obs, ensemble_moments(x)[1], grid, TaperSpec(1000.0), rng)
+    twin.standard_normal((k, obs.m))
+    twin.standard_normal((k, obs.m))
+    twin.uniform()
+    assert rng.standard_normal(100).tobytes() == twin.standard_normal(100).tobytes()

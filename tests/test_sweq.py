@@ -533,13 +533,15 @@ def test_generators_end_where_per_step_calls_leave_them(bit_generator, lam, step
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-@pytest.mark.parametrize("lam", [1.0, 30.0])
+# 30 plumes a step on 5 rows make chunks of one step of per-step calls
+@pytest.mark.parametrize("lam, rows", [(0.0, 2), (1.0, 2), (30.0, 2), (30.0, 5)],
+                         ids=["0.0", "1.0", "30.0", "30.0-rows5"])
 def test_an_error_in_the_step_loop_leaves_the_generators_where_per_step_calls_do(
-        monkeypatch, bit_generator, lam):
+        monkeypatch, bit_generator, lam, rows):
     # the checkerboard overflows within a few steps, and the finite check
     # that would report it raises an error that is not a model failure
     params = plume_params(lam, rain_geopotential=0.0, diff_r=0.5 * 1e10 * 500.0**2 / 5.0)
-    rngs, twins = twin_generators(bit_generator, 11, rows=2)
+    rngs, twins = twin_generators(bit_generator, 11, rows=rows)
     checks = []
 
     def failing_check(h, u, r, t):
@@ -548,7 +550,7 @@ def test_an_error_in_the_step_loop_leaves_the_generators_where_per_step_calls_do
 
     monkeypatch.setattr(sweq, "_check_finite", failing_check)
     with pytest.raises(RuntimeError, match="not a model failure"):
-        advance_ensembles([checkerboard_rain(params, 2, 1.0)], params, 300, rngs)
+        advance_ensembles([checkerboard_rain(params, rows, 1.0)], params, 300, rngs)
     (t,) = checks
     started = round(t / params.dt_s)
     assert 1 <= started < 300
