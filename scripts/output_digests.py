@@ -8,14 +8,17 @@ run --trace` on the config of each workload in perfbench/run.py's
 WORKLOADS, with the workload's own --threads, and `enkpf spinup --config
 configs/hf.ini`. It writes one JSON file: the sha256 of every output CSV
 (scores.csv, ranks.csv, each trace_*.csv; spinup's truth.csv and
-ensemble.csv) and of each of its columns, with nproc, the numpy version and
+ensemble.csv), of each of its columns and, for a CSV with a method column,
+of each column over each method's rows, with nproc, the numpy version and
 whether the CPU has avx512f, on which numpy's float64 exp, and so the
 model's bits, depend.
 
 --compare names every file whose digest differs between two such files, or
-that only one of them has, and for a CSV the columns that differ; it exits
-1 if anything differs. Comparing a change's digests with its parent's is
-the check that a change leaves every output byte-identical.
+that only one of them has, and for a CSV the columns and the methods that
+differ, e.g. "trace_0.csv: differs in columns ess_mean (methods
+block_lenkpf, naive_lenkpf)"; it exits 1 if anything differs. Comparing a
+change's digests with its parent's is the check that a change leaves every
+output byte-identical, or alters only the named methods' rows.
 """
 
 import argparse
@@ -41,14 +44,22 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _columns(header, rows):
+    return {name: _sha("\n".join(row[i] for row in rows).encode())
+            for i, name in enumerate(header)}
+
+
 def digest_csv(path):
-    """{"sha256": of the file, "columns": {name: sha256 of its cells}}."""
+    """{"sha256": of the file, "columns": {name: sha256 of its cells}}, and for
+    a CSV with a method column "methods": {method: the columns of its rows}."""
     data = path.read_bytes()
     header, *rows = csv.reader(data.decode().splitlines())
-    columns = {
-        name: _sha("\n".join(row[i] for row in rows).encode()) for i, name in enumerate(header)
-    }
-    return {"sha256": _sha(data), "columns": columns}
+    digest = {"sha256": _sha(data), "columns": _columns(header, rows)}
+    if "method" in header:
+        i = header.index("method")
+        digest["methods"] = {method: _columns(header, [row for row in rows if row[i] == method])
+                             for method in {row[i] for row in rows}}
+    return digest
 
 
 def has_avx512f():
@@ -82,17 +93,25 @@ def collect(work):
             for label, out in outs.items() for path in sorted(out.glob("*.csv"))}
 
 
+def _differing(a, b):
+    """The keys of two dicts whose values differ, or that only one has."""
+    keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    return ", ".join(keys) or "(none)"
+
+
 def compare(a, b):
-    """The lines naming each file and CSV column whose digests differ."""
+    """The lines naming each file, CSV column and method whose digests differ."""
     files_a, files_b = a["files"], b["files"]
     lines = []
     for name in sorted(files_a.keys() | files_b.keys()):
         if name not in files_a or name not in files_b:
             lines.append(f"{name}: only in {'the first' if name in files_a else 'the second'}")
         elif files_a[name]["sha256"] != files_b[name]["sha256"]:
-            cols_a, cols_b = files_a[name]["columns"], files_b[name]["columns"]
-            differ = [c for c in cols_a.keys() | cols_b.keys() if cols_a.get(c) != cols_b.get(c)]
-            lines.append(f"{name}: differs in columns {', '.join(sorted(differ)) or '(none)'}")
+            fa, fb = files_a[name], files_b[name]
+            line = f"{name}: differs in columns {_differing(fa['columns'], fb['columns'])}"
+            if "methods" in fa and "methods" in fb:
+                line += f" (methods {_differing(fa['methods'], fb['methods'])})"
+            lines.append(line)
     return lines
 
 

@@ -10,7 +10,9 @@ the analysis covariance without ever forming it.
 There is one EnKPF path, shared by the global and the localized filters:
 GammaWeightSolver gives the mixture weights for any gamma (search_gamma picks
 gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
-subset of state rows given the relevant covariance slices. Every EnKPF starts
+subset of state rows given the relevant covariance slices. The particle
+weights are one expression, _pf_log_likelihood, which pf_weights shares with
+the solver at gamma = 0, where the solver needs no eigh. Every EnKPF starts
 from one set-up, _setup, which draws eta, e_R and the resampling uniform u.
 enkpf_update and adaptive_gamma update all rows of the plain or tapered P,
 the localized filters each site or block, which keeps the global/local
@@ -68,6 +70,14 @@ def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
     return rows
 
 
+def _pf_log_likelihood(innov, r_diag):
+    """Particle-filter log-likelihoods -0.5 sum_j innov_ij^2 / r_j of the (k, m)
+    innovations y - Hx_i: the one place particle weights are computed. A
+    member whose squared innovation overflows gets -inf."""
+    with np.errstate(over="ignore"):
+        return -0.5 * np.sum(innov * innov / r_diag, axis=1)
+
+
 def pf_weights(ens, obs):
     """Particle-filter weights alpha_i proportional to the likelihood l(y | x_i).
 
@@ -76,17 +86,14 @@ def pf_weights(ens, obs):
     """
     x = np.asarray(ens, dtype=float)
     obs.check_dim(x.shape[1])
-    innov = obs.y - obs.project(x)
-    with np.errstate(over="ignore"):
-        log_w = -0.5 * np.sum(innov * innov / obs.r_diag, axis=1)
-    return weights_from_log(log_w)
+    return weights_from_log(_pf_log_likelihood(obs.y - obs.project(x), obs.r_diag))
 
 
 class GammaWeightSolver:
     """EnKPF mixture weights as a function of gamma for one background/obs pair.
 
-    A single eigendecomposition of R^{-1/2} S R^{-1/2} (S = obs-space
-    background covariance) reduces every subsequent weight query to one
+    For 0 < gamma < 1 one eigendecomposition of R^{-1/2} S R^{-1/2} (S =
+    obs-space background covariance) reduces every weight query to one
     O(k m) product:
 
         log alpha_i(gamma) = -0.5 sum_j z_ij^2 c_j(gamma) + const,
@@ -96,35 +103,49 @@ class GammaWeightSolver:
     mixture weights N(y; H nu_i, HQH' + R/(1-gamma)) at the same gamma; this is
     what makes per-site adaptive gamma affordable. Every EnKPF resamples with
     these weights.
+
+    The eigh is built on the first query at 0 < gamma < 1, which drops the
+    whitened S and innovations. At gamma = 0, where c_j = 1 and U is
+    orthogonal, the weights are the particle-filter weights
+    (_pf_log_likelihood), so an analysis that settles there calls no eigh.
+    The constructor raises FilterError if the whitened S, or a member's sum
+    of squared whitened innovations, is not finite.
     """
 
     def __init__(self, s_oo, r_diag, innov0):
         r_diag = np.asarray(r_diag, dtype=float)
         innov0 = np.atleast_2d(np.asarray(innov0, dtype=float))
-        self.k = innov0.shape[0]
-        m = r_diag.shape[0]
-        if m == 0:
-            self.lam = np.zeros(0)
-            self.z2 = np.zeros((self.k, 0))
-            return
-        inv_sqrt_r = 1.0 / np.sqrt(r_diag)
+        self.k, self._m = innov0.shape[0], r_diag.shape[0]
+        self._inv_sqrt_r = 1.0 / np.sqrt(r_diag)
         with np.errstate(over="ignore", invalid="ignore"):
-            s_white = inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float) * inv_sqrt_r
-            if not np.isfinite(s_white).all():
-                raise FilterError("whitened innovation covariance is not finite")
-            lam, u = sla.eigh(s_white)
-            self.z2 = ((innov0 * inv_sqrt_r) @ u) ** 2
-        if not math.isfinite(self.z2.max()):  # z2 >= 0, and max propagates NaN
+            self._s_white = (self._inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float)
+                             * self._inv_sqrt_r)
+        if not np.isfinite(self._s_white).all():
+            raise FilterError("whitened innovation covariance is not finite")
+        self._log_pf = _pf_log_likelihood(innov0, r_diag)
+        if not math.isfinite(self._log_pf.min()):  # <= 0, and min propagates NaN
             raise FilterError("whitened innovations are not finite")
-        self.lam = np.clip(lam, 0.0, None)
+        self._innov0 = innov0
+        self._z2 = None
+
+    def _decompose(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, u = sla.eigh(self._s_white)
+            self._z2 = ((self._innov0 * self._inv_sqrt_r) @ u) ** 2
+        self._lam = np.clip(lam, 0.0, None)
+        self._s_white = self._innov0 = None
 
     def log_weights(self, gamma):
-        if gamma == 1.0 or self.z2.shape[1] == 0:
+        if gamma == 1.0 or self._m == 0:
             return np.zeros(self.k)
-        g_lam = gamma * self.lam
+        if gamma == 0.0:
+            return self._log_pf
+        if self._z2 is None:
+            self._decompose()
+        g_lam = gamma * self._lam
         # a denominator that overflows gives c_j = 0, its exact limit
-        c = 1.0 / (g_lam * self.lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
-        log_w = -0.5 * (self.z2 @ c)
+        c = 1.0 / (g_lam * self._lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
+        log_w = -0.5 * (self._z2 @ c)
         return log_w - log_w.max()
 
     def weights(self, gamma):

@@ -33,6 +33,13 @@ permute_fixed_points is the block filter's fixed-point permutation as first
 written; the package gets it as resampling.reorder_to_match against the
 identity, which must stay equal to it.
 
+EagerGammaWeightSolver is GammaWeightSolver as first written: it builds the
+eigendecomposition in its constructor and takes every gamma's weights,
+gamma = 0 included, from it. The package's solver builds it only on the
+first query at 0 < gamma < 1 and must give the same bytes there; at
+gamma = 0 it gives the particle-filter weights, equal to these up to
+rounding.
+
 fixed_gamma and identity_resample stand in for search_gamma and for the
 resampling call: a test monkeypatches fixed_gamma into local_filters, and
 identity_resample in place of systematic_indices in global_filters or in
@@ -43,6 +50,7 @@ enkpf_weights pass weights and resampling indices as plain (k,) arrays.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +61,7 @@ from enkpf.core import _chol, _p_slices
 from enkpf.errors import FilterError
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
 from enkpf.grid import FIELDS
-from enkpf.resampling import weights_from_log
+from enkpf.resampling import ess, weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
 from enkpf.taper import gaspari_cohn
 
@@ -173,6 +181,45 @@ def roll_advance(members, params, n_steps, rngs):
     fields = params.grid.split(out)
     fields["h"][...], fields["u"][...], fields["r"][...] = h, u, r
     return out
+
+
+class EagerGammaWeightSolver:
+    """EnKPF mixture weights at any gamma from one eigendecomposition of
+    R^{-1/2} S R^{-1/2}, made in the constructor (see GammaWeightSolver)."""
+
+    def __init__(self, s_oo, r_diag, innov0):
+        r_diag = np.asarray(r_diag, dtype=float)
+        innov0 = np.atleast_2d(np.asarray(innov0, dtype=float))
+        self.k = innov0.shape[0]
+        m = r_diag.shape[0]
+        if m == 0:
+            self.lam = np.zeros(0)
+            self.z2 = np.zeros((self.k, 0))
+            return
+        inv_sqrt_r = 1.0 / np.sqrt(r_diag)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_white = inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float) * inv_sqrt_r
+            if not np.isfinite(s_white).all():
+                raise FilterError("whitened innovation covariance is not finite")
+            lam, u = sla.eigh(s_white)
+            self.z2 = ((innov0 * inv_sqrt_r) @ u) ** 2
+        if not math.isfinite(self.z2.max()):  # z2 >= 0, and max propagates NaN
+            raise FilterError("whitened innovations are not finite")
+        self.lam = np.clip(lam, 0.0, None)
+
+    def log_weights(self, gamma):
+        if gamma == 1.0 or self.z2.shape[1] == 0:
+            return np.zeros(self.k)
+        g_lam = gamma * self.lam
+        c = 1.0 / (g_lam * self.lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
+        log_w = -0.5 * (self.z2 @ c)
+        return log_w - log_w.max()
+
+    def weights(self, gamma):
+        return weights_from_log(self.log_weights(gamma))
+
+    def ess(self, gamma):
+        return ess(self.weights(gamma))
 
 
 def fixed_gamma(gamma):

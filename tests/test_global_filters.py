@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import global_filters
-from enkpf.core import ensemble_moments
+from enkpf.core import _p_slices, ensemble_moments
 from enkpf.global_filters import (
     GammaWeightSolver,
     adaptive_gamma,
@@ -23,6 +23,7 @@ from enkpf.resampling import ess
 from enkpf.taper import TaperSpec
 
 from oracles import (
+    EagerGammaWeightSolver,
     enkpf_perturbations,
     enkpf_stage1,
     enkpf_weights,
@@ -420,6 +421,48 @@ def test_weight_solver_rejects_a_whitened_covariance_that_overflows():
     with np.errstate(all="raise"):
         with pytest.raises(FilterError, match="whitened innovation covariance"):
             GammaWeightSolver(np.array([[1e10]]), np.array([1e-300]), np.zeros((3, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 40),
+    m=st.integers(0, 24),
+    spread=st.floats(0.1, 3.0),
+    ess_band=st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)).map(
+        lambda t: (t[0], t[0] + t[1] * (1.0 - t[0]))),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lazy_weight_solver_against_the_eager_oracle(k, m, spread, ess_band, gamma, seed):
+    rng = np.random.default_rng(seed)
+    d = m + 3
+    x = rng.standard_normal((k, d)) * spread
+    obs = GaussObs(rng.standard_normal(m), rng.choice(d, size=m, replace=False),
+                   rng.uniform(0.2, 2.0, size=m))
+    innov0 = obs.y - obs.project(x)
+    s_oo = _p_slices(ensemble_moments(x)[1], obs.h_rows)[1]
+
+    def solvers():
+        return (GammaWeightSolver(s_oo, obs.r_diag, innov0),
+                EagerGammaWeightSolver(s_oo, obs.r_diag, innov0))
+
+    lazy, eager = solvers()
+    # gamma = 0: the particle-filter weights, bit for bit; the eager solver's
+    # differ by a few roundings of the largest log-likelihood
+    w0 = lazy.weights(0.0)
+    assert w0.tobytes() == pf_weights(x, obs).tobytes()
+    tol = 8 * np.finfo(float).eps * max(1.0, -lazy.log_weights(0.0).min())
+    np.testing.assert_allclose(w0, eager.weights(0.0), rtol=0.0, atol=tol)
+    assert lazy.weights(gamma).tobytes() == eager.weights(gamma).tobytes()
+    assert lazy.weights(0.0).tobytes() == w0.tobytes()  # unchanged by the eigh
+
+    lo, _ = global_filters._check_band(ess_band)
+    lazy, eager = solvers()
+    g_lazy, g_eager = search_gamma(lazy, lo, k), search_gamma(eager, lo, k)
+    assert g_lazy == g_eager, (
+        f"k={k} m={m} lo={lo!r} seed={seed}: gamma {g_lazy} (lazy) against {g_eager} "
+        f"(eager), ESS at 0 {lazy.ess(0.0)!r} against {eager.ess(0.0)!r}, floor {lo * k!r}"
+    )
 
 
 def test_adaptive_gamma_two_cluster_grid_oracle():

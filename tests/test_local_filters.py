@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from enkpf import global_filters, local_filters
 from enkpf.core import ensemble_moments
+from enkpf.errors import FilterError
 from enkpf.global_filters import (
     GammaWeightSolver,
     _enkpf_rows_update,
     adaptive_gamma,
     enkf_update,
     enkpf_update,
+    pf_weights,
     search_gamma,
 )
 from enkpf.grid import Grid
@@ -209,6 +211,60 @@ def test_naive_locality_and_empty_obs():
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
     noop = naive_lenkpf_update(x, empty, NO_TAPER, grid, (0.5, 0.8), np.random.default_rng(8))
     np.testing.assert_array_equal(noop, x)
+
+
+def test_no_eigh_at_gamma_zero(monkeypatch):
+    eigh, calls = global_filters.sla.eigh, []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(global_filters.sla, "eigh", counting_eigh)
+    grid = Grid(20)
+    x = random_ensemble(np.random.default_rng(43), grid, 10)
+    obs = rain_obs(grid, [3, 9, 10, 15], [0.2, -0.1, 0.3, 0.0], r_var=1e4)
+    diag = LocalDiagnostics()
+    naive_lenkpf_update(x, obs, TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
+    assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
+    _, w, _ = enkpf_update(x, obs, ensemble_moments(x)[1], 0.0, np.random.default_rng(44))
+    assert w.tobytes() == pf_weights(x, obs).tobytes()
+    assert calls == []
+    # precise observations move sites off gamma = 0: one eigh for each
+    diag = LocalDiagnostics()
+    naive_lenkpf_update(x, rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05),
+                        TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
+    assert len(calls) == sum(g > 0.0 for g in diag.gammas) > 0
+
+
+def overflowing_innovation_case():
+    """The other members observe y exactly, and one lies far out, with a tiny R:
+    its squared innovation over r overflows float64, the whitened covariance
+    (about 1/k of it) does not."""
+    grid = Grid(12)
+    x = random_ensemble(np.random.default_rng(45), grid, 10)
+    obs = rain_obs(grid, [5], [0.0], r_var=1e-9)
+    x[:, obs.h_rows[0]] = 0.0
+    x[0, obs.h_rows[0]] = 1e150
+    return grid, x, obs
+
+
+@pytest.mark.parametrize("update", ["naive", "block"])
+def test_overflowing_innovations_fail_the_local_filters(update):
+    grid, x, obs = overflowing_innovation_case()
+    taper = TaperSpec(1500.0)
+    with pytest.raises(FilterError, match="whitened innovations are not finite"):
+        if update == "naive":
+            naive_lenkpf_update(x, obs, taper, grid, band(), np.random.default_rng(46))
+        else:
+            block_lenkpf_update(x, obs, taper, grid, 5000.0, band(), np.random.default_rng(46))
+
+
+def test_overflowing_innovation_gets_particle_weight_zero():
+    _, x, obs = overflowing_innovation_case()
+    w = pf_weights(x, obs)
+    assert w[0] == 0.0
+    np.testing.assert_allclose(w[1:], 1.0 / 9, rtol=1e-15)
 
 
 def test_naive_band_validation():
