@@ -8,18 +8,20 @@ the remaining likelihood power, resamples, and adds perturbations drawn from
 the analysis covariance without ever forming it.
 
 There is one EnKPF path, shared by the global and the localized filters:
-GammaWeightSolver gives the mixture weights for any gamma (search_gamma picks
-gamma from them), and _enkpf_rows_update applies both stages to an arbitrary
-subset of state rows given the relevant covariance slices. The particle
-weights are one expression, _pf_log_likelihood, which pf_weights shares with
-the solver at gamma = 0, where the solver needs no eigh. Every EnKPF starts
-from one set-up, _setup, which draws eta, e_R and the resampling uniform u.
-enkpf_update and adaptive_gamma update all rows of the plain or tapered P,
-the localized filters each site or block, which keeps the global/local
-reduction tests exact. At gamma = 1 it is the stochastic EnKF, written once
-in _enkf_rows (enkf_update, the LEnKF, every gamma = 1 site or block), and
-e_R and u go unused. Below it the members are resampled (systematic_indices)
-with the solver's weights. Weights and indices are plain (k,) arrays (see
+search_gamma turns an analysis's covariance slices and innovations into
+gamma and the mixture weights at it (_gamma_weights: at a fixed gamma), and
+_enkpf_rows_update applies both stages to any subset of state rows given the
+covariance slices. The particle weights are one expression,
+_pf_log_likelihood, which pf_weights shares with the EnKPF at gamma = 0; the
+one eigh of _mixture_weights (0 < gamma < 1) is made only when gamma = 0
+will not do. Every EnKPF starts from one set-up, _setup, which draws eta,
+e_R and the resampling uniform u. enkpf_update and adaptive_gamma update all
+rows of the plain or tapered P, the localized filters each site or block,
+which keeps the global/local reduction tests exact. At gamma = 1 it is the
+stochastic EnKF, written once in _enkf_rows (enkf_update, the LEnKF, every
+gamma = 1 site or block): the weights are uniform, e_R and u go unused.
+Below it the members are resampled (systematic_indices) with the weights
+that came with gamma. Weights and indices are plain (k,) arrays (see
 enkpf.resampling). Every observation operator is a column selector with
 diagonal R, so every solve is m x m.
 """
@@ -34,7 +36,6 @@ from enkpf.errors import FilterError
 from enkpf.resampling import ess, systematic_indices, weights_from_log
 
 __all__ = [
-    "GammaWeightSolver",
     "adaptive_gamma",
     "enkf_update",
     "enkpf_update",
@@ -89,70 +90,60 @@ def pf_weights(ens, obs):
     return weights_from_log(_pf_log_likelihood(obs.y - obs.project(x), obs.r_diag))
 
 
-class GammaWeightSolver:
-    """EnKPF mixture weights as a function of gamma for one background/obs pair.
+def _checked_pf_log_likelihood(s_oo, r_diag, innov0):
+    """(particle-filter log-likelihoods, R^{-1/2} S R^{-1/2}) of a weighted
+    analysis. FilterError if either is not finite: the two checks every
+    EnKPF below gamma = 1 makes, whatever its gamma."""
+    inv_sqrt_r = 1.0 / np.sqrt(r_diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_white = inv_sqrt_r[:, None] * s_oo * inv_sqrt_r
+    if not np.isfinite(s_white).all():
+        raise FilterError("whitened innovation covariance is not finite")
+    log_pf = _pf_log_likelihood(innov0, r_diag)
+    if not math.isfinite(log_pf.min()):  # <= 0, and min propagates NaN
+        raise FilterError("whitened innovations are not finite")
+    return log_pf, s_white
 
-    For 0 < gamma < 1 one eigendecomposition of R^{-1/2} S R^{-1/2} (S =
-    obs-space background covariance) reduces every weight query to one
-    O(k m) product:
+
+def _mixture_weights(s_white, innov0, r_diag):
+    """The EnKPF mixture weights as a function of 0 < gamma < 1, from one
+    eigendecomposition U diag(lam) U' of the whitened S:
 
         log alpha_i(gamma) = -0.5 sum_j z_ij^2 c_j(gamma) + const,
         c_j = 1 / (gamma lam_j^2 + (gamma lam_j + 1)^2 / (1 - gamma)),
 
     with z_i = U' R^{-1/2} (y - H x_i). Algebraically identical to the direct
-    mixture weights N(y; H nu_i, HQH' + R/(1-gamma)) at the same gamma; this is
-    what makes per-site adaptive gamma affordable. Every EnKPF resamples with
-    these weights.
-
-    The eigh is built on the first query at 0 < gamma < 1, which drops the
-    whitened S and innovations. At gamma = 0, where c_j = 1 and U is
-    orthogonal, the weights are the particle-filter weights
-    (_pf_log_likelihood), so an analysis that settles there calls no eigh.
-    The constructor raises FilterError if the whitened S, or a member's sum
-    of squared whitened innovations, is not finite.
+    mixture weights N(y; H nu_i, HQH' + R/(1-gamma)) at the same gamma, in one
+    O(k m) product per gamma: this is what makes per-site adaptive gamma
+    affordable.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # m = 0: nothing to decompose, and every weight is 1/k
+        lam, u = sla.eigh(s_white) if r_diag.size else (np.zeros(0), s_white)
+        z2 = ((innov0 * (1.0 / np.sqrt(r_diag))) @ u) ** 2
+    lam = np.clip(lam, 0.0, None)
 
-    def __init__(self, s_oo, r_diag, innov0):
-        r_diag = np.asarray(r_diag, dtype=float)
-        innov0 = np.atleast_2d(np.asarray(innov0, dtype=float))
-        self.k, self._m = innov0.shape[0], r_diag.shape[0]
-        self._inv_sqrt_r = 1.0 / np.sqrt(r_diag)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._s_white = (self._inv_sqrt_r[:, None] * np.asarray(s_oo, dtype=float)
-                             * self._inv_sqrt_r)
-        if not np.isfinite(self._s_white).all():
-            raise FilterError("whitened innovation covariance is not finite")
-        self._log_pf = _pf_log_likelihood(innov0, r_diag)
-        if not math.isfinite(self._log_pf.min()):  # <= 0, and min propagates NaN
-            raise FilterError("whitened innovations are not finite")
-        self._innov0 = innov0
-        self._z2 = None
-
-    def _decompose(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam, u = sla.eigh(self._s_white)
-            self._z2 = ((self._innov0 * self._inv_sqrt_r) @ u) ** 2
-        self._lam = np.clip(lam, 0.0, None)
-        self._s_white = self._innov0 = None
-
-    def log_weights(self, gamma):
-        if gamma == 1.0 or self._m == 0:
-            return np.zeros(self.k)
-        if gamma == 0.0:
-            return self._log_pf
-        if self._z2 is None:
-            self._decompose()
-        g_lam = gamma * self._lam
+    def weights(gamma):
+        g_lam = gamma * lam
         # a denominator that overflows gives c_j = 0, its exact limit
-        c = 1.0 / (g_lam * self._lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
-        log_w = -0.5 * (self._z2 @ c)
-        return log_w - log_w.max()
+        c = 1.0 / (g_lam * lam + (g_lam + 1.0) ** 2 / (1.0 - gamma))
+        log_w = -0.5 * (z2 @ c)
+        return weights_from_log(log_w - log_w.max())
 
-    def weights(self, gamma):
-        return weights_from_log(self.log_weights(gamma))
+    return weights
 
-    def ess(self, gamma):
-        return ess(self.weights(gamma))
+
+def _gamma_weights(s_oo, r_diag, innov0, gamma):
+    """The EnKPF mixture weights at a fixed gamma: uniform at gamma = 1, else
+    checked (_checked_pf_log_likelihood) and, at gamma = 0, where c_j = 1 and
+    U is orthogonal, the particle-filter weights, made without an eigh."""
+    k = innov0.shape[0]
+    if gamma == 1.0:
+        return np.full(k, 1.0 / k)
+    log_pf, s_white = _checked_pf_log_likelihood(s_oo, r_diag, innov0)
+    if gamma == 0.0:
+        return weights_from_log(log_pf)
+    return _mixture_weights(s_white, innov0, r_diag)(gamma)
 
 
 def _check_band(ess_band):
@@ -162,30 +153,38 @@ def _check_band(ess_band):
     return lo, hi
 
 
-def search_gamma(solver, lo_frac, k):
-    """Smallest gamma with ESS >= lo_frac * k, by 10-step bisection on [0, 1].
+def search_gamma(s_oo, r_diag, innov0, lo_frac):
+    """(gamma, alpha): the smallest gamma with ESS >= lo_frac * k, by 10-step
+    bisection on [0, 1], and the weights at it, which the analysis resamples.
 
-    gamma = 0 is the preferred outcome and is checked first. The bisection
-    keeps the invariant ESS(hi) >= target (ESS at gamma = 1 is k by the
-    uniform-weight convention, so the initial bracket is valid); the returned
-    endpoint therefore always satisfies the floor. Deterministic: weight
-    evaluation consumes no randomness.
+    s_oo (m, m) is the obs-space background covariance, r_diag (m,) the
+    error variances, innov0 (k, m) the innovations y - Hx. The checks of
+    _checked_pf_log_likelihood come first, whatever gamma is reached. gamma =
+    0 is preferred and tested with the particle-filter weights, so a search
+    that settles there makes one weight vector and no eigh. Otherwise one
+    eigh serves the bisection, which keeps the invariant ESS(hi) >= target
+    (uniform weights at gamma = 1 have ESS k, so the initial bracket is
+    valid) and the weights at hi: no weight vector is made twice.
 
     Only the lower end lo of an ess_band (lo, hi) enters here. The upper end
     is validated (_check_band) but never enforced: an ESS above hi * k is
     accepted, so hi is at most a soft target.
     """
-    target = lo_frac * k
-    if solver.ess(0.0) >= target:
-        return 0.0
-    lo_g, hi_g = 0.0, 1.0
+    log_pf, s_white = _checked_pf_log_likelihood(s_oo, r_diag, innov0)
+    alpha = weights_from_log(log_pf)
+    target = lo_frac * alpha.shape[0]
+    if ess(alpha) >= target:
+        return 0.0, alpha
+    weights_at = _mixture_weights(s_white, innov0, r_diag)
+    lo_g, hi_g, alpha = 0.0, 1.0, _gamma_weights(s_oo, r_diag, innov0, 1.0)
     for _ in range(10):
         mid = 0.5 * (lo_g + hi_g)
-        if solver.ess(mid) >= target:
-            hi_g = mid
+        w = weights_at(mid)
+        if ess(w) >= target:
+            hi_g, alpha = mid, w
         else:
             lo_g = mid
-    return hi_g
+    return hi_g, alpha
 
 
 def _eps_draws(k_ro, a, k2_ro, r_diag, gamma, eta_raw, er_raw):
@@ -251,16 +250,11 @@ def _setup(ens, obs, rng):
             rng.standard_normal((k, obs.m)), rng.uniform())
 
 
-def _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u):
+def _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u):
     """EnKPF analysis of all rows at gamma with the draws of _setup,
-    resampling with solver's weights. At gamma = 1 (the EnKF) solver, er and
-    u are not used: the weights are uniform and the indices the identity."""
-    k = x.shape[0]
-    if gamma == 1.0:
-        alpha, idx = np.full(k, 1.0 / k), np.arange(k)
-    else:
-        alpha = solver.weights(gamma)
-        idx = systematic_indices(alpha, u)
+    resampling with the weights alpha at gamma. At gamma = 1 (the EnKF) er
+    and u are not used: the indices are the identity."""
+    idx = np.arange(x.shape[0]) if gamma == 1.0 else systematic_indices(alpha, u)
     x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_ro, s_oo, gamma, eta, er, idx)
     return x_a, alpha, idx
 
@@ -278,8 +272,8 @@ def enkpf_update(ens, obs, P, gamma, rng):
         raise ValueError("gamma must lie in [0, 1]")
     x, innov0, eta, er, u = _setup(ens, obs, rng)
     p_ro, s_oo = _p_slices(P, obs.h_rows)
-    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0) if gamma < 1.0 else None
-    return _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u)
+    alpha = _gamma_weights(s_oo, obs.r_diag, innov0, gamma)
+    return _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u)
 
 
 def adaptive_gamma(ens, obs, P, ess_band, rng):
@@ -295,6 +289,5 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     lo, _ = _check_band(ess_band)
     x, innov0, eta, er, u = _setup(ens, obs, rng)
     p_ro, s_oo = _p_slices(P, obs.h_rows)
-    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
-    gamma = search_gamma(solver, lo, x.shape[0])
-    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, solver, gamma, eta, er, u)
+    gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, lo)
+    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u)

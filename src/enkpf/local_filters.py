@@ -11,9 +11,10 @@ as the weights allow; the remaining index freedom is removed by a
 left-to-right reordering sweep. The site loop and each block start from the
 one set-up of every EnKPF, global_filters._setup, which draws eta, e_R and
 the resampling uniform. Every site and block runs the one local EnKPF step
-(_local_enkpf): gamma, the weights at gamma, systematic indices reordered
-toward a reference index vector, and global_filters._enkpf_rows_update,
-which at gamma = 1 is the one EnKF rows update (_enkf_rows).
+(_local_enkpf): gamma and the weights at it from global_filters.search_gamma,
+systematic indices reordered toward a reference index vector, and
+global_filters._enkpf_rows_update, which at gamma = 1 is the one EnKF rows
+update (_enkf_rows).
 
 BLOCK-LEnKPF instead partitions the observations into short segments and
 builds each block's observations, u and v in one pass (partition_obs_blocks).
@@ -34,13 +35,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from enkpf.errors import FilterError
-from enkpf.global_filters import (
-    GammaWeightSolver,
-    _check_band,
-    _enkpf_rows_update,
-    _setup,
-    search_gamma,
-)
+from enkpf.global_filters import _check_band, _enkpf_rows_update, _setup, search_gamma
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess, reorder_to_match, systematic_indices
 from enkpf.taper import tapered_cov_block
@@ -84,21 +79,19 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     """One local EnKPF step on x_rows; returns (analysis rows, indices).
 
     With ess_lo = None gamma is 1 (the EnKF): no weights, no diagnostics.
-    Otherwise gamma comes from search_gamma and diagnostics, if given,
-    records it with the ESS of its weights. Below gamma = 1 the systematic
-    indices for the uniform u are reordered to agree with prev_idx as far as
-    the multisets allow; at gamma = 1 they are the identity.
+    Otherwise search_gamma gives gamma and the weights at it, and
+    diagnostics, if given, records gamma with their ESS. Below gamma = 1 the
+    systematic indices for the uniform u are reordered to agree with
+    prev_idx as far as the multisets allow; at gamma = 1 they are the
+    identity.
     """
-    k = x_rows.shape[0]
     gamma = 1.0
     if ess_lo is not None:
-        solver = GammaWeightSolver(s_oo, r_diag, innov0)
-        gamma = search_gamma(solver, ess_lo, k)
-        alpha = solver.weights(gamma)
+        gamma, alpha = search_gamma(s_oo, r_diag, innov0, ess_lo)
         if diagnostics is not None:
             diagnostics.record(gamma, ess(alpha))
     if gamma == 1.0:
-        idx = np.arange(k)
+        idx = np.arange(x_rows.shape[0])
     else:
         idx = reorder_to_match(systematic_indices(alpha, u), prev_idx)
     rows = _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta, er, idx)

@@ -24,7 +24,7 @@ class GaussObs:
         r = np.atleast_1d(np.asarray(self.r_diag, dtype=float))
         if not (y.shape == h.shape == r.shape) or y.ndim != 1:
             raise ValueError("y, h_rows, r_diag must be 1d arrays of equal length")
-        if y.size and np.any(r <= 0):
+        if y.size and not np.all(r > 0):
             raise ValueError("observation error variances must be positive")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "h_rows", h)

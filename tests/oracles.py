@@ -1,13 +1,14 @@
 """Reference implementations, kept as test oracles for the production code,
 and the stand-ins the tests substitute for its gamma search and resampling.
 
-The package computes the EnKPF through one path: GammaWeightSolver for the
-mixture weights and _enkpf_rows_update for both update stages. The functions
-here evaluate the same quantities the textbook way, forming the stage-1 gain,
-the factored spread matrix Q and the weight covariance HQH' + R/(1-gamma)
-explicitly, so the tests can compare the two. enkpf_perturbations draws
-through production's own stage-2 gain (_enkpf_rows_machinery), so a
-covariance check of its draws checks that gain.
+The package computes the EnKPF through one path: search_gamma (or, at a
+fixed gamma, _gamma_weights) for the mixture weights and _enkpf_rows_update
+for both update stages. The functions here evaluate the same quantities the
+textbook way, forming the stage-1 gain, the factored spread matrix Q and the
+weight covariance HQH' + R/(1-gamma) explicitly, so the tests can compare
+the two. enkpf_perturbations draws through production's own stage-2 gain
+(_enkpf_rows_machinery), so a covariance check of its draws checks that
+gain.
 
 kalman_gain is the plain EnKF gain on the full P; the package forms it only
 on the rows an update touches (global_filters._enkf_rows). crps_empirical is
@@ -33,15 +34,18 @@ permute_fixed_points is the block filter's fixed-point permutation as first
 written; the package gets it as resampling.reorder_to_match against the
 identity, which must stay equal to it.
 
-EagerGammaWeightSolver is GammaWeightSolver as first written: it builds the
-eigendecomposition in its constructor and takes every gamma's weights,
-gamma = 0 included, from it. The package's solver builds it only on the
-first query at 0 < gamma < 1 and must give the same bytes there; at
-gamma = 0 it gives the particle-filter weights, equal to these up to
-rounding.
+EagerGammaWeightSolver is the package's weight solver as first written, a
+class that builds the eigendecomposition in its constructor and takes every
+gamma's weights, gamma = 0 included, from it; search_gamma_reference is the
+gamma search as first written, which asks such a solver for the ESS at
+gamma = 0 and at each midpoint and returns gamma alone. The package's
+search_gamma must reach the same gamma and return, at 0 < gamma < 1, the
+solver's weights at it byte for byte; at gamma = 0 it returns the
+particle-filter weights, equal to the solver's up to rounding.
 
 fixed_gamma and identity_resample stand in for search_gamma and for the
-resampling call: a test monkeypatches fixed_gamma into local_filters, and
+resampling call: a test monkeypatches fixed_gamma, which returns its gamma
+with the package's weights at it (_gamma_weights), into local_filters, and
 identity_resample in place of systematic_indices in global_filters or in
 local_filters, to force gamma or to keep every member in place, and still
 runs the production update. Like the package, they and
@@ -59,7 +63,7 @@ import scipy.sparse as sp
 
 from enkpf.core import _chol, _p_slices
 from enkpf.errors import FilterError
-from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws
+from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws, _gamma_weights
 from enkpf.grid import FIELDS
 from enkpf.resampling import ess, weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
@@ -185,7 +189,8 @@ def roll_advance(members, params, n_steps, rngs):
 
 class EagerGammaWeightSolver:
     """EnKPF mixture weights at any gamma from one eigendecomposition of
-    R^{-1/2} S R^{-1/2}, made in the constructor (see GammaWeightSolver)."""
+    R^{-1/2} S R^{-1/2}, made in the constructor (see
+    global_filters._mixture_weights)."""
 
     def __init__(self, s_oo, r_diag, innov0):
         r_diag = np.asarray(r_diag, dtype=float)
@@ -222,9 +227,27 @@ class EagerGammaWeightSolver:
         return ess(self.weights(gamma))
 
 
+def search_gamma_reference(solver, lo_frac, k):
+    """Smallest gamma with solver.ess(gamma) >= lo_frac * k, by 10-step
+    bisection on [0, 1] after a test of gamma = 0."""
+    target = lo_frac * k
+    if solver.ess(0.0) >= target:
+        return 0.0
+    lo_g, hi_g = 0.0, 1.0
+    for _ in range(10):
+        mid = 0.5 * (lo_g + hi_g)
+        if solver.ess(mid) >= target:
+            hi_g = mid
+        else:
+            lo_g = mid
+    return hi_g
+
+
 def fixed_gamma(gamma):
-    """A search_gamma that returns gamma whatever the weights."""
-    return lambda solver, lo_frac, k: gamma
+    """A search_gamma that returns gamma, and the weights at it, whatever the
+    weights."""
+    return lambda s_oo, r_diag, innov0, lo_frac: (
+        gamma, _gamma_weights(s_oo, r_diag, innov0, gamma))
 
 
 def identity_resample(alpha, u):

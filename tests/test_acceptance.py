@@ -14,7 +14,6 @@ from enkpf import global_filters, local_filters
 from enkpf.config import ExperimentConfig
 from enkpf.experiment import run_experiment
 from enkpf.global_filters import (
-    GammaWeightSolver,
     enkf_update,
     enkpf_update,
     pf_weights,
@@ -287,9 +286,8 @@ def test_criterion_06_adaptive_gamma_band():
         r_diag = rng.uniform(0.05, 2.0, m)
         scale = rng.uniform(0.3, 6.0)
         innov = rng.standard_normal((k, m)) * scale
-        solver = GammaWeightSolver(s_oo, r_diag, innov)
-        gamma = search_gamma(solver, BAND[0], k)
-        achieved = solver.ess(gamma)
+        gamma, alpha = search_gamma(s_oo, r_diag, innov, BAND[0])
+        achieved = ess(alpha)
         if achieved >= BAND[0] * k - 1e-9:
             floor_ok += 1
         if gamma == 0.0 or achieved <= BAND[1] * k + 1e-9:

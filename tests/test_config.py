@@ -218,6 +218,8 @@ def test_built_config_has_its_scenario_timing():
         ({"methods": ("bogus",)}, "methods:"),
         ({"scenario": "custom", "interval_s": 60.0}, "interval_s/duration_s:"),
         ({"k": 1}, "k:"),
+        ({"r_r": float("nan")}, "r_r/r_u:"),
+        ({"r_u": float("nan")}, "r_r/r_u:"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from enkpf import global_filters
 from enkpf.core import _p_slices, ensemble_moments
 from enkpf.global_filters import (
-    GammaWeightSolver,
+    _gamma_weights,
+    _pf_log_likelihood,
     adaptive_gamma,
     enkf_update,
     enkpf_update,
@@ -29,6 +30,7 @@ from oracles import (
     enkpf_weights,
     identity_resample,
     kalman_gain,
+    search_gamma_reference,
 )
 
 
@@ -284,12 +286,12 @@ def test_solver_matches_direct_weights():
         m = int(rng.integers(1, d + 1))
         x, p, obs = random_system(rng, k=k, d=d, m=m)
         s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
-        solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
+        innov0 = obs.y - x[:, obs.h_rows]
         for gamma in [0.0, 1e-3, 0.2, 0.5, 0.9, 1.0 - 2.0**-10, 1.0]:
             inter = enkpf_stage1(x, obs, p, gamma)
             direct = enkpf_weights(inter, obs)
             np.testing.assert_allclose(
-                solver.weights(gamma), direct, rtol=1e-9, atol=1e-12
+                _gamma_weights(s_oo, obs.r_diag, innov0, gamma), direct, rtol=1e-9, atol=1e-12
             )
 
 
@@ -420,7 +422,13 @@ def test_weight_solver_rejects_a_whitened_covariance_that_overflows():
     # finite S, but whitening by a tiny R overflows float64
     with np.errstate(all="raise"):
         with pytest.raises(FilterError, match="whitened innovation covariance"):
-            GammaWeightSolver(np.array([[1e10]]), np.array([1e-300]), np.zeros((3, 1)))
+            search_gamma(np.array([[1e10]]), np.array([1e-300]), np.zeros((3, 1)), 0.5)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
+def test_gauss_obs_rejects_a_variance_that_is_not_positive(r):
+    with pytest.raises(ValueError, match="variances must be positive"):
+        GaussObs(np.zeros(2), np.array([0, 1]), np.array([1.0, r]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -442,27 +450,31 @@ def test_lazy_weight_solver_against_the_eager_oracle(k, m, spread, ess_band, gam
     innov0 = obs.y - obs.project(x)
     s_oo = _p_slices(ensemble_moments(x)[1], obs.h_rows)[1]
 
-    def solvers():
-        return (GammaWeightSolver(s_oo, obs.r_diag, innov0),
-                EagerGammaWeightSolver(s_oo, obs.r_diag, innov0))
-
-    lazy, eager = solvers()
+    eager = EagerGammaWeightSolver(s_oo, obs.r_diag, innov0)
     # gamma = 0: the particle-filter weights, bit for bit; the eager solver's
     # differ by a few roundings of the largest log-likelihood
-    w0 = lazy.weights(0.0)
+    w0 = _gamma_weights(s_oo, obs.r_diag, innov0, 0.0)
     assert w0.tobytes() == pf_weights(x, obs).tobytes()
-    tol = 8 * np.finfo(float).eps * max(1.0, -lazy.log_weights(0.0).min())
+    tol = 8 * np.finfo(float).eps * max(1.0, -_pf_log_likelihood(innov0, obs.r_diag).min())
     np.testing.assert_allclose(w0, eager.weights(0.0), rtol=0.0, atol=tol)
-    assert lazy.weights(gamma).tobytes() == eager.weights(gamma).tobytes()
-    assert lazy.weights(0.0).tobytes() == w0.tobytes()  # unchanged by the eigh
+    w = _gamma_weights(s_oo, obs.r_diag, innov0, gamma)
+    assert w.tobytes() == eager.weights(gamma).tobytes()
 
     lo, _ = global_filters._check_band(ess_band)
-    lazy, eager = solvers()
-    g_lazy, g_eager = search_gamma(lazy, lo, k), search_gamma(eager, lo, k)
-    assert g_lazy == g_eager, (
-        f"k={k} m={m} lo={lo!r} seed={seed}: gamma {g_lazy} (lazy) against {g_eager} "
-        f"(eager), ESS at 0 {lazy.ess(0.0)!r} against {eager.ess(0.0)!r}, floor {lo * k!r}"
+    g, alpha = search_gamma(s_oo, obs.r_diag, innov0, lo)
+    g_eager = search_gamma_reference(eager, lo, k)
+    assert g == g_eager, (
+        f"k={k} m={m} lo={lo!r} seed={seed}: gamma {g} (package) against {g_eager} "
+        f"(eager), ESS at 0 {ess(w0)!r} against {eager.ess(0.0)!r}, floor {lo * k!r}"
     )
+    # the weights that came with gamma, made once
+    if g == 0.0:
+        expected = pf_weights(x, obs)
+    elif g == 1.0:
+        expected = np.full(k, 1.0 / k)
+    else:
+        expected = eager.weights(g)
+    assert alpha.tobytes() == expected.tobytes()
 
 
 def test_adaptive_gamma_two_cluster_grid_oracle():
@@ -473,16 +485,14 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
     p = ensemble_moments(x)[1]
     lo = 0.5
-    solver = GammaWeightSolver(
-        p[np.ix_([0], [0])], obs.r_diag, obs.y - x[:, [0]]
-    )
+    s_oo, innov0 = p[np.ix_([0], [0])], obs.y - x[:, [0]]
     gamma, (out, w, idx) = adaptive_gamma(
         x, obs, p, (lo, 0.8), np.random.default_rng(3)
     )
     assert ess(w) >= lo * k - 1e-9
     # exhaustive grid oracle: smallest gamma on a 1e-4 grid reaching the floor
     grid = np.arange(0.0, 1.0001, 1e-4)
-    reached = [g for g in grid if solver.ess(g) >= lo * k]
+    reached = [g for g in grid if ess(_gamma_weights(s_oo, obs.r_diag, innov0, g)) >= lo * k]
     oracle = reached[0]
     assert abs(gamma - oracle) <= 2.0**-10 + 1e-4
     assert 0.0 < gamma < 1.0
@@ -498,8 +508,7 @@ def test_adaptive_gamma_resamples_the_solver_weights():
         gamma, (_, w, _) = adaptive_gamma(
             x, obs, p, (lo, 0.8), np.random.default_rng(25)
         )
-        solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
-        assert np.array_equal(w, solver.weights(gamma))
+        assert np.array_equal(w, _gamma_weights(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], gamma))
         assert ess(w) >= lo * k
 
 
@@ -516,6 +525,5 @@ def test_search_gamma_respects_floor_on_random_cases():
     for _ in range(50):
         x, p, obs = random_system(rng, k=k, d=4, m=2)
         s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
-        solver = GammaWeightSolver(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows])
-        gamma = search_gamma(solver, 0.5, k)
-        assert solver.ess(gamma) >= 0.5 * k
+        gamma, alpha = search_gamma(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], 0.5)
+        assert ess(alpha) >= 0.5 * k

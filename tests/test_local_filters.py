@@ -7,7 +7,6 @@ from enkpf import global_filters, local_filters
 from enkpf.core import ensemble_moments
 from enkpf.errors import FilterError
 from enkpf.global_filters import (
-    GammaWeightSolver,
     _enkpf_rows_update,
     adaptive_gamma,
     enkf_update,
@@ -26,7 +25,7 @@ from enkpf.local_filters import (
     schedule_blocks,
 )
 from enkpf.obs import GaussObs
-from enkpf.resampling import systematic_indices
+from enkpf.resampling import ess, systematic_indices, weights_from_log
 from enkpf.taper import TaperSpec, tapered_cov_block
 
 from oracles import (
@@ -145,10 +144,9 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     p_cross = tapered_cov_block(x, np.arange(grid.dim), obs_cols, grid, NO_TAPER)
     s_oo = p_cross[obs_cols, :]
     innov0 = obs.y - x[:, obs_cols]
-    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
-    gamma = search_gamma(solver, 0.8, k)
+    gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, 0.8)
     assert 0.0 < gamma < 1.0  # setup sanity: interior gamma
-    idx = permute_fixed_points(systematic_indices(solver.weights(gamma), u_shared))
+    idx = permute_fixed_points(systematic_indices(alpha, u_shared))
     ref = _enkpf_rows_update(
         x, innov0, obs.r_diag, p_cross, s_oo, gamma, eta, er, idx
     )
@@ -215,26 +213,53 @@ def test_naive_locality_and_empty_obs():
 
 def test_no_eigh_at_gamma_zero(monkeypatch):
     eigh, calls = global_filters.sla.eigh, []
+    weights_from_log, made = global_filters.weights_from_log, []
 
     def counting_eigh(*args, **kwargs):
         calls.append(args[0].shape)
         return eigh(*args, **kwargs)
 
+    def counting_weights(*args, **kwargs):
+        made.append(1)
+        return weights_from_log(*args, **kwargs)
+
     monkeypatch.setattr(global_filters.sla, "eigh", counting_eigh)
+    monkeypatch.setattr(global_filters, "weights_from_log", counting_weights)
     grid = Grid(20)
     x = random_ensemble(np.random.default_rng(43), grid, 10)
     obs = rain_obs(grid, [3, 9, 10, 15], [0.2, -0.1, 0.3, 0.0], r_var=1e4)
     diag = LocalDiagnostics()
     naive_lenkpf_update(x, obs, TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
     assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
+    # one weight vector per site: the gamma = 0 weights that are resampled
+    assert len(made) == len(diag.gammas)
     _, w, _ = enkpf_update(x, obs, ensemble_moments(x)[1], 0.0, np.random.default_rng(44))
     assert w.tobytes() == pf_weights(x, obs).tobytes()
     assert calls == []
-    # precise observations move sites off gamma = 0: one eigh for each
-    diag = LocalDiagnostics()
+    # precise observations move sites off gamma = 0: one eigh for each, and
+    # the gamma = 0 test and ten midpoints make its 11 weight vectors
+    diag, made[:] = LocalDiagnostics(), []
     naive_lenkpf_update(x, rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05),
                         TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
     assert len(calls) == sum(g > 0.0 for g in diag.gammas) > 0
+    assert len(made) == sum(11 if g > 0.0 else 1 for g in diag.gammas)
+
+
+def test_gamma_one_sites_report_the_global_uniform_weights():
+    # at k = 7 the uniform weights 1/k and normalized exp(0) differ in the
+    # last bit; a site and a global analysis at gamma = 1 report one ESS
+    k = 7
+    assert np.full(k, 1.0 / k).tobytes() != weights_from_log(np.zeros(k)).tobytes()
+    grid = Grid(12)
+    x = random_ensemble(np.random.default_rng(47), grid, k)
+    obs = rain_obs(grid, [3, 8], [2.0, -1.5], r_var=0.05)
+    diag = LocalDiagnostics()
+    naive_lenkpf_update(x, obs, NO_TAPER, grid, (1.0, 1.0), np.random.default_rng(48), diag)
+    gamma, (_, w, _) = adaptive_gamma(x, obs, ensemble_moments(x)[1], (1.0, 1.0),
+                                      np.random.default_rng(48))
+    assert gamma == 1.0 and set(diag.gammas) == {1.0}  # setup sanity
+    assert w.tobytes() == np.full(k, 1.0 / k).tobytes()
+    assert set(diag.ess_values) == {ess(w)}
 
 
 def overflowing_innovation_case():
@@ -479,10 +504,9 @@ def test_block_interior_gamma_rebuilt_from_its_stream():
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
     p_uo = tapered_cov_block(x, block.u, obs.h_rows, grid, taper)
     innov0 = obs.y - x[:, obs.h_rows]
-    solver = GammaWeightSolver(s_oo, obs.r_diag, innov0)
-    g = search_gamma(solver, band()[0], k)
+    g, alpha = search_gamma(s_oo, obs.r_diag, innov0, band()[0])
     assert 0.0 < g < 1.0 and diag.gammas == [g]  # setup sanity: interior gamma
-    raw = systematic_indices(solver.weights(g), u)
+    raw = systematic_indices(alpha, u)
     idx = permute_fixed_points(raw)
     assert not np.array_equal(idx, raw)  # the permutation moves some copies
     ref = _enkpf_rows_update(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, g, eta, er, idx)
