@@ -73,13 +73,13 @@ class ExperimentConfig:
         steps = self.interval_s / self.model.dt_s
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("interval_s: must be a positive multiple of the model dt_s")
-        if self.duration_s < 0:
+        if not self.duration_s >= 0:
             raise ConfigError("duration_s: must be nonnegative")
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
-        if self.spinup_days < 0:
+        if not self.spinup_days >= 0:
             raise ConfigError("spinup_days: must be nonnegative")
         for key, seconds in (("spinup_days", self.spinup_days * 86400.0),
                              ("warm_start_days", self.model.warm_start_days * 86400.0),

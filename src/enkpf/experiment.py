@@ -95,13 +95,13 @@ class RepResult:
 
 
 def _enkf_global(members, obs, cfg, rng, diag):
-    p = ensemble_moments(members)[1]
-    return enkf_update(members, obs, p, rng)
+    p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
+    return enkf_update(members, obs, p_cols, rng)
 
 
 def _enkpf_global(members, obs, cfg, rng, diag):
-    p = ensemble_moments(members)[1]
-    gamma, (out, w, _) = adaptive_gamma(members, obs, p, cfg.ess_band, rng)
+    p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
+    gamma, (out, w, _) = adaptive_gamma(members, obs, p_cols, cfg.ess_band, rng)
     diag.record(gamma, ess(w))
     return out
 

@@ -16,7 +16,8 @@ _pf_log_likelihood, which pf_weights shares with the EnKPF at gamma = 0; the
 one eigh of _mixture_weights (0 < gamma < 1) is made only when gamma = 0
 will not do. Every EnKPF starts from one set-up, _setup, which draws eta,
 e_R and the resampling uniform u. enkpf_update and adaptive_gamma update all
-rows of the plain or tapered P, the localized filters each site or block,
+rows from p_cols = P[:, H] (d, m) of the plain or tapered P, cutting HPH'
+from it as the site loop does, the localized filters each site or block,
 which keeps the global/local reduction tests exact. At gamma = 1 it is the
 stochastic EnKF, written once in _enkf_rows (enkf_update, the LEnKF, every
 gamma = 1 site or block): the weights are uniform, e_R and u go unused.
@@ -31,7 +32,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import _chol, _p_slices
+from enkpf.core import _chol
 from enkpf.errors import FilterError
 from enkpf.resampling import ess, systematic_indices, weights_from_log
 
@@ -43,15 +44,16 @@ __all__ = [
 ]
 
 
-def enkf_update(ens, obs, P, rng):
+def enkf_update(ens, obs, p_cols, rng):
     """Stochastic EnKF analysis: x_i + K(P)(y - Hx_i + eps_i), eps_i ~ N(0, R).
 
-    The EnKPF at gamma = 1. P is supplied by the caller (plain or tapered
-    sample covariance). Each member gets its own observation perturbation,
-    from the first (k, m) standard-normal block that _setup draws from rng
-    (its e_R and u go unused), making the update bit-reproducible per seed.
+    The EnKPF at gamma = 1, from p_cols = P[:, H] (d, m) of the plain or
+    tapered sample covariance. Each member gets its own observation
+    perturbation, from the first (k, m) standard-normal block that _setup
+    draws from rng (its e_R and u go unused), making the update
+    bit-reproducible per seed.
     """
-    return enkpf_update(ens, obs, P, 1.0, rng)[0]
+    return enkpf_update(ens, obs, p_cols, 1.0, rng)[0]
 
 
 def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
@@ -250,6 +252,14 @@ def _setup(ens, obs, rng):
             rng.standard_normal((k, obs.m)), rng.uniform())
 
 
+def _s_oo(p_cols, x, obs):
+    """HPH' = p_cols[h_rows]; ValueError unless p_cols is (d, m) for x (k, d)."""
+    want = (x.shape[1], obs.m)
+    if np.shape(p_cols) != want:
+        raise ValueError(f"p_cols must be P[:, H] of shape {want}, not {np.shape(p_cols)}")
+    return p_cols[obs.h_rows]
+
+
 def _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u):
     """EnKPF analysis of all rows at gamma with the draws of _setup,
     resampling with the weights alpha at gamma. At gamma = 1 (the EnKF) er
@@ -259,8 +269,8 @@ def _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u):
     return x_a, alpha, idx
 
 
-def enkpf_update(ens, obs, P, gamma, rng):
-    """Full EnKPF analysis for a fixed gamma.
+def enkpf_update(ens, obs, p_cols, gamma, rng):
+    """Full EnKPF analysis for a fixed gamma, from p_cols = P[:, H] (d, m).
 
     Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
     gamma = 1 the particle stage is skipped: the update is the EnKF rows
@@ -271,13 +281,14 @@ def enkpf_update(ens, obs, P, gamma, rng):
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     x, innov0, eta, er, u = _setup(ens, obs, rng)
-    p_ro, s_oo = _p_slices(P, obs.h_rows)
+    s_oo = _s_oo(p_cols, x, obs)
     alpha = _gamma_weights(s_oo, obs.r_diag, innov0, gamma)
-    return _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u)
+    return _enkpf_at(x, innov0, obs, p_cols, s_oo, gamma, alpha, eta, er, u)
 
 
-def adaptive_gamma(ens, obs, P, ess_band, rng):
-    """Choose gamma by ESS bisection, then run the EnKPF at that gamma.
+def adaptive_gamma(ens, obs, p_cols, ess_band, rng):
+    """Choose gamma by ESS bisection, then run the EnKPF at that gamma, from
+    p_cols = P[:, H] (d, m).
 
     ess_band = (lo, hi) fractions of k: gamma is the smallest value (up to
     the 2^-10 bisection resolution) whose mixture ESS reaches lo * k, with
@@ -288,6 +299,6 @@ def adaptive_gamma(ens, obs, P, ess_band, rng):
     """
     lo, _ = _check_band(ess_band)
     x, innov0, eta, er, u = _setup(ens, obs, rng)
-    p_ro, s_oo = _p_slices(P, obs.h_rows)
+    s_oo = _s_oo(p_cols, x, obs)
     gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, lo)
-    return gamma, _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u)
+    return gamma, _enkpf_at(x, innov0, obs, p_cols, s_oo, gamma, alpha, eta, er, u)

@@ -105,8 +105,12 @@ class ModelParams:
                     "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if self.dt_s <= 0:
+        if not self.dt_s > 0:
             raise ValueError("dt_s must be positive")
+        # signed keys: NaN would read every point dry or blow up the warm start
+        for key in ("h_rest", "phi_cloud", "rain_geopotential", "rain_threshold"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if not self.gravity > 0:
             raise ValueError("gravity must be positive")
         if not self.plume_width_m > 0:

@@ -6,14 +6,16 @@ sample covariances. All distances are physical (meters); the same length
 scale is used for every field pair, so the taper weight between two state
 columns depends only on the circular distance between their grid points.
 Tapered covariances are formed as dense blocks between the column sets an
-analysis needs (tapered_cov_block); the full d x d taper is never built.
+analysis needs (tapered_cov_block): the sample covariance block of
+core.ensemble_moments times the taper weights of the same block, so neither
+the full d x d taper nor the full covariance is ever built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from enkpf.core import _finite_cov
+from enkpf.core import ensemble_moments
 
 
 def gaspari_cohn(dist, c):
@@ -71,19 +73,9 @@ def taper_weights(grid, spec, cols_a, cols_b):
 def tapered_cov_block(members, cols_a, cols_b, grid, spec):
     """Dense tapered covariance block between column sets a and b.
 
-    The Schur product of the sample covariance X'X/(k-1) with the taper
-    weights, evaluated on the (cols_a, cols_b) block only, so no d x d matrix
-    is formed; this is what the localized filters call on small slices.
-    FilterError when the block is not finite (see core._finite_cov).
+    The Schur product of the sample covariance block X_a'X_b/(k-1)
+    (core.ensemble_moments, whose ValueError and FilterError it passes on)
+    with the taper weights of the same block, so no d x d matrix is formed;
+    this is what the localized filters call on small slices.
     """
-    members = np.asarray(members, dtype=float)
-    k = members.shape[0]
-    if k < 2:
-        raise ValueError("need at least 2 members for a sample covariance")
-    a = members[:, cols_a]
-    b = members[:, cols_b]
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = a - a.mean(axis=0)
-        b = b - b.mean(axis=0)
-        cov = a.T @ b / (k - 1)
-    return _finite_cov(cov) * taper_weights(grid, spec, cols_a, cols_b)
+    return ensemble_moments(members, cols_a, cols_b) * taper_weights(grid, spec, cols_a, cols_b)

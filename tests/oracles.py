@@ -61,7 +61,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from enkpf.core import _chol, _p_slices
+from enkpf.core import _chol
 from enkpf.errors import FilterError
 from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws, _gamma_weights
 from enkpf.grid import FIELDS
@@ -85,8 +85,8 @@ def kalman_gain(cov, h_rows, r_diag):
         raise FilterError("r_diag length must match number of observations")
     if np.any(r_diag <= 0):
         raise FilterError("observation error variances must be positive")
-    p_cols, s_oo = _p_slices(cov, h_rows)
-    factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
+    p_cols = np.asarray(cov, dtype=float)[:, h_rows]
+    factor = _chol(p_cols[h_rows] + np.diag(r_diag), "innovation covariance")
     return sla.cho_solve(factor, p_cols.T).T
 
 
@@ -325,8 +325,9 @@ def enkpf_stage1(ens, obs, P, gamma):
     if m == 0 or gamma == 0.0:
         k_gamma = np.zeros((d, m))
         return EnkpfIntermediate(x.copy(), QFactor(k_gamma, obs.r_diag, gamma), gamma)
-    p_cols, s_oo = _p_slices(P, obs.h_rows)
-    factor = _chol(gamma * s_oo + np.diag(obs.r_diag), "stage-1 innovation covariance")
+    p_cols = P[:, obs.h_rows]
+    factor = _chol(gamma * p_cols[obs.h_rows] + np.diag(obs.r_diag),
+                   "stage-1 innovation covariance")
     k_gamma = gamma * sla.cho_solve(factor, p_cols.T).T
     nu = x + (obs.y - obs.project(x)) @ k_gamma.T
     return EnkpfIntermediate(nu, QFactor(k_gamma, obs.r_diag, gamma), gamma)
@@ -361,8 +362,8 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("perturbation draws are defined for 0 < gamma < 1")
-    p_ro, s_oo = _p_slices(P, obs.h_rows)
-    k_ro, a, k2_ro = _enkpf_rows_machinery(obs.r_diag, p_ro, s_oo, gamma)
+    p_ro = P[:, obs.h_rows]
+    k_ro, a, k2_ro = _enkpf_rows_machinery(obs.r_diag, p_ro, p_ro[obs.h_rows], gamma)
     eta = rng.standard_normal((n_draws, obs.m))
     er = rng.standard_normal((n_draws, obs.m))
     return _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta, er)

@@ -99,8 +99,8 @@ def test_criterion_01_reduction_identities():
     p = _random_spd(rng, d) / d
     obs = GaussObs(rng.standard_normal(3), [0, 3, 6], [0.4, 0.3, 0.6])
 
-    out_a = enkpf_update(x, obs, p, 1.0, np.random.default_rng(99))[0]
-    out_b = enkf_update(x, obs, p, np.random.default_rng(99))
+    out_a = enkpf_update(x, obs, p[:, obs.h_rows], 1.0, np.random.default_rng(99))[0]
+    out_b = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
     exact = np.array_equal(out_a, out_b)
 
     inter = enkpf_stage1(x, obs, p, 1e-8)
@@ -127,7 +127,7 @@ def test_criterion_02_kalman_oracle():
     mean_t, cov_t = _kalman_posterior(mean0, cov0, obs)
     for gamma in (0.25, 0.5, 0.75):
         x = _standardize(rng.standard_normal((k, 1)), mean0, cov0)
-        out, w, _ = enkpf_update(x, obs, cov0, gamma, rng)
+        out, w, _ = enkpf_update(x, obs, cov0[:, obs.h_rows], gamma, rng)
         worst, _ = _moments_within(out, mean_t, cov_t, ess(w))
         worst_all = max(worst_all, worst)
 
@@ -138,7 +138,7 @@ def test_criterion_02_kalman_oracle():
     mean_t, cov_t = _kalman_posterior(mean0, cov0, obs)
     for gamma in (0.25, 0.5, 0.75):
         x = _standardize(rng.standard_normal((k, 3)), mean0, cov0)
-        out, w, _ = enkpf_update(x, obs, cov0, gamma, rng)
+        out, w, _ = enkpf_update(x, obs, cov0[:, obs.h_rows], gamma, rng)
         worst, _ = _moments_within(out, mean_t, cov_t, ess(w))
         worst_all = max(worst_all, worst)
 
@@ -202,7 +202,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
 
     out_block = block_assimilate_one(x, blocks[0], taper, grid, BAND, np.random.default_rng(5))
     p_taper = tapered_covariance(x, grid, TaperSpec(375.0)).toarray()
-    out_full = enkpf_update(x, obs, p_taper, gamma, np.random.default_rng(5))[0]
+    out_full = enkpf_update(x, obs, p_taper[:, obs.h_rows], gamma, np.random.default_rng(5))[0]
     err = np.max(
         np.abs(out_block - out_full)
         / np.maximum(np.abs(out_full), 1.0)

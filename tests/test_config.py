@@ -220,6 +220,8 @@ def test_built_config_has_its_scenario_timing():
         ({"k": 1}, "k:"),
         ({"r_r": float("nan")}, "r_r/r_u:"),
         ({"r_u": float("nan")}, "r_r/r_u:"),
+        ({"duration_s": math.nan}, "duration_s: must be nonnegative"),
+        ({"spinup_days": math.nan}, "spinup_days: must be nonnegative"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):
@@ -238,17 +240,29 @@ def test_unpickled_config_is_not_checked_again(monkeypatch):
 
 NONNEGATIVE_MODEL_KEYS = ("alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r", "plume_rate",
                           "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days")
+SIGNED_MODEL_KEYS = ("h_rest", "phi_cloud", "rain_geopotential", "rain_threshold")
+# the check each model key fails with NaN, reported by key
+MODEL_NAN_CHECKS = {**dict.fromkeys(NONNEGATIVE_MODEL_KEYS, "must be nonnegative"),
+                    "dt_s": "must be positive",
+                    **dict.fromkeys(SIGNED_MODEL_KEYS, "must be finite")}
 
 
-@pytest.mark.parametrize("key", NONNEGATIVE_MODEL_KEYS)
+@pytest.mark.parametrize("key", MODEL_NAN_CHECKS)
 def test_negative_model_magnitudes_are_reported_by_key(key):
+    check = MODEL_NAN_CHECKS[key]
+    # parse_config rejects NaN itself; a config built in Python is checked by key
+    with pytest.raises(ValueError, match=f"^{key} {check}"):
+        ModelParams(**{key: math.nan})
+    if key in SIGNED_MODEL_KEYS:
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ModelParams(**{key: -math.inf})
+        assert getattr(parse_config(f"[model]\n{key} = -1\n").model, key) == -1.0
+        return
     with pytest.raises(ConfigError) as info:
         parse_config(f"[model]\n{key} = -1\n")
-    assert str(info.value).startswith(f"model: {key} must be nonnegative")
-    # a config built in Python is checked the same way, NaN included
-    with pytest.raises(ValueError, match=f"^{key} must be nonnegative"):
-        ModelParams(**{key: math.nan})
-    assert getattr(parse_config(f"[model]\n{key} = 0\n").model, key) == 0.0
+    assert str(info.value).startswith(f"model: {key} {check}")
+    if check == "must be nonnegative":
+        assert getattr(parse_config(f"[model]\n{key} = 0\n").model, key) == 0.0
 
 
 def test_unknown_scenario_is_reported_as_the_scenario():

@@ -10,15 +10,13 @@ from oracles import kalman_gain
 def test_moments_identical_members():
     v = np.array([1.0, -2.0, 3.5])
     ens = np.tile(v, (6, 1))
-    mean, cov = ensemble_moments(ens)
-    np.testing.assert_array_equal(mean, v)
+    cov = ensemble_moments(ens, np.arange(3), np.arange(3))
     np.testing.assert_array_equal(cov, np.zeros((3, 3)))
 
 
 def test_moments_two_scalar_members():
     # hand computation with the k-1 divisor: mean 1, variance 2
-    mean, cov = ensemble_moments(np.array([[0.0], [2.0]]))
-    assert mean[0] == 1.0
+    cov = ensemble_moments(np.array([[0.0], [2.0]]), [0], [0])
     assert cov[0, 0] == 2.0
 
 
@@ -26,19 +24,34 @@ def test_moments_of_an_overflowing_spread_raise_filter_error():
     ens = np.array([[1e304, 0.0], [-1e304, 1.0], [0.0, 2.0]])
     with np.errstate(all="raise"):
         with pytest.raises(FilterError, match="not finite"):
-            ensemble_moments(ens)
+            ensemble_moments(ens, [0, 1], [0, 1])
 
 
 def test_moments_monte_carlo_identity():
     rng = np.random.default_rng(42)
     x = rng.standard_normal((10_000, 4))
-    _, cov = ensemble_moments(x)
+    cov = ensemble_moments(x, np.arange(4), np.arange(4))
     np.testing.assert_allclose(cov, np.eye(4), atol=0.05)
 
 
 def test_moments_requires_two_members():
     with pytest.raises(ValueError):
-        ensemble_moments(np.ones((1, 3)))
+        ensemble_moments(np.ones((1, 3)), [0], [0])
+
+
+@pytest.mark.parametrize("cols_a, cols_b", [
+    ([4, 0, 2], [1, 4]),  # unsorted
+    ([3, 3, 1], [1, 1, 3, 0]),  # repeated
+    ([], [2, 0]),  # empty
+    ([2, 0], []),
+    ([], []),
+])
+def test_moments_block_of_any_column_sets_matches_np_cov(cols_a, cols_b):
+    x = np.random.default_rng(3).standard_normal((7, 5)) * [1.0, 3.0, 0.5, 2.0, 1e3]
+    a, b = np.array(cols_a, dtype=np.intp), np.array(cols_b, dtype=np.intp)
+    cov = ensemble_moments(x, a, b)
+    assert cov.shape == (a.size, b.size)
+    np.testing.assert_allclose(cov, np.cov(x, rowvar=False)[np.ix_(a, b)], rtol=1e-13, atol=0.0)
 
 
 def test_kalman_gain_identity_case():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import global_filters
-from enkpf.core import _p_slices, ensemble_moments
+from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
     _gamma_weights,
     _pf_log_likelihood,
@@ -64,7 +64,7 @@ def test_enkf_zero_cov_keeps_background():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
     obs = GaussObs(np.array([1.0]), np.array([2]), np.array([0.5]))
-    out = enkf_update(x, obs, np.zeros((4, 4)), np.random.default_rng(1))
+    out = enkf_update(x, obs, np.zeros((4, 4))[:, obs.h_rows], np.random.default_rng(1))
     np.testing.assert_array_equal(out, x)
 
 
@@ -73,7 +73,7 @@ def test_enkf_huge_r_keeps_background():
     x = rng.standard_normal((10, 3))
     obs = GaussObs(np.array([0.3, -0.2]), np.array([0, 2]), np.array([1e12, 1e12]))
     p = np.eye(3)
-    out = enkf_update(x, obs, p, np.random.default_rng(3))
+    out = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(3))
     np.testing.assert_allclose(out, x, rtol=1e-4, atol=1e-4)
 
 
@@ -83,8 +83,8 @@ def test_enkf_scalar_kalman_oracle():
     x = rng.standard_normal((k, 1))
     y = 1.0
     obs = GaussObs(np.array([y]), np.array([0]), np.array([1.0]))
-    out = enkf_update(x, obs, np.array([[1.0]]), np.random.default_rng(8))
-    mean, cov = ensemble_moments(out)
+    out = enkf_update(x, obs, np.array([[1.0]])[:, obs.h_rows], np.random.default_rng(8))
+    mean, cov = out.mean(axis=0), ensemble_moments(out, [0], [0])
     exact_mean = 0.5 * (x.mean() + y)
     exact_var = 0.5
     se_mean = np.sqrt(exact_var / k)
@@ -96,15 +96,15 @@ def test_enkf_scalar_kalman_oracle():
 def test_enkf_no_obs_is_noop():
     x = np.random.default_rng(1).standard_normal((4, 3))
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    out = enkf_update(x, empty, np.eye(3), np.random.default_rng(2))
+    out = enkf_update(x, empty, np.eye(3)[:, empty.h_rows], np.random.default_rng(2))
     np.testing.assert_array_equal(out, x)
 
 
 def test_enkf_deterministic_per_seed():
     rng = np.random.default_rng(5)
     x, p, obs = random_system(rng)
-    a = enkf_update(x, obs, p, np.random.default_rng(99))
-    b = enkf_update(x, obs, p, np.random.default_rng(99))
+    a = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
+    b = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
@@ -122,7 +122,7 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
         warnings.simplefilter("error")  # no numpy overflow warning on the way
         with pytest.raises(FilterError, match="EnKF update is not finite"):
             if entry == "enkf_update":
-                enkf_update(x, obs, ensemble_moments(x)[1], rng)
+                enkf_update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), rng)
             else:
                 lenkf_update(x, obs, TaperSpec(np.inf), grid, rng)
 
@@ -144,7 +144,17 @@ def test_global_updates_reject_a_non_finite_covariance(update):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FilterError, match="not finite"):
-            update(x, obs, p, np.random.default_rng(1))
+            update(x, obs, p[:, obs.h_rows], np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("update", GLOBAL_UPDATES.values(), ids=GLOBAL_UPDATES.keys())
+def test_global_updates_reject_p_cols_of_the_wrong_shape(update):
+    # p_cols is P[:, H], (d, m): the full P or its transpose is refused
+    x = np.random.default_rng(0).standard_normal((6, 4))
+    obs = GaussObs([0.1, 0.2], [1, 2], [1.0, 1.0])
+    for p_cols in (np.eye(4), np.eye(4)[:, obs.h_rows].T):
+        with pytest.raises(ValueError, match="p_cols must be P"):
+            update(x, obs, p_cols, np.random.default_rng(1))
 
 
 def assert_same_bits(got, want):
@@ -171,10 +181,12 @@ def test_global_family_is_one_update_bitwise(k, d, data, lo, seed):
     obs = GaussObs(
         rng.standard_normal(m), rng.choice(d, size=m, replace=False), rng.uniform(0.3, 1.5, m)
     )
-    enkf = enkf_update(x, obs, p, np.random.default_rng(seed))
-    assert_same_bits(enkf, enkpf_update(x, obs, p, 1.0, np.random.default_rng(seed))[0])
-    gamma, arrays = adaptive_gamma(x, obs, p, (lo, 1.0), np.random.default_rng(seed))
-    for got, want in zip(arrays, enkpf_update(x, obs, p, gamma, np.random.default_rng(seed))):
+    p_cols = p[:, obs.h_rows]
+    enkf = enkf_update(x, obs, p_cols, np.random.default_rng(seed))
+    assert_same_bits(enkf, enkpf_update(x, obs, p_cols, 1.0, np.random.default_rng(seed))[0])
+    gamma, arrays = adaptive_gamma(x, obs, p_cols, (lo, 1.0), np.random.default_rng(seed))
+    for got, want in zip(arrays, enkpf_update(x, obs, p_cols, gamma,
+                                              np.random.default_rng(seed))):
         assert_same_bits(got, want)
 
 
@@ -301,8 +313,8 @@ def test_solver_matches_direct_weights():
 def test_enkpf_gamma_one_is_enkf_exactly():
     rng = np.random.default_rng(12)
     x, p, obs = random_system(rng, k=15)
-    ref = enkf_update(x, obs, p, np.random.default_rng(777))
-    out, w, idx = enkpf_update(x, obs, p, 1.0, np.random.default_rng(777))
+    ref = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(777))
+    out, w, idx = enkpf_update(x, obs, p[:, obs.h_rows], 1.0, np.random.default_rng(777))
     np.testing.assert_array_equal(out, ref)
     np.testing.assert_allclose(w, 1.0 / 15, atol=1e-15)
     np.testing.assert_array_equal(idx, np.arange(15))
@@ -321,7 +333,7 @@ def test_enkpf_tiny_gamma_centroids_near_background(monkeypatch):
     monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
     rng = np.random.default_rng(14)
     x, p, obs = random_system(rng, k=12)
-    out, _, _ = enkpf_update(x, obs, p, 1e-8, ZeroRng())
+    out, _, _ = enkpf_update(x, obs, p[:, obs.h_rows], 1e-8, ZeroRng())
     # noise-free path with identity resampling returns the centroids mu
     scale = np.max(np.abs(x)) + 1.0
     assert np.max(np.abs(out - x)) / scale < 1e-6
@@ -330,7 +342,7 @@ def test_enkpf_tiny_gamma_centroids_near_background(monkeypatch):
 def test_enkpf_gamma_zero_is_pure_resample():
     rng = np.random.default_rng(15)
     x, p, obs = random_system(rng, k=9)
-    out, w, idx = enkpf_update(x, obs, p, 0.0, np.random.default_rng(4))
+    out, w, idx = enkpf_update(x, obs, p[:, obs.h_rows], 0.0, np.random.default_rng(4))
     np.testing.assert_allclose(w, pf_weights(x, obs), rtol=1e-12)
     np.testing.assert_array_equal(out, x[idx])
 
@@ -341,9 +353,9 @@ def test_enkpf_scalar_kalman_oracle():
     x = rng.standard_normal((k, 1))
     obs = GaussObs(np.array([1.0]), np.array([0]), np.array([1.0]))
     out, _, _ = enkpf_update(
-        x, obs, np.array([[1.0]]), 0.5, np.random.default_rng(17)
+        x, obs, np.array([[1.0]])[:, obs.h_rows], 0.5, np.random.default_rng(17)
     )
-    mean, cov = ensemble_moments(out)
+    mean, cov = out.mean(axis=0), ensemble_moments(out, [0], [0])
     exact_mean = 0.5 * (x.mean() + 1.0)
     exact_var = 0.5
     se_mean = np.sqrt(exact_var / k)
@@ -360,7 +372,7 @@ def test_lgamma_consistency(monkeypatch):
     for _ in range(10):
         x, p, obs = random_system(rng, k=7, d=6, m=3)
         gamma = rng.uniform(0.05, 0.95)
-        out, _, _ = enkpf_update(x, obs, p, gamma, ZeroRng())
+        out, _, _ = enkpf_update(x, obs, p[:, obs.h_rows], gamma, ZeroRng())
         k1 = kalman_gain(gamma * p, obs.h_rows, obs.r_diag)
         inter = enkpf_stage1(x, obs, p, gamma)
         kg = inter.q_factor.k_gamma
@@ -393,8 +405,8 @@ def test_eps_draw_covariance_matches_analysis_covariance():
 def test_enkpf_deterministic_per_seed():
     rng = np.random.default_rng(21)
     x, p, obs = random_system(rng)
-    a = enkpf_update(x, obs, p, 0.4, np.random.default_rng(5))[0]
-    b = enkpf_update(x, obs, p, 0.4, np.random.default_rng(5))[0]
+    a = enkpf_update(x, obs, p[:, obs.h_rows], 0.4, np.random.default_rng(5))[0]
+    b = enkpf_update(x, obs, p[:, obs.h_rows], 0.4, np.random.default_rng(5))[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -405,7 +417,7 @@ def test_adaptive_gamma_identical_members():
     x = np.tile(np.array([0.5, -1.0, 2.0]), (8, 1))
     obs = GaussObs(np.array([0.0]), np.array([1]), np.array([1.0]))
     gamma, (out, w, idx) = adaptive_gamma(
-        x, obs, np.zeros((3, 3)), (0.5, 0.8), np.random.default_rng(1)
+        x, obs, np.zeros((3, 3))[:, obs.h_rows], (0.5, 0.8), np.random.default_rng(1)
     )
     assert gamma == 0.0
     np.testing.assert_allclose(w, 1.0 / 8, atol=1e-15)
@@ -414,7 +426,7 @@ def test_adaptive_gamma_identical_members():
 def test_adaptive_gamma_band_one_forces_enkf():
     rng = np.random.default_rng(22)
     x, p, obs = random_system(rng, k=10)
-    gamma, _ = adaptive_gamma(x, obs, p, (1.0, 1.0), np.random.default_rng(2))
+    gamma, _ = adaptive_gamma(x, obs, p[:, obs.h_rows], (1.0, 1.0), np.random.default_rng(2))
     assert gamma == 1.0
 
 
@@ -448,7 +460,7 @@ def test_lazy_weight_solver_against_the_eager_oracle(k, m, spread, ess_band, gam
     obs = GaussObs(rng.standard_normal(m), rng.choice(d, size=m, replace=False),
                    rng.uniform(0.2, 2.0, size=m))
     innov0 = obs.y - obs.project(x)
-    s_oo = _p_slices(ensemble_moments(x)[1], obs.h_rows)[1]
+    s_oo = ensemble_moments(x, obs.h_rows, obs.h_rows)
 
     eager = EagerGammaWeightSolver(s_oo, obs.r_diag, innov0)
     # gamma = 0: the particle-filter weights, bit for bit; the eager solver's
@@ -483,11 +495,11 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
     k = 20
     x = np.concatenate([np.zeros(6), np.full(14, 6.0)])[:, None]
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
-    p = ensemble_moments(x)[1]
+    p = ensemble_moments(x, [0], [0])
     lo = 0.5
     s_oo, innov0 = p[np.ix_([0], [0])], obs.y - x[:, [0]]
     gamma, (out, w, idx) = adaptive_gamma(
-        x, obs, p, (lo, 0.8), np.random.default_rng(3)
+        x, obs, p[:, obs.h_rows], (lo, 0.8), np.random.default_rng(3)
     )
     assert ess(w) >= lo * k - 1e-9
     # exhaustive grid oracle: smallest gamma on a 1e-4 grid reaching the floor
@@ -506,7 +518,7 @@ def test_adaptive_gamma_resamples_the_solver_weights():
         x, p, obs = random_system(rng, k=k, d=6, m=4)
         s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
         gamma, (_, w, _) = adaptive_gamma(
-            x, obs, p, (lo, 0.8), np.random.default_rng(25)
+            x, obs, p[:, obs.h_rows], (lo, 0.8), np.random.default_rng(25)
         )
         assert np.array_equal(w, _gamma_weights(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], gamma))
         assert ess(w) >= lo * k
@@ -516,7 +528,7 @@ def test_adaptive_gamma_band_validation():
     x = np.random.default_rng(0).standard_normal((5, 2))
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        adaptive_gamma(x, obs, np.eye(2), (0.8, 0.5), np.random.default_rng(1))
+        adaptive_gamma(x, obs, np.eye(2)[:, obs.h_rows], (0.8, 0.5), np.random.default_rng(1))
 
 
 def test_search_gamma_respects_floor_on_random_cases():

@@ -79,8 +79,8 @@ def test_lenkf_global_window_no_taper_matches_global_enkf():
     grid = Grid(12)
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
-    p = ensemble_moments(x)[1]
-    ref = enkf_update(x, obs, p, np.random.default_rng(42))
+    p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
+    ref = enkf_update(x, obs, p_cols, np.random.default_rng(42))
     out = lenkf_update(x, obs, NO_TAPER, grid, np.random.default_rng(42))
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
@@ -233,7 +233,8 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
     assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
     # one weight vector per site: the gamma = 0 weights that are resampled
     assert len(made) == len(diag.gammas)
-    _, w, _ = enkpf_update(x, obs, ensemble_moments(x)[1], 0.0, np.random.default_rng(44))
+    p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
+    _, w, _ = enkpf_update(x, obs, p_cols, 0.0, np.random.default_rng(44))
     assert w.tobytes() == pf_weights(x, obs).tobytes()
     assert calls == []
     # precise observations move sites off gamma = 0: one eigh for each, and
@@ -255,8 +256,8 @@ def test_gamma_one_sites_report_the_global_uniform_weights():
     obs = rain_obs(grid, [3, 8], [2.0, -1.5], r_var=0.05)
     diag = LocalDiagnostics()
     naive_lenkpf_update(x, obs, NO_TAPER, grid, (1.0, 1.0), np.random.default_rng(48), diag)
-    gamma, (_, w, _) = adaptive_gamma(x, obs, ensemble_moments(x)[1], (1.0, 1.0),
-                                      np.random.default_rng(48))
+    p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
+    gamma, (_, w, _) = adaptive_gamma(x, obs, p_cols, (1.0, 1.0), np.random.default_rng(48))
     assert gamma == 1.0 and set(diag.gammas) == {1.0}  # setup sanity
     assert w.tobytes() == np.full(k, 1.0 / k).tobytes()
     assert set(diag.ess_values) == {ess(w)}
@@ -475,7 +476,7 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
         x, block, taper, grid, band(), np.random.default_rng(19)
     )
     p_full = tapered_covariance(x, grid, taper).toarray()
-    out_full, _, _ = enkpf_update(x, obs, p_full, gamma, np.random.default_rng(19))
+    out_full, _, _ = enkpf_update(x, obs, p_full[:, obs.h_rows], gamma, np.random.default_rng(19))
     uv = np.concatenate([block.u, block.v])
     np.testing.assert_allclose(out_full[:, uv], out_block[:, uv], rtol=1e-10, atol=1e-12)
     np.testing.assert_array_equal(out_block[:, w], x[:, w])
@@ -661,7 +662,8 @@ def test_every_enkpf_draws_eta_e_r_and_the_uniform(update):
     x = random_ensemble(np.random.default_rng(20), grid, k)
     obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    update(x, obs, ensemble_moments(x)[1], grid, TaperSpec(1000.0), rng)
+    update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), grid,
+           TaperSpec(1000.0), rng)
     twin.standard_normal((k, obs.m))
     twin.standard_normal((k, obs.m))
     twin.uniform()
