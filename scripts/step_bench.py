@@ -6,10 +6,10 @@ Prints the time the warm start took, then the median wall time of one step
 of sweq.advance_ensembles at 1 row, at 50 rows and for three 50-row
 ensembles in lock-step (plume draws included), and again at 1 and 50 rows
 with 10 times the default plume_rate: 10 plumes per row and step, whose
-counts numpy draws by its PTRS method, so that sweq makes the per-step
-calls. Then one JSON line with the same numbers and the machine: nproc,
-the BLAS thread variables and whether the CPU has avx512f, on which
-numpy's float64 exp, and so the model's bits, depend. A 1-row sample takes
+counts numpy draws by its PTRS method. Then one JSON line with the same
+numbers and the machine: nproc, the BLAS thread variables, the CPU model
+and whether the CPU has avx512f, on which numpy's float64 exp, and so the
+model's bits, depend. A 1-row sample takes
 --steps steps; a 50-row sample takes a fifteenth of them, at least one.
 Timings on a shared machine drift, so compare two trees by running them in
 alternation.
@@ -41,13 +41,17 @@ def nproc():
         return os.cpu_count()
 
 
-def has_avx512f():
-    """Whether the CPU flags list avx512f; None where /proc/cpuinfo is missing."""
+def cpu_info():
+    """The CPU's model name and whether its flags list avx512f; None for
+    each where /proc/cpuinfo is missing or does not say."""
     try:
         with open("/proc/cpuinfo") as fh:
-            return any("avx512f" in line.split() for line in fh if line.startswith("flags"))
+            lines = fh.read().splitlines()
     except OSError:
-        return None
+        return None, None
+    models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+    flags = [line.split() for line in lines if line.startswith("flags")]
+    return (models[0] if models else None), (any("avx512f" in f for f in flags) if flags else None)
 
 
 def step_us(params, base, rows, ensembles, steps, rounds):
@@ -89,7 +93,8 @@ def main(argv=None):
                          "rounds": args.rounds, "step_us_median": round(us, 1)}
         print(f"step, {ensembles} x {rows} rows, {case.plumes_per_step:g} plumes per row "
               f"and step: {us:.1f} us (median of {args.rounds} samples of {steps} steps)")
-    machine = {"nproc": nproc(), "avx512f": has_avx512f(),
+    cpu, avx512f = cpu_info()
+    machine = {"nproc": nproc(), "cpu": cpu, "avx512f": avx512f,
                "blas_threads": {name: os.environ.get(name) for name in BLAS_VARS},
                "numpy": np.__version__, "python": sys.version.split()[0]}
     result["machine"] = machine

@@ -34,23 +34,17 @@ f[i+1] and f[i-1] are such a span shifted by one point (_span). The step's
 work buffers are shared by the ensembles, and the step is a closure that
 binds them, its constants and its ufuncs once per call (_bind_step).
 
-The plumes come from one generator, _plume_steps, which draws them a chunk
-of steps ahead, about 256 plumes and at most 1,024 steps, so memory does
-not grow with the steps. The draws are those of per-step calls:
-rng.poisson(lam), then, if it drew a count, rng.uniform(0.0, L, count) for
-the centers and rng.uniform(size=count) for the signs. For 0 < lam < 10
-they are decoded from one block of rng.random doubles per row: numpy's
-poisson multiplies doubles until the product falls to exp(-lam),
-uniform(0.0, L) is 0.0 + L * U and uniform() is U. For lam >= 10 numpy's
-poisson is the PTRS method, and the per-step calls are made as they are.
-When _plume_steps leaves a chunk (its steps ran out, the loop closed it or
-an error left the loop), it sets every generator back to its state at the
-chunk's start and advances it by the draws of the steps it yielded, so it
-ends where per-step calls leave it, also when every ensemble stops early:
-spinup_ensemble takes one generator through all its spans. A chunk's bumps
-are evaluated in one pass, each element as before; exp skips arguments
-below -746, whose result is +0.0 anyway, where numpy's exp is slow.
-Trajectories and generators are bitwise those of tests/oracles.py
+The plumes come from one generator, _plume_steps. Each row draws its own
+per block of four steps (_plume_block): rng.poisson(lam, 4) for the steps'
+counts, then rng.random(2 * total), whose first total doubles U place the
+centers at L * U and whose others are the sign draws. A row draws its
+blocks from the first step of each call, and a block that runs past the
+last step is dropped, so a member's trajectory does not depend on the rows
+or ensembles advanced with it. _plume_steps draws a chunk of whole blocks
+ahead, about 256 plumes, and evaluates their bumps in one pass, so memory
+does not grow with the steps; exp skips the arguments below -708, whose
+results are subnormal or zero, where numpy's exp is slow. Trajectories
+and generators are bitwise those of tests/oracles.py
 (roll_advance, plume_draws). On a 2-core Xeon (numpy 2.4, AVX-512) a step
 from the warm state took a median of 53 us at 1 row and 0.96 ms at 50
 rows, against 68 us and 1.35 ms with a strided pass per row
@@ -58,8 +52,8 @@ rows, against 68 us and 1.35 ms with a strided pass per row
 """
 
 import csv
+import dataclasses
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +67,14 @@ from enkpf.obs import GaussObs
 # the default dt_s = 5, some 190 times the lf run. A longer span is a typo,
 # not an experiment, and would run for days before failing.
 MAX_STEPS = 10**7
+
+
+# the sign each float key of ModelParams must have; the others may have either
+_SIGNS = {
+    **dict.fromkeys(("gravity", "h_cloud", "h_rain", "plume_width_m", "dt_s"), "positive"),
+    **dict.fromkeys(("alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r", "plume_rate",
+                     "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days"), "nonnegative"),
+}
 
 
 @dataclass(frozen=True)
@@ -99,22 +101,17 @@ class ModelParams:
     warm_start_days: float = 2.0  # deterministic approach to the attractor
 
     def __post_init__(self):
-        if not self.h_rain > self.h_cloud > 0:
-            raise ValueError("need h_rain > h_cloud > 0")
-        for key in ("alpha_rain", "beta_rain", "diff_h", "diff_u", "diff_r", "plume_rate",
-                    "plume_amplitude", "sigma_r", "sigma_u", "warm_start_days"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be nonnegative")
-        if not self.dt_s > 0:
-            raise ValueError("dt_s must be positive")
-        # signed keys: NaN would read every point dry or blow up the warm start
-        for key in ("h_rest", "phi_cloud", "rain_geopotential", "rain_threshold"):
-            if not math.isfinite(getattr(self, key)):
+        # each float key by name: its sign, which NaN fails, then finite,
+        # which inf fails, and NaN in a key of either sign, where it would
+        # read every point dry or blow up the warm start
+        for key in (f.name for f in dataclasses.fields(self) if f.name != "grid"):
+            value, sign = getattr(self, key), _SIGNS.get(key)
+            if sign == "positive" and not value > 0 or sign == "nonnegative" and not value >= 0:
+                raise ValueError(f"{key} must be {sign}")
+            if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite")
-        if not self.gravity > 0:
-            raise ValueError("gravity must be positive")
-        if not self.plume_width_m > 0:
-            raise ValueError("plume_width_m must be positive")
+        if not self.h_rain > self.h_cloud:
+            raise ValueError("need h_rain > h_cloud")
         # more arrivals per step than grid points is no longer small plumes
         # (the default is one per step on 300 points)
         n = self.grid.n_points
@@ -194,64 +191,30 @@ def _check_finite(h, u, r, t):
             )
 
 
-# A chunk of steps draws and evaluates about _CHUNK_PLUMES plumes ahead, in at
-# most _CHUNK_STEPS steps. At the defaults (300 points, one plume per row and
-# step) a 1-row chunk is about 256 steps with 600 KB of bumps, a 50-row chunk
-# 5 steps; the cap keeps a near-zero plume rate from drawing huge blocks.
+# A row draws its plumes a block of _BLOCK_STEPS steps at a time, and a
+# chunk of whole blocks, about _CHUNK_PLUMES plumes and at least one block,
+# is drawn and evaluated ahead. 4 divides the hf and lf cycles (60 and 360
+# steps of the default dt_s) and the 34,560-step warm start, so no draws
+# are discarded there. At the defaults (300 points, one plume per row and
+# step) a 1-row chunk is 256 steps with 600 KB of bumps, a 50-row chunk one
+# block of 200 plumes; at near-zero rates a chunk is at most 256 steps.
+_BLOCK_STEPS = 4
 _CHUNK_PLUMES = 256
-_CHUNK_STEPS = 1024
 
 
-def _row_plumes(rng, lam, length, steps):
-    """One row's plumes over its next steps, as per-step calls draw them.
+def _plume_block(rng, lam, length):
+    """One row's plumes over its next _BLOCK_STEPS steps: the steps' counts,
+    and the centers and sign draws of their plumes in arrival order.
 
-    A step's calls are rng.poisson(lam) and, when it drew a count, then
-    rng.uniform(0.0, length, count) for the centers and
-    rng.uniform(size=count) for the signs. Returns the steps' counts, the
-    centers and sign draws of their plumes in arrival order, and how many
-    doubles were taken from rng, which may be more than the calls take; or
-    None where the calls themselves were made.
+    The draws are rng.poisson(lam, _BLOCK_STEPS), then rng.random(2 * total):
+    the first total doubles U place the centers at length * U, the others
+    are the sign draws.
     """
-    if not 0.0 < lam < 10.0:
-        # numpy draws a count of mean 10 or more by the PTRS method, which is
-        # not replayed here, and one of mean 0 draws nothing
-        counts, centers, signs = [], [], []
-        for _ in range(steps):
-            count = int(rng.poisson(lam))
-            counts.append(count)
-            if count:
-                centers.append(rng.uniform(0.0, length, count))
-                signs.append(rng.uniform(size=count))
-        return counts, np.concatenate([[], *centers]), np.concatenate([[], *signs]), None
-    # below 10, poisson(lam) takes doubles U until their running product
-    # falls to exp(-lam), uniform(0.0, length) is 0.0 + length * U and
-    # uniform() is U, all of them the doubles rng.random gives, in turn: so
-    # a step takes 3 count + 1 doubles, and a block of them replays the calls
-    enlam = math.exp(-lam)
-    block = int(steps * (3.0 * lam + 1.0) * 1.25) + 16
-    draws = rng.random(block).tolist()
-    counts, centers, signs = [], [], []
-    pos = 0
-    while len(counts) < steps:
-        try:
-            prod = draws[pos]
-            end = pos + 1
-            while prod > enlam:
-                prod *= draws[end]
-                end += 1
-            count = end - pos - 1
-            if end + 2 * count > len(draws):
-                raise IndexError
-        except IndexError:
-            # the block ends within this step: draw on, and decode it again
-            draws += rng.random(block).tolist()
-            continue
-        counts.append(count)
-        pos = end + 2 * count
-        if count:
-            centers += draws[end:end + count]
-            signs += draws[end + count:pos]
-    return counts, 0.0 + length * np.array(centers), np.array(signs), len(draws)
+    counts = rng.poisson(lam, _BLOCK_STEPS)
+    # summed as a list: counts.sum() takes longer than both draws
+    total = sum(counts.tolist())
+    draws = rng.random(2 * total)
+    return counts, length * draws[:total], draws[total:]
 
 
 def _bumps(params, xg, centers, sign_draws):
@@ -279,11 +242,11 @@ def _bumps(params, xg, centers, sign_draws):
     np.multiply(out, out, out)
     np.negative(out, out)
     np.divide(out, 2 * w * w, out)
-    # exp is +0.0 below -745.14, where numpy's exp is slow (15 ns an
-    # argument at -800, 4 ns at -inf, 1 ns at -1; AVX-512, numpy 2.4): it
-    # skips the arguments below -746, which are set to +0.0. 256 bumps of
-    # 300 points took 313 us so, against 717 us for exp of every argument
-    np.greater_equal(out, -746.0, mask)
+    # below -708 exp is under 3.3e-308, then subnormal and +0.0, and numpy's
+    # exp is slow there (108 ns an argument between -745 and -708, 15 ns at
+    # -800, 1 ns at -1; AVX-512, numpy 2.4); such a tail moves nothing, so
+    # the arguments below -708 are skipped and set to +0.0
+    np.greater_equal(out, -708.0, mask)
     np.exp(out, out, where=mask)
     np.logical_not(mask, mask)
     np.copyto(out, 0.0, where=mask)
@@ -296,47 +259,32 @@ def _bumps(params, xg, centers, sign_draws):
 def _plume_steps(params, rngs, n_steps):
     """Yield each of n_steps steps' plume bumps: its (row, bump) pairs.
 
-    Draws every row's plumes a chunk of steps ahead (_row_plumes) and
-    evaluates all their bumps in one pass (_bumps); a step's pairs come in
-    arrival order: the rows in turn, each row's plumes as drawn. The step
-    loop may stop within a chunk, so on leaving one (its steps ran out, or
-    on close() or an error) every generator is set to where per-step calls
-    leave it after the steps yielded. At lam = 0, where poisson(0) draws
-    nothing, the generators keep their values.
+    Each row draws its plumes block by block from the first step
+    (_plume_block), so they do not depend on the other rows; a block that
+    runs past n_steps is drawn whole, and its plumes of the later steps are
+    dropped. A chunk's blocks are drawn at once and all their bumps
+    evaluated in one pass (_bumps); a step's pairs come in arrival order:
+    the rows in turn, each row's plumes as drawn.
     """
     lam, length = params.plumes_per_step, params.grid.domain_m
-    chunk = min(_CHUNK_STEPS, max(1, int(_CHUNK_PLUMES / max(lam * len(rngs), 1.0))))
+    blocks = max(1, int(_CHUNK_PLUMES / (_BLOCK_STEPS * max(lam * len(rngs), 1.0))))
     xg = np.arange(params.grid.n_points) * params.grid.spacing_m
-    for done in range(0, n_steps, chunk):
-        steps = min(chunk, n_steps - done)
-        saved = [rng.bit_generator.state for rng in rngs]
-        drawn = [_row_plumes(rng, lam, length, steps) for rng in rngs]
-        counts = np.array([row[0] for row in drawn], dtype=np.intp)
-        # each plume's step, and the order that sorts the plumes by step,
-        # keeping the rows' order within a step
-        order = np.argsort(np.repeat(np.tile(np.arange(steps), len(drawn)), counts.ravel()),
-                           kind="stable")
-        rows = np.repeat(np.arange(len(drawn)), counts.sum(axis=1))[order]
-        centers = np.concatenate([row[1] for row in drawn])[order]
-        sign_draws = np.concatenate([row[2] for row in drawn])[order]
-        pairs = list(zip(rows.tolist(), _bumps(params, xg, centers, sign_draws)))
-        ends = np.cumsum(counts.sum(axis=0)).tolist()
-        started = 0
-        try:
-            for start, end in zip([0, *ends], ends):
-                started += 1
-                yield pairs[start:end]
-        finally:
-            for rng, state, (row_counts, _, _, taken) in zip(rngs, saved, drawn):
-                if taken is None:
-                    if started < len(row_counts):
-                        rng.bit_generator.state = state
-                        _row_plumes(rng, lam, length, started)
-                else:
-                    used = started + 3 * sum(row_counts[:started])
-                    if used != taken:
-                        rng.bit_generator.state = state
-                        rng.random(used)
+    for done in range(0, n_steps, blocks * _BLOCK_STEPS):
+        steps = min(blocks * _BLOCK_STEPS, n_steps - done)
+        drawn = [_plume_block(rng, lam, length)
+                 for rng in rngs for _ in range(-(-steps // _BLOCK_STEPS))]
+        counts = np.concatenate([block[0] for block in drawn]).reshape(len(rngs), -1)
+        # each plume's row, and the order that sorts the plumes by step,
+        # keeping the rows' order within a step, up to the last step yielded
+        rows = np.repeat(np.arange(len(rngs)), counts.sum(axis=1))
+        ends = np.cumsum(counts[:, :steps].sum(axis=0)).tolist()
+        order = np.argsort(np.repeat(np.tile(np.arange(counts.shape[1]), len(rngs)),
+                                     counts.ravel()), kind="stable")[:ends[-1]]
+        centers = np.concatenate([block[1] for block in drawn])[order]
+        sign_draws = np.concatenate([block[2] for block in drawn])[order]
+        pairs = list(zip(rows[order].tolist(), _bumps(params, xg, centers, sign_draws)))
+        for start, end in zip([0, *ends], ends):
+            yield pairs[start:end]
         # the chunk's bumps go before the next chunk's are made
         pairs = None
 
@@ -504,12 +452,12 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     Member i of every ensemble uses rngs[i]. The plumes of a step are drawn
     and evaluated once (_plume_steps, a chunk of steps ahead); each live
     ensemble then takes the step and adds them one bump at a time in arrival
-    order, so every trajectory is bitwise the one it takes when advanced
-    alone with its own generators of the same streams. Every generator is
-    left where per-step draws leave it, also on an error: after the plumes
-    of each step that some ensemble started. Returns a list with one entry
-    per ensemble: the new (k, 3n) array, or the CflViolation or
-    NumericalBlowup that stopped it; the other ensembles carry on.
+    order. A row's plumes are its generator's alone, so every trajectory is
+    bitwise the one it takes when advanced alone, or with other rows, with
+    its own generator of the same stream. Returns a list with one entry per
+    ensemble: the new (k, 3n) array, or the CflViolation or NumericalBlowup
+    that stopped it; the other ensembles carry on. Where every ensemble
+    stops early, the generators are left somewhere within the chunk drawn.
 
     Every array of the integration is made here, once: one (3, rows, n + 2)
     field buffer per ensemble and one spare. An ensemble's step reads its
@@ -535,9 +483,8 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     t = 0.0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
-    with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
-          closing(_plume_steps(params, rngs, n_steps if live else 0)) as plumes):
-        for bumps in plumes:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for bumps in _plume_steps(params, rngs, n_steps if live else 0):
             t += dt
             for j in live:
                 try:

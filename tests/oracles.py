@@ -24,11 +24,11 @@ them (tapered_cov_block). rank_histogram, scores_csv_text and read_scores_csv
 are the small scoring helpers the tests read outputs back with.
 
 roll_advance is the model step as first written, with np.roll stencils and
-the plume forcing in its original form; sweq.advance_members must stay
-bitwise equal to it. plume_draws makes the plume forcing's random calls of
-a number of steps one step at a time, as roll_advance makes them; the
-package draws a chunk of steps at once and must take the same events from
-a generator and leave it in the same state.
+the plume forcing in its plain form: each step's plumes of all rows added
+at once by np.add.at; sweq.advance_members must stay bitwise equal to it.
+plume_draws makes one row's plume draws, a block of steps at a time, as
+roll_advance makes them; the package draws a chunk of blocks at once for
+every row and must take the same events from each generator.
 
 permute_fixed_points is the block filter's fixed-point permutation as first
 written; the package gets it as resampling.reorder_to_match against the
@@ -67,6 +67,7 @@ from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws, _gamma_weigh
 from enkpf.grid import FIELDS
 from enkpf.resampling import ess, weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
+from enkpf.sweq import _BLOCK_STEPS as PLUME_BLOCK
 from enkpf.taper import gaspari_cohn
 
 
@@ -123,40 +124,48 @@ def _roll_laplacian(f, dx):
     return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (dx * dx)
 
 
-def _roll_plumes(u_new, params, rngs):
-    lam = params.plumes_per_step
-    rows, centers, signs = [], [], []
-    for i, rng in enumerate(rngs):
-        count = int(rng.poisson(lam))
-        if count:
-            rows.extend([i] * count)
-            centers.append(rng.uniform(0.0, params.grid.domain_m, count))
-            signs.append(np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0))
-    if not rows:
+def _roll_plumes(u_new, params, plumes):
+    """Add one step's plumes to u_new; plumes holds each row's (centers, sign draws)."""
+    rows = np.repeat(np.arange(len(plumes)), [centers.size for centers, _ in plumes])
+    if not rows.size:
         return
-    centers = np.concatenate(centers)
-    signs = np.concatenate(signs)
+    centers = np.concatenate([centers for centers, _ in plumes])
+    signs = np.where(np.concatenate([draws for _, draws in plumes]) < 0.5, -1.0, 1.0)
     length = params.grid.domain_m
     xg = np.arange(params.grid.n_points) * params.grid.spacing_m
     delta = np.mod(xg[None, :] - centers[:, None] + 0.5 * length, length) - 0.5 * length
     w = params.plume_width_m
-    bumps = (
-        signs[:, None] * params.plume_amplitude * np.exp(-(delta * delta) / (2 * w * w))
-    )
-    np.add.at(u_new, np.asarray(rows), bumps)
+    arg = -(delta * delta) / (2 * w * w)
+    # the tail below exp(-708), subnormal or zero, is taken as +0.0
+    bumps = signs[:, None] * params.plume_amplitude * np.where(arg >= -708.0, np.exp(arg), 0.0)
+    np.add.at(u_new, rows, bumps)
 
 
 def plume_draws(rng, lam, length, steps):
-    """One row's plume counts, centers and sign draws over `steps` steps, the
-    calls made one step at a time."""
+    """One row's plume counts, centers and sign draws over `steps` steps.
+
+    The row draws per block of PLUME_BLOCK steps: poisson(lam, PLUME_BLOCK)
+    for the counts, then random(2 * total), the centers length * U of the
+    first total doubles and the others the sign draws. A last block that
+    runs past `steps` is drawn whole, and its later steps' plumes dropped.
+    """
     counts, centers, signs = [], [np.empty(0)], [np.empty(0)]
-    for _ in range(steps):
-        count = int(rng.poisson(lam))
-        counts.append(count)
-        if count:
-            centers.append(rng.uniform(0.0, length, count))
-            signs.append(rng.uniform(size=count))
-    return counts, np.concatenate(centers), np.concatenate(signs)
+    for _ in range(-(-steps // PLUME_BLOCK)):
+        block = rng.poisson(lam, PLUME_BLOCK)
+        total = int(block.sum())
+        draws = rng.random(2 * total)
+        counts += block.tolist()
+        centers.append(length * draws[:total])
+        signs.append(draws[total:])
+    kept = sum(counts[:steps])
+    return counts[:steps], np.concatenate(centers)[:kept], np.concatenate(signs)[:kept]
+
+
+def _per_step(counts, centers, signs):
+    """plume_draws' output split into each step's (centers, sign draws)."""
+    ends = np.cumsum(counts, dtype=int)
+    return [(centers[end - count:end], signs[end - count:end])
+            for count, end in zip(counts, ends)]
 
 
 def roll_advance(members, params, n_steps, rngs):
@@ -165,12 +174,16 @@ def roll_advance(members, params, n_steps, rngs):
     h, u, r = fields["h"].copy(), fields["u"].copy(), fields["r"].copy()
     dx = params.grid.spacing_m
     dt = params.dt_s
-    for _ in range(n_steps):
+    lam, length = params.plumes_per_step, params.grid.domain_m
+    for step in range(n_steps):
+        if step % PLUME_BLOCK == 0:
+            block = [_per_step(*plume_draws(rng, lam, length, min(PLUME_BLOCK, n_steps - step)))
+                     for rng in rngs]
         phi = np.where(h > params.h_cloud, params.phi_cloud, params.gravity * h)
         phi = phi + params.rain_geopotential * r
         dudx = _roll_dx(u, dx)
         u_new = u + dt * (-u * dudx - _roll_dx(phi, dx) + params.diff_u * _roll_laplacian(u, dx))
-        _roll_plumes(u_new, params, rngs)
+        _roll_plumes(u_new, params, [row[step % PLUME_BLOCK] for row in block])
         h_new = h + dt * (-_roll_dx(u * h, dx) + params.diff_h * _roll_laplacian(h, dx))
         production = np.where((h > params.h_rain) & (dudx < 0.0), -params.beta_rain * dudx, 0.0)
         r_new = r + dt * (
