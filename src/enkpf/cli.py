@@ -5,14 +5,18 @@ optional; command-line flags override file values). `spinup` writes to CSV
 the truth state and ensemble that `run` starts repetition 0 from, and
 `score` computes per-field CRPS of a stored ensemble against a stored truth
 state. Exit code 0 on success; on failure a single `error: ...` line goes to
-stderr and the exit code is nonzero.
+stderr and the exit code is nonzero. BLAS runs on one thread, whatever the
+environment says, so that its threads cannot change the outputs' bits.
 """
 
 import argparse
+import os
 import sys
 
-from enkpf.config import _EXPERIMENT_KEYS, SCENARIOS, _to_methods, parse_config
-from enkpf.errors import EnkpfError
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+from enkpf.config import _EXPERIMENT_KEYS, SCENARIOS, _to_methods, parse_config  # noqa: E402
+from enkpf.errors import EnkpfError  # noqa: E402
 
 
 def _load_config(path, overrides):
@@ -48,8 +52,6 @@ def _cmd_run(args):
 
 
 def _cmd_spinup(args):
-    import os
-
     from enkpf.experiment import start_state
     from enkpf.sweq import save_ensemble_csv, save_state_csv
 

@@ -23,8 +23,9 @@ which pairs the method comparisons member-by-member. So all methods forecast
 in lock-step (sweq.advance_ensembles): each step's plumes are drawn and
 evaluated once for every method. All methods start from the same spinup
 ensemble, so cycle 1 advances one trajectory and gives each method a copy.
-A config checked itself and filled in its timing when it was built, so
-nothing here checks it again, and pool workers get it as it was pickled.
+The LOCAL methods share one localization plan per cycle (local_plan). A
+config checked itself and filled in its timing when it was built, so nothing
+here checks it again, and pool workers get it as it was pickled.
 """
 
 import csv
@@ -45,6 +46,7 @@ from enkpf.local_filters import (
     LocalDiagnostics,
     block_lenkpf_update,
     lenkf_update,
+    local_plan,
     naive_lenkpf_update,
 )
 from enkpf.resampling import balanced_resample, ess
@@ -88,46 +90,41 @@ class RepResult:
     failed_at: dict  # method -> cycle of first numerical failure
 
 
-# Each analysis maps (members, obs, cfg, rng, diag) to the analysis member
-# array, reading its settings from the config. The filters are looked up in
+# Each analysis maps (members, obs, plan, cfg, rng, diag), plan the cycle's
+# LocalPlan, to the analysis member array. The filters are looked up in
 # this module's namespace at call time, so a name replaced here (as the
 # benchmark's tracer does) reaches them all.
 
 
-def _enkf_global(members, obs, cfg, rng, diag):
+def _enkf_global(members, obs, plan, cfg, rng, diag):
     p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
     return enkf_update(members, obs, p_cols, rng)
 
 
-def _enkpf_global(members, obs, cfg, rng, diag):
+def _enkpf_global(members, obs, plan, cfg, rng, diag):
     p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
     gamma, (out, w, _) = adaptive_gamma(members, obs, p_cols, cfg.ess_band, rng)
     diag.record(gamma, ess(w))
     return out
 
 
-def _pf_global(members, obs, cfg, rng, diag):
+def _pf_global(members, obs, plan, cfg, rng, diag):
     w = pf_weights(members, obs)
     diag.record(0.0, ess(w))
     idx = balanced_resample(w, rng)
     return members[idx]
 
 
-def _lenkf(members, obs, cfg, rng, diag):
-    return lenkf_update(members, obs, TaperSpec(cfg.l_m), cfg.model.grid, rng)
+def _lenkf(members, obs, plan, cfg, rng, diag):
+    return lenkf_update(members, plan, rng)
 
 
-def _naive_lenkpf(members, obs, cfg, rng, diag):
-    return naive_lenkpf_update(
-        members, obs, TaperSpec(cfg.l_m), cfg.model.grid, cfg.ess_band, rng, diagnostics=diag
-    )
+def _naive_lenkpf(members, obs, plan, cfg, rng, diag):
+    return naive_lenkpf_update(members, plan, cfg.ess_band, rng, diagnostics=diag)
 
 
-def _block_lenkpf(members, obs, cfg, rng, diag):
-    return block_lenkpf_update(
-        members, obs, TaperSpec(cfg.l_m), cfg.model.grid, cfg.block_segment_m,
-        cfg.ess_band, rng, diagnostics=diag,
-    )
+def _block_lenkpf(members, obs, plan, cfg, rng, diag):
+    return block_lenkpf_update(members, plan, cfg.ess_band, rng, diagnostics=diag)
 
 
 # The method registry. Its order is part of the output: a method's position
@@ -144,6 +141,7 @@ ANALYSES = {
 }
 METHODS = tuple(ANALYSES)
 METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
+LOCAL = ("lenkf", "naive_lenkpf", "block_lenkpf")
 
 
 def _forecast(ens, params, steps, rngs):
@@ -184,7 +182,6 @@ def run_single_rep(cfg, rep, base=None):
     """
     params = cfg.model
     grid = params.grid
-    n = grid.n_points
     k = cfg.k
     seed = cfg.base_seed
     steps = params.steps(cfg.interval_s)
@@ -233,9 +230,12 @@ def run_single_rep(cfg, rep, base=None):
                 rng_rank = seed_stream(seed, rep, cycle, "ranks", METHOD_IDS[m])
                 for f in FIELDS:
                     fc, tr = forecast_f[m][f], truth_f[f]
-                    for g in range(0, n, RANK_SPACE_THIN):
+                    for g in range(0, grid.n_points, RANK_SPACE_THIN):
                         rank_counts[(m, f)][rank_of_truth(fc[:, g], tr[g], rng_rank)] += 1
 
+        # dropped after the last local analysis: no later global one holds its weights
+        local = [m for m in forecasts if m in LOCAL]
+        plan = local_plan(obs, grid, TaperSpec(cfg.l_m), cfg.block_segment_m) if local else None
         for m in cfg.methods:
             if m not in forecasts:
                 continue
@@ -247,9 +247,11 @@ def run_single_rep(cfg, rep, base=None):
             rng_a = seed_stream(seed, rep, cycle, "analysis", METHOD_IDS[m])
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    out = analysis(forecasts[m], obs, cfg, rng_a, diag)
+                    out = analysis(forecasts[m], obs, plan, cfg, rng_a, diag)
             except FAILURES:
                 out = None
+            if local and m == local[-1]:
+                plan = None
             # an overflow fails the method here, not in a numpy warning; a NaN analysis
             # would pass the next forecast's CFL check (its wave speed is NaN)
             if out is None or not np.isfinite(out).all():
@@ -318,7 +320,7 @@ def run_experiment(cfg, threads=1):
     workers = min(threads, cfg.repetitions, os.cpu_count() or 1)
     if workers > 1:
         with Pool(processes=workers) as pool:
-            results = pool.map(job, reps)
+            results = pool.map(job, reps, chunksize=1)
     else:
         results = [job(rep) for rep in reps]
     results.sort(key=lambda res: res.rep)

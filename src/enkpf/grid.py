@@ -7,7 +7,7 @@ this order and these block offsets; everything else asks it for a field's
 block (split), the columns at a grid point (cols_at) or the grid points of
 given columns (grid_of_cols).
 Localization only ever needs distances between grid points, which on a ring
-are circular.
+are circular (ring_offset).
 """
 
 from dataclasses import dataclass
@@ -39,13 +39,10 @@ class Grid:
     def dim(self):
         return len(FIELDS) * self.n_points
 
-    def distance_m(self, i, j):
-        """Circular distance in meters between grid indices i and j (arrays ok)."""
-        i = np.asarray(i)
-        j = np.asarray(j)
-        raw = np.abs(i - j)
-        wrapped = np.minimum(raw, self.n_points - raw)
-        return wrapped * self.spacing_m
+    def ring_offset(self, i, j):
+        """Circular distance in grid steps between grid indices i and j (arrays ok)."""
+        raw = np.abs(np.asarray(i) - np.asarray(j))
+        return np.minimum(raw, self.n_points - raw)
 
     def split(self, x):
         """{field: block} in FIELDS order: views of the blocks of x's last axis.
@@ -68,9 +65,3 @@ class Grid:
         axis (grid_point may be an array)."""
         offsets = np.arange(len(FIELDS)) * self.n_points
         return np.asarray(grid_point)[..., None] + offsets
-
-    def col_distance_m(self, cols_a, cols_b):
-        """Pairwise circular distances (|a| x |b|) between column locations."""
-        pa = self.grid_of_cols(cols_a)
-        pb = self.grid_of_cols(cols_b)
-        return self.distance_m(pa[:, None], pb[None, :])

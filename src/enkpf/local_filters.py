@@ -1,9 +1,11 @@
 """Localized analyses: LEnKF, NAIVE-LEnKPF, and BLOCK-LEnKPF.
 
+All three read one LocalPlan per cycle (local_plan), so no filter evaluates a
+distance or a taper weight: the site windows (the observations within the
+taper's length scale l), the blocks and every taper weight (support 2l).
 LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
-local EnKPF at every grid point using only the observations within the
-taper's length scale l, with tapered covariance slices (support 2l), so one
-TaperSpec sets the localization. The LEnKF is that loop with gamma held
+local EnKPF at every grid point on the observations in its window, with
+tapered covariance slices. The LEnKF is that loop with gamma held
 at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
 All sites share the same observation perturbations (one global draw) and one
 global uniform for resampling, so that neighboring analyses stay as coherent
@@ -16,17 +18,15 @@ systematic indices reordered toward a reference index vector, and
 global_filters._enkpf_rows_update, which at gamma = 1 is the one EnKF rows
 update (_enkf_rows).
 
-BLOCK-LEnKPF instead partitions the observations into short segments and
-builds each block's observations, u and v in one pass (partition_obs_blocks).
-A block update touches the observed columns u with a local EnKPF and drags
-the taper-correlated columns v along through the conditional regression
-x_v + P_vu P_uu^{-1} (x_u^a - x_u^b); every other column (w, beyond the
-taper support) is untouched bitwise. Blocks whose (u, v) footprints are
-disjoint are grouped and may run in any order (they read and write disjoint
-columns); per-block rng sub-streams are spawned up front in block-id order,
-so serial and parallel execution produce identical results. Every update
-takes the state's enkpf.grid.Grid: the columns at each site and the circular
-distances of the windows and the taper are its.
+BLOCK-LEnKPF instead partitions the observations into short segments, each
+block with its observations, u and v. A block update touches the observed
+columns u with a local EnKPF and drags the taper-correlated columns v along
+through the conditional regression x_v + P_vu P_uu^{-1} (x_u^a - x_u^b);
+every other column (w, beyond the taper support) is untouched bitwise.
+Blocks whose (u, v) footprints are disjoint are grouped and may run in any
+order (they read and write disjoint columns); per-block rng sub-streams are
+spawned up front in block-id order, so serial and parallel execution produce
+identical results.
 """
 
 from dataclasses import dataclass, field
@@ -38,15 +38,11 @@ from enkpf.errors import FilterError
 from enkpf.global_filters import _check_band, _enkpf_rows_update, _setup, search_gamma
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess, reorder_to_match, systematic_indices
-from enkpf.taper import tapered_cov_block
+from enkpf.taper import taper_table, tapered_cov_block
 
 __all__ = [
-    "LocalDiagnostics",
-    "ObservationBlock",
-    "block_assimilate_one",
-    "block_lenkpf_update",
-    "lenkf_update",
-    "naive_lenkpf_update",
+    "LocalDiagnostics", "LocalPlan", "ObservationBlock", "block_assimilate_one",
+    "block_lenkpf_update", "lenkf_update", "local_plan", "naive_lenkpf_update",
     "schedule_blocks",
 ]
 
@@ -62,16 +58,6 @@ class LocalDiagnostics:
     def record(self, gamma, ess_value):
         self.gammas.append(float(gamma))
         self.ess_values.append(float(ess_value))
-
-
-def _obs_geometry(all_obs, grid, taper):
-    """Per-site observation selections, index arrays into the obs rows: the
-    observations within the taper's length scale l of each grid point (all of
-    them for TaperSpec(inf))."""
-    n = grid.n_points
-    obs_pts = grid.grid_of_cols(all_obs.h_rows)
-    dist = grid.distance_m(np.arange(n)[:, None], obs_pts[None, :])
-    return [np.flatnonzero(dist[g] <= taper.length_scale_m) for g in range(n)]
 
 
 def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_idx,
@@ -98,7 +84,7 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     return rows, idx
 
 
-def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
+def _site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
     """Local EnKPF at every grid point, all sites sharing one _setup.
 
     With ess_lo set, each site picks its own gamma and its indices are
@@ -108,23 +94,22 @@ def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
     background bitwise; they and gamma = 1 sites contribute identity index
     vectors to the sweep.
     """
-    x, innov0, eta_all, er_all, u_shared = _setup(ens, all_obs, rng)
+    obs = plan.obs
+    x, innov0, eta_all, er_all, u_shared = _setup(ens, obs, rng)
     k, d = x.shape
-    obs_cols = all_obs.h_rows
-    p_cross = tapered_cov_block(x, np.arange(d), obs_cols, grid, taper)
-    s_full = p_cross[obs_cols, :]
+    p_cross = tapered_cov_block(x, np.arange(d), obs.h_rows, plan.w_cross)
+    s_full = p_cross[obs.h_rows, :]
     identity = np.arange(k)
 
     out = x.copy()
     idx = identity
-    for g, sel in enumerate(_obs_geometry(all_obs, grid, taper)):
+    for g, (cols, sel) in enumerate(plan.sites):
         if sel.size == 0:
             idx = identity
             continue
-        cols = grid.cols_at(g)
         try:
             out[:, cols], idx = _local_enkpf(
-                x[:, cols], innov0[:, sel], all_obs.r_diag[sel],
+                x[:, cols], innov0[:, sel], obs.r_diag[sel],
                 p_cross[np.ix_(cols, sel)], s_full[np.ix_(sel, sel)],
                 eta_all[:, sel], er_all[:, sel], ess_lo, u_shared, idx, diagnostics,
             )
@@ -133,27 +118,27 @@ def _site_loop(ens, all_obs, taper, grid, rng, ess_lo=None, diagnostics=None):
     return out
 
 
-def lenkf_update(ens, all_obs, taper, grid, rng):
+def lenkf_update(ens, plan, rng):
     """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
 
-    Every site runs a stochastic EnKF on the observations within l; the
-    perturbed observations are drawn once globally, so every site sees the
-    same eps_i. Sites with no observations in range keep their background
-    values bitwise.
+    Every site runs a stochastic EnKF on the observations in its window (see
+    LocalPlan); the perturbed observations are drawn once globally, so every
+    site sees the same eps_i. Sites with no observations in range keep their
+    background values bitwise.
     """
-    return _site_loop(ens, all_obs, taper, grid, rng)
+    return _site_loop(ens, plan, rng)
 
 
-def naive_lenkpf_update(ens, all_obs, taper, grid, ess_band, rng, diagnostics=None):
+def naive_lenkpf_update(ens, plan, ess_band, rng, diagnostics=None):
     """Local EnKPF at every grid point with shared randomness.
 
     Each site runs its own adaptive-gamma EnKPF (gamma from the lower end of
-    ess_band) on the observations within l; the per-site resampling indices
-    are reordered left to right to agree with the previous site's (see
-    _site_loop). diagnostics, if given, records each site's gamma and ESS.
+    ess_band) on the observations in its window; the per-site resampling
+    indices are reordered left to right to agree with the previous site's
+    (see _site_loop). diagnostics, if given, records each site's gamma and ESS.
     """
     lo, _ = _check_band(ess_band)
-    return _site_loop(ens, all_obs, taper, grid, rng, ess_lo=lo, diagnostics=diagnostics)
+    return _site_loop(ens, plan, rng, ess_lo=lo, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -163,11 +148,28 @@ class ObservationBlock:
     u: state columns read by the block's observations; v: columns with
     nonzero taper weight to some u column (excluding u). The remaining
     columns w have zero taper weight to all of u and keep their values.
+    w_oo, w_uo, w_uu, w_vu: the taper weights of s_oo, p_uo, p_uu, p_vu.
     """
 
     obs: GaussObs
     u: np.ndarray
     v: np.ndarray
+    w_oo: np.ndarray
+    w_uo: np.ndarray
+    w_uu: np.ndarray
+    w_vu: np.ndarray
+
+
+@dataclass(frozen=True)
+class LocalPlan:
+    """One cycle's localization geometry: each site's columns and window (obs
+    rows within l), the (d, m) taper weights w_cross, the blocks and groups."""
+
+    obs: GaussObs
+    sites: tuple
+    w_cross: np.ndarray
+    blocks: tuple
+    groups: tuple
 
 
 def schedule_blocks(blocks):
@@ -178,13 +180,9 @@ def schedule_blocks(blocks):
     unscheduled block whose footprint avoids the group so far.
     """
     footprints = [frozenset(np.concatenate([b.u, b.v]).tolist()) for b in blocks]
-    remaining = list(range(len(blocks)))
-    groups = []
+    remaining, groups = list(range(len(blocks))), []
     while remaining:
-        seed = remaining.pop(0)
-        group = [seed]
-        occupied = set(footprints[seed])
-        still = []
+        group, occupied, still = [], set(), []
         for bid in remaining:
             if occupied.isdisjoint(footprints[bid]):
                 group.append(bid)
@@ -209,7 +207,7 @@ def _pinv_regress(p_uu, p_vu, diagnostics=None):
     return vk @ ((vk.T @ p_vu.T) / lam[keep][:, None])
 
 
-def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=None):
+def block_assimilate_one(ens, block, ess_band, rng, diagnostics=None):
     """Assimilate one observation block.
 
     Adaptive-gamma local EnKPF (_local_enkpf, set up by _setup) on the
@@ -221,8 +219,8 @@ def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=Non
     lo, _ = _check_band(ess_band)
     obs = block.obs
     x, innov0, eta, er, uniform = _setup(ens, obs, rng)
-    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
-    p_uo = tapered_cov_block(x, block.u, obs.h_rows, grid, taper)
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, block.w_oo)
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, block.w_uo)
     x_u, _ = _local_enkpf(
         x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
         np.arange(x.shape[0]), diagnostics,
@@ -231,50 +229,57 @@ def block_assimilate_one(ens, block, taper, grid, ess_band, rng, diagnostics=Non
     out = x.copy()
     out[:, block.u] = x_u
     if block.v.size:
-        p_uu = tapered_cov_block(x, block.u, block.u, grid, taper)
-        p_vu = tapered_cov_block(x, block.v, block.u, grid, taper)
+        p_uu = tapered_cov_block(x, block.u, block.u, block.w_uu)
+        p_vu = tapered_cov_block(x, block.v, block.u, block.w_vu)
         m_t = _pinv_regress(p_uu, p_vu, diagnostics)
         out[:, block.v] = x[:, block.v] + (x_u - x[:, block.u]) @ m_t
     return out
 
 
-def partition_obs_blocks(all_obs, taper, grid, segment_length_m):
-    """Split observations into contiguous-segment blocks, building each block's
-    obs, u and v in one pass over the segments."""
-    all_obs.check_dim(grid.dim)
-    obs_pts = grid.grid_of_cols(all_obs.h_rows)
-    n = grid.n_points
-    spacing = grid.spacing_m
-    # taper weight > 0 iff distance < 2l (exactly 0 at the support boundary)
-    near = grid.distance_m(np.arange(n)[:, None], obs_pts) < taper.support_radius_m
+def local_plan(obs, grid, taper, segment_m):
+    """The LocalPlan of obs on grid for the TaperSpec taper, in blocks of
+    segment_m. One site-by-observation distance matrix selects the windows
+    (<= l) and each block's v (< 2l, weight > 0); its ring offsets gather every
+    weight from taper_table, those to u at an observation of each u column."""
+    obs.check_dim(grid.dim)
+    obs_pts = grid.grid_of_cols(obs.h_rows)
+    offset = grid.ring_offset(np.arange(grid.n_points)[:, None], obs_pts)
+    dist = offset * grid.spacing_m
+    weights = taper_table(grid, taper)[offset]
+    sites = tuple((grid.cols_at(g), np.flatnonzero(row <= taper.length_scale_m))
+                  for g, row in enumerate(dist))
+    near = dist < taper.support_radius_m
     # a segment no longer than the spacing holds one point, whatever its
     # length; flooring it at the spacing keeps the ids small and finite
-    seg = ((obs_pts * spacing) // max(segment_length_m, spacing)).astype(int)
+    seg = ((obs_pts * grid.spacing_m) // max(segment_m, grid.spacing_m)).astype(int)
     blocks = []
     for s in np.unique(seg):
         rows = np.flatnonzero(seg == s)
-        u = np.unique(all_obs.h_rows[rows])
+        u, first = np.unique(obs.h_rows[rows], return_index=True)
         v = np.setdiff1d(grid.cols_at(np.flatnonzero(near[:, rows].any(axis=1))), u)
-        blocks.append(ObservationBlock(all_obs.subset(rows), u, v))
-    return blocks
+        pts_u, pts_v, obs_u = grid.grid_of_cols(u), grid.grid_of_cols(v), rows[first]
+        blocks.append(ObservationBlock(
+            obs.subset(rows), u, v, weights[np.ix_(obs_pts[rows], rows)],
+            weights[np.ix_(pts_u, rows)], weights[np.ix_(pts_u, obs_u)],
+            weights[np.ix_(pts_v, obs_u)],
+        ))
+    w_cross = weights[grid.grid_of_cols(np.arange(grid.dim))]
+    return LocalPlan(obs, sites, w_cross, tuple(blocks), schedule_blocks(blocks))
 
 
-def block_lenkpf_update(
-    ens, all_obs, taper, grid, segment_length_m, ess_band, rng, diagnostics=None
-):
-    """BLOCK-LEnKPF analysis: segment blocks, schedule, assimilate group-wise.
+def block_lenkpf_update(ens, plan, ess_band, rng, diagnostics=None):
+    """BLOCK-LEnKPF analysis: the LocalPlan's blocks, group by group.
 
     Blocks inside one schedule group read and write pairwise disjoint
     columns, so their serial execution here equals parallel execution; each
     block consumes its own rng sub-stream, spawned up front in block-id
-    order. Across groups the updates are sequential, reusing the same taper.
+    order. Across groups the updates are sequential.
     """
     _check_band(ess_band)
-    blocks = partition_obs_blocks(all_obs, taper, grid, segment_length_m)
-    streams = rng.spawn(len(blocks))
+    streams = rng.spawn(len(plan.blocks))
     current = np.array(ens, dtype=float)
-    for group in schedule_blocks(blocks):
+    for group in plan.groups:
         for bid in group:
-            current = block_assimilate_one(current, blocks[bid], taper, grid, ess_band,
-                                           streams[bid], diagnostics=diagnostics)
+            current = block_assimilate_one(current, plan.blocks[bid], ess_band, streams[bid],
+                                           diagnostics=diagnostics)
     return current

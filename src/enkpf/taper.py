@@ -4,9 +4,10 @@ The taper is the standard compactly supported 5th-order piecewise rational
 correlation function with support radius 2c, applied as a Schur product to
 sample covariances. All distances are physical (meters); the same length
 scale is used for every field pair, so the taper weight between two state
-columns depends only on the circular distance between their grid points.
-Tapered covariances are formed as dense blocks between the column sets an
-analysis needs (tapered_cov_block): the sample covariance block of
+columns depends only on the ring offset between their grid points: every
+weight is a gather from taper_table, bitwise equal to gaspari_cohn of the
+distance. Tapered covariances are formed as dense blocks between the column
+sets an analysis needs (tapered_cov_block): the sample covariance block of
 core.ensemble_moments times the taper weights of the same block, so neither
 the full d x d taper nor the full covariance is ever built.
 """
@@ -27,7 +28,8 @@ def gaspari_cohn(dist, c):
     if c <= 0:
         raise ValueError("length scale c must be positive")
     d = np.abs(np.asarray(dist, dtype=float))
-    z = d / c
+    with np.errstate(over="ignore"):  # z = inf is beyond the support too
+        z = d / c
     out = np.zeros_like(z)
 
     near = z <= 1.0
@@ -45,8 +47,6 @@ def gaspari_cohn(dist, c):
         + 4.0
         - (2.0 / 3.0) / zf
     )
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -65,17 +65,17 @@ class TaperSpec:
         return 2.0 * self.length_scale_m
 
 
-def taper_weights(grid, spec, cols_a, cols_b):
-    """Dense (|a|, |b|) block of taper weights between two sets of state columns."""
-    return gaspari_cohn(grid.col_distance_m(cols_a, cols_b), spec.length_scale_m)
+def taper_table(grid, spec):
+    """Taper weights of grid points 0..n // 2 steps apart on grid, to gather from."""
+    return gaspari_cohn(np.arange(grid.n_points // 2 + 1) * grid.spacing_m, spec.length_scale_m)
 
 
-def tapered_cov_block(members, cols_a, cols_b, grid, spec):
+def tapered_cov_block(members, cols_a, cols_b, weights):
     """Dense tapered covariance block between column sets a and b.
 
     The Schur product of the sample covariance block X_a'X_b/(k-1)
     (core.ensemble_moments, whose ValueError and FilterError it passes on)
-    with the taper weights of the same block, so no d x d matrix is formed;
-    this is what the localized filters call on small slices.
+    with weights, the (|a|, |b|) taper weights of the same block, so no d x d
+    matrix is formed; this is what the localized filters call on small slices.
     """
-    return ensemble_moments(members, cols_a, cols_b) * taper_weights(grid, spec, cols_a, cols_b)
+    return ensemble_moments(members, cols_a, cols_b) * weights

@@ -13,14 +13,17 @@ gain.
 kalman_gain is the plain EnKF gain on the full P; the package forms it only
 on the rows an update touches (global_filters._enkf_rows). crps_empirical is
 the CRPS of one ensemble at one point; the package only computes its mean
-over a field (scoring.field_crps). window_size counts the grid points
-within a TaperSpec's length scale l of a point, the sites that one
-observation reaches, and block_w_cols gives the columns a block update
-leaves alone: the complement of u and v, which the package never forms.
+over a field (scoring.field_crps). distance_m is the circular distance in
+meters between grid points, which the package forms only in its local plan
+(local_filters.local_plan). window_size counts the grid points within a
+TaperSpec's length scale l of a point, the sites that one observation
+reaches, and block_w_cols gives the columns a block update leaves alone:
+the complement of u and v, which the package never forms.
 
 taper_matrix and tapered_covariance build the full d x d taper and tapered
-covariance as sparse matrices; the package only ever forms dense blocks of
-them (tapered_cov_block). rank_histogram, scores_csv_text and read_scores_csv
+covariance as sparse matrices, and taper_block cuts a dense block out of the
+taper; the package only ever forms dense blocks of them (tapered_cov_block),
+from weights gathered by its local plan. rank_histogram, scores_csv_text and read_scores_csv
 are the small scoring helpers the tests read outputs back with.
 
 roll_advance is the model step as first written, with np.roll stencils and
@@ -104,11 +107,16 @@ def crps_empirical(values, truth):
     return float(term1 - term2)
 
 
+def distance_m(grid, i, j):
+    """Circular distance in meters between grid points i and j (arrays ok)."""
+    return grid.ring_offset(i, j) * grid.spacing_m
+
+
 def window_size(taper, grid):
     """Number of grid points within taper.length_scale_m of a point (2l/dx + 1
     at defaults)."""
     pts = np.arange(grid.n_points)
-    return int(np.count_nonzero(grid.distance_m(pts, 0) <= taper.length_scale_m))
+    return int(np.count_nonzero(distance_m(grid, pts, 0) <= taper.length_scale_m))
 
 
 def block_w_cols(block, grid):
@@ -387,7 +395,7 @@ def taper_matrix(grid, spec):
     n = grid.n_points
     # Weight depends only on grid offset; build one row of offsets and shift it.
     offsets = np.arange(n)
-    w_row = gaspari_cohn(grid.distance_m(offsets, 0), spec.length_scale_m)
+    w_row = gaspari_cohn(distance_m(grid, offsets, 0), spec.length_scale_m)
     cols_in_support = offsets[w_row > 0.0]
     rows, cols, vals = [], [], []
     for c_block in range(len(FIELDS)):
@@ -402,6 +410,11 @@ def taper_matrix(grid, spec):
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     return sp.csr_matrix((vals, (rows, cols)), shape=(grid.dim, grid.dim))
+
+
+def taper_block(grid, spec, cols_a, cols_b):
+    """Dense (|a|, |b|) block of taper_matrix between two column sets."""
+    return taper_matrix(grid, spec)[np.ix_(cols_a, cols_b)].toarray()
 
 
 def tapered_covariance(members, grid, spec):

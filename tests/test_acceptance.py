@@ -25,8 +25,8 @@ from enkpf.local_filters import (
     block_assimilate_one,
     block_lenkpf_update,
     lenkf_update,
+    local_plan,
     naive_lenkpf_update,
-    partition_obs_blocks,
 )
 from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess
@@ -37,6 +37,7 @@ from enkpf.taper import TaperSpec
 from oracles import (
     block_w_cols,
     crps_empirical,
+    distance_m,
     enkpf_perturbations,
     enkpf_stage1,
     enkpf_weights,
@@ -152,7 +153,7 @@ def test_criterion_02_kalman_oracle():
     x = _standardize(rng.standard_normal((k, grid.dim)), mean0, cov0)
     diag = LocalDiagnostics()
     out = block_lenkpf_update(
-        x, obs, taper, grid, 2000.0, BAND, rng, diagnostics=diag
+        x, local_plan(obs, grid, taper, 2000.0), BAND, rng, diagnostics=diag
     )
     k_eff = min(diag.ess_values) if diag.ess_values else k
     sub = [0, 1, 2, 5, 6, 7, 12, 20]  # observed cols plus a spread of others
@@ -197,10 +198,10 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
     monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
 
-    blocks = partition_obs_blocks(obs, taper, grid, 10_000.0)
+    blocks = local_plan(obs, grid, taper, 10_000.0).blocks
     assert len(blocks) == 1
 
-    out_block = block_assimilate_one(x, blocks[0], taper, grid, BAND, np.random.default_rng(5))
+    out_block = block_assimilate_one(x, blocks[0], BAND, np.random.default_rng(5))
     p_taper = tapered_covariance(x, grid, TaperSpec(375.0)).toarray()
     out_full = enkpf_update(x, obs, p_taper[:, obs.h_rows], gamma, np.random.default_rng(5))[0]
     err = np.max(
@@ -238,14 +239,15 @@ def test_criterion_05_locality_invariance():
         obs2 = GaussObs(y2, cols, r)
 
         dist_b = np.min(
-            grid.distance_m(np.arange(n)[:, None], pts_b[None, :]),
+            distance_m(grid, np.arange(n)[:, None], pts_b[None, :]),
             axis=1,
         )
         far_pts = np.flatnonzero(dist_b > taper.support_radius_m)
         far_cols = np.concatenate([f * n + far_pts for f in range(3)])
         no_obs_pts = np.flatnonzero(
             np.min(
-                grid.distance_m(
+                distance_m(
+                    grid,
                     np.arange(n)[:, None], np.concatenate([pts_a, pts_b])[None, :]
                 ),
                 axis=1,
@@ -257,13 +259,12 @@ def test_criterion_05_locality_invariance():
         for method in ("lenkf", "naive", "block"):
             def run(obs, seed=9000 + case):
                 rng_m = np.random.default_rng(seed)
+                plan = local_plan(obs, grid, taper, 4000.0)
                 if method == "lenkf":
-                    return lenkf_update(x, obs, taper, grid, rng_m)
+                    return lenkf_update(x, plan, rng_m)
                 if method == "naive":
-                    return naive_lenkpf_update(x, obs, taper, grid, BAND, rng_m)
-                return block_lenkpf_update(
-                    x, obs, taper, grid, 4000.0, BAND, rng_m
-                )
+                    return naive_lenkpf_update(x, plan, BAND, rng_m)
+                return block_lenkpf_update(x, plan, BAND, rng_m)
 
             m1, m2 = run(obs1), run(obs2)
             if not np.array_equal(m1[:, far_cols], m2[:, far_cols]):

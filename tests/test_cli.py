@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -50,6 +53,30 @@ def test_run_writes_outputs(tmp_path, capsys):
     records = read_scores_csv(tmp_path / "out" / "scores.csv")
     assert len(records) == 3 * 2 * 3  # cycles x methods x fields
     assert {r.method for r in records} == {"block_lenkpf", "free"}
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits the global filters' products over its threads and
+    # rounds them differently, so the CLI pins it to one thread whatever the
+    # environment asks; the products here are large enough to be split
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    scores = []
+    for threads in ("2", "1"):
+        out = tmp_path / threads
+        cfg = tmp_path / f"cfg{threads}.ini"
+        cfg.write_text(
+            "[experiment]\nscenario = custom\ninterval_s = 60\nduration_s = 240\n"
+            "methods = enkf_global, enkpf_global, lenkf, free\nk = 50\n"
+            f"spinup_days = 0.01\nout = {out}\n"
+            "[model]\nn_points = 150\nwarm_start_days = 0.2\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "enkpf.cli", "run", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        scores.append((out / "scores.csv").read_bytes())
+    assert scores[0] == scores[1]
 
 
 def test_run_flags_override_config(tmp_path):

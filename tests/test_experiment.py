@@ -10,17 +10,13 @@ import pytest
 
 import enkpf.config as config
 import enkpf.experiment as ex
-from enkpf import sweq
+from enkpf import sweq, taper
 from enkpf.config import ExperimentConfig
 from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
 from enkpf.global_filters import enkpf_update
 from enkpf.grid import Grid
-from enkpf.local_filters import (
-    LocalDiagnostics,
-    block_assimilate_one,
-    partition_obs_blocks,
-)
+from enkpf.local_filters import LocalDiagnostics, block_assimilate_one, local_plan
 from enkpf.obs import GaussObs
 from enkpf.sweq import ModelParams
 from enkpf.taper import TaperSpec
@@ -117,8 +113,8 @@ def test_one_warm_start_per_run(tmp_path, monkeypatch, threads):
 def test_pool_is_bounded_by_repetitions_and_cpus(tmp_path, monkeypatch, threads, reps, cpus,
                                                  workers):
     # at most one worker per repetition and per CPU, and no pool for one; the
-    # stand-in pool records its size and maps in this process
-    sizes = []
+    # stand-in pool records its size and chunk size and maps in this process
+    sizes, chunks = [], []
 
     class RecordingPool:
         def __init__(self, processes):
@@ -130,7 +126,8 @@ def test_pool_is_bounded_by_repetitions_and_cpus(tmp_path, monkeypatch, threads,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            chunks.append(chunksize)
             return [fn(item) for item in items]
 
     monkeypatch.setattr(ex, "Pool", RecordingPool)
@@ -138,6 +135,7 @@ def test_pool_is_bounded_by_repetitions_and_cpus(tmp_path, monkeypatch, threads,
     cfg = tiny_cfg(methods=("free",), repetitions=reps, duration_s=60.0, out_dir=str(tmp_path))
     records, _ = ex.run_experiment(cfg, threads=threads)
     assert sizes == workers
+    assert chunks == [1] * len(workers)  # one repetition per task
     assert [rec.rep for rec in records] == [rep for rep in range(reps) for _ in range(3)]
 
 
@@ -145,11 +143,11 @@ def test_numerical_failure_drops_method_but_not_run(monkeypatch):
     real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}
 
-    def wrapped(members, obs, cfg, rng, diag):
+    def wrapped(members, obs, plan, cfg, rng, diag):
         calls["n"] += 1
         if calls["n"] == 2:
             raise FilterError("synthetic failure")
-        return real(members, obs, cfg, rng, diag)
+        return real(members, obs, plan, cfg, rng, diag)
 
     monkeypatch.setitem(ex.ANALYSES, "lenkf", wrapped)
     cfg = tiny_cfg(methods=("lenkf", "free"))
@@ -166,9 +164,9 @@ def test_non_finite_analysis_fails_at_its_own_cycle(monkeypatch):
     real = ex.ANALYSES["lenkf"]
     calls = {"n": 0}
 
-    def wrapped(members, obs, cfg, rng, diag):
+    def wrapped(members, obs, plan, cfg, rng, diag):
         calls["n"] += 1
-        out = real(members, obs, cfg, rng, diag)
+        out = real(members, obs, plan, cfg, rng, diag)
         if calls["n"] == 2:
             out[0, 3] = np.nan
         return out
@@ -202,9 +200,9 @@ def test_cycle_one_advances_one_ensemble_for_all_methods(monkeypatch):
     seen = {}
 
     def spy(method, real):
-        def analysis(members, obs, cfg, rng, diag):
+        def analysis(members, obs, plan, cfg, rng, diag):
             seen.setdefault(method, members)
-            return real(members, obs, cfg, rng, diag)
+            return real(members, obs, plan, cfg, rng, diag)
 
         return analysis
 
@@ -224,7 +222,7 @@ def test_failed_forecast_leaves_other_methods_bitwise(tmp_path, monkeypatch):
     # its cycle-2 forecast fails the CFL check inside the lock-step advance
     grid = tiny_cfg().model.grid
 
-    def supersonic(members, obs, cfg, rng, diag):
+    def supersonic(members, obs, plan, cfg, rng, diag):
         out = members.copy()
         grid.split(out)["u"][...] = 500.0
         return out
@@ -249,9 +247,9 @@ def test_free_method_never_enters_analysis(monkeypatch):
     seen = []
 
     def spy(method, real):
-        def analysis(members, obs, cfg, rng, diag):
+        def analysis(members, obs, plan, cfg, rng, diag):
             seen.append(method)
-            return real(members, obs, cfg, rng, diag)
+            return real(members, obs, plan, cfg, rng, diag)
 
         return analysis
 
@@ -261,6 +259,30 @@ def test_free_method_never_enters_analysis(monkeypatch):
     cfg = tiny_cfg(methods=("free", "block_lenkpf"), duration_s=120.0)
     ex.run_single_rep(cfg, 0)
     assert set(seen) == {"block_lenkpf"}
+
+
+def test_a_cycle_builds_one_plan_from_one_taper_table(monkeypatch):
+    # the three local methods read one plan per cycle, whose every taper
+    # weight is gathered from one gaspari_cohn evaluation; a run without a
+    # local method builds none
+    plans, tables = [], []
+    real_plan, real_gc = ex.local_plan, taper.gaspari_cohn
+
+    def counting_plan(*args):
+        plans.append(args)
+        return real_plan(*args)
+
+    def counting_gc(*args):
+        tables.append(args)
+        return real_gc(*args)
+
+    monkeypatch.setattr(ex, "local_plan", counting_plan)
+    monkeypatch.setattr(taper, "gaspari_cohn", counting_gc)
+    cfg = tiny_cfg(methods=("lenkf", "naive_lenkpf", "block_lenkpf", "free"), duration_s=60.0)
+    res = ex.run_single_rep(cfg, 0)
+    assert res.failed_at == {} and len(plans) == 1 and len(tables) == 1
+    ex.run_single_rep(tiny_cfg(methods=("enkf_global", "free"), duration_s=120.0), 0)
+    assert len(plans) == 1 and len(tables) == 1
 
 
 def test_method_registry_order_and_validation():
@@ -418,18 +440,16 @@ def _small_analysis_case():
         np.concatenate([2 * 20 + np.arange(20), 20 + wet]),
         np.full(20 + wet.size, 0.5),
     )
-    return x, obs, cfg
+    return x, obs, local_plan(obs, cfg.model.grid, TaperSpec(cfg.l_m), cfg.block_segment_m), cfg
 
 
-def _direct_enkpf(x, obs, cfg, rng, diag):
+def _direct_enkpf(x, obs, plan, cfg, rng, diag):
     return enkpf_update(x, obs, ensemble_moments(x, np.arange(x.shape[1]), obs.h_rows), 0.5,
                         rng)[0]
 
 
-def _direct_block(x, obs, cfg, rng, diag):
-    taper, grid = TaperSpec(cfg.l_m), cfg.model.grid
-    blocks = partition_obs_blocks(obs, taper, grid, cfg.block_segment_m)
-    return block_assimilate_one(x, blocks[0], taper, grid, cfg.ess_band, rng, diagnostics=diag)
+def _direct_block(x, obs, plan, cfg, rng, diag):
+    return block_assimilate_one(x, plan.blocks[0], cfg.ess_band, rng, diagnostics=diag)
 
 
 ANALYSIS_CALLS = {name: fn for name, fn in ex.ANALYSES.items() if fn is not None}
@@ -439,9 +459,9 @@ ANALYSIS_CALLS.update(enkpf_update=_direct_enkpf, block_assimilate_one=_direct_b
 @pytest.mark.parametrize("name", sorted(ANALYSIS_CALLS))
 def test_analysis_returns_array_and_leaves_forecast_alone(name):
     # run_single_rep reads forecasts[m] again after the analysis, for its trace row
-    x, obs, cfg = _small_analysis_case()
+    x, obs, plan, cfg = _small_analysis_case()
     before = x.copy()
-    out = ANALYSIS_CALLS[name](x, obs, cfg, np.random.default_rng(5), LocalDiagnostics())
+    out = ANALYSIS_CALLS[name](x, obs, plan, cfg, np.random.default_rng(5), LocalDiagnostics())
     assert type(out) is np.ndarray
     assert out.shape == x.shape
     assert x.tobytes() == before.tobytes()

@@ -18,7 +18,7 @@ from enkpf.global_filters import (
 )
 from enkpf.errors import FilterError
 from enkpf.grid import Grid
-from enkpf.local_filters import lenkf_update
+from enkpf.local_filters import lenkf_update, local_plan
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
 from enkpf.taper import TaperSpec
@@ -124,7 +124,7 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
             if entry == "enkf_update":
                 enkf_update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), rng)
             else:
-                lenkf_update(x, obs, TaperSpec(np.inf), grid, rng)
+                lenkf_update(x, local_plan(obs, grid, TaperSpec(np.inf), grid.domain_m), rng)
 
 
 GLOBAL_UPDATES = {

@@ -42,29 +42,30 @@ def test_cols_at_a_point_are_its_columns_one_per_field(grid):
 
 @settings(max_examples=100, deadline=None)
 @given(GRIDS, st.data())
-def test_col_distance_is_the_distance_between_the_columns_points(grid, data):
-    draw_cols = st.lists(st.integers(0, grid.dim - 1), min_size=1, max_size=12)
-    a, b = np.array(data.draw(draw_cols)), np.array(data.draw(draw_cols))
-    dist = grid.col_distance_m(a, b)
-    assert dist.shape == (a.size, b.size)
-    for i, j in np.ndindex(dist.shape):
-        assert dist[i, j] == grid.distance_m(a[i] % grid.n_points, b[j] % grid.n_points)
+def test_ring_offset_is_the_shorter_way_round(grid, data):
+    n = grid.n_points
+    draw_points = st.lists(st.integers(0, n - 1), min_size=1, max_size=12)
+    a, b = np.array(data.draw(draw_points)), np.array(data.draw(draw_points))
+    offset = grid.ring_offset(a[:, None], b[None, :])
+    assert offset.shape == (a.size, b.size) and offset.dtype.kind == "i"
+    for i, j in np.ndindex(offset.shape):
+        assert offset[i, j] == min((a[i] - b[j]) % n, (b[j] - a[i]) % n) <= n // 2
 
 
 @settings(max_examples=100, deadline=None)
 @given(GRIDS)
 def test_distance_is_symmetric_zero_on_the_diagonal_and_at_most_half_the_ring(grid):
     points = np.arange(grid.n_points)
-    dist = grid.distance_m(points[:, None], points[None, :])
+    dist = grid.ring_offset(points[:, None], points[None, :])
     np.testing.assert_array_equal(dist, dist.T)
     np.testing.assert_array_equal(np.diag(dist), 0.0)
-    assert (dist <= grid.domain_m / 2).all()
+    assert (dist <= grid.n_points // 2).all()
 
 
 def test_default_spacing_and_bad_sizes():
     grid = Grid(10)
     assert (grid.spacing_m, grid.domain_m, grid.dim) == (500.0, 5000.0, 30)
-    assert grid.distance_m(1, 9) == 1000.0
+    assert grid.ring_offset(1, 9) == 2
     for n_points, spacing_m in ((0, 500.0), (4, 0.0), (4, -1.0)):
         with pytest.raises(ValueError):
             Grid(n_points, spacing_m)

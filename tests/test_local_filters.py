@@ -20,8 +20,8 @@ from enkpf.local_filters import (
     block_assimilate_one,
     block_lenkpf_update,
     lenkf_update,
+    local_plan,
     naive_lenkpf_update,
-    partition_obs_blocks,
     schedule_blocks,
 )
 from enkpf.obs import GaussObs
@@ -30,9 +30,11 @@ from enkpf.taper import TaperSpec, tapered_cov_block
 
 from oracles import (
     block_w_cols,
+    distance_m,
     fixed_gamma,
     identity_resample,
     permute_fixed_points,
+    taper_block,
     tapered_covariance,
     window_size,
 )
@@ -63,12 +65,54 @@ def test_window_size_example():
     assert window_size(taper, grid) == 21
     x = random_ensemble(np.random.default_rng(12), grid, 8)
     obs = rain_obs(grid, [150], [0.5])
-    out = lenkf_update(x, obs, taper, grid, np.random.default_rng(13))
+    out = lenkf_update(x, local_plan(obs, grid, taper, 5000.0), np.random.default_rng(13))
     changed = [
         g for g in range(300)
         if not np.array_equal(out[:, grid.cols_at(g)], x[:, grid.cols_at(g)])
     ]
     assert changed == list(range(140, 161))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_plan_weights_are_the_oracle_taper_and_its_sets_the_distances(n, data):
+    # every taper block of the plan is the full taper's block bit for bit, and
+    # the windows, each block's obs, u and v are what the distances select;
+    # l on multiples of dx / 2 puts grid points exactly at l and at 2l
+    spacing = data.draw(st.floats(1.0, 5000.0))
+    grid = Grid(n, spacing)
+    half_steps = st.integers(1, 2 * n + 2).map(lambda i: i * (spacing / 2))
+    taper = TaperSpec(data.draw(half_steps | st.just(np.inf)))
+    cols = np.array(data.draw(st.lists(st.integers(0, grid.dim - 1), max_size=2 * n)), dtype=int)
+    segment_m = data.draw(st.floats(1e-3, 3 * grid.domain_m))
+    obs = GaussObs(np.arange(cols.size, dtype=float), cols, np.ones(cols.size))
+    plan = local_plan(obs, grid, taper, segment_m)
+
+    def same(weights, a, b):
+        ref = taper_block(grid, taper, a, b)
+        return weights.shape == ref.shape and weights.tobytes() == ref.tobytes()
+
+    assert same(plan.w_cross, np.arange(grid.dim), cols)
+    obs_pts = grid.grid_of_cols(cols)
+    for g, (site_cols, window) in enumerate(plan.sites):
+        np.testing.assert_array_equal(site_cols, grid.cols_at(g))
+        dist = distance_m(grid, g, obs_pts)
+        np.testing.assert_array_equal(window, np.flatnonzero(dist <= taper.length_scale_m))
+    seg = (obs_pts * spacing) // max(segment_m, spacing)
+    assert len(plan.blocks) == len(np.unique(seg))
+    everything = np.arange(grid.dim)
+    for b, s in zip(plan.blocks, np.unique(seg)):
+        # y numbers the observations, so it names the rows a block holds
+        np.testing.assert_array_equal(b.obs.y, np.flatnonzero(seg == s))
+        np.testing.assert_array_equal(b.u, np.unique(b.obs.h_rows))
+        pts_u = grid.grid_of_cols(b.u)
+        dist = distance_m(grid, grid.grid_of_cols(everything)[:, None], pts_u[None, :])
+        near = dist.min(axis=1) < taper.support_radius_m
+        np.testing.assert_array_equal(b.v, np.setdiff1d(everything[near], b.u))
+        h = b.obs.h_rows
+        assert same(b.w_oo, h, h) and same(b.w_uo, b.u, h)
+        assert same(b.w_uu, b.u, b.u) and same(b.w_vu, b.v, b.u)
+    assert plan.groups == schedule_blocks(plan.blocks)
 
 
 # ---------------------------------------------------------------------- lenkf
@@ -81,7 +125,7 @@ def test_lenkf_global_window_no_taper_matches_global_enkf():
     obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
     p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
     ref = enkf_update(x, obs, p_cols, np.random.default_rng(42))
-    out = lenkf_update(x, obs, NO_TAPER, grid, np.random.default_rng(42))
+    out = lenkf_update(x, local_plan(obs, grid, NO_TAPER, 5000.0), np.random.default_rng(42))
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -92,10 +136,10 @@ def test_lenkf_locality():
     taper = TaperSpec(2000.0)
     obs_a = rain_obs(grid, [5, 30], [0.7, -0.4])
     obs_b = rain_obs(grid, [5, 30], [0.7, 5.0])  # only the far obs changes
-    out_a = lenkf_update(x, obs_a, taper, grid, np.random.default_rng(9))
-    out_b = lenkf_update(x, obs_b, taper, grid, np.random.default_rng(9))
-    sees_a = [g for g in range(40) if grid.distance_m(g, 5) <= 2000]
-    sees_b = [g for g in range(40) if grid.distance_m(g, 30) <= 2000]
+    out_a = lenkf_update(x, local_plan(obs_a, grid, taper, 5000.0), np.random.default_rng(9))
+    out_b = lenkf_update(x, local_plan(obs_b, grid, taper, 5000.0), np.random.default_rng(9))
+    sees_a = [g for g in range(40) if distance_m(grid, g, 5) <= 2000]
+    sees_b = [g for g in range(40) if distance_m(grid, g, 30) <= 2000]
     untouched = [g for g in range(40) if g not in sees_a and g not in sees_b]
     for g in sees_a:
         np.testing.assert_array_equal(out_a[:, grid.cols_at(g)], out_b[:, grid.cols_at(g)])
@@ -111,7 +155,7 @@ def test_lenkf_no_obs_is_noop():
     grid = Grid(6)
     x = random_ensemble(np.random.default_rng(2), grid, 5)
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    out = lenkf_update(x, empty, NO_TAPER, grid, np.random.default_rng(3))
+    out = lenkf_update(x, local_plan(empty, grid, NO_TAPER, 5000.0), np.random.default_rng(3))
     np.testing.assert_array_equal(out, x)
 
 
@@ -126,11 +170,7 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     obs = rain_obs(grid, [0, 2, 4], [2.0, 2.5, -2.0])
     diag = LocalDiagnostics()
     out = naive_lenkpf_update(
-        x,
-        obs,
-        NO_TAPER,
-        grid,
-        (0.8, 1.0),
+        x, local_plan(obs, grid, NO_TAPER, 5000.0), (0.8, 1.0),
         np.random.default_rng(11),
         diagnostics=diag,
     )
@@ -141,7 +181,8 @@ def test_naive_global_window_no_taper_matches_global_enkpf():
     er = rng_ref.standard_normal((k, obs.m))
     u_shared = rng_ref.uniform()
     obs_cols = obs.h_rows
-    p_cross = tapered_cov_block(x, np.arange(grid.dim), obs_cols, grid, NO_TAPER)
+    cols = np.arange(grid.dim)
+    p_cross = tapered_cov_block(x, cols, obs_cols, taper_block(grid, NO_TAPER, cols, obs_cols))
     s_oo = p_cross[obs_cols, :]
     innov0 = obs.y - x[:, obs_cols]
     gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, 0.8)
@@ -170,9 +211,9 @@ def test_naive_gamma_one_sites_equal_lenkf_bitwise():
     taper = TaperSpec(1000.0)
     diag = LocalDiagnostics()
     naive = naive_lenkpf_update(
-        x, obs, taper, grid, (0.9, 1.0), np.random.default_rng(1), diag
+        x, local_plan(obs, grid, taper, 5000.0), (0.9, 1.0), np.random.default_rng(1), diag
     )
-    local_enkf = lenkf_update(x, obs, taper, grid, np.random.default_rng(1))
+    local_enkf = lenkf_update(x, local_plan(obs, grid, taper, 5000.0), np.random.default_rng(1))
     gammas = np.asarray(diag.gammas)
     assert gammas.shape == (n,)  # every site has observations
     assert np.any(gammas == 1.0) and np.any(gammas < 1.0)
@@ -191,7 +232,8 @@ def test_naive_adjacent_sites_with_equal_columns_stay_equal():
     for f in range(3):
         x[:, f * n + 9] = x[:, f * n + 10]
     obs = rain_obs(grid, [12], [1.5])
-    out = naive_lenkpf_update(x, obs, NO_TAPER, grid, (0.5, 0.8), np.random.default_rng(6))
+    out = naive_lenkpf_update(x, local_plan(obs, grid, NO_TAPER, 5000.0), (0.5, 0.8),
+                              np.random.default_rng(6))
     np.testing.assert_array_equal(out[:, grid.cols_at(9)], out[:, grid.cols_at(10)])
 
 
@@ -201,13 +243,14 @@ def test_naive_locality_and_empty_obs():
     x = random_ensemble(rng, grid, 9)
     obs = rain_obs(grid, [10], [0.9])
     out = naive_lenkpf_update(
-        x, obs, TaperSpec(1500.0), grid, (0.5, 0.8), np.random.default_rng(8)
+        x, local_plan(obs, grid, TaperSpec(1500.0), 5000.0), (0.5, 0.8), np.random.default_rng(8)
     )
     for g in range(20):
-        if grid.distance_m(g, 10) > 1500.0:
+        if distance_m(grid, g, 10) > 1500.0:
             np.testing.assert_array_equal(out[:, grid.cols_at(g)], x[:, grid.cols_at(g)])
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    noop = naive_lenkpf_update(x, empty, NO_TAPER, grid, (0.5, 0.8), np.random.default_rng(8))
+    noop = naive_lenkpf_update(x, local_plan(empty, grid, NO_TAPER, 5000.0), (0.5, 0.8),
+                               np.random.default_rng(8))
     np.testing.assert_array_equal(noop, x)
 
 
@@ -229,7 +272,8 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
     x = random_ensemble(np.random.default_rng(43), grid, 10)
     obs = rain_obs(grid, [3, 9, 10, 15], [0.2, -0.1, 0.3, 0.0], r_var=1e4)
     diag = LocalDiagnostics()
-    naive_lenkpf_update(x, obs, TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
+    naive_lenkpf_update(x, local_plan(obs, grid, TaperSpec(1500.0), 5000.0), band(),
+                        np.random.default_rng(44), diag)
     assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
     # one weight vector per site: the gamma = 0 weights that are resampled
     assert len(made) == len(diag.gammas)
@@ -240,8 +284,9 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
     # precise observations move sites off gamma = 0: one eigh for each, and
     # the gamma = 0 test and ten midpoints make its 11 weight vectors
     diag, made[:] = LocalDiagnostics(), []
-    naive_lenkpf_update(x, rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05),
-                        TaperSpec(1500.0), grid, band(), np.random.default_rng(44), diag)
+    precise = rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05)
+    naive_lenkpf_update(x, local_plan(precise, grid, TaperSpec(1500.0), 5000.0), band(),
+                        np.random.default_rng(44), diag)
     assert len(calls) == sum(g > 0.0 for g in diag.gammas) > 0
     assert len(made) == sum(11 if g > 0.0 else 1 for g in diag.gammas)
 
@@ -255,7 +300,8 @@ def test_gamma_one_sites_report_the_global_uniform_weights():
     x = random_ensemble(np.random.default_rng(47), grid, k)
     obs = rain_obs(grid, [3, 8], [2.0, -1.5], r_var=0.05)
     diag = LocalDiagnostics()
-    naive_lenkpf_update(x, obs, NO_TAPER, grid, (1.0, 1.0), np.random.default_rng(48), diag)
+    naive_lenkpf_update(x, local_plan(obs, grid, NO_TAPER, 5000.0), (1.0, 1.0),
+                        np.random.default_rng(48), diag)
     p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
     gamma, (_, w, _) = adaptive_gamma(x, obs, p_cols, (1.0, 1.0), np.random.default_rng(48))
     assert gamma == 1.0 and set(diag.gammas) == {1.0}  # setup sanity
@@ -281,9 +327,11 @@ def test_overflowing_innovations_fail_the_local_filters(update):
     taper = TaperSpec(1500.0)
     with pytest.raises(FilterError, match="whitened innovations are not finite"):
         if update == "naive":
-            naive_lenkpf_update(x, obs, taper, grid, band(), np.random.default_rng(46))
+            naive_lenkpf_update(x, local_plan(obs, grid, taper, 5000.0), band(),
+                                np.random.default_rng(46))
         else:
-            block_lenkpf_update(x, obs, taper, grid, 5000.0, band(), np.random.default_rng(46))
+            block_lenkpf_update(x, local_plan(obs, grid, taper, 5000.0), band(),
+                                np.random.default_rng(46))
 
 
 def test_overflowing_innovation_gets_particle_weight_zero():
@@ -299,7 +347,7 @@ def test_naive_band_validation():
     obs = rain_obs(grid, [1], [0.0])
     with pytest.raises(ValueError):
         naive_lenkpf_update(
-            x, obs, NO_TAPER, grid, (0.9, 0.5),
+            x, local_plan(obs, grid, NO_TAPER, 5000.0), (0.9, 0.5),
             np.random.default_rng(1),
         )
 
@@ -315,7 +363,7 @@ def test_block_uvw_worked_example():
         np.array([2 * n + 4, 2 * n + 5, n + 4]),
         np.ones(3),
     )
-    (block,) = partition_obs_blocks(obs, TaperSpec(2000.0), grid, 5000.0)
+    (block,) = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
     np.testing.assert_array_equal(block.u, [n + 4, 2 * n + 4, 2 * n + 5])
     near_pts = sorted(set(range(0, 13)) | {17, 18, 19})
     near_cols = sorted(f * n + p for f in range(3) for p in near_pts)
@@ -330,7 +378,7 @@ def test_block_uvw_worked_example():
 def test_partition_obs_blocks_segments():
     grid = Grid(30)
     obs = rain_obs(grid, [2, 9, 10, 25], [0.1, 0.2, 0.3, 0.4])
-    blocks = partition_obs_blocks(obs, TaperSpec(1000.0), grid, 5000.0)
+    blocks = local_plan(obs, grid, TaperSpec(1000.0), 5000.0).blocks
     assert len(blocks) == 3
     n = 30
     np.testing.assert_array_equal(blocks[0].u, [2 * n + 2, 2 * n + 9])
@@ -346,9 +394,9 @@ def test_sub_spacing_segments_are_one_point_blocks():
     taper = TaperSpec(1000.0)
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, np.arange(24), rng.standard_normal(24))
-    assert len(partition_obs_blocks(obs, taper, grid, 1e-300)) == 24
+    assert len(local_plan(obs, grid, taper, 1e-300).blocks) == 24
     tiny, spacing = (
-        block_lenkpf_update(x, obs, taper, grid, seg, band(), np.random.default_rng(27))
+        block_lenkpf_update(x, local_plan(obs, grid, taper, seg), band(), np.random.default_rng(27))
         for seg in (1e-300, 500.0)
     )
     np.testing.assert_array_equal(tiny, spacing)
@@ -363,7 +411,7 @@ def test_schedule_blocks_properties():
     for _ in range(20):
         pts = np.sort(rng.choice(50, size=rng.integers(3, 10), replace=False))
         obs = rain_obs(grid, pts, np.zeros(pts.size))
-        blocks = partition_obs_blocks(obs, TaperSpec(2000.0), grid, 4000.0)
+        blocks = local_plan(obs, grid, TaperSpec(2000.0), 4000.0).blocks
         groups = schedule_blocks(blocks)
         footprints = [set(np.concatenate([b.u, b.v]).tolist()) for b in blocks]
         scheduled = [bid for group in groups for bid in group]
@@ -384,7 +432,7 @@ def test_schedule_blocks_properties():
 def test_schedule_ring_of_15_segments_needs_3_groups():
     grid = Grid(300)
     obs = rain_obs(grid, np.arange(300), np.zeros(300))
-    blocks = partition_obs_blocks(obs, TaperSpec(5000.0), grid, 10000.0)
+    blocks = local_plan(obs, grid, TaperSpec(5000.0), 10000.0).blocks
     assert len(blocks) == 15
     groups = schedule_blocks(blocks)
     assert groups == ((0, 3, 6, 9, 12), (1, 4, 7, 10, 13), (2, 5, 8, 11, 14))
@@ -403,9 +451,9 @@ def test_block_zero_increment_keeps_everything_bitwise():
     x = random_ensemble(rng, grid, 8)
     obs = rain_obs(grid, [4, 5], [0.7, 0.7])
     x[:, obs.h_rows] = 0.7  # zero innovation for every member
-    blocks = partition_obs_blocks(obs, TaperSpec(2000.0), grid, 5000.0)
+    blocks = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
     out = block_assimilate_one(
-        x, blocks[0], TaperSpec(2000.0), grid, band(), np.random.default_rng(13)
+        x, blocks[0], band(), np.random.default_rng(13)
     )
     np.testing.assert_array_equal(out, x)
 
@@ -415,11 +463,11 @@ def test_block_w_columns_untouched_bitwise():
     grid = Grid(30)
     x = random_ensemble(rng, grid, 12)
     obs = rain_obs(grid, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
-    blocks = partition_obs_blocks(obs, TaperSpec(2000.0), grid, 5000.0)
+    blocks = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
     w = block_w_cols(blocks[0], grid)
     assert w.size > 0
     out = block_assimilate_one(
-        x, blocks[0], TaperSpec(2000.0), grid, band(), np.random.default_rng(15)
+        x, blocks[0], band(), np.random.default_rng(15)
     )
     np.testing.assert_array_equal(out[:, w], x[:, w])
     assert not np.array_equal(out[:, blocks[0].u], x[:, blocks[0].u])
@@ -435,8 +483,8 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v(monkeypatch):
     k = 25
     x = random_ensemble(rng, grid, k)
     obs = rain_obs(grid, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
-    block = partition_obs_blocks(obs, taper, grid, 5000.0)[0]
-    out = block_assimilate_one(x, block, taper, grid, band(), np.random.default_rng(17))
+    block = local_plan(obs, grid, taper, 5000.0).blocks[0]
+    out = block_assimilate_one(x, block, band(), np.random.default_rng(17))
 
     rng_ref = np.random.default_rng(17)
     eta = rng_ref.standard_normal((k, obs.m))
@@ -444,8 +492,10 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v(monkeypatch):
     import scipy.linalg as sla
 
     cols_uv = np.concatenate([block.u, block.v])
-    p_uv_o = tapered_cov_block(x, cols_uv, obs.h_rows, grid, taper)
-    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
+    p_uv_o = tapered_cov_block(x, cols_uv, obs.h_rows,
+                               taper_block(grid, taper, cols_uv, obs.h_rows))
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows,
+                             taper_block(grid, taper, obs.h_rows, obs.h_rows))
     gain = sla.cho_solve(
         sla.cho_factor(s_oo + np.diag(obs.r_diag), lower=True), p_uv_o.T
     ).T
@@ -468,12 +518,12 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     k = 9
     x = random_ensemble(rng, grid, k)
     obs = GaussObs(np.array([0.8, -0.6]), np.array([0, 2 * n]), np.array([0.5, 0.8]))
-    block = partition_obs_blocks(obs, taper, grid, 2000.0)[0]
+    block = local_plan(obs, grid, taper, 2000.0).blocks[0]
     w = block_w_cols(block, grid)
     np.testing.assert_array_equal(w, [2, n + 2, 2 * n + 2])
 
     out_block = block_assimilate_one(
-        x, block, taper, grid, band(), np.random.default_rng(19)
+        x, block, band(), np.random.default_rng(19)
     )
     p_full = tapered_covariance(x, grid, taper).toarray()
     out_full, _, _ = enkpf_update(x, obs, p_full[:, obs.h_rows], gamma, np.random.default_rng(19))
@@ -492,18 +542,19 @@ def test_block_interior_gamma_rebuilt_from_its_stream():
     k = 20
     x = random_ensemble(rng, grid, k)
     obs = rain_obs(grid, [3, 4, 5, 6], [2.0, -1.5, 1.8, 2.5])
-    block = partition_obs_blocks(obs, taper, grid, 5000.0)[0]
+    block = local_plan(obs, grid, taper, 5000.0).blocks[0]
     diag = LocalDiagnostics()
     out = block_assimilate_one(
-        x, block, taper, grid, band(), np.random.default_rng(29), diagnostics=diag
+        x, block, band(), np.random.default_rng(29), diagnostics=diag
     )
 
     rng_ref = np.random.default_rng(29)
     eta = rng_ref.standard_normal((k, obs.m))
     er = rng_ref.standard_normal((k, obs.m))
     u = rng_ref.uniform()
-    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, grid, taper)
-    p_uo = tapered_cov_block(x, block.u, obs.h_rows, grid, taper)
+    s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows,
+                             taper_block(grid, taper, obs.h_rows, obs.h_rows))
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, taper_block(grid, taper, block.u, obs.h_rows))
     innov0 = obs.y - x[:, obs.h_rows]
     g, alpha = search_gamma(s_oo, obs.r_diag, innov0, band()[0])
     assert 0.0 < g < 1.0 and diag.gammas == [g]  # setup sanity: interior gamma
@@ -520,10 +571,10 @@ def test_block_pinv_fallback_on_rank_deficient_p_uu():
     n = 20
     x = random_ensemble(rng, grid, 3)  # sample covariance rank 2 < |u| = 3
     obs = GaussObs(np.array([0.1, 0.2, 0.3]), np.array([0, n, 2 * n]), np.ones(3))
-    (block,) = partition_obs_blocks(obs, TaperSpec(2000.0), grid, 5000.0)
+    (block,) = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
     diag = LocalDiagnostics()
     block_assimilate_one(
-        x, block, TaperSpec(2000.0), grid, band(),
+        x, block, band(),
         np.random.default_rng(21), diagnostics=diag,
     )
     assert diag.pinv_fallbacks >= 1
@@ -536,17 +587,17 @@ def test_block_lenkpf_deterministic_and_empty():
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [2, 3, 21, 22], [0.5, 0.1, -0.2, 0.9])
     a = block_lenkpf_update(
-        x, obs, TaperSpec(2000.0), grid, 5000.0, band(),
+        x, local_plan(obs, grid, TaperSpec(2000.0), 5000.0), band(),
         np.random.default_rng(23),
     )
     b = block_lenkpf_update(
-        x, obs, TaperSpec(2000.0), grid, 5000.0, band(),
+        x, local_plan(obs, grid, TaperSpec(2000.0), 5000.0), band(),
         np.random.default_rng(23),
     )
     np.testing.assert_array_equal(a, b)
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
     noop = block_lenkpf_update(
-        x, empty, TaperSpec(2000.0), grid, 5000.0, band(),
+        x, local_plan(empty, grid, TaperSpec(2000.0), 5000.0), band(),
         np.random.default_rng(23),
     )
     np.testing.assert_array_equal(noop, x)
@@ -560,19 +611,19 @@ def test_block_group_execution_order_is_irrelevant():
     taper = TaperSpec(2000.0)
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [1, 2, 3, 31, 32, 33], [0.4, -0.1, 0.6, 0.2, 0.5, -0.7])
-    blocks = partition_obs_blocks(obs, taper, grid, 5000.0)
+    blocks = local_plan(obs, grid, taper, 5000.0).blocks
     groups = schedule_blocks(blocks)
     assert groups == ((0, 1),)
 
     ref = block_lenkpf_update(
-        x, obs, taper, grid, 5000.0, band(), np.random.default_rng(25)
+        x, local_plan(obs, grid, taper, 5000.0), band(), np.random.default_rng(25)
     )
 
     streams = np.random.default_rng(25).spawn(len(blocks))
     current = x.copy()
     for bid in reversed(groups[0]):
         current = block_assimilate_one(
-            current, blocks[bid], taper, grid, band(), streams[bid]
+            current, blocks[bid], band(), streams[bid]
         )
     np.testing.assert_array_equal(current, ref)
 
@@ -598,7 +649,7 @@ def test_partition_builds_each_block_in_one_pass(n, k, data):
     obs = GaussObs(rng.standard_normal(len(cols)), np.array(cols), rng.uniform(0.5, 2.0, len(cols)))
     taper = TaperSpec(l_m)
 
-    blocks = partition_obs_blocks(obs, taper, grid, segment_m)
+    blocks = local_plan(obs, grid, taper, segment_m).blocks
     # the blocks' observation rows partition all_obs
     def rows(o):
         return list(zip(o.h_rows.tolist(), o.y.tolist(), o.r_diag.tolist()))
@@ -607,19 +658,20 @@ def test_partition_builds_each_block_in_one_pass(n, k, data):
     everything = np.arange(grid.dim)
     for b in blocks:
         np.testing.assert_array_equal(b.u, np.unique(b.obs.h_rows))
-        near = grid.col_distance_m(everything, b.u).min(axis=1) < 2 * l_m
+        pts, pts_u = grid.grid_of_cols(everything), grid.grid_of_cols(b.u)
+        near = distance_m(grid, pts[:, None], pts_u[None, :]).min(axis=1) < 2 * l_m
         np.testing.assert_array_equal(b.v, np.setdiff1d(everything[near], b.u))
 
     # every schedule group run in reverse on the spawned streams gives the
     # bits of block_lenkpf_update
     x = rng.standard_normal((k, grid.dim))
-    ref = block_lenkpf_update(x, obs, taper, grid, segment_m, band(),
+    ref = block_lenkpf_update(x, local_plan(obs, grid, taper, segment_m), band(),
                               np.random.default_rng(seed))
     streams = np.random.default_rng(seed).spawn(len(blocks))
     current = x
     for group in schedule_blocks(blocks):
         for bid in reversed(group):
-            current = block_assimilate_one(current, blocks[bid], taper, grid, band(),
+            current = block_assimilate_one(current, blocks[bid], band(),
                                            streams[bid])
     assert current.tobytes() == ref.tobytes()
 
@@ -630,7 +682,7 @@ def test_block_band_validation():
     obs = rain_obs(grid, [1], [0.0])
     with pytest.raises(ValueError):
         block_lenkpf_update(
-            x, obs, NO_TAPER, grid, 5000.0, (0.0, 0.5),
+            x, local_plan(obs, grid, NO_TAPER, 5000.0), (0.0, 0.5),
             np.random.default_rng(1),
         )
 
@@ -639,8 +691,8 @@ def test_block_band_validation():
 
 
 def one_block(x, obs, p, grid, taper, rng):
-    (block,) = partition_obs_blocks(obs, taper, grid, grid.domain_m)
-    return block_assimilate_one(x, block, taper, grid, band(), rng)
+    (block,) = local_plan(obs, grid, taper, grid.domain_m).blocks
+    return block_assimilate_one(x, block, band(), rng)
 
 
 # every EnKPF, global or local and at any gamma, draws eta, e_R and the
@@ -651,8 +703,9 @@ def one_block(x, obs, p, grid, taper, rng):
     lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 0.4, rng),
     lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 1.0, rng),
     lambda x, obs, p, grid, taper, rng: adaptive_gamma(x, obs, p, band(), rng),
-    lambda x, obs, p, grid, taper, rng: lenkf_update(x, obs, taper, grid, rng),
-    lambda x, obs, p, grid, taper, rng: naive_lenkpf_update(x, obs, taper, grid, band(), rng),
+    lambda x, obs, p, grid, taper, rng: lenkf_update(x, local_plan(obs, grid, taper, 5000.0), rng),
+    lambda x, obs, p, grid, taper, rng: naive_lenkpf_update(
+        x, local_plan(obs, grid, taper, 5000.0), band(), rng),
     one_block,
 ], ids=["enkf", "enkpf_gamma0", "enkpf_gamma0.4", "enkpf_gamma1", "adaptive_gamma",
         "lenkf", "naive_lenkpf", "block"])

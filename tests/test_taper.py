@@ -5,9 +5,16 @@ from hypothesis import strategies as st
 
 from enkpf.errors import FilterError
 from enkpf.grid import Grid
-from enkpf.taper import TaperSpec, gaspari_cohn, taper_weights, tapered_cov_block
+from enkpf.taper import TaperSpec, gaspari_cohn, taper_table, tapered_cov_block
 
 from oracles import taper_matrix, tapered_covariance
+
+
+def table_weights(grid, spec, cols_a, cols_b):
+    """The (|a|, |b|) taper weights between two column sets, gathered from
+    taper_table by the ring offset of their grid points."""
+    pa, pb = grid.grid_of_cols(cols_a), grid.grid_of_cols(cols_b)
+    return taper_table(grid, spec)[grid.ring_offset(pa[:, None], pb[None, :])]
 
 
 def gc_reference(z):
@@ -115,7 +122,7 @@ def test_tapered_covariance_elementwise_oracle():
     anoms = members - members.mean(axis=0)
     plain = anoms.T @ anoms / (members.shape[0] - 1)
     cols = np.arange(grid.dim)
-    weights = taper_weights(grid, spec, cols, cols)
+    weights = table_weights(grid, spec, cols, cols)
     np.testing.assert_allclose(got, plain * weights, rtol=1e-12, atol=1e-14)
 
 
@@ -150,7 +157,7 @@ def test_tapered_cov_block_matches_full():
     full = tapered_covariance(members, grid, spec).toarray()
     rows = np.array([0, 3, 17, 31, 44])
     cols = np.array([2, 16, 40])
-    block = tapered_cov_block(members, rows, cols, grid, spec)
+    block = tapered_cov_block(members, rows, cols, table_weights(grid, spec, rows, cols))
     np.testing.assert_allclose(block, full[np.ix_(rows, cols)], rtol=1e-12, atol=1e-15)
 
 
@@ -168,4 +175,5 @@ def test_tapered_block_of_an_overflowing_spread_raises_filter_error():
     cols = np.arange(20, 30)
     with np.errstate(all="raise"):
         with pytest.raises(FilterError, match="not finite"):
-            tapered_cov_block(members, cols, cols, grid, TaperSpec(2000.0))
+            tapered_cov_block(members, cols, cols,
+                              table_weights(grid, TaperSpec(2000.0), cols, cols))
