@@ -11,12 +11,17 @@ configs/hf.ini`. It writes one JSON file: the sha256 of every output CSV
 ensemble.csv), of each of its columns and, for a CSV with a method column,
 of each column over each method's rows, with nproc, the numpy version and
 whether the CPU has avx512f, on which numpy's float64 exp, and so the
-model's bits, depend.
+model's bits, depend. For a trace it also counts the rows whose gamma_min
+or gamma_max lies strictly between 0 and 1: the analyses that surely ran
+the hybrid EnKPF update (a local one whose sites span 0 to 1 may have too),
+so that a byte-identical trace shows whether it reached that path at all.
 
 --compare names every file whose digest differs between two such files, or
 that only one of them has, and for a CSV the columns and the methods that
 differ, e.g. "trace_0.csv: differs in columns ess_mean (methods
-block_lenkpf, naive_lenkpf)"; it exits 1 if anything differs. Comparing a
+block_lenkpf, naive_lenkpf)", then each trace's count of such rows in the
+two files ("-" where a file has none recorded); it exits 1 if anything
+differs. Comparing a
 change's digests with its parent's is the check that a change leaves every
 output byte-identical, or alters only the named methods' rows.
 """
@@ -49,9 +54,14 @@ def _columns(header, rows):
             for i, name in enumerate(header)}
 
 
+def _hybrid(cell):
+    return cell != "" and 0.0 < float(cell) < 1.0
+
+
 def digest_csv(path):
-    """{"sha256": of the file, "columns": {name: sha256 of its cells}}, and for
-    a CSV with a method column "methods": {method: the columns of its rows}."""
+    """{"sha256": of the file, "columns": {name: sha256 of its cells}}, for a
+    CSV with a method column "methods": {method: the columns of its rows},
+    and for a trace "hybrid_rows": the rows with 0 < gamma_min or gamma_max < 1."""
     data = path.read_bytes()
     header, *rows = csv.reader(data.decode().splitlines())
     digest = {"sha256": _sha(data), "columns": _columns(header, rows)}
@@ -59,6 +69,9 @@ def digest_csv(path):
         i = header.index("method")
         digest["methods"] = {method: _columns(header, [row for row in rows if row[i] == method])
                              for method in {row[i] for row in rows}}
+    if {"gamma_min", "gamma_max"} <= set(header):
+        lo, hi = header.index("gamma_min"), header.index("gamma_max")
+        digest["hybrid_rows"] = sum(_hybrid(row[lo]) or _hybrid(row[hi]) for row in rows)
     return digest
 
 
@@ -115,6 +128,15 @@ def compare(a, b):
     return lines
 
 
+def hybrid_counts(a, b):
+    """One line per trace giving its rows with 0 < gamma < 1 in each file."""
+    files_a, files_b = a["files"], b["files"]
+    return [f"{name}: {files_a.get(name, {}).get('hybrid_rows', '-')} and "
+            f"{files_b.get(name, {}).get('hybrid_rows', '-')} rows with 0 < gamma < 1"
+            for name in sorted(files_a.keys() | files_b.keys())
+            if "hybrid_rows" in files_a.get(name, {}) or "hybrid_rows" in files_b.get(name, {})]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="JSON file to write the digests to")
@@ -127,6 +149,8 @@ def main(argv=None):
                 print(f"machine {key}: {a['machine'].get(key)} vs {b['machine'].get(key)}")
         lines = compare(a, b)
         print("\n".join(lines) if lines else f"all {len(a['files'])} files byte-identical")
+        for line in hybrid_counts(a, b):
+            print(line)
         return 1 if lines else 0
     if not args.out:
         parser.error("give an output file, or --compare A B")

@@ -11,6 +11,7 @@ given explicitly), so an empty file is a valid config.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from enkpf.errors import ConfigError
@@ -53,6 +54,9 @@ class ExperimentConfig:
                 raise ConfigError(f"methods: unknown method {m!r}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods: duplicate method")
+        for key in ("k", "repetitions", "base_seed"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ConfigError(f"{key}: must be an integer")
         if self.k < 2:
             raise ConfigError("k: ensemble size must be >= 2")
         if not self.l_m > 0:

@@ -52,8 +52,7 @@ from enkpf.local_filters import (
 from enkpf.resampling import balanced_resample, ess
 from enkpf.rngstream import seed_stream
 from enkpf.scoring import ScoreRecord, _cell, field_crps, rank_of_truth, write_scores_csv
-from enkpf.sweq import advance_members, gen_observations, obs_to_gauss, spinup_ensemble
-from enkpf.taper import TaperSpec
+from enkpf.sweq import advance_members, gen_observations, spinup_ensemble
 
 FAILURES = (FilterError, NumericalBlowup, CflViolation)
 RANK_TIME_THIN_S = 1800.0
@@ -201,8 +200,8 @@ def run_single_rep(cfg, rep, base=None):
         truth = advance_members(
             truth[None, :], params, steps, [seed_stream(seed, rep, cycle, "truth", 0)]
         )[0]
-        radar = gen_observations(truth, params, seed_stream(seed, rep, cycle, "obs", 0))
-        obs = obs_to_gauss(radar, cfg.r_r, cfg.r_u)
+        obs = gen_observations(truth, params, cfg.r_r, cfg.r_u,
+                               seed_stream(seed, rep, cycle, "obs", 0))
 
         forecasts = {}
         rngs = [seed_stream(seed, rep, cycle, "forecast", i) for i in range(k)]
@@ -235,7 +234,7 @@ def run_single_rep(cfg, rep, base=None):
 
         # dropped after the last local analysis: no later global one holds its weights
         local = [m for m in forecasts if m in LOCAL]
-        plan = local_plan(obs, grid, TaperSpec(cfg.l_m), cfg.block_segment_m) if local else None
+        plan = local_plan(obs, grid, cfg.l_m, cfg.block_segment_m) if local else None
         for m in cfg.methods:
             if m not in forecasts:
                 continue

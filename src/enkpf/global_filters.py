@@ -9,22 +9,23 @@ the analysis covariance without ever forming it.
 
 There is one EnKPF path, shared by the global and the localized filters:
 search_gamma turns an analysis's covariance slices and innovations into
-gamma and the mixture weights at it (_gamma_weights: at a fixed gamma), and
-_enkpf_rows_update applies both stages to any subset of state rows given the
-covariance slices. The particle weights are one expression,
-_pf_log_likelihood, which pf_weights shares with the EnKPF at gamma = 0; the
-one eigh of _mixture_weights (0 < gamma < 1) is made only when gamma = 0
-will not do. Every EnKPF starts from one set-up, _setup, which draws eta,
-e_R and the resampling uniform u. enkpf_update and adaptive_gamma update all
-rows from p_cols = P[:, H] (d, m) of the plain or tapered P, cutting HPH'
-from it as the site loop does, the localized filters each site or block,
-which keeps the global/local reduction tests exact. At gamma = 1 it is the
-stochastic EnKF, written once in _enkf_rows (enkf_update, the LEnKF, every
-gamma = 1 site or block): the weights are uniform, e_R and u go unused.
-Below it the members are resampled (systematic_indices) with the weights
-that came with gamma. Weights and indices are plain (k,) arrays (see
-enkpf.resampling). Every observation operator is a column selector with
-diagonal R, so every solve is m x m.
+gamma and the mixture weights at it, and _enkpf_rows_update applies both
+stages to any subset of state rows given the covariance slices. The
+particle weights are one expression, _pf_log_likelihood, which pf_weights
+shares with the EnKPF at gamma = 0; the one eigh of _mixture_weights (0 <
+gamma < 1) is made only when gamma = 0 will not do. Every EnKPF starts from
+one set-up, _setup, which draws eta, e_R and the resampling uniform u.
+enkf_update and adaptive_gamma update all rows from p_cols = P[:, H] (d, m)
+of the plain or tapered P, cutting HPH' from it (_s_oo) as the site loop
+does, the localized filters each site or block, which keeps the
+global/local reduction tests exact. At gamma = 1 it is the stochastic EnKF,
+written once in _enkf_rows (enkf_update, the LEnKF, every gamma = 1 site or
+block): the weights are uniform, e_R and u go unused. Below it the members
+are resampled (systematic_indices) with the weights that came with gamma.
+The paper's filters only choose gamma adaptively, so there is no entry point
+at a fixed gamma other than 1. Weights and indices are plain (k,) arrays
+(see enkpf.resampling). Every observation operator is a column selector
+with diagonal R, so every solve is m x m.
 """
 
 import math
@@ -39,7 +40,6 @@ from enkpf.resampling import ess, systematic_indices, weights_from_log
 __all__ = [
     "adaptive_gamma",
     "enkf_update",
-    "enkpf_update",
     "pf_weights",
 ]
 
@@ -53,7 +53,9 @@ def enkf_update(ens, obs, p_cols, rng):
     draws from rng (its e_R and u go unused), making the update
     bit-reproducible per seed.
     """
-    return enkpf_update(ens, obs, p_cols, 1.0, rng)[0]
+    x, innov0, eta, er, _ = _setup(ens, obs, rng)
+    return _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, _s_oo(p_cols, x, obs), 1.0,
+                              eta, er, np.arange(x.shape[0]))
 
 
 def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
@@ -135,19 +137,6 @@ def _mixture_weights(s_white, innov0, r_diag):
     return weights
 
 
-def _gamma_weights(s_oo, r_diag, innov0, gamma):
-    """The EnKPF mixture weights at a fixed gamma: uniform at gamma = 1, else
-    checked (_checked_pf_log_likelihood) and, at gamma = 0, where c_j = 1 and
-    U is orthogonal, the particle-filter weights, made without an eigh."""
-    k = innov0.shape[0]
-    if gamma == 1.0:
-        return np.full(k, 1.0 / k)
-    log_pf, s_white = _checked_pf_log_likelihood(s_oo, r_diag, innov0)
-    if gamma == 0.0:
-        return weights_from_log(log_pf)
-    return _mixture_weights(s_white, innov0, r_diag)(gamma)
-
-
 def _check_band(ess_band):
     lo, hi = ess_band
     if not 0.0 < lo <= hi <= 1.0:
@@ -172,13 +161,14 @@ def search_gamma(s_oo, r_diag, innov0, lo_frac):
     is validated (_check_band) but never enforced: an ESS above hi * k is
     accepted, so hi is at most a soft target.
     """
+    k = innov0.shape[0]
     log_pf, s_white = _checked_pf_log_likelihood(s_oo, r_diag, innov0)
     alpha = weights_from_log(log_pf)
-    target = lo_frac * alpha.shape[0]
+    target = lo_frac * k
     if ess(alpha) >= target:
         return 0.0, alpha
     weights_at = _mixture_weights(s_white, innov0, r_diag)
-    lo_g, hi_g, alpha = 0.0, 1.0, _gamma_weights(s_oo, r_diag, innov0, 1.0)
+    lo_g, hi_g, alpha = 0.0, 1.0, np.full(k, 1.0 / k)
     for _ in range(10):
         mid = 0.5 * (lo_g + hi_g)
         w = weights_at(mid)
@@ -260,32 +250,6 @@ def _s_oo(p_cols, x, obs):
     return p_cols[obs.h_rows]
 
 
-def _enkpf_at(x, innov0, obs, p_ro, s_oo, gamma, alpha, eta, er, u):
-    """EnKPF analysis of all rows at gamma with the draws of _setup,
-    resampling with the weights alpha at gamma. At gamma = 1 (the EnKF) er
-    and u are not used: the indices are the identity."""
-    idx = np.arange(x.shape[0]) if gamma == 1.0 else systematic_indices(alpha, u)
-    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_ro, s_oo, gamma, eta, er, idx)
-    return x_a, alpha, idx
-
-
-def enkpf_update(ens, obs, p_cols, gamma, rng):
-    """Full EnKPF analysis for a fixed gamma, from p_cols = P[:, H] (d, m).
-
-    Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
-    gamma = 1 the particle stage is skipped: the update is the EnKF rows
-    update (this is enkf_update), the weights are uniform and the indices are
-    the identity. For gamma < 1 the indices are the systematic resample of
-    the mixture weights for the drawn uniform u.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    x, innov0, eta, er, u = _setup(ens, obs, rng)
-    s_oo = _s_oo(p_cols, x, obs)
-    alpha = _gamma_weights(s_oo, obs.r_diag, innov0, gamma)
-    return _enkpf_at(x, innov0, obs, p_cols, s_oo, gamma, alpha, eta, er, u)
-
-
 def adaptive_gamma(ens, obs, p_cols, ess_band, rng):
     """Choose gamma by ESS bisection, then run the EnKPF at that gamma, from
     p_cols = P[:, H] (d, m).
@@ -295,10 +259,14 @@ def adaptive_gamma(ens, obs, p_cols, ess_band, rng):
     gamma = 0 preferred when the plain particle weights already qualify. hi
     is validated but not enforced (see search_gamma). The weights that pick
     gamma are the weights resampled, so their ESS is at least lo * k.
-    Returns (gamma, (analysis, alpha, idx)) with the arrays of enkpf_update.
+    Returns (gamma, (analysis (k, d), alpha (k,), idx (k,))): below gamma = 1
+    idx is the systematic resample of alpha for the drawn uniform u; at gamma
+    = 1 (the EnKF) alpha is uniform and idx the identity.
     """
     lo, _ = _check_band(ess_band)
     x, innov0, eta, er, u = _setup(ens, obs, rng)
     s_oo = _s_oo(p_cols, x, obs)
     gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, lo)
-    return gamma, _enkpf_at(x, innov0, obs, p_cols, s_oo, gamma, alpha, eta, er, u)
+    idx = np.arange(x.shape[0]) if gamma == 1.0 else systematic_indices(alpha, u)
+    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, s_oo, gamma, eta, er, idx)
+    return gamma, (x_a, alpha, idx)

@@ -10,6 +10,8 @@ Localization only ever needs distances between grid points, which on a ring
 are circular (ring_offset).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +28,10 @@ class Grid:
     spacing_m: float = 500.0
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be positive")
-        if self.spacing_m <= 0:
-            raise ValueError("spacing_m must be positive")
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 1:
+            raise ValueError("n_points must be a positive integer")
+        if not 0 < self.spacing_m < math.inf:
+            raise ValueError("spacing_m must be positive and finite")
 
     @property
     def domain_m(self):

@@ -1,8 +1,9 @@
 """Localized analyses: LEnKF, NAIVE-LEnKPF, and BLOCK-LEnKPF.
 
-All three read one LocalPlan per cycle (local_plan), so no filter evaluates a
-distance or a taper weight: the site windows (the observations within the
-taper's length scale l), the blocks and every taper weight (support 2l).
+All three read one LocalPlan per cycle, local_plan(obs, grid, l_m,
+segment_m), so no filter evaluates a distance or a taper weight: the site
+windows (the observations within the taper's length scale l_m, a plain
+float), the blocks and every taper weight (support 2l).
 LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
 local EnKPF at every grid point on the observations in its window, with
 tapered covariance slices. The LEnKF is that loop with gamma held
@@ -236,19 +237,19 @@ def block_assimilate_one(ens, block, ess_band, rng, diagnostics=None):
     return out
 
 
-def local_plan(obs, grid, taper, segment_m):
-    """The LocalPlan of obs on grid for the TaperSpec taper, in blocks of
-    segment_m. One site-by-observation distance matrix selects the windows
+def local_plan(obs, grid, l_m, segment_m):
+    """The LocalPlan of obs on grid for the taper length scale l_m, in blocks
+    of segment_m. One site-by-observation distance matrix selects the windows
     (<= l) and each block's v (< 2l, weight > 0); its ring offsets gather every
-    weight from taper_table, those to u at an observation of each u column."""
+    weight from taper_table (which checks l_m), those to u at an observation
+    of each u column."""
     obs.check_dim(grid.dim)
     obs_pts = grid.grid_of_cols(obs.h_rows)
     offset = grid.ring_offset(np.arange(grid.n_points)[:, None], obs_pts)
     dist = offset * grid.spacing_m
-    weights = taper_table(grid, taper)[offset]
-    sites = tuple((grid.cols_at(g), np.flatnonzero(row <= taper.length_scale_m))
-                  for g, row in enumerate(dist))
-    near = dist < taper.support_radius_m
+    weights = taper_table(grid, l_m)[offset]
+    sites = tuple((grid.cols_at(g), np.flatnonzero(row <= l_m)) for g, row in enumerate(dist))
+    near = dist < 2.0 * l_m
     # a segment no longer than the spacing holds one point, whatever its
     # length; flooring it at the spacing keeps the ids small and finite
     seg = ((obs_pts * grid.spacing_m) // max(segment_m, grid.spacing_m)).astype(int)

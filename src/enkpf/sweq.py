@@ -15,7 +15,8 @@ rain, and decay on a roughly half-hour timescale.
 
 The observation generator mimics radar: rain is observed everywhere through
 a square-root transform with additive Gaussian noise and truncation at zero,
-wind only where the observed rain reaches the rain threshold.
+wind only where the observed rain reaches the rain threshold. It returns
+them as the GaussObs every analysis reads.
 
 States are plain (3n,) vectors and ensembles (k, 3n) arrays, laid out as
 enkpf.grid.Grid says; this module reads and writes the fields only through
@@ -541,23 +542,17 @@ def spinup_ensemble(params, k, separation_days, rng, base=None):
     return members
 
 
-@dataclass(frozen=True)
-class RadarObs:
-    """Radar-like observations: rain everywhere, wind only at rainy returns."""
-
-    y_r: np.ndarray
-    wet_idx: np.ndarray  # grid points with y_r >= rain threshold
-    y_u: np.ndarray  # wind observations at wet_idx
-
-
-def gen_observations(x, params, rng):
-    """Skewed, truncated rain observations plus wind at rainy points.
+def gen_observations(x, params, r_r, r_u, rng):
+    """Radar-like observations of the (3n,) true state x, as the GaussObs
+    every analysis reads: skewed, truncated rain at all n points, then wind
+    at rainy points, with assumed error variances r_r and r_u.
 
     Per point: y_r = 0 when r <= r_c or when the noise pushes the square-root
     amplitude negative; otherwise y_r = (sqrt(r - r_c) + eps/2)^2 with
     eps ~ N(0, sigma_r^2). Wind is observed with N(0, sigma_u^2) noise exactly
-    where the *observed* rain reaches r_c. x is the (3n,) true state.
-    NumericalBlowup names the first observation that is not finite.
+    where the *observed* rain reaches r_c. The rain values (zeros included)
+    come first, observing the rain block; the wind values observe the wind
+    block. NumericalBlowup names the first observation that is not finite.
     """
     fields = params.grid.split(x)
     r = fields["r"]
@@ -575,26 +570,9 @@ def gen_observations(x, params, rng):
         bad = points[~np.isfinite(values)]
         if bad.size:
             raise NumericalBlowup(f"non-finite {name} at grid index {bad[0]}", int(bad[0]))
-    return RadarObs(y_r, wet, y_u)
-
-
-def obs_to_gauss(radar, assumed_r_r, assumed_r_u):
-    """Package radar observations as linear-Gaussian for assimilation.
-
-    All n rain values (zeros included) observe the rain block with variance
-    assumed_r_r; wind values observe the wind block with variance assumed_r_u.
-    """
-    n = radar.y_r.shape[0]
-    grid = Grid(n)
-    cols = grid.split(np.arange(grid.dim))
-    rain_cols = cols["r"]
-    wind_cols = cols["u"][radar.wet_idx]
-    y = np.concatenate([radar.y_r, radar.y_u])
-    h_rows = np.concatenate([rain_cols, wind_cols])
-    r_diag = np.concatenate(
-        [np.full(n, assumed_r_r), np.full(radar.wet_idx.size, assumed_r_u)]
-    )
-    return GaussObs(y, h_rows, r_diag)
+    cols = params.grid.split(np.arange(params.grid.dim))
+    return GaussObs(np.concatenate([y_r, y_u]), np.concatenate([cols["r"], cols["u"][wet]]),
+                    np.concatenate([np.full(n, r_r), np.full(wet.size, r_u)]))
 
 
 STATE_HEADER = ["grid_index", *FIELDS]

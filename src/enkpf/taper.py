@@ -2,17 +2,16 @@
 
 The taper is the standard compactly supported 5th-order piecewise rational
 correlation function with support radius 2c, applied as a Schur product to
-sample covariances. All distances are physical (meters); the same length
-scale is used for every field pair, so the taper weight between two state
-columns depends only on the ring offset between their grid points: every
-weight is a gather from taper_table, bitwise equal to gaspari_cohn of the
-distance. Tapered covariances are formed as dense blocks between the column
-sets an analysis needs (tapered_cov_block): the sample covariance block of
-core.ensemble_moments times the taper weights of the same block, so neither
-the full d x d taper nor the full covariance is ever built.
+sample covariances. All distances are physical (meters); one length scale
+l_m, a plain float (inf: no tapering), is used for every field pair, so the
+taper weight between two state columns depends only on the ring offset
+between their grid points: every weight is a gather from taper_table,
+bitwise equal to gaspari_cohn of the distance. Tapered covariances are
+formed as dense blocks between the column sets an analysis needs
+(tapered_cov_block): the sample covariance block of core.ensemble_moments
+times the taper weights of the same block, so neither the full d x d taper
+nor the full covariance is ever built.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,10 @@ def gaspari_cohn(dist, c):
     """Gaspari-Cohn correlation at distance(s) dist for length scale c.
 
     Equals 1 at distance 0, decays to 0 at distance 2c, and is exactly 0
-    beyond. c = inf gives all-ones weights (no tapering).
+    beyond. c = inf gives all-ones weights (no tapering). The one check of a
+    length scale: ValueError unless c > 0, which NaN fails.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("length scale c must be positive")
     d = np.abs(np.asarray(dist, dtype=float))
     with np.errstate(over="ignore"):  # z = inf is beyond the support too
@@ -50,24 +50,10 @@ def gaspari_cohn(dist, c):
     return out
 
 
-@dataclass(frozen=True)
-class TaperSpec:
-    """Taper length scale; support (weights > 0) extends to 2 * length_scale_m."""
-
-    length_scale_m: float
-
-    def __post_init__(self):
-        if not self.length_scale_m > 0:
-            raise ValueError("length_scale_m must be positive")
-
-    @property
-    def support_radius_m(self):
-        return 2.0 * self.length_scale_m
-
-
-def taper_table(grid, spec):
-    """Taper weights of grid points 0..n // 2 steps apart on grid, to gather from."""
-    return gaspari_cohn(np.arange(grid.n_points // 2 + 1) * grid.spacing_m, spec.length_scale_m)
+def taper_table(grid, l_m):
+    """Taper weights for length scale l_m of grid points 0..n // 2 steps
+    apart on grid, to gather from."""
+    return gaspari_cohn(np.arange(grid.n_points // 2 + 1) * grid.spacing_m, l_m)
 
 
 def tapered_cov_block(members, cols_a, cols_b, weights):

@@ -1,14 +1,23 @@
 """Reference implementations, kept as test oracles for the production code,
 and the stand-ins the tests substitute for its gamma search and resampling.
 
-The package computes the EnKPF through one path: search_gamma (or, at a
-fixed gamma, _gamma_weights) for the mixture weights and _enkpf_rows_update
-for both update stages. The functions here evaluate the same quantities the
-textbook way, forming the stage-1 gain, the factored spread matrix Q and the
-weight covariance HQH' + R/(1-gamma) explicitly, so the tests can compare
-the two. enkpf_perturbations draws through production's own stage-2 gain
+The package computes the EnKPF through one path: search_gamma for gamma and
+the mixture weights at it, and _enkpf_rows_update for both update stages.
+The functions here evaluate the same quantities the textbook way, forming
+the stage-1 gain, the factored spread matrix Q and the weight covariance
+HQH' + R/(1-gamma) explicitly, so the tests can compare the two.
+enkpf_perturbations draws through production's own stage-2 gain
 (_enkpf_rows_machinery), so a covariance check of its draws checks that
 gain.
+
+enkpf_update is the global EnKPF at a fixed gamma, which the package does
+not offer, since the paper's filters only choose gamma adaptively: it is
+production's set-up (_setup, _s_oo), the weights at gamma (gamma_weights)
+and production's resampling and rows update (systematic_indices,
+_enkpf_rows_update), so enkf_update must equal it at gamma = 1 and
+adaptive_gamma at the gamma it picks, bit for bit. gamma_weights gives the
+mixture weights at a fixed gamma from production's checks and weight
+formulas (_checked_pf_log_likelihood, _mixture_weights).
 
 kalman_gain is the plain EnKF gain on the full P; the package forms it only
 on the rows an update touches (global_filters._enkf_rows). crps_empirical is
@@ -16,8 +25,8 @@ the CRPS of one ensemble at one point; the package only computes its mean
 over a field (scoring.field_crps). distance_m is the circular distance in
 meters between grid points, which the package forms only in its local plan
 (local_filters.local_plan). window_size counts the grid points within a
-TaperSpec's length scale l of a point, the sites that one observation
-reaches, and block_w_cols gives the columns a block update leaves alone:
+taper length scale l of a point, the sites that one observation reaches,
+and block_w_cols gives the columns a block update leaves alone:
 the complement of u and v, which the package never forms.
 
 taper_matrix and tapered_covariance build the full d x d taper and tapered
@@ -48,7 +57,7 @@ particle-filter weights, equal to the solver's up to rounding.
 
 fixed_gamma and identity_resample stand in for search_gamma and for the
 resampling call: a test monkeypatches fixed_gamma, which returns its gamma
-with the package's weights at it (_gamma_weights), into local_filters, and
+with the weights at it (gamma_weights), into local_filters, and
 identity_resample in place of systematic_indices in global_filters or in
 local_filters, to force gamma or to keep every member in place, and still
 runs the production update. Like the package, they and
@@ -64,9 +73,18 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from enkpf import global_filters
 from enkpf.core import _chol
 from enkpf.errors import FilterError
-from enkpf.global_filters import _enkpf_rows_machinery, _eps_draws, _gamma_weights
+from enkpf.global_filters import (
+    _checked_pf_log_likelihood,
+    _enkpf_rows_machinery,
+    _enkpf_rows_update,
+    _eps_draws,
+    _mixture_weights,
+    _s_oo,
+    _setup,
+)
 from enkpf.grid import FIELDS
 from enkpf.resampling import ess, weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
@@ -112,11 +130,11 @@ def distance_m(grid, i, j):
     return grid.ring_offset(i, j) * grid.spacing_m
 
 
-def window_size(taper, grid):
-    """Number of grid points within taper.length_scale_m of a point (2l/dx + 1
+def window_size(l_m, grid):
+    """Number of grid points within the length scale l_m of a point (2l/dx + 1
     at defaults)."""
     pts = np.arange(grid.n_points)
-    return int(np.count_nonzero(distance_m(grid, pts, 0) <= taper.length_scale_m))
+    return int(np.count_nonzero(distance_m(grid, pts, 0) <= l_m))
 
 
 def block_w_cols(block, grid):
@@ -264,11 +282,44 @@ def search_gamma_reference(solver, lo_frac, k):
     return hi_g
 
 
+def gamma_weights(s_oo, r_diag, innov0, gamma):
+    """The EnKPF mixture weights at a fixed gamma: uniform at gamma = 1, else
+    checked (_checked_pf_log_likelihood) and, at gamma = 0, where c_j = 1 and
+    U is orthogonal, the particle-filter weights, made without an eigh."""
+    k = innov0.shape[0]
+    if gamma == 1.0:
+        return np.full(k, 1.0 / k)
+    log_pf, s_white = _checked_pf_log_likelihood(s_oo, r_diag, innov0)
+    if gamma == 0.0:
+        return weights_from_log(log_pf)
+    return _mixture_weights(s_white, innov0, r_diag)(gamma)
+
+
+def enkpf_update(ens, obs, p_cols, gamma, rng):
+    """Full EnKPF analysis for a fixed gamma, from p_cols = P[:, H] (d, m).
+
+    Returns the arrays (analysis (k, d), weights alpha (k,), indices (k,)). At
+    gamma = 1 the particle stage is skipped: the update is the EnKF rows
+    update, the weights are uniform and the indices are the identity. For
+    gamma < 1 the indices are global_filters.systematic_indices of the
+    mixture weights for the drawn uniform u, looked up at call time so that
+    a test may replace it.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    x, innov0, eta, er, u = _setup(ens, obs, rng)
+    s_oo = _s_oo(p_cols, x, obs)
+    alpha = gamma_weights(s_oo, obs.r_diag, innov0, gamma)
+    idx = np.arange(x.shape[0]) if gamma == 1.0 else global_filters.systematic_indices(alpha, u)
+    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, s_oo, gamma, eta, er, idx)
+    return x_a, alpha, idx
+
+
 def fixed_gamma(gamma):
     """A search_gamma that returns gamma, and the weights at it, whatever the
     weights."""
     return lambda s_oo, r_diag, innov0, lo_frac: (
-        gamma, _gamma_weights(s_oo, r_diag, innov0, gamma))
+        gamma, gamma_weights(s_oo, r_diag, innov0, gamma))
 
 
 def identity_resample(alpha, u):
@@ -390,12 +441,12 @@ def enkpf_perturbations(P, obs, gamma, n_draws, rng):
     return _eps_draws(k_ro, a, k2_ro, obs.r_diag, gamma, eta, er)
 
 
-def taper_matrix(grid, spec):
+def taper_matrix(grid, l_m):
     """Full d x d taper as a sparse CSR matrix (banded on the ring)."""
     n = grid.n_points
     # Weight depends only on grid offset; build one row of offsets and shift it.
     offsets = np.arange(n)
-    w_row = gaspari_cohn(distance_m(grid, offsets, 0), spec.length_scale_m)
+    w_row = gaspari_cohn(distance_m(grid, offsets, 0), l_m)
     cols_in_support = offsets[w_row > 0.0]
     rows, cols, vals = [], [], []
     for c_block in range(len(FIELDS)):
@@ -412,12 +463,12 @@ def taper_matrix(grid, spec):
     return sp.csr_matrix((vals, (rows, cols)), shape=(grid.dim, grid.dim))
 
 
-def taper_block(grid, spec, cols_a, cols_b):
+def taper_block(grid, l_m, cols_a, cols_b):
     """Dense (|a|, |b|) block of taper_matrix between two column sets."""
-    return taper_matrix(grid, spec)[np.ix_(cols_a, cols_b)].toarray()
+    return taper_matrix(grid, l_m)[np.ix_(cols_a, cols_b)].toarray()
 
 
-def tapered_covariance(members, grid, spec):
+def tapered_covariance(members, grid, l_m):
     """Tapered sample covariance (X'X/(k-1) Schur-multiplied by the taper), sparse.
 
     members: (k, d) ensemble array. Only entries inside the taper support are
@@ -427,7 +478,7 @@ def tapered_covariance(members, grid, spec):
     k = members.shape[0]
     if k < 2:
         raise ValueError("need at least 2 members for a sample covariance")
-    w = taper_matrix(grid, spec).tocoo()
+    w = taper_matrix(grid, l_m).tocoo()
     anoms = members - members.mean(axis=0)
     # Evaluate the sample covariance only at stored taper entries.
     cov_vals = np.einsum("ki,ki->i", anoms[:, w.row], anoms[:, w.col]) / (k - 1)

@@ -15,7 +15,6 @@ from enkpf.config import ExperimentConfig
 from enkpf.experiment import run_experiment
 from enkpf.global_filters import (
     enkf_update,
-    enkpf_update,
     pf_weights,
     search_gamma,
 )
@@ -32,7 +31,6 @@ from enkpf.obs import GaussObs
 from enkpf.resampling import balanced_resample, ess
 from enkpf.scoring import field_crps
 from enkpf.sweq import ModelParams, advance_members, rest_state
-from enkpf.taper import TaperSpec
 
 from oracles import (
     block_w_cols,
@@ -40,6 +38,7 @@ from oracles import (
     distance_m,
     enkpf_perturbations,
     enkpf_stage1,
+    enkpf_update,
     enkpf_weights,
     fixed_gamma,
     identity_resample,
@@ -145,7 +144,7 @@ def test_criterion_02_kalman_oracle():
 
     # block-structured case: two independent observed points, diagonal prior
     grid = Grid(8)
-    taper = TaperSpec(500.0)  # support 1000 m < 1500 m block separation
+    l_m = 500.0  # support 1000 m < 1500 m block separation
     mean0 = np.zeros(grid.dim)
     cov0 = np.eye(grid.dim)
     obs = GaussObs([0.3, -0.4], [1, 6], [0.25, 0.25])
@@ -153,7 +152,7 @@ def test_criterion_02_kalman_oracle():
     x = _standardize(rng.standard_normal((k, grid.dim)), mean0, cov0)
     diag = LocalDiagnostics()
     out = block_lenkpf_update(
-        x, local_plan(obs, grid, taper, 2000.0), BAND, rng, diagnostics=diag
+        x, local_plan(obs, grid, l_m, 2000.0), BAND, rng, diagnostics=diag
     )
     k_eff = min(diag.ess_values) if diag.ess_values else k
     sub = [0, 1, 2, 5, 6, 7, 12, 20]  # observed cols plus a spread of others
@@ -187,7 +186,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(41)
     grid = Grid(4)  # 12 state columns
-    taper = TaperSpec(375.0)  # support 750 m, shorter than the 1000 m ring max
+    l_m = 375.0  # support 750 m, shorter than the 1000 m ring max
     k = 9
     x = rng.standard_normal((k, grid.dim)) + 1.0
     obs = GaussObs([0.4, -0.2], [0, 8], [0.3, 0.5])
@@ -198,11 +197,11 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
     monkeypatch.setattr(local_filters, "systematic_indices", identity_resample)
     monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
 
-    blocks = local_plan(obs, grid, taper, 10_000.0).blocks
+    blocks = local_plan(obs, grid, l_m, 10_000.0).blocks
     assert len(blocks) == 1
 
     out_block = block_assimilate_one(x, blocks[0], BAND, np.random.default_rng(5))
-    p_taper = tapered_covariance(x, grid, TaperSpec(375.0)).toarray()
+    p_taper = tapered_covariance(x, grid, 375.0).toarray()
     out_full = enkpf_update(x, obs, p_taper[:, obs.h_rows], gamma, np.random.default_rng(5))[0]
     err = np.max(
         np.abs(out_block - out_full)
@@ -220,7 +219,7 @@ def test_criterion_04_appendix_equivalence(monkeypatch):
 
 def test_criterion_05_locality_invariance():
     t0 = time.time()
-    taper = TaperSpec(1500.0)  # window 1500 m, support 3000 m = 6 grid points
+    l_m = 1500.0  # window 1500 m, support 3000 m = 6 grid points
     failures = 0
     for case in range(100):
         rng = np.random.default_rng(5000 + case)
@@ -242,7 +241,7 @@ def test_criterion_05_locality_invariance():
             distance_m(grid, np.arange(n)[:, None], pts_b[None, :]),
             axis=1,
         )
-        far_pts = np.flatnonzero(dist_b > taper.support_radius_m)
+        far_pts = np.flatnonzero(dist_b > 2.0 * l_m)
         far_cols = np.concatenate([f * n + far_pts for f in range(3)])
         no_obs_pts = np.flatnonzero(
             np.min(
@@ -252,14 +251,14 @@ def test_criterion_05_locality_invariance():
                 ),
                 axis=1,
             )
-            > taper.support_radius_m
+            > 2.0 * l_m
         )
         free_cols = np.concatenate([f * n + no_obs_pts for f in range(3)])
 
         for method in ("lenkf", "naive", "block"):
             def run(obs, seed=9000 + case):
                 rng_m = np.random.default_rng(seed)
-                plan = local_plan(obs, grid, taper, 4000.0)
+                plan = local_plan(obs, grid, l_m, 4000.0)
                 if method == "lenkf":
                     return lenkf_update(x, plan, rng_m)
                 if method == "naive":

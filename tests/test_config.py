@@ -222,6 +222,9 @@ def test_built_config_has_its_scenario_timing():
         ({"r_u": float("nan")}, "r_r/r_u:"),
         ({"duration_s": math.nan}, "duration_s: must be nonnegative"),
         ({"spinup_days": math.nan}, "spinup_days: must be nonnegative"),
+        ({"k": 4.5}, "k: must be an integer"),
+        ({"repetitions": 1.5}, "repetitions: must be an integer"),
+        ({"base_seed": 1.5}, "base_seed: must be an integer"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):

@@ -14,14 +14,12 @@ from enkpf import sweq, taper
 from enkpf.config import ExperimentConfig
 from enkpf.core import ensemble_moments
 from enkpf.errors import ConfigError, FilterError
-from enkpf.global_filters import enkpf_update
 from enkpf.grid import Grid
 from enkpf.local_filters import LocalDiagnostics, block_assimilate_one, local_plan
 from enkpf.obs import GaussObs
 from enkpf.sweq import ModelParams
-from enkpf.taper import TaperSpec
 
-from oracles import read_scores_csv
+from oracles import enkpf_update, read_scores_csv
 
 
 def tiny_cfg(**kw):
@@ -440,7 +438,7 @@ def _small_analysis_case():
         np.concatenate([2 * 20 + np.arange(20), 20 + wet]),
         np.full(20 + wet.size, 0.5),
     )
-    return x, obs, local_plan(obs, cfg.model.grid, TaperSpec(cfg.l_m), cfg.block_segment_m), cfg
+    return x, obs, local_plan(obs, cfg.model.grid, cfg.l_m, cfg.block_segment_m), cfg
 
 
 def _direct_enkpf(x, obs, plan, cfg, rng, diag):

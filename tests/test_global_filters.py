@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from enkpf import global_filters
 from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
-    _gamma_weights,
     _pf_log_likelihood,
     adaptive_gamma,
     enkf_update,
-    enkpf_update,
     pf_weights,
     search_gamma,
 )
@@ -21,13 +19,14 @@ from enkpf.grid import Grid
 from enkpf.local_filters import lenkf_update, local_plan
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess
-from enkpf.taper import TaperSpec
 
 from oracles import (
     EagerGammaWeightSolver,
     enkpf_perturbations,
     enkpf_stage1,
+    enkpf_update,
     enkpf_weights,
+    gamma_weights,
     identity_resample,
     kalman_gain,
     search_gamma_reference,
@@ -124,7 +123,7 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
             if entry == "enkf_update":
                 enkf_update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), rng)
             else:
-                lenkf_update(x, local_plan(obs, grid, TaperSpec(np.inf), grid.domain_m), rng)
+                lenkf_update(x, local_plan(obs, grid, np.inf, grid.domain_m), rng)
 
 
 GLOBAL_UPDATES = {
@@ -172,7 +171,8 @@ def assert_same_bits(got, want):
 )
 def test_global_family_is_one_update_bitwise(k, d, data, lo, seed):
     # the EnKF is the EnKPF at gamma = 1, and adaptive_gamma is the EnKPF at
-    # the gamma it picks, bit for bit, with no observations too
+    # the gamma it picks, bit for bit, with no observations too: production
+    # against the fixed-gamma oracle, the gate of the 0 < gamma < 1 path
     m = data.draw(st.integers(0, d), label="m")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k, d)) * rng.uniform(0.5, 2.0)
@@ -303,7 +303,7 @@ def test_solver_matches_direct_weights():
             inter = enkpf_stage1(x, obs, p, gamma)
             direct = enkpf_weights(inter, obs)
             np.testing.assert_allclose(
-                _gamma_weights(s_oo, obs.r_diag, innov0, gamma), direct, rtol=1e-9, atol=1e-12
+                gamma_weights(s_oo, obs.r_diag, innov0, gamma), direct, rtol=1e-9, atol=1e-12
             )
 
 
@@ -465,11 +465,11 @@ def test_lazy_weight_solver_against_the_eager_oracle(k, m, spread, ess_band, gam
     eager = EagerGammaWeightSolver(s_oo, obs.r_diag, innov0)
     # gamma = 0: the particle-filter weights, bit for bit; the eager solver's
     # differ by a few roundings of the largest log-likelihood
-    w0 = _gamma_weights(s_oo, obs.r_diag, innov0, 0.0)
+    w0 = gamma_weights(s_oo, obs.r_diag, innov0, 0.0)
     assert w0.tobytes() == pf_weights(x, obs).tobytes()
     tol = 8 * np.finfo(float).eps * max(1.0, -_pf_log_likelihood(innov0, obs.r_diag).min())
     np.testing.assert_allclose(w0, eager.weights(0.0), rtol=0.0, atol=tol)
-    w = _gamma_weights(s_oo, obs.r_diag, innov0, gamma)
+    w = gamma_weights(s_oo, obs.r_diag, innov0, gamma)
     assert w.tobytes() == eager.weights(gamma).tobytes()
 
     lo, _ = global_filters._check_band(ess_band)
@@ -504,7 +504,7 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
     assert ess(w) >= lo * k - 1e-9
     # exhaustive grid oracle: smallest gamma on a 1e-4 grid reaching the floor
     grid = np.arange(0.0, 1.0001, 1e-4)
-    reached = [g for g in grid if ess(_gamma_weights(s_oo, obs.r_diag, innov0, g)) >= lo * k]
+    reached = [g for g in grid if ess(gamma_weights(s_oo, obs.r_diag, innov0, g)) >= lo * k]
     oracle = reached[0]
     assert abs(gamma - oracle) <= 2.0**-10 + 1e-4
     assert 0.0 < gamma < 1.0
@@ -520,7 +520,7 @@ def test_adaptive_gamma_resamples_the_solver_weights():
         gamma, (_, w, _) = adaptive_gamma(
             x, obs, p[:, obs.h_rows], (lo, 0.8), np.random.default_rng(25)
         )
-        assert np.array_equal(w, _gamma_weights(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], gamma))
+        assert np.array_equal(w, gamma_weights(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], gamma))
         assert ess(w) >= lo * k
 
 

@@ -1,5 +1,7 @@
 """enkpf.grid.Grid on its own: the ring's circular distances and the state layout."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,3 +71,15 @@ def test_default_spacing_and_bad_sizes():
     for n_points, spacing_m in ((0, 500.0), (4, 0.0), (4, -1.0)):
         with pytest.raises(ValueError):
             Grid(n_points, spacing_m)
+
+
+@pytest.mark.parametrize("args, key", [
+    ((24.5,), "n_points"), ((24.0,), "n_points"), ((300, math.nan), "spacing_m"),
+    ((300, math.inf), "spacing_m"), ((300, -math.inf), "spacing_m"),
+])
+def test_geometry_that_is_not_a_whole_count_or_a_finite_spacing_is_rejected_by_key(args, key):
+    # checked here, or a fractional count would end in a TypeError deep in
+    # the model, and a NaN or inf spacing be blamed on the plume rate
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        Grid(*args)
+    assert Grid(np.int64(24)).dim == 72

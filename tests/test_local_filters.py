@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from enkpf.global_filters import (
     _enkpf_rows_update,
     adaptive_gamma,
     enkf_update,
-    enkpf_update,
     pf_weights,
     search_gamma,
 )
@@ -26,11 +27,12 @@ from enkpf.local_filters import (
 )
 from enkpf.obs import GaussObs
 from enkpf.resampling import ess, systematic_indices, weights_from_log
-from enkpf.taper import TaperSpec, tapered_cov_block
+from enkpf.taper import tapered_cov_block
 
 from oracles import (
     block_w_cols,
     distance_m,
+    enkpf_update,
     fixed_gamma,
     identity_resample,
     permute_fixed_points,
@@ -40,7 +42,7 @@ from oracles import (
 )
 
 # no taper, and every site sees every observation
-NO_TAPER = TaperSpec(np.inf)
+NO_TAPER = math.inf
 
 
 def rain_obs(grid, points, values, r_var=1.0):
@@ -61,11 +63,11 @@ def test_window_size_example():
     # observation updates the 2l/dx + 1 sites around it, not the 4l/dx - 1
     # inside the taper's support
     grid = Grid(300)
-    taper = TaperSpec(5000.0)
-    assert window_size(taper, grid) == 21
+    l_m = 5000.0
+    assert window_size(l_m, grid) == 21
     x = random_ensemble(np.random.default_rng(12), grid, 8)
     obs = rain_obs(grid, [150], [0.5])
-    out = lenkf_update(x, local_plan(obs, grid, taper, 5000.0), np.random.default_rng(13))
+    out = lenkf_update(x, local_plan(obs, grid, l_m, 5000.0), np.random.default_rng(13))
     changed = [
         g for g in range(300)
         if not np.array_equal(out[:, grid.cols_at(g)], x[:, grid.cols_at(g)])
@@ -82,14 +84,14 @@ def test_plan_weights_are_the_oracle_taper_and_its_sets_the_distances(n, data):
     spacing = data.draw(st.floats(1.0, 5000.0))
     grid = Grid(n, spacing)
     half_steps = st.integers(1, 2 * n + 2).map(lambda i: i * (spacing / 2))
-    taper = TaperSpec(data.draw(half_steps | st.just(np.inf)))
+    l_m = data.draw(half_steps | st.just(np.inf))
     cols = np.array(data.draw(st.lists(st.integers(0, grid.dim - 1), max_size=2 * n)), dtype=int)
     segment_m = data.draw(st.floats(1e-3, 3 * grid.domain_m))
     obs = GaussObs(np.arange(cols.size, dtype=float), cols, np.ones(cols.size))
-    plan = local_plan(obs, grid, taper, segment_m)
+    plan = local_plan(obs, grid, l_m, segment_m)
 
     def same(weights, a, b):
-        ref = taper_block(grid, taper, a, b)
+        ref = taper_block(grid, l_m, a, b)
         return weights.shape == ref.shape and weights.tobytes() == ref.tobytes()
 
     assert same(plan.w_cross, np.arange(grid.dim), cols)
@@ -97,7 +99,7 @@ def test_plan_weights_are_the_oracle_taper_and_its_sets_the_distances(n, data):
     for g, (site_cols, window) in enumerate(plan.sites):
         np.testing.assert_array_equal(site_cols, grid.cols_at(g))
         dist = distance_m(grid, g, obs_pts)
-        np.testing.assert_array_equal(window, np.flatnonzero(dist <= taper.length_scale_m))
+        np.testing.assert_array_equal(window, np.flatnonzero(dist <= l_m))
     seg = (obs_pts * spacing) // max(segment_m, spacing)
     assert len(plan.blocks) == len(np.unique(seg))
     everything = np.arange(grid.dim)
@@ -107,7 +109,7 @@ def test_plan_weights_are_the_oracle_taper_and_its_sets_the_distances(n, data):
         np.testing.assert_array_equal(b.u, np.unique(b.obs.h_rows))
         pts_u = grid.grid_of_cols(b.u)
         dist = distance_m(grid, grid.grid_of_cols(everything)[:, None], pts_u[None, :])
-        near = dist.min(axis=1) < taper.support_radius_m
+        near = dist.min(axis=1) < 2.0 * l_m
         np.testing.assert_array_equal(b.v, np.setdiff1d(everything[near], b.u))
         h = b.obs.h_rows
         assert same(b.w_oo, h, h) and same(b.w_uo, b.u, h)
@@ -133,11 +135,11 @@ def test_lenkf_locality():
     rng = np.random.default_rng(1)
     grid = Grid(40)
     x = random_ensemble(rng, grid, 8)
-    taper = TaperSpec(2000.0)
+    l_m = 2000.0
     obs_a = rain_obs(grid, [5, 30], [0.7, -0.4])
     obs_b = rain_obs(grid, [5, 30], [0.7, 5.0])  # only the far obs changes
-    out_a = lenkf_update(x, local_plan(obs_a, grid, taper, 5000.0), np.random.default_rng(9))
-    out_b = lenkf_update(x, local_plan(obs_b, grid, taper, 5000.0), np.random.default_rng(9))
+    out_a = lenkf_update(x, local_plan(obs_a, grid, l_m, 5000.0), np.random.default_rng(9))
+    out_b = lenkf_update(x, local_plan(obs_b, grid, l_m, 5000.0), np.random.default_rng(9))
     sees_a = [g for g in range(40) if distance_m(grid, g, 5) <= 2000]
     sees_b = [g for g in range(40) if distance_m(grid, g, 30) <= 2000]
     untouched = [g for g in range(40) if g not in sees_a and g not in sees_b]
@@ -208,12 +210,12 @@ def test_naive_gamma_one_sites_equal_lenkf_bitwise():
     # huge innovations on the left half push those sites' gamma to 1
     values = x[:, 2 * n + points].mean(axis=0) + np.where(points < n // 2, 1000.0, 0.0)
     obs = rain_obs(grid, points, values)
-    taper = TaperSpec(1000.0)
+    l_m = 1000.0
     diag = LocalDiagnostics()
     naive = naive_lenkpf_update(
-        x, local_plan(obs, grid, taper, 5000.0), (0.9, 1.0), np.random.default_rng(1), diag
+        x, local_plan(obs, grid, l_m, 5000.0), (0.9, 1.0), np.random.default_rng(1), diag
     )
-    local_enkf = lenkf_update(x, local_plan(obs, grid, taper, 5000.0), np.random.default_rng(1))
+    local_enkf = lenkf_update(x, local_plan(obs, grid, l_m, 5000.0), np.random.default_rng(1))
     gammas = np.asarray(diag.gammas)
     assert gammas.shape == (n,)  # every site has observations
     assert np.any(gammas == 1.0) and np.any(gammas < 1.0)
@@ -243,7 +245,7 @@ def test_naive_locality_and_empty_obs():
     x = random_ensemble(rng, grid, 9)
     obs = rain_obs(grid, [10], [0.9])
     out = naive_lenkpf_update(
-        x, local_plan(obs, grid, TaperSpec(1500.0), 5000.0), (0.5, 0.8), np.random.default_rng(8)
+        x, local_plan(obs, grid, 1500.0, 5000.0), (0.5, 0.8), np.random.default_rng(8)
     )
     for g in range(20):
         if distance_m(grid, g, 10) > 1500.0:
@@ -272,7 +274,7 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
     x = random_ensemble(np.random.default_rng(43), grid, 10)
     obs = rain_obs(grid, [3, 9, 10, 15], [0.2, -0.1, 0.3, 0.0], r_var=1e4)
     diag = LocalDiagnostics()
-    naive_lenkpf_update(x, local_plan(obs, grid, TaperSpec(1500.0), 5000.0), band(),
+    naive_lenkpf_update(x, local_plan(obs, grid, 1500.0, 5000.0), band(),
                         np.random.default_rng(44), diag)
     assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
     # one weight vector per site: the gamma = 0 weights that are resampled
@@ -285,7 +287,7 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
     # the gamma = 0 test and ten midpoints make its 11 weight vectors
     diag, made[:] = LocalDiagnostics(), []
     precise = rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05)
-    naive_lenkpf_update(x, local_plan(precise, grid, TaperSpec(1500.0), 5000.0), band(),
+    naive_lenkpf_update(x, local_plan(precise, grid, 1500.0, 5000.0), band(),
                         np.random.default_rng(44), diag)
     assert len(calls) == sum(g > 0.0 for g in diag.gammas) > 0
     assert len(made) == sum(11 if g > 0.0 else 1 for g in diag.gammas)
@@ -324,13 +326,13 @@ def overflowing_innovation_case():
 @pytest.mark.parametrize("update", ["naive", "block"])
 def test_overflowing_innovations_fail_the_local_filters(update):
     grid, x, obs = overflowing_innovation_case()
-    taper = TaperSpec(1500.0)
+    l_m = 1500.0
     with pytest.raises(FilterError, match="whitened innovations are not finite"):
         if update == "naive":
-            naive_lenkpf_update(x, local_plan(obs, grid, taper, 5000.0), band(),
+            naive_lenkpf_update(x, local_plan(obs, grid, l_m, 5000.0), band(),
                                 np.random.default_rng(46))
         else:
-            block_lenkpf_update(x, local_plan(obs, grid, taper, 5000.0), band(),
+            block_lenkpf_update(x, local_plan(obs, grid, l_m, 5000.0), band(),
                                 np.random.default_rng(46))
 
 
@@ -363,7 +365,7 @@ def test_block_uvw_worked_example():
         np.array([2 * n + 4, 2 * n + 5, n + 4]),
         np.ones(3),
     )
-    (block,) = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
+    (block,) = local_plan(obs, grid, 2000.0, 5000.0).blocks
     np.testing.assert_array_equal(block.u, [n + 4, 2 * n + 4, 2 * n + 5])
     near_pts = sorted(set(range(0, 13)) | {17, 18, 19})
     near_cols = sorted(f * n + p for f in range(3) for p in near_pts)
@@ -378,7 +380,7 @@ def test_block_uvw_worked_example():
 def test_partition_obs_blocks_segments():
     grid = Grid(30)
     obs = rain_obs(grid, [2, 9, 10, 25], [0.1, 0.2, 0.3, 0.4])
-    blocks = local_plan(obs, grid, TaperSpec(1000.0), 5000.0).blocks
+    blocks = local_plan(obs, grid, 1000.0, 5000.0).blocks
     assert len(blocks) == 3
     n = 30
     np.testing.assert_array_equal(blocks[0].u, [2 * n + 2, 2 * n + 9])
@@ -391,12 +393,12 @@ def test_sub_spacing_segments_are_one_point_blocks():
     # not overflow the segment ids into a different block layout
     rng = np.random.default_rng(26)
     grid = Grid(24)  # dx = 500 m
-    taper = TaperSpec(1000.0)
+    l_m = 1000.0
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, np.arange(24), rng.standard_normal(24))
-    assert len(local_plan(obs, grid, taper, 1e-300).blocks) == 24
+    assert len(local_plan(obs, grid, l_m, 1e-300).blocks) == 24
     tiny, spacing = (
-        block_lenkpf_update(x, local_plan(obs, grid, taper, seg), band(), np.random.default_rng(27))
+        block_lenkpf_update(x, local_plan(obs, grid, l_m, seg), band(), np.random.default_rng(27))
         for seg in (1e-300, 500.0)
     )
     np.testing.assert_array_equal(tiny, spacing)
@@ -411,7 +413,7 @@ def test_schedule_blocks_properties():
     for _ in range(20):
         pts = np.sort(rng.choice(50, size=rng.integers(3, 10), replace=False))
         obs = rain_obs(grid, pts, np.zeros(pts.size))
-        blocks = local_plan(obs, grid, TaperSpec(2000.0), 4000.0).blocks
+        blocks = local_plan(obs, grid, 2000.0, 4000.0).blocks
         groups = schedule_blocks(blocks)
         footprints = [set(np.concatenate([b.u, b.v]).tolist()) for b in blocks]
         scheduled = [bid for group in groups for bid in group]
@@ -432,7 +434,7 @@ def test_schedule_blocks_properties():
 def test_schedule_ring_of_15_segments_needs_3_groups():
     grid = Grid(300)
     obs = rain_obs(grid, np.arange(300), np.zeros(300))
-    blocks = local_plan(obs, grid, TaperSpec(5000.0), 10000.0).blocks
+    blocks = local_plan(obs, grid, 5000.0, 10000.0).blocks
     assert len(blocks) == 15
     groups = schedule_blocks(blocks)
     assert groups == ((0, 3, 6, 9, 12), (1, 4, 7, 10, 13), (2, 5, 8, 11, 14))
@@ -451,7 +453,7 @@ def test_block_zero_increment_keeps_everything_bitwise():
     x = random_ensemble(rng, grid, 8)
     obs = rain_obs(grid, [4, 5], [0.7, 0.7])
     x[:, obs.h_rows] = 0.7  # zero innovation for every member
-    blocks = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
+    blocks = local_plan(obs, grid, 2000.0, 5000.0).blocks
     out = block_assimilate_one(
         x, blocks[0], band(), np.random.default_rng(13)
     )
@@ -463,7 +465,7 @@ def test_block_w_columns_untouched_bitwise():
     grid = Grid(30)
     x = random_ensemble(rng, grid, 12)
     obs = rain_obs(grid, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
-    blocks = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
+    blocks = local_plan(obs, grid, 2000.0, 5000.0).blocks
     w = block_w_cols(blocks[0], grid)
     assert w.size > 0
     out = block_assimilate_one(
@@ -479,11 +481,11 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v(monkeypatch):
     monkeypatch.setattr(local_filters, "search_gamma", fixed_gamma(1.0))
     rng = np.random.default_rng(16)
     grid = Grid(30)
-    taper = TaperSpec(2000.0)
+    l_m = 2000.0
     k = 25
     x = random_ensemble(rng, grid, k)
     obs = rain_obs(grid, [3, 4, 5, 6], [1.0, -0.5, 0.3, 0.8])
-    block = local_plan(obs, grid, taper, 5000.0).blocks[0]
+    block = local_plan(obs, grid, l_m, 5000.0).blocks[0]
     out = block_assimilate_one(x, block, band(), np.random.default_rng(17))
 
     rng_ref = np.random.default_rng(17)
@@ -493,9 +495,9 @@ def test_block_gamma_one_matches_tapered_enkf_on_u_and_v(monkeypatch):
 
     cols_uv = np.concatenate([block.u, block.v])
     p_uv_o = tapered_cov_block(x, cols_uv, obs.h_rows,
-                               taper_block(grid, taper, cols_uv, obs.h_rows))
+                               taper_block(grid, l_m, cols_uv, obs.h_rows))
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows,
-                             taper_block(grid, taper, obs.h_rows, obs.h_rows))
+                             taper_block(grid, l_m, obs.h_rows, obs.h_rows))
     gain = sla.cho_solve(
         sla.cho_factor(s_oo + np.diag(obs.r_diag), lower=True), p_uv_o.T
     ).T
@@ -513,19 +515,19 @@ def test_block_equals_full_enkpf_on_tapered_covariance(monkeypatch):
     monkeypatch.setattr(global_filters, "systematic_indices", identity_resample)
     rng = np.random.default_rng(18)
     grid = Grid(4)
-    taper = TaperSpec(375.0)  # support 750 m < the 1000 m max distance
+    l_m = 375.0  # support 750 m < the 1000 m max distance
     n = 4
     k = 9
     x = random_ensemble(rng, grid, k)
     obs = GaussObs(np.array([0.8, -0.6]), np.array([0, 2 * n]), np.array([0.5, 0.8]))
-    block = local_plan(obs, grid, taper, 2000.0).blocks[0]
+    block = local_plan(obs, grid, l_m, 2000.0).blocks[0]
     w = block_w_cols(block, grid)
     np.testing.assert_array_equal(w, [2, n + 2, 2 * n + 2])
 
     out_block = block_assimilate_one(
         x, block, band(), np.random.default_rng(19)
     )
-    p_full = tapered_covariance(x, grid, taper).toarray()
+    p_full = tapered_covariance(x, grid, l_m).toarray()
     out_full, _, _ = enkpf_update(x, obs, p_full[:, obs.h_rows], gamma, np.random.default_rng(19))
     uv = np.concatenate([block.u, block.v])
     np.testing.assert_allclose(out_full[:, uv], out_block[:, uv], rtol=1e-10, atol=1e-12)
@@ -538,11 +540,11 @@ def test_block_interior_gamma_rebuilt_from_its_stream():
     # indices are the fixed-point permutation of the systematic resample
     rng = np.random.default_rng(28)
     grid = Grid(30)
-    taper = TaperSpec(2000.0)
+    l_m = 2000.0
     k = 20
     x = random_ensemble(rng, grid, k)
     obs = rain_obs(grid, [3, 4, 5, 6], [2.0, -1.5, 1.8, 2.5])
-    block = local_plan(obs, grid, taper, 5000.0).blocks[0]
+    block = local_plan(obs, grid, l_m, 5000.0).blocks[0]
     diag = LocalDiagnostics()
     out = block_assimilate_one(
         x, block, band(), np.random.default_rng(29), diagnostics=diag
@@ -553,8 +555,8 @@ def test_block_interior_gamma_rebuilt_from_its_stream():
     er = rng_ref.standard_normal((k, obs.m))
     u = rng_ref.uniform()
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows,
-                             taper_block(grid, taper, obs.h_rows, obs.h_rows))
-    p_uo = tapered_cov_block(x, block.u, obs.h_rows, taper_block(grid, taper, block.u, obs.h_rows))
+                             taper_block(grid, l_m, obs.h_rows, obs.h_rows))
+    p_uo = tapered_cov_block(x, block.u, obs.h_rows, taper_block(grid, l_m, block.u, obs.h_rows))
     innov0 = obs.y - x[:, obs.h_rows]
     g, alpha = search_gamma(s_oo, obs.r_diag, innov0, band()[0])
     assert 0.0 < g < 1.0 and diag.gammas == [g]  # setup sanity: interior gamma
@@ -571,7 +573,7 @@ def test_block_pinv_fallback_on_rank_deficient_p_uu():
     n = 20
     x = random_ensemble(rng, grid, 3)  # sample covariance rank 2 < |u| = 3
     obs = GaussObs(np.array([0.1, 0.2, 0.3]), np.array([0, n, 2 * n]), np.ones(3))
-    (block,) = local_plan(obs, grid, TaperSpec(2000.0), 5000.0).blocks
+    (block,) = local_plan(obs, grid, 2000.0, 5000.0).blocks
     diag = LocalDiagnostics()
     block_assimilate_one(
         x, block, band(),
@@ -587,17 +589,17 @@ def test_block_lenkpf_deterministic_and_empty():
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [2, 3, 21, 22], [0.5, 0.1, -0.2, 0.9])
     a = block_lenkpf_update(
-        x, local_plan(obs, grid, TaperSpec(2000.0), 5000.0), band(),
+        x, local_plan(obs, grid, 2000.0, 5000.0), band(),
         np.random.default_rng(23),
     )
     b = block_lenkpf_update(
-        x, local_plan(obs, grid, TaperSpec(2000.0), 5000.0), band(),
+        x, local_plan(obs, grid, 2000.0, 5000.0), band(),
         np.random.default_rng(23),
     )
     np.testing.assert_array_equal(a, b)
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
     noop = block_lenkpf_update(
-        x, local_plan(empty, grid, TaperSpec(2000.0), 5000.0), band(),
+        x, local_plan(empty, grid, 2000.0, 5000.0), band(),
         np.random.default_rng(23),
     )
     np.testing.assert_array_equal(noop, x)
@@ -608,15 +610,15 @@ def test_block_group_execution_order_is_irrelevant():
     # sub-streams, so running them in reverse gives a bitwise-equal analysis
     rng = np.random.default_rng(24)
     grid = Grid(60)
-    taper = TaperSpec(2000.0)
+    l_m = 2000.0
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [1, 2, 3, 31, 32, 33], [0.4, -0.1, 0.6, 0.2, 0.5, -0.7])
-    blocks = local_plan(obs, grid, taper, 5000.0).blocks
+    blocks = local_plan(obs, grid, l_m, 5000.0).blocks
     groups = schedule_blocks(blocks)
     assert groups == ((0, 1),)
 
     ref = block_lenkpf_update(
-        x, local_plan(obs, grid, taper, 5000.0), band(), np.random.default_rng(25)
+        x, local_plan(obs, grid, l_m, 5000.0), band(), np.random.default_rng(25)
     )
 
     streams = np.random.default_rng(25).spawn(len(blocks))
@@ -647,9 +649,8 @@ def test_partition_builds_each_block_in_one_pass(n, k, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     obs = GaussObs(rng.standard_normal(len(cols)), np.array(cols), rng.uniform(0.5, 2.0, len(cols)))
-    taper = TaperSpec(l_m)
 
-    blocks = local_plan(obs, grid, taper, segment_m).blocks
+    blocks = local_plan(obs, grid, l_m, segment_m).blocks
     # the blocks' observation rows partition all_obs
     def rows(o):
         return list(zip(o.h_rows.tolist(), o.y.tolist(), o.r_diag.tolist()))
@@ -665,7 +666,7 @@ def test_partition_builds_each_block_in_one_pass(n, k, data):
     # every schedule group run in reverse on the spawned streams gives the
     # bits of block_lenkpf_update
     x = rng.standard_normal((k, grid.dim))
-    ref = block_lenkpf_update(x, local_plan(obs, grid, taper, segment_m), band(),
+    ref = block_lenkpf_update(x, local_plan(obs, grid, l_m, segment_m), band(),
                               np.random.default_rng(seed))
     streams = np.random.default_rng(seed).spawn(len(blocks))
     current = x
@@ -690,22 +691,22 @@ def test_block_band_validation():
 # ---------------------------------------------------------------------- draws
 
 
-def one_block(x, obs, p, grid, taper, rng):
-    (block,) = local_plan(obs, grid, taper, grid.domain_m).blocks
+def one_block(x, obs, p, grid, l_m, rng):
+    (block,) = local_plan(obs, grid, l_m, grid.domain_m).blocks
     return block_assimilate_one(x, block, band(), rng)
 
 
 # every EnKPF, global or local and at any gamma, draws eta, e_R and the
 # resampling uniform, in that order, whatever of them it uses
 @pytest.mark.parametrize("update", [
-    lambda x, obs, p, grid, taper, rng: enkf_update(x, obs, p, rng),
-    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 0.0, rng),
-    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 0.4, rng),
-    lambda x, obs, p, grid, taper, rng: enkpf_update(x, obs, p, 1.0, rng),
-    lambda x, obs, p, grid, taper, rng: adaptive_gamma(x, obs, p, band(), rng),
-    lambda x, obs, p, grid, taper, rng: lenkf_update(x, local_plan(obs, grid, taper, 5000.0), rng),
-    lambda x, obs, p, grid, taper, rng: naive_lenkpf_update(
-        x, local_plan(obs, grid, taper, 5000.0), band(), rng),
+    lambda x, obs, p, grid, l_m, rng: enkf_update(x, obs, p, rng),
+    lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 0.0, rng),
+    lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 0.4, rng),
+    lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 1.0, rng),
+    lambda x, obs, p, grid, l_m, rng: adaptive_gamma(x, obs, p, band(), rng),
+    lambda x, obs, p, grid, l_m, rng: lenkf_update(x, local_plan(obs, grid, l_m, 5000.0), rng),
+    lambda x, obs, p, grid, l_m, rng: naive_lenkpf_update(
+        x, local_plan(obs, grid, l_m, 5000.0), band(), rng),
     one_block,
 ], ids=["enkf", "enkpf_gamma0", "enkpf_gamma0.4", "enkpf_gamma1", "adaptive_gamma",
         "lenkf", "naive_lenkpf", "block"])
@@ -716,7 +717,7 @@ def test_every_enkpf_draws_eta_e_r_and_the_uniform(update):
     obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
     update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), grid,
-           TaperSpec(1000.0), rng)
+           1000.0, rng)
     twin.standard_normal((k, obs.m))
     twin.standard_normal((k, obs.m))
     twin.uniform()

@@ -84,3 +84,28 @@ def test_trace_digests_name_the_methods_whose_rows_differ(tmp_path):
     assert result.stdout.splitlines() == [
         "run/trace_0.csv: differs in columns ess_mean (methods block_lenkpf, naive_lenkpf)",
     ]
+
+
+def test_compare_prints_each_traces_rows_with_gamma_strictly_inside_0_1(tmp_path):
+    # only a row whose gamma_min or gamma_max is in (0, 1) surely ran the
+    # hybrid update; the block row's sites may all be 0 or 1
+    rows = ["rep,cycle,method,gamma_mean,gamma_min,gamma_max,ess_mean",
+            "0,1,lenkf,1.0,1.0,1.0,", "0,1,naive_lenkpf,0.25,0.0,0.5,30.0",
+            "0,1,block_lenkpf,0.5,0.0,1.0,25.0", "0,2,enkpf_global,0.18,0.18,0.18,26.0",
+            "0,2,pf_global,0.0,0.0,0.0,3.0", "0,2,enkf_global,,,,"]
+    change = digest_files(tmp_path, "b.json", "\n".join(rows) + "\n")
+    assert json.loads(Path(change).read_text())["files"]["run/trace_0.csv"]["hybrid_rows"] == 2
+    result = compare(change, change)
+    assert result.returncode == 0
+    assert result.stdout.splitlines() == [
+        "all 1 files byte-identical",
+        "run/trace_0.csv: 2 and 2 rows with 0 < gamma < 1",
+    ]
+    # a digest file written before the count existed shows "-"
+    before = json.loads(Path(change).read_text())
+    del before["files"]["run/trace_0.csv"]["hybrid_rows"]
+    parent = tmp_path / "a.json"
+    parent.write_text(json.dumps(before))
+    result = compare(str(parent), change)
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1:] == ["run/trace_0.csv: - and 2 rows with 0 < gamma < 1"]

@@ -15,13 +15,11 @@ from enkpf.grid import Grid
 from enkpf.sweq import (
     MAX_STEPS,
     ModelParams,
-    RadarObs,
     advance_ensembles,
     advance_members,
     gen_observations,
     load_ensemble_csv,
     load_state_csv,
-    obs_to_gauss,
     rest_state,
     save_ensemble_csv,
     save_state_csv,
@@ -648,12 +646,16 @@ def test_spinup_members_distinct():
 # --------------------------------------------------------------- observations
 
 
+R_R, R_U = 0.025**2, 0.0025**2
+
+
 def test_gen_observations_dry_state():
     params = small_params()
-    radar = gen_observations(rest_state(params), params, np.random.default_rng(17))
-    np.testing.assert_array_equal(radar.y_r, 0.0)
-    assert radar.wet_idx.size == 0
-    assert radar.y_u.size == 0
+    n = params.grid.n_points
+    obs = gen_observations(rest_state(params), params, R_R, R_U, np.random.default_rng(17))
+    np.testing.assert_array_equal(obs.y[:n], 0.0)
+    assert obs.h_rows[n:].size == 0
+    assert obs.y[n:].size == 0
 
 
 def test_gen_observations_branches():
@@ -666,15 +668,16 @@ def test_gen_observations_branches():
     # point 3 negative enough that y_r lands below the wet threshold
     eps = np.array([0.5, 0.1, -20.0, -0.3]) / params.sigma_r
     wind_noise = np.array([2.0])
-    radar = gen_observations(x, params, FixedNormals(eps, wind_noise))
-    assert radar.y_r[0] == 0.0  # dry stays dry regardless of noise
-    np.testing.assert_allclose(radar.y_r[1], (np.sqrt(0.09) + 0.05) ** 2, rtol=1e-12)
-    assert radar.y_r[2] == 0.0  # negative amplitude truncates
+    obs = gen_observations(x, params, R_R, R_U, FixedNormals(eps, wind_noise))
+    y_r, n = obs.y[:4], 4
+    assert y_r[0] == 0.0  # dry stays dry regardless of noise
+    np.testing.assert_allclose(y_r[1], (np.sqrt(0.09) + 0.05) ** 2, rtol=1e-12)
+    assert y_r[2] == 0.0  # negative amplitude truncates
     amp3 = np.sqrt(0.04) - 0.15
-    np.testing.assert_allclose(radar.y_r[3], amp3**2, rtol=1e-12)
-    assert radar.y_r[3] < rc  # wet in truth, dry in the observation
-    np.testing.assert_array_equal(radar.wet_idx, [1])
-    np.testing.assert_allclose(radar.y_u, [2.0 + 2.0 * params.sigma_u], rtol=1e-12)
+    np.testing.assert_allclose(y_r[3], amp3**2, rtol=1e-12)
+    assert y_r[3] < rc  # wet in truth, dry in the observation
+    np.testing.assert_array_equal(obs.h_rows[n:] - n, [1])
+    np.testing.assert_allclose(obs.y[n:], [2.0 + 2.0 * params.sigma_u], rtol=1e-12)
 
 
 def test_gen_observations_sqrt_transform_distribution():
@@ -685,7 +688,7 @@ def test_gen_observations_sqrt_transform_distribution():
     x = state(np.full(n, 90.0), np.zeros(n), np.full(n, rc + 0.09))
     rng = np.random.default_rng(18)
     samples = np.concatenate(
-        [gen_observations(x, params, rng).y_r for _ in range(60)]
+        [gen_observations(x, params, R_R, R_U, rng).y[:n] for _ in range(60)]
     )
     stat = scipy.stats.kstest(np.sqrt(samples), "norm", args=(0.3, params.sigma_r / 2))
     assert stat.pvalue > 1e-3
@@ -696,19 +699,21 @@ def test_gen_observations_independent_across_points():
     n = params.grid.n_points
     x = state(np.full(n, 90.0), np.zeros(n), np.full(n, params.rain_threshold + 0.09))
     rng = np.random.default_rng(19)
-    draws = np.array([gen_observations(x, params, rng).y_r for _ in range(3000)])
+    draws = np.array([gen_observations(x, params, R_R, R_U, rng).y[:n] for _ in range(3000)])
     rho = np.corrcoef(draws[:, 10], draws[:, 11])[0, 1]
     assert abs(rho) < 0.06
 
 
-def test_obs_to_gauss_layout():
+def test_gen_observations_layout():
+    # rain at every point observes the rain block, then wind at the wet
+    # points observes the wind block; no noise, so y is the truth
     radar_n = 4
-    radar = RadarObs(
-        y_r=np.array([0.0, 0.3, 0.0, 0.01]),
-        wet_idx=np.array([1, 3]),
-        y_u=np.array([1.5, -0.5]),
-    )
-    obs = obs_to_gauss(radar, 0.025**2, 0.0025**2)
+    params = ModelParams(grid=Grid(radar_n, 500.0), plume_rate=0.0, sigma_r=0.0, sigma_u=0.0)
+    rc = params.rain_threshold
+    y_r = np.array([0.0, 0.3, 0.0, 0.01])
+    x = state(np.full(radar_n, 90.0), np.array([9.0, 1.5, 9.0, -0.5]),
+              np.where(y_r > 0, rc + y_r, 0.0))
+    obs = gen_observations(x, params, R_R, R_U, np.random.default_rng(0))
     np.testing.assert_array_equal(obs.h_rows, [8, 9, 10, 11, 5, 7])
     np.testing.assert_allclose(obs.y, [0.0, 0.3, 0.0, 0.01, 1.5, -0.5])
     np.testing.assert_allclose(obs.r_diag[:radar_n], 0.025**2)
