@@ -5,10 +5,12 @@
 
 The first form runs, from this checkout's src/, at seeds 1 and 7, `enkpf
 run --trace` on the config of each workload in perfbench/run.py's
-WORKLOADS, with the workload's own --threads, and `enkpf spinup --config
-configs/hf.ini`. It writes one JSON file: the sha256 of every output CSV
-(scores.csv, ranks.csv, each trace_*.csv; spinup's truth.csv and
-ensemble.csv), of each of its columns and, for a CSV with a method column,
+WORKLOADS, with the workload's own --threads, and on the wet variant of
+each WET workload (its config with `[model] warm_start_days = 4` appended:
+a warm state in which rain has set in, so the local and global EnKPFs reach
+their hybrid update), and `enkpf spinup --config configs/hf.ini`. It
+writes one JSON file: the sha256 of every output CSV (scores.csv,
+ranks.csv, each trace_*.csv; spinup's truth.csv and ensemble.csv), of each of its columns and, for a CSV with a method column,
 of each column over each method's rows, with nproc, the numpy version and
 whether the CPU has avx512f, on which numpy's float64 exp, and so the
 model's bits, depend. For a trace it also counts the rows whose gamma_min
@@ -43,6 +45,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, child_env  # noqa: E402
 
 SEEDS = (1, 7)
+WET = ("hf_desk", "analysis_mix")
+WET_MODEL = "warm_start_days = 4\n"  # appended to the config's [model] section
 
 
 def _sha(data):
@@ -90,13 +94,23 @@ def enkpf(*args):
                    cwd=ROOT, env=child_env(), check=True, stdout=subprocess.DEVNULL)
 
 
+def variants():
+    """{label: (workload, config text)}: each workload, then the wet ones."""
+    runs = {name: (workload, workload.config_text()) for name, workload in WORKLOADS.items()}
+    for name in WET:
+        workload = WORKLOADS[name]
+        runs[f"{name}-wet"] = (workload, workload.config_text() + WET_MODEL)
+    return runs
+
+
 def collect(work):
     """Runs every output's command under work; returns {label/file: digest}."""
     outs = {}
-    for name, workload in WORKLOADS.items():
-        (work / f"{name}.ini").write_text(workload.config_text())
+    runs = variants()
+    for name, (_, text) in runs.items():
+        (work / f"{name}.ini").write_text(text)
     for seed in SEEDS:
-        for name, workload in WORKLOADS.items():
+        for name, (workload, _) in runs.items():
             out = outs[f"{name}-seed{seed}"] = work / f"{name}-seed{seed}"
             enkpf("run", "--config", work / f"{name}.ini", "--seed", seed,
                   "--threads", workload.threads, "--trace", "--out", out)

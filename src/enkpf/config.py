@@ -64,8 +64,9 @@ class ExperimentConfig:
         lo, hi = self.ess_band
         if not 0.0 < lo <= hi <= 1.0:
             raise ConfigError("ess_band: need 0 < lo <= hi <= 1")
-        if not (self.r_r > 0 and self.r_u > 0):
-            raise ConfigError("r_r/r_u: observation error variances must be positive")
+        for key in ("r_r", "r_u"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key}: observation error variance must be positive and finite")
         timing = SCENARIO_TIMING.get(self.scenario, (None, None))
         for key, default in zip(("interval_s", "duration_s"), timing):
             if getattr(self, key) is None:

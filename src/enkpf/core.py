@@ -6,12 +6,14 @@ filters take P[:, H], the localized ones tapered blocks of it
 (taper.tapered_cov_block), and no d x d covariance or system is formed.
 Observation operators are column selectors (obs row j reads state column
 h_rows[j]), so HPH' is the rows of P[:, H] at h_rows and every gain is an
-m x m solve, factored by _chol. The gains live in global_filters: the EnKF
-gain in _enkf_rows, the EnKPF's gamma-scaled gains in _enkpf_rows_machinery.
+m x m solve, factored by _chol and solved by _cho_solve: LAPACK's potrf and
+potrs, called as scipy's cho_factor and cho_solve call them (bitwise theirs)
+without those wrappers' per-call cost. The gains live in global_filters: the
+EnKF gain in _enkf_rows, the EnKPF's gamma-scaled gains in _enkpf_rows_machinery.
 """
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from enkpf.errors import FilterError
 
@@ -40,12 +42,21 @@ def ensemble_moments(ens, cols_a, cols_b):
     return cov
 
 
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _chol(mat, what):
-    """Lower Cholesky factor of mat for cho_solve; FilterError naming what
+    """Lower Cholesky factor of mat for _cho_solve; FilterError naming what
     when mat is not finite or not positive definite."""
     if not np.isfinite(mat).all():
         raise FilterError(f"{what} is not finite")
-    try:
-        return sla.cho_factor(mat, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise FilterError(f"{what} not positive definite: {exc}") from exc
+    factor, info = _POTRF(mat, lower=True, clean=False)
+    if info > 0:
+        raise FilterError(f"{what} not positive definite: "
+                          f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def _cho_solve(factor, b):
+    """The solution x of A x = b, for A's _chol factor and a 2-d b."""
+    return _POTRS(factor, b, lower=True)[0]

@@ -33,15 +33,11 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from enkpf.core import _chol
+from enkpf.core import _cho_solve, _chol
 from enkpf.errors import FilterError
 from enkpf.resampling import ess, systematic_indices, weights_from_log
 
-__all__ = [
-    "adaptive_gamma",
-    "enkf_update",
-    "pf_weights",
-]
+__all__ = ["adaptive_gamma", "enkf_update", "pf_weights"]
 
 
 def enkf_update(ens, obs, p_cols, rng):
@@ -58,18 +54,14 @@ def enkf_update(ens, obs, p_cols, rng):
                               eta, er, np.arange(x.shape[0]))
 
 
-def _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw):
-    """Stochastic EnKF on a subset of rows: x + (y - Hx + sqrt(r) eta) K'.
-
-    x_rows (k, p) background rows, innov0 (k, m) = y - Hx, eta_raw (k, m)
-    standard normals; K = P_ro (S + R)^{-1} from the slices p_ro (p, m) and
-    s_oo (m, m). FilterError if S + R is not positive definite or the
-    update overflows.
-    """
-    factor = _chol(s_oo + np.diag(r_diag), "innovation covariance")
-    gain = sla.cho_solve(factor, p_ro.T).T
+def _enkf_rows(x_rows, perturbed, p_ro, factor):
+    """Stochastic EnKF on a subset of rows: x + (y - Hx + sqrt(r) eta) K', for
+    x_rows (k, p), perturbed (k, m) = y - Hx + sqrt(r) eta, and K = P_ro (S +
+    R)^{-1} from p_ro (p, m) and factor, the _chol factor of S + R.
+    FilterError if the update overflows."""
+    gain = _cho_solve(factor, p_ro.T).T
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = x_rows + (innov0 + eta_raw * np.sqrt(r_diag)) @ gain.T
+        rows = x_rows + perturbed @ gain.T
     if not np.isfinite(rows).all():
         raise FilterError("EnKF update is not finite")
     return rows
@@ -201,13 +193,13 @@ def _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma):
     row-restricted second-stage gain K((1-gamma) Q).
     """
     factor = _chol(gamma * s_oo + np.diag(r_diag), "stage-1 innovation covariance")
-    k_ro = gamma * sla.cho_solve(factor, p_ro.T).T
-    a = gamma * sla.cho_solve(factor, s_oo).T
+    k_ro = gamma * _cho_solve(factor, p_ro.T).T
+    a = gamma * _cho_solve(factor, s_oo).T
     hqh = (a * r_diag) @ a.T / gamma
     qh_ro = (k_ro * r_diag) @ a.T / gamma
     s2 = (1.0 - gamma) * hqh + np.diag(r_diag)
     factor2 = _chol(s2, "stage-2 innovation covariance")
-    k2_ro = (1.0 - gamma) * sla.cho_solve(factor2, qh_ro.T).T
+    k2_ro = (1.0 - gamma) * _cho_solve(factor2, qh_ro.T).T
     return k_ro, a, k2_ro
 
 
@@ -223,7 +215,8 @@ def _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta_raw, er_ra
     if gamma == 0.0 or r_diag.shape[0] == 0:
         return x_rows[idx]
     if gamma == 1.0:
-        return _enkf_rows(x_rows, innov0, r_diag, p_ro, s_oo, eta_raw)
+        return _enkf_rows(x_rows, innov0 + eta_raw * np.sqrt(r_diag), p_ro,
+                          _chol(s_oo + np.diag(r_diag), "innovation covariance"))
     k_ro, a, k2_ro = _enkpf_rows_machinery(r_diag, p_ro, s_oo, gamma)
     nu_rows = x_rows + innov0 @ k_ro.T
     resid = innov0 - innov0 @ a.T

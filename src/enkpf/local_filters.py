@@ -3,21 +3,22 @@
 All three read one LocalPlan per cycle, local_plan(obs, grid, l_m,
 segment_m), so no filter evaluates a distance or a taper weight: the site
 windows (the observations within the taper's length scale l_m, a plain
-float), the blocks and every taper weight (support 2l).
+float, as one padded (n, w_max) index array), the blocks and every taper
+weight (support 2l).
 LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
 local EnKPF at every grid point on the observations in its window, with
-tapered covariance slices. The LEnKF is that loop with gamma held
-at 1, since the EnKPF at gamma = 1 is the EnKF; NAIVE picks gamma per site.
-All sites share the same observation perturbations (one global draw) and one
-global uniform for resampling, so that neighboring analyses stay as coherent
-as the weights allow; the remaining index freedom is removed by a
-left-to-right reordering sweep. The site loop and each block start from the
-one set-up of every EnKPF, global_filters._setup, which draws eta, e_R and
-the resampling uniform. Every site and block runs the one local EnKPF step
-(_local_enkpf): gamma and the weights at it from global_filters.search_gamma,
-systematic indices reordered toward a reference index vector, and
-global_filters._enkpf_rows_update, which at gamma = 1 is the one EnKF rows
-update (_enkf_rows).
+tapered covariance slices. All sites share the observation perturbations
+(one global draw) and one uniform for resampling, so neighboring analyses
+stay as coherent as the weights allow. The LEnKF is the loop at gamma = 1
+(the EnKF): one EnKF rows update (_enkf_rows) per site. NAIVE picks gamma
+per site, in passes: pass 1 tests gamma = 0 at every site at once
+(_gamma_zero_screen), as search_gamma would; pass 2 runs the local EnKPF
+step (_local_enkpf: search_gamma, the reordered systematic indices and
+global_filters._enkpf_rows_update) only where that test fails; pass 3
+sweeps left to right, reordering each site's indices toward the previous
+site's, and gathers the rows of all gamma = 0 sites at once. The outputs
+are the one-site-at-a-time loop's (tests/oracles.site_loop) byte for byte.
+Every site and block starts from global_filters._setup (eta, e_R, u).
 
 BLOCK-LEnKPF instead partitions the observations into short segments, each
 block with its observations, u and v. A block update touches the observed
@@ -35,17 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from enkpf.core import _chol
 from enkpf.errors import FilterError
-from enkpf.global_filters import _check_band, _enkpf_rows_update, _setup, search_gamma
+from enkpf.global_filters import _check_band, _enkf_rows, _enkpf_rows_update, _setup, search_gamma
 from enkpf.obs import GaussObs
-from enkpf.resampling import ess, reorder_to_match, systematic_indices
+from enkpf.resampling import ess, reorder_to_match, systematic_indices, weights_from_log
 from enkpf.taper import taper_table, tapered_cov_block
 
-__all__ = [
-    "LocalDiagnostics", "LocalPlan", "ObservationBlock", "block_assimilate_one",
-    "block_lenkpf_update", "lenkf_update", "local_plan", "naive_lenkpf_update",
-    "schedule_blocks",
-]
+__all__ = ["LocalDiagnostics", "LocalPlan", "ObservationBlock", "block_assimilate_one",
+           "block_lenkpf_update", "lenkf_update", "local_plan", "naive_lenkpf_update",
+           "schedule_blocks"]
 
 
 @dataclass
@@ -65,18 +65,13 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
                  diagnostics):
     """One local EnKPF step on x_rows; returns (analysis rows, indices).
 
-    With ess_lo = None gamma is 1 (the EnKF): no weights, no diagnostics.
-    Otherwise search_gamma gives gamma and the weights at it, and
-    diagnostics, if given, records gamma with their ESS. Below gamma = 1 the
-    systematic indices for the uniform u are reordered to agree with
-    prev_idx as far as the multisets allow; at gamma = 1 they are the
-    identity.
+    gamma and the weights at it come from search_gamma (diagnostics, if given,
+    records gamma and their ESS); below gamma = 1 the systematic indices for u
+    are reordered toward prev_idx, at gamma = 1 they are the identity.
     """
-    gamma = 1.0
-    if ess_lo is not None:
-        gamma, alpha = search_gamma(s_oo, r_diag, innov0, ess_lo)
-        if diagnostics is not None:
-            diagnostics.record(gamma, ess(alpha))
+    gamma, alpha = search_gamma(s_oo, r_diag, innov0, ess_lo)
+    if diagnostics is not None:
+        diagnostics.record(gamma, ess(alpha))
     if gamma == 1.0:
         idx = np.arange(x_rows.shape[0])
     else:
@@ -85,47 +80,86 @@ def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_id
     return rows, idx
 
 
-def _site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
-    """Local EnKPF at every grid point, all sites sharing one _setup.
+def _gamma_zero_screen(innov0, r_diag, s_full, plan, lo_frac, u):
+    """search_gamma's gamma = 0 test at every site at once: (sites, ess, idx) of
+    the sites whose particle-filter weights pass its checks and reach lo_frac
+    * k. Each window's terms are summed in window order, as a site's own sum
+    runs (the padding m adds +0.0), so each row is the site's bit for bit. One
+    check of the whole whitened S serves every site; its entries (inv_i * s_ij)
+    * inv_j are made only if the largest factors' product, their bound, overflows."""
+    k, inv_sqrt_r = innov0.shape[0], 1.0 / np.sqrt(r_diag)
+    big_s = max(s_full.max(initial=0.0), -s_full.min(initial=0.0))
+    big_inv = inv_sqrt_r.max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        white_ok = (np.isfinite(big_inv * big_s * big_inv)
+                    or np.isfinite(inv_sqrt_r[:, None] * s_full * inv_sqrt_r).all())
+        q = np.zeros((r_diag.size + 1, k))
+        q[:-1] = (innov0 * innov0 / r_diag).T
+        log_pf = np.zeros((plan.windows.shape[0], k))
+        for obs_rows in plan.windows.T:
+            log_pf += q[obs_rows]
+    log_pf *= -0.5
+    sites = np.flatnonzero((plan.sizes > 0) & np.isfinite(log_pf.min(axis=1)) & white_ok)
+    alpha = weights_from_log(log_pf[sites])
+    ess_values = ess(alpha)
+    keep = ess_values >= lo_frac * k
+    return sites[keep], ess_values[keep], systematic_indices(alpha[keep], u)
 
-    With ess_lo set, each site picks its own gamma and its indices are
-    reordered toward the previous site's (_local_enkpf), which suppresses
-    artificial discontinuities at site boundaries. With ess_lo = None, gamma
-    is 1 at every site (the LEnKF). Sites without observations keep their
-    background bitwise; they and gamma = 1 sites contribute identity index
-    vectors to the sweep.
-    """
+
+def _site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
+    """Local EnKPF at every grid point from one _setup: the EnKF with ess_lo =
+    None, else the passes of the module docstring. Sites without observations
+    keep their background and, like gamma = 1 sites, pass the identity on."""
     obs = plan.obs
     x, innov0, eta_all, er_all, u_shared = _setup(ens, obs, rng)
     k, d = x.shape
     p_cross = tapered_cov_block(x, np.arange(d), obs.h_rows, plan.w_cross)
     s_full = p_cross[obs.h_rows, :]
-    identity = np.arange(k)
-
     out = x.copy()
-    idx = identity
-    for g, (cols, sel) in enumerate(plan.sites):
-        if sel.size == 0:
+    if ess_lo is None:
+        perturbed = innov0 + eta_all * np.sqrt(obs.r_diag)
+        for g in np.flatnonzero(plan.sizes):
+            cols, sel = plan.site_cols[g], plan.windows[g, :plan.sizes[g]]
+            s_plus_r = s_full[sel[:, None], sel] + np.diag(obs.r_diag[sel])
+            try:
+                factor = _chol(s_plus_r, "innovation covariance")
+                out[:, cols] = _enkf_rows(x[:, cols], perturbed[:, sel],
+                                          p_cross[cols[:, None], sel], factor)
+            except FilterError as exc:
+                raise FilterError(f"site {g}: {exc}") from exc
+        return out
+
+    screened, ess0, idx0 = _gamma_zero_screen(innov0, obs.r_diag, s_full, plan, ess_lo, u_shared)
+    row_of = np.full(plan.sizes.shape, -1)
+    row_of[screened] = np.arange(screened.size)
+    identity = np.arange(k)
+    idx, swept = identity, np.empty((k, screened.size), dtype=np.intp)
+    for g, (size, row) in enumerate(zip(plan.sizes.tolist(), row_of.tolist())):
+        if size == 0:
             idx = identity
-            continue
-        try:
-            out[:, cols], idx = _local_enkpf(
-                x[:, cols], innov0[:, sel], obs.r_diag[sel],
-                p_cross[np.ix_(cols, sel)], s_full[np.ix_(sel, sel)],
-                eta_all[:, sel], er_all[:, sel], ess_lo, u_shared, idx, diagnostics,
-            )
-        except FilterError as exc:
-            raise FilterError(f"site {g}: {exc}") from exc
+        elif row >= 0:
+            idx = swept[:, row] = reorder_to_match(idx0[row], idx)
+            if diagnostics is not None:
+                diagnostics.record(0.0, ess0[row])
+        else:
+            cols, sel = plan.site_cols[g], plan.windows[g, :size]
+            try:
+                out[:, cols], idx = _local_enkpf(
+                    x[:, cols], innov0[:, sel], obs.r_diag[sel], p_cross[cols[:, None], sel],
+                    s_full[sel[:, None], sel], eta_all[:, sel], er_all[:, sel], ess_lo, u_shared,
+                    idx, diagnostics)
+            except FilterError as exc:
+                raise FilterError(f"site {g}: {exc}") from exc
+    cols = plan.site_cols[screened]
+    out[:, cols] = x[swept[:, :, None], cols]
     return out
 
 
 def lenkf_update(ens, plan, rng):
     """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
 
-    Every site runs a stochastic EnKF on the observations in its window (see
-    LocalPlan); the perturbed observations are drawn once globally, so every
-    site sees the same eps_i. Sites with no observations in range keep their
-    background values bitwise.
+    Every site runs a stochastic EnKF on the observations in its window, all
+    with the same eps_i, drawn once. Sites with none keep their background.
     """
     return _site_loop(ens, plan, rng)
 
@@ -163,11 +197,14 @@ class ObservationBlock:
 
 @dataclass(frozen=True)
 class LocalPlan:
-    """One cycle's localization geometry: each site's columns and window (obs
-    rows within l), the (d, m) taper weights w_cross, the blocks and groups."""
+    """One cycle's localization geometry: each grid point g's state columns
+    site_cols[g] and window, its obs rows within l, as windows[g, :sizes[g]]
+    (padded with m); the (d, m) taper weights w_cross, the blocks and groups."""
 
     obs: GaussObs
-    sites: tuple
+    site_cols: np.ndarray
+    windows: np.ndarray
+    sizes: np.ndarray
     w_cross: np.ndarray
     blocks: tuple
     groups: tuple
@@ -222,10 +259,8 @@ def block_assimilate_one(ens, block, ess_band, rng, diagnostics=None):
     x, innov0, eta, er, uniform = _setup(ens, obs, rng)
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, block.w_oo)
     p_uo = tapered_cov_block(x, block.u, obs.h_rows, block.w_uo)
-    x_u, _ = _local_enkpf(
-        x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
-        np.arange(x.shape[0]), diagnostics,
-    )
+    x_u, _ = _local_enkpf(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
+                          np.arange(x.shape[0]), diagnostics)
 
     out = x.copy()
     out[:, block.u] = x_u
@@ -248,7 +283,11 @@ def local_plan(obs, grid, l_m, segment_m):
     offset = grid.ring_offset(np.arange(grid.n_points)[:, None], obs_pts)
     dist = offset * grid.spacing_m
     weights = taper_table(grid, l_m)[offset]
-    sites = tuple((grid.cols_at(g), np.flatnonzero(row <= l_m)) for g, row in enumerate(dist))
+    within = dist <= l_m
+    sizes = np.count_nonzero(within, axis=1)
+    windows = np.full((grid.n_points, sizes.max(initial=0)), obs.m)
+    site, obs_row = np.nonzero(within)
+    windows[site, np.arange(obs_row.size) - (np.cumsum(sizes) - sizes)[site]] = obs_row
     near = dist < 2.0 * l_m
     # a segment no longer than the spacing holds one point, whatever its
     # length; flooring it at the spacing keeps the ids small and finite
@@ -265,7 +304,8 @@ def local_plan(obs, grid, l_m, segment_m):
             weights[np.ix_(pts_v, obs_u)],
         ))
     w_cross = weights[grid.grid_of_cols(np.arange(grid.dim))]
-    return LocalPlan(obs, sites, w_cross, tuple(blocks), schedule_blocks(blocks))
+    return LocalPlan(obs, grid.cols_at(np.arange(grid.n_points)), windows, sizes, w_cross,
+                     tuple(blocks), schedule_blocks(blocks))
 
 
 def block_lenkpf_update(ens, plan, ess_band, rng, diagnostics=None):

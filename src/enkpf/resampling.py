@@ -3,6 +3,8 @@
 Weights are plain (k,) float arrays alpha that sum to 1, and resampling
 indices plain (k,) intp arrays I with I(i) = which member survives at slot i.
 weights_from_log is the one place weights are made from log-likelihoods.
+It, ess and systematic_indices also take (..., k) stacks, each row bitwise
+its own call's: the site loop screens all its sites with one call of each.
 
 Resampling uses the systematic scheme driven by a single uniform draw: with
 pointers (u + i)/k swept against the cumulative weights, every count N_j
@@ -20,20 +22,21 @@ from enkpf.errors import FilterError
 
 
 def weights_from_log(log_w):
-    """Normalize unnormalized log-weights with max-subtraction."""
+    """Normalize unnormalized log-weights with max-subtraction, along the last axis."""
     log_w = np.asarray(log_w, dtype=float)
-    m = log_w.max()
-    if not np.isfinite(m):
+    m = log_w.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise FilterError("degenerate weights: all log-likelihoods are -inf")
     w = np.exp(log_w - m)
-    w = w / w.sum()
+    w /= w.sum(axis=-1, keepdims=True)
     # Renormalized exp sums to 1 up to one rounding; tighten to the invariant.
-    return w / w.sum()
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def ess(alpha):
-    """Effective sample size 1/sum(alpha^2) of mixture weights, in [1, k]."""
-    return 1.0 / float(np.sum(alpha * alpha))
+    """Effective sample size 1/sum(alpha^2) of mixture weights (last axis), in [1, k]."""
+    return 1.0 / np.sum(alpha * alpha, axis=-1)
 
 
 def systematic_indices(alpha, u):
@@ -41,16 +44,17 @@ def systematic_indices(alpha, u):
 
     Pointer i sits at (u + i)/k; member j receives every pointer falling in
     its cumulative-weight interval. Output is sorted ascending, so uniform
-    weights give exactly the identity vector.
+    weights give exactly the identity vector. Rows of a (..., k) stack share u.
     """
     alpha = np.asarray(alpha, dtype=float)
-    k = alpha.shape[0]
+    k = alpha.shape[-1]
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    cum = np.cumsum(alpha)
-    cum[-1] = 1.0
+    cum = np.cumsum(alpha, axis=-1)
+    cum[..., -1] = 1.0
     pointers = (u + np.arange(k)) / k
-    return np.searchsorted(cum, pointers, side="right")
+    rows = [np.searchsorted(row, pointers, side="right") for row in cum.reshape(-1, k)]
+    return np.array(rows, dtype=np.intp).reshape(alpha.shape)
 
 
 def balanced_resample(alpha, rng):
@@ -64,12 +68,15 @@ def reorder_to_match(idx, prev_idx):
     Greedy maximum matching on the index multiset: slot i keeps prev_idx[i]
     whenever a copy is still available (ties resolved toward lower slots),
     which attains the maximum sum_j min(N_j, #{i: prev_idx[i]=j}) agreements.
-    Leftover copies fill the remaining slots in ascending value order.
+    Leftover copies fill the remaining slots in ascending value order. For a
+    permutation of prev_idx that is prev_idx itself, which is returned.
     """
     k = idx.shape[0]
     if prev_idx.shape != (k,):
         raise ValueError("prev_idx must have the same length as the index vector")
     counts = np.bincount(idx, minlength=k)
+    if np.array_equal(counts, np.bincount(prev_idx, minlength=k)):
+        return prev_idx
     out = np.full(k, -1, dtype=np.intp)
 
     # Group slots by their desired value; the first N_j slots asking for j get it.

@@ -44,7 +44,16 @@ every row and must take the same events from each generator.
 
 permute_fixed_points is the block filter's fixed-point permutation as first
 written; the package gets it as resampling.reorder_to_match against the
-identity, which must stay equal to it.
+identity, which must stay equal to it. reorder_to_match_reference is
+reorder_to_match before it returned prev_idx for a permutation of it, and
+systematic_indices_reference is systematic_indices as first written, one
+binary search of the pointers in the cumulative weights.
+
+site_loop is local_filters._site_loop as first written: one _local_enkpf
+per site in site order, the site's slices cut with np.ix_, and the FilterError
+naming the site. The package's loop screens every site at gamma = 0 at
+once, sweeps, and gathers, and must equal it byte for byte, diagnostics and
+errors included.
 
 EagerGammaWeightSolver is the package's weight solver as first written, a
 class that builds the eigendecomposition in its constructor and takes every
@@ -86,10 +95,11 @@ from enkpf.global_filters import (
     _setup,
 )
 from enkpf.grid import FIELDS
+from enkpf.local_filters import _local_enkpf
 from enkpf.resampling import ess, weights_from_log
 from enkpf.scoring import ScoreRecord, rank_of_truth, write_scores_csv
 from enkpf.sweq import _BLOCK_STEPS as PLUME_BLOCK
-from enkpf.taper import gaspari_cohn
+from enkpf.taper import gaspari_cohn, tapered_cov_block
 
 
 def kalman_gain(cov, h_rows, r_diag):
@@ -109,7 +119,7 @@ def kalman_gain(cov, h_rows, r_diag):
         raise FilterError("observation error variances must be positive")
     p_cols = np.asarray(cov, dtype=float)[:, h_rows]
     factor = _chol(p_cols[h_rows] + np.diag(r_diag), "innovation covariance")
-    return sla.cho_solve(factor, p_cols.T).T
+    return sla.cho_solve((factor, True), p_cols.T).T
 
 
 def crps_empirical(values, truth):
@@ -345,6 +355,58 @@ def permute_fixed_points(idx):
     return out
 
 
+def reorder_to_match_reference(idx, prev_idx):
+    """resampling.reorder_to_match by greedy matching alone."""
+    k = idx.shape[0]
+    counts = np.bincount(idx, minlength=k)
+    out = np.full(k, -1, dtype=np.intp)
+    order = np.argsort(prev_idx, kind="stable")
+    wanted = prev_idx[order]
+    group_start = np.searchsorted(wanted, wanted)
+    granted = np.arange(k) - group_start < counts[wanted]
+    out[order[granted]] = wanted[granted]
+    used = np.bincount(wanted[granted], minlength=k)
+    out[out < 0] = np.repeat(np.arange(k, dtype=np.intp), counts - used)
+    return out
+
+
+def systematic_indices_reference(alpha, u):
+    """resampling.systematic_indices of one (k,) weight vector by binary search."""
+    k = alpha.shape[0]
+    cum = np.cumsum(alpha)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, (u + np.arange(k)) / k, side="right")
+
+
+def site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
+    """local_filters._site_loop one site at a time (see the module docstring)."""
+    obs = plan.obs
+    x, innov0, eta_all, er_all, u_shared = _setup(ens, obs, rng)
+    k, d = x.shape
+    p_cross = tapered_cov_block(x, np.arange(d), obs.h_rows, plan.w_cross)
+    s_full = p_cross[obs.h_rows, :]
+    identity = np.arange(k)
+
+    out = x.copy()
+    idx = identity
+    for g, (cols, size) in enumerate(zip(plan.site_cols, plan.sizes)):
+        sel = plan.windows[g, :size]
+        if sel.size == 0:
+            idx = identity
+            continue
+        args = (x[:, cols], innov0[:, sel], obs.r_diag[sel], p_cross[np.ix_(cols, sel)],
+                s_full[np.ix_(sel, sel)], eta_all[:, sel], er_all[:, sel])
+        try:
+            if ess_lo is None:  # the local EnKF: gamma = 1, the identity indices
+                out[:, cols] = _enkpf_rows_update(*args[:5], 1.0, *args[5:], identity)
+                idx = identity
+            else:
+                out[:, cols], idx = _local_enkpf(*args, ess_lo, u_shared, idx, diagnostics)
+        except FilterError as exc:
+            raise FilterError(f"site {g}: {exc}") from exc
+    return out
+
+
 @dataclass(frozen=True)
 class QFactor:
     """Factored spread matrix Q = gamma^{-1} K_gamma R K_gamma'.
@@ -400,7 +462,7 @@ def enkpf_stage1(ens, obs, P, gamma):
     p_cols = P[:, obs.h_rows]
     factor = _chol(gamma * p_cols[obs.h_rows] + np.diag(obs.r_diag),
                    "stage-1 innovation covariance")
-    k_gamma = gamma * sla.cho_solve(factor, p_cols.T).T
+    k_gamma = gamma * sla.cho_solve((factor, True), p_cols.T).T
     nu = x + (obs.y - obs.project(x)) @ k_gamma.T
     return EnkpfIntermediate(nu, QFactor(k_gamma, obs.r_diag, gamma), gamma)
 
@@ -422,7 +484,7 @@ def enkpf_weights(inter, obs):
     sigma_w = hqh + np.diag(obs.r_diag / (1.0 - inter.gamma))
     factor = _chol(sigma_w, "weight covariance")
     resid = obs.y - inter.nu[:, obs.h_rows]
-    half = sla.cho_solve(factor, resid.T)
+    half = sla.cho_solve((factor, True), resid.T)
     log_w = -0.5 * np.sum(resid.T * half, axis=0)
     return weights_from_log(log_w)
 

@@ -218,13 +218,16 @@ def test_built_config_has_its_scenario_timing():
         ({"methods": ("bogus",)}, "methods:"),
         ({"scenario": "custom", "interval_s": 60.0}, "interval_s/duration_s:"),
         ({"k": 1}, "k:"),
-        ({"r_r": float("nan")}, "r_r/r_u:"),
-        ({"r_u": float("nan")}, "r_r/r_u:"),
+        ({"r_r": float("nan")}, "r_r:"),
+        ({"r_u": float("nan")}, "r_u:"),
         ({"duration_s": math.nan}, "duration_s: must be nonnegative"),
         ({"spinup_days": math.nan}, "spinup_days: must be nonnegative"),
         ({"k": 4.5}, "k: must be an integer"),
         ({"repetitions": 1.5}, "repetitions: must be an integer"),
         ({"base_seed": 1.5}, "base_seed: must be an integer"),
+        # the parser rejects inf for every float key; these were accepted
+        ({"r_r": math.inf}, "r_r: observation error variance must be positive and finite"),
+        ({"r_u": math.inf}, "r_u: observation error variance must be positive and finite"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):

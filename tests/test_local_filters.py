@@ -36,6 +36,7 @@ from oracles import (
     fixed_gamma,
     identity_resample,
     permute_fixed_points,
+    site_loop,
     taper_block,
     tapered_covariance,
     window_size,
@@ -96,10 +97,14 @@ def test_plan_weights_are_the_oracle_taper_and_its_sets_the_distances(n, data):
 
     assert same(plan.w_cross, np.arange(grid.dim), cols)
     obs_pts = grid.grid_of_cols(cols)
-    for g, (site_cols, window) in enumerate(plan.sites):
-        np.testing.assert_array_equal(site_cols, grid.cols_at(g))
-        dist = distance_m(grid, g, obs_pts)
-        np.testing.assert_array_equal(window, np.flatnonzero(dist <= l_m))
+    # each site's window ascending, padded with m up to the longest window
+    assert plan.windows.shape == (n, plan.sizes.max(initial=0))
+    for g in range(n):
+        np.testing.assert_array_equal(plan.site_cols[g], grid.cols_at(g))
+        window = np.flatnonzero(distance_m(grid, g, obs_pts) <= l_m)
+        assert plan.sizes[g] == window.size
+        np.testing.assert_array_equal(plan.windows[g, :window.size], window)
+        assert (plan.windows[g, window.size:] == cols.size).all()
     seg = (obs_pts * spacing) // max(segment_m, spacing)
     assert len(plan.blocks) == len(np.unique(seg))
     everything = np.arange(grid.dim)
@@ -256,41 +261,127 @@ def test_naive_locality_and_empty_obs():
     np.testing.assert_array_equal(noop, x)
 
 
+def loop_outcome(loop, x, plan, seed, ess_lo):
+    """The analysis bytes, or the FilterError's message, and the diagnostics."""
+    diag = LocalDiagnostics()
+    try:
+        result = loop(x, plan, np.random.default_rng(seed), ess_lo, diag).tobytes()
+    except FilterError as exc:
+        result = str(exc)
+    return result, np.array(diag.gammas).tobytes(), np.array(diag.ess_values).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 24), k=st.integers(2, 24), data=st.data())
+def test_site_loop_equals_the_per_site_oracle(n, k, data):
+    # the passes (screen, sweep, gather) against one _local_enkpf per site:
+    # sparse rain gives empty windows, no wind rain-only ones, wind at every
+    # point an all-wet grid; a far-off observation makes the innovations
+    # overflow, and both must name the same site
+    grid = Grid(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = random_ensemble(rng, grid, k)
+    rain = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=int)
+    wet = rain[np.array(data.draw(st.lists(st.booleans(), min_size=rain.size,
+                                           max_size=rain.size)), dtype=bool)]
+    if data.draw(st.booleans()):
+        wet = np.arange(n)
+    cols = np.concatenate([2 * n + rain, n + wet])
+    spread = data.draw(st.sampled_from([0.01, 0.3, 1.0, 3.0]))
+    y = x[:, cols].mean(axis=0) + spread * rng.standard_normal(cols.size)
+    if cols.size and data.draw(st.booleans()):
+        y[data.draw(st.integers(0, cols.size - 1))] = 1e155
+    r_var = data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]))
+    obs = GaussObs(y, cols, np.full(cols.size, r_var))
+    l_m = data.draw(st.integers(0, n).map(lambda i: i * 500.0) | st.just(NO_TAPER)) or 250.0
+    plan = local_plan(obs, grid, l_m, 5000.0)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for ess_lo in (None, data.draw(st.floats(0.05, 1.0) | st.just(1.0))):
+        assert loop_outcome(local_filters._site_loop, x, plan, seed, ess_lo) == loop_outcome(
+            site_loop, x, plan, seed, ess_lo)
+
+
+def test_site_loop_names_the_first_failing_site_as_the_oracle_does():
+    grid, x, obs = overflowing_innovation_case()
+    plan = local_plan(obs, grid, 1500.0, 5000.0)
+    want = loop_outcome(site_loop, x, plan, 46, 0.5)
+    assert want[0] == "site 2: whitened innovations are not finite"  # setup sanity
+    assert loop_outcome(local_filters._site_loop, x, plan, 46, 0.5) == want
+
+
+def test_a_site_after_an_empty_window_reorders_toward_the_identity():
+    # two clusters of resampled sites with empty windows between them: the
+    # sweep starts again from the identity after the gap, as the oracle does
+    grid = Grid(40)
+    x = random_ensemble(np.random.default_rng(50), grid, 12)
+    obs = rain_obs(grid, [5, 6, 30], [0.8, -0.6, 1.2], r_var=2.0)
+    plan = local_plan(obs, grid, 1000.0, 5000.0)
+    assert (plan.sizes[10:25] == 0).all() and plan.sizes[5] and plan.sizes[30]  # setup sanity
+    want = loop_outcome(site_loop, x, plan, 51, 0.05)
+    assert set(np.frombuffer(want[1])) == {0.0} and min(np.frombuffer(want[2])) < 12
+    assert loop_outcome(local_filters._site_loop, x, plan, 51, 0.05) == want
+
+
+def test_a_whitened_s_that_overflows_fails_each_site_as_the_oracle_does():
+    # two members at -1 and 1 observed with r = 1e-308: each squared
+    # innovation over r is 1e308, finite, but S / r = 2e308 overflows
+    grid = Grid(6)
+    x = np.zeros((2, grid.dim))
+    x[:, 2 * 6 + 2] = [-1.0, 1.0]
+    obs = rain_obs(grid, [2], [0.0], r_var=1e-308)
+    plan = local_plan(obs, grid, 500.0, 5000.0)
+    want = loop_outcome(site_loop, x, plan, 52, 0.5)
+    assert want[0] == "site 1: whitened innovation covariance is not finite"
+    assert loop_outcome(local_filters._site_loop, x, plan, 52, 0.5) == want
+
+
 def test_no_eigh_at_gamma_zero(monkeypatch):
     eigh, calls = global_filters.sla.eigh, []
-    weights_from_log, made = global_filters.weights_from_log, []
+    made = {}  # module name: the shape of each log-weight array it normalized
 
     def counting_eigh(*args, **kwargs):
         calls.append(args[0].shape)
         return eigh(*args, **kwargs)
 
-    def counting_weights(*args, **kwargs):
-        made.append(1)
-        return weights_from_log(*args, **kwargs)
+    def count_weights_in(module):
+        weights_from_log = module.weights_from_log
+
+        def counting_weights(log_w):
+            made.setdefault(module.__name__.removeprefix("enkpf."), []).append(np.shape(log_w))
+            return weights_from_log(log_w)
+
+        monkeypatch.setattr(module, "weights_from_log", counting_weights)
 
     monkeypatch.setattr(global_filters.sla, "eigh", counting_eigh)
-    monkeypatch.setattr(global_filters, "weights_from_log", counting_weights)
+    count_weights_in(global_filters)
+    count_weights_in(local_filters)
     grid = Grid(20)
-    x = random_ensemble(np.random.default_rng(43), grid, 10)
+    k = 10
+    x = random_ensemble(np.random.default_rng(43), grid, k)
     obs = rain_obs(grid, [3, 9, 10, 15], [0.2, -0.1, 0.3, 0.0], r_var=1e4)
     diag = LocalDiagnostics()
     naive_lenkpf_update(x, local_plan(obs, grid, 1500.0, 5000.0), band(),
                         np.random.default_rng(44), diag)
     assert diag.gammas and set(diag.gammas) == {0.0}  # setup sanity
-    # one weight vector per site: the gamma = 0 weights that are resampled
-    assert len(made) == len(diag.gammas)
+    # the screen makes every site's gamma = 0 weights, which are resampled,
+    # in one row-wise call, and no site searches
+    assert made == {"local_filters": [(len(diag.gammas), k)]}
     p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
     _, w, _ = enkpf_update(x, obs, p_cols, 0.0, np.random.default_rng(44))
     assert w.tobytes() == pf_weights(x, obs).tobytes()
     assert calls == []
     # precise observations move sites off gamma = 0: one eigh for each, and
-    # the gamma = 0 test and ten midpoints make its 11 weight vectors
-    diag, made[:] = LocalDiagnostics(), []
+    # the gamma = 0 test and ten midpoints of its search make its 11 weight
+    # vectors; the screen still makes one row-wise call
+    diag = LocalDiagnostics()
+    made.clear()
     precise = rain_obs(grid, [3, 9, 10, 15], [2.0, -1.5, 1.8, 2.5], r_var=0.05)
     naive_lenkpf_update(x, local_plan(precise, grid, 1500.0, 5000.0), band(),
                         np.random.default_rng(44), diag)
-    assert len(calls) == sum(g > 0.0 for g in diag.gammas) > 0
-    assert len(made) == sum(11 if g > 0.0 else 1 for g in diag.gammas)
+    searched = sum(g > 0.0 for g in diag.gammas)
+    assert len(calls) == searched > 0
+    assert made == {"local_filters": [(len(diag.gammas), k)],
+                    "global_filters": [(k,)] * (11 * searched)}
 
 
 def test_gamma_one_sites_report_the_global_uniform_weights():

@@ -1,10 +1,13 @@
-"""scripts/output_digests.py: --compare on small synthetic digest files, and
-the digests of a small trace CSV."""
+"""scripts/output_digests.py: --compare on small synthetic digest files, the
+digests of a small trace CSV, and the configs of the wet variants."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from enkpf.config import parse_config
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
 MACHINE = {"avx512f": True, "nproc": 2, "numpy": "2.4.6"}
@@ -109,3 +112,19 @@ def test_compare_prints_each_traces_rows_with_gamma_strictly_inside_0_1(tmp_path
     result = compare(str(parent), change)
     assert result.returncode == 0
     assert result.stdout.splitlines()[1:] == ["run/trace_0.csv: - and 2 rows with 0 < gamma < 1"]
+
+
+def test_the_wet_variants_are_hf_desk_and_analysis_mix_from_a_four_day_warm_start():
+    # the digests' gate on the hybrid update: two workloads again, from a warm
+    # state in which rain has set in; every other setting is the workload's
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import output_digests as od; "
+            "print(json.dumps({label: text for label, (_, text) in od.variants().items()}))")
+    texts = json.loads(subprocess.run([sys.executable, "-c", code, str(SCRIPT.parent)],
+                                      capture_output=True, text=True, check=True).stdout)
+    assert list(texts) == ["hf_desk", "analysis_mix", "lf_slice", "hf_desk-wet",
+                           "analysis_mix-wet"]
+    for name in ("hf_desk", "analysis_mix"):
+        dry, wet = parse_config(texts[name]), parse_config(texts[f"{name}-wet"])
+        assert wet.model.warm_start_days == 4.0
+        assert wet == dataclasses.replace(
+            dry, model=dataclasses.replace(dry.model, warm_start_days=4.0))

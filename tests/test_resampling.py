@@ -14,7 +14,11 @@ from enkpf.resampling import (
     weights_from_log,
 )
 
-from oracles import permute_fixed_points
+from oracles import (
+    permute_fixed_points,
+    reorder_to_match_reference,
+    systematic_indices_reference,
+)
 
 
 def test_weights_from_log_normalizes():
@@ -178,3 +182,52 @@ def test_reorder_to_match_rejects_length_mismatch():
 def test_systematic_rejects_bad_u():
     with pytest.raises(ValueError):
         systematic_indices(np.array([1.0]), 1.0)
+
+
+@given(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_row_wise_weights_ess_and_indices_are_each_rows_own(k, rows, seed):
+    # the site loop screens all its sites as one stack: every row must be
+    # what a call on that row alone gives, bit for bit
+    rng = np.random.default_rng(seed)
+    log_w = -0.5 * rng.gamma(0.5, rng.choice([0.1, 10.0, 1e3]), size=(rows, k))
+    log_w[rng.random((rows, k)) < 0.2] = -np.inf
+    log_w[:, 0] = np.maximum(log_w[:, 0], -1.0)  # some weight in every row
+    u = rng.uniform()
+    w = weights_from_log(log_w)
+    e = ess(w)
+    idx = systematic_indices(w, u)
+    assert w.shape == idx.shape == (rows, k) and e.shape == (rows,)
+    for i in range(rows):
+        assert w[i].tobytes() == weights_from_log(log_w[i]).tobytes()
+        assert e[i].tobytes() == np.float64(ess(w[i])).tobytes()
+        assert idx[i].tobytes() == systematic_indices(w[i], u).tobytes()
+
+
+def test_a_row_of_minus_inf_fails_the_whole_stack():
+    with pytest.raises(FilterError, match="degenerate weights"):
+        weights_from_log(np.array([[0.0, -1.0], [-np.inf, -np.inf]]))
+
+
+@given(st.integers(1, 60), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_systematic_indices_of_a_vector_are_the_binary_search_as_first_written(k, u, seed):
+    rng = np.random.default_rng(seed)
+    alpha = rng.dirichlet(np.full(k, rng.choice([0.05, 0.5, 5.0])))
+    alpha[rng.random(k) < 0.3] = 0.0
+    alpha = alpha / alpha.sum() if alpha.sum() > 0 else np.full(k, 1.0 / k)
+    got, want = systematic_indices(alpha, u), systematic_indices_reference(alpha, u)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_reorder_to_match_returns_prev_for_a_permutation_as_the_matching_does(k, seed):
+    # the shortcut for idx a permutation of prev_idx, which the sweep takes at
+    # every dry site, against the greedy matching without it
+    rng = np.random.default_rng(seed)
+    prev = rng.integers(0, k, size=k)
+    for idx in (rng.permutation(prev), np.sort(prev), rng.integers(0, k, size=k)):
+        got, want = reorder_to_match(idx, prev), reorder_to_match_reference(idx, prev)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert reorder_to_match(rng.permutation(prev), prev) is prev

@@ -182,7 +182,7 @@ def test_an_infinite_length_scale_takes_every_observation_and_tapers_nothing():
     grid = Grid(8, 500.0)
     obs = GaussObs(np.zeros(3), [16, 20, 3], np.ones(3))
     plan = local_plan(obs, grid, math.inf, 1000.0)
-    assert all(window.tolist() == [0, 1, 2] for _, window in plan.sites)
+    assert plan.sizes.tolist() == [3] * 8 and (plan.windows == [0, 1, 2]).all()
     assert (plan.w_cross == 1.0).all()
 
 
