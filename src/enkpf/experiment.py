@@ -92,17 +92,18 @@ class RepResult:
 # Each analysis maps (members, obs, plan, cfg, rng, diag), plan the cycle's
 # LocalPlan, to the analysis member array. The filters are looked up in
 # this module's namespace at call time, so a name replaced here (as the
-# benchmark's tracer does) reaches them all.
+# benchmark's tracer does) reaches them all. The global EnKF and EnKPF get
+# only HPH' (m, m) of the members: their gains are the anomalies A' times a
+# solve with k right-hand sides (global_filters._global_update).
 
 
 def _enkf_global(members, obs, plan, cfg, rng, diag):
-    p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
-    return enkf_update(members, obs, p_cols, rng)
+    return enkf_update(members, obs, ensemble_moments(members, obs.h_rows, obs.h_rows), rng)
 
 
 def _enkpf_global(members, obs, plan, cfg, rng, diag):
-    p_cols = ensemble_moments(members, np.arange(members.shape[1]), obs.h_rows)
-    gamma, (out, w, _) = adaptive_gamma(members, obs, p_cols, cfg.ess_band, rng)
+    s_oo = ensemble_moments(members, obs.h_rows, obs.h_rows)
+    gamma, (out, w, _) = adaptive_gamma(members, obs, s_oo, cfg.ess_band, rng)
     diag.record(gamma, ess(w))
     return out
 

@@ -15,43 +15,47 @@ particle weights are one expression, _pf_log_likelihood, which pf_weights
 shares with the EnKPF at gamma = 0; the one eigh of _mixture_weights (0 <
 gamma < 1) is made only when gamma = 0 will not do. Every EnKPF starts from
 one set-up, _setup, which draws eta, e_R and the resampling uniform u.
-enkf_update and adaptive_gamma update all rows from p_cols = P[:, H] (d, m)
-of the plain or tapered P, cutting HPH' from it (_s_oo) as the site loop
-does, the localized filters each site or block, which keeps the
-global/local reduction tests exact. At gamma = 1 it is the stochastic EnKF,
-written once in _enkf_rows (enkf_update, the LEnKF, every gamma = 1 site or
-block): the weights are uniform, e_R and u go unused. Below it the members
-are resampled (systematic_indices) with the weights that came with gamma.
-The paper's filters only choose gamma adaptively, so there is no entry point
-at a fixed gamma other than 1. Weights and indices are plain (k,) arrays
-(see enkpf.resampling). Every observation operator is a column selector
-with diagonal R, so every solve is m x m.
+
+enkf_update and adaptive_gamma update all rows on the members' own sample
+covariance P = A'A/(k-1), A the (k, d) anomalies, given s_oo = HPH' (m, m),
+in ensemble coordinates (_global_update): with G = A[:, H]/(k-1), P[:, H] =
+A'G, so every gain is A' times a (k, m) solve for G, and
+_enkpf_rows_update, run on k zero rows with G for P[:, H], returns the (k,
+k) weights W of the analysis x[idx] + W A. Each solve has k
+right-hand sides, not d, and no (d, m) array is formed. The localized
+filters pass tapered slices of P to the same _enkpf_rows_update. At gamma =
+1 it is the stochastic EnKF, written once in _enkf_rows: the weights are
+uniform, e_R and u go unused. Below it the members are resampled
+(systematic_indices) with the weights that came with gamma. The paper's
+filters only choose gamma adaptively, so there is no entry point at a fixed
+gamma other than 1. Weights and indices are plain (k,) arrays (see
+enkpf.resampling). Every observation operator is a column selector with
+diagonal R, so every solve is m x m.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg as sla
 
-from enkpf.core import _cho_solve, _chol
+from enkpf.core import _cho_solve, _chol, _eigh
 from enkpf.errors import FilterError
 from enkpf.resampling import ess, systematic_indices, weights_from_log
 
 __all__ = ["adaptive_gamma", "enkf_update", "pf_weights"]
 
 
-def enkf_update(ens, obs, p_cols, rng):
+def enkf_update(ens, obs, s_oo, rng):
     """Stochastic EnKF analysis: x_i + K(P)(y - Hx_i + eps_i), eps_i ~ N(0, R).
 
-    The EnKPF at gamma = 1, from p_cols = P[:, H] (d, m) of the plain or
-    tapered sample covariance. Each member gets its own observation
-    perturbation, from the first (k, m) standard-normal block that _setup
-    draws from rng (its e_R and u go unused), making the update
-    bit-reproducible per seed.
+    The EnKPF at gamma = 1 on the members' sample covariance P, given s_oo =
+    HPH' (m, m), in ensemble coordinates (_global_update). Each member gets
+    its own observation perturbation, from the first (k, m) standard-normal
+    block that _setup draws from rng (its e_R and u go unused), making the
+    update bit-reproducible per seed.
     """
     x, innov0, eta, er, _ = _setup(ens, obs, rng)
-    return _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, _s_oo(p_cols, x, obs), 1.0,
-                              eta, er, np.arange(x.shape[0]))
+    return _global_update(x, obs, innov0, _s_oo(s_oo, x, obs), 1.0, eta, er,
+                          np.arange(x.shape[0]))
 
 
 def _enkf_rows(x_rows, perturbed, p_ro, factor):
@@ -114,8 +118,7 @@ def _mixture_weights(s_white, innov0, r_diag):
     affordable.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # m = 0: nothing to decompose, and every weight is 1/k
-        lam, u = sla.eigh(s_white) if r_diag.size else (np.zeros(0), s_white)
+        lam, u = _eigh(s_white)  # m = 0: nothing to decompose, every weight is 1/k
         z2 = ((innov0 * (1.0 / np.sqrt(r_diag))) @ u) ** 2
     lam = np.clip(lam, 0.0, None)
 
@@ -235,17 +238,40 @@ def _setup(ens, obs, rng):
             rng.standard_normal((k, obs.m)), rng.uniform())
 
 
-def _s_oo(p_cols, x, obs):
-    """HPH' = p_cols[h_rows]; ValueError unless p_cols is (d, m) for x (k, d)."""
-    want = (x.shape[1], obs.m)
-    if np.shape(p_cols) != want:
-        raise ValueError(f"p_cols must be P[:, H] of shape {want}, not {np.shape(p_cols)}")
-    return p_cols[obs.h_rows]
+def _s_oo(s_oo, x, obs):
+    """s_oo as a float array; ValueError unless it is (m, m) and x (k, d) has
+    the k >= 2 members that a sample covariance needs."""
+    s_oo = np.asarray(s_oo, dtype=float)
+    if s_oo.shape != (obs.m, obs.m):
+        raise ValueError(f"s_oo must be HPH' of shape {(obs.m, obs.m)}, not {s_oo.shape}")
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 members for a sample covariance")
+    return s_oo
 
 
-def adaptive_gamma(ens, obs, p_cols, ess_band, rng):
-    """Choose gamma by ESS bisection, then run the EnKPF at that gamma, from
-    p_cols = P[:, H] (d, m).
+def _global_update(x, obs, innov0, s_oo, gamma, eta_raw, er_raw, idx):
+    """The EnKPF analysis of every row of x (k, d) at gamma, in ensemble
+    coordinates: x[idx] + W A, A the anomalies and W (k, k) the rows update
+    of k zero rows with p_ro = A[:, H]/(k-1) (see the module docstring).
+    x[idx] at gamma = 0 or m = 0. FilterError if the analysis is not finite."""
+    if gamma == 0.0 or obs.m == 0:
+        return x[idx]
+    k = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        anom = x - x.mean(axis=0)
+        g = anom[:, obs.h_rows] / (k - 1)
+        w = _enkpf_rows_update(np.zeros((k, k)), innov0, obs.r_diag, g, s_oo, gamma,
+                               eta_raw, er_raw, idx)
+        out = x[idx] + w @ anom
+    if not np.isfinite(out).all():
+        raise FilterError(f"{'EnKF' if gamma == 1.0 else 'EnKPF'} update is not finite")
+    return out
+
+
+def adaptive_gamma(ens, obs, s_oo, ess_band, rng):
+    """Choose gamma by ESS bisection, then run the EnKPF at that gamma on the
+    members' sample covariance P, given s_oo = HPH' (m, m), in ensemble
+    coordinates (_global_update).
 
     ess_band = (lo, hi) fractions of k: gamma is the smallest value (up to
     the 2^-10 bisection resolution) whose mixture ESS reaches lo * k, with
@@ -258,8 +284,7 @@ def adaptive_gamma(ens, obs, p_cols, ess_band, rng):
     """
     lo, _ = _check_band(ess_band)
     x, innov0, eta, er, u = _setup(ens, obs, rng)
-    s_oo = _s_oo(p_cols, x, obs)
+    s_oo = _s_oo(s_oo, x, obs)
     gamma, alpha = search_gamma(s_oo, obs.r_diag, innov0, lo)
     idx = np.arange(x.shape[0]) if gamma == 1.0 else systematic_indices(alpha, u)
-    x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, s_oo, gamma, eta, er, idx)
-    return gamma, (x_a, alpha, idx)
+    return gamma, (_global_update(x, obs, innov0, s_oo, gamma, eta, er, idx), alpha, idx)

@@ -34,9 +34,8 @@ identical results.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from enkpf.core import _chol
+from enkpf.core import _chol, _eigh
 from enkpf.errors import FilterError
 from enkpf.global_filters import _check_band, _enkf_rows, _enkpf_rows_update, _setup, search_gamma
 from enkpf.obs import GaussObs
@@ -234,7 +233,7 @@ def schedule_blocks(blocks):
 
 def _pinv_regress(p_uu, p_vu, diagnostics=None):
     """M' with M = P_vu P_uu^{-1}, via eigen-truncated generalized inverse."""
-    lam, vecs = sla.eigh(p_uu)
+    lam, vecs = _eigh(p_uu)
     lam_max = lam.max() if lam.size else 0.0
     keep = lam > 1e-10 * max(lam_max, 0.0)
     if not keep.all() and diagnostics is not None:

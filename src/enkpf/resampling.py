@@ -39,20 +39,26 @@ def ess(alpha):
     return 1.0 / np.sum(alpha * alpha, axis=-1)
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def systematic_indices(alpha, u):
     """Systematic resampling indices for a given uniform offset u in [0, 1).
 
-    Pointer i sits at (u + i)/k; member j receives every pointer falling in
-    its cumulative-weight interval. Output is sorted ascending, so uniform
-    weights give exactly the identity vector. Rows of a (..., k) stack share u.
+    Pointer i sits at (u + i)/k, or just below 1 where that rounds to 1;
+    member j receives every pointer falling in its cumulative-weight
+    interval. Output is sorted ascending, so uniform weights give exactly the
+    identity vector. Rows of a (..., k) stack share u.
     """
     alpha = np.asarray(alpha, dtype=float)
     k = alpha.shape[-1]
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    cum = np.cumsum(alpha, axis=-1)
+    # clipped at 1, the cumulative weights stay sorted whatever the rounding,
+    # and every pointer stays below the last one: no index reaches k
+    cum = np.minimum(np.cumsum(alpha, axis=-1), 1.0)
     cum[..., -1] = 1.0
-    pointers = (u + np.arange(k)) / k
+    pointers = np.minimum((u + np.arange(k)) / k, _BELOW_ONE)
     rows = [np.searchsorted(row, pointers, side="right") for row in cum.reshape(-1, k)]
     return np.array(rows, dtype=np.intp).reshape(alpha.shape)
 

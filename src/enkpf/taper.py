@@ -64,4 +64,6 @@ def tapered_cov_block(members, cols_a, cols_b, weights):
     with weights, the (|a|, |b|) taper weights of the same block, so no d x d
     matrix is formed; this is what the localized filters call on small slices.
     """
-    return ensemble_moments(members, cols_a, cols_b) * weights
+    cov = ensemble_moments(members, cols_a, cols_b)
+    cov *= weights
+    return cov

@@ -10,17 +10,25 @@ enkpf_perturbations draws through production's own stage-2 gain
 (_enkpf_rows_machinery), so a covariance check of its draws checks that
 gain.
 
-enkpf_update is the global EnKPF at a fixed gamma, which the package does
-not offer, since the paper's filters only choose gamma adaptively: it is
-production's set-up (_setup, _s_oo), the weights at gamma (gamma_weights)
-and production's resampling and rows update (systematic_indices,
-_enkpf_rows_update), so enkf_update must equal it at gamma = 1 and
-adaptive_gamma at the gamma it picks, bit for bit. gamma_weights gives the
-mixture weights at a fixed gamma from production's checks and weight
-formulas (_checked_pf_log_likelihood, _mixture_weights).
+enkpf_update is the global EnKPF at a fixed gamma from p_cols = P[:, H]
+(d, m) of any P, tapered or not, as the package's global filters first ran:
+production's set-up (_setup), the weights at gamma (gamma_weights) and
+production's resampling and rows update (systematic_indices,
+_enkpf_rows_update) on all d rows, with d right-hand sides in every solve.
+The package's enkf_update and adaptive_gamma take only HPH' and solve in
+ensemble coordinates on the members' own P; fed the untapered P[:, H] of the
+same members, this oracle must give their weights and indices bit for bit
+and their analyses up to rounding, and it is the global update of the tests
+that need an arbitrary or a tapered P. gamma_weights gives the mixture
+weights at a fixed gamma from production's checks and weight formulas
+(_checked_pf_log_likelihood, _mixture_weights).
 
 kalman_gain is the plain EnKF gain on the full P; the package forms it only
-on the rows an update touches (global_filters._enkf_rows). crps_empirical is
+on the rows an update touches (global_filters._enkf_rows), or for the
+members' anomalies (global_filters._global_update). stochastic_enkf is the
+textbook stochastic EnKF with that gain on a dense P, drawing its
+perturbations first from rng as every EnKPF does: the EnKPF at gamma = 1 on
+any P must equal it bit for bit. crps_empirical is
 the CRPS of one ensemble at one point; the package only computes its mean
 over a field (scoring.field_crps). distance_m is the circular distance in
 meters between grid points, which the package forms only in its local plan
@@ -91,7 +99,6 @@ from enkpf.global_filters import (
     _enkpf_rows_update,
     _eps_draws,
     _mixture_weights,
-    _s_oo,
     _setup,
 )
 from enkpf.grid import FIELDS
@@ -120,6 +127,15 @@ def kalman_gain(cov, h_rows, r_diag):
     p_cols = np.asarray(cov, dtype=float)[:, h_rows]
     factor = _chol(p_cols[h_rows] + np.diag(r_diag), "innovation covariance")
     return sla.cho_solve((factor, True), p_cols.T).T
+
+
+def stochastic_enkf(ens, obs, cov, rng):
+    """x_i + K (y - H x_i + sqrt(r) eta_i) for a dense (d, d) P, with K
+    kalman_gain and eta the (k, m) normals rng draws first."""
+    x = np.asarray(ens, dtype=float)
+    eta = rng.standard_normal((x.shape[0], obs.m))
+    perturbed = obs.y - obs.project(x) + eta * np.sqrt(obs.r_diag)
+    return x + perturbed @ kalman_gain(cov, obs.h_rows, obs.r_diag).T
 
 
 def crps_empirical(values, truth):
@@ -318,7 +334,10 @@ def enkpf_update(ens, obs, p_cols, gamma, rng):
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     x, innov0, eta, er, u = _setup(ens, obs, rng)
-    s_oo = _s_oo(p_cols, x, obs)
+    want = (x.shape[1], obs.m)
+    if np.shape(p_cols) != want:
+        raise ValueError(f"p_cols must be P[:, H] of shape {want}, not {np.shape(p_cols)}")
+    s_oo = p_cols[obs.h_rows]
     alpha = gamma_weights(s_oo, obs.r_diag, innov0, gamma)
     idx = np.arange(x.shape[0]) if gamma == 1.0 else global_filters.systematic_indices(alpha, u)
     x_a = _enkpf_rows_update(x, innov0, obs.r_diag, p_cols, s_oo, gamma, eta, er, idx)
@@ -371,11 +390,13 @@ def reorder_to_match_reference(idx, prev_idx):
 
 
 def systematic_indices_reference(alpha, u):
-    """resampling.systematic_indices of one (k,) weight vector by binary search."""
+    """resampling.systematic_indices of one (k,) weight vector by binary search,
+    in the sorted cumulative weights clipped at 1, of pointers kept below 1."""
     k = alpha.shape[0]
-    cum = np.cumsum(alpha)
+    cum = np.minimum(np.cumsum(alpha), 1.0)
     cum[-1] = 1.0
-    return np.searchsorted(cum, (u + np.arange(k)) / k, side="right")
+    return np.searchsorted(cum, np.minimum((u + np.arange(k)) / k, np.nextafter(1.0, 0.0)),
+                           side="right")
 
 
 def site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):

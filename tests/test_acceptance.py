@@ -13,7 +13,9 @@ import pytest
 from enkpf import global_filters, local_filters
 from enkpf.config import ExperimentConfig
 from enkpf.experiment import run_experiment
+from enkpf.core import ensemble_moments
 from enkpf.global_filters import (
+    adaptive_gamma,
     enkf_update,
     pf_weights,
     search_gamma,
@@ -42,6 +44,7 @@ from oracles import (
     enkpf_weights,
     fixed_gamma,
     identity_resample,
+    stochastic_enkf,
     tapered_covariance,
 )
 
@@ -99,9 +102,14 @@ def test_criterion_01_reduction_identities():
     p = _random_spd(rng, d) / d
     obs = GaussObs(rng.standard_normal(3), [0, 3, 6], [0.4, 0.3, 0.6])
 
+    # on an arbitrary P through the p_cols oracle, and in the package's
+    # ensemble coordinates on the members' own P
     out_a = enkpf_update(x, obs, p[:, obs.h_rows], 1.0, np.random.default_rng(99))[0]
-    out_b = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
-    exact = np.array_equal(out_a, out_b)
+    out_b = stochastic_enkf(x, obs, p, np.random.default_rng(99))
+    s_oo = ensemble_moments(x, obs.h_rows, obs.h_rows)
+    gamma, (out_c, _, _) = adaptive_gamma(x, obs, s_oo, (1.0, 1.0), np.random.default_rng(99))
+    out_d = enkf_update(x, obs, s_oo, np.random.default_rng(99))
+    exact = gamma == 1.0 and out_a.tobytes() == out_b.tobytes() and out_c.tobytes() == out_d.tobytes()
 
     inter = enkpf_stage1(x, obs, p, 1e-8)
     w_enkpf = enkpf_weights(inter, obs)

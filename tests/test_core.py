@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enkpf.core import ensemble_moments
+from enkpf import core
+from enkpf.core import _eigh, ensemble_moments
 from enkpf.errors import FilterError
 
 from oracles import kalman_gain
@@ -88,3 +92,30 @@ def test_kalman_gain_bad_r():
         kalman_gain(np.eye(2), np.array([0]), np.array([1.0, 2.0]))
     with pytest.raises(FilterError):
         kalman_gain(np.eye(2), np.array([0]), np.array([-1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_eigh_is_scipys_bit_for_bit(n, data, seed):
+    # sample covariances of fewer members than columns are rank-deficient
+    rank = data.draw(st.integers(0, n), label="rank")
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, rank)) * rng.choice([1e-3, 1.0, 1e3])
+    mat = b @ b.T if rank else np.zeros((n, n))
+    if data.draw(st.booleans(), label="indefinite"):
+        mat = mat - rng.uniform(0.0, 2.0) * np.eye(n)
+    for got, want in zip(_eigh(mat), sla.eigh(mat)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_eigh_of_an_empty_matrix_is_empty():
+    lam, vecs = _eigh(np.zeros((0, 0)))
+    assert lam.shape == (0,) and vecs.shape == (0, 0)
+
+
+def test_a_failed_eigh_raises_filter_error(monkeypatch):
+    syevr = core._SYEVR
+    monkeypatch.setattr(core, "_SYEVR", lambda *a, **kw: (*syevr(*a, **kw)[:4], 3))
+    with pytest.raises(FilterError, match="eigendecomposition failed"):
+        _eigh(np.eye(3))

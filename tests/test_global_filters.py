@@ -26,10 +26,12 @@ from oracles import (
     enkpf_stage1,
     enkpf_update,
     enkpf_weights,
+    fixed_gamma,
     gamma_weights,
     identity_resample,
     kalman_gain,
     search_gamma_reference,
+    stochastic_enkf,
 )
 
 
@@ -59,11 +61,19 @@ def random_system(rng, k=8, d=5, m=3):
 # ---------------------------------------------------------------- enkf_update
 
 
+def s_oo_of(x, obs):
+    """HPH' of the members' sample covariance, which the global updates take."""
+    return ensemble_moments(x, obs.h_rows, obs.h_rows)
+
+
 def test_enkf_zero_cov_keeps_background():
+    # identical members (integers, so their mean is exact) have P = 0
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((6, 4))
+    x = np.tile(rng.integers(-5, 5, size=4).astype(float), (6, 1))
     obs = GaussObs(np.array([1.0]), np.array([2]), np.array([0.5]))
-    out = enkf_update(x, obs, np.zeros((4, 4))[:, obs.h_rows], np.random.default_rng(1))
+    s_oo = s_oo_of(x, obs)
+    assert not s_oo.any()
+    out = enkf_update(x, obs, s_oo, np.random.default_rng(1))
     np.testing.assert_array_equal(out, x)
 
 
@@ -71,18 +81,19 @@ def test_enkf_huge_r_keeps_background():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((10, 3))
     obs = GaussObs(np.array([0.3, -0.2]), np.array([0, 2]), np.array([1e12, 1e12]))
-    p = np.eye(3)
-    out = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(3))
+    out = enkf_update(x, obs, s_oo_of(x, obs), np.random.default_rng(3))
     np.testing.assert_allclose(out, x, rtol=1e-4, atol=1e-4)
 
 
 def test_enkf_scalar_kalman_oracle():
+    # the EnKF on a given P = 1 (the p_cols oracle at gamma = 1): in ensemble
+    # coordinates 100,000 members would make a (k, k) weight matrix
     k = 100_000
     rng = np.random.default_rng(7)
     x = rng.standard_normal((k, 1))
     y = 1.0
     obs = GaussObs(np.array([y]), np.array([0]), np.array([1.0]))
-    out = enkf_update(x, obs, np.array([[1.0]])[:, obs.h_rows], np.random.default_rng(8))
+    out = enkpf_update(x, obs, np.array([[1.0]])[:, obs.h_rows], 1.0, np.random.default_rng(8))[0]
     mean, cov = out.mean(axis=0), ensemble_moments(out, [0], [0])
     exact_mean = 0.5 * (x.mean() + y)
     exact_var = 0.5
@@ -95,15 +106,15 @@ def test_enkf_scalar_kalman_oracle():
 def test_enkf_no_obs_is_noop():
     x = np.random.default_rng(1).standard_normal((4, 3))
     empty = GaussObs(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    out = enkf_update(x, empty, np.eye(3)[:, empty.h_rows], np.random.default_rng(2))
+    out = enkf_update(x, empty, np.zeros((0, 0)), np.random.default_rng(2))
     np.testing.assert_array_equal(out, x)
 
 
 def test_enkf_deterministic_per_seed():
     rng = np.random.default_rng(5)
-    x, p, obs = random_system(rng)
-    a = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
-    b = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(99))
+    x, _, obs = random_system(rng)
+    a = enkf_update(x, obs, s_oo_of(x, obs), np.random.default_rng(99))
+    b = enkf_update(x, obs, s_oo_of(x, obs), np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
@@ -121,21 +132,35 @@ def test_overflowing_enkf_update_raises_filter_error(entry):
         warnings.simplefilter("error")  # no numpy overflow warning on the way
         with pytest.raises(FilterError, match="EnKF update is not finite"):
             if entry == "enkf_update":
-                enkf_update(x, obs, ensemble_moments(x, np.arange(grid.dim), obs.h_rows), rng)
+                enkf_update(x, obs, s_oo_of(x, obs), rng)
             else:
                 lenkf_update(x, local_plan(obs, grid, np.inf, grid.domain_m), rng)
 
 
+def hph(p, obs):
+    return p[np.ix_(obs.h_rows, obs.h_rows)]
+
+
+def p_cols_of(p, obs):
+    return p[:, obs.h_rows]
+
+
+# each update with the cut of a (d, d) P that it takes, and its message for
+# a covariance of another shape: the package's updates take HPH' (m, m),
+# the fixed-gamma oracle P[:, H] (d, m)
 GLOBAL_UPDATES = {
-    "enkf_update": enkf_update,
-    "enkpf_update_gamma_1": lambda x, obs, p, rng: enkpf_update(x, obs, p, 1.0, rng),
-    "enkpf_update_gamma_0.5": lambda x, obs, p, rng: enkpf_update(x, obs, p, 0.5, rng),
-    "adaptive_gamma": lambda x, obs, p, rng: adaptive_gamma(x, obs, p, (0.5, 0.8), rng),
+    "enkf_update": (enkf_update, hph, "s_oo must be HPH'"),
+    "enkpf_update_gamma_1": (lambda x, obs, p, rng: enkpf_update(x, obs, p, 1.0, rng),
+                             p_cols_of, "p_cols must be P"),
+    "enkpf_update_gamma_0.5": (lambda x, obs, p, rng: enkpf_update(x, obs, p, 0.5, rng),
+                               p_cols_of, "p_cols must be P"),
+    "adaptive_gamma": (lambda x, obs, p, rng: adaptive_gamma(x, obs, p, (0.5, 0.8), rng),
+                       hph, "s_oo must be HPH'"),
 }
 
 
-@pytest.mark.parametrize("update", GLOBAL_UPDATES.values(), ids=GLOBAL_UPDATES.keys())
-def test_global_updates_reject_a_non_finite_covariance(update):
+@pytest.mark.parametrize("update, cut, _", GLOBAL_UPDATES.values(), ids=GLOBAL_UPDATES.keys())
+def test_global_updates_reject_a_non_finite_covariance(update, cut, _):
     x = np.random.default_rng(0).standard_normal((6, 4))
     p = np.eye(4)
     p[1, 1] = np.inf
@@ -143,22 +168,48 @@ def test_global_updates_reject_a_non_finite_covariance(update):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FilterError, match="not finite"):
-            update(x, obs, p[:, obs.h_rows], np.random.default_rng(1))
+            update(x, obs, cut(p, obs), np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("update", GLOBAL_UPDATES.values(), ids=GLOBAL_UPDATES.keys())
-def test_global_updates_reject_p_cols_of_the_wrong_shape(update):
-    # p_cols is P[:, H], (d, m): the full P or its transpose is refused
+@pytest.mark.parametrize("update, cut, message", GLOBAL_UPDATES.values(),
+                         ids=GLOBAL_UPDATES.keys())
+def test_global_updates_reject_p_cols_of_the_wrong_shape(update, cut, message):
+    # the full P, the transposed P[:, H] and the other kind of cut are refused
     x = np.random.default_rng(0).standard_normal((6, 4))
     obs = GaussObs([0.1, 0.2], [1, 2], [1.0, 1.0])
-    for p_cols in (np.eye(4), np.eye(4)[:, obs.h_rows].T):
-        with pytest.raises(ValueError, match="p_cols must be P"):
-            update(x, obs, p_cols, np.random.default_rng(1))
+    other = p_cols_of if cut is hph else hph
+    for wrong in (np.eye(4), np.eye(4)[:, obs.h_rows].T, other(np.eye(4), obs)):
+        with pytest.raises(ValueError, match=message):
+            update(x, obs, wrong, np.random.default_rng(1))
+
+
+def test_global_updates_need_two_members():
+    x = np.zeros((1, 3))
+    obs = GaussObs([0.1], [1], [1.0])
+    for update in (enkf_update, lambda *a: adaptive_gamma(*a[:3], (0.5, 0.8), a[3])):
+        with pytest.raises(ValueError, match="at least 2 members"):
+            update(x, obs, np.zeros((1, 1)), np.random.default_rng(1))
 
 
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def forced_gamma(x, obs, s_oo, gamma, seed):
+    """The package's global EnKPF at a fixed gamma: adaptive_gamma with
+    fixed_gamma in place of its search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(global_filters, "search_gamma", fixed_gamma(gamma))
+        return adaptive_gamma(x, obs, s_oo, (0.5, 1.0), np.random.default_rng(seed))[1]
+
+
+def random_members(rng, k, d, m):
+    x = rng.standard_normal((k, d)) * rng.uniform(0.5, 2.0)
+    obs = GaussObs(
+        rng.standard_normal(m), rng.choice(d, size=m, replace=False), rng.uniform(0.3, 1.5, m)
+    )
+    return x, obs
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,23 +222,56 @@ def assert_same_bits(got, want):
 )
 def test_global_family_is_one_update_bitwise(k, d, data, lo, seed):
     # the EnKF is the EnKPF at gamma = 1, and adaptive_gamma is the EnKPF at
-    # the gamma it picks, bit for bit, with no observations too: production
-    # against the fixed-gamma oracle, the gate of the 0 < gamma < 1 path
+    # the gamma it picks, bit for bit, with no observations too: the search's
+    # weights are the fixed-gamma weights, and one update follows
     m = data.draw(st.integers(0, d), label="m")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((k, d)) * rng.uniform(0.5, 2.0)
-    a = rng.standard_normal((d, d))
-    p = a @ a.T / d + 0.1 * np.eye(d)
-    obs = GaussObs(
-        rng.standard_normal(m), rng.choice(d, size=m, replace=False), rng.uniform(0.3, 1.5, m)
-    )
-    p_cols = p[:, obs.h_rows]
-    enkf = enkf_update(x, obs, p_cols, np.random.default_rng(seed))
-    assert_same_bits(enkf, enkpf_update(x, obs, p_cols, 1.0, np.random.default_rng(seed))[0])
-    gamma, arrays = adaptive_gamma(x, obs, p_cols, (lo, 1.0), np.random.default_rng(seed))
-    for got, want in zip(arrays, enkpf_update(x, obs, p_cols, gamma,
-                                              np.random.default_rng(seed))):
+    x, obs = random_members(np.random.default_rng(seed), k, d, m)
+    s_oo = s_oo_of(x, obs)
+    enkf = enkf_update(x, obs, s_oo, np.random.default_rng(seed))
+    _, (at_one, _, _) = adaptive_gamma(x, obs, s_oo, (1.0, 1.0), np.random.default_rng(seed))
+    assert_same_bits(enkf, at_one)
+    assert_same_bits(enkf, forced_gamma(x, obs, s_oo, 1.0, seed)[0])
+    gamma, arrays = adaptive_gamma(x, obs, s_oo, (lo, 1.0), np.random.default_rng(seed))
+    for got, want in zip(arrays, forced_gamma(x, obs, s_oo, gamma, seed)):
         assert_same_bits(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 12),
+    d=st.integers(1, 8),
+    data=st.data(),
+    gamma=st.sampled_from([0.0, 1.0, "fixed", "searched"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_coordinates_match_the_p_cols_oracle(k, d, data, gamma, seed):
+    # the package solves for the k members' anomalies, the oracle for the d
+    # state columns of the untapered P[:, H] of the same members: the same
+    # weights and indices bit for bit (they come from the same HPH'), and
+    # analyses that differ by rounding, at most 1e-9 of the largest
+    # increment plus a few ulps of the largest member value
+    m = data.draw(st.integers(0, d), label="m")
+    x, obs = random_members(np.random.default_rng(seed), k, d, m)
+    p_cols = ensemble_moments(x, np.arange(d), obs.h_rows)
+    s_oo = p_cols[obs.h_rows]
+    if gamma == "fixed":
+        gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), label="g")
+    if gamma == "searched":
+        lo = data.draw(st.sampled_from([0.05, 0.5, 0.9]), label="lo")
+        gamma, got = adaptive_gamma(x, obs, s_oo, (lo, 1.0), np.random.default_rng(seed))
+    elif gamma == 1.0:
+        got = enkf_update(x, obs, s_oo, np.random.default_rng(seed)), None, None
+    else:
+        got = forced_gamma(x, obs, s_oo, gamma, seed)
+    want = enkpf_update(x, obs, p_cols, gamma, np.random.default_rng(seed))
+    for got_part, want_part in zip(got[1:], want[1:]):
+        if got_part is not None:
+            assert_same_bits(got_part, want_part)
+    if gamma == 0.0 or m == 0:
+        assert_same_bits(got[0], want[0])
+    increment = np.abs(want[0] - x[want[2]]).max()
+    tol = 1e-9 * increment + 4 * np.finfo(float).eps * np.abs(x).max()
+    assert np.abs(got[0] - want[0]).max() <= tol
 
 
 # ----------------------------------------------------------------- pf_weights
@@ -313,7 +397,7 @@ def test_solver_matches_direct_weights():
 def test_enkpf_gamma_one_is_enkf_exactly():
     rng = np.random.default_rng(12)
     x, p, obs = random_system(rng, k=15)
-    ref = enkf_update(x, obs, p[:, obs.h_rows], np.random.default_rng(777))
+    ref = stochastic_enkf(x, obs, p, np.random.default_rng(777))
     out, w, idx = enkpf_update(x, obs, p[:, obs.h_rows], 1.0, np.random.default_rng(777))
     np.testing.assert_array_equal(out, ref)
     np.testing.assert_allclose(w, 1.0 / 15, atol=1e-15)
@@ -417,7 +501,7 @@ def test_adaptive_gamma_identical_members():
     x = np.tile(np.array([0.5, -1.0, 2.0]), (8, 1))
     obs = GaussObs(np.array([0.0]), np.array([1]), np.array([1.0]))
     gamma, (out, w, idx) = adaptive_gamma(
-        x, obs, np.zeros((3, 3))[:, obs.h_rows], (0.5, 0.8), np.random.default_rng(1)
+        x, obs, s_oo_of(x, obs), (0.5, 0.8), np.random.default_rng(1)
     )
     assert gamma == 0.0
     np.testing.assert_allclose(w, 1.0 / 8, atol=1e-15)
@@ -425,8 +509,8 @@ def test_adaptive_gamma_identical_members():
 
 def test_adaptive_gamma_band_one_forces_enkf():
     rng = np.random.default_rng(22)
-    x, p, obs = random_system(rng, k=10)
-    gamma, _ = adaptive_gamma(x, obs, p[:, obs.h_rows], (1.0, 1.0), np.random.default_rng(2))
+    x, _, obs = random_system(rng, k=10)
+    gamma, _ = adaptive_gamma(x, obs, s_oo_of(x, obs), (1.0, 1.0), np.random.default_rng(2))
     assert gamma == 1.0
 
 
@@ -498,9 +582,7 @@ def test_adaptive_gamma_two_cluster_grid_oracle():
     p = ensemble_moments(x, [0], [0])
     lo = 0.5
     s_oo, innov0 = p[np.ix_([0], [0])], obs.y - x[:, [0]]
-    gamma, (out, w, idx) = adaptive_gamma(
-        x, obs, p[:, obs.h_rows], (lo, 0.8), np.random.default_rng(3)
-    )
+    gamma, (out, w, idx) = adaptive_gamma(x, obs, p, (lo, 0.8), np.random.default_rng(3))
     assert ess(w) >= lo * k - 1e-9
     # exhaustive grid oracle: smallest gamma on a 1e-4 grid reaching the floor
     grid = np.arange(0.0, 1.0001, 1e-4)
@@ -515,11 +597,9 @@ def test_adaptive_gamma_resamples_the_solver_weights():
     rng = np.random.default_rng(24)
     lo, k = 0.5, 25
     for _ in range(20):
-        x, p, obs = random_system(rng, k=k, d=6, m=4)
-        s_oo = p[np.ix_(obs.h_rows, obs.h_rows)]
-        gamma, (_, w, _) = adaptive_gamma(
-            x, obs, p[:, obs.h_rows], (lo, 0.8), np.random.default_rng(25)
-        )
+        x, _, obs = random_system(rng, k=k, d=6, m=4)
+        s_oo = s_oo_of(x, obs)
+        gamma, (_, w, _) = adaptive_gamma(x, obs, s_oo, (lo, 0.8), np.random.default_rng(25))
         assert np.array_equal(w, gamma_weights(s_oo, obs.r_diag, obs.y - x[:, obs.h_rows], gamma))
         assert ess(w) >= lo * k
 
@@ -528,7 +608,7 @@ def test_adaptive_gamma_band_validation():
     x = np.random.default_rng(0).standard_normal((5, 2))
     obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        adaptive_gamma(x, obs, np.eye(2)[:, obs.h_rows], (0.8, 0.5), np.random.default_rng(1))
+        adaptive_gamma(x, obs, np.eye(1), (0.8, 0.5), np.random.default_rng(1))
 
 
 def test_search_gamma_respects_floor_on_random_cases():

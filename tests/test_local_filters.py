@@ -130,8 +130,9 @@ def test_lenkf_global_window_no_taper_matches_global_enkf():
     grid = Grid(12)
     x = random_ensemble(rng, grid, 10)
     obs = rain_obs(grid, [2, 3, 7], [0.5, -0.3, 1.1])
+    # the p_cols oracle's EnKF on the untapered P, the sites' solve on all d rows
     p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
-    ref = enkf_update(x, obs, p_cols, np.random.default_rng(42))
+    ref = enkpf_update(x, obs, p_cols, 1.0, np.random.default_rng(42))[0]
     out = lenkf_update(x, local_plan(obs, grid, NO_TAPER, 5000.0), np.random.default_rng(42))
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
@@ -336,7 +337,7 @@ def test_a_whitened_s_that_overflows_fails_each_site_as_the_oracle_does():
 
 
 def test_no_eigh_at_gamma_zero(monkeypatch):
-    eigh, calls = global_filters.sla.eigh, []
+    eigh, calls = global_filters._eigh, []
     made = {}  # module name: the shape of each log-weight array it normalized
 
     def counting_eigh(*args, **kwargs):
@@ -352,7 +353,7 @@ def test_no_eigh_at_gamma_zero(monkeypatch):
 
         monkeypatch.setattr(module, "weights_from_log", counting_weights)
 
-    monkeypatch.setattr(global_filters.sla, "eigh", counting_eigh)
+    monkeypatch.setattr(global_filters, "_eigh", counting_eigh)
     count_weights_in(global_filters)
     count_weights_in(local_filters)
     grid = Grid(20)
@@ -395,8 +396,8 @@ def test_gamma_one_sites_report_the_global_uniform_weights():
     diag = LocalDiagnostics()
     naive_lenkpf_update(x, local_plan(obs, grid, NO_TAPER, 5000.0), (1.0, 1.0),
                         np.random.default_rng(48), diag)
-    p_cols = ensemble_moments(x, np.arange(grid.dim), obs.h_rows)
-    gamma, (_, w, _) = adaptive_gamma(x, obs, p_cols, (1.0, 1.0), np.random.default_rng(48))
+    s_oo = ensemble_moments(x, obs.h_rows, obs.h_rows)
+    gamma, (_, w, _) = adaptive_gamma(x, obs, s_oo, (1.0, 1.0), np.random.default_rng(48))
     assert gamma == 1.0 and set(diag.gammas) == {1.0}  # setup sanity
     assert w.tobytes() == np.full(k, 1.0 / k).tobytes()
     assert set(diag.ess_values) == {ess(w)}
@@ -790,11 +791,11 @@ def one_block(x, obs, p, grid, l_m, rng):
 # every EnKPF, global or local and at any gamma, draws eta, e_R and the
 # resampling uniform, in that order, whatever of them it uses
 @pytest.mark.parametrize("update", [
-    lambda x, obs, p, grid, l_m, rng: enkf_update(x, obs, p, rng),
+    lambda x, obs, p, grid, l_m, rng: enkf_update(x, obs, p[obs.h_rows], rng),
     lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 0.0, rng),
     lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 0.4, rng),
     lambda x, obs, p, grid, l_m, rng: enkpf_update(x, obs, p, 1.0, rng),
-    lambda x, obs, p, grid, l_m, rng: adaptive_gamma(x, obs, p, band(), rng),
+    lambda x, obs, p, grid, l_m, rng: adaptive_gamma(x, obs, p[obs.h_rows], band(), rng),
     lambda x, obs, p, grid, l_m, rng: lenkf_update(x, local_plan(obs, grid, l_m, 5000.0), rng),
     lambda x, obs, p, grid, l_m, rng: naive_lenkpf_update(
         x, local_plan(obs, grid, l_m, 5000.0), band(), rng),

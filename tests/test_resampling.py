@@ -220,6 +220,30 @@ def test_systematic_indices_of_a_vector_are_the_binary_search_as_first_written(k
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_a_uniform_just_below_one_gives_no_index_out_of_range():
+    # (u + k - 1)/k rounds to 1.0 here, the last cumulative weight
+    u = np.nextafter(1.0, 0.0)
+    idx = systematic_indices(np.full(50, 0.02), u)
+    assert idx.max() == 49 and np.all(np.diff(idx) >= 0)
+    assert idx.tobytes() == systematic_indices_reference(np.full(50, 0.02), u).tobytes()
+    stack = systematic_indices(np.full((3, 50), 0.02), u)
+    assert stack.tobytes() == np.tile(idx, (3, 1)).tobytes()
+
+
+@given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_index_is_a_member_for_any_uniform_below_one(k, seed):
+    # also where the cumulative weights pass 1 by rounding before the last
+    rng = np.random.default_rng(seed)
+    alpha = rng.dirichlet(np.full(k, rng.choice([0.05, 0.5, 5.0])))
+    alpha[-1] = rng.choice([alpha[-1], 1e-18])
+    alpha /= alpha.sum()
+    for u in (np.nextafter(1.0, 0.0), 1.0 - 2.0**-50, rng.uniform()):
+        idx = systematic_indices(alpha, u)
+        assert 0 <= idx.min() and idx.max() < k and np.all(np.diff(idx) >= 0)
+        assert idx.tobytes() == systematic_indices_reference(alpha, u).tobytes()
+
+
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_reorder_to_match_returns_prev_for_a_permutation_as_the_matching_does(k, seed):
