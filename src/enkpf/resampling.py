@@ -54,10 +54,12 @@ def systematic_indices(alpha, u):
     k = alpha.shape[-1]
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    # clipped at 1, the cumulative weights stay sorted whatever the rounding,
-    # and every pointer stays below the last one: no index reaches k
+    # clipped at 1, the cumulative weights stay sorted whatever the rounding;
+    # set to 1 from each row's last positive weight on, they put every
+    # pointer below 1 at or before it: no index has weight 0 or reaches k
     cum = np.minimum(np.cumsum(alpha, axis=-1), 1.0)
-    cum[..., -1] = 1.0
+    last = k - 1 - np.argmax(alpha[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(k) >= last[..., None]] = 1.0
     pointers = np.minimum((u + np.arange(k)) / k, _BELOW_ONE)
     rows = [np.searchsorted(row, pointers, side="right") for row in cum.reshape(-1, k)]
     return np.array(rows, dtype=np.intp).reshape(alpha.shape)

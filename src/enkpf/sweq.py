@@ -30,36 +30,50 @@ one-ensemble case. One call makes every array it steps with once: each
 ensemble's fields live in a (3, rows, n + 2) buffer, each row between two
 halo columns, and a step writes them into a spare buffer that then takes
 their place, and wraps it: copies each row's edge columns into its halos.
-A step's ufuncs make contiguous passes over whole fields, halos included;
-f[i+1] and f[i-1] are such a span shifted by one point (_span). The step's
-work buffers are shared by the ensembles, and the step is a closure that
-binds them, its constants and its ufuncs once per call (_bind_step).
 
-The plumes come from one generator, _plume_steps. Each row draws its own
-per block of four steps (_plume_block): rng.poisson(lam, 4) for the steps'
-counts, then rng.random(2 * total), whose first total doubles U place the
-centers at L * U and whose others are the sign draws. A row draws its
-blocks from the first step of each call, and a block that runs past the
-last step is dropped, so a member's trajectory does not depend on the rows
-or ensembles advanced with it. _plume_steps draws a chunk of whole blocks
-ahead, about 256 plumes, and evaluates their bumps in one pass, so memory
-does not grow with the steps; exp skips the arguments below -708, whose
-results are subnormal or zero, where numpy's exp is slow. Trajectories
-and generators are bitwise those of tests/oracles.py
-(roll_advance, plume_draws). On a 2-core Xeon (numpy 2.4, AVX-512) a step
-from the warm state took a median of 53 us at 1 row and 0.96 ms at 50
-rows, against 68 us and 1.35 ms with a strided pass per row
-(scripts/step_bench.py, BENCH_flatstep.json).
+The step is compiled C where a C compiler works: enkpf/_step.c, built and
+loaded by enkpf.ckernel on first use (in a run, by the warm start, in the
+parent before a pool forks), and checked against the numpy step on a
+fixed state before it is used (_agrees). It makes the numpy step's
+operations per element in their order, so the bits are the same, and
+reports the new extremes of u and h and whether a value is not finite;
+the CFL and finite checks that word the errors stay here. Elsewhere, or
+with ENKPF_STEP=numpy, the numpy step runs (_bind_numpy_step): its ufuncs
+make contiguous passes over whole fields, halos included; f[i+1] and
+f[i-1] are such a span shifted by one point (_span). STEP tells which step
+this process runs, "c" or "numpy".
+
+The plumes come from one generator, _plume_steps, and stay in numpy, whose
+exp the compiled step does not reproduce. Each row draws its own per block
+of four steps (_plume_block): rng.poisson(lam, 4) for the steps' counts,
+then rng.random(2 * total), whose first total doubles U place the centers
+at L * U and whose others are the sign draws. A row draws its blocks from
+the first step of each call, and a block that runs past the last step is
+dropped, so a member's trajectory does not depend on the rows or ensembles
+advanced with it. _plume_steps draws a chunk of whole blocks ahead, about
+256 plumes, and evaluates their bumps in passes of about as many, so
+memory does not grow with the steps or the plume rate; exp skips the
+arguments below -708, whose results are subnormal or zero, where numpy's
+exp is slow. Trajectories and generators are bitwise those of
+tests/oracles.py (roll_advance, plume_draws). On a 2-core Xeon (gcc 12,
+numpy 2.4, AVX-512) a step from the warm state, plumes included, took
+about 12 us at 1 row and 0.43 ms at 50 rows with the compiled step,
+against 29 us and 0.60 ms with the numpy step (scripts/step_bench.py,
+BENCH_ckernel.json).
 """
 
+import bisect
 import csv
+import ctypes
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from enkpf import ckernel
 from enkpf.errors import CflViolation, InputError, NumericalBlowup
 from enkpf.grid import FIELDS, Grid
 from enkpf.obs import GaussObs
@@ -258,36 +272,51 @@ def _bumps(params, xg, centers, sign_draws):
 
 
 def _plume_steps(params, rngs, n_steps):
-    """Yield each of n_steps steps' plume bumps: its (row, bump) pairs.
+    """Yield each of n_steps steps' plume bumps, in arrival order: the rows
+    the bumps go to, an (nb,) intp array; the (nb, n) bumps; and the
+    addresses of the two, for the compiled step.
 
     Each row draws its plumes block by block from the first step
     (_plume_block), so they do not depend on the other rows; a block that
     runs past n_steps is drawn whole, and its plumes of the later steps are
-    dropped. A chunk's blocks are drawn at once and all their bumps
-    evaluated in one pass (_bumps); a step's pairs come in arrival order:
-    the rows in turn, each row's plumes as drawn.
+    dropped. A chunk's blocks are drawn at once, and the bumps of its
+    plumes evaluated (_bumps) in passes of whole steps and about
+    _CHUNK_PLUMES plumes, so memory stays bounded at high plume rates. A
+    step's plumes come in arrival order: the rows in turn, each row's
+    plumes as drawn, and its rows and bumps are contiguous slices of the
+    pass's.
     """
     lam, length = params.plumes_per_step, params.grid.domain_m
     blocks = max(1, int(_CHUNK_PLUMES / (_BLOCK_STEPS * max(lam * len(rngs), 1.0))))
     xg = np.arange(params.grid.n_points) * params.grid.spacing_m
+    row_bytes = xg.nbytes
     for done in range(0, n_steps, blocks * _BLOCK_STEPS):
         steps = min(blocks * _BLOCK_STEPS, n_steps - done)
         drawn = [_plume_block(rng, lam, length)
                  for rng in rngs for _ in range(-(-steps // _BLOCK_STEPS))]
         counts = np.concatenate([block[0] for block in drawn]).reshape(len(rngs), -1)
         # each plume's row, and the order that sorts the plumes by step,
-        # keeping the rows' order within a step, up to the last step yielded
-        rows = np.repeat(np.arange(len(rngs)), counts.sum(axis=1))
-        ends = np.cumsum(counts[:, :steps].sum(axis=0)).tolist()
+        # keeping the rows' order within a step, up to the last step yielded;
+        # bounds[s] is the number of plumes before step s
+        rows = np.repeat(np.arange(len(rngs), dtype=np.intp), counts.sum(axis=1))
+        bounds = [0, *np.cumsum(counts[:, :steps].sum(axis=0)).tolist()]
         order = np.argsort(np.repeat(np.tile(np.arange(counts.shape[1]), len(rngs)),
-                                     counts.ravel()), kind="stable")[:ends[-1]]
+                                     counts.ravel()), kind="stable")[:bounds[-1]]
+        rows = rows[order]
         centers = np.concatenate([block[1] for block in drawn])[order]
         sign_draws = np.concatenate([block[2] for block in drawn])[order]
-        pairs = list(zip(rows[order].tolist(), _bumps(params, xg, centers, sign_draws)))
-        for start, end in zip([0, *ends], ends):
-            yield pairs[start:end]
-        # the chunk's bumps go before the next chunk's are made
-        pairs = None
+        first = 0
+        while first < steps:
+            # a pass ends with the first step that brings it to _CHUNK_PLUMES
+            stop = min(bisect.bisect_left(bounds, bounds[first] + _CHUNK_PLUMES, first + 1), steps)
+            start = bounds[first]
+            bumps = _bumps(params, xg, centers[start:bounds[stop]], sign_draws[start:bounds[stop]])
+            rows_at, bumps_at = rows.ctypes.data, bumps.ctypes.data
+            for lo, hi in zip(bounds[first:stop], bounds[first + 1:stop + 1]):
+                yield (rows[lo:hi], bumps[lo - start:hi - start],
+                       rows_at + lo * rows.itemsize, bumps_at + (lo - start) * row_bytes)
+            # the pass's bumps go before the next pass's are made
+            first, bumps = stop, None
 
 
 def _buffer(fields, rows, n):
@@ -308,17 +337,37 @@ def _span(buf, first, count, shift=0):
     return flat[1 + shift:flat.size - 1 + shift]
 
 
-def _bind_step(params, rows, n):
-    """The model step of one integration, with its constants, work buffers
-    and ufuncs bound once, so that a step looks nothing up.
+def _wrap_views(buf):
+    """The halo columns of a _buffer and the edge columns whose values they
+    take: copying edges to halos wraps each row. Columns 0 and n + 1 get the
+    row's last and first interior columns (both column 1 when n is 1)."""
+    n = buf.shape[-1] - 2
+    halos = buf[..., ::n + 1]
+    return halos, buf[..., n:0:1 - n] if n > 1 else np.broadcast_to(buf[..., 1:2], halos.shape)
+
+
+def _fields_buffer(params, rows, members):
+    """A new (3, rows, n + 2) _buffer of the (rows, 3n) members' h, u and r,
+    wrapped; unwritten when members is None."""
+    buf = _buffer(3, rows, params.grid.n_points)
+    if members is not None:
+        for view, block in zip(buf[..., 1:-1], params.grid.split(members).values()):
+            view[...] = block
+        np.copyto(*_wrap_views(buf))
+    return buf
+
+
+def _bind_numpy_step(params, rows, n):
+    """The model step of one integration in numpy, with its constants, work
+    buffers and ufuncs bound once, so that a step looks nothing up.
 
     Returns step and fields. fields(members) packs the (rows, 3n) members
     into a new (3, rows, n + 2) buffer of h, u and r and wraps it (fields()
     leaves it unwritten); it returns the buffer and the views a step takes.
     step(src, dst, bumps, t) advances the fields src into dst: the explicit
-    dynamics, each (row, bump) pair of bumps added to dst's u in turn, as
-    np.add.at adds them, dst's wrap, and the finite check, whose
-    NumericalBlowup names the time t.
+    dynamics, each of a _plume_steps step's bumps added to its row of dst's
+    u in turn, as np.add.at adds them, dst's wrap, and the finite check,
+    whose NumericalBlowup names the time t.
 
     Every ufunc makes one contiguous pass, over whole fields or, where it
     reads neighbours, over a _span of one to three fields: the centered
@@ -364,20 +413,12 @@ def _bind_step(params, rows, n):
     to_float, larger = float, max
 
     def fields(members=None):
-        buf = _buffer(3, rows, n)
-        # copying edges to halos wraps each row: columns 0 and n + 1 get its
-        # last and first interior columns (both column 1 when n is 1)
-        halos = buf[..., ::n + 1]
-        edges = buf[..., n:0:1 - n] if n > 1 else np.broadcast_to(buf[..., 1:2], halos.shape)
-        if members is not None:
-            for view, block in zip(buf[..., 1:-1], params.grid.split(members).values()):
-                view[...] = block
-            copyto(halos, edges)
+        buf = _fields_buffer(params, rows, members)
         # the buffer, all of it flat; h, u and r as one span and its
         # neighbours; h, u and r; u and r's neighbours; the wrap; u's rows
         return (buf, buf.reshape(-1), *(_span(buf, 0, 3, shift) for shift in (0, 1, -1)),
                 *buf.reshape(3, -1), _span(buf, 1, 2, 1), _span(buf, 1, 2, -1),
-                halos, edges, list(buf[1, :, 1:-1]))
+                *_wrap_views(buf), list(buf[1, :, 1:-1]))
 
     def step(src, dst, bumps, t):
         buf, _, hur, hur_p, hur_m, h, u, r, ur_p, ur_m, _, _, _ = src
@@ -438,13 +479,104 @@ def _bind_step(params, rows, n):
         # one bump at a time, in arrival order, as np.add.at adds them;
         # np.add.at gives the same bits but is slower (2-core Xeon, numpy
         # 2.4): 9.1 against 2.7 us at 1 row, 255 against 62 us at 50 rows
-        for row, bump in bumps:
+        bump_rows, bump_values = bumps[:2]
+        for row, bump in zip(bump_rows.tolist(), bump_values):
             add(new_u_rows[row], bump, new_u_rows[row])
         copyto(halos, edges)
         if not all_true(isfinite(new_flat, all_flags), None):
             _check_finite(*new_buf[..., 1:-1], t)
 
     return step, fields
+
+
+def _bind_c_step(params, rows, n, kernel):
+    """_bind_numpy_step's step and fields for the compiled step, kernel
+    (_step.c, loaded by enkpf.ckernel), which runs the same operations in
+    the same order and so gives the same bits.
+
+    fields returns the buffer, its address, and its stats: max u, min u and
+    max h, which the kernel writes for each buffer it makes and from which
+    the next step's CFL bound is made. Each buffer's address is taken once,
+    here, and a step passes plain ints. Errors are raised as the numpy step
+    raises them, by _check_cfl and _check_finite on the buffers.
+    """
+    dx, dt, gravity = params.grid.spacing_m, params.dt_s, params.gravity
+    # the kernel's constants, in _step.c's order, and its work space for a
+    # row's phi and u*h; the partial keeps both alive
+    constants = (ctypes.c_double * 13)(
+        dt, 2.0 * dx, dx * dx, gravity, params.h_cloud, params.h_rain, params.phi_cloud,
+        params.rain_geopotential, params.diff_h, params.diff_u, params.diff_r,
+        params.alpha_rain, -params.beta_rain)
+    run = partial(kernel, constants, rows, n, (ctypes.c_double * (2 * n + 4))())
+    sqrt, larger = math.sqrt, max
+
+    def fields(members=None):
+        buf = _fields_buffer(params, rows, members)
+        stats = (ctypes.c_double * 3)()
+        if members is not None:
+            # NaN propagates, as in the numpy step's bound
+            stats[:] = (float(np.max(buf[1])), float(np.min(buf[1])), float(np.max(buf[0])))
+        return buf, buf.ctypes.data, stats
+
+    def step(src, dst, bumps, t):
+        buf, at, stats = src
+        new_buf, new_at, new_stats = dst
+        # as in the numpy step: the exact check runs where the bound fails
+        bound = larger(stats[0], -stats[1]) + sqrt(gravity * larger(stats[2], 0.0))
+        if not (bound == 0.0 or dt <= dx / bound):
+            _check_cfl(buf[0, :, 1:-1], buf[1, :, 1:-1], params)
+        bump_rows, _, rows_at, bumps_at = bumps
+        if run(at, new_at, rows_at, bumps_at, len(bump_rows), new_stats):
+            _check_finite(*new_buf[..., 1:-1], t)
+
+    return step, fields
+
+
+def _agrees(kernel):
+    """Whether a step of kernel gives the numpy step's bytes, and the stats
+    of its result, on a fixed wet state of two rows of 7 points with three
+    bumps."""
+    params, rows = ModelParams(grid=Grid(7)), 2
+    rng = np.random.default_rng(0)
+    members = np.concatenate([params.h_rest + rng.normal(0.0, 0.2, (rows, 7)),
+                              rng.normal(0.0, 1.0, (rows, 7)),
+                              rng.exponential(0.02, (rows, 7))], axis=1)
+    bump_rows, bumps = np.array([1, 0, 1], dtype=np.intp), rng.normal(0.0, 0.01, (3, 7))
+    plumes = (bump_rows, bumps, bump_rows.ctypes.data, bumps.ctypes.data)
+    out = []
+    for step, fields in (_bind_numpy_step(params, rows, 7), _bind_c_step(params, rows, 7, kernel)):
+        dst = fields()
+        step(fields(members), dst, plumes, params.dt_s)
+        out.append(dst)
+    (numpy_buf, *_), (buf, _, stats) = out
+    return (buf.tobytes() == numpy_buf.tobytes()
+            and list(stats) == [buf[1].max(), buf[1].min(), buf[0].max()])
+
+
+@lru_cache(maxsize=None)
+def _kernel():
+    """The compiled step, _step.c's enkpf_step, or None where the numpy step
+    runs: where ENKPF_STEP=numpy, or the kernel cannot be built or loaded
+    or does not give the numpy step's bits (_agrees). Decided on first use,
+    so in the parent of a pool before it forks."""
+    if os.environ.get("ENKPF_STEP") == "numpy":
+        return None
+    library = ckernel.load()
+    if library is None:
+        return None
+    # enkpf_step(constants, rows, n, work, src, dst, bump_rows, bumps, n_bumps, stats)
+    kernel = library.enkpf_step
+    kernel.restype, kernel.argtypes = ctypes.c_int, (
+        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    return kernel if _agrees(kernel) else None
+
+
+def __getattr__(name):
+    # STEP: "c" or "numpy", the step this process runs
+    if name == "STEP":
+        return "numpy" if _kernel() is None else "c"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def advance_ensembles(ensembles, params, n_steps, rngs):
@@ -463,13 +595,16 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     Every array of the integration is made here, once: one (3, rows, n + 2)
     field buffer per ensemble and one spare. An ensemble's step reads its
     buffer and writes the spare, which becomes its buffer, while the one it
-    read becomes the spare of the next. The step's work buffers are shared
-    by all (_bind_step).
+    read becomes the spare of the next. The numpy step's work buffers are
+    shared by all (_bind_numpy_step); the compiled step needs only room
+    for one row's phi and u*h.
     """
     grid = params.grid
     n = grid.n_points
     rows = len(rngs)
-    step, fields = _bind_step(params, rows, n)
+    kernel = _kernel()
+    step, fields = (_bind_numpy_step(params, rows, n) if kernel is None
+                    else _bind_c_step(params, rows, n, kernel))
     # each ensemble's fields, or the failure that stopped it; the inputs are
     # copied in, so they are never written
     states = []

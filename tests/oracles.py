@@ -391,10 +391,12 @@ def reorder_to_match_reference(idx, prev_idx):
 
 def systematic_indices_reference(alpha, u):
     """resampling.systematic_indices of one (k,) weight vector by binary search,
-    in the sorted cumulative weights clipped at 1, of pointers kept below 1."""
+    in the sorted cumulative weights clipped at 1 and set to 1 from the last
+    positive weight on, of pointers kept below 1."""
     k = alpha.shape[0]
     cum = np.minimum(np.cumsum(alpha), 1.0)
-    cum[-1] = 1.0
+    positive = np.flatnonzero(alpha > 0.0)
+    cum[positive[-1] if positive.size else k - 1:] = 1.0
     return np.searchsorted(cum, np.minimum((u + np.arange(k)) / k, np.nextafter(1.0, 0.0)),
                            side="right")
 

@@ -230,6 +230,33 @@ def test_a_uniform_just_below_one_gives_no_index_out_of_range():
     assert stack.tobytes() == np.tile(idx, (3, 1)).tobytes()
 
 
+def test_a_uniform_just_below_one_never_picks_a_weight_of_zero():
+    # the cumulative sum of these weights is 0.9999999999999999 before the
+    # trailing zero, so a last pointer just below 1 used to land on member 3
+    alpha, u = np.array([0.7, 0.2, 0.1, 0.0]), np.nextafter(1.0, 0.0)
+    assert np.cumsum(alpha)[2] < 1.0
+    assert systematic_indices(alpha, u).tolist() == [0, 0, 1, 2]
+    assert systematic_indices_reference(alpha, u).tolist() == [0, 0, 1, 2]
+    stack = np.array([alpha, [0.0, 0.1, 0.2, 0.7], [0.0, 0.7, 0.2, 0.1]])
+    assert systematic_indices(stack, u).tolist() == [[0, 0, 1, 2], [2, 3, 3, 3], [1, 1, 2, 3]]
+
+
+@given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_no_index_has_weight_zero_for_any_uniform_below_one(k, rows, seed):
+    # weights with zeros anywhere, trailing ones included, and rows of a stack
+    rng = np.random.default_rng(seed)
+    alpha = rng.dirichlet(np.full(k, rng.choice([0.05, 0.5, 5.0])), size=rows)
+    alpha[rng.random((rows, k)) < 0.4] = 0.0
+    alpha[:, 0] += alpha.sum(axis=1) == 0.0
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    for u in (np.nextafter(1.0, 0.0), 1.0 - 2.0**-50, rng.uniform()):
+        idx = systematic_indices(alpha, u)
+        assert np.all(np.take_along_axis(alpha, idx, axis=1) > 0.0)
+        for row, got in zip(alpha, idx):
+            assert got.tobytes() == systematic_indices_reference(row, u).tobytes()
+
+
 @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_every_index_is_a_member_for_any_uniform_below_one(k, seed):
