@@ -3,14 +3,16 @@
    enkpf_step advances the fields of one ensemble, a (3, rows, n + 2)
    buffer of h, u and r with each row between two halo columns that hold
    its wrapped edges, by one step into a buffer of the same layout. Per
-   element it makes the operations of sweq._bind_step's numpy step in
-   their order, divisions included, so the bits are the same when the
-   compiler neither fuses a multiply and an add (-ffp-contract=off) nor
-   reorders arithmetic (no -ffast-math); enkpf/ckernel.py builds it so. It then adds the step's bumps to
-   u one at a time in arrival order, wraps every row, and writes the new
-   max u, min u and max h to stats for the next step's CFL bound. It
-   returns 1 when a new value is not finite, else 0; the caller then
-   words the error. work holds 2 (n + 2) doubles. */
+   element it makes the operations of the numpy step,
+   sweq._bind_numpy_step, in their order, divisions included, so the bits
+   are the same when the compiler neither fuses a multiply and an add
+   (-ffp-contract=off) nor reorders arithmetic (no -ffast-math);
+   enkpf/ckernel.py builds it so. It then adds the step's bumps to u one at
+   a time in arrival order and wraps every row. Its contract is the numpy
+   step's: it writes the new max u, min u and max h to stats, from which
+   the caller makes the next step's CFL bound, and returns 1 when a new
+   value is not finite, else 0; the caller then words the error. work holds
+   2 (n + 2) doubles. */
 
 #include <math.h>
 #include <stddef.h>

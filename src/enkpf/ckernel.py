@@ -6,9 +6,11 @@ load() compiles it on first use with the C compiler Python was built with
 (~/.cache/enkpf by default), named by the sha256 of the source, the flags,
 the compiler and the machine. A library is written under a temporary name
 and renamed into place, so processes that compile at once never load each
-other's half-written files; where that directory cannot be written, the
-library is built in a private temporary directory instead. load() returns
-None where there is no compiler or the compile fails or times out.
+other's half-written files; where that directory cannot be written or its
+library does not load, the library is built in a private temporary
+directory instead. load() returns the step, enkpf_step, with its ctypes
+signature, or None where there is no compiler, the compile fails or times
+out, or no library loads.
 
 The flags keep the arithmetic as written: -ffp-contract=off stops the
 compiler from fusing a multiply and an add into one FMA instruction, which
@@ -66,9 +68,18 @@ def _compile(cc, path):
     return False
 
 
+def _open(directory, name, cc):
+    """The library name in directory, built there first where it is missing;
+    None where the build fails. Raises OSError where directory cannot be
+    written or the library does not load."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    return ctypes.CDLL(str(path)) if path.exists() or _compile(cc, path) else None
+
+
 def load():
-    """The library built from SOURCE, as a ctypes.CDLL, compiled or from the
-    cache; None where it cannot be built."""
+    """SOURCE's enkpf_step, with its ctypes signature, from a library
+    compiled or from the cache; None where none can be built and loaded."""
     cc = compiler()
     if not cc or not SOURCE.is_file():
         return None
@@ -76,13 +87,19 @@ def load():
         [SOURCE.read_text(), *FLAGS, *cc, platform.machine()]).encode()).hexdigest()
     name = f"step-{key[:32]}.so"
     try:
-        directory = cache_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / name
-        return ctypes.CDLL(str(path)) if path.exists() or _compile(cc, path) else None
+        library = _open(cache_dir(), name, cc)
     except OSError:  # a cache that cannot be written, or a library that does not load
-        pass
-    # the library stays loaded once its directory is gone
-    with tempfile.TemporaryDirectory(prefix="enkpf-") as private:
-        path = Path(private) / name
-        return ctypes.CDLL(str(path)) if _compile(cc, path) else None
+        try:
+            # the library stays loaded once its directory is gone
+            with tempfile.TemporaryDirectory(prefix="enkpf-") as private:
+                library = _open(Path(private), name, cc)
+        except OSError:  # no directory in which a library loads, as where /tmp is noexec
+            return None
+    if library is None:
+        return None
+    # enkpf_step(constants, rows, n, work, src, dst, bump_rows, bumps, n_bumps, stats)
+    step = library.enkpf_step
+    step.restype, step.argtypes = ctypes.c_int, (
+        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    return step

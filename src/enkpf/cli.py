@@ -10,13 +10,107 @@ environment says, so that its threads cannot change the outputs' bits.
 """
 
 import argparse
+import csv
 import os
 import sys
 
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
+import numpy as np  # noqa: E402
+
 from enkpf.config import _EXPERIMENT_KEYS, SCENARIOS, _to_methods, parse_config  # noqa: E402
-from enkpf.errors import EnkpfError  # noqa: E402
+from enkpf.errors import EnkpfError, InputError  # noqa: E402
+from enkpf.grid import FIELDS, Grid  # noqa: E402
+
+STATE_HEADER = ["grid_index", *FIELDS]
+ENSEMBLE_HEADER = ["member", *STATE_HEADER]
+
+
+def _grid_rows(x):
+    """The STATE_HEADER rows of a (3n,) state: each grid point's field values."""
+    fields = Grid(len(x) // len(FIELDS)).split(x)
+    table = np.stack(list(fields.values()), axis=1)
+    return [[g, *map(repr, row.tolist())] for g, row in enumerate(table)]
+
+
+def save_state_csv(x, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STATE_HEADER)
+        writer.writerows(_grid_rows(np.asarray(x, dtype=float)))
+
+
+def _read_csv_rows(path, header):
+    """The data rows of a numeric CSV with the given header line, as an array.
+
+    Every row must hold one finite number per header column; raises
+    InputError naming the file, and the line of the first bad row.
+    """
+    n_cols = len(header)
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise InputError(path, "header must be " + ",".join(header), 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != n_cols:
+                raise InputError(
+                    path, f"expected {n_cols} values, got {len(row)}", reader.line_num
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise InputError(path, "value is not a number", reader.line_num) from None
+            if not np.isfinite(values).all():
+                raise InputError(path, "value is not finite", reader.line_num)
+            rows.append(values)
+    if not rows:
+        raise InputError(path, "no data rows")
+    return np.array(rows)
+
+
+def _grid_order(path, grid_index):
+    """Sort order of a grid_index column, which must hold 0..n-1 once each."""
+    order = np.argsort(grid_index)
+    if not np.array_equal(grid_index[order], np.arange(grid_index.size)):
+        raise InputError(path, "grid_index must list 0..n-1 once each")
+    return order
+
+
+def _state_of(path, rows):
+    """The (3n,) state of STATE_HEADER rows, which may come in any grid order."""
+    rows = rows[_grid_order(path, rows[:, 0])]
+    x = np.empty(len(rows) * len(FIELDS))
+    for block, column in zip(Grid(len(rows)).split(x).values(), rows[:, 1:].T):
+        block[...] = column
+    return x
+
+
+def load_state_csv(path):
+    """The (3n,) state in a CSV written by save_state_csv."""
+    return _state_of(path, _read_csv_rows(path, STATE_HEADER))
+
+
+def save_ensemble_csv(members, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ENSEMBLE_HEADER)
+        for i, x in enumerate(np.asarray(members, dtype=float)):
+            writer.writerows([i, *row] for row in _grid_rows(x))
+
+
+def load_ensemble_csv(path):
+    """A (k, 3n) member array from a CSV written by save_ensemble_csv."""
+    data = _read_csv_rows(path, ENSEMBLE_HEADER)
+    labels = np.unique(data[:, 0])
+    if not np.array_equal(labels, np.arange(labels.size)):
+        raise InputError(path, "member labels must be 0..k-1")
+    members = [_state_of(path, data[data[:, 0] == i, 1:]) for i in labels]
+    if len({x.size for x in members}) != 1:
+        raise InputError(path, "members have different grid sizes")
+    return np.array(members)
 
 
 def _load_config(path, overrides):
@@ -53,7 +147,6 @@ def _cmd_run(args):
 
 def _cmd_spinup(args):
     from enkpf.experiment import start_state
-    from enkpf.sweq import save_ensemble_csv, save_state_csv
 
     cfg = _load_config(args.config, _run_overrides(args))
     truth, members = start_state(cfg, 0)
@@ -67,11 +160,7 @@ def _cmd_spinup(args):
 
 
 def _cmd_score(args):
-    import numpy as np
-
-    from enkpf.grid import FIELDS, Grid
     from enkpf.scoring import field_crps
-    from enkpf.sweq import load_ensemble_csv, load_state_csv
 
     ens = load_ensemble_csv(args.ensemble)
     truth = load_state_csv(args.truth)

@@ -31,17 +31,20 @@ ensemble's fields live in a (3, rows, n + 2) buffer, each row between two
 halo columns, and a step writes them into a spare buffer that then takes
 their place, and wraps it: copies each row's edge columns into its halos.
 
-The step is compiled C where a C compiler works: enkpf/_step.c, built and
-loaded by enkpf.ckernel on first use (in a run, by the warm start, in the
-parent before a pool forks), and checked against the numpy step on a
-fixed state before it is used (_agrees). It makes the numpy step's
-operations per element in their order, so the bits are the same, and
-reports the new extremes of u and h and whether a value is not finite;
-the CFL and finite checks that word the errors stay here. Elsewhere, or
-with ENKPF_STEP=numpy, the numpy step runs (_bind_numpy_step): its ufuncs
-make contiguous passes over whole fields, halos included; f[i+1] and
-f[i-1] are such a span shifted by one point (_span). STEP tells which step
-this process runs, "c" or "numpy".
+There are two steps with one contract, step(src, dst, bumps, stats): the
+step advances the fields src into dst, writes dst's max u, min u and max
+h into stats, and returns whether a value of dst is not finite. Each
+buffer (_fields) carries its stats, from which advance_ensembles makes the
+next step's CFL bound; it alone runs the exact CFL and finite checks that
+word the errors. The step is compiled C where a C compiler works:
+enkpf/_step.c, built and loaded by enkpf.ckernel on first use (in a run,
+by the warm start, in the parent before a pool forks), and checked against
+the numpy step on a fixed state before it is used (_agrees). It makes the
+numpy step's operations per element in their order, so the bits are the
+same. Elsewhere, or with ENKPF_STEP=numpy, the numpy step runs
+(_bind_numpy_step): its ufuncs make contiguous passes over whole fields,
+halos included; f[i+1] and f[i-1] are such a span shifted by one point
+(_span). STEP tells which step this process runs, "c" or "numpy".
 
 The plumes come from one generator, _plume_steps, and stay in numpy, whose
 exp the compiled step does not reproduce. Each row draws its own per block
@@ -63,7 +66,6 @@ BENCH_ckernel.json).
 """
 
 import bisect
-import csv
 import ctypes
 import dataclasses
 import math
@@ -74,8 +76,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from enkpf import ckernel
-from enkpf.errors import CflViolation, InputError, NumericalBlowup
-from enkpf.grid import FIELDS, Grid
+from enkpf.errors import CflViolation, NumericalBlowup
+from enkpf.grid import Grid
 from enkpf.obs import GaussObs
 
 # The most model steps one span may take: 10**7 steps are about 579 days at
@@ -346,28 +348,35 @@ def _wrap_views(buf):
     return halos, buf[..., n:0:1 - n] if n > 1 else np.broadcast_to(buf[..., 1:2], halos.shape)
 
 
-def _fields_buffer(params, rows, members):
+def _fields(params, rows, views, members=None):
     """A new (3, rows, n + 2) _buffer of the (rows, 3n) members' h, u and r,
-    wrapped; unwritten when members is None."""
+    wrapped, as (buf, views(buf), stats): the buffer, the views a step
+    takes of it and its stats, max u, min u and max h, which a step writes
+    for the buffer it writes. Unwritten, stats too, when members is None.
+    The compiled step's view is an address, which does not keep buf alive."""
     buf = _buffer(3, rows, params.grid.n_points)
+    stats = (ctypes.c_double * 3)()
     if members is not None:
         for view, block in zip(buf[..., 1:-1], params.grid.split(members).values()):
             view[...] = block
         np.copyto(*_wrap_views(buf))
-    return buf
+        # NaN propagates into the CFL bound, whose exact check then lets the
+        # finite check word the error
+        stats[:] = (float(np.max(buf[1])), float(np.min(buf[1])), float(np.max(buf[0])))
+    return buf, views(buf), stats
 
 
 def _bind_numpy_step(params, rows, n):
     """The model step of one integration in numpy, with its constants, work
     buffers and ufuncs bound once, so that a step looks nothing up.
 
-    Returns step and fields. fields(members) packs the (rows, 3n) members
-    into a new (3, rows, n + 2) buffer of h, u and r and wraps it (fields()
-    leaves it unwritten); it returns the buffer and the views a step takes.
-    step(src, dst, bumps, t) advances the fields src into dst: the explicit
-    dynamics, each of a _plume_steps step's bumps added to its row of dst's
-    u in turn, as np.add.at adds them, dst's wrap, and the finite check,
-    whose NumericalBlowup names the time t.
+    Returns step and views, with the compiled step's contract. views(buf)
+    is the tuple of views of a (3, rows, n + 2) field buffer that a step
+    takes. step(src, dst, bumps, stats) advances the fields src into dst:
+    the explicit dynamics, each of a _plume_steps step's bumps added to its
+    row of dst's u in turn, as np.add.at adds them, and dst's wrap. It
+    returns whether a value of dst is not finite and, where none is, writes
+    dst's max u, min u and max h into stats.
 
     Every ufunc makes one contiguous pass, over whole fields or, where it
     reads neighbours, over a _span of one to three fields: the centered
@@ -380,7 +389,7 @@ def _bind_numpy_step(params, rows, n):
     to the order of an add's operands and d - x taken for d + (-x), which
     IEEE arithmetic rounds alike: trajectories are bitwise those of
     tests/oracles.py:roll_advance. The new h and r do not read the new u, so
-    the plumes may be added last. The CFL bound and the finite check read
+    the plumes may be added last. The stats and the finite check read
     interior points and freshly wrapped halos only.
     """
     dx, dt, gravity = params.grid.spacing_m, params.dt_s, params.gravity
@@ -408,29 +417,19 @@ def _bind_numpy_step(params, rows, n):
     (mask, mask2, _), all_flags = flags.reshape(3, -1), flags.reshape(-1)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     negative, greater, less, logical_and = np.negative, np.greater, np.less, np.logical_and
-    maximum, copyto, isfinite, sqrt = np.maximum, np.copyto, np.isfinite, math.sqrt
+    maximum, copyto, isfinite = np.maximum, np.copyto, np.isfinite
     largest, smallest, all_true = np.maximum.reduce, np.minimum.reduce, np.logical_and.reduce
-    to_float, larger = float, max
 
-    def fields(members=None):
-        buf = _fields_buffer(params, rows, members)
-        # the buffer, all of it flat; h, u and r as one span and its
-        # neighbours; h, u and r; u and r's neighbours; the wrap; u's rows
-        return (buf, buf.reshape(-1), *(_span(buf, 0, 3, shift) for shift in (0, 1, -1)),
+    def views(buf):
+        # all of it flat; h, u and r as one span and its neighbours; h, u
+        # and r; u and r's neighbours; the wrap; u's rows
+        return (buf.reshape(-1), *(_span(buf, 0, 3, shift) for shift in (0, 1, -1)),
                 *buf.reshape(3, -1), _span(buf, 1, 2, 1), _span(buf, 1, 2, -1),
                 *_wrap_views(buf), list(buf[1, :, 1:-1]))
 
-    def step(src, dst, bumps, t):
-        buf, _, hur, hur_p, hur_m, h, u, r, ur_p, ur_m, _, _, _ = src
-        new_buf, new_flat, new, _, _, new_h, new_u, new_r, _, _, halos, edges, new_u_rows = dst
-        # max|u| + sqrt(g max h) is never below the fastest wave speed, since
-        # rounding is monotone; only when it breaks the CFL bound does the
-        # exact check run, which decides and words the error
-        bound = larger(to_float(largest(u, None)), -to_float(smallest(u, None))) + sqrt(
-            gravity * larger(to_float(largest(h, None)), 0.0)
-        )
-        if not (bound == 0.0 or dt <= dx / bound):
-            _check_cfl(buf[0, :, 1:-1], buf[1, :, 1:-1], params)
+    def step(src, dst, bumps, stats):
+        _, hur, hur_p, hur_m, h, u, r, ur_p, ur_m, _, _, _ = src
+        new_flat, new, _, _, new_h, new_u, new_r, _, _, halos, edges, new_u_rows = dst
 
         # phi = where(h > h_cloud, phi_cloud, gravity * h) + rain_geopotential * r
         multiply(h, g, phi)
@@ -484,58 +483,38 @@ def _bind_numpy_step(params, rows, n):
             add(new_u_rows[row], bump, new_u_rows[row])
         copyto(halos, edges)
         if not all_true(isfinite(new_flat, all_flags), None):
-            _check_finite(*new_buf[..., 1:-1], t)
+            return True
+        stats[:] = (largest(new_u, None), smallest(new_u, None), largest(new_h, None))
+        return False
 
-    return step, fields
+    return step, views
 
 
 def _bind_c_step(params, rows, n, kernel):
-    """_bind_numpy_step's step and fields for the compiled step, kernel
-    (_step.c, loaded by enkpf.ckernel), which runs the same operations in
-    the same order and so gives the same bits.
-
-    fields returns the buffer, its address, and its stats: max u, min u and
-    max h, which the kernel writes for each buffer it makes and from which
-    the next step's CFL bound is made. Each buffer's address is taken once,
-    here, and a step passes plain ints. Errors are raised as the numpy step
-    raises them, by _check_cfl and _check_finite on the buffers.
+    """_bind_numpy_step's step and views for the compiled step, kernel
+    (_step.c's enkpf_step, loaded by enkpf.ckernel), which runs the same
+    operations in the same order and so gives the same bits. A buffer's
+    view is its address, taken once, so that a step passes plain ints.
     """
-    dx, dt, gravity = params.grid.spacing_m, params.dt_s, params.gravity
+    dx = params.grid.spacing_m
     # the kernel's constants, in _step.c's order, and its work space for a
     # row's phi and u*h; the partial keeps both alive
     constants = (ctypes.c_double * 13)(
-        dt, 2.0 * dx, dx * dx, gravity, params.h_cloud, params.h_rain, params.phi_cloud,
-        params.rain_geopotential, params.diff_h, params.diff_u, params.diff_r,
-        params.alpha_rain, -params.beta_rain)
+        params.dt_s, 2.0 * dx, dx * dx, params.gravity, params.h_cloud, params.h_rain,
+        params.phi_cloud, params.rain_geopotential, params.diff_h, params.diff_u,
+        params.diff_r, params.alpha_rain, -params.beta_rain)
     run = partial(kernel, constants, rows, n, (ctypes.c_double * (2 * n + 4))())
-    sqrt, larger = math.sqrt, max
 
-    def fields(members=None):
-        buf = _fields_buffer(params, rows, members)
-        stats = (ctypes.c_double * 3)()
-        if members is not None:
-            # NaN propagates, as in the numpy step's bound
-            stats[:] = (float(np.max(buf[1])), float(np.min(buf[1])), float(np.max(buf[0])))
-        return buf, buf.ctypes.data, stats
-
-    def step(src, dst, bumps, t):
-        buf, at, stats = src
-        new_buf, new_at, new_stats = dst
-        # as in the numpy step: the exact check runs where the bound fails
-        bound = larger(stats[0], -stats[1]) + sqrt(gravity * larger(stats[2], 0.0))
-        if not (bound == 0.0 or dt <= dx / bound):
-            _check_cfl(buf[0, :, 1:-1], buf[1, :, 1:-1], params)
+    def step(src, dst, bumps, stats):
         bump_rows, _, rows_at, bumps_at = bumps
-        if run(at, new_at, rows_at, bumps_at, len(bump_rows), new_stats):
-            _check_finite(*new_buf[..., 1:-1], t)
+        return run(src, dst, rows_at, bumps_at, len(bump_rows), stats)
 
-    return step, fields
+    return step, lambda buf: buf.ctypes.data
 
 
 def _agrees(kernel):
-    """Whether a step of kernel gives the numpy step's bytes, and the stats
-    of its result, on a fixed wet state of two rows of 7 points with three
-    bumps."""
+    """Whether a step of kernel gives the numpy step's bytes, flag and stats
+    on a fixed wet state of two rows of 7 points with three bumps."""
     params, rows = ModelParams(grid=Grid(7)), 2
     rng = np.random.default_rng(0)
     members = np.concatenate([params.h_rest + rng.normal(0.0, 0.2, (rows, 7)),
@@ -544,13 +523,11 @@ def _agrees(kernel):
     bump_rows, bumps = np.array([1, 0, 1], dtype=np.intp), rng.normal(0.0, 0.01, (3, 7))
     plumes = (bump_rows, bumps, bump_rows.ctypes.data, bumps.ctypes.data)
     out = []
-    for step, fields in (_bind_numpy_step(params, rows, 7), _bind_c_step(params, rows, 7, kernel)):
-        dst = fields()
-        step(fields(members), dst, plumes, params.dt_s)
-        out.append(dst)
-    (numpy_buf, *_), (buf, _, stats) = out
-    return (buf.tobytes() == numpy_buf.tobytes()
-            and list(stats) == [buf[1].max(), buf[1].min(), buf[0].max()])
+    for step, views in (_bind_numpy_step(params, rows, 7), _bind_c_step(params, rows, 7, kernel)):
+        src, (buf, dst, stats) = _fields(params, rows, views, members), _fields(params, rows, views)
+        flag = step(src[1], dst, plumes, stats)
+        out.append((buf.tobytes(), bool(flag), list(stats)))
+    return out[0] == out[1]
 
 
 @lru_cache(maxsize=None)
@@ -561,15 +538,8 @@ def _kernel():
     so in the parent of a pool before it forks."""
     if os.environ.get("ENKPF_STEP") == "numpy":
         return None
-    library = ckernel.load()
-    if library is None:
-        return None
-    # enkpf_step(constants, rows, n, work, src, dst, bump_rows, bumps, n_bumps, stats)
-    kernel = library.enkpf_step
-    kernel.restype, kernel.argtypes = ctypes.c_int, (
-        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
-    return kernel if _agrees(kernel) else None
+    kernel = ckernel.load()
+    return kernel if kernel is not None and _agrees(kernel) else None
 
 
 def __getattr__(name):
@@ -593,18 +563,18 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
     stops early, the generators are left somewhere within the chunk drawn.
 
     Every array of the integration is made here, once: one (3, rows, n + 2)
-    field buffer per ensemble and one spare. An ensemble's step reads its
-    buffer and writes the spare, which becomes its buffer, while the one it
-    read becomes the spare of the next. The numpy step's work buffers are
-    shared by all (_bind_numpy_step); the compiled step needs only room
-    for one row's phi and u*h.
+    field buffer per ensemble and one spare (_fields). An ensemble's step
+    reads its buffer and writes the spare, which becomes its buffer, while
+    the one it read becomes the spare of the next. The numpy step's work
+    buffers are shared by all (_bind_numpy_step); the compiled step needs
+    only room for one row's phi and u*h.
     """
     grid = params.grid
     n = grid.n_points
     rows = len(rngs)
     kernel = _kernel()
-    step, fields = (_bind_numpy_step(params, rows, n) if kernel is None
-                    else _bind_c_step(params, rows, n, kernel))
+    step, views = (_bind_numpy_step(params, rows, n) if kernel is None
+                   else _bind_c_step(params, rows, n, kernel))
     # each ensemble's fields, or the failure that stopped it; the inputs are
     # copied in, so they are never written
     states = []
@@ -612,10 +582,11 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
         members = np.asarray(members, dtype=float)
         if members.shape[-1] != grid.dim or not rows or rows != len(members):
             raise ValueError("members/rngs inconsistent with the model geometry")
-        states.append(fields(members))
-    spare = fields()
+        states.append(_fields(params, rows, views, members))
+    spare = _fields(params, rows, views)
     live = list(range(len(states)))
-    dt = params.dt_s
+    dx, dt, gravity = grid.spacing_m, params.dt_s, params.gravity
+    sqrt, larger = math.sqrt, max
     t = 0.0
     # a field that overflows or goes NaN is reported by _check_finite as a
     # NumericalBlowup; numpy's warnings on the way there would only repeat it
@@ -623,8 +594,18 @@ def advance_ensembles(ensembles, params, n_steps, rngs):
         for bumps in _plume_steps(params, rngs, n_steps if live else 0):
             t += dt
             for j in live:
+                buf, src, stats = states[j]
+                new_buf, dst, new_stats = spare
+                # max|u| + sqrt(g max h) is never below the fastest wave
+                # speed, since rounding is monotone; only when it breaks the
+                # CFL bound does the exact check run, which decides and
+                # words the error
+                bound = larger(stats[0], -stats[1]) + sqrt(gravity * larger(stats[2], 0.0))
                 try:
-                    step(states[j], spare, bumps, t)
+                    if not (bound == 0.0 or dt <= dx / bound):
+                        _check_cfl(buf[0, :, 1:-1], buf[1, :, 1:-1], params)
+                    if step(src, dst, bumps, new_stats):
+                        _check_finite(*new_buf[..., 1:-1], t)
                 except (CflViolation, NumericalBlowup) as exc:
                     states[j] = exc
                     # the loop goes on over the list it started with
@@ -708,94 +689,3 @@ def gen_observations(x, params, r_r, r_u, rng):
     cols = params.grid.split(np.arange(params.grid.dim))
     return GaussObs(np.concatenate([y_r, y_u]), np.concatenate([cols["r"], cols["u"][wet]]),
                     np.concatenate([np.full(n, r_r), np.full(wet.size, r_u)]))
-
-
-STATE_HEADER = ["grid_index", *FIELDS]
-ENSEMBLE_HEADER = ["member", *STATE_HEADER]
-
-
-def _grid_rows(x):
-    """The STATE_HEADER rows of a (3n,) state: each grid point's field values."""
-    fields = Grid(len(x) // len(FIELDS)).split(x)
-    table = np.stack(list(fields.values()), axis=1)
-    return [[g, *map(repr, row.tolist())] for g, row in enumerate(table)]
-
-
-def save_state_csv(x, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATE_HEADER)
-        writer.writerows(_grid_rows(np.asarray(x, dtype=float)))
-
-
-def _read_csv_rows(path, header):
-    """The data rows of a numeric CSV with the given header line, as an array.
-
-    Every row must hold one finite number per header column; raises
-    InputError naming the file, and the line of the first bad row.
-    """
-    n_cols = len(header)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise InputError(path, "header must be " + ",".join(header), 1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise InputError(
-                    path, f"expected {n_cols} values, got {len(row)}", reader.line_num
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise InputError(path, "value is not a number", reader.line_num) from None
-            if not np.isfinite(values).all():
-                raise InputError(path, "value is not finite", reader.line_num)
-            rows.append(values)
-    if not rows:
-        raise InputError(path, "no data rows")
-    return np.array(rows)
-
-
-def _grid_order(path, grid_index):
-    """Sort order of a grid_index column, which must hold 0..n-1 once each."""
-    order = np.argsort(grid_index)
-    if not np.array_equal(grid_index[order], np.arange(grid_index.size)):
-        raise InputError(path, "grid_index must list 0..n-1 once each")
-    return order
-
-
-def _state_of(path, rows):
-    """The (3n,) state of STATE_HEADER rows, which may come in any grid order."""
-    rows = rows[_grid_order(path, rows[:, 0])]
-    x = np.empty(len(rows) * len(FIELDS))
-    for block, column in zip(Grid(len(rows)).split(x).values(), rows[:, 1:].T):
-        block[...] = column
-    return x
-
-
-def load_state_csv(path):
-    """The (3n,) state in a CSV written by save_state_csv."""
-    return _state_of(path, _read_csv_rows(path, STATE_HEADER))
-
-
-def save_ensemble_csv(members, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENSEMBLE_HEADER)
-        for i, x in enumerate(np.asarray(members, dtype=float)):
-            writer.writerows([i, *row] for row in _grid_rows(x))
-
-
-def load_ensemble_csv(path):
-    """A (k, 3n) member array from a CSV written by save_ensemble_csv."""
-    data = _read_csv_rows(path, ENSEMBLE_HEADER)
-    labels = np.unique(data[:, 0])
-    if not np.array_equal(labels, np.arange(labels.size)):
-        raise InputError(path, "member labels must be 0..k-1")
-    members = [_state_of(path, data[data[:, 0] == i, 1:]) for i in labels]
-    if len({x.size for x in members}) != 1:
-        raise InputError(path, "members have different grid sizes")
-    return np.array(members)

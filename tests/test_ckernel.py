@@ -16,12 +16,9 @@ from oracles import roll_advance
 
 @pytest.fixture(scope="module")
 def kernel():
-    """The compiled step, whatever ENKPF_STEP says; skips where none builds."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("ENKPF_STEP", raising=False)
-        sweq._kernel.cache_clear()
-        step = sweq._kernel()
-    sweq._kernel.cache_clear()
+    """The compiled step, whatever ENKPF_STEP says and before the self-check,
+    so that a step that disagrees fails these tests; skips where none builds."""
+    step = ckernel.load()
     if step is None:
         pytest.skip("no C compiler builds _step.c here")
     return step
@@ -101,9 +98,12 @@ def test_the_c_step_is_bitwise_the_numpy_step_and_the_roll_step(kernel, n_points
        n_bumps=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
 def test_a_step_writes_the_numpy_steps_values_even_where_it_fails(kernel, n_points, rows,
                                                                   kind, n_bumps, seed):
-    # the step's buffer itself, non-finite values included: a NaN in r stays
-    # NaN through the clamp, as np.maximum keeps it. NaNs are compared as
-    # NaNs, since their sign bits need not agree
+    # one step of each, called as advance_ensembles calls it: the buffer
+    # written, non-finite values included (a NaN in r stays NaN through the
+    # clamp, as np.maximum keeps it), the non-finite flag and, where every
+    # value is finite, the stats, which are the written buffer's extremes.
+    # NaNs are compared as NaNs, since their sign bits need not agree. The
+    # steps make no CFL check, so a state beyond the bound steps too
     rng = np.random.default_rng(seed)
     params = ModelParams(grid=Grid(n_points, 500.0))
     members = random_members(params, rows, kind, rng)
@@ -111,17 +111,20 @@ def test_a_step_writes_the_numpy_steps_values_even_where_it_fails(kernel, n_poin
     bumps = rng.normal(0.0, 0.01, (n_bumps, n_points))
     plumes = (bump_rows, bumps, bump_rows.ctypes.data, bumps.ctypes.data)
     out = []
-    for step, fields in (sweq._bind_c_step(params, rows, n_points, kernel),
-                         sweq._bind_numpy_step(params, rows, n_points)):
-        dst = fields()
-        dst[0][...] = 0.0
-        try:
-            with np.errstate(all="ignore"):
-                step(fields(members), dst, plumes, params.dt_s)
-            error = None
-        except (CflViolation, NumericalBlowup) as exc:
-            error = type(exc), str(exc)
-        out.append((np.where(np.isnan(dst[0]), np.nan, dst[0]).tobytes(), error))
+    for step, views in (sweq._bind_c_step(params, rows, n_points, kernel),
+                        sweq._bind_numpy_step(params, rows, n_points)):
+        # src is kept: the compiled step's view, an address, does not keep
+        # its buffer alive
+        src, (buf, dst, stats) = (sweq._fields(params, rows, views, members),
+                                  sweq._fields(params, rows, views))
+        buf[...] = 0.0
+        with np.errstate(all="ignore"):
+            flag = bool(step(src[1], dst, plumes, stats))
+        assert flag == (not np.isfinite(buf[..., 1:-1]).all())
+        if not flag:
+            assert list(stats) == [buf[1].max(), buf[1].min(), buf[0].max()]
+        out.append((np.where(np.isnan(buf), np.nan, buf).tobytes(), flag,
+                    None if flag else list(stats)))
     assert out[0] == out[1]
 
 
@@ -192,7 +195,7 @@ def test_the_kernel_compiles_into_the_cache_and_loads_from_it(kernel, fresh_load
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "failed compile", "timed-out compile",
-                                   "ENKPF_STEP=numpy", "other bits"])
+                                   "no loadable library", "ENKPF_STEP=numpy", "other bits"])
 def test_each_fallback_runs_the_numpy_step(fresh_loader, monkeypatch, expected_bits, fault):
     if fault == "no compiler":
         monkeypatch.setattr(ckernel, "compiler", lambda: [])
@@ -202,12 +205,19 @@ def test_each_fallback_runs_the_numpy_step(fresh_loader, monkeypatch, expected_b
         monkeypatch.setattr(ckernel, "COMPILE_TIMEOUT_S", 0.2)
         monkeypatch.setattr(ckernel, "compiler",
                             lambda: [sys.executable, "-c", "import time; time.sleep(30)"])
+    elif fault == "no loadable library":
+        # as where the cache and /tmp are both mounted noexec: the library
+        # builds in each but maps in neither
+        def refuse(path, *args, **kwargs):
+            raise OSError(f"{path}: failed to map segment from shared object")
+
+        monkeypatch.setattr(ckernel.ctypes, "CDLL", refuse)
     elif fault == "ENKPF_STEP=numpy":
         monkeypatch.setenv("ENKPF_STEP", "numpy")
     else:
         monkeypatch.setattr(sweq, "_agrees", lambda kernel: False)
     assert sweq.STEP == "numpy" and bits() == expected_bits
-    if fault != "other bits":
+    if fault not in ("no loadable library", "other bits"):
         # nothing was built, and a failed build leaves nothing behind
         assert not list((fresh_loader / "cache" / "enkpf").glob("*"))
 

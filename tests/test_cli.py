@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import experiment
-from enkpf.cli import main
+from enkpf.cli import load_ensemble_csv, load_state_csv, main, save_state_csv
 from enkpf.config import parse_config
-from enkpf.sweq import load_ensemble_csv, load_state_csv, save_state_csv
 
 from oracles import read_scores_csv
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import sweq
+from enkpf.cli import load_ensemble_csv, load_state_csv, save_ensemble_csv, save_state_csv
 from enkpf.errors import CflViolation, NumericalBlowup
 from enkpf.grid import Grid
 from enkpf.sweq import (
@@ -18,11 +19,7 @@ from enkpf.sweq import (
     advance_ensembles,
     advance_members,
     gen_observations,
-    load_ensemble_csv,
-    load_state_csv,
     rest_state,
-    save_ensemble_csv,
-    save_state_csv,
     spinup_ensemble,
     warm_state,
 )
