@@ -2,20 +2,23 @@
 
 Config files are flat `key = value` lines under `[experiment]` and `[model]`
 section headers; `#` lines are comments. Unknown sections or keys are errors
-(reported with their line number), as are malformed values. An
-ExperimentConfig checks itself when built, naming the offending key, and
-fills in the assimilation interval and total duration from the scenario (hf:
-5 min cycles for 1 hour; lf: 30 min cycles for 3 days; custom: both must be
-given explicitly), so an empty file is a valid config.
+(reported with their line number), as are malformed values and inf or nan.
+Each `[experiment]` key has one row in _EXPERIMENT_KEYS: its field, converter
+and rule. An ExperimentConfig checks itself when built, naming the offending
+key, and fills in the assimilation interval and total duration from the
+scenario (hf: 5 min cycles for 1 hour; lf: 30 min cycles for 3 days; custom:
+both must be given explicitly), so an empty file is a valid config.
 """
 
 import dataclasses
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from enkpf.errors import ConfigError
 from enkpf.experiment import METHODS
+from enkpf.global_filters import _check_band
 from enkpf.sweq import ModelParams
 
 SCENARIOS = ("hf", "lf", "custom")
@@ -54,38 +57,25 @@ class ExperimentConfig:
                 raise ConfigError(f"methods: unknown method {m!r}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods: duplicate method")
-        for key in ("k", "repetitions", "base_seed"):
-            if not isinstance(getattr(self, key), numbers.Integral):
-                raise ConfigError(f"{key}: must be an integer")
-        if self.k < 2:
-            raise ConfigError("k: ensemble size must be >= 2")
-        if not self.l_m > 0:
-            raise ConfigError("l: localization half-length must be positive")
-        lo, hi = self.ess_band
-        if not 0.0 < lo <= hi <= 1.0:
-            raise ConfigError("ess_band: need 0 < lo <= hi <= 1")
-        for key in ("r_r", "r_u"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ConfigError(f"{key}: observation error variance must be positive and finite")
         timing = SCENARIO_TIMING.get(self.scenario, (None, None))
         for key, default in zip(("interval_s", "duration_s"), timing):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
         if self.interval_s is None or self.duration_s is None:
             raise ConfigError("interval_s/duration_s: a custom scenario must set both explicitly")
-        if self.interval_s <= 0:
-            raise ConfigError("interval_s: must be positive")
+        for key, row in _EXPERIMENT_KEYS.items():
+            value = getattr(self, row.field)
+            if row.convert is int and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key}: must be an integer")
+            if row.test is not None and not row.test(value):
+                raise ConfigError(f"{key}: {row.rule}")
+        try:
+            _check_band(self.ess_band)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         steps = self.interval_s / self.model.dt_s
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("interval_s: must be a positive multiple of the model dt_s")
-        if not self.duration_s >= 0:
-            raise ConfigError("duration_s: must be nonnegative")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions: must be >= 1")
-        if not 0 <= self.base_seed < 2**64:
-            raise ConfigError("base_seed: must fit in an unsigned 64-bit integer")
-        if not self.spinup_days >= 0:
-            raise ConfigError("spinup_days: must be nonnegative")
         for key, seconds in (("spinup_days", self.spinup_days * 86400.0),
                              ("warm_start_days", self.model.warm_start_days * 86400.0),
                              ("interval_s", self.interval_s),
@@ -94,8 +84,6 @@ class ExperimentConfig:
                 self.model.steps(seconds)
             except ValueError as exc:
                 raise ConfigError(f"{key}: too long: {exc}") from None
-        if not self.block_segment_m > 0:
-            raise ConfigError("block_segment_m: must be positive")
 
     @property
     def n_cycles(self):
@@ -132,29 +120,36 @@ def _to_pair(raw):
     return (_to_float(parts[0]), _to_float(parts[1]))
 
 
+_Key = namedtuple("_Key", "field convert test rule", defaults=(None, None))
+_VARIANCE = (lambda v: 0 < v < math.inf, "observation error variance must be positive and finite")
+
+# each [experiment] file key: its ExperimentConfig field, the parser's converter
+# and, for a number, the test its value must pass and the rule its error states
+# (an integer row's value must be an integer, too). _check_band checks ess_band;
+# interval_s is checked against dt_s. A file rejects inf and nan (_to_float), but
+# Python may give l_m and block_segment_m inf (no taper; one block).
 _EXPERIMENT_KEYS = {
-    "scenario": str,
-    "methods": _to_methods,
-    "k": int,
-    "l": _to_float,
-    "ess_band": _to_pair,
-    "r_r": _to_float,
-    "r_u": _to_float,
-    "interval_s": _to_float,
-    "duration_s": _to_float,
-    "repetitions": int,
-    "base_seed": int,
-    "spinup_days": _to_float,
-    "block_segment_m": _to_float,
-    "trace": _to_bool,
-    "out": str,
+    "scenario": _Key("scenario", str),
+    "methods": _Key("methods", _to_methods),
+    "k": _Key("k", int, lambda v: v >= 2, "ensemble size must be >= 2"),
+    "l": _Key("l_m", _to_float, lambda v: v > 0, "localization half-length must be positive"),
+    "ess_band": _Key("ess_band", _to_pair),
+    "r_r": _Key("r_r", _to_float, *_VARIANCE),
+    "r_u": _Key("r_u", _to_float, *_VARIANCE),
+    "interval_s": _Key("interval_s", _to_float),
+    "duration_s": _Key("duration_s", _to_float, lambda v: v >= 0, "must be nonnegative"),
+    "repetitions": _Key("repetitions", int, lambda v: v >= 1, "must be >= 1"),
+    "base_seed": _Key("base_seed", int, lambda v: 0 <= v < 2**64,
+                      "must fit in an unsigned 64-bit integer"),
+    "spinup_days": _Key("spinup_days", _to_float, lambda v: v >= 0, "must be nonnegative"),
+    "block_segment_m": _Key("block_segment_m", _to_float, lambda v: v > 0, "must be positive"),
+    "trace": _Key("trace", _to_bool, lambda v: isinstance(v, bool), "must be true or false"),
+    "out": _Key("out_dir", str),
 }
 
 _MODEL_KEYS = {"n_points": int, "spacing_m": _to_float} | {
     f.name: _to_float for f in dataclasses.fields(ModelParams) if f.name != "grid"
 }
-
-_FIELD_FOR_KEY = {"l": "l_m", "out": "out_dir"}
 
 
 def parse_config(text, overrides=None):
@@ -188,8 +183,9 @@ def parse_config(text, overrides=None):
             raise ConfigError(f"unknown key {key!r} in [{current}]", line=lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        convert = table[key].convert if current == "experiment" else table[key]
         try:
-            sections[current][key] = table[key](raw)
+            sections[current][key] = convert(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 
@@ -202,10 +198,9 @@ def parse_config(text, overrides=None):
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    raw_exp = dict(sections["experiment"])
-    for key, value in (overrides or {}).items():
-        if key not in _EXPERIMENT_KEYS:
+    exp_kw = {}
+    for key, value in (sections["experiment"] | (overrides or {})).items():
+        if key not in _EXPERIMENT_KEYS:  # the file's keys were checked above
             raise ConfigError(f"unknown key {key!r} in overrides")
-        raw_exp[key] = value
-    exp_kw = {_FIELD_FOR_KEY.get(key, key): value for key, value in raw_exp.items()}
+        exp_kw[_EXPERIMENT_KEYS[key].field] = value
     return ExperimentConfig(model=model, **exp_kw)

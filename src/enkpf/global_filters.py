@@ -133,10 +133,14 @@ def _mixture_weights(s_white, innov0, r_diag):
 
 
 def _check_band(ess_band):
-    lo, hi = ess_band
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError("ess_band must satisfy 0 < lo <= hi <= 1")
-    return lo, hi
+    """(lo, hi) of an ESS band: two numbers with 0 < lo <= hi <= 1, or a ValueError."""
+    try:
+        lo, hi = ess_band
+        if 0.0 < lo <= hi <= 1.0:
+            return lo, hi
+    except (TypeError, ValueError):  # not a pair of numbers
+        pass
+    raise ValueError(f"ess_band: need two numbers 0 < lo <= hi <= 1, got {ess_band!r}")
 
 
 def search_gamma(s_oo, r_diag, innov0, lo_frac):

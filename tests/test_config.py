@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkpf.config import ExperimentConfig, parse_config
+from enkpf.config import _EXPERIMENT_KEYS, _MODEL_KEYS, ExperimentConfig, _to_float, parse_config
 from enkpf.errors import ConfigError
 from enkpf.sweq import MAX_STEPS, ModelParams
 
@@ -228,6 +228,12 @@ def test_built_config_has_its_scenario_timing():
         # the parser rejects inf for every float key; these were accepted
         ({"r_r": math.inf}, "r_r: observation error variance must be positive and finite"),
         ({"r_u": math.inf}, "r_u: observation error variance must be positive and finite"),
+        # a band that is not a pair of numbers, and a trace flag that is not a bool
+        ({"ess_band": (0.5,)}, "ess_band: need two numbers"),
+        ({"ess_band": (0.5, 0.8, 0.9)}, "ess_band: need two numbers"),
+        ({"ess_band": None}, "ess_band: need two numbers"),
+        ({"ess_band": (0.8, 0.5)}, "ess_band: need two numbers 0 < lo <= hi <= 1"),
+        ({"trace": "false"}, "trace: must be true or false"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):
@@ -326,3 +332,52 @@ def test_parse_config_float_keys_give_finite_config_or_config_error(exp, model, 
     except ConfigError:
         return
     assert all(math.isfinite(v) for v in _numbers_in(cfg))
+
+
+def test_fuzzed_float_keys_are_every_float_key_of_the_parser():
+    # a new float key must join the non-finite fuzz above
+    assert set(EXPERIMENT_FLOAT_KEYS) == {
+        key for key, row in _EXPERIMENT_KEYS.items() if row.convert is _to_float}
+    assert set(MODEL_FLOAT_KEYS) == {
+        key for key, convert in _MODEL_KEYS.items() if convert is _to_float}
+
+
+INT_KEYS = tuple(key for key, row in _EXPERIMENT_KEYS.items() if row.convert is int)
+FLOAT_KEYS = tuple(key for key, row in _EXPERIMENT_KEYS.items() if row.convert is _to_float)
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# an integer key also gets floats, which are never integers
+INTEGER_OR_NOT = st.one_of(st.sampled_from([0, -1, 1, 2, 2**64 - 1, 2**64]), st.integers(),
+                           FINITE)
+NUMERIC_KEYS = {
+    **dict.fromkeys(FLOAT_KEYS, FINITE),
+    **dict.fromkeys(INT_KEYS, INTEGER_OR_NOT),
+    "ess_band": st.tuples(FINITE, FINITE),
+}
+
+
+def _built_or_error(build):
+    try:
+        return build(), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(NUMERIC_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), NUMERIC_KEYS[key])))
+def test_parse_config_rejects_a_finite_number_exactly_when_the_built_config_does(key_value):
+    key, value = key_value
+    text = ", ".join(map(repr, value)) if key == "ess_band" else repr(value)
+    parsed, parse_error = _built_or_error(lambda: parse_config(f"[experiment]\n{key} = {text}\n"))
+    built, build_error = _built_or_error(
+        lambda: ExperimentConfig(**{_EXPERIMENT_KEYS[key].field: value}))
+    assert parsed == built
+    if key in INT_KEYS and isinstance(value, float):
+        # the file's "k = 4.0" fails to convert, naming the key and its line
+        assert parse_error.startswith(f"line 2: bad value for {key!r}")
+        assert build_error == f"{key}: must be an integer"
+    else:
+        assert parse_error == build_error

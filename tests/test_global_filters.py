@@ -611,6 +611,14 @@ def test_adaptive_gamma_band_validation():
         adaptive_gamma(x, obs, np.eye(1), (0.8, 0.5), np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("band", [(0.5,), (0.5, 0.8, 0.9), None, ("0.5", "0.8"), (np.nan, 0.8)])
+def test_a_band_that_is_not_two_numbers_is_named(band):
+    x = np.random.default_rng(0).standard_normal((5, 2))
+    obs = GaussObs(np.array([0.0]), np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^ess_band: need two numbers 0 < lo <= hi <= 1"):
+        adaptive_gamma(x, obs, np.eye(1), band, np.random.default_rng(1))
+
+
 def test_search_gamma_respects_floor_on_random_cases():
     rng = np.random.default_rng(23)
     k = 30
