@@ -18,7 +18,13 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 
 import numpy as np  # noqa: E402
 
-from enkpf.config import _EXPERIMENT_KEYS, SCENARIOS, _to_methods, parse_config  # noqa: E402
+from enkpf.config import (  # noqa: E402
+    _EXPERIMENT_KEYS,
+    SCENARIOS,
+    _to_int,
+    _to_methods,
+    parse_config,
+)
 from enkpf.errors import EnkpfError, InputError  # noqa: E402
 from enkpf.grid import FIELDS, Grid  # noqa: E402
 
@@ -180,8 +186,23 @@ def _cmd_score(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error as one `error: ...` line (exit code 2)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _integer(raw):
+    """An integer flag's value, by the config files' rule (_to_int)."""
+    try:
+        return _to_int(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="enkpf",
         description="cycled twin experiments with localized ensemble filters "
         "on a 1d convection-scale model",
@@ -192,14 +213,14 @@ def build_parser():
     p_spin = sub.add_parser("spinup", help="write a spun-up truth state and ensemble")
     for p in (p_run, p_spin):
         p.add_argument("--config", help="config file (flat [section] key = value)")
-        p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED", help="base seed")
+        p.add_argument("--seed", type=_integer, dest="base_seed", metavar="SEED", help="base seed")
         p.add_argument("--out", help="output directory")
     p_run.add_argument("--scenario", choices=SCENARIOS, help="timing preset")
     p_run.add_argument(
-        "--reps", type=int, dest="repetitions", metavar="REPS", help="number of repetitions"
+        "--reps", type=_integer, dest="repetitions", metavar="REPS", help="number of repetitions"
     )
     p_run.add_argument("--methods", type=_to_methods, help="comma-separated method list")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_integer, default=1,
                        help="parallel repetitions (at most one per CPU)")
     p_run.add_argument(
         "--trace", action="store_true", default=None, help="write per-cycle trace CSVs"

@@ -3,8 +3,8 @@
 Config files are flat `key = value` lines under `[experiment]` and `[model]`
 section headers; `#` lines are comments. Unknown sections or keys are errors
 (reported with their line number), as are malformed values and inf or nan.
-Each `[experiment]` key has one row in _EXPERIMENT_KEYS: its field, converter
-and rule. An ExperimentConfig checks itself when built, naming the offending
+Each `[experiment]` key has one row in _EXPERIMENT_KEYS: its field, converter,
+type and rule. An ExperimentConfig checks itself when built, naming the offending
 key, and fills in the assimilation interval and total duration from the
 scenario (hf: 5 min cycles for 1 hour; lf: 30 min cycles for 3 days; custom:
 both must be given explicitly), so an empty file is a valid config.
@@ -13,6 +13,8 @@ both must be given explicitly), so an empty file is a valid config.
 import dataclasses
 import math
 import numbers
+import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -50,13 +52,6 @@ class ExperimentConfig:
         # the scenario is checked before the timing is filled in from it
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
-        if not self.methods:
-            raise ConfigError("methods: at least one method is required")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"methods: unknown method {m!r}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("methods: duplicate method")
         timing = SCENARIO_TIMING.get(self.scenario, (None, None))
         for key, default in zip(("interval_s", "duration_s"), timing):
             if getattr(self, key) is None:
@@ -65,10 +60,19 @@ class ExperimentConfig:
             raise ConfigError("interval_s/duration_s: a custom scenario must set both explicitly")
         for key, row in _EXPERIMENT_KEYS.items():
             value = getattr(self, row.field)
-            if row.convert is int and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key}: must be an integer")
+            # a bool passes isinstance for int, so only the bool row takes one
+            if row.kind is not None and (not isinstance(value, row.kind)
+                                         or isinstance(value, bool) and row.kind is not bool):
+                raise ConfigError(f"{key}: {row.kind_rule}")
             if row.test is not None and not row.test(value):
                 raise ConfigError(f"{key}: {row.rule}")
+        if not self.methods:
+            raise ConfigError("methods: at least one method is required")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"methods: unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods: duplicate method")
         try:
             _check_band(self.ess_band)
         except ValueError as exc:
@@ -106,6 +110,17 @@ def _to_methods(raw):
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _to_int(raw):
+    """A plain decimal integer: an optional sign, then ASCII digits (int()
+    would also take '1_0' and non-ASCII digits)."""
+    if not _INTEGER.fullmatch(raw):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _to_float(raw):
     value = float(raw)
     if not math.isfinite(value):
@@ -120,34 +135,39 @@ def _to_pair(raw):
     return (_to_float(parts[0]), _to_float(parts[1]))
 
 
-_Key = namedtuple("_Key", "field convert test rule", defaults=(None, None))
+_Key = namedtuple("_Key", "field convert kind kind_rule test rule", defaults=(None,) * 4)
+# the converter of an integer or a number row, the type a built config's value
+# must have (never a bool) and the rule its error states
+_INT = (_to_int, numbers.Integral, "must be an integer")
+_REAL = (_to_float, numbers.Real, "must be a number")
 _VARIANCE = (lambda v: 0 < v < math.inf, "observation error variance must be positive and finite")
 
-# each [experiment] file key: its ExperimentConfig field, the parser's converter
-# and, for a number, the test its value must pass and the rule its error states
-# (an integer row's value must be an integer, too). _check_band checks ess_band;
-# interval_s is checked against dt_s. A file rejects inf and nan (_to_float), but
-# Python may give l_m and block_segment_m inf (no taper; one block).
+# each [experiment] file key: its ExperimentConfig field, the parser's converter,
+# the type a built config's value must have with the rule its error states and,
+# for a number, the test its value must pass with the rule its error states.
+# The scenario is checked first; _check_band checks ess_band; interval_s is
+# checked against dt_s. A file rejects inf and nan (_to_float), but Python may
+# give l_m and block_segment_m inf (no taper; one block).
 _EXPERIMENT_KEYS = {
     "scenario": _Key("scenario", str),
-    "methods": _Key("methods", _to_methods),
-    "k": _Key("k", int, lambda v: v >= 2, "ensemble size must be >= 2"),
-    "l": _Key("l_m", _to_float, lambda v: v > 0, "localization half-length must be positive"),
+    "methods": _Key("methods", _to_methods, tuple, "must be a tuple of method names"),
+    "k": _Key("k", *_INT, lambda v: v >= 2, "ensemble size must be >= 2"),
+    "l": _Key("l_m", *_REAL, lambda v: v > 0, "localization half-length must be positive"),
     "ess_band": _Key("ess_band", _to_pair),
-    "r_r": _Key("r_r", _to_float, *_VARIANCE),
-    "r_u": _Key("r_u", _to_float, *_VARIANCE),
-    "interval_s": _Key("interval_s", _to_float),
-    "duration_s": _Key("duration_s", _to_float, lambda v: v >= 0, "must be nonnegative"),
-    "repetitions": _Key("repetitions", int, lambda v: v >= 1, "must be >= 1"),
-    "base_seed": _Key("base_seed", int, lambda v: 0 <= v < 2**64,
+    "r_r": _Key("r_r", *_REAL, *_VARIANCE),
+    "r_u": _Key("r_u", *_REAL, *_VARIANCE),
+    "interval_s": _Key("interval_s", *_REAL),
+    "duration_s": _Key("duration_s", *_REAL, lambda v: v >= 0, "must be nonnegative"),
+    "repetitions": _Key("repetitions", *_INT, lambda v: v >= 1, "must be >= 1"),
+    "base_seed": _Key("base_seed", *_INT, lambda v: 0 <= v < 2**64,
                       "must fit in an unsigned 64-bit integer"),
-    "spinup_days": _Key("spinup_days", _to_float, lambda v: v >= 0, "must be nonnegative"),
-    "block_segment_m": _Key("block_segment_m", _to_float, lambda v: v > 0, "must be positive"),
-    "trace": _Key("trace", _to_bool, lambda v: isinstance(v, bool), "must be true or false"),
-    "out": _Key("out_dir", str),
+    "spinup_days": _Key("spinup_days", *_REAL, lambda v: v >= 0, "must be nonnegative"),
+    "block_segment_m": _Key("block_segment_m", *_REAL, lambda v: v > 0, "must be positive"),
+    "trace": _Key("trace", _to_bool, bool, "must be true or false"),
+    "out": _Key("out_dir", str, (str, os.PathLike), "must be a path"),
 }
 
-_MODEL_KEYS = {"n_points": int, "spacing_m": _to_float} | {
+_MODEL_KEYS = {"n_points": _to_int, "spacing_m": _to_float} | {
     f.name: _to_float for f in dataclasses.fields(ModelParams) if f.name != "grid"
 }
 

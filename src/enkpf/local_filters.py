@@ -5,20 +5,19 @@ segment_m), so no filter evaluates a distance or a taper weight: the site
 windows (the observations within the taper's length scale l_m, a plain
 float, as one padded (n, w_max) index array), the blocks and every taper
 weight (support 2l).
-LEnKF and NAIVE-LEnKPF share one site loop (_site_loop): an independent
-local EnKPF at every grid point on the observations in its window, with
-tapered covariance slices. All sites share the observation perturbations
-(one global draw) and one uniform for resampling, so neighboring analyses
-stay as coherent as the weights allow. The LEnKF is the loop at gamma = 1
-(the EnKF): one EnKF rows update (_enkf_rows) per site. NAIVE picks gamma
-per site, in passes: pass 1 tests gamma = 0 at every site at once
-(_gamma_zero_screen), as search_gamma would; pass 2 runs the local EnKPF
-step (_local_enkpf: search_gamma, the reordered systematic indices and
-global_filters._enkpf_rows_update) only where that test fails; pass 3
-sweeps left to right, reordering each site's indices toward the previous
-site's, and gathers the rows of all gamma = 0 sites at once. The outputs
-are the one-site-at-a-time loop's (tests/oracles.site_loop) byte for byte.
-Every site and block starts from global_filters._setup (eta, e_R, u).
+LEnKF and NAIVE-LEnKPF run an independent local analysis at every grid point
+on the observations in its window, from one global_filters._setup (shared
+observation perturbations and one resampling uniform, so neighboring analyses
+stay as coherent as the weights allow) and one tapered P[:, H] block.
+lenkf_update holds gamma at 1: one EnKF rows update (_enkf_rows) per site.
+naive_lenkpf_update picks gamma per site, in passes: pass 1 tests gamma = 0
+at every site at once (_gamma_zero_screen), as search_gamma would; pass 2
+runs the local EnKPF step (_local_enkpf: search_gamma, the reordered
+systematic indices and _enkpf_rows_update) only where that test fails;
+pass 3 sweeps left to right, reordering each site's indices toward the
+previous site's, and gathers the rows of all gamma = 0 sites at once, byte
+for byte the one-site-at-a-time loop of tests/oracles.site_loop. The helpers
+return gamma, ESS and pinv truncations; the public filters record them.
 
 BLOCK-LEnKPF instead partitions the observations into short segments, each
 block with its observations, u and v. A block update touches the observed
@@ -60,23 +59,21 @@ class LocalDiagnostics:
         self.ess_values.append(float(ess_value))
 
 
-def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_idx,
-                 diagnostics):
-    """One local EnKPF step on x_rows; returns (analysis rows, indices).
+def _local_enkpf(x_rows, innov0, r_diag, p_ro, s_oo, eta, er, ess_lo, u, prev_idx):
+    """One local EnKPF step on x_rows; returns (analysis rows, indices, gamma, ESS).
 
-    gamma and the weights at it come from search_gamma (diagnostics, if given,
-    records gamma and their ESS); below gamma = 1 the systematic indices for u
-    are reordered toward prev_idx, at gamma = 1 they are the identity.
+    gamma and the weights at it come from search_gamma, the ESS is theirs;
+    below gamma = 1 the systematic indices for u are reordered toward
+    prev_idx, at gamma = 1 they are the identity.
     """
     gamma, alpha = search_gamma(s_oo, r_diag, innov0, ess_lo)
-    if diagnostics is not None:
-        diagnostics.record(gamma, ess(alpha))
+    ess_value = ess(alpha)
     if gamma == 1.0:
         idx = np.arange(x_rows.shape[0])
     else:
         idx = reorder_to_match(systematic_indices(alpha, u), prev_idx)
     rows = _enkpf_rows_update(x_rows, innov0, r_diag, p_ro, s_oo, gamma, eta, er, idx)
-    return rows, idx
+    return rows, idx, gamma, ess_value
 
 
 def _gamma_zero_screen(innov0, r_diag, s_full, plan, lo_frac, u):
@@ -105,74 +102,71 @@ def _gamma_zero_screen(innov0, r_diag, s_full, plan, lo_frac, u):
     return sites[keep], ess_values[keep], systematic_indices(alpha[keep], u)
 
 
-def _site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
-    """Local EnKPF at every grid point from one _setup: the EnKF with ess_lo =
-    None, else the passes of the module docstring. Sites without observations
-    keep their background and, like gamma = 1 sites, pass the identity on."""
-    obs = plan.obs
-    x, innov0, eta_all, er_all, u_shared = _setup(ens, obs, rng)
-    k, d = x.shape
-    p_cross = tapered_cov_block(x, np.arange(d), obs.h_rows, plan.w_cross)
-    s_full = p_cross[obs.h_rows, :]
-    out = x.copy()
-    if ess_lo is None:
-        perturbed = innov0 + eta_all * np.sqrt(obs.r_diag)
-        for g in np.flatnonzero(plan.sizes):
-            cols, sel = plan.site_cols[g], plan.windows[g, :plan.sizes[g]]
-            s_plus_r = s_full[sel[:, None], sel] + np.diag(obs.r_diag[sel])
-            try:
-                factor = _chol(s_plus_r, "innovation covariance")
-                out[:, cols] = _enkf_rows(x[:, cols], perturbed[:, sel],
-                                          p_cross[cols[:, None], sel], factor)
-            except FilterError as exc:
-                raise FilterError(f"site {g}: {exc}") from exc
-        return out
-
-    screened, ess0, idx0 = _gamma_zero_screen(innov0, obs.r_diag, s_full, plan, ess_lo, u_shared)
-    row_of = np.full(plan.sizes.shape, -1)
-    row_of[screened] = np.arange(screened.size)
-    identity = np.arange(k)
-    idx, swept = identity, np.empty((k, screened.size), dtype=np.intp)
-    for g, (size, row) in enumerate(zip(plan.sizes.tolist(), row_of.tolist())):
-        if size == 0:
-            idx = identity
-        elif row >= 0:
-            idx = swept[:, row] = reorder_to_match(idx0[row], idx)
-            if diagnostics is not None:
-                diagnostics.record(0.0, ess0[row])
-        else:
-            cols, sel = plan.site_cols[g], plan.windows[g, :size]
-            try:
-                out[:, cols], idx = _local_enkpf(
-                    x[:, cols], innov0[:, sel], obs.r_diag[sel], p_cross[cols[:, None], sel],
-                    s_full[sel[:, None], sel], eta_all[:, sel], er_all[:, sel], ess_lo, u_shared,
-                    idx, diagnostics)
-            except FilterError as exc:
-                raise FilterError(f"site {g}: {exc}") from exc
-    cols = plan.site_cols[screened]
-    out[:, cols] = x[swept[:, :, None], cols]
-    return out
-
-
 def lenkf_update(ens, plan, rng):
     """Local EnKF: the local EnKPF of naive_lenkpf_update with gamma held at 1.
 
     Every site runs a stochastic EnKF on the observations in its window, all
-    with the same eps_i, drawn once. Sites with none keep their background.
+    with the same eps_i, drawn once: one _chol and one EnKF rows update per
+    site. Sites with none keep their background.
     """
-    return _site_loop(ens, plan, rng)
+    obs = plan.obs
+    x, innov0, eta, _, _ = _setup(ens, obs, rng)
+    p_cross = tapered_cov_block(x, np.arange(x.shape[1]), obs.h_rows, plan.w_cross)
+    s_full = p_cross[obs.h_rows, :]
+    out = x.copy()
+    perturbed = innov0 + eta * np.sqrt(obs.r_diag)
+    for g in np.flatnonzero(plan.sizes):
+        cols, sel = plan.site_cols[g], plan.windows[g, :plan.sizes[g]]
+        s_plus_r = s_full[sel[:, None], sel] + np.diag(obs.r_diag[sel])
+        try:
+            factor = _chol(s_plus_r, "innovation covariance")
+            out[:, cols] = _enkf_rows(x[:, cols], perturbed[:, sel],
+                                      p_cross[cols[:, None], sel], factor)
+        except FilterError as exc:
+            raise FilterError(f"site {g}: {exc}") from exc
+    return out
 
 
 def naive_lenkpf_update(ens, plan, ess_band, rng, diagnostics=None):
     """Local EnKPF at every grid point with shared randomness.
 
     Each site runs its own adaptive-gamma EnKPF (gamma from the lower end of
-    ess_band) on the observations in its window; the per-site resampling
-    indices are reordered left to right to agree with the previous site's
-    (see _site_loop). diagnostics, if given, records each site's gamma and ESS.
+    ess_band) on its window, in the passes of the module docstring. Sites
+    without observations keep their background and, like gamma = 1 sites,
+    pass the identity on. diagnostics, if given, records each observed
+    site's gamma and ESS.
     """
     lo, _ = _check_band(ess_band)
-    return _site_loop(ens, plan, rng, ess_lo=lo, diagnostics=diagnostics)
+    obs = plan.obs
+    x, innov0, eta, er, u = _setup(ens, obs, rng)
+    p_cross = tapered_cov_block(x, np.arange(x.shape[1]), obs.h_rows, plan.w_cross)
+    s_full = p_cross[obs.h_rows, :]
+    out = x.copy()
+    screened, ess0, idx0 = _gamma_zero_screen(innov0, obs.r_diag, s_full, plan, lo, u)
+    row_of = np.full(plan.sizes.shape, -1)
+    row_of[screened] = np.arange(screened.size)
+    idx = identity = np.arange(x.shape[0])
+    swept = np.empty((identity.size, screened.size), dtype=np.intp)
+    for g, (size, row) in enumerate(zip(plan.sizes.tolist(), row_of.tolist())):
+        if size == 0:
+            idx = identity
+            continue
+        if row >= 0:
+            idx = swept[:, row] = reorder_to_match(idx0[row], idx)
+            gamma, ess_value = 0.0, ess0[row]
+        else:
+            cols, sel = plan.site_cols[g], plan.windows[g, :size]
+            try:
+                out[:, cols], idx, gamma, ess_value = _local_enkpf(
+                    x[:, cols], innov0[:, sel], obs.r_diag[sel], p_cross[cols[:, None], sel],
+                    s_full[sel[:, None], sel], eta[:, sel], er[:, sel], lo, u, idx)
+            except FilterError as exc:
+                raise FilterError(f"site {g}: {exc}") from exc
+        if diagnostics is not None:
+            diagnostics.record(gamma, ess_value)
+    cols = plan.site_cols[screened]
+    out[:, cols] = x[swept[:, :, None], cols]
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,17 +225,17 @@ def schedule_blocks(blocks):
     return tuple(groups)
 
 
-def _pinv_regress(p_uu, p_vu, diagnostics=None):
-    """M' with M = P_vu P_uu^{-1}, via eigen-truncated generalized inverse."""
+def _pinv_regress(p_uu, p_vu):
+    """(M', truncated): M = P_vu P_uu^{-1} via the eigen-truncated generalized
+    inverse, and whether it dropped an eigenvalue (a pinv fallback)."""
     lam, vecs = _eigh(p_uu)
     lam_max = lam.max() if lam.size else 0.0
     keep = lam > 1e-10 * max(lam_max, 0.0)
-    if not keep.all() and diagnostics is not None:
-        diagnostics.pinv_fallbacks += 1
+    truncated = not keep.all()
     if not keep.any():
-        return np.zeros((p_uu.shape[0], p_vu.shape[0]))
+        return np.zeros((p_uu.shape[0], p_vu.shape[0])), truncated
     vk = vecs[:, keep]
-    return vk @ ((vk.T @ p_vu.T) / lam[keep][:, None])
+    return vk @ ((vk.T @ p_vu.T) / lam[keep][:, None]), truncated
 
 
 def block_assimilate_one(ens, block, ess_band, rng, diagnostics=None):
@@ -258,15 +252,19 @@ def block_assimilate_one(ens, block, ess_band, rng, diagnostics=None):
     x, innov0, eta, er, uniform = _setup(ens, obs, rng)
     s_oo = tapered_cov_block(x, obs.h_rows, obs.h_rows, block.w_oo)
     p_uo = tapered_cov_block(x, block.u, obs.h_rows, block.w_uo)
-    x_u, _ = _local_enkpf(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta, er, lo, uniform,
-                          np.arange(x.shape[0]), diagnostics)
+    x_u, _, gamma, ess_value = _local_enkpf(x[:, block.u], innov0, obs.r_diag, p_uo, s_oo, eta,
+                                            er, lo, uniform, np.arange(x.shape[0]))
+    if diagnostics is not None:
+        diagnostics.record(gamma, ess_value)
 
     out = x.copy()
     out[:, block.u] = x_u
     if block.v.size:
         p_uu = tapered_cov_block(x, block.u, block.u, block.w_uu)
         p_vu = tapered_cov_block(x, block.v, block.u, block.w_vu)
-        m_t = _pinv_regress(p_uu, p_vu, diagnostics)
+        m_t, truncated = _pinv_regress(p_uu, p_vu)
+        if truncated and diagnostics is not None:
+            diagnostics.pinv_fallbacks += 1
         out[:, block.v] = x[:, block.v] + (x_u - x[:, block.u]) @ m_t
     return out
 

@@ -4,7 +4,7 @@ Weights are plain (k,) float arrays alpha that sum to 1, and resampling
 indices plain (k,) intp arrays I with I(i) = which member survives at slot i.
 weights_from_log is the one place weights are made from log-likelihoods.
 It, ess and systematic_indices also take (..., k) stacks, each row bitwise
-its own call's: the site loop screens all its sites with one call of each.
+its own call's: the naive filter screens all its sites with one call of each.
 
 Resampling uses the systematic scheme driven by a single uniform draw: with
 pointers (u + i)/k swept against the cumulative weights, every count N_j

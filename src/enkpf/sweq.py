@@ -60,9 +60,9 @@ arguments below -708, whose results are subnormal or zero, where numpy's
 exp is slow. Trajectories and generators are bitwise those of
 tests/oracles.py (roll_advance, plume_draws). On a 2-core Xeon (gcc 12,
 numpy 2.4, AVX-512) a step from the warm state, plumes included, took
-about 12 us at 1 row and 0.43 ms at 50 rows with the compiled step,
-against 29 us and 0.60 ms with the numpy step (scripts/step_bench.py,
-BENCH_ckernel.json).
+10.1-10.4 us at 1 row and 328-338 us at 50 rows with the compiled step,
+against 29.1-29.3 us and 571-577 us with the numpy step
+(scripts/step_bench.py, two runs, BENCH_ckernel.json).
 """
 
 import bisect

@@ -57,11 +57,13 @@ reorder_to_match before it returned prev_idx for a permutation of it, and
 systematic_indices_reference is systematic_indices as first written, one
 binary search of the pointers in the cumulative weights.
 
-site_loop is local_filters._site_loop as first written: one _local_enkpf
-per site in site order, the site's slices cut with np.ix_, and the FilterError
-naming the site. The package's loop screens every site at gamma = 0 at
-once, sweeps, and gathers, and must equal it byte for byte, diagnostics and
-errors included.
+site_loop is the site loop of the LEnKF (ess_lo None: gamma = 1 at every
+site) and of the NAIVE-LEnKPF as first written: one _local_enkpf per site in
+site order, recording the gamma and ESS it returns, the site's slices cut
+with np.ix_, and the FilterError naming the site. The package's
+lenkf_update runs one EnKF rows update per site, and its
+naive_lenkpf_update screens every site at gamma = 0 at once, sweeps, and
+gathers; each must equal it byte for byte, diagnostics and errors included.
 
 EagerGammaWeightSolver is the package's weight solver as first written, a
 class that builds the eigendecomposition in its constructor and takes every
@@ -402,7 +404,7 @@ def systematic_indices_reference(alpha, u):
 
 
 def site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
-    """local_filters._site_loop one site at a time (see the module docstring)."""
+    """The LEnKF (ess_lo None) or NAIVE-LEnKPF one site at a time (see the module docstring)."""
     obs = plan.obs
     x, innov0, eta_all, er_all, u_shared = _setup(ens, obs, rng)
     k, d = x.shape
@@ -424,7 +426,9 @@ def site_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
                 out[:, cols] = _enkpf_rows_update(*args[:5], 1.0, *args[5:], identity)
                 idx = identity
             else:
-                out[:, cols], idx = _local_enkpf(*args, ess_lo, u_shared, idx, diagnostics)
+                out[:, cols], idx, gamma, ess_value = _local_enkpf(*args, ess_lo, u_shared, idx)
+                if diagnostics is not None:
+                    diagnostics.record(gamma, ess_value)
         except FilterError as exc:
             raise FilterError(f"site {g}: {exc}") from exc
     return out

@@ -410,18 +410,41 @@ def test_score_reports_an_overflowing_crps_in_one_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value", [("--reps", "2"), ("--methods", "free"), ("--scenario", "custom")]
 )
-def test_spinup_has_no_run_only_flags(tmp_path, flag, value):
+def test_spinup_has_no_run_only_flags(tmp_path, capsys, flag, value):
     cfg = tmp_path / "cfg.ini"
     write_tiny_config(cfg, tmp_path / "out")
     with pytest.raises(SystemExit) as info:
         main(["spinup", "--config", str(cfg), flag, value])
     assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0], err
     assert not (tmp_path / "out").exists()
 
 
-def test_subcommand_required():
-    with pytest.raises(SystemExit):
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("run", "--reps", "x"), ("run", "--reps", "1_0"), ("run", "--threads", "1_0"),
+     ("run", "--seed", "\uff13"), ("spinup", "--seed", "1_0"), ("run", "--seed", "1.0")],
+)
+def test_integer_flags_take_plain_digits_in_one_error_line(tmp_path, capsys, command, flag,
+                                                             value):
+    # int() takes "1_0" and a full-width digit; the flags take what a config file does
+    cfg = tmp_path / "cfg.ini"
+    write_tiny_config(cfg, tmp_path / "out")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg), flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_subcommand_required(capsys):
+    with pytest.raises(SystemExit) as info:
         main([])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 TINY_TRUTH = "grid_index,h,u,r\n0,90.0,0.0,0.0\n1,90.1,0.5,0.2\n"

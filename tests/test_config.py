@@ -1,12 +1,21 @@
 import dataclasses
 import math
 import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkpf.config import _EXPERIMENT_KEYS, _MODEL_KEYS, ExperimentConfig, _to_float, parse_config
+from enkpf.config import (
+    _EXPERIMENT_KEYS,
+    _MODEL_KEYS,
+    ExperimentConfig,
+    _to_float,
+    _to_int,
+    parse_config,
+)
 from enkpf.errors import ConfigError
 from enkpf.sweq import MAX_STEPS, ModelParams
 
@@ -234,12 +243,45 @@ def test_built_config_has_its_scenario_timing():
         ({"ess_band": None}, "ess_band: need two numbers"),
         ({"ess_band": (0.8, 0.5)}, "ess_band: need two numbers 0 < lo <= hi <= 1"),
         ({"trace": "false"}, "trace: must be true or false"),
+        ({"trace": 1}, "trace: must be true or false"),
+        # a value of the wrong type is named by its key, before any rule
+        ({"r_r": "0.1"}, "r_r: must be a number"),
+        ({"l_m": None}, "l: must be a number"),
+        ({"interval_s": "300"}, "interval_s: must be a number"),
+        ({"spinup_days": True}, "spinup_days: must be a number"),
+        ({"methods": "lenkf"}, "methods: must be a tuple of method names"),
+        ({"methods": ["lenkf"]}, "methods: must be a tuple of method names"),
+        ({"out_dir": 5}, "out: must be a path"),
+        ({"repetitions": True}, "repetitions: must be an integer"),
+        ({"k": "5"}, "k: must be an integer"),
     ],
 )
 def test_built_config_rejects_what_parse_config_rejects(kwargs, key):
     with pytest.raises(ConfigError) as info:
         ExperimentConfig(**kwargs)
     assert str(info.value).startswith(key)
+
+
+def test_built_config_takes_integer_and_path_types():
+    cfg = ExperimentConfig(k=np.int64(5), l_m=4000, out_dir=Path("results"))
+    assert (cfg.k, cfg.l_m, cfg.out_dir) == (5, 4000, Path("results"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[experiment]\nk = 1_0\n", "[experiment]\nk = \uff13\n",
+     "[experiment]\nrepetitions = 1_0\n", "[experiment]\nbase_seed = 1_000\n",
+     "[model]\nn_points = 3_0_0\n", "[model]\nn_points = \u0663\u0660\n"],
+)
+def test_integers_are_plain_ascii_digits(text):
+    # int() takes these: underscores, full-width and Arabic-Indic digits
+    with pytest.raises(ConfigError, match="^line 2: bad value for .*not an integer"):
+        parse_config(text)
+
+
+def test_integers_take_a_sign():
+    assert _to_int("+7") == 7 and _to_int("-0") == 0 and _to_int("007") == 7
+    assert parse_config("[experiment]\nbase_seed = +3\n").base_seed == 3
 
 
 def test_unpickled_config_is_not_checked_again(monkeypatch):
@@ -335,14 +377,16 @@ def test_parse_config_float_keys_give_finite_config_or_config_error(exp, model, 
 
 
 def test_fuzzed_float_keys_are_every_float_key_of_the_parser():
-    # a new float key must join the non-finite fuzz above
+    # a new float key must join the non-finite fuzz above, and the parity fuzz
+    # below must draw the integer keys
     assert set(EXPERIMENT_FLOAT_KEYS) == {
         key for key, row in _EXPERIMENT_KEYS.items() if row.convert is _to_float}
+    assert INT_KEYS == ("k", "repetitions", "base_seed")
     assert set(MODEL_FLOAT_KEYS) == {
         key for key, convert in _MODEL_KEYS.items() if convert is _to_float}
 
 
-INT_KEYS = tuple(key for key, row in _EXPERIMENT_KEYS.items() if row.convert is int)
+INT_KEYS = tuple(key for key, row in _EXPERIMENT_KEYS.items() if row.convert is _to_int)
 FLOAT_KEYS = tuple(key for key, row in _EXPERIMENT_KEYS.items() if row.convert is _to_float)
 FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-308, 1e308, -1e308]),

@@ -262,6 +262,13 @@ def test_naive_locality_and_empty_obs():
     np.testing.assert_array_equal(noop, x)
 
 
+def public_loop(ens, plan, rng, ess_lo=None, diagnostics=None):
+    """The public filter that site_loop stands for: the LEnKF when ess_lo is None."""
+    if ess_lo is None:
+        return lenkf_update(ens, plan, rng)
+    return naive_lenkpf_update(ens, plan, (ess_lo, 1.0), rng, diagnostics)
+
+
 def loop_outcome(loop, x, plan, seed, ess_lo):
     """The analysis bytes, or the FilterError's message, and the diagnostics."""
     diag = LocalDiagnostics()
@@ -275,10 +282,10 @@ def loop_outcome(loop, x, plan, seed, ess_lo):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 24), k=st.integers(2, 24), data=st.data())
 def test_site_loop_equals_the_per_site_oracle(n, k, data):
-    # the passes (screen, sweep, gather) against one _local_enkpf per site:
-    # sparse rain gives empty windows, no wind rain-only ones, wind at every
-    # point an all-wet grid; a far-off observation makes the innovations
-    # overflow, and both must name the same site
+    # the LEnKF's loop and the naive passes (screen, sweep, gather) against
+    # one _local_enkpf per site: sparse rain gives empty windows, no wind
+    # rain-only ones, wind at every point an all-wet grid; a far-off
+    # observation makes the innovations overflow, and both must name the same site
     grid = Grid(n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = random_ensemble(rng, grid, k)
@@ -298,7 +305,7 @@ def test_site_loop_equals_the_per_site_oracle(n, k, data):
     plan = local_plan(obs, grid, l_m, 5000.0)
     seed = data.draw(st.integers(0, 2**32 - 1))
     for ess_lo in (None, data.draw(st.floats(0.05, 1.0) | st.just(1.0))):
-        assert loop_outcome(local_filters._site_loop, x, plan, seed, ess_lo) == loop_outcome(
+        assert loop_outcome(public_loop, x, plan, seed, ess_lo) == loop_outcome(
             site_loop, x, plan, seed, ess_lo)
 
 
@@ -307,7 +314,7 @@ def test_site_loop_names_the_first_failing_site_as_the_oracle_does():
     plan = local_plan(obs, grid, 1500.0, 5000.0)
     want = loop_outcome(site_loop, x, plan, 46, 0.5)
     assert want[0] == "site 2: whitened innovations are not finite"  # setup sanity
-    assert loop_outcome(local_filters._site_loop, x, plan, 46, 0.5) == want
+    assert loop_outcome(public_loop, x, plan, 46, 0.5) == want
 
 
 def test_a_site_after_an_empty_window_reorders_toward_the_identity():
@@ -320,7 +327,7 @@ def test_a_site_after_an_empty_window_reorders_toward_the_identity():
     assert (plan.sizes[10:25] == 0).all() and plan.sizes[5] and plan.sizes[30]  # setup sanity
     want = loop_outcome(site_loop, x, plan, 51, 0.05)
     assert set(np.frombuffer(want[1])) == {0.0} and min(np.frombuffer(want[2])) < 12
-    assert loop_outcome(local_filters._site_loop, x, plan, 51, 0.05) == want
+    assert loop_outcome(public_loop, x, plan, 51, 0.05) == want
 
 
 def test_a_whitened_s_that_overflows_fails_each_site_as_the_oracle_does():
@@ -333,7 +340,7 @@ def test_a_whitened_s_that_overflows_fails_each_site_as_the_oracle_does():
     plan = local_plan(obs, grid, 500.0, 5000.0)
     want = loop_outcome(site_loop, x, plan, 52, 0.5)
     assert want[0] == "site 1: whitened innovation covariance is not finite"
-    assert loop_outcome(local_filters._site_loop, x, plan, 52, 0.5) == want
+    assert loop_outcome(public_loop, x, plan, 52, 0.5) == want
 
 
 def test_no_eigh_at_gamma_zero(monkeypatch):
